@@ -25,7 +25,6 @@ from .surfaces import (
     TIMELIKE,
     SurfaceChart,
     causal_character,
-    surface_jet,
 )
 
 
@@ -127,8 +126,9 @@ def detect_character_bands(
     chars = []
     for t in ts:
         try:
-            jet = surface_jet(chart, (u0, float(t)), ambient.steps.second)
-            char, _ = causal_character(ambient, jet.point, jet.du, jet.dv)
+            u, v = float(u0), float(t)
+            du, dv = chart.partials(u, v, ambient.steps.second)
+            char, _ = causal_character(ambient, chart.point(u, v), du, dv)
         except GeometryError:
             char = DEGENERATE
         chars.append(char)

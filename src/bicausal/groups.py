@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import SpaceParams, Signature, curvature_frame, wedge_frame
+from .ambient import SpaceParams, Signature, curvature_frame, memoized, wedge_frame
 from .errors import CurveSingular, DomainViolation, ModelMismatch
 from .numdiff import FDSteps, central_diff
 from .surfaces import SurfaceChart
@@ -121,6 +121,7 @@ class GroupAmbient:
 
     # -- metric ------------------------------------------------------------
 
+    @memoized
     def metric(self, sig: Signature, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         u = self.pairing @ (self.fields[2] @ p)
@@ -137,6 +138,7 @@ class GroupAmbient:
 
     # -- frame -------------------------------------------------------------
 
+    @memoized
     def frame(self, p: np.ndarray) -> np.ndarray:
         """Columns: the oriented orthonormal frame of both metrics at p (on the quadric)."""
         p = np.asarray(p, dtype=float)
@@ -145,6 +147,7 @@ class GroupAmbient:
         f2 = self.frame_flip * r * (self.fields[1] @ p)
         return np.column_stack([f1, f2, self.fiber_direction(p)])
 
+    @memoized
     def to_frame(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Frame components of a vector tangent to the quadric (Riemannian projection)."""
         f = self.frame(p)
@@ -166,6 +169,7 @@ class GroupAmbient:
 
     # -- connection ----------------------------------------------------------
 
+    @memoized
     def christoffels(self, sig: Signature, p: np.ndarray, h: float | None = None) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         h = self.steps.first if h is None else h

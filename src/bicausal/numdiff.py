@@ -60,14 +60,6 @@ def central_diff(f, x: float, h: float):
     return (fm2 - f2 + 8.0 * (f1 - fm1)) / (12.0 * h)
 
 
-def central_diff2(f, x: float, h: float):
-    """d^2/dt^2 f at t = x by the symmetric three-point rule."""
-    fp = np.asarray(f(x + h), dtype=float)
-    f0 = np.asarray(f(x), dtype=float)
-    fm = np.asarray(f(x - h), dtype=float)
-    return (fp - 2.0 * f0 + fm) / (h * h)
-
-
 def partial_diff(f, p: np.ndarray, axis: int, h: float):
     """Partial derivative of f along coordinate ``axis`` at point p."""
     e = np.zeros_like(np.asarray(p, dtype=float))

@@ -9,6 +9,7 @@ reports apart from the isolated timestamp field.
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +102,18 @@ def sample_points(chart, n: int, rng: np.random.Generator, step: float):
     return pts
 
 
+def _worst(residuals) -> float:
+    """Largest residual, or the first non-finite one; 0.0 for none.
+
+    Plain ``max`` drops a NaN that does not come first, which would let it
+    pass; a non-finite residual must decide the row instead.
+    """
+    for r in residuals:
+        if not math.isfinite(r):
+            return r
+    return max(residuals, default=0.0)
+
+
 def run_suite(config: SuiteConfig) -> dict:
     """Run the verification sweep and return a JSON-ready report."""
     identity_names = config.resolved_identities()
@@ -155,8 +168,8 @@ def run_suite(config: SuiteConfig) -> dict:
                         row["skipped"][reason] = row["skipped"].get(reason, 0) + 1
                         continue
                     residuals = out["residuals"]
-                    peak = max(residuals) if residuals else 0.0
-                    row["max"] = peak if row["max"] is None else max(row["max"], peak)
+                    peak = _worst(residuals)
+                    row["max"] = peak if row["max"] is None else _worst((row["max"], peak))
                     row["samples"] += 1
                     row["count"] += len(residuals)
             surface_rows.append(
@@ -176,7 +189,7 @@ def run_suite(config: SuiteConfig) -> dict:
                     benign = used == 0 or set(row["skipped"]) <= BENIGN_SKIPS
                     status = "skipped" if benign else "fail"
                 else:
-                    status = "pass" if row["max"] <= tol else "fail"
+                    status = "pass" if math.isfinite(row["max"]) and row["max"] <= tol else "fail"
                 results.append(
                     {
                         "identity": name,

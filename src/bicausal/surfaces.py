@@ -67,38 +67,6 @@ class SurfaceChart:
         return du, dv
 
 
-@dataclass
-class SurfaceJet:
-    """Chart value with first and second parameter derivatives at one point."""
-
-    uv: tuple[float, float]
-    point: np.ndarray
-    du: np.ndarray
-    dv: np.ndarray
-    duu: np.ndarray
-    duv: np.ndarray
-    dvv: np.ndarray
-
-
-def surface_jet(chart: SurfaceChart, uv: tuple[float, float], h: float) -> SurfaceJet:
-    """Evaluate the 2-jet of the chart; second derivatives difference the first."""
-    u, v = float(uv[0]), float(uv[1])
-    du, dv = chart.partials(u, v, h)
-    du_up, dv_up = chart.partials(u + h, v, h)
-    du_um, dv_um = chart.partials(u - h, v, h)
-    _, dv_vp = chart.partials(u, v + h, h)
-    _, dv_vm = chart.partials(u, v - h, h)
-    return SurfaceJet(
-        uv=(u, v),
-        point=chart.point(u, v),
-        du=du,
-        dv=dv,
-        duu=(du_up - du_um) / (2.0 * h),
-        duv=(dv_up - dv_um) / (2.0 * h),
-        dvv=(dv_vp - dv_vm) / (2.0 * h),
-    )
-
-
 def induced_gram(ambient, sig: Signature, point: np.ndarray, du: np.ndarray, dv: np.ndarray):
     g = ambient.metric(sig, point)
     return np.array(

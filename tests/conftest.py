@@ -65,6 +65,12 @@ def random_params(gen: np.random.Generator) -> SpaceParams:
     return SpaceParams(kappa, tau)
 
 
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: stricter than np.array_equal (signed zeros)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def interior_grid(domain, n_u: int, n_v: int, margin: float = 0.12):
     """Deterministic interior sample points of a chart rectangle."""
     (u0, u1), (v0, v1) = domain

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bicausal.ambient import Signature, SpaceParams
+from bicausal.ambient import MEMO_SIZE, Signature, SpaceParams
 from bicausal.catalog import build_surface
 from bicausal.errors import CurveSingular, DomainViolation, ModelMismatch
 from bicausal.groups import (
@@ -20,7 +20,7 @@ from bicausal.groups import (
 from bicausal.identities import ruling_defect
 from bicausal.surfaces import frame_data
 
-from conftest import interior_grid
+from conftest import interior_grid, same_bits
 
 SIGS = (Signature.R, Signature.L)
 
@@ -294,3 +294,63 @@ def test_metric_extension_weight_does_not_change_surface_data():
                 assert abs(
                     d0.extrinsic_curvature(sig) - d1.extrinsic_curvature(sig)
                 ) < 1e-8
+
+
+# -- memoized point primitives -------------------------------------------------
+
+MEMOIZED = ("frame", "metric", "to_frame", "christoffels")
+MODELS = [(BERGER, 1.0, 1.0), (SU11, -1.5, 0.8)]
+
+
+def _primitive_calls(ambient, points, vectors):
+    out = []
+    for p in points:
+        u, v = (ambient.to_coord(p, c) for c in vectors)
+        for sig in SIGS:
+            out += [
+                ambient.metric(sig, p),
+                ambient.frame(p),
+                ambient.to_frame(p, u),
+                ambient.christoffels(sig, p),
+                ambient.wedge(sig, p, u, v),
+                ambient.tangent_project(sig, p, u + p),
+            ]
+    return out
+
+
+@pytest.mark.parametrize("kind,kappa,tau", MODELS)
+def test_memoized_primitives_match_unmemoized(kind, kappa, tau, rng, monkeypatch):
+    """Hits, misses and evictions in any order give the bits a fresh call gives."""
+    params = SpaceParams(kappa, tau)
+    points = [_model_point(kind, rng) for _ in range(40)]
+    order = points + points[::-1] + points[::3] + points[:5]
+    vectors = [rng.normal(size=3), rng.normal(size=3)]
+    got = _primitive_calls(GroupAmbient(kind, params), order, vectors)
+    with monkeypatch.context() as m:
+        for name in MEMOIZED:
+            m.setattr(GroupAmbient, name, getattr(GroupAmbient, name).__wrapped__)
+        want = _primitive_calls(GroupAmbient(kind, params), order, vectors)
+    assert len(got) == len(want)
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("kind,kappa,tau", MODELS)
+def test_memo_is_bounded_and_read_only(kind, kappa, tau, rng):
+    ambient = GroupAmbient(kind, SpaceParams(kappa, tau))
+    for _ in range(1000):
+        p = _model_point(kind, rng)
+        ambient.to_frame(p, p)
+        for sig in SIGS:
+            ambient.christoffels(sig, p)
+    memos = {k: m for k, m in vars(ambient).items() if k.startswith("_memo_")}
+    assert set(memos) == {f"_memo_{name}" for name in MEMOIZED}
+    assert all(len(m) == MEMO_SIZE for m in memos.values())
+    p = _model_point(kind, rng)
+    for out in (
+        ambient.frame(p),
+        ambient.metric(Signature.R, p),
+        ambient.to_frame(p, p),
+        ambient.christoffels(Signature.L, p),
+    ):
+        with pytest.raises(ValueError):
+            out[0] = 1.0

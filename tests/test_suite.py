@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import math
 
 import pytest
 
 from bicausal.errors import ConfigInvalid
-from bicausal.identities import IDENTITY_NAMES
+from bicausal.identities import IDENTITIES, IDENTITY_NAMES
 from bicausal.suite import DEFAULT_PARAMS, SCHEMA_VERSION, SuiteConfig, run_suite
 
 
@@ -101,6 +103,25 @@ def test_tolerance_override_can_force_failure():
     assert {row["identity"] for row in failing} == {"CONN_DIFF"}
     for row in failing:
         assert row["tolerance"] == 1e-15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_residual_never_passes(bad, monkeypatch):
+    """Python's max drops a NaN that is not first: max([0.0, nan]) == 0.0."""
+    calls = []
+
+    def evaluate(ctx):
+        calls.append(None)
+        return [0.0] if len(calls) == 1 else [0.0, bad]
+
+    info = IDENTITIES["METRIC_SUM"]
+    monkeypatch.setitem(IDENTITIES, "METRIC_SUM", dataclasses.replace(info, evaluate=evaluate))
+    report = run_suite(_small_config(identities=("METRIC_SUM",), surfaces=("graph:bowl:a=0.2",)))
+    (row,) = report["results"]
+    assert len(calls) == row["samples"] == 2
+    assert row["status"] == "fail"
+    assert not math.isfinite(row["max_residual"])
+    assert report["summary"]["pass"] is False
 
 
 def test_identity_subset_runs_only_requested():

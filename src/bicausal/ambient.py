@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigInvalid, DomainViolation
-from .numdiff import FDSteps, central_diff
+from .numdiff import STENCIL_STEPS, FDSteps, central_diff, stencil_derivative
 
 DOMAIN_MARGIN = 1e-6
 
@@ -91,6 +91,29 @@ def memoized(method):
     return wrapper
 
 
+def stacked(per_point: str):
+    """Make a method taking points (n, dim) last the stacked form of ``per_point``.
+
+    Stacks are memoized like point primitives.  A stack of one row is
+    answered by the memoized per-point primitive instead, so that later
+    per-point calls at that point find it, as after a per-point evaluation.
+    """
+
+    def decorate(method):
+        cached = memoized(method)
+
+        @functools.wraps(method)
+        def wrapper(self, *args):
+            *head, points = args
+            if len(points) == 1:
+                return getattr(self, per_point)(*head, points[0])[None]
+            return cached(self, *args)
+
+        return wrapper
+
+    return decorate
+
+
 @dataclass(frozen=True)
 class SpaceParams:
     """Curvature parameters of the model: base curvature kappa, bundle twist tau."""
@@ -132,22 +155,28 @@ def wedge_frame(sig: Signature, uf: np.ndarray, vf: np.ndarray) -> np.ndarray:
 
     For the Riemannian metric this is the ordinary cross product; for the
     Lorentzian one the third component acquires the sign of the fiber leg.
+    Leading batch axes are kept.
     """
     c = _cross(uf, vf)
     if sig is Signature.L:
-        c[2] = -c[2]
+        c[..., 2] = -c[..., 2]
     return c
 
 
 def _cross(a, b) -> np.ndarray:
-    """Cross product of two 3-vectors.
+    """Cross product over the last axis of two stacks of 3-vectors.
 
     Same products and differences, in the same order, as ``np.cross``, so the
     same bits, without its per-call axis handling.
     """
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    a, b = np.asarray(a), np.asarray(b)
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    out = np.empty(a.shape)
+    last = out.T
+    last[0] = a1 * b2 - a2 * b1
+    last[1] = a2 * b0 - a0 * b2
+    last[2] = a0 * b1 - a1 * b0
+    return out
 
 
 def split_frame(vf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +246,72 @@ def _twisted_table(params: SpaceParams, sig: Signature) -> np.ndarray:
     return gam
 
 
-class CoordinateAmbient:
+def _per_row(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """View per-point arrays (n, ...) so they broadcast over vectors (n, [k,] dim)."""
+    return a.reshape(a.shape[:1] + (1,) * (vecs.ndim - 2) + a.shape[1:])
+
+
+def _vectors(vecs) -> np.ndarray:
+    """Vectors as a C-contiguous float array.
+
+    A strided column operand sends ``matmul`` down another loop than the
+    per-point call takes, with other roundings.
+    """
+    return np.ascontiguousarray(vecs, dtype=float)
+
+
+def stacked_inner(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u @ g @ v row by row, for metrics g (n, dim, dim) and vectors (n, [k,] dim)."""
+    u, v = _vectors(u), _vectors(v)
+    return (u[..., None, :] @ _per_row(g, u) @ v[..., None])[..., 0, 0]
+
+
+class Ambient:
+    """Frame algebra shared by the coordinate and the group model.
+
+    Subclasses supply ``frame``, ``metric`` and ``to_frame`` for one point,
+    and their stacked forms ``frames``, ``metrics`` and ``to_frames`` for
+    points of shape (n, dim), with vectors of shape (n, dim) or (n, k, dim).
+    A stacked form returns, row by row, the same bits as the per-point call.
+    They also supply the stencil derivative: ``stencil_components`` and
+    ``cov_deriv_stencil``, which ``cov_deriv_on_curve`` samples for.
+    """
+
+    def inner(self, sig: Signature, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+        return float(np.asarray(u, dtype=float) @ self.metric(sig, p) @ np.asarray(v, dtype=float))
+
+    def to_coord(self, p: np.ndarray, vf: np.ndarray) -> np.ndarray:
+        """Coordinate components of a vector given in the canonical frame at p."""
+        return self.frame(p) @ np.asarray(vf, dtype=float)
+
+    def wedge(self, sig: Signature, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Vector product of two coordinate vectors, returned in coordinates."""
+        return self.to_coord(p, wedge_frame(sig, self.to_frame(p, u), self.to_frame(p, v)))
+
+    def curvature(
+        self, sig: Signature, p: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
+    ) -> np.ndarray:
+        """Curvature operator on coordinate vectors, returned in coordinates."""
+        rf = curvature_frame(
+            self.params, sig, self.to_frame(p, x), self.to_frame(p, y), self.to_frame(p, z)
+        )
+        return self.to_coord(p, rf)
+
+    # -- stacked forms ---------------------------------------------------------
+
+    def inners(
+        self, sig: Signature, points: np.ndarray, u: np.ndarray, v: np.ndarray
+    ) -> np.ndarray:
+        """Stacked ``inner``: vectors (n, [k,] dim) -> (n, [k])."""
+        return stacked_inner(self.metrics(sig, points), u, v)
+
+    def to_coords(self, points: np.ndarray, comps: np.ndarray) -> np.ndarray:
+        """Stacked ``to_coord``: frame components (n, [k,] 3) -> (n, [k,] dim)."""
+        c = _vectors(comps)
+        return (_per_row(self.frames(points), c) @ c[..., None])[..., 0]
+
+
+class CoordinateAmbient(Ambient):
     """The coordinate chart of the model: R^3, or a solid cylinder over a disk.
 
     Provides metric evaluation, the canonical frame with analytic first
@@ -261,22 +355,26 @@ class CoordinateAmbient:
         k = self.params.kappa
         return 1.0 / (1.0 + 0.25 * k * (p[0] ** 2 + p[1] ** 2))
 
-    def fiber_form(self, p: np.ndarray) -> np.ndarray:
-        """Covector whose kernel is the horizontal distribution; value 1 on the fiber."""
-        lam = self.conformal_factor(p)
-        t = self.params.tau
-        return np.array([t * lam * p[1], -t * lam * p[0], 1.0])
+    def _metric_entries(self, sig: Signature, x: float, y: float) -> list:
+        """diag(lam^2, lam^2, 0) + eps3 theta theta^T at a point (x, y, .), entry by entry.
+
+        theta is the fiber 1-form, whose kernel is the horizontal distribution
+        and whose value on the fiber is 1.  The per-point and the stacked form
+        share this, so they round alike.
+        """
+        lam = self.conformal_factor((x, y))
+        t, e = self.params.tau, sig.eps3
+        theta = (t * lam * y, -t * lam * x, 1.0)
+        diag = (lam * lam, lam * lam, 0.0)
+        return [
+            [(diag[i] if i == j else 0.0) + e * (theta[i] * theta[j]) for j in range(3)]
+            for i in range(3)
+        ]
 
     @memoized
     def metric(self, sig: Signature, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        lam = self.conformal_factor(p)
-        theta = self.fiber_form(p)
-        g = np.diag([lam * lam, lam * lam, 0.0])
-        return g + sig.eps3 * np.outer(theta, theta)
-
-    def inner(self, sig: Signature, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.asarray(u, dtype=float) @ self.metric(sig, p) @ np.asarray(v, dtype=float))
+        x, y, _ = np.asarray(p, dtype=float)
+        return np.array(self._metric_entries(sig, x, y))
 
     def fiber_direction(self, p: np.ndarray) -> np.ndarray:
         """The distinguished unit vertical field; equals the third frame leg."""
@@ -284,22 +382,22 @@ class CoordinateAmbient:
 
     # -- canonical frame ---------------------------------------------------
 
+    def _frame_entries(self, x: float, y: float, z: float) -> list:
+        """The frame matrix at (x, y, z), shared by ``frame`` and ``frames``."""
+        k, t = self.params.kappa, self.params.tau
+        s = self.params.twist_rate
+        li = 1.0 + 0.25 * k * (x**2 + y**2)
+        c, sn = math.cos(s * z), math.sin(s * z)
+        return [
+            [li * c, -li * sn, 0.0],
+            [li * sn, li * c, 0.0],
+            [t * (x * sn - y * c), t * (x * c + y * sn), 1.0],
+        ]
+
     @memoized
     def frame(self, p: np.ndarray) -> np.ndarray:
         """Matrix whose columns are the canonical frame in coordinates."""
-        p = np.asarray(p, dtype=float)
-        k, t = self.params.kappa, self.params.tau
-        s = self.params.twist_rate
-        li = 1.0 + 0.25 * k * (p[0] ** 2 + p[1] ** 2)
-        c, sn = math.cos(s * p[2]), math.sin(s * p[2])
-        x, y = p[0], p[1]
-        return np.array(
-            [
-                [li * c, -li * sn, 0.0],
-                [li * sn, li * c, 0.0],
-                [t * (x * sn - y * c), t * (x * c + y * sn), 1.0],
-            ]
-        )
+        return np.array(self._frame_entries(*np.asarray(p, dtype=float)))
 
     def frame_partials(self, p: np.ndarray) -> np.ndarray:
         """Analytic coordinate partials of the frame matrix, shape (3, 3, 3).
@@ -337,15 +435,24 @@ class CoordinateAmbient:
         """Components of a coordinate vector in the canonical frame at p."""
         return np.linalg.solve(self.frame(p), np.asarray(v, dtype=float))
 
-    def to_coord(self, p: np.ndarray, vf: np.ndarray) -> np.ndarray:
-        """Coordinate components of a vector given in the canonical frame at p."""
-        return self.frame(p) @ np.asarray(vf, dtype=float)
+    # -- stacked forms (see Ambient) ----------------------------------------
 
-    def wedge(self, sig: Signature, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Vector product of two coordinate vectors, returned in coordinates."""
-        uf = self.to_frame(p, u)
-        vf = self.to_frame(p, v)
-        return self.to_coord(p, wedge_frame(sig, uf, vf))
+    @stacked("metric")
+    def metrics(self, sig: Signature, points: np.ndarray) -> np.ndarray:
+        rows = np.asarray(points, dtype=float).tolist()
+        return np.array([self._metric_entries(sig, x, y) for x, y, _ in rows]).reshape(-1, 3, 3)
+
+    @stacked("frame")
+    def frames(self, points: np.ndarray) -> np.ndarray:
+        rows = np.asarray(points, dtype=float).tolist()
+        return np.array([self._frame_entries(*q) for q in rows]).reshape(-1, 3, 3)
+
+    def to_frames(self, points: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        v = _vectors(vecs)
+        return np.linalg.solve(_per_row(self.frames(points), v), v[..., None])[..., 0]
+
+    # The stencil derivative differences frame components.
+    stencil_components = to_frames
 
     # -- connection --------------------------------------------------------
 
@@ -411,23 +518,47 @@ class CoordinateAmbient:
     ) -> np.ndarray:
         """Covariant derivative of a vector field along a curve at parameter 0.
 
-        ``field(t)`` gives coordinate components at curve(t).  The derivative
-        part is taken on frame components, so only the field values at the
-        three stencil parameters and the connection table at the center are
-        needed.  Returns coordinate components at curve(0).
+        ``field(t)`` gives coordinate components at curve(t).  Samples the
+        curve and the field on the five-point stencil and hands their frame
+        components, converted as one stack, to ``cov_deriv_stencil``.
+        Returns coordinate components at curve(0).
         """
         p0 = np.asarray(curve(0.0), dtype=float)
         if velocity is None:
             velocity = central_diff(curve, 0.0, h)
+        points, values = [p0], [field(0.0)]
+        for k in STENCIL_STEPS:
+            points.append(curve(k * h))
+            values.append(field(k * h))
+        comps = self.to_frames(np.array(points), np.array(values))
+        return self.cov_deriv_stencil(sig, p0, velocity, comps[:1], comps[1:, None], h)[0]
+
+    def cov_deriv_stencil(
+        self,
+        sig: Signature,
+        p0: np.ndarray,
+        velocity: np.ndarray,
+        f0: np.ndarray,
+        fs: np.ndarray,
+        h: float,
+    ) -> np.ndarray:
+        """Covariant derivatives at p0 of k fields along a curve with the given velocity.
+
+        ``f0`` (k, 3) holds the fields' ``stencil_components`` (frame
+        components) at p0 and ``fs`` (4, k, 3) those at the curve parameters
+        ``STENCIL_STEPS`` times h.  The derivative part is taken on frame
+        components, so only the connection table at p0 is needed.  Returns
+        coordinate components (k, 3) at p0.
+        """
         vel_f = self.to_frame(p0, velocity)
-        f0 = self.to_frame(p0, field(0.0))
-        df = central_diff(lambda t: self.to_frame(curve(t), field(t)), 0.0, h)
+        df = stencil_derivative(fs, h)
         table = self.connection_table(sig, p0)
-        corr = np.zeros(3)
-        for i in range(3):
-            for j in range(3):
-                corr += vel_f[i] * f0[j] * table[i, j]
-        return self.to_coord(p0, df + corr)
+        # terms[i, j] = vel_f[i] * f0[:, j] * table[i, j], summed over (i, j) in order
+        terms = (vel_f[:, None, None] * f0.T)[..., None] * table[:, :, None, :]
+        corr = np.zeros(f0.shape)
+        for term in terms.reshape(9, *f0.shape):
+            corr += term
+        return (self.frame(p0) @ (df + corr)[..., None])[..., 0]
 
     # -- derived tensors ----------------------------------------------------
 
@@ -436,12 +567,3 @@ class CoordinateAmbient:
         xf = self.to_frame(p, x)
         yf = self.to_frame(p, y)
         return self.to_coord(p, connection_gap_frame(self.params.tau, xf, yf))
-
-    def curvature(
-        self, sig: Signature, p: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
-    ) -> np.ndarray:
-        """Curvature operator on coordinate vectors, returned in coordinates."""
-        rf = curvature_frame(
-            self.params, sig, self.to_frame(p, x), self.to_frame(p, y), self.to_frame(p, z)
-        )
-        return self.to_coord(p, rf)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -17,7 +18,7 @@ from .catalog import CATALOG, build_surface, default_surfaces
 from .errors import ConfigInvalid, GeometryError, UnsupportedFormat
 from .identities import IDENTITIES, IDENTITY_NAMES, SampleSkip, curvature_suite
 from .numdiff import FDSteps
-from .suite import DEFAULT_PARAMS, SuiteConfig, run_suite
+from .suite import DEFAULT_PARAMS, NON_FINITE, SuiteConfig, run_suite
 from .surfaces import DEGENERATE, frame_data
 
 
@@ -49,8 +50,8 @@ def _parse_tols(values) -> dict:
             out[name] = float(value)
         except ValueError:
             raise ConfigInvalid(f"bad tolerance value in --tol {text!r}") from None
-        if out[name] <= 0:
-            raise ConfigInvalid(f"tolerance must be positive in --tol {text!r}")
+        if not (0 < out[name] < math.inf):
+            raise ConfigInvalid(f"tolerance must be positive and finite in --tol {text!r}")
     return out
 
 
@@ -74,6 +75,15 @@ def _grid_points(chart, nu: int, nv: int):
     return us, vs
 
 
+def _strict_json(report: dict) -> dict:
+    """The report with each non-finite residual as None, which JSON writes as null."""
+    results = [
+        {**row, "max_residual": None} if row.get("reason") == NON_FINITE else row
+        for row in report["results"]
+    ]
+    return {**report, "results": results}
+
+
 def cmd_verify(args) -> int:
     config = SuiteConfig(
         params=_parse_params(args.params),
@@ -86,7 +96,7 @@ def cmd_verify(args) -> int:
     report = run_suite(config)
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
             fh.write("\n")
 
     by_surface: dict[tuple[str, str], list] = {}

@@ -21,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import SpaceParams, Signature, curvature_frame, memoized, wedge_frame
+from .ambient import Ambient, SpaceParams, Signature, _per_row, _vectors, memoized, stacked
 from .errors import CurveSingular, DomainViolation, ModelMismatch
-from .numdiff import FDSteps, central_diff
+from .numdiff import STENCIL_STEPS, FDSteps, central_diff, stencil_derivative
 from .surfaces import SurfaceChart
 
 BERGER = "berger"
@@ -56,8 +56,8 @@ _SU11_FIELDS = (
 QUADRIC_TOL = 1e-9
 
 
-class GroupAmbient:
-    """Ambient backend for the matrix-group models, duck-typed like the coordinate one.
+class GroupAmbient(Ambient):
+    """Ambient backend for the matrix-group models, with the interface of the coordinate one.
 
     Points are unit vectors of the relevant quadric in R^4; tangent vectors
     are R^4 vectors tangent to it.  ``kind`` selects the sphere model
@@ -130,9 +130,6 @@ class GroupAmbient:
             g = g * self.quadric_value(p) ** self.extension_weight
         return g
 
-    def inner(self, sig: Signature, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.asarray(u, dtype=float) @ self.metric(sig, p) @ np.asarray(v, dtype=float))
-
     def fiber_direction(self, p: np.ndarray) -> np.ndarray:
         return (self.params.kappa / (4.0 * self.params.tau)) * (self.fields[2] @ np.asarray(p, dtype=float))
 
@@ -153,19 +150,37 @@ class GroupAmbient:
         f = self.frame(p)
         return f.T @ self.metric(Signature.R, p) @ np.asarray(v, dtype=float)
 
-    def to_coord(self, p: np.ndarray, comps: np.ndarray) -> np.ndarray:
-        return self.frame(p) @ np.asarray(comps, dtype=float)
+    # -- stacked forms (see Ambient) ----------------------------------------
 
-    def wedge(self, sig: Signature, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.to_coord(p, wedge_frame(sig, self.to_frame(p, u), self.to_frame(p, v)))
-
-    def curvature(
-        self, sig: Signature, p: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
-    ) -> np.ndarray:
-        rf = curvature_frame(
-            self.params, sig, self.to_frame(p, x), self.to_frame(p, y), self.to_frame(p, z)
+    @stacked("metric")
+    def metrics(self, sig: Signature, points: np.ndarray) -> np.ndarray:
+        p = np.asarray(points, dtype=float)
+        u = (self.pairing @ (self.fields[2] @ p[..., None]))[..., 0]
+        g = (4.0 / self.params.kappa) * (
+            self.pairing + self._modifier[sig] * (u[:, :, None] * u[:, None, :])
         )
-        return self.to_coord(p, rf)
+        if self.extension_weight != 0.0:
+            quad = (p[:, None, :] @ self.pairing @ p[..., None])[:, 0, 0]
+            g = g * np.array([q**self.extension_weight for q in quad.tolist()])[:, None, None]
+        return g
+
+    @stacked("frame")
+    def frames(self, points: np.ndarray) -> np.ndarray:
+        p = np.asarray(points, dtype=float)[..., None]
+        r = 0.5 * math.sqrt(abs(self.params.kappa))
+        f1 = r * (self.fields[0] @ p)
+        f2 = self.frame_flip * r * (self.fields[1] @ p)
+        fiber = (self.params.kappa / (4.0 * self.params.tau)) * (self.fields[2] @ p)
+        return np.concatenate([f1, f2, fiber], axis=-1)
+
+    def to_frames(self, points: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        v = _vectors(vecs)
+        f = np.swapaxes(_per_row(self.frames(points), v), -1, -2)
+        return (f @ _per_row(self.metrics(Signature.R, points), v) @ v[..., None])[..., 0]
+
+    def stencil_components(self, points: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """Coordinates: the extended ambient derivative differences them as they are."""
+        return np.asarray(vecs, dtype=float)
 
     # -- connection ----------------------------------------------------------
 
@@ -220,10 +235,31 @@ class GroupAmbient:
         if velocity is None:
             velocity = central_diff(curve, 0.0, h)
         v0 = np.asarray(field(0.0), dtype=float)
-        dv = central_diff(field, 0.0, h)
+        fs = np.array([np.asarray(field(k * h), dtype=float) for k in STENCIL_STEPS])
+        return self.cov_deriv_stencil(sig, p0, velocity, v0[None], fs[:, None], h)[0]
+
+    def cov_deriv_stencil(
+        self,
+        sig: Signature,
+        p0: np.ndarray,
+        velocity: np.ndarray,
+        f0: np.ndarray,
+        fs: np.ndarray,
+        h: float,
+    ) -> np.ndarray:
+        """Covariant derivatives at p0 of k fields, from coordinates on the stencil.
+
+        Same contract as ``CoordinateAmbient.cov_deriv_stencil``, with the
+        fields given in coordinates (k, 4) at p0 and (4, k, 4) on the stencil.
+        """
+        dv = stencil_derivative(fs, h)
         gam = self.christoffels(sig, p0)
-        corr = np.einsum("cab,a,b->c", gam, velocity, v0)
-        return self.tangent_project(sig, p0, dv + corr)
+        return np.array(
+            [
+                self.tangent_project(sig, p0, d + np.einsum("cab,a,b->c", gam, velocity, v0))
+                for d, v0 in zip(dv, f0)
+            ]
+        )
 
 
 # -- helicoid charts ---------------------------------------------------------
@@ -283,16 +319,6 @@ def _subgroup_factors(family: str, rate: float):
 
     def lam_e_d(x: float) -> np.ndarray:
         return np.array([[1j * np.exp(1j * x), 0.0], [0.0, -1j * np.exp(-1j * x)]])
-
-    def lam_h(x: float) -> np.ndarray:
-        return np.array(
-            [[np.cosh(x), np.sinh(x)], [np.sinh(x), np.cosh(x)]], dtype=complex
-        )
-
-    def lam_h_d(x: float) -> np.ndarray:
-        return np.array(
-            [[np.sinh(x), np.cosh(x)], [np.cosh(x), np.sinh(x)]], dtype=complex
-        )
 
     def lam_h1(x: float) -> np.ndarray:
         return np.array(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .ambient import Signature, connection_gap_frame
 from .errors import GeometryError, NullDirection, ParameterSingularity, TRVanishes
-from .oracles import brioschi_curvature
+from .numdiff import brioschi_curvature
 from .surfaces import TwoMetricFrameData
 
 
@@ -207,13 +207,17 @@ def _shape_r(ctx: IdentityContext) -> list[float]:
     d = ctx.data
     tau = d.ambient.params.tau
     out = []
-    for _ in range(2):
+    for i in range(2):
         c = _random_tangent_coeffs(ctx)
         x = d.embed(c)
         a_r_x = _apply_shape(d, Signature.R, c)
         a_l_x = _apply_shape(d, Signature.L, c)
-        a_l_t = _apply_shape(d, Signature.L, d.coeffs(Signature.L, d.t_l))
-        j_l_t = _rotate(d, Signature.L, d.t_l)
+        if i == 0:
+            # Independent of the draws, but built after the first one: the shape
+            # operators may raise, and the draws made before a raise decide the
+            # random numbers of the identities that follow.
+            a_l_t = _apply_shape(d, Signature.L, d.coeffs(Signature.L, d.t_l))
+            j_l_t = _rotate(d, Signature.L, d.t_l)
         coeff = d.inner(Signature.L, a_l_t - tau * j_l_t, x)
         lhs = (
             a_r_x
@@ -229,13 +233,14 @@ def _shape_l(ctx: IdentityContext) -> list[float]:
     d = ctx.data
     tau = d.ambient.params.tau
     out = []
-    for _ in range(2):
+    for i in range(2):
         c = _random_tangent_coeffs(ctx)
         x = d.embed(c)
         a_r_x = _apply_shape(d, Signature.R, c)
         a_l_x = _apply_shape(d, Signature.L, c)
-        a_r_t = _apply_shape(d, Signature.R, d.coeffs(Signature.R, d.t_r))
-        j_r_t = _rotate(d, Signature.R, d.t_r)
+        if i == 0:  # as in _shape_r
+            a_r_t = _apply_shape(d, Signature.R, d.coeffs(Signature.R, d.t_r))
+            j_r_t = _rotate(d, Signature.R, d.t_r)
         coeff = d.inner(Signature.R, a_r_t + tau * j_r_t, x)
         lhs = (
             a_l_x
@@ -409,9 +414,8 @@ def curvature_suite(data: TwoMetricFrameData) -> dict:
     are reported alongside for cross-checking.  Intrinsic curvatures follow
     the Gauss equation with the tensor-route ambient part.
     """
-    cached = getattr(data, "_curvature_suite", None)
-    if cached is not None:
-        return cached
+    if data.curvature is not None:
+        return data.curvature
     d = data
     amb = d.ambient
     k, t = amb.params.kappa, amb.params.tau
@@ -436,7 +440,7 @@ def curvature_suite(data: TwoMetricFrameData) -> dict:
         "k_R": kbar_r + ke_r,
         "k_L": kbar_l + d.eps * ke_l,
     }
-    data._curvature_suite = out
+    data.curvature = out
     return out
 
 

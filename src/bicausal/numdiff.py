@@ -47,17 +47,28 @@ class FDSteps:
         return FDSteps(first=h, second=h * (DEFAULT_SECOND_STEP / DEFAULT_FIRST_STEP))
 
 
+# Offsets of the five-point rule, in units of the step, in the order every
+# stencil in the package is evaluated (and its first error raised).
+STENCIL_STEPS = (1, 2, -1, -2)
+
+
+def stencil_derivative(values, h: float):
+    """The five-point first derivative from values at ``STENCIL_STEPS`` times h.
+
+    ``values`` is indexable by position in ``STENCIL_STEPS``; an array with
+    the stencil on axis 0 gives the derivative of every trailing entry.
+    """
+    f1, f2, fm1, fm2 = values[0], values[1], values[2], values[3]
+    return (fm2 - f2 + 8.0 * (f1 - fm1)) / (12.0 * h)
+
+
 def central_diff(f, x: float, h: float):
     """d/dt f at t = x by the symmetric fourth-order rule; f may return arrays.
 
     The five-point formula keeps truncation error at h^4 scale, which matters
     when the derivative later passes through an ill-conditioned Gram solve.
     """
-    f1 = np.asarray(f(x + h), dtype=float)
-    f2 = np.asarray(f(x + 2.0 * h), dtype=float)
-    fm1 = np.asarray(f(x - h), dtype=float)
-    fm2 = np.asarray(f(x - 2.0 * h), dtype=float)
-    return (fm2 - f2 + 8.0 * (f1 - fm1)) / (12.0 * h)
+    return stencil_derivative([np.asarray(f(x + k * h), dtype=float) for k in STENCIL_STEPS], h)
 
 
 def partial_diff(f, p: np.ndarray, axis: int, h: float):
@@ -75,3 +86,46 @@ def gradient(f, p: np.ndarray, h: float) -> np.ndarray:
     """All partial derivatives of f (scalar or array valued), stacked on axis 0."""
     p = np.asarray(p, dtype=float)
     return np.stack([partial_diff(f, p, a, h) for a in range(p.size)], axis=0)
+
+
+def brioschi_curvature(first_form, uv: tuple[float, float], h: float) -> float:
+    """Gauss curvature of a 2D metric from its coefficients alone.
+
+    ``first_form(u, v)`` returns the triple (E, F, G).  All derivatives come
+    from a 3x3 central stencil of spacing h.
+    """
+    u, v = float(uv[0]), float(uv[1])
+    vals = {}
+    for i in (-1, 0, 1):
+        for j in (-1, 0, 1):
+            vals[(i, j)] = np.asarray(first_form(u + i * h, v + j * h), dtype=float)
+
+    e0, f0, g0 = vals[(0, 0)]
+    du = (vals[(1, 0)] - vals[(-1, 0)]) / (2.0 * h)
+    dv = (vals[(0, 1)] - vals[(0, -1)]) / (2.0 * h)
+    dvv = (vals[(0, 1)] - 2.0 * vals[(0, 0)] + vals[(0, -1)]) / (h * h)
+    duu = (vals[(1, 0)] - 2.0 * vals[(0, 0)] + vals[(-1, 0)]) / (h * h)
+    duv = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / (4.0 * h * h)
+
+    e_u, f_u, g_u = du
+    e_v, f_v, g_v = dv
+    e_vv = dvv[0]
+    g_uu = duu[2]
+    f_uv = duv[1]
+
+    m1 = np.array(
+        [
+            [-0.5 * e_vv + f_uv - 0.5 * g_uu, 0.5 * e_u, f_u - 0.5 * e_v],
+            [f_v - 0.5 * g_u, e0, f0],
+            [0.5 * g_v, f0, g0],
+        ]
+    )
+    m2 = np.array(
+        [
+            [0.0, 0.5 * e_v, 0.5 * g_u],
+            [0.5 * e_v, e0, f0],
+            [0.5 * g_u, f0, g0],
+        ]
+    )
+    det_form = e0 * g0 - f0 * f0
+    return float((np.linalg.det(m1) - np.linalg.det(m2)) / (det_form * det_form))

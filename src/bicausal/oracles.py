@@ -133,49 +133,6 @@ def curvature_from_tables(ambient, sig: Signature) -> np.ndarray:
     return out
 
 
-def brioschi_curvature(first_form, uv: tuple[float, float], h: float) -> float:
-    """Gauss curvature of a 2D metric from its coefficients alone.
-
-    ``first_form(u, v)`` returns the triple (E, F, G).  All derivatives come
-    from a 3x3 central stencil of spacing h.
-    """
-    u, v = float(uv[0]), float(uv[1])
-    vals = {}
-    for i in (-1, 0, 1):
-        for j in (-1, 0, 1):
-            vals[(i, j)] = np.asarray(first_form(u + i * h, v + j * h), dtype=float)
-
-    e0, f0, g0 = vals[(0, 0)]
-    du = (vals[(1, 0)] - vals[(-1, 0)]) / (2.0 * h)
-    dv = (vals[(0, 1)] - vals[(0, -1)]) / (2.0 * h)
-    dvv = (vals[(0, 1)] - 2.0 * vals[(0, 0)] + vals[(0, -1)]) / (h * h)
-    duu = (vals[(1, 0)] - 2.0 * vals[(0, 0)] + vals[(-1, 0)]) / (h * h)
-    duv = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / (4.0 * h * h)
-
-    e_u, f_u, g_u = du
-    e_v, f_v, g_v = dv
-    e_vv = dvv[0]
-    g_uu = duu[2]
-    f_uv = duv[1]
-
-    m1 = np.array(
-        [
-            [-0.5 * e_vv + f_uv - 0.5 * g_uu, 0.5 * e_u, f_u - 0.5 * e_v],
-            [f_v - 0.5 * g_u, e0, f0],
-            [0.5 * g_v, f0, g0],
-        ]
-    )
-    m2 = np.array(
-        [
-            [0.0, 0.5 * e_v, 0.5 * g_u],
-            [0.5 * e_v, e0, f0],
-            [0.5 * g_u, f0, g0],
-        ]
-    )
-    det_form = e0 * g0 - f0 * f0
-    return float((np.linalg.det(m1) - np.linalg.det(m2)) / (det_form * det_form))
-
-
 def frame_orthonormality_defect(ambient, sig: Signature, p: np.ndarray) -> float:
     """Largest deviation of the frame Gram matrix from its required constant value."""
     m = ambient.frame(p)

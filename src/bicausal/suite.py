@@ -33,6 +33,10 @@ DEFAULT_PARAMS: tuple[tuple[float, float], ...] = (
     (0.0, 0.0),
 )
 
+# Reason of a row failed by a NaN or infinite residual; the JSON report
+# writes that residual as null.
+NON_FINITE = "NON_FINITE"
+
 # Reasons that make an empty identity row "not applicable" rather than a failure.
 BENIGN_SKIPS = frozenset({"PARAMETER_SINGULARITY", "NULL_DIRECTION"})
 
@@ -190,19 +194,20 @@ def run_suite(config: SuiteConfig) -> dict:
                     status = "skipped" if benign else "fail"
                 else:
                     status = "pass" if math.isfinite(row["max"]) and row["max"] <= tol else "fail"
-                results.append(
-                    {
-                        "identity": name,
-                        "params": params.label(),
-                        "surface": built.address,
-                        "tolerance": tol,
-                        "max_residual": row["max"],
-                        "samples": row["samples"],
-                        "residual_count": row["count"],
-                        "skipped": dict(sorted(row["skipped"].items())),
-                        "status": status,
-                    }
-                )
+                result = {
+                    "identity": name,
+                    "params": params.label(),
+                    "surface": built.address,
+                    "tolerance": tol,
+                    "max_residual": row["max"],
+                    "samples": row["samples"],
+                    "residual_count": row["count"],
+                    "skipped": dict(sorted(row["skipped"].items())),
+                    "status": status,
+                }
+                if row["max"] is not None and not math.isfinite(row["max"]):
+                    result["reason"] = NON_FINITE
+                results.append(result)
 
     n_pass = sum(1 for r in results if r["status"] == "pass")
     n_fail = sum(1 for r in results if r["status"] == "fail")

@@ -20,15 +20,16 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import Signature
+from .ambient import Signature, stacked_inner, wedge_frame
 from .errors import (
     DegenerateInput,
+    GeometryError,
     ImmersionFailure,
     NullDirection,
     NumericFailure,
     OrientationFlip,
 )
-from .numdiff import FDSteps
+from .numdiff import STENCIL_STEPS, FDSteps, stencil_derivative
 
 CausalCharacter = str
 SPACELIKE: CausalCharacter = "spacelike"
@@ -85,102 +86,172 @@ def causal_character(ambient, point, du, dv) -> tuple[CausalCharacter, float]:
     """
     gram_l = induced_gram(ambient, Signature.L, point, du, dv)
     gram_r = induced_gram(ambient, Signature.R, point, du, dv)
-    scale = float(gram_r[0, 0] * gram_r[1, 1])
+    return _classify(float(gram_r[0, 0] * gram_r[1, 1]), float(np.linalg.det(gram_l)), point)
+
+
+def _classify(scale: float, det_l: float, point) -> tuple[CausalCharacter, float]:
+    """``causal_character`` from gram_R[0, 0] * gram_R[1, 1] and det(gram_L)."""
     if scale <= 0.0 or not np.isfinite(scale):
         raise ImmersionFailure(f"chart derivative degenerate at {point!r}")
-    ratio = float(np.linalg.det(gram_l)) / scale
+    ratio = det_l / scale
     if abs(ratio) <= DEGENERACY_TOL:
         return DEGENERATE, ratio
     return (SPACELIKE if ratio > 0.0 else TIMELIKE), ratio
 
 
+# Vectors of the normal package that the stencil differentiates, by position
+# in the stacked components.
+STENCIL_FIELDS = ("n_r", "n_l", "du", "dv", "t_r", "t_l")
+
+
 @dataclass
 class NormalData:
-    """Pointwise normal package shared by the center and stencil evaluations."""
+    """Normal package of a stack of uv rows; array fields have a leading row axis.
 
+    ``errors[i]`` is the GeometryError that row i raised, or None.  The
+    arrays hold the rows that got past the chart (``rows`` are their
+    indices); their values are meaningful only for rows without an error.
+    """
+
+    errors: list
+    rows: list
     point: np.ndarray
     du: np.ndarray
     dv: np.ndarray
-    eps: float
+    gram_r: np.ndarray
+    gram_l: np.ndarray
+    eps: np.ndarray
     n_l: np.ndarray
     n_r: np.ndarray
-    angle_l: float
-    angle_r: float
-    omega_l: float
+    angle_l: np.ndarray
+    angle_r: np.ndarray
+    omega_l: np.ndarray
     t_l: np.ndarray
     t_r: np.ndarray
-    sign_ambiguous: bool
-    wedge_agreement: float
+    sign_ambiguous: np.ndarray
+    wedge_agreement: np.ndarray | None
+
+    def first_error(self) -> GeometryError | None:
+        return next((err for err in self.errors if err is not None), None)
+
+
+def _grams(g: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Stacked ``induced_gram`` from metrics g (n, dim, dim) and (du, dv) pairs (n, 2, dim).
+
+    Entry [a, b] is (pair[a] @ g) @ pair[b], the products ``stacked_inner`` forms.
+    """
+    rows = pair[:, :, None, None, :] @ g[:, None, None]
+    return (rows @ pair[:, None, :, :, None])[..., 0, 0]
 
 
 def _normal_data(
     ambient,
     chart: SurfaceChart,
-    uv: tuple[float, float],
+    uvs: list[tuple[float, float]],
     h_jet: float,
     orientation: int,
-    reference: np.ndarray | None,
+    reference: np.ndarray | None = None,
+    routes: bool = False,
 ) -> NormalData:
-    u, v = uv
-    point = ambient.validate_point(chart.point(u, v))
-    du, dv = chart.partials(u, v, h_jet)
+    """Unit normals, normal angles and T-fields of a stack of uv rows, in one array pass.
 
-    gram_r = induced_gram(ambient, Signature.R, point, du, dv)
-    det_r = float(np.linalg.det(gram_r))
-    scale_r = float(gram_r[0, 0] * gram_r[1, 1])
-    if det_r <= IMMERSION_TOL * max(scale_r, 1e-300):
-        raise ImmersionFailure(f"rank-deficient chart derivative at uv={uv!r}")
+    Only the chart is evaluated row by row.  Each row meets the checks of a
+    single-point evaluation in the same order, and the first one it fails
+    becomes its error; a row that failed computes on, unread, which is why
+    floating-point warnings are off.  With ``reference`` the Lorentzian
+    normal takes the sign closer to it, otherwise the sign rule of the
+    orientation.  ``routes`` adds the agreement of the Riemannian normal with
+    its own wedge route.
+    """
+    errors: list[GeometryError | None] = [None] * len(uvs)
+    rows, charted = [], []
+    for i, (u, v) in enumerate(uvs):
+        try:
+            point = ambient.validate_point(chart.point(u, v))
+            charted.append((point, *chart.partials(u, v, h_jet)))
+        except GeometryError as exc:
+            errors[i] = exc
+            continue
+        rows.append(i)
+    point = np.array([c[0] for c in charted]).reshape(-1, ambient.dim)
+    pair = np.array([c[1:] for c in charted]).reshape(-1, 2, ambient.dim)
+    du, dv = pair[:, 0], pair[:, 1]
+    g_r, g_l = ambient.metrics(Signature.R, point), ambient.metrics(Signature.L, point)
+    alive = [True] * len(rows)
 
-    char, _ = causal_character(ambient, point, du, dv)
-    if char == DEGENERATE:
-        raise DegenerateInput(f"degenerate tangent plane at uv={uv!r}")
-    eps = 1.0 if char == TIMELIKE else -1.0
+    def fail(j: int, error: GeometryError) -> None:
+        if alive[j]:
+            errors[rows[j]] = error
+            alive[j] = False
 
-    xi = ambient.fiber_direction(point)
+    def at(j: int) -> str:
+        return f"uv={uvs[rows[j]]!r}"
 
-    w_l = ambient.wedge(Signature.L, point, du, dv)
-    nn = ambient.inner(Signature.L, point, w_l, w_l)
-    if abs(nn) <= 0.0:
-        raise DegenerateInput(f"null Lorentzian normal direction at uv={uv!r}")
-    n_l = w_l / math.sqrt(abs(nn))
-    angle_l = ambient.inner(Signature.L, point, n_l, xi)
+    with np.errstate(all="ignore"):
+        gram_r = _grams(g_r, pair)
+        gram_l = _grams(g_l, pair)
+        scale = (gram_r[:, 0, 0] * gram_r[:, 1, 1]).tolist()
+        dets = zip(np.linalg.det(gram_r).tolist(), scale, np.linalg.det(gram_l).tolist())
+        eps = np.ones(len(rows))
+        for j, (det_r, sc, det_l) in enumerate(dets):
+            try:
+                if det_r <= IMMERSION_TOL * max(sc, 1e-300):
+                    raise ImmersionFailure(f"rank-deficient chart derivative at {at(j)}")
+                char, _ = _classify(sc, det_l, point[j])
+                if char == DEGENERATE:
+                    raise DegenerateInput(f"degenerate tangent plane at {at(j)}")
+            except GeometryError as exc:
+                fail(j, exc)
+                continue
+            eps[j] = 1.0 if char == TIMELIKE else -1.0
 
-    sign_ambiguous = False
-    if reference is not None:
-        if float(np.dot(n_l, reference)) < 0.0:
-            n_l = -n_l
-            angle_l = -angle_l
-    elif abs(angle_l) <= SIGN_TIE_TOL:
-        sign_ambiguous = True
-        if orientation < 0:
-            n_l = -n_l
-            angle_l = -angle_l
-    elif angle_l > 0.0:
-        n_l = -n_l
-        angle_l = -angle_l
+        # The unit fiber direction is the third frame leg in both models.
+        xi = ambient.frames(point)[:, :, 2]
+        pair_f = ambient.to_frames(point, pair)
+        w_l = ambient.to_coords(point, wedge_frame(Signature.L, pair_f[:, 0], pair_f[:, 1]))
+        nn = stacked_inner(g_l, w_l, w_l)
+        for j, q in enumerate(nn.tolist()):
+            if abs(q) <= 0.0:
+                fail(j, DegenerateInput(f"null Lorentzian normal direction at {at(j)}"))
+        n_l = w_l / np.sqrt(np.abs(nn))[:, None]
+        angle_l = stacked_inner(g_l, n_l, xi)
 
-    omega_sq = eps + 2.0 * angle_l * angle_l
-    if omega_sq <= 0.0:
-        raise NumericFailure(f"invalid normal stretch at uv={uv!r}: {omega_sq}")
-    omega_l = math.sqrt(omega_sq)
+        if reference is not None:
+            flip = (n_l[:, None, :] @ reference[:, None])[:, 0, 0] < 0.0
+            sign_ambiguous = np.zeros(len(rows), dtype=bool)
+        else:
+            sign_ambiguous = np.abs(angle_l) <= SIGN_TIE_TOL
+            flip = np.where(sign_ambiguous, orientation < 0, angle_l > 0.0)
+        n_l = np.where(flip[:, None], -n_l, n_l)
+        angle_l = np.where(flip, -angle_l, angle_l)
 
-    n_r = (-2.0 * angle_l * xi - n_l) / omega_l
-    angle_r = ambient.inner(Signature.R, point, n_r, xi)
+        omega_sq = eps + 2.0 * angle_l * angle_l
+        for j, w in enumerate(omega_sq.tolist()):
+            if w <= 0.0:
+                fail(j, NumericFailure(f"invalid normal stretch at {at(j)}: {w}"))
+        omega_l = np.sqrt(omega_sq)
+        n_r = (-2.0 * angle_l[:, None] * xi - n_l) / omega_l[:, None]
+        angle_r = stacked_inner(g_r, n_r, xi)
 
-    w_r = ambient.wedge(Signature.R, point, du, dv)
-    n_r_wedge = w_r / math.sqrt(ambient.inner(Signature.R, point, w_r, w_r))
-    dev = min(
-        float(np.max(np.abs(n_r - n_r_wedge))),
-        float(np.max(np.abs(n_r + n_r_wedge))),
-    )
+        agreement = None
+        if routes:
+            w_r = ambient.to_coords(point, wedge_frame(Signature.R, pair_f[:, 0], pair_f[:, 1]))
+            n_r_wedge = w_r / np.sqrt(stacked_inner(g_r, w_r, w_r))[:, None]
+            apart = np.max(np.abs(n_r - n_r_wedge), axis=1).tolist()
+            opposed = np.max(np.abs(n_r + n_r_wedge), axis=1).tolist()
+            agreement = np.array([min(a, b) for a, b in zip(apart, opposed)])
 
-    t_l = xi - eps * angle_l * n_l
-    t_r = xi - angle_r * n_r
+        t_l = xi - (eps * angle_l)[:, None] * n_l
+        t_r = xi - angle_r[:, None] * n_r
 
     return NormalData(
+        errors=errors,
+        rows=rows,
         point=point,
         du=du,
         dv=dv,
+        gram_r=gram_r,
+        gram_l=gram_l,
         eps=eps,
         n_l=n_l,
         n_r=n_r,
@@ -190,7 +261,7 @@ def _normal_data(
         t_l=t_l,
         t_r=t_r,
         sign_ambiguous=sign_ambiguous,
-        wedge_agreement=dev,
+        wedge_agreement=agreement,
     )
 
 
@@ -229,31 +300,33 @@ class TwoMetricFrameData:
         self.orientation = orientation
         self.flags: list[str] = []
 
-        center = _normal_data(ambient, chart, self.uv, steps.first, orientation, None)
+        center = _normal_data(ambient, chart, [self.uv], steps.first, orientation, routes=True)
+        if center.errors[0] is not None:
+            raise center.errors[0]
         self.center = center
-        self.point = center.point
-        self.du = center.du
-        self.dv = center.dv
-        self.eps = center.eps
-        self.character = TIMELIKE if center.eps > 0 else SPACELIKE
-        self.n_l = center.n_l
-        self.n_r = center.n_r
-        self.angle_l = center.angle_l
-        self.angle_r = center.angle_r
-        self.omega_l = center.omega_l
-        self.omega_r = 1.0 / center.omega_l
-        self.t_l = center.t_l
-        self.t_r = center.t_r
-        if center.sign_ambiguous:
+        self.point = center.point[0]
+        self.du = center.du[0]
+        self.dv = center.dv[0]
+        self.eps = float(center.eps[0])
+        self.character = TIMELIKE if self.eps > 0 else SPACELIKE
+        self.n_l = center.n_l[0]
+        self.n_r = center.n_r[0]
+        self.angle_l = float(center.angle_l[0])
+        self.angle_r = float(center.angle_r[0])
+        self.omega_l = float(center.omega_l[0])
+        self.omega_r = 1.0 / self.omega_l
+        self.t_l = center.t_l[0]
+        self.t_r = center.t_r[0]
+        if center.sign_ambiguous[0]:
             self.flags.append("SIGN_AMBIGUOUS")
 
-        self.gram = {
-            Signature.R: induced_gram(ambient, Signature.R, self.point, self.du, self.dv),
-            Signature.L: induced_gram(ambient, Signature.L, self.point, self.du, self.dv),
-        }
+        self.gram = {Signature.R: center.gram_r[0], Signature.L: center.gram_l[0]}
         self._shape: dict[Signature, ShapeData] = {}
-        self._stencil: dict[tuple[int, int], NormalData] = {}
+        self._stencil_rows: NormalData | None = None
+        self._stencil_comps: np.ndarray | None = None
         self._tangent_derivs: dict = {}
+        # Curvature scalars, filled and reused by identities.curvature_suite.
+        self.curvature: dict | None = None
         self.invariants = self._invariant_residuals()
 
     # -- tangent algebra ----------------------------------------------------
@@ -292,57 +365,67 @@ class TwoMetricFrameData:
 
     # -- stencil ------------------------------------------------------------
 
-    def stencil_normals(self, axis: int, step: int) -> NormalData:
-        """Normal data at uv shifted by ``step`` times the stencil step along ``axis``.
+    def stencil(self) -> NormalData:
+        """Normal data of the eight stencil rows, computed in one pass on first use.
 
-        Signs are continued from the center; a material sign change of the
-        Lorentzian normal angle across the stencil raises OrientationFlip.
+        Rows run along chart axis 0, then 1, at ``STENCIL_STEPS`` times the
+        stencil step.  Signs are continued from the center; a material sign
+        change of the Lorentzian normal angle across the stencil is that
+        row's OrientationFlip.  The first row error in this order is raised
+        on every call, as evaluating the rows one by one would raise it.
         """
-        key = (axis, step)
-        hit = self._stencil.get(key)
-        if hit is not None:
-            return hit
-        if step == 0:
-            self._stencil[key] = self.center
-            return self.center
-        h = self.steps.second
-        uv = list(self.uv)
-        uv[axis] += step * h
-        nd = _normal_data(
-            self.ambient,
-            self.chart,
-            (uv[0], uv[1]),
-            self.steps.first,
-            self.orientation,
-            self.n_l,
-        )
-        if (
-            abs(nd.angle_l) > SIGN_TIE_TOL
-            and abs(self.angle_l) > SIGN_TIE_TOL
-            and nd.angle_l * self.angle_l < 0.0
-        ):
-            raise OrientationFlip(
-                f"normal angle changes sign across stencil at uv={self.uv!r}"
+        st = self._stencil_rows
+        if st is None:
+            h = self.steps.second
+            uvs = []
+            for axis in (0, 1):
+                for k in STENCIL_STEPS:
+                    uv = list(self.uv)
+                    uv[axis] += k * h
+                    uvs.append((uv[0], uv[1]))
+            st = _normal_data(
+                self.ambient, self.chart, uvs, self.steps.first, self.orientation, self.n_l
             )
-        self._stencil[key] = nd
-        return nd
+            for i, angle in zip(st.rows, st.angle_l.tolist()):
+                if (
+                    st.errors[i] is None
+                    and abs(angle) > SIGN_TIE_TOL
+                    and abs(self.angle_l) > SIGN_TIE_TOL
+                    and angle * self.angle_l < 0.0
+                ):
+                    st.errors[i] = OrientationFlip(
+                        f"normal angle changes sign across stencil at uv={self.uv!r}"
+                    )
+            self._stencil_rows = st
+        err = st.first_error()
+        if err is not None:
+            raise err.with_traceback(None)
+        return st
 
-    def _curve(self, axis: int):
-        u0, v0 = self.uv
-        if axis == 0:
-            return lambda t: self.chart.point(u0 + t, v0)
-        return lambda t: self.chart.point(u0, v0 + t)
+    def _stencil_derivs(self, sig: Signature, axis: int, names: tuple[str, ...]) -> np.ndarray:
+        """Covariant derivatives along chart axis ``axis`` of named STENCIL_FIELDS, (k, dim).
 
-    def _stencil_field(self, axis: int, extract) -> Callable[[float], np.ndarray]:
-        h = self.steps.second
-
-        def field(t: float) -> np.ndarray:
-            step = int(round(t / h))
-            if abs(step * h - t) > 1e-15 + 1e-9 * h:
-                raise NumericFailure("stencil field sampled off-grid")
-            return extract(self.stencil_normals(axis, step))
-
-        return field
+        The first call converts all six fields at the center and the stencil
+        rows to the ambient's stencil components in one stacked call.
+        """
+        comps = self._stencil_comps
+        if comps is None:
+            st = self.stencil()
+            points = np.concatenate([self.center.point, st.point])
+            vecs = np.stack(
+                [np.concatenate([getattr(self.center, f), getattr(st, f)]) for f in STENCIL_FIELDS],
+                axis=1,
+            )
+            comps = self._stencil_comps = self.ambient.stencil_components(points, vecs)
+        which = [STENCIL_FIELDS.index(name) for name in names]
+        return self.ambient.cov_deriv_stencil(
+            sig,
+            self.point,
+            (self.du, self.dv)[axis],
+            comps[0, which],
+            comps[1 + 4 * axis : 5 + 4 * axis][:, which],
+            self.steps.second,
+        )
 
     # -- shape operators ------------------------------------------------------
 
@@ -350,34 +433,20 @@ class TwoMetricFrameData:
         hit = self._shape.get(sig)
         if hit is not None:
             return hit
-        h = self.steps.second
-        velocity = (self.du, self.dv)
-        pick = (lambda nd: nd.n_r) if sig is Signature.R else (lambda nd: nd.n_l)
+        normal = self.normal(sig)
+        n_name = "n_r" if sig is Signature.R else "n_l"
 
         cols = []
+        b = np.empty((2, 2))
         proj_res = 0.0
         for axis in (0, 1):
-            dn = self.ambient.cov_deriv_on_curve(
-                sig, self._curve(axis), self._stencil_field(axis, pick), h,
-                velocity=velocity[axis],
-            )
-            normal_part = abs(self.inner(sig, dn, self.normal(sig)))
+            dn, d_du, d_dv = self._stencil_derivs(sig, axis, (n_name, "du", "dv"))
+            normal_part = abs(self.inner(sig, dn, normal))
             size = float(np.max(np.abs(dn)))
             proj_res = max(proj_res, normal_part / max(1.0, size))
             cols.append(-self.coeffs(sig, dn))
+            b[axis] = [self.inner(sig, d_du, normal), self.inner(sig, d_dv, normal)]
         weingarten = np.column_stack(cols)
-
-        b = np.empty((2, 2))
-        for i in (0, 1):
-            for j in (0, 1):
-                dd = self.ambient.cov_deriv_on_curve(
-                    sig,
-                    self._curve(i),
-                    self._stencil_field(i, lambda nd, j=j: nd.du if j == 0 else nd.dv),
-                    h,
-                    velocity=velocity[i],
-                )
-                b[i, j] = self.inner(sig, dd, self.normal(sig))
         sym_res = abs(b[0, 1] - b[1, 0]) / max(1.0, float(np.max(np.abs(b))))
         b_sym = 0.5 * (b + b.T)
         from_bilinear = np.linalg.solve(self.gram[sig], b_sym)
@@ -423,23 +492,16 @@ class TwoMetricFrameData:
         if hit is not None:
             return hit
         h = self.steps.second
-        velocity = (self.du, self.dv)
-        pick_t = (lambda nd: nd.t_r) if sig is Signature.R else (lambda nd: nd.t_l)
-        pick_a = (lambda nd: nd.angle_r) if sig is Signature.R else (lambda nd: nd.angle_l)
+        t_name = "t_r" if sig is Signature.R else "t_l"
+        st = self.stencil()
+        angles = (st.angle_r if sig is Signature.R else st.angle_l).tolist()
 
         dts = []
         dangles = []
         for axis in (0, 1):
-            dt_amb = self.ambient.cov_deriv_on_curve(
-                sig, self._curve(axis), self._stencil_field(axis, pick_t), h,
-                velocity=velocity[axis],
-            )
+            (dt_amb,) = self._stencil_derivs(sig, axis, (t_name,))
             dts.append(self.coeffs(sig, dt_amb))
-            a1 = pick_a(self.stencil_normals(axis, 1))
-            a2 = pick_a(self.stencil_normals(axis, 2))
-            am1 = pick_a(self.stencil_normals(axis, -1))
-            am2 = pick_a(self.stencil_normals(axis, -2))
-            dangles.append((am2 - a2 + 8.0 * (a1 - am1)) / (12.0 * h))
+            dangles.append(stencil_derivative(angles[4 * axis : 4 * axis + 4], h))
         out = {"dt": dts, "dangle": dangles}
         self._tangent_derivs[sig] = out
         return out
@@ -473,11 +535,10 @@ class TwoMetricFrameData:
 
     def _invariant_residuals(self) -> dict[str, float]:
         amb, p = self.ambient, self.point
-        xi = amb.fiber_direction(p)
         res = {}
         res["unit_normal_L"] = abs(amb.inner(Signature.L, p, self.n_l, self.n_l) - self.eps)
         res["unit_normal_R"] = abs(amb.inner(Signature.R, p, self.n_r, self.n_r) - 1.0)
-        res["normal_routes"] = self.center.wedge_agreement
+        res["normal_routes"] = float(self.center.wedge_agreement[0])
         res["angle_transform"] = abs(self.angle_r + self.angle_l / self.omega_l)
         arg = self.eps * (1.0 - 2.0 * self.angle_r**2)
         res["omega_product"] = (

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+
+from bicausal import cli
+from bicausal.identities import IDENTITIES
 
 CLI = [sys.executable, "-m", "bicausal.cli"]
 
@@ -163,6 +168,39 @@ def test_json_report_is_reproducible_modulo_timestamp(tmp_path):
     lines_a = [l for l in outs[0].splitlines() if "generated_at" not in l]
     lines_b = [l for l in outs[1].splitlines() if "generated_at" not in l]
     assert lines_a == lines_b
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_verify_json_is_strict_for_non_finite_residuals(bad, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def evaluate(ctx):
+        calls.append(None)
+        return [0.0] if len(calls) == 1 else [0.0, bad]
+
+    info = IDENTITIES["METRIC_SUM"]
+    monkeypatch.setitem(IDENTITIES, "METRIC_SUM", dataclasses.replace(info, evaluate=evaluate))
+    out = tmp_path / "r.json"
+    args = ["verify", "--params", "1,1", "--samples", "2", "--surfaces", "graph:bowl:a=0.2"]
+    code = cli.main(args + ["--identities", "METRIC_SUM,METRIC_DIFF", "--json", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    bad_row, good_row = report["results"]
+    assert bad_row["max_residual"] is None
+    assert bad_row["reason"] == "NON_FINITE" and bad_row["status"] == "fail"
+    assert "reason" not in good_row and good_row["status"] == "pass"
+    assert f"METRIC_SUM: max residual {bad:.3e}" in capsys.readouterr().out
+
+
+def test_non_finite_tolerance_is_a_config_error():
+    for value in ("inf", "nan"):
+        proc = run_cli("verify", "--params", "1,1", "--tol", f"CONN_DIFF={value}")
+        assert proc.returncode == 2
+        assert "CONFIG_INVALID" in proc.stderr
 
 
 REPORT_HEADER = (

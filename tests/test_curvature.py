@@ -19,7 +19,7 @@ import pytest
 from bicausal.ambient import SpaceParams
 from bicausal.catalog import build_surface
 from bicausal.identities import curvature_suite, intrinsic_curvature_r
-from bicausal.oracles import brioschi_curvature
+from bicausal.numdiff import brioschi_curvature
 from bicausal.surfaces import frame_data
 
 from conftest import interior_grid

@@ -1,0 +1,338 @@
+"""Stacked primitives and the one-pass stencil: the same bits as point by point.
+
+The stencil of each sample (its eight offset rows and their frame
+components) is evaluated on stacked arrays.  Every stacked form must return,
+row by row, exactly the bits of the per-point call, because FD residuals near
+1e-8 move visibly under any change of rounding.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from bicausal.ambient import CoordinateAmbient, Signature, SpaceParams
+from bicausal.catalog import build_surface, default_surfaces
+from bicausal.errors import DomainViolation, GeometryError
+from bicausal.groups import BERGER, SU11, GroupAmbient
+from bicausal.numdiff import STENCIL_STEPS
+from bicausal.surfaces import (
+    STENCIL_FIELDS,
+    SurfaceChart,
+    _normal_data,
+    frame_data,
+    induced_gram,
+)
+
+from conftest import random_point, same_bits
+
+SIGS = (Signature.R, Signature.L)
+
+AMBIENTS = {
+    "coord(1,1)": lambda: CoordinateAmbient(SpaceParams(1.0, 1.0)),
+    "coord(1,0)": lambda: CoordinateAmbient(SpaceParams(1.0, 0.0)),
+    "coord(-1,1)": lambda: CoordinateAmbient(SpaceParams(-1.0, 1.0)),
+    "coord(-2,0.7)": lambda: CoordinateAmbient(SpaceParams(-2.0, 0.7)),
+    "berger(1,1)": lambda: GroupAmbient(BERGER, SpaceParams(1.0, 1.0)),
+    "su11(-1,1)": lambda: GroupAmbient(SU11, SpaceParams(-1.0, 1.0)),
+    "su11-weighted(-2,0.7)": lambda: GroupAmbient(
+        SU11, SpaceParams(-2.0, 0.7), extension_weight=1.7
+    ),
+}
+
+
+def _points(ambient, gen, n):
+    """n points of the model, shape (n, dim)."""
+    if isinstance(ambient, CoordinateAmbient):
+        return np.array([random_point(ambient, gen) for _ in range(n)])
+    pts = []
+    while len(pts) < n:
+        p = gen.normal(size=4)
+        q = ambient.quadric_value(p)
+        if q > 0.1:
+            pts.append(p / math.sqrt(q))
+    return np.array(pts)
+
+
+def _tangents(ambient, points, gen, k):
+    """k tangent vectors per point, (n, k, dim): random frame components mapped out."""
+    comps = gen.normal(size=(len(points), k, 3))
+    return np.array([[ambient.to_coord(p, c) for c in cs] for p, cs in zip(points, comps)])
+
+
+def test_stacked_numpy_forms_round_like_per_item_calls(rng):
+    """The array forms the stacked primitives rest on, against a loop of per-item calls.
+
+    NumPy and its BLAS do not promise this; other forms do round differently
+    here (``einsum``, ``(n, 3) @ (3,)``, several right-hand sides in one
+    ``solve``), so a NumPy or BLAS upgrade that breaks one shows up here first.
+    """
+    n = 64
+    for d in (3, 4):
+        g, m = rng.normal(size=(n, d, d)), rng.normal(size=(d, d))
+        f, u, v = rng.normal(size=(n, d, 3)), rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        c = rng.normal(size=(n, 3))
+        forms = [
+            ((u[:, None, :] @ g)[:, 0], lambda i: u[i] @ g[i]),
+            ((u[:, None, :] @ g @ v[:, :, None])[:, 0, 0], lambda i: u[i] @ g[i] @ v[i]),
+            ((g @ v[:, :, None])[..., 0], lambda i: g[i] @ v[i]),
+            ((m @ v[:, :, None])[..., 0], lambda i: m @ v[i]),
+            ((f @ c[..., None])[..., 0], lambda i: f[i] @ c[i]),
+            ((np.swapaxes(f, 1, 2) @ g @ v[..., None])[..., 0], lambda i: f[i].T @ g[i] @ v[i]),
+            ((u[:, None, :] @ m[0][:, None])[:, 0, 0], lambda i: np.dot(u[i], m[0])),
+        ]
+        for stacked, item in forms:
+            assert all(same_bits(stacked[i], item(i)) for i in range(n))
+    a = rng.normal(size=(n, 3, 3)) + 3.0 * np.eye(3)
+    b = rng.normal(size=(n, 5, 3))
+    solved = np.linalg.solve(a[:, None], b[..., None])[..., 0]
+    for i in range(n):
+        assert all(same_bits(solved[i, j], np.linalg.solve(a[i], b[i, j])) for j in range(5))
+    dets = np.linalg.det(a[:, :2, :2])
+    assert all(same_bits(dets[i], np.linalg.det(a[i, :2, :2])) for i in range(n))
+
+
+def _metric_by_arrays(ambient, sig, p):
+    """The coordinate metric as array algebra: diag(lam^2, lam^2, 0) + eps3 theta theta^T."""
+    k, t = ambient.params.kappa, ambient.params.tau
+    lam = 1.0 / (1.0 + 0.25 * k * (p[0] ** 2 + p[1] ** 2))
+    theta = np.array([t * lam * p[1], -t * lam * p[0], 1.0])
+    return np.diag([lam * lam, lam * lam, 0.0]) + sig.eps3 * np.outer(theta, theta)
+
+
+def _frame_by_arrays(ambient, p):
+    k, t, s = ambient.params.kappa, ambient.params.tau, ambient.params.twist_rate
+    li = 1.0 + 0.25 * k * (p[0] ** 2 + p[1] ** 2)
+    c, sn = math.cos(s * p[2]), math.sin(s * p[2])
+    x, y = p[0], p[1]
+    return np.array(
+        [
+            [li * c, -li * sn, 0.0],
+            [li * sn, li * c, 0.0],
+            [t * (x * sn - y * c), t * (x * c + y * sn), 1.0],
+        ]
+    )
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(AMBIENTS) if n.startswith("coord")])
+def test_coordinate_metric_and_frame_round_like_their_array_formulas(name, rng):
+    """The entry-by-entry forms that ``metric``/``metrics`` and ``frame``/``frames`` share."""
+    ambient = AMBIENTS[name]()
+    points = _points(ambient, rng, 200)
+    for p in points:
+        assert same_bits(ambient.frame(p), _frame_by_arrays(ambient, p))
+        for sig in SIGS:
+            assert same_bits(ambient.metric(sig, p), _metric_by_arrays(ambient, sig, p))
+
+
+@pytest.mark.parametrize("name", sorted(AMBIENTS))
+def test_stacked_primitives_equal_per_point_calls(name, rng):
+    ambient = AMBIENTS[name]()
+    n, k = 9, 4
+    points = _points(ambient, rng, n)
+    vecs = _tangents(ambient, points, rng, k)
+    comps = rng.normal(size=(n, k, 3))
+    frame = type(ambient).frame.__wrapped__
+    metric = type(ambient).metric.__wrapped__
+    to_frame = type(ambient).to_frame.__wrapped__
+
+    frames = ambient.frames(points)
+    assert all(same_bits(frames[i], frame(ambient, p)) for i, p in enumerate(points))
+    for sig in SIGS:
+        metrics = ambient.metrics(sig, points)
+        assert all(same_bits(metrics[i], metric(ambient, sig, p)) for i, p in enumerate(points))
+        flat = ambient.inners(sig, points, vecs[:, 0], vecs[:, 1])
+        stacked = ambient.inners(sig, points, vecs, vecs[:, ::-1])
+        for i, p in enumerate(points):
+            assert same_bits(flat[i], ambient.inner(sig, p, vecs[i, 0], vecs[i, 1]))
+            for j in range(k):
+                want = ambient.inner(sig, p, vecs[i, j], vecs[i, k - 1 - j])
+                assert same_bits(stacked[i, j], want)
+
+    flat = ambient.to_frames(points, vecs[:, 2])
+    stacked = ambient.to_frames(points, vecs)
+    coords = ambient.to_coords(points, comps)
+    for i, p in enumerate(points):
+        assert same_bits(flat[i], to_frame(ambient, p, vecs[i, 2]))
+        for j in range(k):
+            assert same_bits(stacked[i, j], to_frame(ambient, p, vecs[i, j]))
+            assert same_bits(coords[i, j], ambient.to_coord(p, comps[i, j]))
+
+
+@pytest.mark.parametrize("name", sorted(AMBIENTS))
+def test_stencil_derivative_core_is_independent_of_field_count(name, rng):
+    """k fields at once give the bits of k single-field calls and of the curve sampler."""
+    ambient = AMBIENTS[name]()
+    h = ambient.steps.second
+    p0 = _points(ambient, rng, 1)[0]
+    velocity = _tangents(ambient, p0[None], rng, 1)[0, 0]
+    curve = ambient.curve_through(p0, velocity)
+    ts = [0.0] + [k * h for k in STENCIL_STEPS]
+    points = np.array([curve(t) for t in ts])
+    fields = _tangents(ambient, points, rng, 3)
+    comps = ambient.stencil_components(points, fields)
+    for sig in SIGS:
+        together = ambient.cov_deriv_stencil(sig, p0, velocity, comps[0], comps[1:], h)
+        for j in range(3):
+            one = slice(j, j + 1)
+            alone = ambient.cov_deriv_stencil(sig, p0, velocity, comps[0, one], comps[1:, one], h)
+            assert same_bits(together[j], alone[0])
+            sampled = ambient.cov_deriv_on_curve(
+                sig, curve, lambda t, j=j: fields[ts.index(t), j], h, velocity=velocity
+            )
+            assert same_bits(together[j], sampled)
+
+
+def _stencil_uvs(uv, h):
+    out = []
+    for axis in (0, 1):
+        for k in STENCIL_STEPS:
+            shifted = list(uv)
+            shifted[axis] += k * h
+            out.append((shifted[0], shifted[1]))
+    return out
+
+
+_ROW_FIELDS = ("point", "du", "dv", "gram_r", "gram_l", "eps", "angle_l", "angle_r", "omega_l")
+_ROW_FIELDS += tuple(f for f in STENCIL_FIELDS if f not in _ROW_FIELDS)
+
+
+def _assert_rows_match_singletons(ambient, chart, uvs, reference):
+    """One stack of all rows against one stack per row: same errors, same bits."""
+    h_jet = ambient.steps.first
+    stack = _normal_data(ambient, chart, uvs, h_jet, 1, reference)
+    for i, uv in enumerate(uvs):
+        one = _normal_data(ambient, chart, [uv], h_jet, 1, reference)
+        err, one_err = stack.errors[i], one.errors[0]
+        assert type(err) is type(one_err) and str(err) == str(one_err)
+        if err is not None:
+            continue
+        j = stack.rows.index(i)
+        for name in _ROW_FIELDS:
+            assert same_bits(getattr(stack, name)[j], getattr(one, name)[0]), name
+    return stack
+
+
+@pytest.mark.parametrize(
+    "address, pair",
+    [
+        ("graph:bowl:a=0.2", (1.0, 1.0)),
+        ("graph:bowl:a=0.2", (1.0, 0.0)),
+        ("hopf:circle:r=0.45", (-1.0, 1.0)),
+        ("berger-helicoid:alpha=0.5,variant=space", (1.0, 1.0)),
+        ("su11-helicoid:family=h1,rate=0.35,variant=time", (-1.0, 1.0)),
+    ],
+)
+def test_stencil_rows_do_not_depend_on_batch_size(address, pair):
+    built = build_surface(address, SpaceParams(*pair))
+    (u0, u1), (v0, v1) = built.chart.domain
+    uv = (u0 + 0.37 * (u1 - u0), v0 + 0.61 * (v1 - v0))
+    data = frame_data(built.ambient, built.chart, uv, validate=False)
+    stack = _assert_rows_match_singletons(
+        built.ambient, built.chart, _stencil_uvs(data.uv, data.steps.second), data.n_l
+    )
+    assert stack.first_error() is None
+    assert same_bits(data.stencil().n_r, stack.n_r)
+    for j in range(len(stack.rows)):
+        for sig, gram in ((Signature.R, stack.gram_r[j]), (Signature.L, stack.gram_l[j])):
+            want = induced_gram(built.ambient, sig, stack.point[j], stack.du[j], stack.dv[j])
+            assert same_bits(gram, want)
+
+
+def _plane_chart(ambient):
+    """The horizontal slice z = 0 over the model's disk, as a chart (x, y)."""
+    return SurfaceChart(
+        name="plane",
+        chart=lambda u, v: np.array([u, v, 0.0]),
+        domain=((-1.0, 1.0), (-1.0, 1.0)),
+    )
+
+
+def test_stencil_offset_leaving_the_disk_raises_domain_violation():
+    ambient = CoordinateAmbient(SpaceParams(-1.0, 0.0))
+    chart = _plane_chart(ambient)
+    h = ambient.steps.second
+    # The center and its +h offset lie inside the disk of radius 2; +2h lies outside.
+    edge = 2.0 * math.sqrt(1.0 - 1e-6)
+    uv = (edge - 1.5 * h, 0.0)
+    data = frame_data(ambient, chart, uv, validate=False)
+    uvs = _stencil_uvs(data.uv, h)
+    assert ambient.contains(chart.point(*uvs[0])) and not ambient.contains(chart.point(*uvs[1]))
+    stack = _assert_rows_match_singletons(ambient, chart, uvs, data.n_l)
+    codes = [None if e is None else e.code for e in stack.errors]
+    assert codes[1] == DomainViolation.code and codes[0] is None
+    for call in (lambda: data.shape(Signature.R), lambda: data.tangent_derivatives(Signature.L)):
+        with pytest.raises(DomainViolation) as raised:
+            call()
+        assert str(raised.value) == str(stack.errors[1])
+    # the error is raised again on every use, and nothing was cached
+    with pytest.raises(DomainViolation):
+        data.shape(Signature.R)
+
+
+def test_first_stencil_error_in_row_order_wins():
+    """Row (0, +1) failing a late check beats row (0, +2) failing the first one."""
+    ambient = CoordinateAmbient(SpaceParams(-1.0, 0.0))
+    inner = _plane_chart(ambient)
+    h = ambient.steps.second
+    edge = 2.0 * math.sqrt(1.0 - 1e-6)
+    uv = (edge - 1.5 * h, 0.0)
+
+    def jacobian(u, v):
+        # the chart folds at row (0, +1): its u-derivative vanishes there
+        du = [0.0, 0.0, 0.0] if u == uv[0] + h else [1.0, 0.0, 0.0]
+        return np.array(du), np.array([0.0, 1.0, 0.0])
+
+    chart = SurfaceChart(name="folded", chart=inner.chart, domain=inner.domain, jacobian=jacobian)
+    data = frame_data(ambient, chart, uv, validate=False)
+    stack = _assert_rows_match_singletons(ambient, chart, _stencil_uvs(data.uv, h), data.n_l)
+    assert stack.errors[0] is not None and stack.errors[0].code == "IMMERSION_FAILURE"
+    assert stack.errors[1].code == DomainViolation.code
+    with pytest.raises(GeometryError) as raised:
+        data.shape(Signature.L)
+    assert raised.value.code == "IMMERSION_FAILURE"
+
+
+FUZZ_PARAMS = [(1.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 0.0), (4.0, 1.0), (1.0, 0.5)]
+
+
+@functools.lru_cache(maxsize=None)
+def _built(pair, address):
+    return build_surface(address, SpaceParams(*pair))
+
+
+@st.composite
+def _catalog_sample(draw):
+    pair = draw(st.sampled_from(FUZZ_PARAMS))
+    address = draw(st.sampled_from(default_surfaces(SpaceParams(*pair))))
+    # well past the chart domain, where kappa < 0 surfaces leave the disk
+    fu = draw(st.floats(-1.5, 2.5))
+    fv = draw(st.floats(-1.5, 2.5))
+    return pair, address, fu, fv
+
+
+@given(_catalog_sample())
+def test_fuzz_batched_rows_equal_per_row_and_fail_with_codes(sample):
+    pair, address, fu, fv = sample
+    built = _built(pair, address)
+    ambient, chart = built.ambient, built.chart
+    (u0, u1), (v0, v1) = chart.domain
+    uv = (u0 + fu * (u1 - u0), v0 + fv * (v1 - v0))
+    uvs = [uv] + _stencil_uvs(uv, ambient.steps.second)
+    _assert_rows_match_singletons(ambient, chart, uvs, None)
+    try:
+        data = frame_data(ambient, chart, uv, validate=False)
+        _assert_rows_match_singletons(
+            ambient, chart, _stencil_uvs(data.uv, data.steps.second), data.n_l
+        )
+        for sig in SIGS:
+            shape = data.shape(sig)
+            derivs = data.tangent_derivatives(sig)
+            assert np.all(np.isfinite(shape.weingarten))
+            assert np.all(np.isfinite(derivs["dt"])) and np.all(np.isfinite(derivs["dangle"]))
+    except GeometryError as exc:
+        assert isinstance(exc.code, str) and exc.code

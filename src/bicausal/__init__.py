@@ -24,22 +24,17 @@ from .catalog import (
     validate_address,
 )
 from .errors import (
-    BaseMismatch,
     ConfigInvalid,
     CurveSingular,
     DegenerateInput,
     DomainViolation,
     GeometryError,
-    HypothesisViolated,
     ImmersionFailure,
-    MissingContext,
     ModelMismatch,
-    NonTangent,
     NullDirection,
     NumericFailure,
     OrientationFlip,
     ParameterSingularity,
-    SignAmbiguous,
     TauNonzero,
     TRVanishes,
     UnsupportedFormat,
@@ -80,7 +75,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "SPACELIKE",
     "TIMELIKE",
-    "BaseMismatch",
     "BuiltSurface",
     "ConfigInvalid",
     "CoordinateAmbient",
@@ -90,18 +84,14 @@ __all__ = [
     "FDSteps",
     "GeometryError",
     "GroupAmbient",
-    "HypothesisViolated",
     "IdentityContext",
     "ImmersionFailure",
-    "MissingContext",
     "ModelMismatch",
-    "NonTangent",
     "NullDirection",
     "NumericFailure",
     "OrientationFlip",
     "ParameterSingularity",
     "SampleSkip",
-    "SignAmbiguous",
     "Signature",
     "SpaceParams",
     "SuiteConfig",

@@ -20,7 +20,6 @@ Conventions fixed in this module:
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -31,11 +30,6 @@ from .errors import ConfigInvalid, DomainViolation
 from .numdiff import STENCIL_STEPS, FDSteps, central_diff, stencil_derivative
 
 DOMAIN_MARGIN = 1e-6
-
-# Entries kept per memoized primitive and ambient instance.  Repeat calls for
-# one point come close together: on the default `verify` grid, 64 entries miss
-# at most 3% more often than an unbounded memo (to_frame; frame not at all).
-MEMO_SIZE = 64
 
 
 class Signature(str, enum.Enum):
@@ -55,63 +49,6 @@ SIGNATURES = (Signature.R, Signature.L)
 
 def frame_gram(sig: Signature) -> np.ndarray:
     return np.diag([1.0, 1.0, sig.eps3])
-
-
-def _memo_key(arg):
-    if arg is None or isinstance(arg, Signature):
-        return arg
-    a = np.asarray(arg, dtype=float)
-    return a.shape, a.tobytes()
-
-
-def memoized(method):
-    """Cache a point primitive of an ambient per instance, bit-exactly.
-
-    The key is the shape and bytes of every argument after conversion to a
-    float array (``Signature`` and ``None`` are keyed as they are), so a hit
-    returns exactly what a fresh call would.  Beyond ``MEMO_SIZE`` entries
-    the oldest is dropped.  Results are read-only: a caller that wants to
-    change one must copy it first.
-    """
-    slot = "_memo_" + method.__name__
-
-    @functools.wraps(method)
-    def wrapper(self, *args):
-        memo = vars(self).setdefault(slot, {})
-        key = tuple(map(_memo_key, args))
-        hit = memo.get(key)
-        if hit is None:
-            hit = method(self, *args)
-            hit.flags.writeable = False
-            memo[key] = hit
-            if len(memo) > MEMO_SIZE:
-                del memo[next(iter(memo))]
-        return hit
-
-    return wrapper
-
-
-def stacked(per_point: str):
-    """Make a method taking points (n, dim) last the stacked form of ``per_point``.
-
-    Stacks are memoized like point primitives.  A stack of one row is
-    answered by the memoized per-point primitive instead, so that later
-    per-point calls at that point find it, as after a per-point evaluation.
-    """
-
-    def decorate(method):
-        cached = memoized(method)
-
-        @functools.wraps(method)
-        def wrapper(self, *args):
-            *head, points = args
-            if len(points) == 1:
-                return getattr(self, per_point)(*head, points[0])[None]
-            return cached(self, *args)
-
-        return wrapper
-
-    return decorate
 
 
 @dataclass(frozen=True)
@@ -266,36 +203,116 @@ def stacked_inner(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ _per_row(g, u) @ v[..., None])[..., 0, 0]
 
 
+class PointFrame:
+    """The frame, both metrics and (built on first use) the connection tables at one point.
+
+    The ambient's per-point algebra at ``point``, without building the frame
+    or a metric again: the per-point calls of ``Ambient`` are these methods.
+    """
+
+    def __init__(self, ambient, point: np.ndarray, frame=None, metric=None):
+        self.ambient = ambient
+        self.point = point
+        self.frame = ambient.frame(point) if frame is None else frame
+        self.metric = metric or {sig: ambient.metric(sig, point) for sig in SIGNATURES}
+        self._tables: dict[Signature, np.ndarray] = {}
+
+    def table(self, sig: Signature) -> np.ndarray:
+        hit = self._tables.get(sig)
+        if hit is None:
+            hit = self._tables[sig] = self.ambient.point_table(sig, self.point)
+        return hit
+
+    def inner(self, sig: Signature, u: np.ndarray, v: np.ndarray) -> float:
+        return float(np.asarray(u, dtype=float) @ self.metric[sig] @ np.asarray(v, dtype=float))
+
+    def to_frame(self, v: np.ndarray) -> np.ndarray:
+        return self.ambient.frame_components(self, v)
+
+    def to_coord(self, vf: np.ndarray) -> np.ndarray:
+        return self.frame @ np.asarray(vf, dtype=float)
+
+    def wedge(self, sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.to_coord(wedge_frame(sig, self.to_frame(u), self.to_frame(v)))
+
+    def curvature(self, sig: Signature, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        xf, yf = self.to_frame(x), self.to_frame(y)
+        zf = xf if z is x else self.to_frame(z)
+        return self.to_coord(curvature_frame(self.ambient.params, sig, xf, yf, zf))
+
+
 class Ambient:
     """Frame algebra shared by the coordinate and the group model.
 
-    Subclasses supply ``frame``, ``metric`` and ``to_frame`` for one point,
-    and their stacked forms ``frames``, ``metrics`` and ``to_frames`` for
-    points of shape (n, dim), with vectors of shape (n, dim) or (n, k, dim).
-    A stacked form returns, row by row, the same bits as the per-point call.
-    They also supply the stencil derivative: ``stencil_components`` and
-    ``cov_deriv_stencil``, which ``cov_deriv_on_curve`` samples for.
+    Subclasses supply ``frame`` and ``metric`` for one point,
+    ``frame_components`` (``to_frame`` at a ``PointFrame``), ``point_table``
+    (the connection table that ``cov_deriv_stencil`` reads), and the stacked
+    forms ``frames``, ``metrics`` and ``to_frames`` for points of shape
+    (n, dim), with vectors of shape (n, dim) or (n, k, dim).  A stacked form
+    returns, row by row, the same bits as the per-point call; ``frames=``
+    (and in the group models ``metric_r=``) pass arrays a caller already has.
+    Subclasses also supply the stencil derivative: ``stencil_components``
+    and ``cov_deriv_stencil``, which ``cov_deriv_on_curve`` samples for.
     """
 
     def inner(self, sig: Signature, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.asarray(u, dtype=float) @ self.metric(sig, p) @ np.asarray(v, dtype=float))
+        return self.point_frame(p).inner(sig, u, v)
+
+    def to_frame(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Components of a vector in the canonical frame at p."""
+        return self.point_frame(p).to_frame(v)
 
     def to_coord(self, p: np.ndarray, vf: np.ndarray) -> np.ndarray:
         """Coordinate components of a vector given in the canonical frame at p."""
-        return self.frame(p) @ np.asarray(vf, dtype=float)
+        return self.point_frame(p).to_coord(vf)
 
     def wedge(self, sig: Signature, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vector product of two coordinate vectors, returned in coordinates."""
-        return self.to_coord(p, wedge_frame(sig, self.to_frame(p, u), self.to_frame(p, v)))
+        return self.point_frame(p).wedge(sig, u, v)
 
     def curvature(
         self, sig: Signature, p: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
     ) -> np.ndarray:
         """Curvature operator on coordinate vectors, returned in coordinates."""
-        rf = curvature_frame(
-            self.params, sig, self.to_frame(p, x), self.to_frame(p, y), self.to_frame(p, z)
-        )
-        return self.to_coord(p, rf)
+        return self.point_frame(p).curvature(sig, x, y, z)
+
+    def point_frame(self, at: PointFrame | np.ndarray) -> PointFrame:
+        """``at`` if it is a PointFrame, else the PointFrame at the point ``at``."""
+        if isinstance(at, PointFrame):
+            return at
+        return PointFrame(self, np.asarray(at, dtype=float))
+
+    def cov_deriv_on_curve(
+        self,
+        sig: Signature,
+        curve: Callable[[float], np.ndarray],
+        field: Callable[[float], np.ndarray],
+        h: float,
+        velocity: np.ndarray | None = None,
+        at: PointFrame | None = None,
+    ) -> np.ndarray:
+        """Covariant derivative of a vector field along a curve at parameter 0.
+
+        ``field(t)`` gives coordinate components at curve(t).  ``at`` may pass
+        the PointFrame at curve(0).  Returns coordinate components there.
+        """
+        if at is None:
+            at = self.point_frame(curve(0.0))
+        if velocity is None:
+            velocity = central_diff(curve, 0.0, h)
+        comps = self.sample_stencil(curve, field, h)
+        return self.cov_deriv_stencil(sig, at, velocity, comps[:1], comps[1:, None], h)[0]
+
+    def sample_stencil(
+        self,
+        curve: Callable[[float], np.ndarray],
+        field: Callable[[float], np.ndarray],
+        h: float,
+    ) -> np.ndarray:
+        """``stencil_components`` of ``field`` on ``curve`` at 0, then ``STENCIL_STEPS`` times h."""
+        ts = (0.0,) + tuple(k * h for k in STENCIL_STEPS)
+        points = np.array([curve(t) for t in ts])
+        return self.stencil_components(points, np.array([field(t) for t in ts]))
 
     # -- stacked forms ---------------------------------------------------------
 
@@ -305,10 +322,11 @@ class Ambient:
         """Stacked ``inner``: vectors (n, [k,] dim) -> (n, [k])."""
         return stacked_inner(self.metrics(sig, points), u, v)
 
-    def to_coords(self, points: np.ndarray, comps: np.ndarray) -> np.ndarray:
+    def to_coords(self, points: np.ndarray, comps: np.ndarray, frames=None) -> np.ndarray:
         """Stacked ``to_coord``: frame components (n, [k,] 3) -> (n, [k,] dim)."""
+        f = self.frames(points) if frames is None else frames
         c = _vectors(comps)
-        return (_per_row(self.frames(points), c) @ c[..., None])[..., 0]
+        return (_per_row(f, c) @ c[..., None])[..., 0]
 
 
 class CoordinateAmbient(Ambient):
@@ -371,7 +389,6 @@ class CoordinateAmbient(Ambient):
             for i in range(3)
         ]
 
-    @memoized
     def metric(self, sig: Signature, p: np.ndarray) -> np.ndarray:
         x, y, _ = np.asarray(p, dtype=float)
         return np.array(self._metric_entries(sig, x, y))
@@ -394,7 +411,6 @@ class CoordinateAmbient(Ambient):
             [t * (x * sn - y * c), t * (x * c + y * sn), 1.0],
         ]
 
-    @memoized
     def frame(self, p: np.ndarray) -> np.ndarray:
         """Matrix whose columns are the canonical frame in coordinates."""
         return np.array(self._frame_entries(*np.asarray(p, dtype=float)))
@@ -430,26 +446,25 @@ class CoordinateAmbient(Ambient):
         ]
         return d
 
-    @memoized
-    def to_frame(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Components of a coordinate vector in the canonical frame at p."""
-        return np.linalg.solve(self.frame(p), np.asarray(v, dtype=float))
+    def frame_components(self, at: PointFrame, v: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(at.frame, np.asarray(v, dtype=float))
 
     # -- stacked forms (see Ambient) ----------------------------------------
 
-    @stacked("metric")
     def metrics(self, sig: Signature, points: np.ndarray) -> np.ndarray:
         rows = np.asarray(points, dtype=float).tolist()
         return np.array([self._metric_entries(sig, x, y) for x, y, _ in rows]).reshape(-1, 3, 3)
 
-    @stacked("frame")
     def frames(self, points: np.ndarray) -> np.ndarray:
         rows = np.asarray(points, dtype=float).tolist()
         return np.array([self._frame_entries(*q) for q in rows]).reshape(-1, 3, 3)
 
-    def to_frames(self, points: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    def to_frames(
+        self, points: np.ndarray, vecs: np.ndarray, frames=None, metric_r=None
+    ) -> np.ndarray:
+        f = self.frames(points) if frames is None else frames
         v = _vectors(vecs)
-        return np.linalg.solve(_per_row(self.frames(points), v), v[..., None])[..., 0]
+        return np.linalg.solve(_per_row(f, v), v[..., None])[..., 0]
 
     # The stencil derivative differences frame components.
     stencil_components = to_frames
@@ -467,6 +482,9 @@ class CoordinateAmbient(Ambient):
         if self._twisted_tables is not None:
             return self._twisted_tables[sig]
         return self._table_from_metric(sig, p)
+
+    def point_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
+        return self.connection_table(sig, p)
 
     def christoffels(self, sig: Signature, p: np.ndarray, h: float | None = None) -> np.ndarray:
         """Coordinate Christoffel symbols Gamma[c, a, b] from central differences."""
@@ -487,7 +505,6 @@ class CoordinateAmbient(Ambient):
                     )
         return gam
 
-    @memoized
     def _table_from_metric(self, sig: Signature, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         gam_c = self.christoffels(sig, p)
@@ -508,57 +525,36 @@ class CoordinateAmbient(Ambient):
         vel = np.asarray(vel, dtype=float)
         return lambda t: p + t * vel
 
-    def cov_deriv_on_curve(
-        self,
-        sig: Signature,
-        curve: Callable[[float], np.ndarray],
-        field: Callable[[float], np.ndarray],
-        h: float,
-        velocity: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Covariant derivative of a vector field along a curve at parameter 0.
-
-        ``field(t)`` gives coordinate components at curve(t).  Samples the
-        curve and the field on the five-point stencil and hands their frame
-        components, converted as one stack, to ``cov_deriv_stencil``.
-        Returns coordinate components at curve(0).
-        """
-        p0 = np.asarray(curve(0.0), dtype=float)
-        if velocity is None:
-            velocity = central_diff(curve, 0.0, h)
-        points, values = [p0], [field(0.0)]
-        for k in STENCIL_STEPS:
-            points.append(curve(k * h))
-            values.append(field(k * h))
-        comps = self.to_frames(np.array(points), np.array(values))
-        return self.cov_deriv_stencil(sig, p0, velocity, comps[:1], comps[1:, None], h)[0]
-
     def cov_deriv_stencil(
         self,
         sig: Signature,
-        p0: np.ndarray,
+        at: PointFrame | np.ndarray,
         velocity: np.ndarray,
         f0: np.ndarray,
         fs: np.ndarray,
         h: float,
+        vel_f: np.ndarray | None = None,
     ) -> np.ndarray:
         """Covariant derivatives at p0 of k fields along a curve with the given velocity.
 
-        ``f0`` (k, 3) holds the fields' ``stencil_components`` (frame
-        components) at p0 and ``fs`` (4, k, 3) those at the curve parameters
-        ``STENCIL_STEPS`` times h.  The derivative part is taken on frame
-        components, so only the connection table at p0 is needed.  Returns
-        coordinate components (k, 3) at p0.
+        ``at`` is p0 or its PointFrame.  ``f0`` (k, 3) holds the fields'
+        ``stencil_components`` (frame components) at p0 and ``fs`` (4, k, 3)
+        those at the curve parameters ``STENCIL_STEPS`` times h.  The
+        derivative part is taken on frame components, so only the connection
+        table at p0 is needed; ``vel_f`` may pass the velocity's frame
+        components.  Returns coordinate components (k, 3) at p0.
         """
-        vel_f = self.to_frame(p0, velocity)
+        at = self.point_frame(at)
+        if vel_f is None:
+            vel_f = at.to_frame(velocity)
         df = stencil_derivative(fs, h)
-        table = self.connection_table(sig, p0)
+        table = at.table(sig)
         # terms[i, j] = vel_f[i] * f0[:, j] * table[i, j], summed over (i, j) in order
         terms = (vel_f[:, None, None] * f0.T)[..., None] * table[:, :, None, :]
         corr = np.zeros(f0.shape)
         for term in terms.reshape(9, *f0.shape):
             corr += term
-        return (self.frame(p0) @ (df + corr)[..., None])[..., 0]
+        return (at.frame @ (df + corr)[..., None])[..., 0]
 
     # -- derived tensors ----------------------------------------------------
 

@@ -24,7 +24,9 @@ from .surfaces import (
     SPACELIKE,
     TIMELIKE,
     SurfaceChart,
-    causal_character,
+    _charted,
+    _classify,
+    _grams,
 )
 
 
@@ -121,17 +123,24 @@ def _planar_scale(params: SpaceParams) -> float:
 def detect_character_bands(
     ambient, chart: SurfaceChart, u0: float, t_lo: float, t_hi: float, n: int = 160
 ):
-    """Runs of constant causal character along the second chart axis at u = u0."""
+    """Runs of constant causal character along the second chart axis at u = u0.
+
+    The charted rows are classified as one stack, as ``causal_character``
+    would classify each; a row that raises a GeometryError is DEGENERATE.
+    """
     ts = np.linspace(t_lo, t_hi, n)
-    chars = []
-    for t in ts:
+    uvs = [(float(u0), t) for t in ts.tolist()]
+    point, pair, _, rows = _charted(ambient, chart, uvs, ambient.steps.second)
+    with np.errstate(all="ignore"):
+        gram_r = _grams(ambient.metrics(Signature.R, point), pair)
+        det_l = np.linalg.det(_grams(ambient.metrics(Signature.L, point), pair)).tolist()
+    scale = (gram_r[:, 0, 0] * gram_r[:, 1, 1]).tolist()
+    chars = [DEGENERATE] * n
+    for i, sc, dl, p in zip(rows, scale, det_l, point):
         try:
-            u, v = float(u0), float(t)
-            du, dv = chart.partials(u, v, ambient.steps.second)
-            char, _ = causal_character(ambient, chart.point(u, v), du, dv)
+            chars[i], _ = _classify(sc, dl, p)
         except GeometryError:
-            char = DEGENERATE
-        chars.append(char)
+            pass
     bands = []
     start = 0
     for i in range(1, n + 1):

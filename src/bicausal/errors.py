@@ -23,12 +23,6 @@ class DomainViolation(GeometryError):
     code = "DOMAIN_VIOLATION"
 
 
-class BaseMismatch(GeometryError):
-    """Objects evaluated at different base points, or against the wrong model, were combined."""
-
-    code = "BASE_MISMATCH"
-
-
 class NumericFailure(GeometryError):
     """A numerical invariant that must hold failed beyond tolerance."""
 
@@ -39,12 +33,6 @@ class DegenerateInput(GeometryError):
     """Tangent plane is degenerate for the Lorentzian metric; no unit normal exists."""
 
     code = "DEGENERATE_INPUT"
-
-
-class SignAmbiguous(GeometryError):
-    """Normal orientation cannot be fixed canonically and no caller choice was supplied."""
-
-    code = "SIGN_AMBIGUOUS"
 
 
 class ImmersionFailure(GeometryError):
@@ -65,18 +53,6 @@ class NullDirection(GeometryError):
     code = "NULL_DIRECTION"
 
 
-class NonTangent(GeometryError):
-    """Vector expected to be tangent (to the surface or the model) is not."""
-
-    code = "NON_TANGENT"
-
-
-class HypothesisViolated(GeometryError):
-    """Inputs do not satisfy the hypotheses of the requested check."""
-
-    code = "HYPOTHESIS_VIOLATED"
-
-
 class TRVanishes(GeometryError):
     """Tangential part of the vertical direction vanishes; dependent quantities undefined."""
 
@@ -87,12 +63,6 @@ class ParameterSingularity(GeometryError):
     """Model parameters sit on a singular locus of the requested relation (kappa + 4 tau^2 = 0)."""
 
     code = "PARAMETER_SINGULARITY"
-
-
-class MissingContext(GeometryError):
-    """Check requires frame data or a surface that was not supplied."""
-
-    code = "MISSING_CONTEXT"
 
 
 class CurveSingular(GeometryError):

@@ -21,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import Ambient, SpaceParams, Signature, _per_row, _vectors, memoized, stacked
+from .ambient import Ambient, PointFrame, SpaceParams, Signature, _per_row, _vectors
 from .errors import CurveSingular, DomainViolation, ModelMismatch
-from .numdiff import STENCIL_STEPS, FDSteps, central_diff, stencil_derivative
+from .numdiff import FDSteps, central_diff, stencil_derivative
 from .surfaces import SurfaceChart
 
 BERGER = "berger"
@@ -121,7 +121,6 @@ class GroupAmbient(Ambient):
 
     # -- metric ------------------------------------------------------------
 
-    @memoized
     def metric(self, sig: Signature, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         u = self.pairing @ (self.fields[2] @ p)
@@ -135,7 +134,6 @@ class GroupAmbient(Ambient):
 
     # -- frame -------------------------------------------------------------
 
-    @memoized
     def frame(self, p: np.ndarray) -> np.ndarray:
         """Columns: the oriented orthonormal frame of both metrics at p (on the quadric)."""
         p = np.asarray(p, dtype=float)
@@ -144,15 +142,12 @@ class GroupAmbient(Ambient):
         f2 = self.frame_flip * r * (self.fields[1] @ p)
         return np.column_stack([f1, f2, self.fiber_direction(p)])
 
-    @memoized
-    def to_frame(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def frame_components(self, at: PointFrame, v: np.ndarray) -> np.ndarray:
         """Frame components of a vector tangent to the quadric (Riemannian projection)."""
-        f = self.frame(p)
-        return f.T @ self.metric(Signature.R, p) @ np.asarray(v, dtype=float)
+        return at.frame.T @ at.metric[Signature.R] @ np.asarray(v, dtype=float)
 
     # -- stacked forms (see Ambient) ----------------------------------------
 
-    @stacked("metric")
     def metrics(self, sig: Signature, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)
         u = (self.pairing @ (self.fields[2] @ p[..., None]))[..., 0]
@@ -164,7 +159,6 @@ class GroupAmbient(Ambient):
             g = g * np.array([q**self.extension_weight for q in quad.tolist()])[:, None, None]
         return g
 
-    @stacked("frame")
     def frames(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)[..., None]
         r = 0.5 * math.sqrt(abs(self.params.kappa))
@@ -173,18 +167,20 @@ class GroupAmbient(Ambient):
         fiber = (self.params.kappa / (4.0 * self.params.tau)) * (self.fields[2] @ p)
         return np.concatenate([f1, f2, fiber], axis=-1)
 
-    def to_frames(self, points: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    def to_frames(
+        self, points: np.ndarray, vecs: np.ndarray, frames=None, metric_r=None
+    ) -> np.ndarray:
         v = _vectors(vecs)
-        f = np.swapaxes(_per_row(self.frames(points), v), -1, -2)
-        return (f @ _per_row(self.metrics(Signature.R, points), v) @ v[..., None])[..., 0]
+        f = self.frames(points) if frames is None else frames
+        g = self.metrics(Signature.R, points) if metric_r is None else metric_r
+        return (np.swapaxes(_per_row(f, v), -1, -2) @ _per_row(g, v) @ v[..., None])[..., 0]
 
-    def stencil_components(self, points: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    def stencil_components(self, points: np.ndarray, vecs: np.ndarray, frames=None) -> np.ndarray:
         """Coordinates: the extended ambient derivative differences them as they are."""
         return np.asarray(vecs, dtype=float)
 
     # -- connection ----------------------------------------------------------
 
-    @memoized
     def christoffels(self, sig: Signature, p: np.ndarray, h: float | None = None) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         h = self.steps.first if h is None else h
@@ -201,12 +197,16 @@ class GroupAmbient(Ambient):
                 gam[:, a, b] = 0.5 * (ginv @ vec)
         return gam
 
-    def tangent_project(self, sig: Signature, p: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """Remove the component normal to the quadric (along the position vector)."""
-        p = np.asarray(p, dtype=float)
-        vec = np.asarray(vec, dtype=float)
-        pp = self.inner(sig, p, p, p)
-        return vec - (self.inner(sig, p, vec, p) / pp) * p
+    def point_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
+        return self.christoffels(sig, p)
+
+    def tangent_project(
+        self, sig: Signature, at: PointFrame | np.ndarray, vec: np.ndarray
+    ) -> np.ndarray:
+        """Remove the component normal to the quadric (along the position vector ``at``)."""
+        at = self.point_frame(at)
+        p, vec = at.point, np.asarray(vec, dtype=float)
+        return vec - (at.inner(sig, vec, p) / at.inner(sig, p, p)) * p
 
     def curve_through(self, p: np.ndarray, vel: np.ndarray) -> Callable[[float], np.ndarray]:
         """Curve on the quadric through p with initial velocity vel (radial renormalization)."""
@@ -222,41 +222,28 @@ class GroupAmbient(Ambient):
 
         return curve
 
-    def cov_deriv_on_curve(
-        self,
-        sig: Signature,
-        curve: Callable[[float], np.ndarray],
-        field: Callable[[float], np.ndarray],
-        h: float,
-        velocity: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Covariant derivative on the model: extended ambient derivative, projected."""
-        p0 = np.asarray(curve(0.0), dtype=float)
-        if velocity is None:
-            velocity = central_diff(curve, 0.0, h)
-        v0 = np.asarray(field(0.0), dtype=float)
-        fs = np.array([np.asarray(field(k * h), dtype=float) for k in STENCIL_STEPS])
-        return self.cov_deriv_stencil(sig, p0, velocity, v0[None], fs[:, None], h)[0]
-
     def cov_deriv_stencil(
         self,
         sig: Signature,
-        p0: np.ndarray,
+        at: PointFrame | np.ndarray,
         velocity: np.ndarray,
         f0: np.ndarray,
         fs: np.ndarray,
         h: float,
+        vel_f: np.ndarray | None = None,
     ) -> np.ndarray:
         """Covariant derivatives at p0 of k fields, from coordinates on the stencil.
 
         Same contract as ``CoordinateAmbient.cov_deriv_stencil``, with the
-        fields given in coordinates (k, 4) at p0 and (4, k, 4) on the stencil.
+        fields given in coordinates (k, 4) at p0 and (4, k, 4) on the stencil
+        (and no use for ``vel_f``).
         """
+        at = self.point_frame(at)
         dv = stencil_derivative(fs, h)
-        gam = self.christoffels(sig, p0)
+        gam = at.table(sig)
         return np.array(
             [
-                self.tangent_project(sig, p0, d + np.einsum("cab,a,b->c", gam, velocity, v0))
+                self.tangent_project(sig, at, d + np.einsum("cab,a,b->c", gam, velocity, v0))
                 for d, v0 in zip(dv, f0)
             ]
         )

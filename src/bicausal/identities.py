@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import Signature, connection_gap_frame
+from .ambient import SIGNATURES, Signature, connection_gap_frame, wedge_frame
 from .errors import GeometryError, NullDirection, ParameterSingularity, TRVanishes
 from .numdiff import brioschi_curvature
 from .surfaces import TwoMetricFrameData
@@ -41,13 +41,17 @@ class IdentityContext:
 
 def _frame_norm(data: TwoMetricFrameData, vec: np.ndarray) -> float:
     """Size of an ambient vector measured in orthonormal frame components."""
-    vf = data.ambient.to_frame(data.point, vec)
-    return float(np.max(np.abs(vf)))
+    if not vec.any():  # what the conversion gives, without one
+        return 0.0
+    return float(np.max(np.abs(data.to_frame(vec))))
 
 
 def _vec_residual(data: TwoMetricFrameData, lhs: np.ndarray, *terms: np.ndarray) -> float:
-    scale = max([1.0] + [_frame_norm(data, t) for t in terms])
-    return _frame_norm(data, lhs) / scale
+    # lhs often equals a term bit for bit (the other parts vanish): size it once
+    vecs = {v.tobytes(): v for v in (lhs, *terms)}
+    size = {key: _frame_norm(data, v) for key, v in vecs.items()}
+    scale = max([1.0] + [size[t.tobytes()] for t in terms])
+    return size[lhs.tobytes()] / scale
 
 
 def _scalar_residual(lhs: float, *terms: float) -> float:
@@ -60,8 +64,7 @@ def _random_frame_vector(ctx: IdentityContext) -> np.ndarray:
 
 
 def _random_ambient_vector(ctx: IdentityContext) -> np.ndarray:
-    d = ctx.data
-    return d.ambient.to_coord(d.point, _random_frame_vector(ctx))
+    return ctx.data.to_coord(_random_frame_vector(ctx))
 
 
 def _random_tangent_coeffs(ctx: IdentityContext) -> np.ndarray:
@@ -75,10 +78,6 @@ def _apply_shape(data: TwoMetricFrameData, sig: Signature, coeffs: np.ndarray) -
     return data.embed(data.shape(sig).weingarten @ np.asarray(coeffs, dtype=float))
 
 
-def _rotate(data: TwoMetricFrameData, sig: Signature, vec: np.ndarray) -> np.ndarray:
-    return data.ambient.wedge(sig, data.point, data.normal(sig), vec)
-
-
 # -- pointwise metric identities ------------------------------------------------
 
 
@@ -87,8 +86,7 @@ def _metric_sum(ctx: IdentityContext) -> list[float]:
     out = []
     for _ in range(3):
         uf, vf = _random_frame_vector(ctx), _random_frame_vector(ctx)
-        u = d.ambient.to_coord(d.point, uf)
-        v = d.ambient.to_coord(d.point, vf)
+        u, v = d.to_coord(uf), d.to_coord(vf)
         r = d.inner(Signature.R, u, v)
         l = d.inner(Signature.L, u, v)
         horiz = uf[0] * vf[0] + uf[1] * vf[1]
@@ -98,7 +96,7 @@ def _metric_sum(ctx: IdentityContext) -> list[float]:
 
 def _metric_diff(ctx: IdentityContext) -> list[float]:
     d = ctx.data
-    xi = d.ambient.fiber_direction(d.point)
+    xi = d.xi
     out = []
     for _ in range(3):
         u = _random_ambient_vector(ctx)
@@ -144,33 +142,39 @@ def _t_relation(ctx: IdentityContext) -> list[float]:
 # -- connection-level identities -------------------------------------------------
 
 
-def _linear_frame_field(ctx: IdentityContext, base: np.ndarray):
-    d = ctx.data
+def _linear_frame_comps(ctx: IdentityContext, base: np.ndarray):
+    """Frame components of a random field, affine in the point; and its value at ``base``."""
     a = ctx.rng.normal(size=3)
-    b = ctx.rng.normal(size=(3, d.ambient.dim))
+    b = ctx.rng.normal(size=(3, ctx.data.ambient.dim))
 
-    def field(q: np.ndarray) -> np.ndarray:
-        comps = a + b @ (np.asarray(q, dtype=float) - base)
-        return d.ambient.frame(q) @ comps
+    def comps(q: np.ndarray) -> np.ndarray:
+        return a + b @ (np.asarray(q, dtype=float) - base)
 
-    return field, a
+    return comps, a
 
 
 def _conn_diff(ctx: IdentityContext) -> list[float]:
     d = ctx.data
     amb, p = d.ambient, d.point
     h = d.steps.first
-    x_field, x0f = _linear_frame_field(ctx, p)
-    y_field, y0f = _linear_frame_field(ctx, p)
-    vel = y_field(p)
+    x_comps, x0f = _linear_frame_comps(ctx, p)
+    y_comps, y0f = _linear_frame_comps(ctx, p)
+    vel = d.to_coord(y_comps(p))
     curve = amb.curve_through(p, vel)
 
     def along(t: float) -> np.ndarray:
-        return x_field(curve(t))
+        q = curve(t)
+        return amb.frame(q) @ x_comps(q)
 
-    d_r = amb.cov_deriv_on_curve(Signature.R, curve, along, h, velocity=vel)
-    d_l = amb.cov_deriv_on_curve(Signature.L, curve, along, h, velocity=vel)
-    gap = amb.to_coord(p, connection_gap_frame(amb.params.tau, x0f, y0f))
+    # One sampling of the field and one conversion of the velocity serve both metrics.
+    comps = amb.sample_stencil(curve, along, h)
+    at = d.curve_frame()
+    vel_f = at.to_frame(vel)
+    d_r, d_l = (
+        amb.cov_deriv_stencil(sig, at, vel, comps[:1], comps[1:, None], h, vel_f=vel_f)[0]
+        for sig in SIGNATURES
+    )
+    gap = d.to_coord(connection_gap_frame(amb.params.tau, x0f, y0f))
     return [_vec_residual(d, d_r - d_l - gap, d_r, d_l, gap)]
 
 
@@ -179,14 +183,15 @@ def _killing(ctx: IdentityContext, sig: Signature) -> list[float]:
     amb, p = d.ambient, d.point
     h = d.steps.first
     tau = amb.params.tau
+    at = d.curve_frame()
     out = []
     for _ in range(2):
         x = _random_ambient_vector(ctx)
         curve = amb.curve_through(p, x)
         deriv = amb.cov_deriv_on_curve(
-            sig, curve, lambda t: amb.fiber_direction(curve(t)), h, velocity=x
+            sig, curve, lambda t: amb.fiber_direction(curve(t)), h, velocity=x, at=at
         )
-        w = amb.wedge(sig, p, x, amb.fiber_direction(p))
+        w = d.to_coord(wedge_frame(sig, d.to_frame(x), d.frame_of("xi")))
         rhs = tau * w if sig is Signature.R else -tau * w
         out.append(_vec_residual(d, deriv - rhs, deriv, rhs))
     return out
@@ -217,7 +222,7 @@ def _shape_r(ctx: IdentityContext) -> list[float]:
             # operators may raise, and the draws made before a raise decide the
             # random numbers of the identities that follow.
             a_l_t = _apply_shape(d, Signature.L, d.coeffs(Signature.L, d.t_l))
-            j_l_t = _rotate(d, Signature.L, d.t_l)
+            j_l_t = d.rotate(Signature.L, d.frame_of("t_l"))
         coeff = d.inner(Signature.L, a_l_t - tau * j_l_t, x)
         lhs = (
             a_r_x
@@ -240,7 +245,7 @@ def _shape_l(ctx: IdentityContext) -> list[float]:
         a_l_x = _apply_shape(d, Signature.L, c)
         if i == 0:  # as in _shape_r
             a_r_t = _apply_shape(d, Signature.R, d.coeffs(Signature.R, d.t_r))
-            j_r_t = _rotate(d, Signature.R, d.t_r)
+            j_r_t = d.rotate(Signature.R, d.frame_of("t_r"))
         coeff = d.inner(Signature.R, a_r_t + tau * j_r_t, x)
         lhs = (
             a_l_x
@@ -261,8 +266,8 @@ def _bilinear_r(ctx: IdentityContext) -> list[float]:
         x, y = d.embed(cx), d.embed(cy)
         ar = d.inner(Signature.R, _apply_shape(d, Signature.R, cx), y)
         al = d.inner(Signature.L, _apply_shape(d, Signature.L, cx), y)
-        jx = d.inner(Signature.R, _rotate(d, Signature.L, x), y)
-        jy = d.inner(Signature.R, _rotate(d, Signature.L, y), x)
+        jx = d.inner(Signature.R, d.rotate(Signature.L, d.to_frame(x)), y)
+        jy = d.inner(Signature.R, d.rotate(Signature.L, d.to_frame(y)), x)
         lhs = ar + (al - tau * (jx + jy)) / d.omega_l
         out.append(_scalar_residual(lhs, ar, al))
     return out
@@ -277,8 +282,8 @@ def _bilinear_l(ctx: IdentityContext) -> list[float]:
         x, y = d.embed(cx), d.embed(cy)
         al = d.inner(Signature.L, _apply_shape(d, Signature.L, cx), y)
         ar = d.inner(Signature.R, _apply_shape(d, Signature.R, cx), y)
-        jx = d.inner(Signature.L, _rotate(d, Signature.R, x), y)
-        jy = d.inner(Signature.L, _rotate(d, Signature.R, y), x)
+        jx = d.inner(Signature.L, d.rotate(Signature.R, d.to_frame(x)), y)
+        jy = d.inner(Signature.L, d.rotate(Signature.R, d.to_frame(y)), x)
         lhs = al + (ar + tau * (jx + jy)) / d.omega_r
         out.append(_scalar_residual(lhs, al, ar))
     return out
@@ -364,7 +369,7 @@ def _normcurv(ctx: IdentityContext) -> list[float]:
     lam_l = d.normal_curvature(Signature.L, c)
     eps_v = 1.0 if q_l > 0 else -1.0
     t_unit = d.embed(c) / math.sqrt(q_r)
-    twist = d.inner(Signature.L, t_unit, _rotate(d, Signature.R, t_unit))
+    twist = d.inner(Signature.L, t_unit, d.rotate(Signature.R, d.to_frame(t_unit)))
     lhs = eps_v * lam_l + (q_r / (d.omega_r * abs(q_l))) * (lam_r + 2.0 * tau * twist)
     return [_scalar_residual(lhs, lam_r, lam_l)]
 
@@ -414,16 +419,15 @@ def curvature_suite(data: TwoMetricFrameData) -> dict:
     are reported alongside for cross-checking.  Intrinsic curvatures follow
     the Gauss equation with the tensor-route ambient part.
     """
-    if data.curvature is not None:
-        return data.curvature
+    if data.curvature_scalars is not None:
+        return data.curvature_scalars
     d = data
-    amb = d.ambient
-    k, t = amb.params.kappa, amb.params.tau
+    k, t = d.ambient.params.kappa, d.ambient.params.tau
 
     e1, e2 = adapted_tangent_basis(d, Signature.R)
-    kbar_r = d.inner(Signature.R, amb.curvature(Signature.R, d.point, e1, e2, e1), e2)
+    kbar_r = d.inner(Signature.R, d.curvature(Signature.R, e1, e2, e1), e2)
     f1, f2 = adapted_tangent_basis(d, Signature.L)
-    kbar_l = d.inner(Signature.L, amb.curvature(Signature.L, d.point, f1, f2, f1), f2)
+    kbar_l = d.inner(Signature.L, d.curvature(Signature.L, f1, f2, f1), f2)
 
     kbar_r_closed = t * t + (k - 4.0 * t * t) * d.angle_r**2
     kbar_l_closed = d.eps * t * t + (k + 4.0 * t * t) * d.angle_l**2
@@ -440,7 +444,7 @@ def curvature_suite(data: TwoMetricFrameData) -> dict:
         "k_R": kbar_r + ke_r,
         "k_L": kbar_l + d.eps * ke_l,
     }
-    data.curvature = out
+    data.curvature_scalars = out
     return out
 
 
@@ -473,7 +477,7 @@ def _extrinsic_rel(ctx: IdentityContext) -> list[float]:
     t = d.ambient.params.tau
     suite = curvature_suite(d)
     a_r_t = _apply_shape(d, Signature.R, d.coeffs(Signature.R, d.t_r))
-    j_r_t = _rotate(d, Signature.R, d.t_r)
+    j_r_t = d.rotate(Signature.R, d.frame_of("t_r"))
     mixed = d.inner(Signature.R, a_r_t, j_r_t)
     t_norm2 = d.inner(Signature.R, d.t_r, d.t_r)
     w4 = d.omega_r**4

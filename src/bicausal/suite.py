@@ -121,6 +121,8 @@ def _worst(residuals) -> float:
 def run_suite(config: SuiteConfig) -> dict:
     """Run the verification sweep and return a JSON-ready report."""
     identity_names = config.resolved_identities()
+    if config.samples < 1:
+        raise ConfigInvalid(f"samples must be at least 1, got {config.samples}")
     if config.surfaces is not None:
         for address in config.surfaces:
             validate_address(address)

@@ -14,13 +14,14 @@ matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .ambient import Signature, stacked_inner, wedge_frame
+from .ambient import PointFrame, Signature, stacked_inner, wedge_frame
 from .errors import (
     DegenerateInput,
     GeometryError,
@@ -116,6 +117,9 @@ class NormalData:
     errors: list
     rows: list
     point: np.ndarray
+    frame: np.ndarray
+    g_r: np.ndarray
+    g_l: np.ndarray
     du: np.ndarray
     dv: np.ndarray
     gram_r: np.ndarray
@@ -144,6 +148,23 @@ def _grams(g: np.ndarray, pair: np.ndarray) -> np.ndarray:
     return (rows @ pair[:, None, :, :, None])[..., 0, 0]
 
 
+def _charted(ambient, chart: SurfaceChart, uvs: list[tuple[float, float]], h_jet: float):
+    """Points, chart partials, each uv row's GeometryError (or None) and the rows kept."""
+    errors: list[GeometryError | None] = [None] * len(uvs)
+    rows, charted = [], []
+    for i, (u, v) in enumerate(uvs):
+        try:
+            point = ambient.validate_point(chart.point(u, v))
+            charted.append((point, *chart.partials(u, v, h_jet)))
+        except GeometryError as exc:
+            errors[i] = exc
+            continue
+        rows.append(i)
+    point = np.array([c[0] for c in charted]).reshape(-1, ambient.dim)
+    pair = np.array([c[1:] for c in charted]).reshape(-1, 2, ambient.dim)
+    return point, pair, errors, rows
+
+
 def _normal_data(
     ambient,
     chart: SurfaceChart,
@@ -163,19 +184,9 @@ def _normal_data(
     orientation.  ``routes`` adds the agreement of the Riemannian normal with
     its own wedge route.
     """
-    errors: list[GeometryError | None] = [None] * len(uvs)
-    rows, charted = [], []
-    for i, (u, v) in enumerate(uvs):
-        try:
-            point = ambient.validate_point(chart.point(u, v))
-            charted.append((point, *chart.partials(u, v, h_jet)))
-        except GeometryError as exc:
-            errors[i] = exc
-            continue
-        rows.append(i)
-    point = np.array([c[0] for c in charted]).reshape(-1, ambient.dim)
-    pair = np.array([c[1:] for c in charted]).reshape(-1, 2, ambient.dim)
+    point, pair, errors, rows = _charted(ambient, chart, uvs, h_jet)
     du, dv = pair[:, 0], pair[:, 1]
+    frame = ambient.frames(point)
     g_r, g_l = ambient.metrics(Signature.R, point), ambient.metrics(Signature.L, point)
     alive = [True] * len(rows)
 
@@ -206,9 +217,11 @@ def _normal_data(
             eps[j] = 1.0 if char == TIMELIKE else -1.0
 
         # The unit fiber direction is the third frame leg in both models.
-        xi = ambient.frames(point)[:, :, 2]
-        pair_f = ambient.to_frames(point, pair)
-        w_l = ambient.to_coords(point, wedge_frame(Signature.L, pair_f[:, 0], pair_f[:, 1]))
+        xi = frame[:, :, 2]
+        pair_f = ambient.to_frames(point, pair, frames=frame, metric_r=g_r)
+        w_l = ambient.to_coords(
+            point, wedge_frame(Signature.L, pair_f[:, 0], pair_f[:, 1]), frames=frame
+        )
         nn = stacked_inner(g_l, w_l, w_l)
         for j, q in enumerate(nn.tolist()):
             if abs(q) <= 0.0:
@@ -235,7 +248,9 @@ def _normal_data(
 
         agreement = None
         if routes:
-            w_r = ambient.to_coords(point, wedge_frame(Signature.R, pair_f[:, 0], pair_f[:, 1]))
+            w_r = ambient.to_coords(
+                point, wedge_frame(Signature.R, pair_f[:, 0], pair_f[:, 1]), frames=frame
+            )
             n_r_wedge = w_r / np.sqrt(stacked_inner(g_r, w_r, w_r))[:, None]
             apart = np.max(np.abs(n_r - n_r_wedge), axis=1).tolist()
             opposed = np.max(np.abs(n_r + n_r_wedge), axis=1).tolist()
@@ -248,6 +263,9 @@ def _normal_data(
         errors=errors,
         rows=rows,
         point=point,
+        frame=frame,
+        g_r=g_r,
+        g_l=g_l,
         du=du,
         dv=dv,
         gram_r=gram_r,
@@ -277,12 +295,13 @@ class ShapeData:
     symmetry_residual: float
 
 
-class TwoMetricFrameData:
+class TwoMetricFrameData(PointFrame):
     """All pointwise data of an immersed surface for both metrics.
 
-    Construct through :func:`frame_data`.  Shape operators and stencil-based
-    derivatives are computed lazily and cached; scalar invariants are exposed
-    as properties.
+    Construct through :func:`frame_data`.  It is the PointFrame of the sample
+    point, with the frame and metrics of the stacked center evaluation.
+    Shape operators and stencil-based derivatives are computed lazily and
+    cached; scalar invariants are exposed as properties.
     """
 
     def __init__(
@@ -303,8 +322,10 @@ class TwoMetricFrameData:
         center = _normal_data(ambient, chart, [self.uv], steps.first, orientation, routes=True)
         if center.errors[0] is not None:
             raise center.errors[0]
+        metric = {Signature.R: center.g_r[0], Signature.L: center.g_l[0]}
+        super().__init__(ambient, center.point[0], center.frame[0], metric)
         self.center = center
-        self.point = center.point[0]
+        self.xi = ambient.fiber_direction(self.point)
         self.du = center.du[0]
         self.dv = center.dv[0]
         self.eps = float(center.eps[0])
@@ -325,14 +346,33 @@ class TwoMetricFrameData:
         self._stencil_rows: NormalData | None = None
         self._stencil_comps: np.ndarray | None = None
         self._tangent_derivs: dict = {}
+        self._frame_of: dict[str, np.ndarray] = {}
         # Curvature scalars, filled and reused by identities.curvature_suite.
-        self.curvature: dict | None = None
+        self.curvature_scalars: dict | None = None
         self.invariants = self._invariant_residuals()
 
     # -- tangent algebra ----------------------------------------------------
 
-    def inner(self, sig: Signature, a: np.ndarray, b: np.ndarray) -> float:
-        return self.ambient.inner(sig, self.point, a, b)
+    def frame_of(self, name: str) -> np.ndarray:
+        """Frame components of a named vector (one of ``STENCIL_FIELDS`` or "xi"), kept."""
+        hit = self._frame_of.get(name)
+        if hit is None:
+            hit = self._frame_of[name] = self.to_frame(getattr(self, name))
+        return hit
+
+    def curve_frame(self) -> PointFrame:
+        """The PointFrame where ``ambient.curve_through(point, x)`` starts, for any x.
+
+        A group-model curve starts at point / sqrt(quadric(point)), which is
+        not always bitwise the point; elsewhere this is the point itself.
+        """
+        return self._curve_start or self
+
+    @functools.cached_property
+    def _curve_start(self) -> PointFrame | None:
+        # None for this point itself: holding self would make a reference cycle.
+        start = self.ambient.curve_through(self.point, np.zeros(self.ambient.dim))(0.0)
+        return None if np.array_equal(start, self.point) else PointFrame(self.ambient, start)
 
     def coeffs(self, sig: Signature, vec: np.ndarray) -> np.ndarray:
         """Chart-basis coefficients of a tangent vector (Gram projection)."""
@@ -348,16 +388,14 @@ class TwoMetricFrameData:
     def normal(self, sig: Signature) -> np.ndarray:
         return self.n_r if sig is Signature.R else self.n_l
 
-    def tangential(self, sig: Signature, vec: np.ndarray) -> np.ndarray:
-        """Tangential part of an ambient vector, as chart coefficients."""
-        return self.coeffs(sig, vec)
+    def rotate(self, sig: Signature, vf: np.ndarray) -> np.ndarray:
+        """N ^ X for X given by its frame components, in coordinates."""
+        n_name = "n_r" if sig is Signature.R else "n_l"
+        return self.to_coord(wedge_frame(sig, self.frame_of(n_name), vf))
 
     def rotation(self, sig: Signature) -> np.ndarray:
         """Matrix of X -> N ^ X on the tangent plane, chart basis."""
-        cols = []
-        for base in (self.du, self.dv):
-            w = self.ambient.wedge(sig, self.point, self.normal(sig), base)
-            cols.append(self.coeffs(sig, w))
+        cols = [self.coeffs(sig, self.rotate(sig, self.frame_of(b))) for b in ("du", "dv")]
         return np.column_stack(cols)
 
     def tangent_part_t(self, sig: Signature) -> np.ndarray:
@@ -416,15 +454,18 @@ class TwoMetricFrameData:
                 [np.concatenate([getattr(self.center, f), getattr(st, f)]) for f in STENCIL_FIELDS],
                 axis=1,
             )
-            comps = self._stencil_comps = self.ambient.stencil_components(points, vecs)
+            frames = np.concatenate([self.center.frame, st.frame])
+            comps = self._stencil_comps = self.ambient.stencil_components(points, vecs, frames)
         which = [STENCIL_FIELDS.index(name) for name in names]
+        along = ("du", "dv")[axis]
         return self.ambient.cov_deriv_stencil(
             sig,
-            self.point,
-            (self.du, self.dv)[axis],
+            self,
+            getattr(self, along),
             comps[0, which],
             comps[1 + 4 * axis : 5 + 4 * axis][:, which],
             self.steps.second,
+            vel_f=self.frame_of(along),
         )
 
     # -- shape operators ------------------------------------------------------
@@ -534,27 +575,24 @@ class TwoMetricFrameData:
     # -- consistency ------------------------------------------------------------
 
     def _invariant_residuals(self) -> dict[str, float]:
-        amb, p = self.ambient, self.point
         res = {}
-        res["unit_normal_L"] = abs(amb.inner(Signature.L, p, self.n_l, self.n_l) - self.eps)
-        res["unit_normal_R"] = abs(amb.inner(Signature.R, p, self.n_r, self.n_r) - 1.0)
+        res["unit_normal_L"] = abs(self.inner(Signature.L, self.n_l, self.n_l) - self.eps)
+        res["unit_normal_R"] = abs(self.inner(Signature.R, self.n_r, self.n_r) - 1.0)
         res["normal_routes"] = float(self.center.wedge_agreement[0])
         res["angle_transform"] = abs(self.angle_r + self.angle_l / self.omega_l)
         arg = self.eps * (1.0 - 2.0 * self.angle_r**2)
         res["omega_product"] = (
             abs(self.omega_l * math.sqrt(arg) - 1.0) if arg > 0.0 else float("inf")
         )
-        res["t_split_R"] = abs(
-            amb.inner(Signature.R, p, self.t_r, self.t_r) + self.angle_r**2 - 1.0
-        )
+        res["t_split_R"] = abs(self.inner(Signature.R, self.t_r, self.t_r) + self.angle_r**2 - 1.0)
         res["t_split_L"] = abs(
-            amb.inner(Signature.L, p, self.t_l, self.t_l) + self.eps * self.angle_l**2 + 1.0
+            self.inner(Signature.L, self.t_l, self.t_l) + self.eps * self.angle_l**2 + 1.0
         )
         res["t_relation"] = float(
             np.max(np.abs(self.t_r - (self.eps / self.omega_l**2) * self.t_l))
         )
-        res["t_tangency_R"] = abs(amb.inner(Signature.R, p, self.t_r, self.n_r))
-        res["t_tangency_L"] = abs(amb.inner(Signature.L, p, self.t_l, self.n_l))
+        res["t_tangency_R"] = abs(self.inner(Signature.R, self.t_r, self.n_r))
+        res["t_tangency_L"] = abs(self.inner(Signature.L, self.t_l, self.n_l))
         res["branch"] = max(0.0, 1.0 - self.omega_l)
         return res
 

@@ -14,14 +14,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bicausal.ambient import (
-    MEMO_SIZE,
     CoordinateAmbient,
     Signature,
     SpaceParams,
     connection_gap_frame,
     curvature_frame,
     frame_gram,
-    memoized,
     split_frame,
     wedge_frame,
 )
@@ -421,46 +419,6 @@ def test_fd_step_env_validation(monkeypatch):
     assert steps.second == pytest.approx(2e-3)
 
 
-# -- memoized point primitives -------------------------------------------------
-
-MEMOIZED = ("frame", "metric", "to_frame", "_table_from_metric")
-
-
-def _primitive_calls(ambient, points, vectors):
-    u, v = vectors
-    out = []
-    for p in points:
-        for sig in SIGS:
-            out += [
-                ambient.metric(sig, p),
-                ambient.frame(p),
-                ambient.to_frame(p, u),
-                ambient.to_frame(p, v),
-                ambient.connection_table(sig, p),
-                ambient.wedge(sig, p, u, v),
-                ambient.connection_gap(p, u, v),
-            ]
-    return out
-
-
-@pytest.mark.parametrize("pair", [(1.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (-1.0, 0.0)])
-def test_memoized_primitives_match_unmemoized(pair, rng, monkeypatch):
-    """Hits, misses and evictions in any order give the bits a fresh call gives."""
-    params = SpaceParams(*pair)
-    ambient = CoordinateAmbient(params)
-    points = [random_point(ambient, rng) for _ in range(40)]
-    # revisit points after others have evicted them, and interleave repeats
-    order = points + points[::-1] + points[::3] + points[:5]
-    vectors = [rng.normal(size=3), rng.normal(size=3)]
-    got = _primitive_calls(ambient, order, vectors)
-    with monkeypatch.context() as m:
-        for name in MEMOIZED:
-            m.setattr(CoordinateAmbient, name, getattr(CoordinateAmbient, name).__wrapped__)
-        want = _primitive_calls(CoordinateAmbient(params), order, vectors)
-    assert len(got) == len(want)
-    assert all(same_bits(a, b) for a, b in zip(got, want))
-
-
 def test_frame_products_match_numpy_cross_bitwise(rng):
     pairs = []
     for _ in range(100):
@@ -477,60 +435,3 @@ def test_frame_products_match_numpy_cross_bitwise(rng):
         (uh, uv), (vh, vv) = split_frame(u), split_frame(v)
         expect = 2.0 * tau * (np.cross(uh, vv) - np.cross(uv, vh))
         assert same_bits(connection_gap_frame(tau, u, v), expect)
-
-
-@pytest.mark.parametrize("pair", [(1.0, 1.0), (1.0, 0.0)])
-def test_memoized_results_are_read_only(pair):
-    ambient = CoordinateAmbient(SpaceParams(*pair))
-    p = np.array([0.2, -0.1, 0.3])
-    results = [
-        ambient.frame(p),
-        ambient.metric(Signature.L, p),
-        ambient.to_frame(p, np.array([1.0, 2.0, 3.0])),
-        ambient.connection_table(Signature.R, p),
-    ]
-    for out in results:
-        with pytest.raises(ValueError):
-            out[0] = 1.0
-    # a copy is the caller's own
-    frame = ambient.frame(p).copy()
-    frame[0, 0] = 7.0
-    assert ambient.frame(p)[0, 0] != 7.0
-
-
-def test_memo_is_bounded(rng):
-    ambient = CoordinateAmbient(SpaceParams(1.0, 0.0))
-    v = np.array([0.3, -0.2, 1.0])
-    for _ in range(1000):
-        p = random_point(ambient, rng)
-        ambient.to_frame(p, v)
-        for sig in SIGS:
-            ambient.metric(sig, p)
-            ambient.connection_table(sig, p)
-    memos = {k: m for k, m in vars(ambient).items() if k.startswith("_memo_")}
-    assert set(memos) == {f"_memo_{name}" for name in MEMOIZED}
-    assert all(len(m) == MEMO_SIZE for m in memos.values())
-
-
-def test_memo_keys_on_shape_and_arguments():
-    class Probe:
-        calls = 0
-
-        @memoized
-        def shape_of(self, sig, a):
-            Probe.calls += 1
-            return np.array(np.shape(a) + (sig.eps3,))
-
-    probe = Probe()
-    flat = np.arange(6.0)
-    square = flat.reshape(2, 3)
-    assert flat.tobytes() == square.tobytes()
-    assert same_bits(probe.shape_of(Signature.R, flat), [6.0, 1.0])
-    assert same_bits(probe.shape_of(Signature.R, square), [2.0, 3.0, 1.0])
-    assert same_bits(probe.shape_of(Signature.L, square), [2.0, 3.0, -1.0])
-    # equal values given as a list of ints hit the same entry
-    assert same_bits(probe.shape_of(Signature.R, [0, 1, 2, 3, 4, 5]), [6.0, 1.0])
-    assert Probe.calls == 3
-    # entries belong to one instance
-    assert same_bits(Probe().shape_of(Signature.R, flat), [6.0, 1.0])
-    assert Probe.calls == 4

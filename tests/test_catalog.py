@@ -5,17 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bicausal.ambient import SpaceParams
+from bicausal import catalog
+from bicausal.ambient import CoordinateAmbient, SpaceParams
 from bicausal.catalog import (
     CATALOG,
     build_surface,
     default_surfaces,
+    detect_character_bands,
     parse_surface,
     validate_address,
 )
-from bicausal.errors import ConfigInvalid
+from bicausal.errors import ConfigInvalid, CurveSingular, GeometryError
 from bicausal.suite import DEFAULT_PARAMS
-from bicausal.surfaces import SPACELIKE, TIMELIKE, frame_data
+from bicausal.surfaces import (
+    DEGENERATE,
+    SPACELIKE,
+    TIMELIKE,
+    SurfaceChart,
+    causal_character,
+    frame_data,
+)
 
 from conftest import interior_grid
 
@@ -150,3 +159,74 @@ def test_catalog_entry_metadata_complete():
         assert entry.description
         assert entry.validity
         assert isinstance(entry.keys, frozenset)
+
+
+def _bands_point_by_point(ambient, chart, u0, t_lo, t_hi, n=160):
+    """``detect_character_bands`` classifying one row at a time with ``causal_character``."""
+    ts = np.linspace(t_lo, t_hi, n)
+    chars = []
+    for t in ts:
+        try:
+            u, v = float(u0), float(t)
+            du, dv = chart.partials(u, v, ambient.steps.second)
+            char, _ = causal_character(ambient, chart.point(u, v), du, dv)
+        except GeometryError:
+            char = DEGENERATE
+        chars.append(char)
+    bands, start = [], 0
+    for i in range(1, n + 1):
+        if i == n or chars[i] != chars[start]:
+            bands.append((chars[start], float(ts[start]), float(ts[i - 1])))
+            start = i
+    return bands
+
+
+@pytest.mark.parametrize(
+    "family,pair",
+    [
+        ("helicoid:c=0.7", (0.0, 1.0)),
+        ("helicoid:c=0.7", (0.0, 0.5)),
+        ("helicoid:c=0.7", (0.0, 0.0)),
+        ("berger-helicoid:alpha=0.5", (1.0, 1.0)),
+        ("berger-helicoid:alpha=0.5", (4.0, 1.0)),
+        ("su11-helicoid:family=h1,rate=0.35", (-1.0, 1.0)),
+    ],
+)
+def test_band_detection_matches_per_point_classification(family, pair, monkeypatch):
+    """The stacked band scan of every variant= family gives the per-point bands.
+
+    The coordinate helicoid exists only at kappa = 0.
+    """
+    seen = []
+
+    def spy(ambient, chart, u0, t_lo, t_hi, n=160):
+        bands = detect_character_bands(ambient, chart, u0, t_lo, t_hi, n)
+        seen.append((bands, _bands_point_by_point(ambient, chart, u0, t_lo, t_hi, n)))
+        return bands
+
+    monkeypatch.setattr(catalog, "detect_character_bands", spy)
+    for variant in ("space", "time"):
+        try:
+            build_surface(f"{family},variant={variant}", SpaceParams(*pair))
+        except ConfigInvalid:
+            pass  # no usable band of this character here
+    assert len(seen) == 2
+    for stacked, reference in seen:
+        assert stacked == reference
+
+
+def test_band_detection_marks_failing_chart_rows_degenerate():
+    ambient = CoordinateAmbient(SpaceParams(1.0, 1.0))
+
+    def point(u, v):
+        if 0.3 < v < 0.5:
+            raise CurveSingular(f"no point at v={v}")
+        return np.array([v * np.cos(u), v * np.sin(u), 0.7 * u])
+
+    def jac(u, v):
+        return np.array([-v * np.sin(u), v * np.cos(u), 0.7]), np.array([np.cos(u), np.sin(u), 0.0])
+
+    chart = SurfaceChart("probe", point, ((-1.0, 1.0), (0.0, 2.0)), jacobian=jac)
+    bands = detect_character_bands(ambient, chart, 0.2, 0.05, 1.8)
+    assert any(c == DEGENERATE and 0.3 < lo <= hi < 0.5 for c, lo, hi in bands)
+    assert bands == _bands_point_by_point(ambient, chart, 0.2, 0.05, 1.8)

@@ -91,6 +91,16 @@ def test_config_errors_exit_2_with_code_on_stderr(args):
     assert "error [CONFIG_INVALID]" in proc.stderr
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_needs_at_least_one_sample(samples):
+    """No sample checks nothing, which must not read as a pass."""
+    proc = run_cli("verify", "--params", "1,1", "--samples", samples)
+    assert proc.returncode == 2
+    assert "error [CONFIG_INVALID]" in proc.stderr
+    assert "samples must be at least 1" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_bad_fd_step_env_exits_2():
     proc = run_cli(
         "verify",

@@ -1,9 +1,10 @@
-"""Stacked primitives and the one-pass stencil: the same bits as point by point.
+"""Stacked primitives, the one-pass stencil and the sample context: per-point bits.
 
 The stencil of each sample (its eight offset rows and their frame
-components) is evaluated on stacked arrays.  Every stacked form must return,
-row by row, exactly the bits of the per-point call, because FD residuals near
-1e-8 move visibly under any change of rounding.
+components) is evaluated on stacked arrays, and the identities read the
+frame, metrics and connection tables the sample holds.  Every stacked form
+and every context method must return exactly the bits of the per-point call,
+because FD residuals near 1e-8 move visibly under any change of rounding.
 """
 
 from __future__ import annotations
@@ -15,10 +16,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bicausal.ambient import CoordinateAmbient, Signature, SpaceParams
+from bicausal.ambient import (
+    CoordinateAmbient,
+    Signature,
+    SpaceParams,
+    curvature_frame,
+    wedge_frame,
+)
 from bicausal.catalog import build_surface, default_surfaces
 from bicausal.errors import DomainViolation, GeometryError
 from bicausal.groups import BERGER, SU11, GroupAmbient
+from bicausal.identities import _frame_norm
 from bicausal.numdiff import STENCIL_STEPS
 from bicausal.surfaces import (
     STENCIL_FIELDS,
@@ -28,7 +36,7 @@ from bicausal.surfaces import (
     induced_gram,
 )
 
-from conftest import random_point, same_bits
+from conftest import interior_grid, random_point, same_bits
 
 SIGS = (Signature.R, Signature.L)
 
@@ -136,15 +144,11 @@ def test_stacked_primitives_equal_per_point_calls(name, rng):
     points = _points(ambient, rng, n)
     vecs = _tangents(ambient, points, rng, k)
     comps = rng.normal(size=(n, k, 3))
-    frame = type(ambient).frame.__wrapped__
-    metric = type(ambient).metric.__wrapped__
-    to_frame = type(ambient).to_frame.__wrapped__
-
     frames = ambient.frames(points)
-    assert all(same_bits(frames[i], frame(ambient, p)) for i, p in enumerate(points))
+    assert all(same_bits(frames[i], ambient.frame(p)) for i, p in enumerate(points))
     for sig in SIGS:
         metrics = ambient.metrics(sig, points)
-        assert all(same_bits(metrics[i], metric(ambient, sig, p)) for i, p in enumerate(points))
+        assert all(same_bits(metrics[i], ambient.metric(sig, p)) for i, p in enumerate(points))
         flat = ambient.inners(sig, points, vecs[:, 0], vecs[:, 1])
         stacked = ambient.inners(sig, points, vecs, vecs[:, ::-1])
         for i, p in enumerate(points):
@@ -156,10 +160,16 @@ def test_stacked_primitives_equal_per_point_calls(name, rng):
     flat = ambient.to_frames(points, vecs[:, 2])
     stacked = ambient.to_frames(points, vecs)
     coords = ambient.to_coords(points, comps)
+    # arrays a caller already has give the same bits
+    given_arrays = ambient.to_frames(
+        points, vecs, frames=frames, metric_r=ambient.metrics(Signature.R, points)
+    )
+    assert same_bits(given_arrays, stacked)
+    assert same_bits(ambient.to_coords(points, comps, frames=frames), coords)
     for i, p in enumerate(points):
-        assert same_bits(flat[i], to_frame(ambient, p, vecs[i, 2]))
+        assert same_bits(flat[i], ambient.to_frame(p, vecs[i, 2]))
         for j in range(k):
-            assert same_bits(stacked[i, j], to_frame(ambient, p, vecs[i, j]))
+            assert same_bits(stacked[i, j], ambient.to_frame(p, vecs[i, j]))
             assert same_bits(coords[i, j], ambient.to_coord(p, comps[i, j]))
 
 
@@ -336,3 +346,133 @@ def test_fuzz_batched_rows_equal_per_row_and_fail_with_codes(sample):
             assert np.all(np.isfinite(derivs["dt"])) and np.all(np.isfinite(derivs["dangle"]))
     except GeometryError as exc:
         assert isinstance(exc.code, str) and exc.code
+
+
+# -- the sample's point context -------------------------------------------------
+
+
+def _chart_through(ambient, p, a, b):
+    """A chart with value p and partials a, b at (0, 0), kept on the quadric in the group models."""
+    if isinstance(ambient, CoordinateAmbient):
+        return SurfaceChart(
+            "plane", lambda u, v: p + u * a + v * b, ((-1.0, 1.0), (-1.0, 1.0)), lambda u, v: (a, b)
+        )
+
+    def point(u, v):
+        q = p + u * a + v * b
+        return q / math.sqrt(ambient.quadric_value(q))
+
+    return SurfaceChart("plane", point, ((-1.0, 1.0), (-1.0, 1.0)))
+
+
+def _contexts(ambient, gen, n):
+    """n sample contexts (frame data) at random points of the model."""
+    out = []
+    while len(out) < n:
+        p = _points(ambient, gen, 1)[0]
+        a, b = _tangents(ambient, p[None], gen, 2)[0]
+        try:
+            chart = _chart_through(ambient, p, a, b)
+            out.append(frame_data(ambient, chart, (0.0, 0.0), validate=False))
+        except GeometryError:
+            pass
+    return out
+
+
+def _to_frame(ambient, p, v):
+    """Frame components by each model's formula: a solve, or the Riemannian projection."""
+    if isinstance(ambient, GroupAmbient):
+        return ambient.frame(p).T @ ambient.metric(Signature.R, p) @ v
+    return np.linalg.solve(ambient.frame(p), v)
+
+
+def _table(ambient, sig, p):
+    if isinstance(ambient, GroupAmbient):
+        return ambient.christoffels(sig, p)
+    return ambient.connection_table(sig, p)
+
+
+@pytest.mark.parametrize("name", sorted(AMBIENTS))
+def test_sample_context_equals_per_point_calls(name, rng):
+    ambient = AMBIENTS[name]()
+    h = ambient.steps.second
+    for d in _contexts(ambient, rng, 5):
+        p = d.point
+        u, v, w = _tangents(ambient, p[None], rng, 3)[0]
+        uf, vf, wf = (_to_frame(ambient, p, x) for x in (u, v, w))
+        c = rng.normal(size=3)
+        assert same_bits(d.frame, ambient.frame(p))
+        assert same_bits(d.xi, ambient.fiber_direction(p))
+        assert same_bits(d.to_frame(u), uf)
+        assert same_bits(ambient.to_frame(p, u), uf)
+        assert same_bits(d.to_coord(c), ambient.frame(p) @ c)
+        for field in STENCIL_FIELDS + ("xi",):
+            assert same_bits(d.frame_of(field), _to_frame(ambient, p, getattr(d, field)))
+        f0, fs = rng.normal(size=(2, 3)), rng.normal(size=(4, 2, 3))
+        if isinstance(ambient, GroupAmbient):
+            f0, fs = _tangents(ambient, p[None], rng, 2)[0], _tangents(ambient, p[None], rng, 8)[0]
+            fs = fs.reshape(4, 2, -1)
+        for sig in SIGS:
+            assert same_bits(d.metric[sig], ambient.metric(sig, p))
+            assert same_bits(d.inner(sig, u, v), float(u @ ambient.metric(sig, p) @ v))
+            assert same_bits(d.wedge(sig, u, v), ambient.frame(p) @ wedge_frame(sig, uf, vf))
+            want = ambient.frame(p) @ curvature_frame(ambient.params, sig, uf, vf, wf)
+            assert same_bits(d.curvature(sig, u, v, w), want)
+            assert same_bits(d.curvature(sig, u, v, u), d.curvature(sig, u, v, u.copy()))
+            assert same_bits(d.table(sig), _table(ambient, sig, p))
+            n_f = _to_frame(ambient, p, d.normal(sig))
+            assert same_bits(d.rotate(sig, uf), ambient.frame(p) @ wedge_frame(sig, n_f, uf))
+            assert same_bits(
+                ambient.cov_deriv_stencil(sig, d, u, f0, fs, h),
+                ambient.cov_deriv_stencil(sig, p.copy(), u, f0, fs, h),
+            )
+
+
+def _assert_curve_frame_is_curve_start(d, rng):
+    ambient = d.ambient
+    x = _tangents(ambient, d.point[None], rng, 1)[0, 0]
+    start = ambient.curve_through(d.point, x)(0.0)
+    at = d.curve_frame()
+    assert at is d.curve_frame()
+    assert same_bits(at.point, start)
+    assert isinstance(ambient, GroupAmbient) or at is d
+    for sig in SIGS:
+        assert same_bits(at.metric[sig], ambient.metric(sig, start))
+        assert same_bits(at.table(sig), _table(ambient, sig, start))
+    return at is not d
+
+
+@pytest.mark.parametrize("name", sorted(AMBIENTS))
+def test_curve_frame_sits_where_curves_through_the_sample_start(name, rng):
+    ambient = AMBIENTS[name]()
+    for d in _contexts(ambient, rng, 6):
+        _assert_curve_frame_is_curve_start(d, rng)
+
+
+@pytest.mark.parametrize(
+    "address, pair",
+    [
+        ("berger-helicoid:alpha=0.5,variant=space", (1.0, 1.0)),
+        ("su11-helicoid:family=h1,rate=0.35,variant=time", (-1.0, 1.0)),
+    ],
+)
+def test_group_helicoid_curves_start_off_the_sample_point(address, pair, rng):
+    """A group-model curve starts at p / sqrt(quadric(p)), which is often not bitwise p."""
+    built = build_surface(address, SpaceParams(*pair))
+    moved = 0
+    for uv in interior_grid(built.chart.domain, 3, 3):
+        data = frame_data(built.ambient, built.chart, uv, validate=False)
+        moved += _assert_curve_frame_is_curve_start(data, rng)
+    assert moved > 0
+
+
+@pytest.mark.parametrize("name", sorted(AMBIENTS))
+def test_frame_norm_of_signed_zero_vectors_is_the_solved_zero(name, rng):
+    ambient = AMBIENTS[name]()
+    d = _contexts(ambient, rng, 1)[0]
+    zero = np.zeros(ambient.dim)
+    mixed = np.where(rng.random(ambient.dim) < 0.5, zero, -zero)
+    for vec in (zero, -zero, mixed):
+        solved = float(np.max(np.abs(ambient.to_frame(d.point, vec))))
+        assert same_bits(_frame_norm(d, vec), solved)
+        assert same_bits(_frame_norm(d, vec), 0.0)

@@ -419,6 +419,61 @@ def test_fd_step_env_validation(monkeypatch):
     assert steps.second == pytest.approx(2e-3)
 
 
+# -- the per-point context -------------------------------------------------------
+
+
+def _primitive_calls(visits, vectors, tau):
+    """Each visit is (point, primitives); a primitives object is the ambient or a PointFrame."""
+    u, v = vectors
+    out = []
+    for i, (p, at) in enumerate(visits):
+        for sig in SIGS if i % 2 else SIGS[::-1]:
+            if isinstance(at, CoordinateAmbient):
+                uf, vf = at.to_frame(p, u), at.to_frame(p, v)
+                out += [
+                    at.metric(sig, p),
+                    at.frame(p),
+                    uf,
+                    vf,
+                    at.connection_table(sig, p),
+                    at.wedge(sig, p, u, v),
+                    at.connection_gap(p, u, v),
+                ]
+            else:
+                uf, vf = at.to_frame(u), at.to_frame(v)
+                out += [
+                    at.metric[sig],
+                    at.frame,
+                    uf,
+                    vf,
+                    at.table(sig),
+                    at.wedge(sig, u, v),
+                    at.to_coord(connection_gap_frame(tau, uf, vf)),
+                ]
+    return out
+
+
+@pytest.mark.parametrize("pair", [(1.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (-1.0, 0.0)])
+def test_memoized_primitives_match_unmemoized(pair, rng):
+    """A point's context, revisited in any order, gives the bits fresh per-point calls give."""
+    params = SpaceParams(*pair)
+    ambient = CoordinateAmbient(params)
+    points = [random_point(ambient, rng) for _ in range(40)]
+    contexts = [ambient.point_frame(p) for p in points]
+    # revisit contexts after others were used, and interleave repeats
+    order = list(range(40)) + list(range(39, -1, -1)) + list(range(0, 40, 3)) + list(range(5))
+    vectors = [rng.normal(size=3), rng.normal(size=3)]
+    got = _primitive_calls([(points[k], contexts[k]) for k in order], vectors, params.tau)
+    fresh = CoordinateAmbient(params)
+    want = _primitive_calls([(points[k].copy(), fresh) for k in order], vectors, params.tau)
+    assert len(got) == len(want)
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+    # a context builds each table once and hands out that table on every use
+    for at in contexts:
+        for sig in SIGS:
+            assert at.table(sig) is at.table(sig)
+
+
 def test_frame_products_match_numpy_cross_bitwise(rng):
     pairs = []
     for _ in range(100):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bicausal.ambient import Signature, SpaceParams
+from bicausal.ambient import PointFrame, Signature, SpaceParams
 from bicausal.catalog import build_surface
 from bicausal.errors import CurveSingular, DomainViolation, ModelMismatch
 from bicausal.groups import (
@@ -20,7 +20,7 @@ from bicausal.groups import (
 from bicausal.identities import ruling_defect
 from bicausal.surfaces import frame_data
 
-from conftest import interior_grid
+from conftest import interior_grid, same_bits
 
 SIGS = (Signature.R, Signature.L)
 
@@ -294,3 +294,47 @@ def test_metric_extension_weight_does_not_change_surface_data():
                 assert abs(
                     d0.extrinsic_curvature(sig) - d1.extrinsic_curvature(sig)
                 ) < 1e-8
+
+
+# -- the per-point context -------------------------------------------------------
+
+MODELS = [(BERGER, 1.0, 1.0), (SU11, -1.5, 0.8)]
+
+
+def _primitive_calls(ambient, visits, vectors):
+    """Each visit is (point, at): at is the point itself, or its kept PointFrame."""
+    out = []
+    for i, (p, at) in enumerate(visits):
+        u, v = (ambient.to_coord(p, c) for c in vectors)
+        for sig in SIGS if i % 2 else SIGS[::-1]:
+            if isinstance(at, PointFrame):
+                out += [at.metric[sig], at.frame, at.to_frame(u), at.table(sig), at.wedge(sig, u, v)]
+            else:
+                out += [
+                    ambient.metric(sig, p),
+                    ambient.frame(p),
+                    ambient.to_frame(p, u),
+                    ambient.christoffels(sig, p),
+                    ambient.wedge(sig, p, u, v),
+                ]
+            out.append(ambient.tangent_project(sig, at, u + p))
+    return out
+
+
+@pytest.mark.parametrize("kind,kappa,tau", MODELS)
+def test_memoized_primitives_match_unmemoized(kind, kappa, tau, rng):
+    """A point's context, revisited in any order, gives the bits fresh per-point calls give."""
+    params = SpaceParams(kappa, tau)
+    ambient = GroupAmbient(kind, params)
+    points = [_model_point(kind, rng) for _ in range(40)]
+    contexts = [ambient.point_frame(p) for p in points]
+    order = list(range(40)) + list(range(39, -1, -1)) + list(range(0, 40, 3)) + list(range(5))
+    vectors = [rng.normal(size=3), rng.normal(size=3)]
+    got = _primitive_calls(ambient, [(points[k], contexts[k]) for k in order], vectors)
+    fresh = GroupAmbient(kind, params)
+    want = _primitive_calls(fresh, [(points[k].copy(),) * 2 for k in order], vectors)
+    assert len(got) == len(want)
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+    for at in contexts:
+        for sig in SIGS:
+            assert at.table(sig) is at.table(sig)

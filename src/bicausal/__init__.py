@@ -34,9 +34,8 @@ from .errors import (
     NullDirection,
     NumericFailure,
     OrientationFlip,
-    ParameterSingularity,
+    SurfaceUnavailable,
     TauNonzero,
-    TRVanishes,
     UnsupportedFormat,
 )
 from .groups import GroupAmbient, berger_helicoid_chart, su11_helicoid_chart
@@ -90,13 +89,12 @@ __all__ = [
     "NullDirection",
     "NumericFailure",
     "OrientationFlip",
-    "ParameterSingularity",
     "SampleSkip",
     "Signature",
     "SpaceParams",
     "SuiteConfig",
     "SurfaceChart",
-    "TRVanishes",
+    "SurfaceUnavailable",
     "TauNonzero",
     "TwoMetricFrameData",
     "UnsupportedFormat",

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigInvalid, DomainViolation
-from .numdiff import STENCIL_STEPS, FDSteps, central_diff, stencil_derivative
+from .numdiff import STENCIL_STEPS, FDSteps, central_diff, christoffels, stencil_derivative
 
 DOMAIN_MARGIN = 1e-6
 
@@ -244,9 +244,10 @@ class PointFrame:
 class Ambient:
     """Frame algebra shared by the coordinate and the group model.
 
-    Subclasses supply ``frame`` and ``metric`` for one point,
+    Subclasses supply ``steps``, ``frame`` and ``metric`` for one point,
     ``frame_components`` (``to_frame`` at a ``PointFrame``), ``point_table``
-    (the connection table that ``cov_deriv_stencil`` reads), and the stacked
+    (the connection table that ``cov_deriv_stencil`` reads; both models build
+    it from the shared ``christoffels``), and the stacked
     forms ``frames``, ``metrics`` and ``to_frames`` for points of shape
     (n, dim), with vectors of shape (n, dim) or (n, k, dim).  A stacked form
     returns, row by row, the same bits as the per-point call; ``frames=``
@@ -275,6 +276,11 @@ class Ambient:
     ) -> np.ndarray:
         """Curvature operator on coordinate vectors, returned in coordinates."""
         return self.point_frame(p).curvature(sig, x, y, z)
+
+    def christoffels(self, sig: Signature, p: np.ndarray, h: float | None = None) -> np.ndarray:
+        """Coordinate Christoffel symbols Gamma[c, a, b] of ``sig``, step ``steps.first`` by default."""
+        h = self.steps.first if h is None else h
+        return christoffels(lambda q: self.metric(sig, q), p, h)
 
     def point_frame(self, at: PointFrame | np.ndarray) -> PointFrame:
         """``at`` if it is a PointFrame, else the PointFrame at the point ``at``."""
@@ -485,25 +491,6 @@ class CoordinateAmbient(Ambient):
 
     def point_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
         return self.connection_table(sig, p)
-
-    def christoffels(self, sig: Signature, p: np.ndarray, h: float | None = None) -> np.ndarray:
-        """Coordinate Christoffel symbols Gamma[c, a, b] from central differences."""
-        p = np.asarray(p, dtype=float)
-        h = self.steps.first if h is None else h
-        dg = np.empty((3, 3, 3))
-        for a in range(3):
-            e = np.zeros(3)
-            e[a] = 1.0
-            dg[a] = central_diff(lambda s: self.metric(sig, p + s * e), 0.0, h)
-        ginv = np.linalg.inv(self.metric(sig, p))
-        gam = np.empty((3, 3, 3))
-        for c in range(3):
-            for a in range(3):
-                for b in range(3):
-                    gam[c, a, b] = 0.5 * float(
-                        ginv[c] @ (dg[a][b] + dg[b][a] - np.array([dg[d][a, b] for d in range(3)]))
-                    )
-        return gam
 
     def _table_from_metric(self, sig: Signature, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)

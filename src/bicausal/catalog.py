@@ -2,9 +2,11 @@
 
 An address looks like ``family[:label][:key=value,...]`` — for example
 ``hopf:circle:r=0.8``, ``slice:t0=0.2``, ``graph:bowl:a=0.2`` or
-``su11-helicoid:family=h1,rate=0.35,variant=space``.  Keys not recognized by
-the family raise ConfigInvalid, as do parameter pairs outside the family's
-validity range.
+``su11-helicoid:family=h1,rate=0.35,variant=space``.  A malformed address
+(a key the family does not recognize, a value that is not a finite number or
+out of range) raises ConfigInvalid.  A well-formed address whose surface does
+not exist at the requested (kappa, tau) raises its subclass
+SurfaceUnavailable.
 """
 
 from __future__ import annotations
@@ -16,8 +18,15 @@ from typing import Callable
 import numpy as np
 
 from .ambient import CoordinateAmbient, SpaceParams, Signature
-from .errors import ConfigInvalid, GeometryError, TauNonzero
-from .groups import BERGER, SU11, GroupAmbient, berger_helicoid_chart, su11_helicoid_chart
+from .errors import ConfigInvalid, GeometryError, SurfaceUnavailable, TauNonzero
+from .groups import (
+    BERGER,
+    HELICOID_FAMILIES,
+    SU11,
+    GroupAmbient,
+    berger_helicoid_chart,
+    su11_helicoid_chart,
+)
 from .numdiff import FDSteps
 from .surfaces import (
     DEGENERATE,
@@ -114,6 +123,19 @@ def _reject_unknown(kwargs: dict, allowed: set, family: str) -> None:
         )
 
 
+def _number(kwargs: dict, key: str, default: float | None = None) -> float | None:
+    """The option ``key`` as a finite float, or ``default`` when it is absent."""
+    if key not in kwargs:
+        return default
+    try:
+        value = float(kwargs[key])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigInvalid(f"surface option {key}={kwargs[key]!r} is not a finite number")
+    return value
+
+
 def _planar_scale(params: SpaceParams) -> float:
     if params.kappa >= 0.0:
         return 1.0
@@ -156,13 +178,13 @@ def _band_for_variant(ambient, chart, variant: str, t_lo: float, t_hi: float, u0
         raise ConfigInvalid(f"unknown variant {variant!r}; use 'space' or 'time'")
     bands = [b for b in detect_character_bands(ambient, chart, u0, t_lo, t_hi) if b[0] == want]
     if not bands:
-        raise ConfigInvalid(
+        raise SurfaceUnavailable(
             f"surface has no {want} band on [{t_lo:g}, {t_hi:g}] for these parameters"
         )
     char, lo, hi = max(bands, key=lambda b: b[2] - b[1])
     margin = 0.12 * (hi - lo)
     if hi - lo - 2 * margin <= 10 * ambient.steps.second:
-        raise ConfigInvalid(f"{want} band [{lo:g}, {hi:g}] too narrow to sample")
+        raise SurfaceUnavailable(f"{want} band [{lo:g}, {hi:g}] too narrow to sample")
     return lo + margin, hi - margin
 
 
@@ -177,15 +199,15 @@ def _build_hopf(params, label, kwargs, steps):
     scale = _planar_scale(params)
     if label == "circle":
         _reject_unknown(kwargs, {"r"}, "hopf:circle")
-        r = float(kwargs.get("r", 0.9 * scale))
+        r = _number(kwargs, "r", 0.9 * scale)
         if r <= 0:
             raise ConfigInvalid("hopf circle needs r > 0")
         axes = (r, r)
         kwargs = {"r": r}
     else:
         _reject_unknown(kwargs, {"a", "b"}, "hopf:ellipse")
-        a = float(kwargs.get("a", 0.9 * scale))
-        b = float(kwargs.get("b", 0.55 * scale))
+        a = _number(kwargs, "a", 0.9 * scale)
+        b = _number(kwargs, "b", 0.55 * scale)
         if a <= 0 or b <= 0:
             raise ConfigInvalid("hopf ellipse needs a > 0 and b > 0")
         axes = (a, b)
@@ -209,7 +231,7 @@ def _build_hopf(params, label, kwargs, steps):
         expected={"character": TIMELIKE, "vertical": True, "sign_ambiguous": True},
     )
     if not (ambient.contains(point(0.0, 0.0)) and ambient.contains(point(0.5 * math.pi, 0.0))):
-        raise ConfigInvalid(
+        raise SurfaceUnavailable(
             f"hopf axes {axes} leave the model domain at ({params.kappa:g}, {params.tau:g})"
         )
     parsed = ParsedSurface("hopf", label, kwargs)
@@ -222,7 +244,7 @@ def _build_slice(params, label, kwargs, steps):
     if params.tau != 0.0:
         raise TauNonzero("slice surfaces exist only in the product case tau = 0")
     _reject_unknown(kwargs, {"t0"}, "slice")
-    t0 = float(kwargs.get("t0", 0.0))
+    t0 = _number(kwargs, "t0", 0.0)
     ambient = CoordinateAmbient(params, steps=steps)
     s = 0.8 * _planar_scale(params)
 
@@ -248,7 +270,7 @@ def _build_graph(params, label, kwargs, steps):
     if label != "bowl":
         raise ConfigInvalid(f"graph label must be bowl, got {label!r}")
     _reject_unknown(kwargs, {"a"}, "graph:bowl")
-    a = float(kwargs.get("a", 0.2))
+    a = _number(kwargs, "a", 0.2)
     ambient = CoordinateAmbient(params, steps=steps)
     s = 0.8 * _planar_scale(params)
 
@@ -274,7 +296,7 @@ def _build_vgraph(params, label, kwargs, steps):
     if label != "saddle":
         raise ConfigInvalid(f"vgraph label must be saddle, got {label!r}")
     _reject_unknown(kwargs, {"a"}, "vgraph:saddle")
-    a = float(kwargs.get("a", 0.15))
+    a = _number(kwargs, "a", 0.15)
     ambient = CoordinateAmbient(params, steps=steps)
     s = _planar_scale(params)
 
@@ -299,7 +321,7 @@ def _build_helicoid(params, label, kwargs, steps):
     if label is not None:
         raise ConfigInvalid("helicoid takes no label")
     _reject_unknown(kwargs, {"c", "variant"}, "helicoid")
-    c = float(kwargs.get("c", 0.7))
+    c = _number(kwargs, "c", 0.7)
     if c <= 0:
         raise ConfigInvalid("helicoid needs pitch c > 0")
     variant = kwargs.get("variant")
@@ -343,7 +365,7 @@ def _build_berger_helicoid(params, label, kwargs, steps):
     if label is not None:
         raise ConfigInvalid("berger-helicoid takes no label")
     _reject_unknown(kwargs, {"alpha", "variant"}, "berger-helicoid")
-    alpha = float(kwargs.get("alpha", 0.5))
+    alpha = _number(kwargs, "alpha", 0.5)
     variant = kwargs.get("variant")
     ambient = GroupAmbient(BERGER, params, steps=steps)
     t_lo, t_hi = 0.06, 0.5 * math.pi - 0.06
@@ -366,12 +388,12 @@ def _build_su11_helicoid(params, label, kwargs, steps):
         raise ConfigInvalid("su11-helicoid takes no label")
     _reject_unknown(kwargs, {"family", "rate", "t_rate", "variant"}, "su11-helicoid")
     family = kwargs.get("family", "h1")
-    if not isinstance(family, str):
-        raise ConfigInvalid("su11-helicoid family must be one of e, h1, p1, p")
-    rate = float(kwargs.get("rate", 0.35))
-    t_rate = kwargs.get("t_rate")
-    if t_rate is not None:
-        t_rate = float(t_rate)
+    if family not in HELICOID_FAMILIES:
+        raise ConfigInvalid(
+            f"su11-helicoid family must be one of {', '.join(HELICOID_FAMILIES)}, got {family!r}"
+        )
+    rate = _number(kwargs, "rate", 0.35)
+    t_rate = _number(kwargs, "t_rate")
     variant = kwargs.get("variant")
     ambient = GroupAmbient(SU11, params, steps=steps)
     ct = 0.5 * params.kappa**2 if t_rate is None else abs(t_rate)
@@ -527,7 +549,7 @@ def build_surface(
     entry = CATALOG[parsed.family]
     reason = entry.valid(params)
     if reason is not None:
-        raise ConfigInvalid(
+        raise SurfaceUnavailable(
             f"surface {parsed.canonical()!r} not valid at ({params.kappa:g}, {params.tau:g}): {reason}"
         )
     return entry.build(params, parsed.label, dict(parsed.kwargs), steps)

@@ -17,7 +17,6 @@ from .ambient import SpaceParams, Signature
 from .catalog import CATALOG, build_surface, default_surfaces
 from .errors import ConfigInvalid, GeometryError, UnsupportedFormat
 from .identities import IDENTITIES, IDENTITY_NAMES, SampleSkip, curvature_suite
-from .numdiff import FDSteps
 from .suite import DEFAULT_PARAMS, NON_FINITE, SuiteConfig, run_suite
 from .surfaces import DEGENERATE, frame_data
 
@@ -150,7 +149,7 @@ _REPORT_FIELDS = [
 ]
 
 
-def _report_row(built, uv, steps) -> dict:
+def _report_row(built, uv) -> dict:
     u, v = uv
     row: dict = {"u": f"{u:.12g}", "v": f"{v:.12g}"}
     point = built.chart.point(u, v)
@@ -158,7 +157,7 @@ def _report_row(built, uv, steps) -> dict:
     for name, value in zip(names, point):
         row[name] = f"{value:.12g}"
     try:
-        data = frame_data(built.ambient, built.chart, uv, steps=steps, validate=False)
+        data = frame_data(built.ambient, built.chart, uv, validate=False)
     except GeometryError as exc:
         row["character"] = DEGENERATE if exc.code == "DEGENERATE_INPUT" else ""
         row["flags"] = exc.code
@@ -191,9 +190,7 @@ def _report_row(built, uv, steps) -> dict:
 
 def cmd_report(args) -> int:
     params = _parse_params([args.params])[0]
-    space = SpaceParams(*params)
-    steps = FDSteps.from_env()
-    built = build_surface(args.surface, space, steps=steps)
+    built = build_surface(args.surface, SpaceParams(*params))
     nu, nv = _parse_grid(args.grid)
     us, vs = _grid_points(built.chart, nu, nv)
     coord_names = ["x", "y", "z"] + (["w"] if built.group_model else [])
@@ -205,7 +202,7 @@ def cmd_report(args) -> int:
         writer.writeheader()
         for u in us:
             for v in vs:
-                writer.writerow(_report_row(built, (float(u), float(v)), steps))
+                writer.writerow(_report_row(built, (float(u), float(v))))
     finally:
         if args.csv:
             out.close()
@@ -217,8 +214,7 @@ def cmd_report(args) -> int:
 def cmd_mesh(args) -> int:
     params = _parse_params([args.params])[0]
     space = SpaceParams(*params)
-    steps = FDSteps.from_env()
-    built = build_surface(args.surface, space, steps=steps)
+    built = build_surface(args.surface, space)
     nu, nv = _parse_grid(args.grid)
     if args.format == "obj" and built.group_model:
         raise UnsupportedFormat(

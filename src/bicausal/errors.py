@@ -53,18 +53,6 @@ class NullDirection(GeometryError):
     code = "NULL_DIRECTION"
 
 
-class TRVanishes(GeometryError):
-    """Tangential part of the vertical direction vanishes; dependent quantities undefined."""
-
-    code = "T_R_VANISHES"
-
-
-class ParameterSingularity(GeometryError):
-    """Model parameters sit on a singular locus of the requested relation (kappa + 4 tau^2 = 0)."""
-
-    code = "PARAMETER_SINGULARITY"
-
-
 class CurveSingular(GeometryError):
     """Base curve has vanishing speed at the requested parameter."""
 
@@ -87,6 +75,14 @@ class ConfigInvalid(GeometryError):
     """Suite or CLI configuration is malformed."""
 
     code = "CONFIG_INVALID"
+
+
+class SurfaceUnavailable(ConfigInvalid):
+    """A well-formed catalog surface does not exist at the requested (kappa, tau).
+
+    The suite spans parameter pairs, so it skips such a surface; every other
+    ConfigInvalid from a surface address is an error.
+    """
 
 
 class UnsupportedFormat(GeometryError):

@@ -23,11 +23,14 @@ import numpy as np
 
 from .ambient import Ambient, PointFrame, SpaceParams, Signature, _per_row, _vectors
 from .errors import CurveSingular, DomainViolation, ModelMismatch
-from .numdiff import FDSteps, central_diff, stencil_derivative
+from .numdiff import FDSteps, stencil_derivative
 from .surfaces import SurfaceChart
 
 BERGER = "berger"
 SU11 = "su11"
+
+# Subgroup families of the hyperbolic-model helicoid's s-factor.
+HELICOID_FAMILIES = ("e", "h1", "p1", "p")
 
 # Real 4x4 matrices of the three invariant fields, acting on (re z, im z, re w, im w).
 _BERGER_FIELDS = (
@@ -180,22 +183,6 @@ class GroupAmbient(Ambient):
         return np.asarray(vecs, dtype=float)
 
     # -- connection ----------------------------------------------------------
-
-    def christoffels(self, sig: Signature, p: np.ndarray, h: float | None = None) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        h = self.steps.first if h is None else h
-        dg = np.empty((4, 4, 4))
-        for a in range(4):
-            e = np.zeros(4)
-            e[a] = 1.0
-            dg[a] = central_diff(lambda s: self.metric(sig, p + s * e), 0.0, h)
-        ginv = np.linalg.inv(self.metric(sig, p))
-        gam = np.empty((4, 4, 4))
-        for a in range(4):
-            for b in range(4):
-                vec = dg[a][b] + dg[b][a] - dg[:, a, b]
-                gam[:, a, b] = 0.5 * (ginv @ vec)
-        return gam
 
     def point_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
         return self.christoffels(sig, p)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .ambient import SIGNATURES, Signature, connection_gap_frame, wedge_frame
-from .errors import GeometryError, NullDirection, ParameterSingularity, TRVanishes
+from .errors import GeometryError, NullDirection
 from .numdiff import brioschi_curvature
 from .surfaces import TwoMetricFrameData
 
@@ -456,7 +456,7 @@ def _require_regular(ctx: IdentityContext) -> None:
     params = ctx.data.ambient.params
     scale = max(1.0, abs(params.kappa), 4.0 * params.tau**2)
     if abs(_singular_ratio(params)) <= 1e-12 * scale:
-        raise SampleSkip(ParameterSingularity.code)
+        raise SampleSkip("PARAMETER_SINGULARITY")
 
 
 def _sectional_rel(ctx: IdentityContext) -> list[float]:
@@ -600,7 +600,7 @@ def indefiniteness_check(data: TwoMetricFrameData, h_tol: float = 1e-6) -> dict:
         out["ratio_skipped"] = "omega_near_one"
         return out
     if t_norm <= 1e-6:
-        out["ratio_skipped"] = TRVanishes.code
+        out["ratio_skipped"] = "T_R_VANISHES"
         return out
     v = d.coeffs(Signature.R, d.t_r)
     w = d.rotation(Signature.R) @ v

@@ -2,7 +2,12 @@
 
 All derivatives in the package go through the central-difference routines in
 this module so that step sizes are controlled in one place.  The environment
-variable ``BICAUSAL_FD_STEP`` overrides the base first-derivative step.
+variable ``BICAUSAL_FD_STEP`` overrides the base first-derivative step; each
+ambient reads it once and owns the resulting ``FDSteps``.
+
+Besides the difference rules, the module holds two routines built on them:
+``christoffels``, the one FD Christoffel routine in the package, which both
+ambient models and the test oracles call, and ``brioschi_curvature``.
 """
 
 from __future__ import annotations
@@ -86,6 +91,21 @@ def gradient(f, p: np.ndarray, h: float) -> np.ndarray:
     """All partial derivatives of f (scalar or array valued), stacked on axis 0."""
     p = np.asarray(p, dtype=float)
     return np.stack([partial_diff(f, p, a, h) for a in range(p.size)], axis=0)
+
+
+def christoffels(metric_fn, p: np.ndarray, h: float) -> np.ndarray:
+    """Coordinate Christoffel symbols Gamma[c, a, b] of a metric field at p.
+
+    The metric's partials come from ``gradient``; the contraction with the
+    inverse metric is one stacked matmul over all (a, b), which rounds like
+    ``ginv @ vec`` per pair.
+    """
+    p = np.asarray(p, dtype=float)
+    dg = gradient(metric_fn, p, h)
+    ginv = np.linalg.inv(np.asarray(metric_fn(p), dtype=float))
+    # vec[a, b, c] = d_a g_bc + d_b g_ac - d_c g_ab
+    vec = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    return np.moveaxis(0.5 * (ginv @ vec[..., None])[..., 0], 2, 0)
 
 
 def brioschi_curvature(first_form, uv: tuple[float, float], h: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ambient import Signature, frame_gram
-from .numdiff import central_diff, gradient
+from .numdiff import central_diff, christoffels, gradient
 
 
 def lie_bracket_fd(field_x, field_y, p: np.ndarray, h: float) -> np.ndarray:
@@ -72,20 +72,6 @@ def koszul_table(ambient, sig: Signature, p: np.ndarray, h: float) -> np.ndarray
     return table
 
 
-def christoffels_fd(metric_fn, p: np.ndarray, h: float) -> np.ndarray:
-    """Coordinate Christoffel symbols Gamma[c, a, b] of an arbitrary metric field."""
-    p = np.asarray(p, dtype=float)
-    n = p.size
-    dg = gradient(metric_fn, p, h)
-    ginv = np.linalg.inv(np.asarray(metric_fn(p), dtype=float))
-    gam = np.empty((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            vec = dg[a][b] + dg[b][a] - dg[:, a, b]
-            gam[:, a, b] = 0.5 * (ginv @ vec)
-    return gam
-
-
 def curvature_fd(metric_fn, p: np.ndarray, h_outer: float, h_inner: float) -> np.ndarray:
     """Curvature tensor components R[rho, sigma, mu, nu] from nested differences.
 
@@ -96,7 +82,7 @@ def curvature_fd(metric_fn, p: np.ndarray, h_outer: float, h_inner: float) -> np
     n = p.size
 
     def gam(q):
-        return christoffels_fd(metric_fn, q, h_inner)
+        return christoffels(metric_fn, q, h_inner)
 
     dgam = gradient(gam, p, h_outer)
     g0 = gam(p)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ambient import SpaceParams
 from .catalog import build_surface, default_surfaces, parse_surface, validate_address
-from .errors import ConfigInvalid, GeometryError
+from .errors import ConfigInvalid, GeometryError, SurfaceUnavailable
 from .identities import IDENTITIES, IDENTITY_NAMES, run_identities
 from .numdiff import FDSteps
 from .surfaces import frame_data
@@ -57,7 +57,6 @@ class SuiteConfig:
     samples: int = 8
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
-    steps: FDSteps | None = None
 
     def resolved_identities(self) -> list[str]:
         if self.identities is None:
@@ -127,7 +126,7 @@ def run_suite(config: SuiteConfig) -> dict:
         for address in config.surfaces:
             validate_address(address)
     rng = np.random.default_rng(config.seed)
-    steps = config.steps if config.steps is not None else FDSteps.from_env()
+    steps = FDSteps.from_env()
 
     results = []
     surface_rows = []
@@ -142,7 +141,7 @@ def run_suite(config: SuiteConfig) -> dict:
             parsed = parse_surface(address)
             try:
                 built = build_surface(parsed, params, steps=steps)
-            except ConfigInvalid as exc:
+            except SurfaceUnavailable as exc:
                 skipped_surfaces.append(
                     {"params": params.label(), "surface": address, "reason": str(exc)}
                 )
@@ -157,7 +156,7 @@ def run_suite(config: SuiteConfig) -> dict:
             used = 0
             for uv in points:
                 try:
-                    data = frame_data(built.ambient, built.chart, uv, steps=steps, validate=False)
+                    data = frame_data(built.ambient, built.chart, uv, validate=False)
                 except GeometryError as exc:
                     excluded[exc.code] = excluded.get(exc.code, 0) + 1
                     continue

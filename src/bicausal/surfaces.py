@@ -30,7 +30,7 @@ from .errors import (
     NumericFailure,
     OrientationFlip,
 )
-from .numdiff import STENCIL_STEPS, FDSteps, stencil_derivative
+from .numdiff import STENCIL_STEPS, stencil_derivative
 
 CausalCharacter = str
 SPACELIKE: CausalCharacter = "spacelike"
@@ -291,7 +291,6 @@ class ShapeData:
     bilinear: np.ndarray
     from_bilinear: np.ndarray
     route_deviation: float
-    projection_residual: float
     symmetry_residual: float
 
 
@@ -309,17 +308,16 @@ class TwoMetricFrameData(PointFrame):
         ambient,
         chart: SurfaceChart,
         uv: tuple[float, float],
-        steps: FDSteps,
         orientation: int,
     ):
         self.ambient = ambient
         self.chart = chart
         self.uv = (float(uv[0]), float(uv[1]))
-        self.steps = steps
+        self.steps = ambient.steps
         self.orientation = orientation
         self.flags: list[str] = []
 
-        center = _normal_data(ambient, chart, [self.uv], steps.first, orientation, routes=True)
+        center = _normal_data(ambient, chart, [self.uv], self.steps.first, orientation, routes=True)
         if center.errors[0] is not None:
             raise center.errors[0]
         metric = {Signature.R: center.g_r[0], Signature.L: center.g_l[0]}
@@ -479,12 +477,8 @@ class TwoMetricFrameData(PointFrame):
 
         cols = []
         b = np.empty((2, 2))
-        proj_res = 0.0
         for axis in (0, 1):
             dn, d_du, d_dv = self._stencil_derivs(sig, axis, (n_name, "du", "dv"))
-            normal_part = abs(self.inner(sig, dn, normal))
-            size = float(np.max(np.abs(dn)))
-            proj_res = max(proj_res, normal_part / max(1.0, size))
             cols.append(-self.coeffs(sig, dn))
             b[axis] = [self.inner(sig, d_du, normal), self.inner(sig, d_dv, normal)]
         weingarten = np.column_stack(cols)
@@ -498,7 +492,6 @@ class TwoMetricFrameData(PointFrame):
             bilinear=b_sym,
             from_bilinear=from_bilinear,
             route_deviation=dev,
-            projection_residual=proj_res,
             symmetry_residual=sym_res,
         )
         self._shape[sig] = data
@@ -611,13 +604,11 @@ def frame_data(
     ambient,
     chart: SurfaceChart,
     uv: tuple[float, float],
-    steps: FDSteps | None = None,
     orientation: int = 1,
     validate: bool = True,
 ) -> TwoMetricFrameData:
-    """Evaluate the two-metric surface data at one parameter pair."""
-    steps = steps if steps is not None else getattr(ambient, "steps", None) or FDSteps.from_env()
-    data = TwoMetricFrameData(ambient, chart, uv, steps, orientation)
+    """Evaluate the two-metric surface data at one parameter pair, with the ambient's steps."""
+    data = TwoMetricFrameData(ambient, chart, uv, orientation)
     if validate:
         data.validate()
     return data

@@ -83,6 +83,13 @@ def test_verify_tolerance_override_fails_with_exit_1(tmp_path):
         ("verify", "--params", "1,1", "--identities", "NOT_REAL"),
         ("verify", "--params", "1,1", "--tol", "CONN_DIFF=fast"),
         ("report", "slice:t0=0.25", "--params", "1,1"),
+        # malformed addresses of surfaces that exist at the pair: errors, not skips
+        ("verify", "--params", "1,1", "--surfaces", "hopf:circle:a=0.5"),
+        ("verify", "--params", "1,1", "--surfaces", "hopf:circle:r=-1"),
+        ("verify", "--params", "1,1", "--surfaces", "berger-helicoid:variant=sideways"),
+        ("verify", "--params", "1,1", "--surfaces", "graph:bowl:a=abc"),
+        ("verify", "--params", "1,1", "--surfaces", "graph:bowl:a=nan"),
+        ("verify", "--params", "-1,1", "--surfaces", "su11-helicoid:family=zz"),
     ],
 )
 def test_config_errors_exit_2_with_code_on_stderr(args):

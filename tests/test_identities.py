@@ -10,6 +10,7 @@ from bicausal.catalog import build_surface, default_surfaces
 from bicausal.identities import (
     IDENTITIES,
     IDENTITY_NAMES,
+    indefiniteness_check,
     run_identities,
 )
 from bicausal.surfaces import frame_data
@@ -114,3 +115,29 @@ def test_unknown_identity_rejected():
     data = _surface_data("graph:bowl:a=0.2", 1.0, 1.0)
     with pytest.raises(KeyError):
         run_identities(["NO_SUCH_IDENTITY"], data, np.random.default_rng(0))
+
+
+HELICOIDS = [
+    ("helicoid:c=0.7", (0.0, 1.0)),
+    ("berger-helicoid:alpha=0.5", (1.0, 1.0)),
+    ("berger-helicoid:alpha=0.5", (4.0, 1.0)),
+    ("su11-helicoid:family=h1,rate=0.35", (-1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("variant", ["space", "time"])
+@pytest.mark.parametrize(
+    "address,pair", HELICOIDS, ids=[f"{a.split(':')[0]}-{k:g},{t:g}" for a, (k, t) in HELICOIDS]
+)
+def test_indefiniteness_check_asserts_its_claim_on_the_helicoids(address, pair, variant):
+    """Minimal for both metrics, so H_R = H_L = 0: the claim is asserted at every sample.
+
+    The Riemannian shape operator is indefinite there (det < 0) and the
+    normal curvatures along T_R and its rotation keep the fixed ratio.
+    """
+    built = build_surface(f"{address},variant={variant}", SpaceParams(*pair))
+    for uv in interior_grid(built.chart.domain, 2, 2):
+        check = indefiniteness_check(frame_data(built.ambient, built.chart, uv, validate=False))
+        assert check["asserted"], (uv, check)
+        assert check["det_ratio"] < 0.0, (uv, check)
+        assert check["ratio_residual"] < 1e-9, (uv, check)

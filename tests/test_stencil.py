@@ -83,7 +83,7 @@ def test_stacked_numpy_forms_round_like_per_item_calls(rng):
     for d in (3, 4):
         g, m = rng.normal(size=(n, d, d)), rng.normal(size=(d, d))
         f, u, v = rng.normal(size=(n, d, 3)), rng.normal(size=(n, d)), rng.normal(size=(n, d))
-        c = rng.normal(size=(n, 3))
+        c, w = rng.normal(size=(n, 3)), rng.normal(size=(d, d, d))
         forms = [
             ((u[:, None, :] @ g)[:, 0], lambda i: u[i] @ g[i]),
             ((u[:, None, :] @ g @ v[:, :, None])[:, 0, 0], lambda i: u[i] @ g[i] @ v[i]),
@@ -92,9 +92,11 @@ def test_stacked_numpy_forms_round_like_per_item_calls(rng):
             ((f @ c[..., None])[..., 0], lambda i: f[i] @ c[i]),
             ((np.swapaxes(f, 1, 2) @ g @ v[..., None])[..., 0], lambda i: f[i].T @ g[i] @ v[i]),
             ((u[:, None, :] @ m[0][:, None])[:, 0, 0], lambda i: np.dot(u[i], m[0])),
+            # numdiff.christoffels: one inverse metric against every (a, b)
+            ((m @ w[..., None])[..., 0].reshape(d * d, d), lambda i: m @ w[divmod(i, d)]),
         ]
         for stacked, item in forms:
-            assert all(same_bits(stacked[i], item(i)) for i in range(n))
+            assert all(same_bits(stacked[i], item(i)) for i in range(len(stacked)))
     a = rng.normal(size=(n, 3, 3)) + 3.0 * np.eye(3)
     b = rng.normal(size=(n, 5, 3))
     solved = np.linalg.solve(a[:, None], b[..., None])[..., 0]

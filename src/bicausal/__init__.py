@@ -35,7 +35,6 @@ from .errors import (
     NumericFailure,
     OrientationFlip,
     SurfaceUnavailable,
-    TauNonzero,
     UnsupportedFormat,
 )
 from .groups import GroupAmbient, berger_helicoid_chart, su11_helicoid_chart
@@ -95,7 +94,6 @@ __all__ = [
     "SuiteConfig",
     "SurfaceChart",
     "SurfaceUnavailable",
-    "TauNonzero",
     "TwoMetricFrameData",
     "UnsupportedFormat",
     "berger_helicoid_chart",

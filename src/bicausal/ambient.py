@@ -244,17 +244,27 @@ class PointFrame:
 class Ambient:
     """Frame algebra shared by the coordinate and the group model.
 
-    Subclasses supply ``steps``, ``frame`` and ``metric`` for one point,
-    ``frame_components`` (``to_frame`` at a ``PointFrame``), ``point_table``
-    (the connection table that ``cov_deriv_stencil`` reads; both models build
-    it from the shared ``christoffels``), and the stacked
-    forms ``frames``, ``metrics`` and ``to_frames`` for points of shape
-    (n, dim), with vectors of shape (n, dim) or (n, k, dim).  A stacked form
-    returns, row by row, the same bits as the per-point call; ``frames=``
+    Subclasses supply ``steps`` and one formula per primitive, in stacked
+    form for points of shape (n, dim): ``frames``, ``metrics`` and
+    ``to_frames``, with vectors of shape (n, dim) or (n, k, dim); ``frames=``
     (and in the group models ``metric_r=``) pass arrays a caller already has.
-    Subclasses also supply the stencil derivative: ``stencil_components``
-    and ``cov_deriv_stencil``, which ``cov_deriv_on_curve`` samples for.
+    ``frame`` and ``metric`` of one point are their one-row case, and
+    ``christoffels`` differentiates ``metrics``.  Two per-point forms stay,
+    because they are hot and a one-row stack costs more: ``fiber_direction``
+    and ``frame_components`` (``to_frame`` at a ``PointFrame``).  Subclasses
+    also supply ``point_table`` (the connection table that
+    ``cov_deriv_stencil`` reads; both models build it from ``christoffels``)
+    and the stencil derivative: ``stencil_components`` and
+    ``cov_deriv_stencil``, which ``cov_deriv_on_curve`` samples for.
     """
+
+    def frame(self, p: np.ndarray) -> np.ndarray:
+        """Matrix whose columns are the canonical frame at p, in coordinates."""
+        return self.frames(np.asarray(p, dtype=float)[None])[0]
+
+    def metric(self, sig: Signature, p: np.ndarray) -> np.ndarray:
+        """Coordinate matrix of the metric ``sig`` at p."""
+        return self.metrics(sig, np.asarray(p, dtype=float)[None])[0]
 
     def inner(self, sig: Signature, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
         return self.point_frame(p).inner(sig, u, v)
@@ -280,7 +290,7 @@ class Ambient:
     def christoffels(self, sig: Signature, p: np.ndarray, h: float | None = None) -> np.ndarray:
         """Coordinate Christoffel symbols Gamma[c, a, b] of ``sig``, step ``steps.first`` by default."""
         h = self.steps.first if h is None else h
-        return christoffels(lambda q: self.metric(sig, q), p, h)
+        return christoffels(lambda q: self.metrics(sig, q), p, h)
 
     def point_frame(self, at: PointFrame | np.ndarray) -> PointFrame:
         """``at`` if it is a PointFrame, else the PointFrame at the point ``at``."""
@@ -321,12 +331,6 @@ class Ambient:
         return self.stencil_components(points, np.array([field(t) for t in ts]))
 
     # -- stacked forms ---------------------------------------------------------
-
-    def inners(
-        self, sig: Signature, points: np.ndarray, u: np.ndarray, v: np.ndarray
-    ) -> np.ndarray:
-        """Stacked ``inner``: vectors (n, [k,] dim) -> (n, [k])."""
-        return stacked_inner(self.metrics(sig, points), u, v)
 
     def to_coords(self, points: np.ndarray, comps: np.ndarray, frames=None) -> np.ndarray:
         """Stacked ``to_coord``: frame components (n, [k,] 3) -> (n, [k,] dim)."""
@@ -379,25 +383,25 @@ class CoordinateAmbient(Ambient):
         k = self.params.kappa
         return 1.0 / (1.0 + 0.25 * k * (p[0] ** 2 + p[1] ** 2))
 
-    def _metric_entries(self, sig: Signature, x: float, y: float) -> list:
-        """diag(lam^2, lam^2, 0) + eps3 theta theta^T at a point (x, y, .), entry by entry.
+    def metrics(self, sig: Signature, points: np.ndarray) -> np.ndarray:
+        """diag(lam^2, lam^2, 0) + eps3 theta theta^T at each point, entry by entry.
 
         theta is the fiber 1-form, whose kernel is the horizontal distribution
-        and whose value on the fiber is 1.  The per-point and the stacked form
-        share this, so they round alike.
+        and whose value on the fiber is 1.
         """
-        lam = self.conformal_factor((x, y))
         t, e = self.params.tau, sig.eps3
-        theta = (t * lam * y, -t * lam * x, 1.0)
-        diag = (lam * lam, lam * lam, 0.0)
-        return [
-            [(diag[i] if i == j else 0.0) + e * (theta[i] * theta[j]) for j in range(3)]
-            for i in range(3)
-        ]
-
-    def metric(self, sig: Signature, p: np.ndarray) -> np.ndarray:
-        x, y, _ = np.asarray(p, dtype=float)
-        return np.array(self._metric_entries(sig, x, y))
+        out = []
+        for x, y, _ in np.asarray(points, dtype=float).tolist():
+            lam = self.conformal_factor((x, y))
+            theta = (t * lam * y, -t * lam * x, 1.0)
+            diag = (lam * lam, lam * lam, 0.0)
+            out.append(
+                [
+                    [(diag[i] if i == j else 0.0) + e * (theta[i] * theta[j]) for j in range(3)]
+                    for i in range(3)
+                ]
+            )
+        return np.array(out).reshape(-1, 3, 3)
 
     def fiber_direction(self, p: np.ndarray) -> np.ndarray:
         """The distinguished unit vertical field; equals the third frame leg."""
@@ -405,21 +409,22 @@ class CoordinateAmbient(Ambient):
 
     # -- canonical frame ---------------------------------------------------
 
-    def _frame_entries(self, x: float, y: float, z: float) -> list:
-        """The frame matrix at (x, y, z), shared by ``frame`` and ``frames``."""
+    def frames(self, points: np.ndarray) -> np.ndarray:
+        """Matrices whose columns are the canonical frame at each point, in coordinates."""
         k, t = self.params.kappa, self.params.tau
         s = self.params.twist_rate
-        li = 1.0 + 0.25 * k * (x**2 + y**2)
-        c, sn = math.cos(s * z), math.sin(s * z)
-        return [
-            [li * c, -li * sn, 0.0],
-            [li * sn, li * c, 0.0],
-            [t * (x * sn - y * c), t * (x * c + y * sn), 1.0],
-        ]
-
-    def frame(self, p: np.ndarray) -> np.ndarray:
-        """Matrix whose columns are the canonical frame in coordinates."""
-        return np.array(self._frame_entries(*np.asarray(p, dtype=float)))
+        out = []
+        for x, y, z in np.asarray(points, dtype=float).tolist():
+            li = 1.0 + 0.25 * k * (x**2 + y**2)
+            c, sn = math.cos(s * z), math.sin(s * z)
+            out.append(
+                [
+                    [li * c, -li * sn, 0.0],
+                    [li * sn, li * c, 0.0],
+                    [t * (x * sn - y * c), t * (x * c + y * sn), 1.0],
+                ]
+            )
+        return np.array(out).reshape(-1, 3, 3)
 
     def frame_partials(self, p: np.ndarray) -> np.ndarray:
         """Analytic coordinate partials of the frame matrix, shape (3, 3, 3).
@@ -454,16 +459,6 @@ class CoordinateAmbient(Ambient):
 
     def frame_components(self, at: PointFrame, v: np.ndarray) -> np.ndarray:
         return np.linalg.solve(at.frame, np.asarray(v, dtype=float))
-
-    # -- stacked forms (see Ambient) ----------------------------------------
-
-    def metrics(self, sig: Signature, points: np.ndarray) -> np.ndarray:
-        rows = np.asarray(points, dtype=float).tolist()
-        return np.array([self._metric_entries(sig, x, y) for x, y, _ in rows]).reshape(-1, 3, 3)
-
-    def frames(self, points: np.ndarray) -> np.ndarray:
-        rows = np.asarray(points, dtype=float).tolist()
-        return np.array([self._frame_entries(*q) for q in rows]).reshape(-1, 3, 3)
 
     def to_frames(
         self, points: np.ndarray, vecs: np.ndarray, frames=None, metric_r=None

@@ -4,21 +4,21 @@ An address looks like ``family[:label][:key=value,...]`` — for example
 ``hopf:circle:r=0.8``, ``slice:t0=0.2``, ``graph:bowl:a=0.2`` or
 ``su11-helicoid:family=h1,rate=0.35,variant=space``.  A malformed address
 (a key the family does not recognize, a value that is not a finite number or
-out of range) raises ConfigInvalid.  A well-formed address whose surface does
-not exist at the requested (kappa, tau) raises its subclass
-SurfaceUnavailable.
+out of range) raises ConfigInvalid from ``validate_address``, which reads no
+parameters.  A well-formed address whose surface does not exist at the
+requested (kappa, tau) raises its subclass SurfaceUnavailable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .ambient import CoordinateAmbient, SpaceParams, Signature
-from .errors import ConfigInvalid, GeometryError, SurfaceUnavailable, TauNonzero
+from .errors import ConfigInvalid, GeometryError, SurfaceUnavailable
 from .groups import (
     BERGER,
     HELICOID_FAMILIES,
@@ -112,7 +112,8 @@ class CatalogEntry:
     validity: str
     valid: Callable[[SpaceParams], str | None]
     build: Callable[[SpaceParams, str | None, dict, FDSteps | None], BuiltSurface]
-    keys: frozenset = frozenset()
+    # Option key -> check of its value that reads no parameters.
+    options: dict
 
 
 def _reject_unknown(kwargs: dict, allowed: set, family: str) -> None:
@@ -124,16 +125,39 @@ def _reject_unknown(kwargs: dict, allowed: set, family: str) -> None:
 
 
 def _number(kwargs: dict, key: str, default: float | None = None) -> float | None:
-    """The option ``key`` as a finite float, or ``default`` when it is absent."""
-    if key not in kwargs:
-        return default
+    """The option ``key`` as a float, or ``default`` when it is absent."""
+    return float(kwargs[key]) if key in kwargs else default
+
+
+# Checks of one option value, run by ``validate_address``.
+
+
+def _finite(key: str, value) -> None:
     try:
-        value = float(kwargs[key])
+        ok = math.isfinite(float(value))
     except (TypeError, ValueError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConfigInvalid(f"surface option {key}={kwargs[key]!r} is not a finite number")
-    return value
+        ok = False
+    if not ok:
+        raise ConfigInvalid(f"surface option {key}={value!r} is not a finite number")
+
+
+def _positive(key: str, value) -> None:
+    _finite(key, value)
+    if float(value) <= 0.0:
+        raise ConfigInvalid(f"surface option {key} must be > 0, got {value!r}")
+
+
+def _one_of(*choices: str):
+    def check(key: str, value) -> None:
+        if value not in choices:
+            raise ConfigInvalid(
+                f"surface option {key} must be one of {', '.join(choices)}, got {value!r}"
+            )
+
+    return check
+
+
+_variant = _one_of("space", "time")
 
 
 def _planar_scale(params: SpaceParams) -> float:
@@ -173,9 +197,7 @@ def detect_character_bands(
 
 
 def _band_for_variant(ambient, chart, variant: str, t_lo: float, t_hi: float, u0=0.0):
-    want = {"space": SPACELIKE, "time": TIMELIKE}.get(variant)
-    if want is None:
-        raise ConfigInvalid(f"unknown variant {variant!r}; use 'space' or 'time'")
+    want = {"space": SPACELIKE, "time": TIMELIKE}[variant]
     bands = [b for b in detect_character_bands(ambient, chart, u0, t_lo, t_hi) if b[0] == want]
     if not bands:
         raise SurfaceUnavailable(
@@ -193,23 +215,17 @@ def _band_for_variant(ambient, chart, variant: str, t_lo: float, t_hi: float, u0
 
 def _build_hopf(params, label, kwargs, steps):
     label = label or "circle"
-    if label not in ("circle", "ellipse"):
-        raise ConfigInvalid(f"hopf label must be circle or ellipse, got {label!r}")
     ambient = CoordinateAmbient(params, steps=steps)
     scale = _planar_scale(params)
     if label == "circle":
         _reject_unknown(kwargs, {"r"}, "hopf:circle")
         r = _number(kwargs, "r", 0.9 * scale)
-        if r <= 0:
-            raise ConfigInvalid("hopf circle needs r > 0")
         axes = (r, r)
         kwargs = {"r": r}
     else:
         _reject_unknown(kwargs, {"a", "b"}, "hopf:ellipse")
         a = _number(kwargs, "a", 0.9 * scale)
         b = _number(kwargs, "b", 0.55 * scale)
-        if a <= 0 or b <= 0:
-            raise ConfigInvalid("hopf ellipse needs a > 0 and b > 0")
         axes = (a, b)
         kwargs = {"a": a, "b": b}
 
@@ -239,11 +255,6 @@ def _build_hopf(params, label, kwargs, steps):
 
 
 def _build_slice(params, label, kwargs, steps):
-    if label is not None:
-        raise ConfigInvalid("slice takes no label")
-    if params.tau != 0.0:
-        raise TauNonzero("slice surfaces exist only in the product case tau = 0")
-    _reject_unknown(kwargs, {"t0"}, "slice")
     t0 = _number(kwargs, "t0", 0.0)
     ambient = CoordinateAmbient(params, steps=steps)
     s = 0.8 * _planar_scale(params)
@@ -266,10 +277,6 @@ def _build_slice(params, label, kwargs, steps):
 
 
 def _build_graph(params, label, kwargs, steps):
-    label = label or "bowl"
-    if label != "bowl":
-        raise ConfigInvalid(f"graph label must be bowl, got {label!r}")
-    _reject_unknown(kwargs, {"a"}, "graph:bowl")
     a = _number(kwargs, "a", 0.2)
     ambient = CoordinateAmbient(params, steps=steps)
     s = 0.8 * _planar_scale(params)
@@ -292,10 +299,6 @@ def _build_graph(params, label, kwargs, steps):
 
 
 def _build_vgraph(params, label, kwargs, steps):
-    label = label or "saddle"
-    if label != "saddle":
-        raise ConfigInvalid(f"vgraph label must be saddle, got {label!r}")
-    _reject_unknown(kwargs, {"a"}, "vgraph:saddle")
     a = _number(kwargs, "a", 0.15)
     ambient = CoordinateAmbient(params, steps=steps)
     s = _planar_scale(params)
@@ -318,12 +321,7 @@ def _build_vgraph(params, label, kwargs, steps):
 
 
 def _build_helicoid(params, label, kwargs, steps):
-    if label is not None:
-        raise ConfigInvalid("helicoid takes no label")
-    _reject_unknown(kwargs, {"c", "variant"}, "helicoid")
     c = _number(kwargs, "c", 0.7)
-    if c <= 0:
-        raise ConfigInvalid("helicoid needs pitch c > 0")
     variant = kwargs.get("variant")
     ambient = CoordinateAmbient(params, steps=steps)
 
@@ -362,9 +360,6 @@ def _build_helicoid(params, label, kwargs, steps):
 
 
 def _build_berger_helicoid(params, label, kwargs, steps):
-    if label is not None:
-        raise ConfigInvalid("berger-helicoid takes no label")
-    _reject_unknown(kwargs, {"alpha", "variant"}, "berger-helicoid")
     alpha = _number(kwargs, "alpha", 0.5)
     variant = kwargs.get("variant")
     ambient = GroupAmbient(BERGER, params, steps=steps)
@@ -384,14 +379,7 @@ def _build_berger_helicoid(params, label, kwargs, steps):
 
 
 def _build_su11_helicoid(params, label, kwargs, steps):
-    if label is not None:
-        raise ConfigInvalid("su11-helicoid takes no label")
-    _reject_unknown(kwargs, {"family", "rate", "t_rate", "variant"}, "su11-helicoid")
     family = kwargs.get("family", "h1")
-    if family not in HELICOID_FAMILIES:
-        raise ConfigInvalid(
-            f"su11-helicoid family must be one of {', '.join(HELICOID_FAMILIES)}, got {family!r}"
-        )
     rate = _number(kwargs, "rate", 0.35)
     t_rate = _number(kwargs, "t_rate")
     variant = kwargs.get("variant")
@@ -454,7 +442,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "any parameters; the curve must fit the base domain",
         _always,
         _build_hopf,
-        keys=frozenset({"r", "a", "b"}),
+        options={"r": _positive, "a": _positive, "b": _positive},
     ),
     "slice": CatalogEntry(
         "slice",
@@ -463,7 +451,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "tau = 0",
         _needs_tau_zero,
         _build_slice,
-        keys=frozenset({"t0"}),
+        options={"t0": _finite},
     ),
     "graph": CatalogEntry(
         "graph",
@@ -472,7 +460,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "any parameters",
         _always,
         _build_graph,
-        keys=frozenset({"a"}),
+        options={"a": _finite},
     ),
     "vgraph": CatalogEntry(
         "vgraph",
@@ -481,7 +469,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "any parameters",
         _always,
         _build_vgraph,
-        keys=frozenset({"a"}),
+        options={"a": _finite},
     ),
     "helicoid": CatalogEntry(
         "helicoid",
@@ -490,7 +478,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "kappa = 0",
         _needs_flat_base,
         _build_helicoid,
-        keys=frozenset({"c", "variant"}),
+        options={"c": _positive, "variant": _variant},
     ),
     "berger-helicoid": CatalogEntry(
         "berger-helicoid",
@@ -499,7 +487,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "kappa > 0 and tau != 0",
         _needs_berger,
         _build_berger_helicoid,
-        keys=frozenset({"alpha", "variant"}),
+        options={"alpha": _finite, "variant": _variant},
     ),
     "su11-helicoid": CatalogEntry(
         "su11-helicoid",
@@ -508,7 +496,12 @@ CATALOG: dict[str, CatalogEntry] = {
         "kappa < 0 and tau != 0",
         _needs_su11,
         _build_su11_helicoid,
-        keys=frozenset({"family", "rate", "t_rate", "variant"}),
+        options={
+            "family": _one_of(*HELICOID_FAMILIES),
+            "rate": _finite,
+            "t_rate": _finite,
+            "variant": _variant,
+        },
     ),
 }
 
@@ -516,9 +509,12 @@ CATALOG: dict[str, CatalogEntry] = {
 def validate_address(address: str | ParsedSurface) -> ParsedSurface:
     """Check an address against the catalog without building it.
 
-    Rejects unknown families, labels and option keys — the parameter-free
-    part of validity.  Whether the surface exists at given (kappa, tau) is
-    only known at build time.
+    Rejects unknown families, labels and option keys, and option values that
+    fail their check (not a finite number, not positive where a size is
+    meant, not one of the allowed names): the parameter-free part of
+    validity, so a malformed address is an error at every (kappa, tau).
+    Whether the surface exists at given (kappa, tau) is only known at build
+    time.
     """
     parsed = parse_surface(address) if isinstance(address, str) else address
     entry = CATALOG.get(parsed.family)
@@ -531,12 +527,14 @@ def validate_address(address: str | ParsedSurface) -> ParsedSurface:
             f"unknown label {parsed.label!r} for family {parsed.family!r};"
             f" labels: {sorted(entry.labels) or 'none'}"
         )
-    unknown = set(parsed.kwargs) - set(entry.keys)
+    unknown = set(parsed.kwargs) - set(entry.options)
     if unknown:
         raise ConfigInvalid(
             f"surface family {parsed.family!r} does not accept {sorted(unknown)};"
-            f" allowed: {sorted(entry.keys)}"
+            f" allowed: {sorted(entry.options)}"
         )
+    for key, value in parsed.kwargs.items():
+        entry.options[key](key, value)
     return parsed
 
 

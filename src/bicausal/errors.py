@@ -59,12 +59,6 @@ class CurveSingular(GeometryError):
     code = "CURVE_SINGULAR"
 
 
-class TauNonzero(GeometryError):
-    """Construction only exists in the product case tau = 0."""
-
-    code = "TAU_NONZERO"
-
-
 class ModelMismatch(GeometryError):
     """Parameters are outside the validity range of the requested model."""
 

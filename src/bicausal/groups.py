@@ -124,34 +124,12 @@ class GroupAmbient(Ambient):
 
     # -- metric ------------------------------------------------------------
 
-    def metric(self, sig: Signature, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        u = self.pairing @ (self.fields[2] @ p)
-        g = (4.0 / self.params.kappa) * (self.pairing + self._modifier[sig] * np.outer(u, u))
-        if self.extension_weight != 0.0:
-            g = g * self.quadric_value(p) ** self.extension_weight
-        return g
-
-    def fiber_direction(self, p: np.ndarray) -> np.ndarray:
-        return (self.params.kappa / (4.0 * self.params.tau)) * (self.fields[2] @ np.asarray(p, dtype=float))
-
-    # -- frame -------------------------------------------------------------
-
-    def frame(self, p: np.ndarray) -> np.ndarray:
-        """Columns: the oriented orthonormal frame of both metrics at p (on the quadric)."""
-        p = np.asarray(p, dtype=float)
-        r = 0.5 * math.sqrt(abs(self.params.kappa))
-        f1 = r * (self.fields[0] @ p)
-        f2 = self.frame_flip * r * (self.fields[1] @ p)
-        return np.column_stack([f1, f2, self.fiber_direction(p)])
-
-    def frame_components(self, at: PointFrame, v: np.ndarray) -> np.ndarray:
-        """Frame components of a vector tangent to the quadric (Riemannian projection)."""
-        return at.frame.T @ at.metric[Signature.R] @ np.asarray(v, dtype=float)
-
-    # -- stacked forms (see Ambient) ----------------------------------------
-
     def metrics(self, sig: Signature, points: np.ndarray) -> np.ndarray:
+        """(4 / kappa) (pairing + m_sig u u^T) at each point, u the paired fiber field.
+
+        A nonzero ``extension_weight`` scales the metric off the quadric by
+        quadric_value ** weight.
+        """
         p = np.asarray(points, dtype=float)
         u = (self.pairing @ (self.fields[2] @ p[..., None]))[..., 0]
         g = (4.0 / self.params.kappa) * (
@@ -162,13 +140,23 @@ class GroupAmbient(Ambient):
             g = g * np.array([q**self.extension_weight for q in quad.tolist()])[:, None, None]
         return g
 
+    def fiber_direction(self, p: np.ndarray) -> np.ndarray:
+        return (self.params.kappa / (4.0 * self.params.tau)) * (self.fields[2] @ np.asarray(p, dtype=float))
+
+    # -- frame -------------------------------------------------------------
+
     def frames(self, points: np.ndarray) -> np.ndarray:
+        """Columns: the oriented orthonormal frame of both metrics at each point (on the quadric)."""
         p = np.asarray(points, dtype=float)[..., None]
         r = 0.5 * math.sqrt(abs(self.params.kappa))
         f1 = r * (self.fields[0] @ p)
         f2 = self.frame_flip * r * (self.fields[1] @ p)
         fiber = (self.params.kappa / (4.0 * self.params.tau)) * (self.fields[2] @ p)
         return np.concatenate([f1, f2, fiber], axis=-1)
+
+    def frame_components(self, at: PointFrame, v: np.ndarray) -> np.ndarray:
+        """Frame components of a vector tangent to the quadric (Riemannian projection)."""
+        return at.frame.T @ at.metric[Signature.R] @ np.asarray(v, dtype=float)
 
     def to_frames(
         self, points: np.ndarray, vecs: np.ndarray, frames=None, metric_r=None

@@ -75,7 +75,7 @@ def _random_tangent_coeffs(ctx: IdentityContext) -> np.ndarray:
 
 
 def _apply_shape(data: TwoMetricFrameData, sig: Signature, coeffs: np.ndarray) -> np.ndarray:
-    return data.embed(data.shape(sig).weingarten @ np.asarray(coeffs, dtype=float))
+    return data.embed(data.shape(sig) @ np.asarray(coeffs, dtype=float))
 
 
 # -- pointwise metric identities ------------------------------------------------
@@ -312,7 +312,7 @@ def _int_residuals(ctx: IdentityContext, sig: Signature, which: int) -> list[flo
     d = ctx.data
     tau = d.ambient.params.tau
     derivs = d.tangent_derivatives(sig)
-    shape = d.shape(sig).weingarten
+    shape = d.shape(sig)
     rot = d.rotation(sig)
     t_vec = d.tangent_part_t(sig)
     t_coeffs = d.coeffs(sig, t_vec)
@@ -589,7 +589,7 @@ def indefiniteness_check(data: TwoMetricFrameData, h_tol: float = 1e-6) -> dict:
     d = data
     gap = abs(d.h_r - d.h_l)
     out: dict = {"h_gap": gap, "applies": bool(gap < h_tol)}
-    a_r = d.shape(Signature.R).weingarten
+    a_r = d.shape(Signature.R)
     scale = max(1.0, float(np.max(np.abs(a_r)))) ** 2
     out["det_ratio"] = float(np.linalg.det(a_r)) / scale
     out["asserted"] = bool(

@@ -8,6 +8,8 @@ ambient reads it once and owns the resulting ``FDSteps``.
 Besides the difference rules, the module holds two routines built on them:
 ``christoffels``, the one FD Christoffel routine in the package, which both
 ambient models and the test oracles call, and ``brioschi_curvature``.
+``gradient`` and ``christoffels`` differentiate stacked functions (points
+(n, dim) -> values (n, ...)), so every axis of a stencil offset is one call.
 """
 
 from __future__ import annotations
@@ -76,33 +78,28 @@ def central_diff(f, x: float, h: float):
     return stencil_derivative([np.asarray(f(x + k * h), dtype=float) for k in STENCIL_STEPS], h)
 
 
-def partial_diff(f, p: np.ndarray, axis: int, h: float):
-    """Partial derivative of f along coordinate ``axis`` at point p."""
-    e = np.zeros_like(np.asarray(p, dtype=float))
-    e[axis] = 1.0
-
-    def along(t: float):
-        return f(np.asarray(p, dtype=float) + t * e)
-
-    return central_diff(along, 0.0, h)
-
-
 def gradient(f, p: np.ndarray, h: float) -> np.ndarray:
-    """All partial derivatives of f (scalar or array valued), stacked on axis 0."""
+    """All partial derivatives at p of a stacked function, on axis 0.
+
+    ``f`` maps points (n, dim) to values (n, ...); it is called on the dim
+    points ``p + t e_a`` at once, once per stencil offset t.
+    """
     p = np.asarray(p, dtype=float)
-    return np.stack([partial_diff(f, p, a, h) for a in range(p.size)], axis=0)
+    eye = np.eye(p.size)
+    return central_diff(lambda t: f(p + t * eye), 0.0, h)
 
 
-def christoffels(metric_fn, p: np.ndarray, h: float) -> np.ndarray:
+def christoffels(metrics_fn, p: np.ndarray, h: float) -> np.ndarray:
     """Coordinate Christoffel symbols Gamma[c, a, b] of a metric field at p.
 
-    The metric's partials come from ``gradient``; the contraction with the
-    inverse metric is one stacked matmul over all (a, b), which rounds like
+    ``metrics_fn`` is a stacked metric, points (n, dim) -> (n, dim, dim).
+    Its partials come from ``gradient``; the contraction with the inverse
+    metric is one stacked matmul over all (a, b), which rounds like
     ``ginv @ vec`` per pair.
     """
     p = np.asarray(p, dtype=float)
-    dg = gradient(metric_fn, p, h)
-    ginv = np.linalg.inv(np.asarray(metric_fn(p), dtype=float))
+    dg = gradient(metrics_fn, p, h)
+    ginv = np.linalg.inv(metrics_fn(p[None])[0])
     # vec[a, b, c] = d_a g_bc + d_b g_ac - d_c g_ab
     vec = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
     return np.moveaxis(0.5 * (ginv @ vec[..., None])[..., 0], 2, 0)

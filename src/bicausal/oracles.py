@@ -14,13 +14,16 @@ from .ambient import Signature, frame_gram
 from .numdiff import central_diff, christoffels, gradient
 
 
-def lie_bracket_fd(field_x, field_y, p: np.ndarray, h: float) -> np.ndarray:
-    """[X, Y] at p from central differences of the component functions."""
+def lie_bracket_fd(fields_x, fields_y, p: np.ndarray, h: float) -> np.ndarray:
+    """[X, Y] at p from central differences of the component functions.
+
+    The fields are stacked, points (n, dim) -> components (n, dim).
+    """
     p = np.asarray(p, dtype=float)
-    jx = gradient(field_x, p, h)
-    jy = gradient(field_y, p, h)
-    x0 = np.asarray(field_x(p), dtype=float)
-    y0 = np.asarray(field_y(p), dtype=float)
+    jx = gradient(fields_x, p, h)
+    jy = gradient(fields_y, p, h)
+    x0 = fields_x(p[None])[0]
+    y0 = fields_y(p[None])[0]
     return x0 @ jy - y0 @ jx
 
 
@@ -32,28 +35,25 @@ def koszul_table(ambient, sig: Signature, p: np.ndarray, h: float) -> np.ndarray
     Returns the same (3, 3, 3) layout as the primary connection table.
     """
     p = np.asarray(p, dtype=float)
+    m0 = ambient.frame(p)
+    g = ambient.metric(sig, p)
 
     def leg(i):
-        return lambda q: ambient.frame(q)[:, i]
+        return lambda qs: ambient.frames(qs)[:, :, i]
 
-    legs = [leg(i) for i in range(3)]
-
-    def ip(i, j, q):
-        fi = np.asarray(legs[i](q), dtype=float)
-        fj = np.asarray(legs[j](q), dtype=float)
-        return float(fi @ ambient.metric(sig, q) @ fj)
+    def ip(j, k, q):
+        m = ambient.frame(q)
+        return float(m[:, j] @ ambient.metric(sig, q) @ m[:, k])
 
     def dirderiv(i, j, k):
         # derivative of <leg_j, leg_k> along leg_i, following the straight
         # coordinate line through p with velocity leg_i(p)
-        vel = np.asarray(legs[i](p), dtype=float)
-        return central_diff(lambda t: ip(j, k, p + t * vel), 0.0, h)
+        return central_diff(lambda t: ip(j, k, p + t * m0[:, i]), 0.0, h)
 
-    brackets = [[lie_bracket_fd(legs[i], legs[j], p, h) for j in range(3)] for i in range(3)]
-    g = ambient.metric(sig, p)
+    brackets = [[lie_bracket_fd(leg(i), leg(j), p, h) for j in range(3)] for i in range(3)]
 
     def bk(i, j, k):
-        return float(np.asarray(brackets[i][j]) @ g @ np.asarray(legs[k](p)))
+        return float(brackets[i][j] @ g @ m0[:, k])
 
     eps = np.array([1.0, 1.0, sig.eps3])
     table = np.empty((3, 3, 3))
@@ -72,20 +72,21 @@ def koszul_table(ambient, sig: Signature, p: np.ndarray, h: float) -> np.ndarray
     return table
 
 
-def curvature_fd(metric_fn, p: np.ndarray, h_outer: float, h_inner: float) -> np.ndarray:
+def curvature_fd(metrics_fn, p: np.ndarray, h_outer: float, h_inner: float) -> np.ndarray:
     """Curvature tensor components R[rho, sigma, mu, nu] from nested differences.
 
+    ``metrics_fn`` is a stacked metric, points (n, dim) -> (n, dim, dim).
     Sign convention matches the package's curvature operator: contracting as
     ``R[:, s, m, n] z^s x^m y^n`` yields the operator applied to (x, y, z).
     """
     p = np.asarray(p, dtype=float)
     n = p.size
 
-    def gam(q):
-        return christoffels(metric_fn, q, h_inner)
+    def gams(qs):
+        return np.array([christoffels(metrics_fn, q, h_inner) for q in qs])
 
-    dgam = gradient(gam, p, h_outer)
-    g0 = gam(p)
+    dgam = gradient(gams, p, h_outer)
+    g0 = christoffels(metrics_fn, p, h_inner)
     riem = np.zeros((n, n, n, n))
     for rho in range(n):
         for s in range(n):

@@ -283,17 +283,6 @@ def _normal_data(
     )
 
 
-@dataclass
-class ShapeData:
-    """One metric's shape operator in the chart basis, with route diagnostics."""
-
-    weingarten: np.ndarray
-    bilinear: np.ndarray
-    from_bilinear: np.ndarray
-    route_deviation: float
-    symmetry_residual: float
-
-
 class TwoMetricFrameData(PointFrame):
     """All pointwise data of an immersed surface for both metrics.
 
@@ -340,7 +329,7 @@ class TwoMetricFrameData(PointFrame):
             self.flags.append("SIGN_AMBIGUOUS")
 
         self.gram = {Signature.R: center.gram_r[0], Signature.L: center.gram_l[0]}
-        self._shape: dict[Signature, ShapeData] = {}
+        self._shape: dict[Signature, np.ndarray] = {}
         self._stencil_rows: NormalData | None = None
         self._stencil_comps: np.ndarray | None = None
         self._tangent_derivs: dict = {}
@@ -468,43 +457,30 @@ class TwoMetricFrameData(PointFrame):
 
     # -- shape operators ------------------------------------------------------
 
-    def shape(self, sig: Signature) -> ShapeData:
-        hit = self._shape.get(sig)
-        if hit is not None:
-            return hit
-        normal = self.normal(sig)
-        n_name = "n_r" if sig is Signature.R else "n_l"
+    def shape(self, sig: Signature) -> np.ndarray:
+        """The 2x2 Weingarten matrix of ``sig`` in the chart basis, kept.
 
-        cols = []
-        b = np.empty((2, 2))
-        for axis in (0, 1):
-            dn, d_du, d_dv = self._stencil_derivs(sig, axis, (n_name, "du", "dv"))
-            cols.append(-self.coeffs(sig, dn))
-            b[axis] = [self.inner(sig, d_du, normal), self.inner(sig, d_dv, normal)]
-        weingarten = np.column_stack(cols)
-        sym_res = abs(b[0, 1] - b[1, 0]) / max(1.0, float(np.max(np.abs(b))))
-        b_sym = 0.5 * (b + b.T)
-        from_bilinear = np.linalg.solve(self.gram[sig], b_sym)
-        dev = float(np.max(np.abs(weingarten - from_bilinear)))
-        dev /= max(1.0, float(np.max(np.abs(weingarten))))
-        data = ShapeData(
-            weingarten=weingarten,
-            bilinear=b_sym,
-            from_bilinear=from_bilinear,
-            route_deviation=dev,
-            symmetry_residual=sym_res,
-        )
-        self._shape[sig] = data
-        return data
+        Column ``axis`` is minus the chart coefficients of the covariant
+        derivative of the unit normal along that chart axis.
+        """
+        hit = self._shape.get(sig)
+        if hit is None:
+            n_name = "n_r" if sig is Signature.R else "n_l"
+            cols = []
+            for axis in (0, 1):
+                (dn,) = self._stencil_derivs(sig, axis, (n_name,))
+                cols.append(-self.coeffs(sig, dn))
+            hit = self._shape[sig] = np.column_stack(cols)
+        return hit
 
     def mean_curvature(self, sig: Signature) -> float:
-        tr = float(np.trace(self.shape(sig).weingarten))
+        tr = float(np.trace(self.shape(sig)))
         if sig is Signature.L:
             return 0.5 * self.eps * tr
         return 0.5 * tr
 
     def extrinsic_curvature(self, sig: Signature) -> float:
-        return float(np.linalg.det(self.shape(sig).weingarten))
+        return float(np.linalg.det(self.shape(sig)))
 
     @property
     def h_r(self) -> float:
@@ -557,12 +533,12 @@ class TwoMetricFrameData(PointFrame):
                 raise NullDirection("null direction has no normal curvature")
             unit = coeffs / math.sqrt(abs(qq))
             sgn = 1.0 if qq > 0 else -1.0
-            a_unit = self.shape(sig).weingarten @ unit
+            a_unit = self.shape(sig) @ unit
             return sgn * self.coeff_inner(sig, a_unit, unit)
         if qq <= 0.0:
             raise NumericFailure("Riemannian direction with nonpositive square")
         unit = coeffs / math.sqrt(qq)
-        a_unit = self.shape(sig).weingarten @ unit
+        a_unit = self.shape(sig) @ unit
         return self.coeff_inner(sig, a_unit, unit)
 
     # -- consistency ------------------------------------------------------------

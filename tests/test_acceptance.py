@@ -311,7 +311,7 @@ def test_check_07_simultaneously_minimal_helicoids():
                 worst_slice = max(worst_slice, abs(data.h_r), abs(data.h_l))
                 for sig in SIGS:
                     worst_slice = max(
-                        worst_slice, float(np.max(np.abs(data.shape(sig).weingarten)))
+                        worst_slice, float(np.max(np.abs(data.shape(sig))))
                     )
 
     ok = worst_h < 1e-4 and worst_ruling < 1e-3 and worst_slice < 1e-9 and grids >= 6

@@ -232,7 +232,7 @@ def test_connection_tables_torsion_free_against_fd_brackets(rng):
         p = random_point(ambient, rng)
 
         def field(idx):
-            return lambda q: ambient.frame(q)[:, idx]
+            return lambda qs: ambient.frames(qs)[:, :, idx]
 
         for sig in SIGS:
             table = ambient.connection_table(sig, p)
@@ -253,7 +253,7 @@ def test_frame_twist_bracket(rng):
         p = random_point(ambient, rng)
 
         def field(idx):
-            return lambda q: ambient.frame(q)[:, idx]
+            return lambda qs: ambient.frames(qs)[:, :, idx]
 
         b31 = ambient.to_frame(p, lie_bracket_fd(field(2), field(0), p, 1e-4))
         b32 = ambient.to_frame(p, lie_bracket_fd(field(2), field(1), p, 1e-4))
@@ -382,7 +382,7 @@ def test_curvature_operator_matches_fd(rng):
         ambient = CoordinateAmbient(SpaceParams(kappa, tau))
         p = random_point(ambient, rng)
         for sig in SIGS:
-            riem = curvature_fd(lambda q, s=sig: ambient.metric(s, q), p, 1e-3, 1e-3)
+            riem = curvature_fd(lambda qs, s=sig: ambient.metrics(s, qs), p, 1e-3, 1e-3)
             for _ in range(3):
                 x, y, z = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
                 fd_val = np.einsum("rsmn,s,m,n->r", riem, z, x, y)

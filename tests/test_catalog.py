@@ -158,7 +158,7 @@ def test_catalog_entry_metadata_complete():
     for family, entry in CATALOG.items():
         assert entry.description
         assert entry.validity
-        assert isinstance(entry.keys, frozenset)
+        assert all(callable(check) for check in entry.options.values())
 
 
 def _bands_point_by_point(ambient, chart, u0, t_lo, t_hi, n=160):

@@ -90,6 +90,11 @@ def test_verify_tolerance_override_fails_with_exit_1(tmp_path):
         ("verify", "--params", "1,1", "--surfaces", "graph:bowl:a=abc"),
         ("verify", "--params", "1,1", "--surfaces", "graph:bowl:a=nan"),
         ("verify", "--params", "-1,1", "--surfaces", "su11-helicoid:family=zz"),
+        # ... and of surfaces that do not exist at the pair: errors, not skips
+        ("verify", "--params", "-1,1", "--surfaces", "berger-helicoid:variant=sideways"),
+        ("verify", "--params", "1,0.5", "--surfaces", "slice:t0=abc"),
+        ("verify", "--params", "1,1", "--surfaces", "helicoid:c=-1"),
+        ("verify", "--params", "1,1", "--surfaces", "su11-helicoid:family=zz"),
     ],
 )
 def test_config_errors_exit_2_with_code_on_stderr(args):

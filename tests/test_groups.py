@@ -210,7 +210,7 @@ def test_helicoid_pivot_invariant(address, params_pair):
         data = frame_data(built.ambient, built.chart, uv, validate=False)
         t_coeff = data.coeffs(Signature.R, data.t_r)
         val = data.coeff_inner(
-            Signature.R, data.shape(Signature.R).weingarten @ t_coeff, t_coeff
+            Signature.R, data.shape(Signature.R) @ t_coeff, t_coeff
         )
         assert abs(val) < 1e-4, (address, uv)
 

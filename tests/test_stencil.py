@@ -21,6 +21,7 @@ from bicausal.ambient import (
     Signature,
     SpaceParams,
     curvature_frame,
+    stacked_inner,
     wedge_frame,
 )
 from bicausal.catalog import build_surface, default_surfaces
@@ -107,8 +108,17 @@ def test_stacked_numpy_forms_round_like_per_item_calls(rng):
 
 
 def _metric_by_arrays(ambient, sig, p):
-    """The coordinate metric as array algebra: diag(lam^2, lam^2, 0) + eps3 theta theta^T."""
+    """The metric as per-point array algebra, in each model's own formula."""
     k, t = ambient.params.kappa, ambient.params.tau
+    if isinstance(ambient, GroupAmbient):
+        # (4 / kappa) (pairing + m_sig u u^T), u the paired fiber field
+        m = 4.0 * t**2 / k - 1.0 if sig is Signature.R else -(4.0 * t**2 / k + 1.0)
+        u = ambient.pairing @ (ambient.fields[2] @ p)
+        g = (4.0 / k) * (ambient.pairing + m * np.outer(u, u))
+        if ambient.extension_weight != 0.0:
+            g = g * float(p @ ambient.pairing @ p) ** ambient.extension_weight
+        return g
+    # diag(lam^2, lam^2, 0) + eps3 theta theta^T
     lam = 1.0 / (1.0 + 0.25 * k * (p[0] ** 2 + p[1] ** 2))
     theta = np.array([t * lam * p[1], -t * lam * p[0], 1.0])
     return np.diag([lam * lam, lam * lam, 0.0]) + sig.eps3 * np.outer(theta, theta)
@@ -116,6 +126,11 @@ def _metric_by_arrays(ambient, sig, p):
 
 def _frame_by_arrays(ambient, p):
     k, t, s = ambient.params.kappa, ambient.params.tau, ambient.params.twist_rate
+    if isinstance(ambient, GroupAmbient):
+        r = 0.5 * math.sqrt(abs(k))
+        f1 = r * (ambient.fields[0] @ p)
+        f2 = ambient.frame_flip * r * (ambient.fields[1] @ p)
+        return np.column_stack([f1, f2, (k / (4.0 * t)) * (ambient.fields[2] @ p)])
     li = 1.0 + 0.25 * k * (p[0] ** 2 + p[1] ** 2)
     c, sn = math.cos(s * p[2]), math.sin(s * p[2])
     x, y = p[0], p[1]
@@ -128,19 +143,29 @@ def _frame_by_arrays(ambient, p):
     )
 
 
-@pytest.mark.parametrize("name", [n for n in sorted(AMBIENTS) if n.startswith("coord")])
-def test_coordinate_metric_and_frame_round_like_their_array_formulas(name, rng):
-    """The entry-by-entry forms that ``metric``/``metrics`` and ``frame``/``frames`` share."""
+@pytest.mark.parametrize("name", sorted(AMBIENTS))
+def test_metric_and_frame_round_like_their_array_formulas(name, rng):
+    """``metrics``/``frames``, stacked and one row at a time, against per-point array formulas.
+
+    The stacked forms are each model's only formula; these oracles keep an
+    independent reference for their bits.
+    """
     ambient = AMBIENTS[name]()
     points = _points(ambient, rng, 200)
-    for p in points:
+    frames = ambient.frames(points)
+    for i, p in enumerate(points):
+        assert same_bits(frames[i], _frame_by_arrays(ambient, p))
         assert same_bits(ambient.frame(p), _frame_by_arrays(ambient, p))
-        for sig in SIGS:
+    for sig in SIGS:
+        metrics = ambient.metrics(sig, points)
+        for i, p in enumerate(points):
+            assert same_bits(metrics[i], _metric_by_arrays(ambient, sig, p))
             assert same_bits(ambient.metric(sig, p), _metric_by_arrays(ambient, sig, p))
 
 
 @pytest.mark.parametrize("name", sorted(AMBIENTS))
 def test_stacked_primitives_equal_per_point_calls(name, rng):
+    """A stack of n rows gives, row by row, the bits of the one-point calls."""
     ambient = AMBIENTS[name]()
     n, k = 9, 4
     points = _points(ambient, rng, n)
@@ -151,8 +176,8 @@ def test_stacked_primitives_equal_per_point_calls(name, rng):
     for sig in SIGS:
         metrics = ambient.metrics(sig, points)
         assert all(same_bits(metrics[i], ambient.metric(sig, p)) for i, p in enumerate(points))
-        flat = ambient.inners(sig, points, vecs[:, 0], vecs[:, 1])
-        stacked = ambient.inners(sig, points, vecs, vecs[:, ::-1])
+        flat = stacked_inner(metrics, vecs[:, 0], vecs[:, 1])
+        stacked = stacked_inner(metrics, vecs, vecs[:, ::-1])
         for i, p in enumerate(points):
             assert same_bits(flat[i], ambient.inner(sig, p, vecs[i, 0], vecs[i, 1]))
             for j in range(k):
@@ -344,7 +369,7 @@ def test_fuzz_batched_rows_equal_per_row_and_fail_with_codes(sample):
         for sig in SIGS:
             shape = data.shape(sig)
             derivs = data.tangent_derivatives(sig)
-            assert np.all(np.isfinite(shape.weingarten))
+            assert np.all(np.isfinite(shape))
             assert np.all(np.isfinite(derivs["dt"])) and np.all(np.isfinite(derivs["dangle"]))
     except GeometryError as exc:
         assert isinstance(exc.code, str) and exc.code

@@ -19,7 +19,7 @@ from bicausal.surfaces import (
     frame_data,
 )
 
-from conftest import catalog_samples, interior_grid
+from conftest import catalog_samples, interior_grid, same_bits
 
 PARAM_GRID = [(1.0, 1.0), (-1.0, 1.0), (0.0, 1.0), (1.0, 0.0)]
 SIGS = (Signature.R, Signature.L)
@@ -93,16 +93,31 @@ def test_t_fields_are_tangential_projections(samples):
 
 
 def test_shape_operator_routes_and_symmetry(samples):
-    """Weingarten map: stencil route vs bilinear-form route, and self-adjointness."""
+    """Weingarten map: stencil route vs bilinear-form route, and self-adjointness.
+
+    The bilinear route differentiates the chart partials along each axis and
+    pairs them with the normal: b[axis] = <d du, N>, <d dv, N>.
+    """
     gen = np.random.default_rng(7)
     for address, params, data in samples:
         for sig in SIGS:
             shape = data.shape(sig)
-            assert shape.route_deviation < 1e-4, address
-            assert shape.symmetry_residual < 1e-4, address
+            normal = data.normal(sig)
+            n_name = "n_r" if sig is Signature.R else "n_l"
+            b = np.empty((2, 2))
+            for axis in (0, 1):
+                dn, d_du, d_dv = data._stencil_derivs(sig, axis, (n_name, "du", "dv"))
+                assert same_bits(-data.coeffs(sig, dn), shape[:, axis]), address
+                b[axis] = [data.inner(sig, d_du, normal), data.inner(sig, d_dv, normal)]
+            symmetry_residual = abs(b[0, 1] - b[1, 0]) / max(1.0, float(np.max(np.abs(b))))
+            from_bilinear = np.linalg.solve(data.gram[sig], 0.5 * (b + b.T))
+            route_deviation = float(np.max(np.abs(shape - from_bilinear)))
+            route_deviation /= max(1.0, float(np.max(np.abs(shape))))
+            assert route_deviation < 1e-4, address
+            assert symmetry_residual < 1e-4, address
             a, b = gen.normal(size=2), gen.normal(size=2)
-            lhs = data.coeff_inner(sig, shape.weingarten @ a, b)
-            rhs = data.coeff_inner(sig, a, shape.weingarten @ b)
+            lhs = data.coeff_inner(sig, shape @ a, b)
+            rhs = data.coeff_inner(sig, a, shape @ b)
             scale = max(1.0, abs(lhs))
             assert abs(lhs - rhs) < 1e-4 * scale, address
 
@@ -143,7 +158,7 @@ def test_slices_are_vertical_normal_and_totally_geodesic():
             assert abs(data.h_r) < 1e-9
             assert abs(data.h_l) < 1e-9
             for sig in SIGS:
-                assert np.max(np.abs(data.shape(sig).weingarten)) < 1e-9
+                assert np.max(np.abs(data.shape(sig))) < 1e-9
 
 
 def test_hopf_cylinders_have_constant_zero_angle():

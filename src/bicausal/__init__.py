@@ -59,6 +59,7 @@ from .surfaces import (
     SurfaceChart,
     TwoMetricFrameData,
     causal_character,
+    frame_batch,
     frame_data,
 )
 
@@ -104,6 +105,7 @@ __all__ = [
     "curvature_suite",
     "default_surfaces",
     "evaluate_identity",
+    "frame_batch",
     "frame_data",
     "frame_gram",
     "indefiniteness_check",

@@ -249,13 +249,15 @@ class Ambient:
     ``to_frames``, with vectors of shape (n, dim) or (n, k, dim); ``frames=``
     (and in the group models ``metric_r=``) pass arrays a caller already has.
     ``frame`` and ``metric`` of one point are their one-row case, and
-    ``christoffels`` differentiates ``metrics``.  Two per-point forms stay,
-    because they are hot and a one-row stack costs more: ``fiber_direction``
-    and ``frame_components`` (``to_frame`` at a ``PointFrame``).  Subclasses
-    also supply ``point_table`` (the connection table that
-    ``cov_deriv_stencil`` reads; both models build it from ``christoffels``)
-    and the stencil derivative: ``stencil_components`` and
-    ``cov_deriv_stencil``, which ``cov_deriv_on_curve`` samples for.
+    ``christoffels`` (one point) differentiates ``metrics``.  Two per-point
+    forms stay, because they are hot and a one-row stack costs more:
+    ``fiber_direction`` and ``frame_components`` (``to_frame`` at a
+    ``PointFrame``).  Subclasses also supply the stacked connection tables
+    ``point_tables`` (what ``cov_deriv_stencils`` reads; both models build
+    them from ``numdiff.christoffels``) and the stacked stencil derivative:
+    ``stencil_components`` and ``cov_deriv_stencils``.  ``point_table`` and
+    ``cov_deriv_stencil`` are their one-row case, and ``cov_deriv_on_curve``
+    samples for the latter.
     """
 
     def frame(self, p: np.ndarray) -> np.ndarray:
@@ -288,9 +290,38 @@ class Ambient:
         return self.point_frame(p).curvature(sig, x, y, z)
 
     def christoffels(self, sig: Signature, p: np.ndarray, h: float | None = None) -> np.ndarray:
-        """Coordinate Christoffel symbols Gamma[c, a, b] of ``sig``, step ``steps.first`` by default."""
+        """Coordinate Christoffel symbols Gamma[c, a, b] of ``sig`` at one point.
+
+        The one-row case of ``numdiff.christoffels``; the step is
+        ``steps.first`` by default.
+        """
         h = self.steps.first if h is None else h
-        return christoffels(lambda q: self.metrics(sig, q), p, h)
+        p = np.asarray(p, dtype=float)[None]
+        return christoffels(lambda q: self.metrics(sig, q), p, h)[0]
+
+    def point_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
+        """The connection table of ``sig`` at one point: one-row ``point_tables``."""
+        return self.point_tables(sig, np.asarray(p, dtype=float)[None])[0]
+
+    def cov_deriv_stencil(
+        self,
+        sig: Signature,
+        at: PointFrame | np.ndarray,
+        velocity: np.ndarray,
+        f0: np.ndarray,
+        fs: np.ndarray,
+        h: float,
+        vel_f: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Covariant derivatives at one point p0 of k fields: one-row ``cov_deriv_stencils``.
+
+        ``at`` is p0 or its PointFrame, ``f0`` (k, c) and ``fs`` (4, k, c)
+        hold the fields' ``stencil_components``; returns (k, dim).
+        """
+        velocity = np.asarray(velocity, dtype=float)[None]
+        vel_f = None if vel_f is None else np.asarray(vel_f)[None]
+        ats = [self.point_frame(at)]
+        return self.cov_deriv_stencils(sig, ats, velocity, f0[None], fs[:, None], h, vel_f)[0]
 
     def point_frame(self, at: PointFrame | np.ndarray) -> PointFrame:
         """``at`` if it is a PointFrame, else the PointFrame at the point ``at``."""
@@ -472,34 +503,41 @@ class CoordinateAmbient(Ambient):
 
     # -- connection --------------------------------------------------------
 
-    def connection_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
-        """Frame components of the covariant derivatives of the frame legs.
+    def connection_tables(self, sig: Signature, points: np.ndarray) -> np.ndarray:
+        """Frame components of the covariant derivatives of the frame legs, (n, 3, 3, 3).
 
-        Entry [i, j] is the derivative of leg j along leg i.  Constant in p
-        for tau != 0; in the product case tau = 0 the coefficients depend on
-        the base point, so they are assembled per point from finite
-        differences of the metric.
+        Entry [n, i, j] is the derivative of leg j along leg i at points[n].
+        Constant in the point for tau != 0; in the product case tau = 0 the
+        coefficients depend on the base point, so they are assembled from
+        finite differences of the metric, all points in one stack.
         """
+        points = np.asarray(points, dtype=float)
         if self._twisted_tables is not None:
-            return self._twisted_tables[sig]
-        return self._table_from_metric(sig, p)
+            return np.broadcast_to(self._twisted_tables[sig], (len(points), 3, 3, 3))
+        return self._table_from_metric(sig, points)
 
-    def point_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
-        return self.connection_table(sig, p)
+    def connection_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
+        """The connection table at one point: one-row ``connection_tables``."""
+        return self.connection_tables(sig, np.asarray(p, dtype=float)[None])[0]
 
-    def _table_from_metric(self, sig: Signature, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        gam_c = self.christoffels(sig, p)
-        m = self.frame(p)
-        dm = self.frame_partials(p)
-        table = np.empty((3, 3, 3))
+    point_tables = connection_tables
+
+    def _table_from_metric(self, sig: Signature, points: np.ndarray) -> np.ndarray:
+        n = len(points)
+        gam_c = christoffels(lambda q: self.metrics(sig, q), points, self.steps.first)
+        m = self.frames(points)
+        dm = np.array([self.frame_partials(p) for p in points]).reshape(n, 3, 3, 3)
+        # gam_m[a][j] = gam_c[:, a, :] @ m[:, j] at each point, a (3, 3) @ (3,) product
+        gam_m = [
+            [(gam_c[:, :, a, :] @ m[:, :, j, None])[..., 0] for j in range(3)] for a in range(3)
+        ]
+        vec = np.zeros((n, 3, 3, 3))
         for i in range(3):
             for j in range(3):
-                vec = np.zeros(3)
                 for a in range(3):
-                    vec += m[a, i] * (dm[a][:, j] + gam_c[:, a, :] @ m[:, j])
-                table[i, j] = np.linalg.solve(m, vec)
-        return table
+                    vec[:, i, j] += m[:, a, i, None] * (dm[:, a, :, j] + gam_m[a][j])
+        # one right-hand side per (point, i, j), as nine solves per point round
+        return np.linalg.solve(m[:, None, None], vec[..., None])[..., 0]
 
     def curve_through(self, p: np.ndarray, vel: np.ndarray) -> Callable[[float], np.ndarray]:
         """A curve in the model through p with the given initial velocity."""
@@ -507,36 +545,40 @@ class CoordinateAmbient(Ambient):
         vel = np.asarray(vel, dtype=float)
         return lambda t: p + t * vel
 
-    def cov_deriv_stencil(
+    def cov_deriv_stencils(
         self,
         sig: Signature,
-        at: PointFrame | np.ndarray,
+        ats: list[PointFrame],
         velocity: np.ndarray,
         f0: np.ndarray,
         fs: np.ndarray,
         h: float,
         vel_f: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Covariant derivatives at p0 of k fields along a curve with the given velocity.
+        """Covariant derivatives of k fields along curves through n points, in one stack.
 
-        ``at`` is p0 or its PointFrame.  ``f0`` (k, 3) holds the fields'
-        ``stencil_components`` (frame components) at p0 and ``fs`` (4, k, 3)
-        those at the curve parameters ``STENCIL_STEPS`` times h.  The
-        derivative part is taken on frame components, so only the connection
-        table at p0 is needed; ``vel_f`` may pass the velocity's frame
-        components.  Returns coordinate components (k, 3) at p0.
+        ``ats`` are the PointFrames of the points p0 and ``velocity`` (n, 3)
+        the curves' velocities there.  ``f0`` (n, k, 3) holds the fields'
+        ``stencil_components`` (frame components) at p0 and ``fs``
+        (4, n, k, 3) those at the curve parameters ``STENCIL_STEPS`` times h.
+        The derivative part is taken on frame components, so only the
+        connection table at p0 is needed; ``vel_f`` may pass the velocities'
+        frame components.  Returns coordinate components (n, k, 3) at p0.
         """
-        at = self.point_frame(at)
+        frames = np.array([at.frame for at in ats]).reshape(-1, 3, 3)
         if vel_f is None:
-            vel_f = at.to_frame(velocity)
+            points = np.array([at.point for at in ats]).reshape(-1, 3)
+            vel_f = self.to_frames(points, velocity, frames=frames)
+        tables = np.array([at.table(sig) for at in ats]).reshape(-1, 3, 3, 3)
         df = stencil_derivative(fs, h)
-        table = at.table(sig)
-        # terms[i, j] = vel_f[i] * f0[:, j] * table[i, j], summed over (i, j) in order
-        terms = (vel_f[:, None, None] * f0.T)[..., None] * table[:, :, None, :]
+        # terms[:, i, j] = vel_f[i] * f0[:, j] * table[i, j], summed over (i, j) in order
+        f0_t = np.swapaxes(f0, 1, 2)[:, None]
+        terms = (vel_f[:, :, None, None] * f0_t)[..., None] * tables[:, :, :, None, :]
+        terms = terms.reshape(len(ats), 9, *f0.shape[1:])
         corr = np.zeros(f0.shape)
-        for term in terms.reshape(9, *f0.shape):
-            corr += term
-        return (at.frame @ (df + corr)[..., None])[..., 0]
+        for k in range(9):
+            corr += terms[:, k]
+        return (frames[:, None] @ (df + corr)[..., None])[..., 0]
 
     # -- derived tensors ----------------------------------------------------
 

@@ -18,7 +18,7 @@ from .catalog import CATALOG, build_surface, default_surfaces
 from .errors import ConfigInvalid, GeometryError, UnsupportedFormat
 from .identities import IDENTITIES, IDENTITY_NAMES, SampleSkip, curvature_suite
 from .suite import DEFAULT_PARAMS, NON_FINITE, SuiteConfig, run_suite
-from .surfaces import DEGENERATE, frame_data
+from .surfaces import DEGENERATE, frame_batch
 
 
 def _parse_params(values) -> tuple[tuple[float, float], ...]:
@@ -108,6 +108,11 @@ def cmd_verify(args) -> int:
         if fails:
             print(f"FAIL  {surf} @ ({par})")
             for r in fails:
+                if r["max_residual"] is None:
+                    # failed without an evaluated sample: every sample skipped it
+                    reasons = ", ".join(f"{code} ({n})" for code, n in r["skipped"].items())
+                    print(f"      {r['identity']}: no evaluated sample, skipped: {reasons}")
+                    continue
                 print(
                     f"      {r['identity']}: max residual {r['max_residual']:.3e}"
                     f" > tolerance {r['tolerance']:.1e} over {r['samples']} samples"
@@ -149,18 +154,17 @@ _REPORT_FIELDS = [
 ]
 
 
-def _report_row(built, uv) -> dict:
+def _report_row(built, uv, data) -> dict:
+    """The CSV row of one grid point, from its frame data or the error that excluded it."""
     u, v = uv
     row: dict = {"u": f"{u:.12g}", "v": f"{v:.12g}"}
     point = built.chart.point(u, v)
     names = ("x", "y", "z", "w")[: len(point)]
     for name, value in zip(names, point):
         row[name] = f"{value:.12g}"
-    try:
-        data = frame_data(built.ambient, built.chart, uv, validate=False)
-    except GeometryError as exc:
-        row["character"] = DEGENERATE if exc.code == "DEGENERATE_INPUT" else ""
-        row["flags"] = exc.code
+    if isinstance(data, GeometryError):
+        row["character"] = DEGENERATE if data.code == "DEGENERATE_INPUT" else ""
+        row["flags"] = data.code
         return row
     flags = list(data.flags)
     row.update(
@@ -201,8 +205,10 @@ def cmd_report(args) -> int:
         writer = csv.DictWriter(out, fieldnames=fieldnames, restval="")
         writer.writeheader()
         for u in us:
-            for v in vs:
-                writer.writerow(_report_row(built, (float(u), float(v))))
+            # one batch per grid line bounds the stacks' memory
+            line = [(float(u), float(v)) for v in vs]
+            for uv, data in zip(line, frame_batch(built.ambient, built.chart, line)):
+                writer.writerow(_report_row(built, uv, data))
     finally:
         if args.csv:
             out.close()

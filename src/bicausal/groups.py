@@ -23,7 +23,7 @@ import numpy as np
 
 from .ambient import Ambient, PointFrame, SpaceParams, Signature, _per_row, _vectors
 from .errors import CurveSingular, DomainViolation, ModelMismatch
-from .numdiff import FDSteps, stencil_derivative
+from .numdiff import FDSteps, christoffels, stencil_derivative
 from .surfaces import SurfaceChart
 
 BERGER = "berger"
@@ -172,8 +172,9 @@ class GroupAmbient(Ambient):
 
     # -- connection ----------------------------------------------------------
 
-    def point_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
-        return self.christoffels(sig, p)
+    def point_tables(self, sig: Signature, points: np.ndarray) -> np.ndarray:
+        """Coordinate Christoffel symbols at each point, (n, 4, 4, 4), in one stack."""
+        return christoffels(lambda q: self.metrics(sig, q), points, self.steps.first)
 
     def tangent_project(
         self, sig: Signature, at: PointFrame | np.ndarray, vec: np.ndarray
@@ -197,31 +198,32 @@ class GroupAmbient(Ambient):
 
         return curve
 
-    def cov_deriv_stencil(
+    def cov_deriv_stencils(
         self,
         sig: Signature,
-        at: PointFrame | np.ndarray,
+        ats: list[PointFrame],
         velocity: np.ndarray,
         f0: np.ndarray,
         fs: np.ndarray,
         h: float,
         vel_f: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Covariant derivatives at p0 of k fields, from coordinates on the stencil.
+        """Covariant derivatives at n points of k fields each, from coordinates on the stencil.
 
-        Same contract as ``CoordinateAmbient.cov_deriv_stencil``, with the
-        fields given in coordinates (k, 4) at p0 and (4, k, 4) on the stencil
-        (and no use for ``vel_f``).
+        Same contract as ``CoordinateAmbient.cov_deriv_stencils``, with the
+        fields given in coordinates (n, k, 4) at p0 and (4, n, k, 4) on the
+        stencil (and no use for ``vel_f``).  The connection term is one
+        ``einsum`` per field and point.
         """
-        at = self.point_frame(at)
         dv = stencil_derivative(fs, h)
-        gam = at.table(sig)
-        return np.array(
-            [
-                self.tangent_project(sig, at, d + np.einsum("cab,a,b->c", gam, velocity, v0))
-                for d, v0 in zip(dv, f0)
-            ]
-        )
+        out = np.empty(dv.shape)
+        for i, at in enumerate(ats):
+            gam = at.table(sig)
+            for k, (d, v0) in enumerate(zip(dv[i], f0[i])):
+                out[i, k] = self.tangent_project(
+                    sig, at, d + np.einsum("cab,a,b->c", gam, velocity[i], v0)
+                )
+        return out
 
 
 # -- helicoid charts ---------------------------------------------------------

@@ -8,8 +8,10 @@ ambient reads it once and owns the resulting ``FDSteps``.
 Besides the difference rules, the module holds two routines built on them:
 ``christoffels``, the one FD Christoffel routine in the package, which both
 ambient models and the test oracles call, and ``brioschi_curvature``.
-``gradient`` and ``christoffels`` differentiate stacked functions (points
-(n, dim) -> values (n, ...)), so every axis of a stencil offset is one call.
+``gradient`` and ``christoffels`` take a stack of points (n, dim) and
+differentiate stacked functions (points (n, dim) -> values (n, ...)), so every
+axis at every point of a stencil offset is one call; one point is the
+one-row case.
 """
 
 from __future__ import annotations
@@ -78,31 +80,38 @@ def central_diff(f, x: float, h: float):
     return stencil_derivative([np.asarray(f(x + k * h), dtype=float) for k in STENCIL_STEPS], h)
 
 
-def gradient(f, p: np.ndarray, h: float) -> np.ndarray:
-    """All partial derivatives at p of a stacked function, on axis 0.
+def gradient(f, points: np.ndarray, h: float) -> np.ndarray:
+    """All partial derivatives of a stacked function at each point, (n, dim, ...).
 
-    ``f`` maps points (n, dim) to values (n, ...); it is called on the dim
-    points ``p + t e_a`` at once, once per stencil offset t.
+    ``f`` maps points (n, dim) to values (n, ...); it is called on the n * dim
+    points ``p + t e_a`` at once, once per stencil offset t.  Entry [i, a] is
+    the partial along axis a at points[i].
     """
-    p = np.asarray(p, dtype=float)
-    eye = np.eye(p.size)
-    return central_diff(lambda t: f(p + t * eye), 0.0, h)
+    points = np.asarray(points, dtype=float)
+    n, dim = points.shape
+    eye = np.eye(dim)
+
+    def values(t: float) -> np.ndarray:
+        out = f((points[:, None, :] + t * eye).reshape(n * dim, dim))
+        return out.reshape(n, dim, *out.shape[1:])
+
+    return central_diff(values, 0.0, h)
 
 
-def christoffels(metrics_fn, p: np.ndarray, h: float) -> np.ndarray:
-    """Coordinate Christoffel symbols Gamma[c, a, b] of a metric field at p.
+def christoffels(metrics_fn, points: np.ndarray, h: float) -> np.ndarray:
+    """Coordinate Christoffel symbols Gamma[i, c, a, b] of a metric field at each point.
 
     ``metrics_fn`` is a stacked metric, points (n, dim) -> (n, dim, dim).
     Its partials come from ``gradient``; the contraction with the inverse
-    metric is one stacked matmul over all (a, b), which rounds like
-    ``ginv @ vec`` per pair.
+    metric is one stacked matmul over all points and (a, b), which rounds
+    like ``ginv @ vec`` per point and pair.
     """
-    p = np.asarray(p, dtype=float)
-    dg = gradient(metrics_fn, p, h)
-    ginv = np.linalg.inv(metrics_fn(p[None])[0])
-    # vec[a, b, c] = d_a g_bc + d_b g_ac - d_c g_ab
-    vec = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    return np.moveaxis(0.5 * (ginv @ vec[..., None])[..., 0], 2, 0)
+    points = np.asarray(points, dtype=float)
+    dg = gradient(metrics_fn, points, h)
+    ginv = np.linalg.inv(metrics_fn(points))
+    # vec[i, a, b, c] = d_a g_bc + d_b g_ac - d_c g_ab at points[i]
+    vec = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    return np.moveaxis(0.5 * (ginv[:, None, None] @ vec[..., None])[..., 0], 3, 1)
 
 
 def brioschi_curvature(first_form, uv: tuple[float, float], h: float) -> float:

@@ -20,8 +20,8 @@ def lie_bracket_fd(fields_x, fields_y, p: np.ndarray, h: float) -> np.ndarray:
     The fields are stacked, points (n, dim) -> components (n, dim).
     """
     p = np.asarray(p, dtype=float)
-    jx = gradient(fields_x, p, h)
-    jy = gradient(fields_y, p, h)
+    jx = gradient(fields_x, p[None], h)[0]
+    jy = gradient(fields_y, p[None], h)[0]
     x0 = fields_x(p[None])[0]
     y0 = fields_y(p[None])[0]
     return x0 @ jy - y0 @ jx
@@ -83,10 +83,10 @@ def curvature_fd(metrics_fn, p: np.ndarray, h_outer: float, h_inner: float) -> n
     n = p.size
 
     def gams(qs):
-        return np.array([christoffels(metrics_fn, q, h_inner) for q in qs])
+        return christoffels(metrics_fn, qs, h_inner)
 
-    dgam = gradient(gams, p, h_outer)
-    g0 = christoffels(metrics_fn, p, h_inner)
+    dgam = gradient(gams, p[None], h_outer)[0]
+    g0 = christoffels(metrics_fn, p[None], h_inner)[0]
     riem = np.zeros((n, n, n, n))
     for rho in range(n):
         for s in range(n):

@@ -19,7 +19,7 @@ from .catalog import build_surface, default_surfaces, parse_surface, validate_ad
 from .errors import ConfigInvalid, GeometryError, SurfaceUnavailable
 from .identities import IDENTITIES, IDENTITY_NAMES, run_identities
 from .numdiff import FDSteps
-from .surfaces import frame_data
+from .surfaces import frame_batch
 
 SCHEMA_VERSION = 1
 
@@ -154,11 +154,9 @@ def run_suite(config: SuiteConfig) -> dict:
                 for name in identity_names
             }
             used = 0
-            for uv in points:
-                try:
-                    data = frame_data(built.ambient, built.chart, uv, validate=False)
-                except GeometryError as exc:
-                    excluded[exc.code] = excluded.get(exc.code, 0) + 1
+            for data in frame_batch(built.ambient, built.chart, points):
+                if isinstance(data, GeometryError):
+                    excluded[data.code] = excluded.get(data.code, 0) + 1
                     continue
                 if data.omega_l > OMEGA_CONDITION_LIMIT:
                     excluded["ILL_CONDITIONED"] = excluded.get("ILL_CONDITIONED", 0) + 1

@@ -1,10 +1,15 @@
 """Immersed surfaces carrying data for both metrics at once.
 
-The entry point is :func:`frame_data`, which evaluates a parametrized surface
-at one parameter pair and returns a :class:`TwoMetricFrameData` holding the
-tangent basis, both unit normals, both shape operators and the derived scalar
-invariants, together with the residuals of the internal consistency checks
-that every accepted sample must satisfy.
+The entry point is :func:`frame_batch`, which evaluates a parametrized
+surface at a list of parameter pairs and returns, per pair, a
+:class:`TwoMetricFrameData` or the :class:`GeometryError` that excluded it.
+The frame data holds the tangent basis, both unit normals, both shape
+operators and the derived scalar invariants, together with the residuals of
+the internal consistency checks that every accepted sample must satisfy.
+The samples of one call share one :class:`SampleBatch`: each stage (centers,
+stencil rows, connection tables, shape operators, T-derivatives) is one stack
+over all its samples, built on first use, and gives each sample the bits its
+own evaluation would.  :func:`frame_data` is the one-pair case.
 
 Vectors tangent to the surface are represented two ways: as ambient
 coordinate components, and as coefficient pairs with respect to the chart
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -138,6 +143,18 @@ class NormalData:
     def first_error(self) -> GeometryError | None:
         return next((err for err in self.errors if err is not None), None)
 
+    def take(self, first: int, count: int) -> "NormalData":
+        """Rows first .. first + count - 1, all past the chart, as a NormalData of their own."""
+        at = self.rows.index(first)
+        arrays = {
+            f.name: getattr(self, f.name)[at : at + count]
+            for f in fields(self)
+            if f.name not in ("errors", "rows") and getattr(self, f.name) is not None
+        }
+        return replace(
+            self, errors=self.errors[first : first + count], rows=list(range(count)), **arrays
+        )
+
 
 def _grams(g: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """Stacked ``induced_gram`` from metrics g (n, dim, dim) and (du, dv) pairs (n, 2, dim).
@@ -179,10 +196,10 @@ def _normal_data(
     Only the chart is evaluated row by row.  Each row meets the checks of a
     single-point evaluation in the same order, and the first one it fails
     becomes its error; a row that failed computes on, unread, which is why
-    floating-point warnings are off.  With ``reference`` the Lorentzian
-    normal takes the sign closer to it, otherwise the sign rule of the
-    orientation.  ``routes`` adds the agreement of the Riemannian normal with
-    its own wedge route.
+    floating-point warnings are off.  With ``reference`` (one vector for
+    all rows, or one per uv row) the Lorentzian normal takes the sign closer
+    to it, otherwise the sign rule of the orientation.  ``routes`` adds the
+    agreement of the Riemannian normal with its own wedge route.
     """
     point, pair, errors, rows = _charted(ambient, chart, uvs, h_jet)
     du, dv = pair[:, 0], pair[:, 1]
@@ -230,7 +247,8 @@ def _normal_data(
         angle_l = stacked_inner(g_l, n_l, xi)
 
         if reference is not None:
-            flip = (n_l[:, None, :] @ reference[:, None])[:, 0, 0] < 0.0
+            ref = reference[rows] if reference.ndim == 2 else reference
+            flip = (n_l[:, None, :] @ ref[..., None])[..., 0, 0] < 0.0
             sign_ambiguous = np.zeros(len(rows), dtype=bool)
         else:
             sign_ambiguous = np.abs(angle_l) <= SIGN_TIE_TOL
@@ -283,57 +301,258 @@ def _normal_data(
     )
 
 
-class TwoMetricFrameData(PointFrame):
-    """All pointwise data of an immersed surface for both metrics.
+def _stencil_uvs(uv: tuple[float, float], h: float) -> list[tuple[float, float]]:
+    """The eight stencil rows of uv: along chart axis 0, then 1, at ``STENCIL_STEPS`` times h."""
+    out = []
+    for axis in (0, 1):
+        for k in STENCIL_STEPS:
+            shifted = list(uv)
+            shifted[axis] += k * h
+            out.append((shifted[0], shifted[1]))
+    return out
 
-    Construct through :func:`frame_data`.  It is the PointFrame of the sample
-    point, with the frame and metrics of the stacked center evaluation.
-    Shape operators and stencil-based derivatives are computed lazily and
-    cached; scalar invariants are exposed as properties.
+
+class SampleBatch:
+    """The stacked geometry of the samples of one chart, shared by their frame data.
+
+    The centers are one ``_normal_data`` pass, made on construction.  Every
+    later stage is built on the first use by any sample, for all samples at
+    once, and each sample reads its own row:
+
+    * the 8n stencil rows, one ``_normal_data`` pass in which each row's sign
+      reference and OrientationFlip check are those of its own center;
+    * their ``stencil_components`` with the centers', in one call;
+    * the connection tables of each metric, one ``point_tables`` call;
+    * the shape operators and T-derivatives of each metric, one
+      ``cov_deriv_stencils`` call per chart axis and one stacked Gram
+      projection, over the samples whose stencil rows raised nothing.
+
+    Each stage rounds row by row like a batch of one, so a sample's numbers
+    do not depend on the batch it is in.  Nothing here draws random numbers.
+    The samples hold the batch, and the batch holds no sample: garbage
+    without reference cycles is freed at once, not by the cyclic collector.
     """
 
-    def __init__(
-        self,
-        ambient,
-        chart: SurfaceChart,
-        uv: tuple[float, float],
-        orientation: int,
-    ):
+    def __init__(self, ambient, chart: SurfaceChart, uvs, orientation: int):
         self.ambient = ambient
         self.chart = chart
-        self.uv = (float(uv[0]), float(uv[1]))
-        self.steps = ambient.steps
         self.orientation = orientation
+        self.steps = ambient.steps
+        self.uvs = [(float(u), float(v)) for u, v in uvs]
+        self.center = _normal_data(
+            ambient, chart, self.uvs, self.steps.first, orientation, routes=True
+        )
+        c = self.center
+        # (center row, uv index) of each sample, in uv order
+        self.alive = [(j, i) for j, i in enumerate(c.rows) if c.errors[i] is None]
+        self._stencil: NormalData | None = None
+        self._stencil_ok: tuple[list[int], list[int], list[int]] | None = None
+        self._comps: tuple[np.ndarray, np.ndarray] | None = None
+        self._tables: dict[Signature, np.ndarray] = {}
+        self._shapes: dict[Signature, list] = {}
+        self._tangent_derivs: dict[Signature, list] = {}
+
+    # -- stencil rows -----------------------------------------------------------
+
+    def stencil(self) -> NormalData:
+        """Normal data of the eight stencil rows of every sample, rows 8k .. 8k + 7 for sample k.
+
+        Signs are continued from each row's own center; a material sign
+        change of the Lorentzian normal angle across the stencil is that
+        row's OrientationFlip.
+        """
+        st = self._stencil
+        if st is None:
+            h = self.steps.second
+            uvs = [uv for _, i in self.alive for uv in _stencil_uvs(self.uvs[i], h)]
+            centers = [j for j, _ in self.alive]
+            reference = np.repeat(self.center.n_l[centers], 8, axis=0)
+            st = _normal_data(
+                self.ambient, self.chart, uvs, self.steps.first, self.orientation, reference
+            )
+            center_angles = self.center.angle_l[centers].tolist()
+            for i, angle in zip(st.rows, st.angle_l.tolist()):
+                a0 = center_angles[i // 8]
+                if (
+                    st.errors[i] is None
+                    and abs(angle) > SIGN_TIE_TOL
+                    and abs(a0) > SIGN_TIE_TOL
+                    and angle * a0 < 0.0
+                ):
+                    uv = self.uvs[self.alive[i // 8][1]]
+                    st.errors[i] = OrientationFlip(
+                        f"normal angle changes sign across stencil at uv={uv!r}"
+                    )
+            self._stencil = st
+        return st
+
+    def stencil_error(self, k: int) -> GeometryError | None:
+        """The first error of sample k's stencil rows, in row order, or None."""
+        errors = self.stencil().errors[8 * k : 8 * k + 8]
+        return next((err for err in errors if err is not None), None)
+
+    def _ok(self) -> tuple[list[int], list[int], list[int]]:
+        """The samples whose stencil rows raised nothing, whose derivatives are stacked.
+
+        Returns the samples, their rows in the center arrays, and their
+        eight rows each in the stencil arrays.
+        """
+        if self._stencil_ok is None:
+            st = self.stencil()
+            ok = [k for k in range(len(self.alive)) if self.stencil_error(k) is None]
+            at = {i: pos for pos, i in enumerate(st.rows)}
+            rows = [at[8 * k] + r for k in ok for r in range(8)]
+            self._stencil_ok = ok, [self.alive[k][0] for k in ok], rows
+        return self._stencil_ok
+
+    def _slot(self, k: int) -> int:
+        return self._ok()[0].index(k)
+
+    def _components(self) -> tuple[np.ndarray, np.ndarray]:
+        """``stencil_components`` of ``STENCIL_FIELDS`` at the centers and at the rows, one call.
+
+        Shapes (m, 6, c) and (m, 8, 6, c) over the samples of ``_ok``.
+        """
+        if self._comps is None:
+            st, c = self.stencil(), self.center
+            _, cj, rj = self._ok()
+            points = np.concatenate([c.point[cj], st.point[rj]])
+            vecs = np.stack(
+                [np.concatenate([getattr(c, f)[cj], getattr(st, f)[rj]]) for f in STENCIL_FIELDS],
+                axis=1,
+            )
+            frames = np.concatenate([c.frame[cj], st.frame[rj]])
+            comps = self.ambient.stencil_components(points, vecs, frames)
+            m = len(cj)
+            self._comps = comps[:m], comps[m:].reshape(m, 8, *comps.shape[1:])
+        return self._comps
+
+    def stencil_derivs(self, sig: Signature, axis: int, names: tuple[str, ...]) -> np.ndarray:
+        """Covariant derivatives along chart axis ``axis`` of named STENCIL_FIELDS, (m, k, dim).
+
+        One ``cov_deriv_stencils`` call over the samples of ``_ok``.
+        """
+        f0, fs = self._components()
+        which = [STENCIL_FIELDS.index(name) for name in names]
+        ok, cj, _ = self._ok()
+        velocity = (self.center.du if axis == 0 else self.center.dv)[cj]
+        rows = np.moveaxis(fs[:, 4 * axis : 4 * axis + 4][:, :, which], 1, 0)
+        ats = [SampleCenter(self, k) for k in ok]
+        return self.ambient.cov_deriv_stencils(
+            sig, ats, velocity, f0[:, which], rows, self.steps.second
+        )
+
+    def _coeffs(self, sig: Signature, vecs: np.ndarray) -> np.ndarray:
+        """Chart-basis coefficients (m, 2) of tangent vectors (m, dim), one per ``_ok`` sample.
+
+        The stacked Gram projection: the inner products with du and dv, then
+        one stacked solve with one right-hand side per sample.
+        """
+        c = self.center
+        cj = self._ok()[1]
+        g = (c.g_r if sig is Signature.R else c.g_l)[cj]
+        gram = (c.gram_r if sig is Signature.R else c.gram_l)[cj]
+        rhs = np.stack([stacked_inner(g, vecs, c.du[cj]), stacked_inner(g, vecs, c.dv[cj])], -1)
+        return np.linalg.solve(gram, rhs[..., None])[..., 0]
+
+    # -- per-sample stages, stacked ----------------------------------------------
+
+    def table(self, sig: Signature, k: int) -> np.ndarray:
+        """Sample k's connection table; one ``point_tables`` call builds every sample's."""
+        tables = self._tables.get(sig)
+        if tables is None:
+            centers = self.center.point[[j for j, _ in self.alive]]
+            tables = self._tables[sig] = self.ambient.point_tables(sig, centers)
+        return tables[k]
+
+    def shape(self, sig: Signature, k: int) -> np.ndarray:
+        """Sample k's Weingarten matrix; the first call builds every sample's."""
+        shapes = self._shapes.get(sig)
+        if shapes is None:
+            n_name = "n_r" if sig is Signature.R else "n_l"
+            cols = []
+            for axis in (0, 1):
+                dn = self.stencil_derivs(sig, axis, (n_name,))[:, 0]
+                cols.append(-self._coeffs(sig, dn))
+            shapes = self._shapes[sig] = list(np.stack(cols, axis=-1))
+        return shapes[self._slot(k)]
+
+    def tangent_derivatives(self, sig: Signature, k: int) -> dict:
+        """Sample k's T-derivatives; the first call builds every sample's."""
+        out = self._tangent_derivs.get(sig)
+        if out is None:
+            h = self.steps.second
+            t_name = "t_r" if sig is Signature.R else "t_l"
+            st = self.stencil()
+            rows = self._ok()[2]
+            angles = (st.angle_r if sig is Signature.R else st.angle_l)[rows].reshape(-1, 8)
+            dts, dangles = [], []
+            for axis in (0, 1):
+                dt_amb = self.stencil_derivs(sig, axis, (t_name,))[:, 0]
+                dts.append(self._coeffs(sig, dt_amb))
+                dangles.append(stencil_derivative(angles[:, 4 * axis : 4 * axis + 4].T, h).tolist())
+            out = self._tangent_derivs[sig] = [
+                {"dt": [dts[0][s], dts[1][s]], "dangle": [dangles[0][s], dangles[1][s]]}
+                for s in range(len(self._ok()[0]))
+            ]
+        return out[self._slot(k)]
+
+
+class SampleCenter(PointFrame):
+    """Sample k of a batch as the PointFrame of its center: the batch's rows, its tables."""
+
+    def __init__(self, batch: SampleBatch, k: int):
+        c = batch.center
+        self._batch = batch
+        self._k = k
+        j, i = batch.alive[k]
+        self._j, self._i = j, i
+        metric = {Signature.R: c.g_r[j], Signature.L: c.g_l[j]}
+        super().__init__(batch.ambient, c.point[j], c.frame[j], metric)
+
+    def table(self, sig: Signature) -> np.ndarray:
+        return self._batch.table(sig, self._k)
+
+
+class TwoMetricFrameData(SampleCenter):
+    """All pointwise data of an immersed surface for both metrics.
+
+    Construct through :func:`frame_batch` or :func:`frame_data`.  It is the
+    PointFrame of the sample point, with the frame and metrics of the stacked
+    center evaluation.  Shape operators, stencil-based derivatives and
+    connection tables are read from the sample's :class:`SampleBatch`, which
+    builds them for all its samples on first use; scalar invariants are
+    exposed as properties.
+    """
+
+    def __init__(self, batch: SampleBatch, k: int):
+        super().__init__(batch, k)
+        center, j = batch.center, self._j
+        self.chart = batch.chart
+        self.uv = batch.uvs[self._i]
+        self.steps = batch.steps
+        self.orientation = batch.orientation
         self.flags: list[str] = []
 
-        center = _normal_data(ambient, chart, [self.uv], self.steps.first, orientation, routes=True)
-        if center.errors[0] is not None:
-            raise center.errors[0]
-        metric = {Signature.R: center.g_r[0], Signature.L: center.g_l[0]}
-        super().__init__(ambient, center.point[0], center.frame[0], metric)
-        self.center = center
-        self.xi = ambient.fiber_direction(self.point)
-        self.du = center.du[0]
-        self.dv = center.dv[0]
-        self.eps = float(center.eps[0])
+        self.xi = self.ambient.fiber_direction(self.point)
+        self.du = center.du[j]
+        self.dv = center.dv[j]
+        self.eps = float(center.eps[j])
         self.character = TIMELIKE if self.eps > 0 else SPACELIKE
-        self.n_l = center.n_l[0]
-        self.n_r = center.n_r[0]
-        self.angle_l = float(center.angle_l[0])
-        self.angle_r = float(center.angle_r[0])
-        self.omega_l = float(center.omega_l[0])
+        self.n_l = center.n_l[j]
+        self.n_r = center.n_r[j]
+        self.angle_l = float(center.angle_l[j])
+        self.angle_r = float(center.angle_r[j])
+        self.omega_l = float(center.omega_l[j])
         self.omega_r = 1.0 / self.omega_l
-        self.t_l = center.t_l[0]
-        self.t_r = center.t_r[0]
-        if center.sign_ambiguous[0]:
+        self.t_l = center.t_l[j]
+        self.t_r = center.t_r[j]
+        if center.sign_ambiguous[j]:
             self.flags.append("SIGN_AMBIGUOUS")
 
-        self.gram = {Signature.R: center.gram_r[0], Signature.L: center.gram_l[0]}
-        self._shape: dict[Signature, np.ndarray] = {}
-        self._stencil_rows: NormalData | None = None
-        self._stencil_comps: np.ndarray | None = None
-        self._tangent_derivs: dict = {}
+        self.gram = {Signature.R: center.gram_r[j], Signature.L: center.gram_l[j]}
         self._frame_of: dict[str, np.ndarray] = {}
+        self._rotation: dict[Signature, np.ndarray] = {}
         # Curvature scalars, filled and reused by identities.curvature_suite.
         self.curvature_scalars: dict | None = None
         self.invariants = self._invariant_residuals()
@@ -381,79 +600,38 @@ class TwoMetricFrameData(PointFrame):
         return self.to_coord(wedge_frame(sig, self.frame_of(n_name), vf))
 
     def rotation(self, sig: Signature) -> np.ndarray:
-        """Matrix of X -> N ^ X on the tangent plane, chart basis."""
-        cols = [self.coeffs(sig, self.rotate(sig, self.frame_of(b))) for b in ("du", "dv")]
-        return np.column_stack(cols)
+        """Matrix of X -> N ^ X on the tangent plane, chart basis, kept."""
+        hit = self._rotation.get(sig)
+        if hit is None:
+            cols = [self.coeffs(sig, self.rotate(sig, self.frame_of(b))) for b in ("du", "dv")]
+            hit = self._rotation[sig] = np.column_stack(cols)
+        return hit
 
     def tangent_part_t(self, sig: Signature) -> np.ndarray:
         return self.t_r if sig is Signature.R else self.t_l
 
     # -- stencil ------------------------------------------------------------
 
-    def stencil(self) -> NormalData:
-        """Normal data of the eight stencil rows, computed in one pass on first use.
-
-        Rows run along chart axis 0, then 1, at ``STENCIL_STEPS`` times the
-        stencil step.  Signs are continued from the center; a material sign
-        change of the Lorentzian normal angle across the stencil is that
-        row's OrientationFlip.  The first row error in this order is raised
-        on every call, as evaluating the rows one by one would raise it.
-        """
-        st = self._stencil_rows
-        if st is None:
-            h = self.steps.second
-            uvs = []
-            for axis in (0, 1):
-                for k in STENCIL_STEPS:
-                    uv = list(self.uv)
-                    uv[axis] += k * h
-                    uvs.append((uv[0], uv[1]))
-            st = _normal_data(
-                self.ambient, self.chart, uvs, self.steps.first, self.orientation, self.n_l
-            )
-            for i, angle in zip(st.rows, st.angle_l.tolist()):
-                if (
-                    st.errors[i] is None
-                    and abs(angle) > SIGN_TIE_TOL
-                    and abs(self.angle_l) > SIGN_TIE_TOL
-                    and angle * self.angle_l < 0.0
-                ):
-                    st.errors[i] = OrientationFlip(
-                        f"normal angle changes sign across stencil at uv={self.uv!r}"
-                    )
-            self._stencil_rows = st
-        err = st.first_error()
+    def _check_stencil(self) -> None:
+        """Raise the first error of this sample's stencil rows, on every call."""
+        err = self._batch.stencil_error(self._k)
         if err is not None:
             raise err.with_traceback(None)
-        return st
+
+    def stencil(self) -> NormalData:
+        """Normal data of this sample's eight stencil rows (its part of the batch's pass).
+
+        Rows run along chart axis 0, then 1, at ``STENCIL_STEPS`` times the
+        stencil step.  The first row error in this order is raised on every
+        call, as evaluating the rows one by one would raise it.
+        """
+        self._check_stencil()
+        return self._batch.stencil().take(8 * self._k, 8)
 
     def _stencil_derivs(self, sig: Signature, axis: int, names: tuple[str, ...]) -> np.ndarray:
-        """Covariant derivatives along chart axis ``axis`` of named STENCIL_FIELDS, (k, dim).
-
-        The first call converts all six fields at the center and the stencil
-        rows to the ambient's stencil components in one stacked call.
-        """
-        comps = self._stencil_comps
-        if comps is None:
-            st = self.stencil()
-            points = np.concatenate([self.center.point, st.point])
-            vecs = np.stack(
-                [np.concatenate([getattr(self.center, f), getattr(st, f)]) for f in STENCIL_FIELDS],
-                axis=1,
-            )
-            frames = np.concatenate([self.center.frame, st.frame])
-            comps = self._stencil_comps = self.ambient.stencil_components(points, vecs, frames)
-        which = [STENCIL_FIELDS.index(name) for name in names]
-        along = ("du", "dv")[axis]
-        return self.ambient.cov_deriv_stencil(
-            sig,
-            self,
-            getattr(self, along),
-            comps[0, which],
-            comps[1 + 4 * axis : 5 + 4 * axis][:, which],
-            self.steps.second,
-            vel_f=self.frame_of(along),
-        )
+        """Covariant derivatives along chart axis ``axis`` of named STENCIL_FIELDS, (k, dim)."""
+        self._check_stencil()
+        return self._batch.stencil_derivs(sig, axis, names)[self._batch._slot(self._k)]
 
     # -- shape operators ------------------------------------------------------
 
@@ -463,15 +641,8 @@ class TwoMetricFrameData(PointFrame):
         Column ``axis`` is minus the chart coefficients of the covariant
         derivative of the unit normal along that chart axis.
         """
-        hit = self._shape.get(sig)
-        if hit is None:
-            n_name = "n_r" if sig is Signature.R else "n_l"
-            cols = []
-            for axis in (0, 1):
-                (dn,) = self._stencil_derivs(sig, axis, (n_name,))
-                cols.append(-self.coeffs(sig, dn))
-            hit = self._shape[sig] = np.column_stack(cols)
-        return hit
+        self._check_stencil()
+        return self._batch.shape(sig, self._k)
 
     def mean_curvature(self, sig: Signature) -> float:
         tr = float(np.trace(self.shape(sig)))
@@ -498,23 +669,8 @@ class TwoMetricFrameData(PointFrame):
         Returns ``{"dt": [coeff pair per axis], "dangle": [per axis]}`` where
         the covariant derivative is projected to the tangent plane of ``sig``.
         """
-        hit = self._tangent_derivs.get(sig)
-        if hit is not None:
-            return hit
-        h = self.steps.second
-        t_name = "t_r" if sig is Signature.R else "t_l"
-        st = self.stencil()
-        angles = (st.angle_r if sig is Signature.R else st.angle_l).tolist()
-
-        dts = []
-        dangles = []
-        for axis in (0, 1):
-            (dt_amb,) = self._stencil_derivs(sig, axis, (t_name,))
-            dts.append(self.coeffs(sig, dt_amb))
-            dangles.append(stencil_derivative(angles[4 * axis : 4 * axis + 4], h))
-        out = {"dt": dts, "dangle": dangles}
-        self._tangent_derivs[sig] = out
-        return out
+        self._check_stencil()
+        return self._batch.tangent_derivatives(sig, self._k)
 
     # -- normal curvature ------------------------------------------------------
 
@@ -547,7 +703,7 @@ class TwoMetricFrameData(PointFrame):
         res = {}
         res["unit_normal_L"] = abs(self.inner(Signature.L, self.n_l, self.n_l) - self.eps)
         res["unit_normal_R"] = abs(self.inner(Signature.R, self.n_r, self.n_r) - 1.0)
-        res["normal_routes"] = float(self.center.wedge_agreement[0])
+        res["normal_routes"] = float(self._batch.center.wedge_agreement[self._j])
         res["angle_transform"] = abs(self.angle_r + self.angle_l / self.omega_l)
         arg = self.eps * (1.0 - 2.0 * self.angle_r**2)
         res["omega_product"] = (
@@ -576,6 +732,25 @@ class TwoMetricFrameData(PointFrame):
             raise NumericFailure(f"frame data inconsistent at uv={self.uv!r}: {bad}")
 
 
+def frame_batch(
+    ambient,
+    chart: SurfaceChart,
+    uvs: list[tuple[float, float]],
+    orientation: int = 1,
+) -> list[TwoMetricFrameData | GeometryError]:
+    """The two-metric surface data at each parameter pair, or the error that excluded it.
+
+    The samples share one :class:`SampleBatch`, so their stencils, tables and
+    shape operators are each built as one stack, on first use.  Draws no
+    random numbers.
+    """
+    batch = SampleBatch(ambient, chart, uvs, orientation)
+    out: list = list(batch.center.errors)
+    for k, (_, i) in enumerate(batch.alive):
+        out[i] = TwoMetricFrameData(batch, k)
+    return out
+
+
 def frame_data(
     ambient,
     chart: SurfaceChart,
@@ -583,8 +758,10 @@ def frame_data(
     orientation: int = 1,
     validate: bool = True,
 ) -> TwoMetricFrameData:
-    """Evaluate the two-metric surface data at one parameter pair, with the ambient's steps."""
-    data = TwoMetricFrameData(ambient, chart, uv, orientation)
+    """Evaluate the two-metric surface data at one parameter pair: a batch of one."""
+    (data,) = frame_batch(ambient, chart, [uv], orientation)
+    if isinstance(data, GeometryError):
+        raise data
     if validate:
         data.validate()
     return data

@@ -288,7 +288,8 @@ def test_christoffels_match_fd_oracle(rng):
                 if tau == 0.0:
                     got, oracle = ambient.christoffels(sig, p), _product_christoffels(kappa, p)
                 else:
-                    got, oracle = ambient._table_from_metric(sig, p), ambient.connection_table(sig, p)
+                    got = ambient._table_from_metric(sig, p[None])[0]
+                    oracle = ambient.connection_table(sig, p)
                 worst = max(worst, float(np.max(np.abs(got - oracle))))
     assert worst < 1e-6
 

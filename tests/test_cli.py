@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from bicausal import cli
+from bicausal.errors import OrientationFlip
 from bicausal.identities import IDENTITIES
 
 CLI = [sys.executable, "-m", "bicausal.cli"]
@@ -216,6 +217,22 @@ def test_verify_json_is_strict_for_non_finite_residuals(bad, tmp_path, monkeypat
     assert bad_row["reason"] == "NON_FINITE" and bad_row["status"] == "fail"
     assert "reason" not in good_row and good_row["status"] == "pass"
     assert f"METRIC_SUM: max residual {bad:.3e}" in capsys.readouterr().out
+
+
+def test_verify_prints_skip_reasons_of_a_row_failed_without_samples(monkeypatch, capsys):
+    """A row whose every sample skips for a non-benign reason fails with no residual."""
+
+    def evaluate(ctx):
+        raise OrientationFlip("injected")
+
+    info = IDENTITIES["SHAPE_R"]
+    monkeypatch.setitem(IDENTITIES, "SHAPE_R", dataclasses.replace(info, evaluate=evaluate))
+    args = ["verify", "--params", "1,1", "--samples", "3", "--surfaces", "graph:bowl:a=0.2"]
+    code = cli.main(args + ["--identities", "SHAPE_R,METRIC_SUM"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "FAIL  graph:bowl:a=0.2 @ (1,1)" in out
+    assert "SHAPE_R: no evaluated sample, skipped: ORIENTATION_FLIP (" in out
 
 
 def test_non_finite_tolerance_is_a_config_error():

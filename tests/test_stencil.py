@@ -334,7 +334,9 @@ def test_first_stencil_error_in_row_order_wins():
     assert raised.value.code == "IMMERSION_FAILURE"
 
 
-FUZZ_PARAMS = [(1.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 0.0), (4.0, 1.0), (1.0, 0.5)]
+# kappa + 4 tau^2 = 0 at (-4, 1) and (-1, 0.5)
+FUZZ_PARAMS = [(1.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 0.0), (4.0, 1.0), (1.0, 0.5),
+               (-4.0, 1.0), (-1.0, 0.5)]
 
 
 @functools.lru_cache(maxsize=None)

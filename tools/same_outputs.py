@@ -1,0 +1,131 @@
+"""Check that two source trees give byte-identical outputs on a fixed set of runs.
+
+Usage::
+
+    python tools/same_outputs.py PARENT_SRC CHANGE_SRC
+
+Each argument is the ``src`` directory of a checkout (the one holding the
+``bicausal`` package), for instance of the parent commit, unpacked with
+``git archive PARENT src | tar -x -C DIR`` or checked out with
+``git worktree add``.  Every run is ``python -m bicausal ...`` in a fresh
+subprocess with that directory first on ``PYTHONPATH`` and
+``BICAUSAL_FD_STEP`` unset, so the two trees never share a process.  The
+runs are the output set that a change claiming bit-identical results must
+keep:
+
+* ``verify --seed s --json`` for s = 0..7 (JSON apart from ``generated_at``,
+  and stdout);
+* ``verify`` at tau = 0 and small tau, and on the group-model helicoids;
+* ``report`` CSVs of ``graph:bowl:a=0.2`` at five parameter pairs, a 64x64
+  grid, both group helicoids and ``slice:t0=0.1``.
+
+Prints ``identical``, or the first differing output with its first differing
+line, and exits 0 or 1.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+OUT = "OUTPUT"  # placeholder for the run's output file
+
+CASES: list[tuple[str, list[str]]] = [
+    (f"verify seed {s}", ["verify", "--seed", str(s), "--json", OUT]) for s in range(8)
+]
+CASES += [
+    (
+        "verify tau = 0 and small tau",
+        ["verify", "--params", "1,0", "--params", "-1,0", "--params", "0,0",
+         "--params", "1,1e-3", "--json", OUT],
+    ),
+]
+CASES += [
+    (
+        f"verify group helicoids at ({pair})",
+        ["verify", "--params", pair, "--surfaces", "berger-helicoid",
+         "--surfaces", "su11-helicoid", "--samples", "12", "--json", OUT],
+    )
+    for pair in ("1,1", "4,1", "-1,1")
+]
+CASES += [
+    (f"report graph:bowl:a=0.2 at ({pair})",
+     ["report", "graph:bowl:a=0.2", "--params", pair, "--csv", OUT])
+    for pair in ("1,1", "1,0", "-1,1", "-1,0", "0,0")
+]
+CASES += [
+    ("report graph:bowl:a=0.2 64x64 at (1,1)",
+     ["report", "graph:bowl:a=0.2", "--params", "1,1", "--grid", "64x64", "--csv", OUT]),
+    ("report berger-helicoid at (1,1)",
+     ["report", "berger-helicoid", "--params", "1,1", "--csv", OUT]),
+    ("report su11-helicoid at (-1,1)",
+     ["report", "su11-helicoid", "--params", "-1,1", "--csv", OUT]),
+    ("report slice:t0=0.1 at (-1,0)",
+     ["report", "slice:t0=0.1", "--params", "-1,0", "--csv", OUT]),
+]
+
+
+def run_case(src: str, argv: list[str]) -> dict[str, str]:
+    """Exit code, stdout, stderr and output file of one run, as text."""
+    env = os.environ.copy()
+    env.pop("BICAUSAL_FD_STEP", None)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "output")
+        args = [path if a == OUT else a for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bicausal", *args],
+            capture_output=True, text=True, env=env, cwd=tmp,
+        )
+        text = ""
+        if os.path.exists(path):
+            with open(path) as fh:
+                text = fh.read()
+    # the report's timestamp is the one field allowed to differ
+    lines = [ln for ln in text.splitlines(keepends=True) if '"generated_at":' not in ln]
+    stdout = proc.stdout.replace(path, OUT)
+    return {
+        "exit code": f"{proc.returncode}\n",
+        "stdout": stdout,
+        "stderr": proc.stderr.replace(path, OUT),
+        "output file": "".join(lines),
+    }
+
+
+def first_difference(a: str, b: str) -> str:
+    la, lb = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(la, lb)):
+        if x != y:
+            return f"line {i + 1}:\n  parent: {x}\n  change: {y}"
+    return f"line {min(len(la), len(lb)) + 1}: one output ends ({len(la)} vs {len(lb)} lines)"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: python tools/same_outputs.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    parent, change = argv
+    for src in (parent, change):
+        if not os.path.isdir(os.path.join(src, "bicausal")):
+            print(f"{src!r} holds no bicausal package", file=sys.stderr)
+            return 2
+    jobs = [(src, args) for _, args in CASES for src in (parent, change)]
+    # two subprocesses at a time: the runs are single-threaded and small
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(lambda job: run_case(*job), jobs))
+    for n, (name, _) in enumerate(CASES):
+        old, new = results[2 * n], results[2 * n + 1]
+        for key in old:
+            if old[key] != new[key]:
+                print(f"differs: {name}, {key}, {first_difference(old[key], new[key])}")
+                return 1
+    print("identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -249,13 +249,14 @@ class Ambient:
     ``to_frames``, with vectors of shape (n, dim) or (n, k, dim); ``frames=``
     (and in the group models ``metric_r=``) pass arrays a caller already has.
     ``frame`` and ``metric`` of one point are their one-row case, and
-    ``christoffels`` (one point) differentiates ``metrics``.  Two per-point
-    forms stay, because they are hot and a one-row stack costs more:
-    ``fiber_direction`` and ``frame_components`` (``to_frame`` at a
+    ``christoffels`` (one point or a stack) differentiates ``metrics``.  Two
+    per-point forms stay, because they are hot and a one-row stack costs
+    more: ``fiber_direction`` and ``frame_components`` (``to_frame`` at a
     ``PointFrame``).  Subclasses also supply the stacked connection tables
     ``point_tables`` (what ``cov_deriv_stencils`` reads; both models build
-    them from ``numdiff.christoffels``) and the stacked stencil derivative:
-    ``stencil_components`` and ``cov_deriv_stencils``.  ``point_table`` and
+    them from ``christoffels``) and the stacked stencil derivative:
+    ``stencil_components`` and ``cov_deriv_stencils``, which reads stacks of
+    the points and their frames, metric and tables.  ``point_table`` and
     ``cov_deriv_stencil`` are their one-row case, and ``cov_deriv_on_curve``
     samples for the latter.
     """
@@ -290,14 +291,16 @@ class Ambient:
         return self.point_frame(p).curvature(sig, x, y, z)
 
     def christoffels(self, sig: Signature, p: np.ndarray, h: float | None = None) -> np.ndarray:
-        """Coordinate Christoffel symbols Gamma[c, a, b] of ``sig`` at one point.
+        """Coordinate Christoffel symbols Gamma[c, a, b] of ``sig`` at p, from ``metrics``.
 
-        The one-row case of ``numdiff.christoffels``; the step is
+        ``p`` is one point (dim,) or a stack (n, dim), whose leading axis the
+        result keeps: ``numdiff.christoffels`` over the stack, with the step
         ``steps.first`` by default.
         """
         h = self.steps.first if h is None else h
-        p = np.asarray(p, dtype=float)[None]
-        return christoffels(lambda q: self.metrics(sig, q), p, h)[0]
+        p = np.asarray(p, dtype=float)
+        gam = christoffels(lambda q: self.metrics(sig, q), p.reshape(-1, p.shape[-1]), h)
+        return gam.reshape(p.shape[:-1] + gam.shape[1:])
 
     def point_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
         """The connection table of ``sig`` at one point: one-row ``point_tables``."""
@@ -318,10 +321,20 @@ class Ambient:
         ``at`` is p0 or its PointFrame, ``f0`` (k, c) and ``fs`` (4, k, c)
         hold the fields' ``stencil_components``; returns (k, dim).
         """
-        velocity = np.asarray(velocity, dtype=float)[None]
-        vel_f = None if vel_f is None else np.asarray(vel_f)[None]
-        ats = [self.point_frame(at)]
-        return self.cov_deriv_stencils(sig, ats, velocity, f0[None], fs[:, None], h, vel_f)[0]
+        at = self.point_frame(at)
+        vel_f = at.to_frame(velocity) if vel_f is None else vel_f
+        return self.cov_deriv_stencils(
+            sig,
+            at.point[None],
+            at.frame[None],
+            at.metric[sig][None],
+            at.table(sig)[None],
+            np.asarray(velocity, dtype=float)[None],
+            f0[None],
+            fs[:, None],
+            h,
+            np.asarray(vel_f)[None],
+        )[0]
 
     def point_frame(self, at: PointFrame | np.ndarray) -> PointFrame:
         """``at`` if it is a PointFrame, else the PointFrame at the point ``at``."""
@@ -503,7 +516,7 @@ class CoordinateAmbient(Ambient):
 
     # -- connection --------------------------------------------------------
 
-    def connection_tables(self, sig: Signature, points: np.ndarray) -> np.ndarray:
+    def point_tables(self, sig: Signature, points: np.ndarray) -> np.ndarray:
         """Frame components of the covariant derivatives of the frame legs, (n, 3, 3, 3).
 
         Entry [n, i, j] is the derivative of leg j along leg i at points[n].
@@ -516,15 +529,11 @@ class CoordinateAmbient(Ambient):
             return np.broadcast_to(self._twisted_tables[sig], (len(points), 3, 3, 3))
         return self._table_from_metric(sig, points)
 
-    def connection_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
-        """The connection table at one point: one-row ``connection_tables``."""
-        return self.connection_tables(sig, np.asarray(p, dtype=float)[None])[0]
-
-    point_tables = connection_tables
+    connection_table = Ambient.point_table
 
     def _table_from_metric(self, sig: Signature, points: np.ndarray) -> np.ndarray:
         n = len(points)
-        gam_c = christoffels(lambda q: self.metrics(sig, q), points, self.steps.first)
+        gam_c = self.christoffels(sig, points)
         m = self.frames(points)
         dm = np.array([self.frame_partials(p) for p in points]).reshape(n, 3, 3, 3)
         # gam_m[a][j] = gam_c[:, a, :] @ m[:, j] at each point, a (3, 3) @ (3,) product
@@ -548,7 +557,10 @@ class CoordinateAmbient(Ambient):
     def cov_deriv_stencils(
         self,
         sig: Signature,
-        ats: list[PointFrame],
+        points: np.ndarray,
+        frames: np.ndarray,
+        metric: np.ndarray,
+        tables: np.ndarray,
         velocity: np.ndarray,
         f0: np.ndarray,
         fs: np.ndarray,
@@ -557,24 +569,23 @@ class CoordinateAmbient(Ambient):
     ) -> np.ndarray:
         """Covariant derivatives of k fields along curves through n points, in one stack.
 
-        ``ats`` are the PointFrames of the points p0 and ``velocity`` (n, 3)
+        ``points`` (n, 3) are the points p0, ``frames``, ``metric`` (of
+        ``sig``) and ``tables`` (of ``sig``) theirs, and ``velocity`` (n, 3)
         the curves' velocities there.  ``f0`` (n, k, 3) holds the fields'
         ``stencil_components`` (frame components) at p0 and ``fs``
         (4, n, k, 3) those at the curve parameters ``STENCIL_STEPS`` times h.
         The derivative part is taken on frame components, so only the
-        connection table at p0 is needed; ``vel_f`` may pass the velocities'
-        frame components.  Returns coordinate components (n, k, 3) at p0.
+        connection table at p0 is needed (and not the metric); ``vel_f`` may
+        pass the velocities' frame components.  Returns coordinate
+        components (n, k, 3) at p0.
         """
-        frames = np.array([at.frame for at in ats]).reshape(-1, 3, 3)
         if vel_f is None:
-            points = np.array([at.point for at in ats]).reshape(-1, 3)
             vel_f = self.to_frames(points, velocity, frames=frames)
-        tables = np.array([at.table(sig) for at in ats]).reshape(-1, 3, 3, 3)
         df = stencil_derivative(fs, h)
         # terms[:, i, j] = vel_f[i] * f0[:, j] * table[i, j], summed over (i, j) in order
         f0_t = np.swapaxes(f0, 1, 2)[:, None]
         terms = (vel_f[:, :, None, None] * f0_t)[..., None] * tables[:, :, :, None, :]
-        terms = terms.reshape(len(ats), 9, *f0.shape[1:])
+        terms = terms.reshape(len(points), 9, *f0.shape[1:])
         corr = np.zeros(f0.shape)
         for k in range(9):
             corr += terms[:, k]

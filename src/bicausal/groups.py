@@ -23,7 +23,7 @@ import numpy as np
 
 from .ambient import Ambient, PointFrame, SpaceParams, Signature, _per_row, _vectors
 from .errors import CurveSingular, DomainViolation, ModelMismatch
-from .numdiff import FDSteps, christoffels, stencil_derivative
+from .numdiff import FDSteps, stencil_derivative
 from .surfaces import SurfaceChart
 
 BERGER = "berger"
@@ -174,15 +174,14 @@ class GroupAmbient(Ambient):
 
     def point_tables(self, sig: Signature, points: np.ndarray) -> np.ndarray:
         """Coordinate Christoffel symbols at each point, (n, 4, 4, 4), in one stack."""
-        return christoffels(lambda q: self.metrics(sig, q), points, self.steps.first)
+        return self.christoffels(sig, points)
 
     def tangent_project(
         self, sig: Signature, at: PointFrame | np.ndarray, vec: np.ndarray
     ) -> np.ndarray:
         """Remove the component normal to the quadric (along the position vector ``at``)."""
         at = self.point_frame(at)
-        p, vec = at.point, np.asarray(vec, dtype=float)
-        return vec - (at.inner(sig, vec, p) / at.inner(sig, p, p)) * p
+        return _tangent_part(at.point, at.metric[sig], vec)
 
     def curve_through(self, p: np.ndarray, vel: np.ndarray) -> Callable[[float], np.ndarray]:
         """Curve on the quadric through p with initial velocity vel (radial renormalization)."""
@@ -201,7 +200,10 @@ class GroupAmbient(Ambient):
     def cov_deriv_stencils(
         self,
         sig: Signature,
-        ats: list[PointFrame],
+        points: np.ndarray,
+        frames: np.ndarray,
+        metric: np.ndarray,
+        tables: np.ndarray,
         velocity: np.ndarray,
         f0: np.ndarray,
         fs: np.ndarray,
@@ -212,18 +214,22 @@ class GroupAmbient(Ambient):
 
         Same contract as ``CoordinateAmbient.cov_deriv_stencils``, with the
         fields given in coordinates (n, k, 4) at p0 and (4, n, k, 4) on the
-        stencil (and no use for ``vel_f``).  The connection term is one
-        ``einsum`` per field and point.
+        stencil (and no use for ``frames`` or ``vel_f``).  The connection
+        term is one ``einsum`` per field and point, and ``metric`` projects
+        the result to the quadric.
         """
         dv = stencil_derivative(fs, h)
         out = np.empty(dv.shape)
-        for i, at in enumerate(ats):
-            gam = at.table(sig)
+        for i, (p, g, gam) in enumerate(zip(points, metric, tables)):
             for k, (d, v0) in enumerate(zip(dv[i], f0[i])):
-                out[i, k] = self.tangent_project(
-                    sig, at, d + np.einsum("cab,a,b->c", gam, velocity[i], v0)
-                )
+                out[i, k] = _tangent_part(p, g, d + np.einsum("cab,a,b->c", gam, velocity[i], v0))
         return out
+
+
+def _tangent_part(p: np.ndarray, g: np.ndarray, vec) -> np.ndarray:
+    """vec minus its component along the position vector p, orthogonal under the metric g."""
+    vec = np.asarray(vec, dtype=float)
+    return vec - (float(vec @ g @ p) / float(p @ g @ p)) * p
 
 
 # -- helicoid charts ---------------------------------------------------------

@@ -9,7 +9,8 @@ the internal consistency checks that every accepted sample must satisfy.
 The samples of one call share one :class:`SampleBatch`: each stage (centers,
 stencil rows, connection tables, shape operators, T-derivatives) is one stack
 over all its samples, built on first use, and gives each sample the bits its
-own evaluation would.  :func:`frame_data` is the one-pair case.
+own evaluation would.  Each sample is :func:`frame_data` of the shared batch;
+without a batch, :func:`frame_data` evaluates a batch of one.
 
 Vectors tangent to the surface are represented two ways: as ambient
 coordinate components, and as coefficient pairs with respect to the chart
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -142,18 +143,6 @@ class NormalData:
 
     def first_error(self) -> GeometryError | None:
         return next((err for err in self.errors if err is not None), None)
-
-    def take(self, first: int, count: int) -> "NormalData":
-        """Rows first .. first + count - 1, all past the chart, as a NormalData of their own."""
-        at = self.rows.index(first)
-        arrays = {
-            f.name: getattr(self, f.name)[at : at + count]
-            for f in fields(self)
-            if f.name not in ("errors", "rows") and getattr(self, f.name) is not None
-        }
-        return replace(
-            self, errors=self.errors[first : first + count], rows=list(range(count)), **arrays
-        )
 
 
 def _grams(g: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -315,10 +304,10 @@ def _stencil_uvs(uv: tuple[float, float], h: float) -> list[tuple[float, float]]
 class SampleBatch:
     """The stacked geometry of the samples of one chart, shared by their frame data.
 
-    The centers are one ``_normal_data`` pass, made on construction.  Every
-    later stage is built on the first use by any sample, for all samples at
+    Every stage is built on the first use by any sample, for all samples at
     once, and each sample reads its own row:
 
+    * the centers, one ``_normal_data`` pass, on the first ``sample`` call;
     * the 8n stencil rows, one ``_normal_data`` pass in which each row's sign
       reference and OrientationFlip check are those of its own center;
     * their ``stencil_components`` with the centers', in one call;
@@ -339,18 +328,33 @@ class SampleBatch:
         self.orientation = orientation
         self.steps = ambient.steps
         self.uvs = [(float(u), float(v)) for u, v in uvs]
-        self.center = _normal_data(
-            ambient, chart, self.uvs, self.steps.first, orientation, routes=True
-        )
-        c = self.center
-        # (center row, uv index) of each sample, in uv order
-        self.alive = [(j, i) for j, i in enumerate(c.rows) if c.errors[i] is None]
+        self._center: NormalData | None = None
         self._stencil: NormalData | None = None
         self._stencil_ok: tuple[list[int], list[int], list[int]] | None = None
         self._comps: tuple[np.ndarray, np.ndarray] | None = None
         self._tables: dict[Signature, np.ndarray] = {}
         self._shapes: dict[Signature, list] = {}
         self._tangent_derivs: dict[Signature, list] = {}
+
+    @property
+    def center(self) -> NormalData:
+        """Normal data of the uv rows themselves, one pass on first use."""
+        if self._center is None:
+            c = self._center = _normal_data(
+                self.ambient, self.chart, self.uvs, self.steps.first, self.orientation,
+                routes=True,
+            )
+            # (center row, uv index) of each sample, in uv order
+            self.alive = [(j, i) for j, i in enumerate(c.rows) if c.errors[i] is None]
+            self._sample_of = {i: k for k, (_, i) in enumerate(self.alive)}
+        return self._center
+
+    def sample(self, row: int) -> "TwoMetricFrameData":
+        """The frame data of uv row ``row``; raises the GeometryError that excluded it."""
+        err = self.center.errors[row]
+        if err is not None:
+            raise err
+        return TwoMetricFrameData(self, self._sample_of[row])
 
     # -- stencil rows -----------------------------------------------------------
 
@@ -363,14 +367,14 @@ class SampleBatch:
         """
         st = self._stencil
         if st is None:
-            h = self.steps.second
+            h, c = self.steps.second, self.center
             uvs = [uv for _, i in self.alive for uv in _stencil_uvs(self.uvs[i], h)]
             centers = [j for j, _ in self.alive]
-            reference = np.repeat(self.center.n_l[centers], 8, axis=0)
+            reference = np.repeat(c.n_l[centers], 8, axis=0)
             st = _normal_data(
                 self.ambient, self.chart, uvs, self.steps.first, self.orientation, reference
             )
-            center_angles = self.center.angle_l[centers].tolist()
+            center_angles = c.angle_l[centers].tolist()
             for i, angle in zip(st.rows, st.angle_l.tolist()):
                 a0 = center_angles[i // 8]
                 if (
@@ -435,11 +439,14 @@ class SampleBatch:
         f0, fs = self._components()
         which = [STENCIL_FIELDS.index(name) for name in names]
         ok, cj, _ = self._ok()
-        velocity = (self.center.du if axis == 0 else self.center.dv)[cj]
+        c = self.center
+        velocity = (c.du if axis == 0 else c.dv)[cj]
+        metric = (c.g_r if sig is Signature.R else c.g_l)[cj]
+        tables = self.tables(sig)[ok]
         rows = np.moveaxis(fs[:, 4 * axis : 4 * axis + 4][:, :, which], 1, 0)
-        ats = [SampleCenter(self, k) for k in ok]
         return self.ambient.cov_deriv_stencils(
-            sig, ats, velocity, f0[:, which], rows, self.steps.second
+            sig, c.point[cj], c.frame[cj], metric, tables, velocity, f0[:, which], rows,
+            self.steps.second,
         )
 
     def _coeffs(self, sig: Signature, vecs: np.ndarray) -> np.ndarray:
@@ -457,13 +464,13 @@ class SampleBatch:
 
     # -- per-sample stages, stacked ----------------------------------------------
 
-    def table(self, sig: Signature, k: int) -> np.ndarray:
-        """Sample k's connection table; one ``point_tables`` call builds every sample's."""
+    def tables(self, sig: Signature) -> np.ndarray:
+        """Every sample's connection table of ``sig``, (n, ...), one ``point_tables`` call."""
         tables = self._tables.get(sig)
         if tables is None:
             centers = self.center.point[[j for j, _ in self.alive]]
             tables = self._tables[sig] = self.ambient.point_tables(sig, centers)
-        return tables[k]
+        return tables
 
     def shape(self, sig: Signature, k: int) -> np.ndarray:
         """Sample k's Weingarten matrix; the first call builds every sample's."""
@@ -498,23 +505,7 @@ class SampleBatch:
         return out[self._slot(k)]
 
 
-class SampleCenter(PointFrame):
-    """Sample k of a batch as the PointFrame of its center: the batch's rows, its tables."""
-
-    def __init__(self, batch: SampleBatch, k: int):
-        c = batch.center
-        self._batch = batch
-        self._k = k
-        j, i = batch.alive[k]
-        self._j, self._i = j, i
-        metric = {Signature.R: c.g_r[j], Signature.L: c.g_l[j]}
-        super().__init__(batch.ambient, c.point[j], c.frame[j], metric)
-
-    def table(self, sig: Signature) -> np.ndarray:
-        return self._batch.table(sig, self._k)
-
-
-class TwoMetricFrameData(SampleCenter):
+class TwoMetricFrameData(PointFrame):
     """All pointwise data of an immersed surface for both metrics.
 
     Construct through :func:`frame_batch` or :func:`frame_data`.  It is the
@@ -526,10 +517,13 @@ class TwoMetricFrameData(SampleCenter):
     """
 
     def __init__(self, batch: SampleBatch, k: int):
-        super().__init__(batch, k)
-        center, j = batch.center, self._j
+        center = batch.center
+        j, i = batch.alive[k]
+        metric = {Signature.R: center.g_r[j], Signature.L: center.g_l[j]}
+        super().__init__(batch.ambient, center.point[j], center.frame[j], metric)
+        self._batch, self._k, self._j = batch, k, j
         self.chart = batch.chart
-        self.uv = batch.uvs[self._i]
+        self.uv = batch.uvs[i]
         self.steps = batch.steps
         self.orientation = batch.orientation
         self.flags: list[str] = []
@@ -556,6 +550,9 @@ class TwoMetricFrameData(SampleCenter):
         # Curvature scalars, filled and reused by identities.curvature_suite.
         self.curvature_scalars: dict | None = None
         self.invariants = self._invariant_residuals()
+
+    def table(self, sig: Signature) -> np.ndarray:
+        return self._batch.tables(sig)[self._k]
 
     # -- tangent algebra ----------------------------------------------------
 
@@ -613,25 +610,15 @@ class TwoMetricFrameData(SampleCenter):
     # -- stencil ------------------------------------------------------------
 
     def _check_stencil(self) -> None:
-        """Raise the first error of this sample's stencil rows, on every call."""
+        """Raise the first error of this sample's stencil rows, on every stencil use.
+
+        Rows run along chart axis 0, then 1, at ``STENCIL_STEPS`` times the
+        stencil step; the first row error in this order is the one raised,
+        as evaluating the rows one by one would raise it.
+        """
         err = self._batch.stencil_error(self._k)
         if err is not None:
             raise err.with_traceback(None)
-
-    def stencil(self) -> NormalData:
-        """Normal data of this sample's eight stencil rows (its part of the batch's pass).
-
-        Rows run along chart axis 0, then 1, at ``STENCIL_STEPS`` times the
-        stencil step.  The first row error in this order is raised on every
-        call, as evaluating the rows one by one would raise it.
-        """
-        self._check_stencil()
-        return self._batch.stencil().take(8 * self._k, 8)
-
-    def _stencil_derivs(self, sig: Signature, axis: int, names: tuple[str, ...]) -> np.ndarray:
-        """Covariant derivatives along chart axis ``axis`` of named STENCIL_FIELDS, (k, dim)."""
-        self._check_stencil()
-        return self._batch.stencil_derivs(sig, axis, names)[self._batch._slot(self._k)]
 
     # -- shape operators ------------------------------------------------------
 
@@ -740,14 +727,19 @@ def frame_batch(
 ) -> list[TwoMetricFrameData | GeometryError]:
     """The two-metric surface data at each parameter pair, or the error that excluded it.
 
-    The samples share one :class:`SampleBatch`, so their stencils, tables and
-    shape operators are each built as one stack, on first use.  Draws no
-    random numbers.
+    Each entry is :func:`frame_data` of one shared :class:`SampleBatch`, so
+    the samples' centers, stencils, tables and shape operators are each built
+    as one stack, on first use.  Draws no random numbers.
     """
     batch = SampleBatch(ambient, chart, uvs, orientation)
-    out: list = list(batch.center.errors)
-    for k, (_, i) in enumerate(batch.alive):
-        out[i] = TwoMetricFrameData(batch, k)
+    out: list = []
+    for row, uv in enumerate(batch.uvs):
+        try:
+            data = frame_data(ambient, chart, uv, orientation, validate=False, batch=(batch, row))
+        except GeometryError as exc:
+            # the batch holds the error: its traceback would make a reference cycle
+            data = exc.with_traceback(None)
+        out.append(data)
     return out
 
 
@@ -757,11 +749,17 @@ def frame_data(
     uv: tuple[float, float],
     orientation: int = 1,
     validate: bool = True,
+    batch: tuple[SampleBatch, int] | None = None,
 ) -> TwoMetricFrameData:
-    """Evaluate the two-metric surface data at one parameter pair: a batch of one."""
-    (data,) = frame_batch(ambient, chart, [uv], orientation)
-    if isinstance(data, GeometryError):
-        raise data
+    """Evaluate the two-metric surface data at one parameter pair.
+
+    ``batch`` may pass ``(SampleBatch, row)``: a batch of ``ambient``,
+    ``chart`` and ``orientation`` whose uv row ``row`` is ``uv``.  The
+    sample then shares that batch's stacks, and the first sample read from
+    it builds the batch's centers.  Without it, the sample is a batch of one.
+    """
+    sample_batch, row = batch or (SampleBatch(ambient, chart, [uv], orientation), 0)
+    data = sample_batch.sample(row)
     if validate:
         data.validate()
     return data

@@ -55,8 +55,19 @@ def _readings(data) -> list:
         out.append(data.table(sig))
         out.append(_outcome(lambda: data.rotation(sig)))
     out.append(_outcome(lambda: curvature_suite(data)))
-    out.append(_outcome(lambda: data.stencil().n_l))
+    out.append(_outcome(lambda: _stencil_n_l(data)))
     return out
+
+
+def _stencil_n_l(data) -> np.ndarray:
+    """The Lorentzian normals of a sample's eight stencil rows, or its first row error."""
+    batch, k = data._batch, data._k
+    err = batch.stencil_error(k)
+    if err is not None:
+        raise err
+    st = batch.stencil()
+    at = st.rows.index(8 * k)
+    return st.n_l[at : at + 8]
 
 
 def _assert_batch_equals_singles(ambient, chart, uvs) -> list:

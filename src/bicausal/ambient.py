@@ -43,6 +43,11 @@ class Signature(str, enum.Enum):
         """Sign of the squared norm of the unit fiber direction."""
         return 1.0 if self is Signature.R else -1.0
 
+    @property
+    def other(self) -> "Signature":
+        """The opposite signature: the mirror side of each transformation law."""
+        return Signature.L if self is Signature.R else Signature.R
+
 
 SIGNATURES = (Signature.R, Signature.L)
 

@@ -244,7 +244,6 @@ def _build_hopf(params, label, kwargs, steps):
         chart=point,
         domain=((0.0, 2.0 * math.pi), (-1.4, 1.4)),
         jacobian=jac,
-        expected={"character": TIMELIKE, "vertical": True, "sign_ambiguous": True},
     )
     if not (ambient.contains(point(0.0, 0.0)) and ambient.contains(point(0.5 * math.pi, 0.0))):
         raise SurfaceUnavailable(
@@ -270,7 +269,6 @@ def _build_slice(params, label, kwargs, steps):
         chart=point,
         domain=((-s, s), (-s, s)),
         jacobian=jac,
-        expected={"character": SPACELIKE, "totally_geodesic": True},
     )
     parsed = ParsedSurface("slice", None, {"t0": t0})
     return BuiltSurface(ambient, chart, parsed.canonical(), "slice", None, {"t0": t0}, False, SPACELIKE)
@@ -292,7 +290,6 @@ def _build_graph(params, label, kwargs, steps):
         chart=point,
         domain=((-s, s), (-s, s)),
         jacobian=jac,
-        expected={"character": SPACELIKE},
     )
     parsed = ParsedSurface("graph", "bowl", {"a": a})
     return BuiltSurface(ambient, chart, parsed.canonical(), "graph", "bowl", {"a": a}, False, SPACELIKE)
@@ -314,7 +311,6 @@ def _build_vgraph(params, label, kwargs, steps):
         chart=point,
         domain=((0.15 * s, 0.85 * s), (0.2, 1.2)),
         jacobian=jac,
-        expected={"character": TIMELIKE},
     )
     parsed = ParsedSurface("vgraph", "saddle", {"a": a})
     return BuiltSurface(ambient, chart, parsed.canonical(), "vgraph", "saddle", {"a": a}, False, TIMELIKE)
@@ -349,7 +345,6 @@ def _build_helicoid(params, label, kwargs, steps):
         chart=point,
         domain=((-1.4, 1.4), v_range),
         jacobian=jac,
-        expected={"minimal_both": True, "ruled": True},
     )
     parsed = ParsedSurface("helicoid", None, out_kwargs)
     hint = {"space": SPACELIKE, "time": TIMELIKE, None: None}[variant]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -192,101 +193,62 @@ def _killing(ctx: IdentityContext, sig: Signature) -> list[float]:
             sig, curve, lambda t: amb.fiber_direction(curve(t)), h, velocity=x, at=at
         )
         w = d.to_coord(wedge_frame(sig, d.to_frame(x), d.frame_of("xi")))
-        rhs = tau * w if sig is Signature.R else -tau * w
+        rhs = (sig.eps3 * tau) * w
         out.append(_vec_residual(d, deriv - rhs, deriv, rhs))
     return out
-
-
-def _killing_r(ctx):
-    return _killing(ctx, Signature.R)
-
-
-def _killing_l(ctx):
-    return _killing(ctx, Signature.L)
 
 
 # -- shape operator transformation ------------------------------------------------
 
 
-def _shape_r(ctx: IdentityContext) -> list[float]:
+def _shape(ctx: IdentityContext, sig: Signature) -> list[float]:
     d = ctx.data
     tau = d.ambient.params.tau
+    # s * x negates exactly, so each flipped tau or eps term has the mirror formula's bits
+    o, s = sig.other, sig.eps3
+    w = d.omega(o)
+    t_o = d.tangent_part_t(o)
     out = []
     for i in range(2):
         c = _random_tangent_coeffs(ctx)
         x = d.embed(c)
-        a_r_x = _apply_shape(d, Signature.R, c)
-        a_l_x = _apply_shape(d, Signature.L, c)
+        a_x = {g: _apply_shape(d, g, c) for g in SIGNATURES}
         if i == 0:
             # Independent of the draws, but built after the first one: the shape
             # operators may raise, and the draws made before a raise decide the
             # random numbers of the identities that follow.
-            a_l_t = _apply_shape(d, Signature.L, d.coeffs(Signature.L, d.t_l))
-            j_l_t = d.rotate(Signature.L, d.frame_of("t_l"))
-        coeff = d.inner(Signature.L, a_l_t - tau * j_l_t, x)
+            a_o_t = _apply_shape(d, o, d.coeffs(o, t_o))
+            j_o_t = d.rotate(o, d.frame_of(f"t_{o.value.lower()}"))
+        coeff = d.inner(o, a_o_t - (s * tau) * j_o_t, x)
+        a_o_x = a_x[o] / w
         lhs = (
-            a_r_x
-            + a_l_x / d.omega_l
-            + (2.0 * d.eps / d.omega_l**3) * coeff * d.t_l
-            + (2.0 * tau / d.omega_l) * d.inner(Signature.L, d.t_l, x) * j_l_t
+            a_x[sig]
+            + a_o_x
+            + (s * 2.0 * d.eps / w**3) * coeff * t_o
+            + (2.0 * tau / w) * d.inner(o, t_o, x) * j_o_t
         )
-        out.append(_vec_residual(d, lhs, a_r_x, a_l_x / d.omega_l))
+        out.append(_vec_residual(d, lhs, a_x[sig], a_o_x))
     return out
 
 
-def _shape_l(ctx: IdentityContext) -> list[float]:
+def _bilinear(ctx: IdentityContext, sig: Signature) -> list[float]:
     d = ctx.data
     tau = d.ambient.params.tau
-    out = []
-    for i in range(2):
-        c = _random_tangent_coeffs(ctx)
-        x = d.embed(c)
-        a_r_x = _apply_shape(d, Signature.R, c)
-        a_l_x = _apply_shape(d, Signature.L, c)
-        if i == 0:  # as in _shape_r
-            a_r_t = _apply_shape(d, Signature.R, d.coeffs(Signature.R, d.t_r))
-            j_r_t = d.rotate(Signature.R, d.frame_of("t_r"))
-        coeff = d.inner(Signature.R, a_r_t + tau * j_r_t, x)
-        lhs = (
-            a_l_x
-            + a_r_x / d.omega_r
-            - (2.0 * d.eps / d.omega_r**3) * coeff * d.t_r
-            + (2.0 * tau / d.omega_r) * d.inner(Signature.R, d.t_r, x) * j_r_t
-        )
-        out.append(_vec_residual(d, lhs, a_l_x, a_r_x / d.omega_r))
-    return out
-
-
-def _bilinear_r(ctx: IdentityContext) -> list[float]:
-    d = ctx.data
-    tau = d.ambient.params.tau
+    o = sig.other
     out = []
     for _ in range(2):
         cx, cy = _random_tangent_coeffs(ctx), _random_tangent_coeffs(ctx)
         x, y = d.embed(cx), d.embed(cy)
-        ar = d.inner(Signature.R, _apply_shape(d, Signature.R, cx), y)
-        al = d.inner(Signature.L, _apply_shape(d, Signature.L, cx), y)
-        jx = d.inner(Signature.R, d.rotate(Signature.L, d.to_frame(x)), y)
-        jy = d.inner(Signature.R, d.rotate(Signature.L, d.to_frame(y)), x)
-        lhs = ar + (al - tau * (jx + jy)) / d.omega_l
-        out.append(_scalar_residual(lhs, ar, al))
+        a = d.inner(sig, _apply_shape(d, sig, cx), y)
+        a_o = d.inner(o, _apply_shape(d, o, cx), y)
+        jx = d.inner(sig, d.rotate(o, d.to_frame(x)), y)
+        jy = d.inner(sig, d.rotate(o, d.to_frame(y)), x)
+        lhs = a + (a_o - (sig.eps3 * tau) * (jx + jy)) / d.omega(o)
+        out.append(_scalar_residual(lhs, a, a_o))
     return out
 
 
-def _bilinear_l(ctx: IdentityContext) -> list[float]:
-    d = ctx.data
-    tau = d.ambient.params.tau
-    out = []
-    for _ in range(2):
-        cx, cy = _random_tangent_coeffs(ctx), _random_tangent_coeffs(ctx)
-        x, y = d.embed(cx), d.embed(cy)
-        al = d.inner(Signature.L, _apply_shape(d, Signature.L, cx), y)
-        ar = d.inner(Signature.R, _apply_shape(d, Signature.R, cx), y)
-        jx = d.inner(Signature.L, d.rotate(Signature.R, d.to_frame(x)), y)
-        jy = d.inner(Signature.L, d.rotate(Signature.R, d.to_frame(y)), x)
-        lhs = al + (ar + tau * (jx + jy)) / d.omega_r
-        out.append(_scalar_residual(lhs, al, ar))
-    return out
+# The two mean-curvature laws stay apart: (eps / w**3) * q and -q / w**3 round differently.
 
 
 def _meancurv_r(ctx: IdentityContext) -> list[float]:
@@ -318,7 +280,7 @@ def _int_residuals(ctx: IdentityContext, sig: Signature, which: int) -> list[flo
     t_coeffs = d.coeffs(sig, t_vec)
     angle = d.angle_l if sig is Signature.L else d.angle_r
     factor = d.eps * angle if sig is Signature.L else angle
-    sign = 1.0 if sig is Signature.L else -1.0
+    sign = -sig.eps3
     out = []
     for axis in (0, 1):
         basis = np.array([1.0, 0.0]) if axis == 0 else np.array([0.0, 1.0])
@@ -333,22 +295,6 @@ def _int_residuals(ctx: IdentityContext, sig: Signature, which: int) -> list[flo
             lhs = derivs["dangle"][axis] - rhs
             out.append(_scalar_residual(lhs, derivs["dangle"][axis], rhs))
     return out
-
-
-def _int1_l(ctx):
-    return _int_residuals(ctx, Signature.L, 1)
-
-
-def _int2_l(ctx):
-    return _int_residuals(ctx, Signature.L, 2)
-
-
-def _int1_r(ctx):
-    return _int_residuals(ctx, Signature.R, 1)
-
-
-def _int2_r(ctx):
-    return _int_residuals(ctx, Signature.R, 2)
 
 
 # -- normal curvature ------------------------------------------------------------
@@ -485,18 +431,13 @@ def _extrinsic_rel(ctx: IdentityContext) -> list[float]:
     return [_scalar_residual(suite["ke_L"] - rhs, suite["ke_L"], rhs)]
 
 
-def _gauss_r(ctx: IdentityContext) -> list[float]:
+def _gauss(ctx: IdentityContext, sig: Signature) -> list[float]:
     d = ctx.data
     suite = curvature_suite(d)
-    rhs = suite["kbar_R_closed"] + suite["ke_R"]
-    return [_scalar_residual(suite["k_R"] - rhs, suite["k_R"], rhs)]
-
-
-def _gauss_l(ctx: IdentityContext) -> list[float]:
-    d = ctx.data
-    suite = curvature_suite(d)
-    rhs = suite["kbar_L_closed"] + d.eps * suite["ke_L"]
-    return [_scalar_residual(suite["k_L"] - rhs, suite["k_L"], rhs)]
+    v = sig.value
+    # the extrinsic term carries the square of the unit normal
+    rhs = suite[f"kbar_{v}_closed"] + (1.0 if sig is Signature.R else d.eps) * suite[f"ke_{v}"]
+    return [_scalar_residual(suite[f"k_{v}"] - rhs, suite[f"k_{v}"], rhs)]
 
 
 def _combined_516(ctx: IdentityContext) -> list[float]:
@@ -530,23 +471,23 @@ _REGISTRY: list[IdentityInfo] = [
     IdentityInfo("OMEGA_PRODUCT", 1e-9, _omega_product),
     IdentityInfo("T_RELATION", 1e-9, _t_relation),
     IdentityInfo("CONN_DIFF", 1e-5, _conn_diff),
-    IdentityInfo("KILLING_R", 1e-5, _killing_r),
-    IdentityInfo("KILLING_L", 1e-5, _killing_l),
-    IdentityInfo("SHAPE_R", 1e-4, _shape_r),
-    IdentityInfo("SHAPE_L", 1e-4, _shape_l),
-    IdentityInfo("BILINEAR_R", 1e-4, _bilinear_r),
-    IdentityInfo("BILINEAR_L", 1e-4, _bilinear_l),
+    IdentityInfo("KILLING_R", 1e-5, partial(_killing, sig=Signature.R)),
+    IdentityInfo("KILLING_L", 1e-5, partial(_killing, sig=Signature.L)),
+    IdentityInfo("SHAPE_R", 1e-4, partial(_shape, sig=Signature.R)),
+    IdentityInfo("SHAPE_L", 1e-4, partial(_shape, sig=Signature.L)),
+    IdentityInfo("BILINEAR_R", 1e-4, partial(_bilinear, sig=Signature.R)),
+    IdentityInfo("BILINEAR_L", 1e-4, partial(_bilinear, sig=Signature.L)),
     IdentityInfo("MEANCURV_R", 1e-4, _meancurv_r),
     IdentityInfo("MEANCURV_L", 1e-4, _meancurv_l),
-    IdentityInfo("INT1_L", 1e-4, _int1_l),
-    IdentityInfo("INT2_L", 1e-4, _int2_l),
-    IdentityInfo("INT1_R", 1e-4, _int1_r),
-    IdentityInfo("INT2_R", 1e-4, _int2_r),
+    IdentityInfo("INT1_L", 1e-4, partial(_int_residuals, sig=Signature.L, which=1)),
+    IdentityInfo("INT2_L", 1e-4, partial(_int_residuals, sig=Signature.L, which=2)),
+    IdentityInfo("INT1_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=1)),
+    IdentityInfo("INT2_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=2)),
     IdentityInfo("NORMCURV", 1e-5, _normcurv),
     IdentityInfo("SECTIONAL_REL", 1e-4, _sectional_rel),
     IdentityInfo("EXTRINSIC_REL", 1e-4, _extrinsic_rel),
-    IdentityInfo("GAUSS_R", 1e-4, _gauss_r),
-    IdentityInfo("GAUSS_L", 1e-4, _gauss_l),
+    IdentityInfo("GAUSS_R", 1e-4, partial(_gauss, sig=Signature.R)),
+    IdentityInfo("GAUSS_L", 1e-4, partial(_gauss, sig=Signature.L)),
     IdentityInfo("COMBINED_516", 1e-4, _combined_516),
 ]
 

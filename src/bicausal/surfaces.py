@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -61,7 +61,6 @@ class SurfaceChart:
     chart: Callable[[float, float], np.ndarray]
     domain: tuple[tuple[float, float], tuple[float, float]]
     jacobian: Callable[[float, float], tuple[np.ndarray, np.ndarray]] | None = None
-    expected: dict = field(default_factory=dict)
 
     def point(self, u: float, v: float) -> np.ndarray:
         return np.asarray(self.chart(u, v), dtype=float)
@@ -176,7 +175,6 @@ def _normal_data(
     chart: SurfaceChart,
     uvs: list[tuple[float, float]],
     h_jet: float,
-    orientation: int,
     reference: np.ndarray | None = None,
     routes: bool = False,
 ) -> NormalData:
@@ -187,7 +185,8 @@ def _normal_data(
     becomes its error; a row that failed computes on, unread, which is why
     floating-point warnings are off.  With ``reference`` (one vector for
     all rows, or one per uv row) the Lorentzian normal takes the sign closer
-    to it, otherwise the sign rule of the orientation.  ``routes`` adds the
+    to it; otherwise its normal angle is made nonpositive, and a tie
+    (``SIGN_TIE_TOL``) keeps the wedge sign.  ``routes`` adds the
     agreement of the Riemannian normal with its own wedge route.
     """
     point, pair, errors, rows = _charted(ambient, chart, uvs, h_jet)
@@ -241,7 +240,7 @@ def _normal_data(
             sign_ambiguous = np.zeros(len(rows), dtype=bool)
         else:
             sign_ambiguous = np.abs(angle_l) <= SIGN_TIE_TOL
-            flip = np.where(sign_ambiguous, orientation < 0, angle_l > 0.0)
+            flip = ~sign_ambiguous & (angle_l > 0.0)
         n_l = np.where(flip[:, None], -n_l, n_l)
         angle_l = np.where(flip, -angle_l, angle_l)
 
@@ -322,10 +321,9 @@ class SampleBatch:
     without reference cycles is freed at once, not by the cyclic collector.
     """
 
-    def __init__(self, ambient, chart: SurfaceChart, uvs, orientation: int):
+    def __init__(self, ambient, chart: SurfaceChart, uvs):
         self.ambient = ambient
         self.chart = chart
-        self.orientation = orientation
         self.steps = ambient.steps
         self.uvs = [(float(u), float(v)) for u, v in uvs]
         self._center: NormalData | None = None
@@ -341,8 +339,7 @@ class SampleBatch:
         """Normal data of the uv rows themselves, one pass on first use."""
         if self._center is None:
             c = self._center = _normal_data(
-                self.ambient, self.chart, self.uvs, self.steps.first, self.orientation,
-                routes=True,
+                self.ambient, self.chart, self.uvs, self.steps.first, routes=True
             )
             # (center row, uv index) of each sample, in uv order
             self.alive = [(j, i) for j, i in enumerate(c.rows) if c.errors[i] is None]
@@ -371,9 +368,7 @@ class SampleBatch:
             uvs = [uv for _, i in self.alive for uv in _stencil_uvs(self.uvs[i], h)]
             centers = [j for j, _ in self.alive]
             reference = np.repeat(c.n_l[centers], 8, axis=0)
-            st = _normal_data(
-                self.ambient, self.chart, uvs, self.steps.first, self.orientation, reference
-            )
+            st = _normal_data(self.ambient, self.chart, uvs, self.steps.first, reference)
             center_angles = c.angle_l[centers].tolist()
             for i, angle in zip(st.rows, st.angle_l.tolist()):
                 a0 = center_angles[i // 8]
@@ -525,7 +520,6 @@ class TwoMetricFrameData(PointFrame):
         self.chart = batch.chart
         self.uv = batch.uvs[i]
         self.steps = batch.steps
-        self.orientation = batch.orientation
         self.flags: list[str] = []
 
         self.xi = self.ambient.fiber_direction(self.point)
@@ -590,6 +584,10 @@ class TwoMetricFrameData(PointFrame):
 
     def normal(self, sig: Signature) -> np.ndarray:
         return self.n_r if sig is Signature.R else self.n_l
+
+    def omega(self, sig: Signature) -> float:
+        """The normal stretch of ``sig``: omega_R = 1 / omega_L."""
+        return self.omega_r if sig is Signature.R else self.omega_l
 
     def rotate(self, sig: Signature, vf: np.ndarray) -> np.ndarray:
         """N ^ X for X given by its frame components, in coordinates."""
@@ -723,7 +721,6 @@ def frame_batch(
     ambient,
     chart: SurfaceChart,
     uvs: list[tuple[float, float]],
-    orientation: int = 1,
 ) -> list[TwoMetricFrameData | GeometryError]:
     """The two-metric surface data at each parameter pair, or the error that excluded it.
 
@@ -731,11 +728,11 @@ def frame_batch(
     the samples' centers, stencils, tables and shape operators are each built
     as one stack, on first use.  Draws no random numbers.
     """
-    batch = SampleBatch(ambient, chart, uvs, orientation)
+    batch = SampleBatch(ambient, chart, uvs)
     out: list = []
     for row, uv in enumerate(batch.uvs):
         try:
-            data = frame_data(ambient, chart, uv, orientation, validate=False, batch=(batch, row))
+            data = frame_data(ambient, chart, uv, validate=False, batch=(batch, row))
         except GeometryError as exc:
             # the batch holds the error: its traceback would make a reference cycle
             data = exc.with_traceback(None)
@@ -747,18 +744,17 @@ def frame_data(
     ambient,
     chart: SurfaceChart,
     uv: tuple[float, float],
-    orientation: int = 1,
     validate: bool = True,
     batch: tuple[SampleBatch, int] | None = None,
 ) -> TwoMetricFrameData:
     """Evaluate the two-metric surface data at one parameter pair.
 
-    ``batch`` may pass ``(SampleBatch, row)``: a batch of ``ambient``,
-    ``chart`` and ``orientation`` whose uv row ``row`` is ``uv``.  The
-    sample then shares that batch's stacks, and the first sample read from
-    it builds the batch's centers.  Without it, the sample is a batch of one.
+    ``batch`` may pass ``(SampleBatch, row)``: a batch of ``ambient`` and
+    ``chart`` whose uv row ``row`` is ``uv``.  The sample then shares that
+    batch's stacks, and the first sample read from it builds the batch's
+    centers.  Without it, the sample is a batch of one.
     """
-    sample_batch, row = batch or (SampleBatch(ambient, chart, [uv], orientation), 0)
+    sample_batch, row = batch or (SampleBatch(ambient, chart, [uv]), 0)
     data = sample_batch.sample(row)
     if validate:
         data.validate()

@@ -96,6 +96,8 @@ def test_verify_tolerance_override_fails_with_exit_1(tmp_path):
         ("verify", "--params", "1,0.5", "--surfaces", "slice:t0=abc"),
         ("verify", "--params", "1,1", "--surfaces", "helicoid:c=-1"),
         ("verify", "--params", "1,1", "--surfaces", "su11-helicoid:family=zz"),
+        # a negative seed, which the random generator rejects
+        ("verify", "--params", "1,1", "--seed", "-1"),
     ],
 )
 def test_config_errors_exit_2_with_code_on_stderr(args):

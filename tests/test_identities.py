@@ -13,7 +13,8 @@ from bicausal.identities import (
     indefiniteness_check,
     run_identities,
 )
-from bicausal.surfaces import frame_data
+from bicausal.suite import OMEGA_CONDITION_LIMIT
+from bicausal.surfaces import TwoMetricFrameData, frame_batch, frame_data
 
 from conftest import interior_grid
 
@@ -109,6 +110,28 @@ def test_identity_evaluation_is_deterministic():
     second = run_identities(list(IDENTITY_NAMES), data2, np.random.default_rng(99))
     for name in IDENTITY_NAMES:
         assert first[name] == second[name], name
+
+
+def test_identities_stay_finite_or_skip_at_the_omega_exclusion_bound():
+    """Samples with omega_L in (5, 7), across the suite's exclusion bound of 6,
+    give finite residuals or a coded skip for every identity."""
+    built = build_surface("graph:bowl:a=0.2", SpaceParams(1.0, 1.0))
+    (u0, u1), (v0, v1) = built.chart.domain
+    uvs = [(u, v) for u in np.linspace(u0, u1, 40) for v in np.linspace(v0, v1, 40)]
+    near = [
+        d
+        for d in frame_batch(built.ambient, built.chart, uvs)
+        if isinstance(d, TwoMetricFrameData) and 5.0 < d.omega_l < 7.0
+    ]
+    assert len(near) == 64
+    assert min(d.omega_l for d in near) < OMEGA_CONDITION_LIMIT < max(d.omega_l for d in near)
+    rng = np.random.default_rng(0)
+    for data in near:
+        for name, out in run_identities(list(IDENTITY_NAMES), data, rng).items():
+            if "skipped" in out:
+                assert isinstance(out["skipped"], str) and out["skipped"], (name, data.uv)
+            else:
+                assert out["residuals"] and np.all(np.isfinite(out["residuals"])), (name, data.uv)
 
 
 def test_unknown_identity_rejected():

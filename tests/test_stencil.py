@@ -241,9 +241,9 @@ _ROW_FIELDS += tuple(f for f in STENCIL_FIELDS if f not in _ROW_FIELDS)
 def _assert_rows_match_singletons(ambient, chart, uvs, reference):
     """One stack of all rows against one stack per row: same errors, same bits."""
     h_jet = ambient.steps.first
-    stack = _normal_data(ambient, chart, uvs, h_jet, 1, reference)
+    stack = _normal_data(ambient, chart, uvs, h_jet, reference)
     for i, uv in enumerate(uvs):
-        one = _normal_data(ambient, chart, [uv], h_jet, 1, reference)
+        one = _normal_data(ambient, chart, [uv], h_jet, reference)
         err, one_err = stack.errors[i], one.errors[0]
         assert type(err) is type(one_err) and str(err) == str(one_err)
         if err is not None:

@@ -17,7 +17,8 @@ keep:
   and stdout);
 * ``verify`` at tau = 0 and small tau, and on the group-model helicoids;
 * ``report`` CSVs of ``graph:bowl:a=0.2`` at five parameter pairs, a 64x64
-  grid, both group helicoids and ``slice:t0=0.1``.
+  grid, both group helicoids, ``slice:t0=0.1`` and two Hopf cylinders, whose
+  rows are all ``SIGN_AMBIGUOUS``.
 
 Prints ``identical``, or the first differing output with its first differing
 line, and exits 0 or 1.
@@ -65,6 +66,11 @@ CASES += [
      ["report", "su11-helicoid", "--params", "-1,1", "--csv", OUT]),
     ("report slice:t0=0.1 at (-1,0)",
      ["report", "slice:t0=0.1", "--params", "-1,0", "--csv", OUT]),
+    # vertical cylinders: every row is SIGN_AMBIGUOUS, where the sign tie rule acts
+    ("report hopf:circle:r=0.9 at (1,0.5)",
+     ["report", "hopf:circle:r=0.9", "--params", "1,0.5", "--csv", OUT]),
+    ("report hopf:ellipse at (-1,1)",
+     ["report", "hopf:ellipse", "--params", "-1,1", "--csv", OUT]),
 ]
 
 

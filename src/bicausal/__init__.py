@@ -45,6 +45,7 @@ from .identities import (
     SampleSkip,
     curvature_suite,
     evaluate_identity,
+    evaluate_samples,
     indefiniteness_check,
     intrinsic_curvature_r,
     ruling_defect,
@@ -105,6 +106,7 @@ __all__ = [
     "curvature_suite",
     "default_surfaces",
     "evaluate_identity",
+    "evaluate_samples",
     "frame_batch",
     "frame_data",
     "frame_gram",

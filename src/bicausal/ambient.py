@@ -147,6 +147,7 @@ def curvature_frame(
     Valid at every point of the model because the coefficients are constant in
     the canonical frame.  Sign convention: <R(u, v)u, v> is the sectional
     curvature of a nondegenerate plane spanned by an adapted pair u, v.
+    Leading batch axes are kept, and each row rounds as it would alone.
     """
     k, t = params.kappa, params.tau
     g = frame_gram(sig)
@@ -157,10 +158,11 @@ def curvature_frame(
     e3 = sig.eps3
 
     def ip(a, b):
-        return float(a @ g @ b)
+        # (a @ g) @ b per vector, kept as a trailing axis of one
+        return ((a[..., None, :] @ g) @ b[..., None])[..., 0]
 
     xz, yz = ip(x, z), ip(y, z)
-    xv, yv, zv = e3 * x[2], e3 * y[2], e3 * z[2]
+    xv, yv, zv = e3 * x[..., 2:], e3 * y[..., 2:], e3 * z[..., 2:]
 
     if sig is Signature.R:
         c0, c1 = k - 3.0 * t * t, k - 4.0 * t * t
@@ -234,6 +236,15 @@ class PointFrame:
     def to_frame(self, v: np.ndarray) -> np.ndarray:
         return self.ambient.frame_components(self, v)
 
+    def to_frames(self, vecs: np.ndarray) -> np.ndarray:
+        """``to_frame`` of a stack of vectors (k, dim), in one call, each with its own bits."""
+        return self.ambient.to_frames(
+            self.point[None],
+            np.asarray(vecs, dtype=float)[None],
+            frames=self.frame[None],
+            metric_r=self.metric[Signature.R][None],
+        )[0]
+
     def to_coord(self, vf: np.ndarray) -> np.ndarray:
         return self.frame @ np.asarray(vf, dtype=float)
 
@@ -262,8 +273,9 @@ class Ambient:
     them from ``christoffels``) and the stacked stencil derivative:
     ``stencil_components`` and ``cov_deriv_stencils``, which reads stacks of
     the points and their frames, metric and tables.  ``point_table`` and
-    ``cov_deriv_stencil`` are their one-row case, and ``cov_deriv_on_curve``
-    samples for the latter.
+    ``cov_deriv_stencil`` are their one-row case, ``cov_deriv_stencils_at``
+    the case of n rows at one point, and ``cov_deriv_on_curve`` samples for
+    ``cov_deriv_stencil``.
     """
 
     def frame(self, p: np.ndarray) -> np.ndarray:
@@ -319,27 +331,42 @@ class Ambient:
         f0: np.ndarray,
         fs: np.ndarray,
         h: float,
-        vel_f: np.ndarray | None = None,
     ) -> np.ndarray:
         """Covariant derivatives at one point p0 of k fields: one-row ``cov_deriv_stencils``.
 
         ``at`` is p0 or its PointFrame, ``f0`` (k, c) and ``fs`` (4, k, c)
         hold the fields' ``stencil_components``; returns (k, dim).
         """
+        velocity = np.asarray(velocity, dtype=float)
+        return self.cov_deriv_stencils_at(at, (sig,), velocity[None], f0[None], fs[:, None], h)[0]
+
+    def cov_deriv_stencils_at(
+        self,
+        at: PointFrame | np.ndarray,
+        sigs: tuple[Signature, ...],
+        velocity: np.ndarray,
+        f0: np.ndarray,
+        fs: np.ndarray,
+        h: float,
+    ) -> np.ndarray:
+        """``cov_deriv_stencils`` of n rows at one point p0, row i under the metric ``sigs[i]``.
+
+        ``at`` is p0 or its PointFrame, ``velocity`` (n, dim) the curves'
+        velocities, ``f0`` (n, k, c) and ``fs`` (4, n, k, c) the fields'
+        ``stencil_components``; returns (n, k, dim).
+        """
         at = self.point_frame(at)
-        vel_f = at.to_frame(velocity) if vel_f is None else vel_f
+        n = len(sigs)
         return self.cov_deriv_stencils(
-            sig,
-            at.point[None],
-            at.frame[None],
-            at.metric[sig][None],
-            at.table(sig)[None],
-            np.asarray(velocity, dtype=float)[None],
-            f0[None],
-            fs[:, None],
+            np.array([at.point] * n),
+            np.array([at.frame] * n),
+            np.array([at.metric[sig] for sig in sigs]),
+            np.array([at.table(sig) for sig in sigs]),
+            velocity,
+            f0,
+            fs,
             h,
-            np.asarray(vel_f)[None],
-        )[0]
+        )
 
     def point_frame(self, at: PointFrame | np.ndarray) -> PointFrame:
         """``at`` if it is a PointFrame, else the PointFrame at the point ``at``."""
@@ -561,7 +588,6 @@ class CoordinateAmbient(Ambient):
 
     def cov_deriv_stencils(
         self,
-        sig: Signature,
         points: np.ndarray,
         frames: np.ndarray,
         metric: np.ndarray,
@@ -570,22 +596,20 @@ class CoordinateAmbient(Ambient):
         f0: np.ndarray,
         fs: np.ndarray,
         h: float,
-        vel_f: np.ndarray | None = None,
     ) -> np.ndarray:
         """Covariant derivatives of k fields along curves through n points, in one stack.
 
-        ``points`` (n, 3) are the points p0, ``frames``, ``metric`` (of
-        ``sig``) and ``tables`` (of ``sig``) theirs, and ``velocity`` (n, 3)
-        the curves' velocities there.  ``f0`` (n, k, 3) holds the fields'
+        ``points`` (n, 3) are the points p0, ``frames``, ``metric`` and
+        ``tables`` theirs (each row's metric and table of one signature,
+        which rows need not share), and ``velocity`` (n, 3) the curves'
+        velocities there.  ``f0`` (n, k, 3) holds the fields'
         ``stencil_components`` (frame components) at p0 and ``fs``
         (4, n, k, 3) those at the curve parameters ``STENCIL_STEPS`` times h.
         The derivative part is taken on frame components, so only the
-        connection table at p0 is needed (and not the metric); ``vel_f`` may
-        pass the velocities' frame components.  Returns coordinate
-        components (n, k, 3) at p0.
+        connection table at p0 is needed (and not the metric).  Returns
+        coordinate components (n, k, 3) at p0.
         """
-        if vel_f is None:
-            vel_f = self.to_frames(points, velocity, frames=frames)
+        vel_f = self.to_frames(points, velocity, frames=frames)
         df = stencil_derivative(fs, h)
         # terms[:, i, j] = vel_f[i] * f0[:, j] * table[i, j], summed over (i, j) in order
         f0_t = np.swapaxes(f0, 1, 2)[:, None]

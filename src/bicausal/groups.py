@@ -199,7 +199,6 @@ class GroupAmbient(Ambient):
 
     def cov_deriv_stencils(
         self,
-        sig: Signature,
         points: np.ndarray,
         frames: np.ndarray,
         metric: np.ndarray,
@@ -208,13 +207,12 @@ class GroupAmbient(Ambient):
         f0: np.ndarray,
         fs: np.ndarray,
         h: float,
-        vel_f: np.ndarray | None = None,
     ) -> np.ndarray:
         """Covariant derivatives at n points of k fields each, from coordinates on the stencil.
 
         Same contract as ``CoordinateAmbient.cov_deriv_stencils``, with the
         fields given in coordinates (n, k, 4) at p0 and (4, n, k, 4) on the
-        stencil (and no use for ``frames`` or ``vel_f``).  The connection
+        stencil (and no use for ``frames``).  The connection
         term is one ``einsum`` per field and point, and ``metric`` projects
         the result to the quadric.
         """

@@ -4,8 +4,15 @@ Each identity is a named check with a default tolerance reflecting how many
 finite-difference layers its inputs traverse: purely algebraic consequences
 of the metric definitions sit at 1e-12/1e-9, quantities one derivative deep
 at 1e-5, and anything built on shape operators or stencil derivatives at
-1e-4.  Evaluators return a list of normalized residuals for one surface
-sample; the suite aggregates them.
+1e-4.  The suite aggregates the residuals that the evaluators return.
+
+The identities that draw random numbers are evaluated sample by sample: each
+takes an :class:`IdentityContext` and returns the residuals of that sample,
+or raises :class:`SampleSkip` or a ``GeometryError``.  The others are
+*stacked*: each takes the samples of one surface and returns, per sample,
+its residual list or the skip it met, in the order one sample's evaluation
+would meet it.  Their arrays are stacks over the samples, and each row
+rounds as it would alone.
 
 Residual normalization divides by max(1, size of the participating terms) so
 that tolerances are meaningful for both tiny and large geometries.
@@ -20,9 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import SIGNATURES, Signature, connection_gap_frame, wedge_frame
+from .ambient import SIGNATURES, Signature, connection_gap_frame, stacked_inner, wedge_frame
 from .errors import GeometryError, NullDirection
-from .numdiff import brioschi_curvature
+from .numdiff import STENCIL_STEPS, brioschi_curvature
 from .surfaces import TwoMetricFrameData
 
 
@@ -40,19 +47,27 @@ class IdentityContext:
     rng: np.random.Generator
 
 
-def _frame_norm(data: TwoMetricFrameData, vec: np.ndarray) -> float:
+def _frame_sizes(data, vecs) -> list[float]:
+    """Sizes of ambient vectors (k, dim) at one point, in orthonormal frame components.
+
+    One stacked conversion; each size has the bits of its own conversion.
+    """
+    return np.max(np.abs(data.to_frames(vecs)), axis=-1).tolist()
+
+
+def _frame_norm(data, vec: np.ndarray) -> float:
     """Size of an ambient vector measured in orthonormal frame components."""
-    if not vec.any():  # what the conversion gives, without one
-        return 0.0
-    return float(np.max(np.abs(data.to_frame(vec))))
+    return _frame_sizes(data, [vec])[0]
 
 
 def _vec_residual(data: TwoMetricFrameData, lhs: np.ndarray, *terms: np.ndarray) -> float:
-    # lhs often equals a term bit for bit (the other parts vanish): size it once
-    vecs = {v.tobytes(): v for v in (lhs, *terms)}
-    size = {key: _frame_norm(data, v) for key, v in vecs.items()}
-    scale = max([1.0] + [size[t.tobytes()] for t in terms])
-    return size[lhs.tobytes()] / scale
+    size = _frame_sizes(data, [lhs, *terms])
+    return _sized_residual(size)
+
+
+def _sized_residual(size: list[float]) -> float:
+    """The residual of sizes [lhs, *terms]."""
+    return size[0] / max([1.0] + size[1:])
 
 
 def _scalar_residual(lhs: float, *terms: float) -> float:
@@ -77,6 +92,75 @@ def _random_tangent_coeffs(ctx: IdentityContext) -> np.ndarray:
 
 def _apply_shape(data: TwoMetricFrameData, sig: Signature, coeffs: np.ndarray) -> np.ndarray:
     return data.embed(data.shape(sig) @ np.asarray(coeffs, dtype=float))
+
+
+# -- stacked evaluation ------------------------------------------------------------
+
+
+def _split(samples: list, read: Callable) -> tuple[list, list[int], list]:
+    """``read(d)`` per sample, split by whether it raised.
+
+    Returns the outcome list, which holds the SampleSkip or GeometryError of
+    each sample that raised one and None for the others; the indices of the
+    others; and what ``read`` returned for them.
+    """
+    out, ok, values = [], [], []
+    for s, d in enumerate(samples):
+        try:
+            values.append(read(d))
+        except (SampleSkip, GeometryError) as exc:
+            out.append(exc)
+            continue
+        out.append(None)
+        ok.append(s)
+    return out, ok, values
+
+
+class _Stack:
+    """Per-sample arrays of some samples of one surface, each stacked on first use."""
+
+    def __init__(self, samples: list):
+        self.samples = samples
+        self.ambient = samples[0].ambient
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def of(self, key: str, read: Callable | None = None) -> np.ndarray:
+        """The stack of ``read(d)`` over the samples, by default of the attribute ``key``."""
+        hit = self._arrays.get(key)
+        if hit is None:
+            read = read or (lambda d: getattr(d, key))
+            hit = self._arrays[key] = np.array([read(d) for d in self.samples])
+        return hit
+
+    def floats(self, name: str) -> list[float]:
+        """The float attribute ``name`` of each sample."""
+        return [getattr(d, name) for d in self.samples]
+
+    def metric(self, sig: Signature) -> np.ndarray:
+        return self.of(f"metric {sig.value}", lambda d: d.metric[sig])
+
+    def embed(self, coeffs: np.ndarray) -> np.ndarray:
+        """``embed`` of chart coefficients (m, ..., 2) at each sample, (m, ..., dim)."""
+        du, dv = (
+            a.reshape(a.shape[:1] + (1,) * (coeffs.ndim - 2) + a.shape[1:])
+            for a in (self.of("du"), self.of("dv"))
+        )
+        return coeffs[..., :1] * du + coeffs[..., 1:] * dv
+
+    def frame_sizes(self, vecs: np.ndarray) -> np.ndarray:
+        """Sizes (m, ...) of ambient vectors (m, ..., dim), each in its sample's frame, one call."""
+        comps = self.ambient.to_frames(
+            self.of("point"), vecs, frames=self.of("frame"), metric_r=self.metric(Signature.R)
+        )
+        return np.max(np.abs(comps), axis=-1)
+
+    def rotate(self, sig: Signature, vf: np.ndarray) -> np.ndarray:
+        """``rotate`` of frame components (m, 3) at each sample."""
+        n_name = "n_r" if sig is Signature.R else "n_l"
+        normal = self.of(f"frame_of {n_name}", lambda d: d.frame_of(n_name))
+        return self.ambient.to_coords(
+            self.of("point"), wedge_frame(sig, normal, vf), frames=self.of("frame")
+        )
 
 
 # -- pointwise metric identities ------------------------------------------------
@@ -115,9 +199,9 @@ def _metric_diff(ctx: IdentityContext) -> list[float]:
 # -- normal transformation ------------------------------------------------------
 
 
-def _normal_transform(ctx: IdentityContext) -> list[float]:
-    inv = ctx.data.invariants
-    return [inv["normal_routes"], inv["angle_transform"]]
+def _invariants(samples: list, keys: tuple[str, ...]) -> list:
+    """The named consistency residuals of every sample (NORMAL_TRANSFORM and the like)."""
+    return [[d.invariants[key] for key in keys] for d in samples]
 
 
 def _normal_pairing(ctx: IdentityContext) -> list[float]:
@@ -129,15 +213,6 @@ def _normal_pairing(ctx: IdentityContext) -> list[float]:
         pl = d.inner(Signature.L, d.n_l, v)
         out.append(_scalar_residual(pr + pl / d.omega_l, pr, pl))
     return out
-
-
-def _omega_product(ctx: IdentityContext) -> list[float]:
-    return [ctx.data.invariants["omega_product"]]
-
-
-def _t_relation(ctx: IdentityContext) -> list[float]:
-    inv = ctx.data.invariants
-    return [inv["t_relation"], inv["t_split_R"], inv["t_split_L"]]
 
 
 # -- connection-level identities -------------------------------------------------
@@ -154,6 +229,11 @@ def _linear_frame_comps(ctx: IdentityContext, base: np.ndarray):
     return comps, a
 
 
+def _stencil_points(curve: Callable[[float], np.ndarray], h: float) -> np.ndarray:
+    """The points of ``curve`` at 0, then ``STENCIL_STEPS`` times h (``sample_stencil``'s)."""
+    return np.array([curve(t) for t in (0.0,) + tuple(k * h for k in STENCIL_STEPS)])
+
+
 def _conn_diff(ctx: IdentityContext) -> list[float]:
     d = ctx.data
     amb, p = d.ambient, d.point
@@ -161,20 +241,20 @@ def _conn_diff(ctx: IdentityContext) -> list[float]:
     x_comps, x0f = _linear_frame_comps(ctx, p)
     y_comps, y0f = _linear_frame_comps(ctx, p)
     vel = d.to_coord(y_comps(p))
-    curve = amb.curve_through(p, vel)
-
-    def along(t: float) -> np.ndarray:
-        q = curve(t)
-        return amb.frame(q) @ x_comps(q)
-
-    # One sampling of the field and one conversion of the velocity serve both metrics.
-    comps = amb.sample_stencil(curve, along, h)
-    at = d.curve_frame()
-    vel_f = at.to_frame(vel)
-    d_r, d_l = (
-        amb.cov_deriv_stencil(sig, at, vel, comps[:1], comps[1:, None], h, vel_f=vel_f)[0]
-        for sig in SIGNATURES
-    )
+    # The field on the five stencil points, from one stack of their frames.
+    points = _stencil_points(amb.curve_through(p, vel), h)
+    frames = amb.frames(points)
+    field = amb.to_coords(points, np.array([x_comps(q) for q in points]), frames=frames)
+    comps = amb.stencil_components(points, field, frames)
+    # One row per metric: one sampling of the field serves both.
+    d_r, d_l = amb.cov_deriv_stencils_at(
+        d.curve_frame(),
+        SIGNATURES,
+        np.array([vel, vel]),
+        np.array([comps[:1], comps[:1]]),
+        np.stack([comps[1:, None], comps[1:, None]], axis=1),
+        h,
+    )[:, 0]
     gap = d.to_coord(connection_gap_frame(amb.params.tau, x0f, y0f))
     return [_vec_residual(d, d_r - d_l - gap, d_r, d_l, gap)]
 
@@ -184,14 +264,21 @@ def _killing(ctx: IdentityContext, sig: Signature) -> list[float]:
     amb, p = d.ambient, d.point
     h = d.steps.first
     tau = amb.params.tau
-    at = d.curve_frame()
-    out = []
+    xs, points = [], []
     for _ in range(2):
-        x = _random_ambient_vector(ctx)
-        curve = amb.curve_through(p, x)
-        deriv = amb.cov_deriv_on_curve(
-            sig, curve, lambda t: amb.fiber_direction(curve(t)), h, velocity=x, at=at
-        )
+        xs.append(_random_ambient_vector(ctx))
+        # A curve that leaves the model raises here, before the next draw.
+        points.append(_stencil_points(amb.curve_through(p, xs[-1]), h))
+    # Both curves' stencils in one stack: the fiber field's components, then
+    # one row per curve.
+    points = np.concatenate(points)
+    comps = amb.stencil_components(points, np.array([amb.fiber_direction(q) for q in points]))
+    comps = comps.reshape(2, 5, -1)
+    derivs = amb.cov_deriv_stencils_at(
+        d.curve_frame(), (sig, sig), np.array(xs), comps[:, :1], np.moveaxis(comps[:, 1:, None], 1, 0), h
+    )[:, 0]
+    out = []
+    for x, deriv in zip(xs, derivs):
         w = d.to_coord(wedge_frame(sig, d.to_frame(x), d.frame_of("xi")))
         rhs = (sig.eps3 * tau) * w
         out.append(_vec_residual(d, deriv - rhs, deriv, rhs))
@@ -217,7 +304,7 @@ def _shape(ctx: IdentityContext, sig: Signature) -> list[float]:
             # Independent of the draws, but built after the first one: the shape
             # operators may raise, and the draws made before a raise decide the
             # random numbers of the identities that follow.
-            a_o_t = _apply_shape(d, o, d.coeffs(o, t_o))
+            a_o_t = _apply_shape(d, o, d.t_coeffs(o))
             j_o_t = d.rotate(o, d.frame_of(f"t_{o.value.lower()}"))
         coeff = d.inner(o, a_o_t - (s * tau) * j_o_t, x)
         a_o_x = a_x[o] / w
@@ -248,52 +335,73 @@ def _bilinear(ctx: IdentityContext, sig: Signature) -> list[float]:
     return out
 
 
-# The two mean-curvature laws stay apart: (eps / w**3) * q and -q / w**3 round differently.
+def _mean_curvatures(shapes: np.ndarray, eps: list[float], sig: Signature) -> list[float]:
+    """``mean_curvature(sig)`` of Weingarten matrices (m, 2, 2)."""
+    traces = np.trace(shapes, axis1=1, axis2=2).tolist()
+    if sig is Signature.L:
+        return [0.5 * e * tr for e, tr in zip(eps, traces)]
+    return [0.5 * tr for tr in traces]
 
 
-def _meancurv_r(ctx: IdentityContext) -> list[float]:
-    d = ctx.data
-    a_l_t = _apply_shape(d, Signature.L, d.coeffs(Signature.L, d.t_l))
-    quad = d.inner(Signature.L, a_l_t, d.t_l)
-    lhs = d.h_r + (d.eps / d.omega_l) * d.h_l + (d.eps / d.omega_l**3) * quad
-    return [_scalar_residual(lhs, d.h_r, d.h_l, quad)]
-
-
-def _meancurv_l(ctx: IdentityContext) -> list[float]:
-    d = ctx.data
-    a_r_t = _apply_shape(d, Signature.R, d.coeffs(Signature.R, d.t_r))
-    quad = d.inner(Signature.R, a_r_t, d.t_r)
-    lhs = d.h_l + (d.eps / d.omega_r) * d.h_r - quad / d.omega_r**3
-    return [_scalar_residual(lhs, d.h_l, d.h_r, quad)]
+def _meancurv(samples: list, sig: Signature) -> list:
+    o = sig.other
+    out, ok, shapes_o = _split(samples, lambda d: d.shape(o))
+    if not ok:
+        return out
+    st = _Stack([samples[s] for s in ok])
+    t_o = st.of("t", lambda d: d.tangent_part_t(o))
+    a_o_t = st.embed((np.array(shapes_o) @ st.of("c", lambda d: d.t_coeffs(o))[..., None])[..., 0])
+    quads = stacked_inner(st.metric(o), a_o_t, t_o).tolist()
+    eps = st.floats("eps")
+    h = {sig: _mean_curvatures(st.of("shape", lambda d: d.shape(sig)), eps, sig)}
+    h[o] = _mean_curvatures(np.array(shapes_o), eps, o)
+    h_r, h_l = h[Signature.R], h[Signature.L]
+    # The two laws stay apart: (eps / w**3) * q and -q / w**3 round differently.
+    for i, (s, e, w_l, w_r, q) in enumerate(
+        zip(ok, eps, st.floats("omega_l"), st.floats("omega_r"), quads)
+    ):
+        if sig is Signature.R:
+            lhs = h_r[i] + (e / w_l) * h_l[i] + (e / w_l**3) * q
+            out[s] = [_scalar_residual(lhs, h_r[i], h_l[i], q)]
+        else:
+            lhs = h_l[i] + (e / w_r) * h_r[i] - q / w_r**3
+            out[s] = [_scalar_residual(lhs, h_l[i], h_r[i], q)]
+    return out
 
 
 # -- integrability --------------------------------------------------------------
 
 
-def _int_residuals(ctx: IdentityContext, sig: Signature, which: int) -> list[float]:
-    d = ctx.data
-    tau = d.ambient.params.tau
-    derivs = d.tangent_derivatives(sig)
-    shape = d.shape(sig)
-    rot = d.rotation(sig)
-    t_vec = d.tangent_part_t(sig)
-    t_coeffs = d.coeffs(sig, t_vec)
-    angle = d.angle_l if sig is Signature.L else d.angle_r
-    factor = d.eps * angle if sig is Signature.L else angle
+def _int_residuals(samples: list, sig: Signature, which: int) -> list:
+    out, ok, derivs = _split(samples, lambda d: d.tangent_derivatives(sig))
+    if not ok:
+        return out
+    st = _Stack([samples[s] for s in ok])
+    tau = st.ambient.params.tau
+    shape = st.of("shape", lambda d: d.shape(sig))
+    rot = st.of("rot", lambda d: d.rotation(sig))
     sign = -sig.eps3
-    out = []
-    for axis in (0, 1):
-        basis = np.array([1.0, 0.0]) if axis == 0 else np.array([0.0, 1.0])
-        if which == 1:
-            rhs = factor * (shape + sign * tau * rot) @ basis
-            lhs = derivs["dt"][axis] - rhs
-            out.append(_vec_residual(d, d.embed(lhs), d.embed(derivs["dt"][axis]), d.embed(rhs)))
-        else:
-            # derivative of the angle along the chart direction
-            a_term = (shape - sign * tau * rot) @ t_coeffs
-            rhs = -d.coeff_inner(sig, a_term, basis)
-            lhs = derivs["dangle"][axis] - rhs
-            out.append(_scalar_residual(lhs, derivs["dangle"][axis], rhs))
+    bases = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    if which == 1:
+        angle = st.floats("angle_l" if sig is Signature.L else "angle_r")
+        factor = [e * a for e, a in zip(st.floats("eps"), angle)] if sig is Signature.L else angle
+        scaled = np.array(factor)[:, None, None] * (shape + sign * tau * rot)
+        rhs = np.stack([scaled @ basis for basis in bases], axis=1)
+        dt = np.array([der["dt"] for der in derivs])
+        # [lhs, dt, rhs] per sample and chart axis, sized in one call
+        sizes = st.frame_sizes(st.embed(np.stack([dt - rhs, dt, rhs], axis=2))).tolist()
+        for s, per_axis in zip(ok, sizes):
+            out[s] = [_sized_residual(size) for size in per_axis]
+        return out
+    # derivative of the angle along the chart direction
+    a_term = ((shape - sign * tau * rot) @ st.of("c", lambda d: d.t_coeffs(sig))[..., None])[..., 0]
+    pairs = a_term[:, None, :] @ st.of("gram", lambda d: d.gram[sig])
+    rhs = np.stack([-(pairs @ basis)[:, 0] for basis in bases], axis=1).tolist()
+    for s, der, rhs_s in zip(ok, derivs, rhs):
+        out[s] = [
+            _scalar_residual(der["dangle"][axis] - rhs_s[axis], der["dangle"][axis], rhs_s[axis])
+            for axis in (0, 1)
+        ]
     return out
 
 
@@ -323,134 +431,101 @@ def _normcurv(ctx: IdentityContext) -> list[float]:
 # -- curvature relations ----------------------------------------------------------
 
 
-def adapted_tangent_basis(
-    data: TwoMetricFrameData, sig: Signature
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent basis normalized for sectional curvature evaluation.
-
-    Riemannian: an orthonormal pair.  Lorentzian: first vector of square +1,
-    second of square -eps (so +1 on a spacelike plane, -1 on a timelike one).
-    """
-    d = data
-    if sig is Signature.R or d.eps < 0:
-        e1 = d.du / math.sqrt(d.inner(sig, d.du, d.du))
-        w = d.dv - d.inner(sig, d.dv, e1) * e1
-        return e1, w / math.sqrt(d.inner(sig, w, w))
-    candidates = [
-        d.du,
-        d.dv,
-        d.du + d.dv,
-        d.du - d.dv,
-    ]
-    best = max(candidates, key=lambda x: d.inner(Signature.L, x, x) / d.inner(Signature.R, x, x))
-    q = d.inner(Signature.L, best, best)
-    if q <= 0:
-        raise SampleSkip(NullDirection.code)
-    e1 = best / math.sqrt(q)
-    others = []
-    for cand in (d.du, d.dv):
-        w = cand - d.inner(Signature.L, cand, e1) * e1
-        others.append((d.inner(Signature.L, w, w), w))
-    qw, w = min(others, key=lambda item: item[0])
-    if qw >= 0:
-        raise SampleSkip(NullDirection.code)
-    return e1, w / math.sqrt(-qw)
-
-
 def curvature_suite(data: TwoMetricFrameData) -> dict:
     """All curvature scalars of one sample, via independent routes.
 
     The ambient sectional curvatures come from the curvature tensor evaluated
     on adapted tangent bases; the closed forms in terms of the normal angles
     are reported alongside for cross-checking.  Intrinsic curvatures follow
-    the Gauss equation with the tensor-route ambient part.
+    the Gauss equation with the tensor-route ambient part.  The first call on
+    any sample of a batch builds every sample's scalars as one stack
+    (``SampleBatch.curvature``).  Raises SampleSkip(NULL_DIRECTION) when the
+    Lorentzian adapted basis does not exist, else the sample's stencil error.
     """
-    if data.curvature_scalars is not None:
-        return data.curvature_scalars
-    d = data
-    k, t = d.ambient.params.kappa, d.ambient.params.tau
-
-    e1, e2 = adapted_tangent_basis(d, Signature.R)
-    kbar_r = d.inner(Signature.R, d.curvature(Signature.R, e1, e2, e1), e2)
-    f1, f2 = adapted_tangent_basis(d, Signature.L)
-    kbar_l = d.inner(Signature.L, d.curvature(Signature.L, f1, f2, f1), f2)
-
-    kbar_r_closed = t * t + (k - 4.0 * t * t) * d.angle_r**2
-    kbar_l_closed = d.eps * t * t + (k + 4.0 * t * t) * d.angle_l**2
-
-    ke_r = d.extrinsic_curvature(Signature.R)
-    ke_l = d.extrinsic_curvature(Signature.L)
-    out = {
-        "kbar_R": kbar_r,
-        "kbar_L": kbar_l,
-        "kbar_R_closed": kbar_r_closed,
-        "kbar_L_closed": kbar_l_closed,
-        "ke_R": ke_r,
-        "ke_L": ke_l,
-        "k_R": kbar_r + ke_r,
-        "k_L": kbar_l + d.eps * ke_l,
-    }
-    data.curvature_scalars = out
-    return out
+    entry = data.curvature_scalars()
+    if isinstance(entry, str):
+        raise SampleSkip(entry)
+    if isinstance(entry, GeometryError):
+        raise entry.with_traceback(None)
+    return entry
 
 
 def _singular_ratio(params) -> float:
     return params.kappa + 4.0 * params.tau**2
 
 
-def _require_regular(ctx: IdentityContext) -> None:
-    params = ctx.data.ambient.params
+def _require_regular(data: TwoMetricFrameData) -> None:
+    params = data.ambient.params
     scale = max(1.0, abs(params.kappa), 4.0 * params.tau**2)
     if abs(_singular_ratio(params)) <= 1e-12 * scale:
         raise SampleSkip("PARAMETER_SINGULARITY")
 
 
-def _sectional_rel(ctx: IdentityContext) -> list[float]:
-    _require_regular(ctx)
-    d = ctx.data
-    params = d.ambient.params
-    t = params.tau
-    suite = curvature_suite(d)
-    a = (params.kappa - 4.0 * t * t) / _singular_ratio(params)
-    w2 = d.omega_l**2
-    rhs = (t * t * (w2 - d.eps * a) + a * suite["kbar_L"]) / w2
-    return [_scalar_residual(suite["kbar_R"] - rhs, suite["kbar_R"], rhs)]
+def _regular_suite(data: TwoMetricFrameData) -> dict:
+    """``curvature_suite`` of a sample whose parameters are regular, else the skip."""
+    _require_regular(data)
+    return curvature_suite(data)
 
 
-def _extrinsic_rel(ctx: IdentityContext) -> list[float]:
-    _require_regular(ctx)
-    d = ctx.data
-    t = d.ambient.params.tau
-    suite = curvature_suite(d)
-    a_r_t = _apply_shape(d, Signature.R, d.coeffs(Signature.R, d.t_r))
-    j_r_t = d.rotate(Signature.R, d.frame_of("t_r"))
-    mixed = d.inner(Signature.R, a_r_t, j_r_t)
-    t_norm2 = d.inner(Signature.R, d.t_r, d.t_r)
-    w4 = d.omega_r**4
-    rhs = -(d.eps / w4) * suite["ke_R"] + (4.0 * t * d.eps / w4) * (mixed + t * t_norm2**2)
-    return [_scalar_residual(suite["ke_L"] - rhs, suite["ke_L"], rhs)]
+def _sectional_rel(samples: list) -> list:
+    out, ok, suites = _split(samples, _regular_suite)
+    for s, suite in zip(ok, suites):
+        d = samples[s]
+        params = d.ambient.params
+        t = params.tau
+        a = (params.kappa - 4.0 * t * t) / _singular_ratio(params)
+        w2 = d.omega_l**2
+        rhs = (t * t * (w2 - d.eps * a) + a * suite["kbar_L"]) / w2
+        out[s] = [_scalar_residual(suite["kbar_R"] - rhs, suite["kbar_R"], rhs)]
+    return out
 
 
-def _gauss(ctx: IdentityContext, sig: Signature) -> list[float]:
-    d = ctx.data
-    suite = curvature_suite(d)
+def _extrinsic_rel(samples: list) -> list:
+    out, ok, suites = _split(samples, _regular_suite)
+    if not ok:
+        return out
+    st = _Stack([samples[s] for s in ok])
+    t = st.ambient.params.tau
+    t_r = st.of("t_r")
+    a_r_t = st.embed((st.of("shape", lambda d: d.shape(Signature.R)) @
+                      st.of("c", lambda d: d.t_coeffs(Signature.R))[..., None])[..., 0])
+    j_r_t = st.rotate(Signature.R, st.of("t_r frame", lambda d: d.frame_of("t_r")))
+    g_r = st.metric(Signature.R)
+    mixed = stacked_inner(g_r, a_r_t, j_r_t).tolist()
+    t_norm2 = stacked_inner(g_r, t_r, t_r).tolist()
+    for i, (s, suite) in enumerate(zip(ok, suites)):
+        d = samples[s]
+        w4 = d.omega_r**4
+        rhs = -(d.eps / w4) * suite["ke_R"] + (4.0 * t * d.eps / w4) * (
+            mixed[i] + t * t_norm2[i] ** 2
+        )
+        out[s] = [_scalar_residual(suite["ke_L"] - rhs, suite["ke_L"], rhs)]
+    return out
+
+
+def _gauss(samples: list, sig: Signature) -> list:
+    out, ok, suites = _split(samples, curvature_suite)
     v = sig.value
-    # the extrinsic term carries the square of the unit normal
-    rhs = suite[f"kbar_{v}_closed"] + (1.0 if sig is Signature.R else d.eps) * suite[f"ke_{v}"]
-    return [_scalar_residual(suite[f"k_{v}"] - rhs, suite[f"k_{v}"], rhs)]
+    for s, suite in zip(ok, suites):
+        # the extrinsic term carries the square of the unit normal
+        unit = 1.0 if sig is Signature.R else samples[s].eps
+        rhs = suite[f"kbar_{v}_closed"] + unit * suite[f"ke_{v}"]
+        out[s] = [_scalar_residual(suite[f"k_{v}"] - rhs, suite[f"k_{v}"], rhs)]
+    return out
 
 
-def _combined_516(ctx: IdentityContext) -> list[float]:
-    _require_regular(ctx)
-    d = ctx.data
-    params = d.ambient.params
-    t = params.tau
-    suite = curvature_suite(d)
-    a = (params.kappa - 4.0 * t * t) / _singular_ratio(params)
-    w2 = d.omega_l**2
-    lhs = w2 * suite["k_R"] - a * suite["k_L"]
-    rhs = (w2 - d.eps * a) * t * t - d.eps * a * suite["ke_L"] + w2 * suite["ke_R"]
-    return [_scalar_residual(lhs - rhs, lhs, rhs)]
+def _combined_516(samples: list) -> list:
+    out, ok, suites = _split(samples, _regular_suite)
+    for s, suite in zip(ok, suites):
+        d = samples[s]
+        params = d.ambient.params
+        t = params.tau
+        a = (params.kappa - 4.0 * t * t) / _singular_ratio(params)
+        w2 = d.omega_l**2
+        lhs = w2 * suite["k_R"] - a * suite["k_L"]
+        rhs = (w2 - d.eps * a) * t * t - d.eps * a * suite["ke_L"] + w2 * suite["ke_R"]
+        out[s] = [_scalar_residual(lhs - rhs, lhs, rhs)]
+    return out
 
 
 # -- registry ---------------------------------------------------------------------
@@ -458,18 +533,33 @@ def _combined_516(ctx: IdentityContext) -> list[float]:
 
 @dataclass(frozen=True)
 class IdentityInfo:
+    """A named identity and its evaluator.
+
+    ``stacked`` evaluators draw no random numbers and take the samples of one
+    surface (see the module docstring); the others take an IdentityContext.
+    """
+
     name: str
     tolerance: float
-    evaluate: Callable[[IdentityContext], list[float]]
+    evaluate: Callable
+    stacked: bool = False
+
+
+def _stacked(name: str, tolerance: float, evaluate: Callable) -> IdentityInfo:
+    return IdentityInfo(name, tolerance, evaluate, stacked=True)
 
 
 _REGISTRY: list[IdentityInfo] = [
     IdentityInfo("METRIC_SUM", 1e-12, _metric_sum),
     IdentityInfo("METRIC_DIFF", 1e-12, _metric_diff),
-    IdentityInfo("NORMAL_TRANSFORM", 1e-9, _normal_transform),
+    _stacked(
+        "NORMAL_TRANSFORM", 1e-9, partial(_invariants, keys=("normal_routes", "angle_transform"))
+    ),
     IdentityInfo("NORMAL_PAIRING", 1e-9, _normal_pairing),
-    IdentityInfo("OMEGA_PRODUCT", 1e-9, _omega_product),
-    IdentityInfo("T_RELATION", 1e-9, _t_relation),
+    _stacked("OMEGA_PRODUCT", 1e-9, partial(_invariants, keys=("omega_product",))),
+    _stacked(
+        "T_RELATION", 1e-9, partial(_invariants, keys=("t_relation", "t_split_R", "t_split_L"))
+    ),
     IdentityInfo("CONN_DIFF", 1e-5, _conn_diff),
     IdentityInfo("KILLING_R", 1e-5, partial(_killing, sig=Signature.R)),
     IdentityInfo("KILLING_L", 1e-5, partial(_killing, sig=Signature.L)),
@@ -477,18 +567,18 @@ _REGISTRY: list[IdentityInfo] = [
     IdentityInfo("SHAPE_L", 1e-4, partial(_shape, sig=Signature.L)),
     IdentityInfo("BILINEAR_R", 1e-4, partial(_bilinear, sig=Signature.R)),
     IdentityInfo("BILINEAR_L", 1e-4, partial(_bilinear, sig=Signature.L)),
-    IdentityInfo("MEANCURV_R", 1e-4, _meancurv_r),
-    IdentityInfo("MEANCURV_L", 1e-4, _meancurv_l),
-    IdentityInfo("INT1_L", 1e-4, partial(_int_residuals, sig=Signature.L, which=1)),
-    IdentityInfo("INT2_L", 1e-4, partial(_int_residuals, sig=Signature.L, which=2)),
-    IdentityInfo("INT1_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=1)),
-    IdentityInfo("INT2_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=2)),
+    _stacked("MEANCURV_R", 1e-4, partial(_meancurv, sig=Signature.R)),
+    _stacked("MEANCURV_L", 1e-4, partial(_meancurv, sig=Signature.L)),
+    _stacked("INT1_L", 1e-4, partial(_int_residuals, sig=Signature.L, which=1)),
+    _stacked("INT2_L", 1e-4, partial(_int_residuals, sig=Signature.L, which=2)),
+    _stacked("INT1_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=1)),
+    _stacked("INT2_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=2)),
     IdentityInfo("NORMCURV", 1e-5, _normcurv),
-    IdentityInfo("SECTIONAL_REL", 1e-4, _sectional_rel),
-    IdentityInfo("EXTRINSIC_REL", 1e-4, _extrinsic_rel),
-    IdentityInfo("GAUSS_R", 1e-4, partial(_gauss, sig=Signature.R)),
-    IdentityInfo("GAUSS_L", 1e-4, partial(_gauss, sig=Signature.L)),
-    IdentityInfo("COMBINED_516", 1e-4, _combined_516),
+    _stacked("SECTIONAL_REL", 1e-4, _sectional_rel),
+    _stacked("EXTRINSIC_REL", 1e-4, _extrinsic_rel),
+    _stacked("GAUSS_R", 1e-4, partial(_gauss, sig=Signature.R)),
+    _stacked("GAUSS_L", 1e-4, partial(_gauss, sig=Signature.L)),
+    _stacked("COMBINED_516", 1e-4, _combined_516),
 ]
 
 IDENTITIES: dict[str, IdentityInfo] = {info.name: info for info in _REGISTRY}
@@ -496,8 +586,14 @@ IDENTITY_NAMES: list[str] = [info.name for info in _REGISTRY]
 
 
 def evaluate_identity(name: str, ctx: IdentityContext) -> list[float]:
-    """Residuals of one named identity at one sample; SampleSkip when inapplicable."""
-    return IDENTITIES[name].evaluate(ctx)
+    """Residuals of one named identity at one sample; SampleSkip or GeometryError when inapplicable."""
+    info = IDENTITIES[name]
+    if not info.stacked:
+        return info.evaluate(ctx)
+    (out,) = info.evaluate([ctx.data])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 # -- extra checks beyond the pointwise identities ---------------------------------
@@ -583,24 +679,45 @@ def ruling_defect(data: TwoMetricFrameData, direction=(0.0, 1.0)) -> dict[str, f
     return out
 
 
+def evaluate_samples(
+    names: list[str],
+    samples: list[TwoMetricFrameData],
+    rng: np.random.Generator,
+) -> list[dict[str, dict]]:
+    """Evaluate named identities on the samples of one surface.
+
+    Returns, per sample, per identity either {"residuals": [...]} or
+    {"skipped": reason}; a SampleSkip or GeometryError becomes a skip with
+    its reason or error code.  The identities that draw random numbers run
+    sample by sample, each sample's in the order of ``names``, so ``rng`` is
+    consumed exactly as by one ``run_identities`` call per sample.  The
+    stacked identities draw nothing and run once, over all samples.
+    """
+    infos = [IDENTITIES[name] for name in names]
+    outs: list[dict[str, dict]] = [{} for _ in samples]
+    for data, out in zip(samples, outs):
+        ctx = IdentityContext(data=data, rng=rng)
+        for name, info in zip(names, infos):
+            if not info.stacked:
+                try:
+                    out[name] = {"residuals": info.evaluate(ctx)}
+                except (SampleSkip, GeometryError) as exc:
+                    out[name] = _skipped(exc)
+    for name, info in zip(names, infos):
+        if info.stacked and samples:
+            for out, got in zip(outs, info.evaluate(samples)):
+                out[name] = _skipped(got) if isinstance(got, Exception) else {"residuals": got}
+    return [{name: out[name] for name in names} for out in outs]
+
+
+def _skipped(exc: Exception) -> dict:
+    return {"skipped": exc.reason if isinstance(exc, SampleSkip) else exc.code}
+
+
 def run_identities(
     names: list[str],
     data: TwoMetricFrameData,
     rng: np.random.Generator,
 ) -> dict[str, dict]:
-    """Evaluate named identities on one sample.
-
-    Returns per identity either {"residuals": [...]} or {"skipped": reason}.
-    Geometry errors raised by an individual identity are converted to skips
-    with the error code as reason.
-    """
-    ctx = IdentityContext(data=data, rng=rng)
-    out: dict[str, dict] = {}
-    for name in names:
-        try:
-            out[name] = {"residuals": evaluate_identity(name, ctx)}
-        except SampleSkip as skip:
-            out[name] = {"skipped": skip.reason}
-        except GeometryError as exc:
-            out[name] = {"skipped": exc.code}
-    return out
+    """Evaluate named identities on one sample: ``evaluate_samples`` of one sample."""
+    return evaluate_samples(names, [data], rng)[0]

@@ -2,8 +2,10 @@
 
 The runner is deterministic for a fixed configuration: one seeded generator is
 consumed in a fixed iteration order (parameters, then surfaces, then sample
-points, then identities in registry order), so repeated runs produce identical
-reports apart from the isolated timestamp field.
+points, then the identities that draw, in registry order), so repeated runs
+produce identical reports apart from the isolated timestamp field.  The
+stacked identities draw nothing; they run once per surface, over all its
+used samples (``identities.evaluate_samples``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .ambient import SpaceParams
 from .catalog import build_surface, default_surfaces, parse_surface, validate_address
 from .errors import ConfigInvalid, GeometryError, SurfaceUnavailable
-from .identities import IDENTITIES, IDENTITY_NAMES, run_identities
+from .identities import IDENTITIES, IDENTITY_NAMES, evaluate_samples
 from .numdiff import FDSteps
 from .surfaces import frame_batch
 
@@ -159,7 +161,7 @@ def run_suite(config: SuiteConfig) -> dict:
                 name: {"max": None, "samples": 0, "count": 0, "skipped": {}}
                 for name in identity_names
             }
-            used = 0
+            samples = []
             for data in frame_batch(built.ambient, built.chart, points):
                 if isinstance(data, GeometryError):
                     excluded[data.code] = excluded.get(data.code, 0) + 1
@@ -167,9 +169,10 @@ def run_suite(config: SuiteConfig) -> dict:
                 if data.omega_l > OMEGA_CONDITION_LIMIT:
                     excluded["ILL_CONDITIONED"] = excluded.get("ILL_CONDITIONED", 0) + 1
                     continue
-                used += 1
                 characters[data.character] = characters.get(data.character, 0) + 1
-                point_out = run_identities(identity_names, data, rng)
+                samples.append(data)
+            used = len(samples)
+            for point_out in evaluate_samples(identity_names, samples, rng):
                 for name, out in point_out.items():
                     row = agg[name]
                     if "skipped" in out:

@@ -7,9 +7,10 @@ The frame data holds the tangent basis, both unit normals, both shape
 operators and the derived scalar invariants, together with the residuals of
 the internal consistency checks that every accepted sample must satisfy.
 The samples of one call share one :class:`SampleBatch`: each stage (centers,
-stencil rows, connection tables, shape operators, T-derivatives) is one stack
-over all its samples, built on first use, and gives each sample the bits its
-own evaluation would.  Each sample is :func:`frame_data` of the shared batch;
+frame components, rotations, stencil rows, connection tables, shape
+operators, T-derivatives, curvature scalars) is one stack over all its
+samples, built on first use, and gives each sample the bits its own
+evaluation would.  Each sample is :func:`frame_data` of the shared batch;
 without a batch, :func:`frame_data` evaluates a batch of one.
 
 Vectors tangent to the surface are represented two ways: as ambient
@@ -20,14 +21,21 @@ matrices.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .ambient import PointFrame, Signature, stacked_inner, wedge_frame
+from .ambient import (
+    SIGNATURES,
+    PointFrame,
+    Signature,
+    _per_row,
+    curvature_frame,
+    stacked_inner,
+    wedge_frame,
+)
 from .errors import (
     DegenerateInput,
     GeometryError,
@@ -108,6 +116,10 @@ def _classify(scale: float, det_l: float, point) -> tuple[CausalCharacter, float
 # Vectors of the normal package that the stencil differentiates, by position
 # in the stacked components.
 STENCIL_FIELDS = ("n_r", "n_l", "du", "dv", "t_r", "t_l")
+
+# Vectors whose frame components a sample keeps (``frame_of``), by position.
+FRAME_FIELDS = STENCIL_FIELDS + ("xi",)
+_FRAME_SLOT = {name: i for i, name in enumerate(FRAME_FIELDS)}
 
 
 @dataclass
@@ -307,13 +319,20 @@ class SampleBatch:
     once, and each sample reads its own row:
 
     * the centers, one ``_normal_data`` pass, on the first ``sample`` call;
+    * the frame components of each sample's ``FRAME_FIELDS``, one
+      ``to_frames`` call, and from them the rotation matrices and the
+      chart coefficients of T of each metric;
     * the 8n stencil rows, one ``_normal_data`` pass in which each row's sign
-      reference and OrientationFlip check are those of its own center;
+      reference and OrientationFlip check are those of its own center, and
+      each sample's first stencil error;
     * their ``stencil_components`` with the centers', in one call;
     * the connection tables of each metric, one ``point_tables`` call;
     * the shape operators and T-derivatives of each metric, one
       ``cov_deriv_stencils`` call per chart axis and one stacked Gram
-      projection, over the samples whose stencil rows raised nothing.
+      projection, over the samples whose stencil rows raised nothing;
+    * the curvature scalars of ``identities.curvature_suite``;
+    * in the group models, the frames, metrics and tables at the curve
+      starts of ``curve_frame``.
 
     Each stage rounds row by row like a batch of one, so a sample's numbers
     do not depend on the batch it is in.  Nothing here draws random numbers.
@@ -328,11 +347,19 @@ class SampleBatch:
         self.uvs = [(float(u), float(v)) for u, v in uvs]
         self._center: NormalData | None = None
         self._stencil: NormalData | None = None
+        self._stencil_errors: list | None = None
         self._stencil_ok: tuple[list[int], list[int], list[int]] | None = None
+        self._slots: dict[int, int] = {}
         self._comps: tuple[np.ndarray, np.ndarray] | None = None
+        self._frame_comps: np.ndarray | None = None
         self._tables: dict[Signature, np.ndarray] = {}
-        self._shapes: dict[Signature, list] = {}
+        self._shapes: dict[Signature, np.ndarray] = {}
+        self._shape_rows: dict[Signature, list] = {}
         self._tangent_derivs: dict[Signature, list] = {}
+        self._rotations: dict[Signature, np.ndarray] = {}
+        self._t_coeffs: dict[Signature, np.ndarray] = {}
+        self._curvature: list | None = None
+        self._curve_starts: list | None = None
 
     @property
     def center(self) -> NormalData:
@@ -344,6 +371,11 @@ class SampleBatch:
             # (center row, uv index) of each sample, in uv order
             self.alive = [(j, i) for j, i in enumerate(c.rows) if c.errors[i] is None]
             self._sample_of = {i: k for k, (_, i) in enumerate(self.alive)}
+            self.centers = [j for j, _ in self.alive]
+            points = c.point[self.centers]
+            self.xi = np.array([self.ambient.fiber_direction(p) for p in points]).reshape(
+                points.shape
+            )
         return self._center
 
     def sample(self, row: int) -> "TwoMetricFrameData":
@@ -352,6 +384,45 @@ class SampleBatch:
         if err is not None:
             raise err
         return TwoMetricFrameData(self, self._sample_of[row])
+
+    def _at_centers(self, name: str) -> np.ndarray:
+        """A center array of every sample, in sample order."""
+        return getattr(self.center, name)[self.centers]
+
+    # -- frame components at the centers -----------------------------------------
+
+    def frame_components(self) -> np.ndarray:
+        """Frame components (n, 7, 3) of every sample's ``FRAME_FIELDS``, one ``to_frames`` call."""
+        if self._frame_comps is None:
+            at = self._at_centers
+            vecs = np.stack([at(f) for f in STENCIL_FIELDS] + [self.xi], axis=1)
+            self._frame_comps = self.ambient.to_frames(
+                at("point"), vecs, frames=at("frame"), metric_r=at("g_r")
+            )
+        return self._frame_comps
+
+    def rotations(self, sig: Signature) -> np.ndarray:
+        """Every sample's matrix of X -> N ^ X on the tangent plane, chart basis, (n, 2, 2)."""
+        rot = self._rotations.get(sig)
+        if rot is None:
+            comps = self.frame_components()
+            legs = comps[:, [_FRAME_SLOT["du"], _FRAME_SLOT["dv"]]]
+            normal = comps[:, _FRAME_SLOT["n_r" if sig is Signature.R else "n_l"], None]
+            wedged = wedge_frame(sig, np.broadcast_to(normal, legs.shape), legs)
+            vecs = self.ambient.to_coords(
+                self._at_centers("point"), wedged, frames=self._at_centers("frame")
+            )
+            cols = self._coeffs(sig, vecs, self.centers)
+            rot = self._rotations[sig] = np.ascontiguousarray(np.swapaxes(cols, 1, 2))
+        return rot
+
+    def t_coeffs(self, sig: Signature) -> np.ndarray:
+        """Every sample's chart coefficients of T_sig, (n, 2)."""
+        out = self._t_coeffs.get(sig)
+        if out is None:
+            t = self._at_centers("t_r" if sig is Signature.R else "t_l")
+            out = self._t_coeffs[sig] = self._coeffs(sig, t, self.centers)
+        return out
 
     # -- stencil rows -----------------------------------------------------------
 
@@ -366,10 +437,9 @@ class SampleBatch:
         if st is None:
             h, c = self.steps.second, self.center
             uvs = [uv for _, i in self.alive for uv in _stencil_uvs(self.uvs[i], h)]
-            centers = [j for j, _ in self.alive]
-            reference = np.repeat(c.n_l[centers], 8, axis=0)
+            reference = np.repeat(c.n_l[self.centers], 8, axis=0)
             st = _normal_data(self.ambient, self.chart, uvs, self.steps.first, reference)
-            center_angles = c.angle_l[centers].tolist()
+            center_angles = c.angle_l[self.centers].tolist()
             for i, angle in zip(st.rows, st.angle_l.tolist()):
                 a0 = center_angles[i // 8]
                 if (
@@ -382,13 +452,17 @@ class SampleBatch:
                     st.errors[i] = OrientationFlip(
                         f"normal angle changes sign across stencil at uv={uv!r}"
                     )
+            self._stencil_errors = [
+                next((err for err in st.errors[8 * k : 8 * k + 8] if err is not None), None)
+                for k in range(len(self.alive))
+            ]
             self._stencil = st
         return st
 
     def stencil_error(self, k: int) -> GeometryError | None:
         """The first error of sample k's stencil rows, in row order, or None."""
-        errors = self.stencil().errors[8 * k : 8 * k + 8]
-        return next((err for err in errors if err is not None), None)
+        self.stencil()
+        return self._stencil_errors[k]
 
     def _ok(self) -> tuple[list[int], list[int], list[int]]:
         """The samples whose stencil rows raised nothing, whose derivatives are stacked.
@@ -398,14 +472,16 @@ class SampleBatch:
         """
         if self._stencil_ok is None:
             st = self.stencil()
-            ok = [k for k in range(len(self.alive)) if self.stencil_error(k) is None]
+            ok = [k for k, err in enumerate(self._stencil_errors) if err is None]
             at = {i: pos for pos, i in enumerate(st.rows)}
             rows = [at[8 * k] + r for k in ok for r in range(8)]
-            self._stencil_ok = ok, [self.alive[k][0] for k in ok], rows
+            self._stencil_ok = ok, [self.centers[k] for k in ok], rows
+            self._slots = {k: s for s, k in enumerate(ok)}
         return self._stencil_ok
 
     def _slot(self, k: int) -> int:
-        return self._ok()[0].index(k)
+        self._ok()
+        return self._slots[k]
 
     def _components(self) -> tuple[np.ndarray, np.ndarray]:
         """``stencil_components`` of ``STENCIL_FIELDS`` at the centers and at the rows, one call.
@@ -440,22 +516,22 @@ class SampleBatch:
         tables = self.tables(sig)[ok]
         rows = np.moveaxis(fs[:, 4 * axis : 4 * axis + 4][:, :, which], 1, 0)
         return self.ambient.cov_deriv_stencils(
-            sig, c.point[cj], c.frame[cj], metric, tables, velocity, f0[:, which], rows,
+            c.point[cj], c.frame[cj], metric, tables, velocity, f0[:, which], rows,
             self.steps.second,
         )
 
-    def _coeffs(self, sig: Signature, vecs: np.ndarray) -> np.ndarray:
-        """Chart-basis coefficients (m, 2) of tangent vectors (m, dim), one per ``_ok`` sample.
+    def _coeffs(self, sig: Signature, vecs: np.ndarray, cj: list[int]) -> np.ndarray:
+        """Chart-basis coefficients (m, [k,] 2) of tangent vectors (m, [k,] dim) at centers ``cj``.
 
         The stacked Gram projection: the inner products with du and dv, then
-        one stacked solve with one right-hand side per sample.
+        one stacked solve with one right-hand side per vector.
         """
         c = self.center
-        cj = self._ok()[1]
         g = (c.g_r if sig is Signature.R else c.g_l)[cj]
         gram = (c.gram_r if sig is Signature.R else c.gram_l)[cj]
-        rhs = np.stack([stacked_inner(g, vecs, c.du[cj]), stacked_inner(g, vecs, c.dv[cj])], -1)
-        return np.linalg.solve(gram, rhs[..., None])[..., 0]
+        du, dv = (np.broadcast_to(_per_row(a[cj], vecs), vecs.shape) for a in (c.du, c.dv))
+        rhs = np.stack([stacked_inner(g, vecs, du), stacked_inner(g, vecs, dv)], -1)
+        return np.linalg.solve(_per_row(gram, rhs), rhs[..., None])[..., 0]
 
     # -- per-sample stages, stacked ----------------------------------------------
 
@@ -463,21 +539,26 @@ class SampleBatch:
         """Every sample's connection table of ``sig``, (n, ...), one ``point_tables`` call."""
         tables = self._tables.get(sig)
         if tables is None:
-            centers = self.center.point[[j for j, _ in self.alive]]
-            tables = self._tables[sig] = self.ambient.point_tables(sig, centers)
+            tables = self._tables[sig] = self.ambient.point_tables(sig, self._at_centers("point"))
         return tables
 
-    def shape(self, sig: Signature, k: int) -> np.ndarray:
-        """Sample k's Weingarten matrix; the first call builds every sample's."""
+    def shapes(self, sig: Signature) -> np.ndarray:
+        """The Weingarten matrices (m, 2, 2) of the samples of ``_ok``, built on first use."""
         shapes = self._shapes.get(sig)
         if shapes is None:
             n_name = "n_r" if sig is Signature.R else "n_l"
             cols = []
             for axis in (0, 1):
                 dn = self.stencil_derivs(sig, axis, (n_name,))[:, 0]
-                cols.append(-self._coeffs(sig, dn))
-            shapes = self._shapes[sig] = list(np.stack(cols, axis=-1))
-        return shapes[self._slot(k)]
+                cols.append(-self._coeffs(sig, dn, self._ok()[1]))
+            shapes = self._shapes[sig] = np.stack(cols, axis=-1)
+            self._shape_rows[sig] = list(shapes)
+        return shapes
+
+    def shape(self, sig: Signature, k: int) -> np.ndarray:
+        """Sample k's Weingarten matrix, the same array on every call."""
+        self.shapes(sig)
+        return self._shape_rows[sig][self._slot(k)]
 
     def tangent_derivatives(self, sig: Signature, k: int) -> dict:
         """Sample k's T-derivatives; the first call builds every sample's."""
@@ -486,18 +567,193 @@ class SampleBatch:
             h = self.steps.second
             t_name = "t_r" if sig is Signature.R else "t_l"
             st = self.stencil()
-            rows = self._ok()[2]
+            ok, cj, rows = self._ok()
             angles = (st.angle_r if sig is Signature.R else st.angle_l)[rows].reshape(-1, 8)
             dts, dangles = [], []
             for axis in (0, 1):
                 dt_amb = self.stencil_derivs(sig, axis, (t_name,))[:, 0]
-                dts.append(self._coeffs(sig, dt_amb))
+                dts.append(self._coeffs(sig, dt_amb, cj))
                 dangles.append(stencil_derivative(angles[:, 4 * axis : 4 * axis + 4].T, h).tolist())
             out = self._tangent_derivs[sig] = [
                 {"dt": [dts[0][s], dts[1][s]], "dangle": [dangles[0][s], dangles[1][s]]}
-                for s in range(len(self._ok()[0]))
+                for s in range(len(ok))
             ]
         return out[self._slot(k)]
+
+    # -- curvature scalars --------------------------------------------------------
+
+    def curvature(self) -> list:
+        """Every sample's curvature scalars (``identities.curvature_suite``), one stack.
+
+        Entry k is the dict of scalars; or the reason code ``NULL_DIRECTION``
+        when the Lorentzian adapted basis has no direction of the needed sign;
+        or else the sample's stencil error, which the extrinsic curvatures
+        raise.  That is the order in which one sample's evaluation fails.
+        """
+        if self._curvature is None:
+            params = self.ambient.params
+            k, t = params.kappa, params.tau
+            eps = self._at_centers("eps").tolist()
+            bases = {sig: _adapted_bases(self, sig) for sig in SIGNATURES}
+            kbar = {sig: self._sectional(sig, *bases[sig]) for sig in bases}
+            ke = {}
+            ok = self._ok()[0]
+            for sig in bases:
+                dets = np.linalg.det(self.shapes(sig)).tolist() if ok else []
+                ke[sig] = dict(zip(ok, dets))
+            out = []
+            angles_r = self._at_centers("angle_r").tolist()
+            angles_l = self._at_centers("angle_l").tolist()
+            for s, (e, a_r, a_l) in enumerate(zip(eps, angles_r, angles_l)):
+                kbar_r, kbar_l = kbar[Signature.R][s], kbar[Signature.L][s]
+                if kbar_l is None:
+                    out.append(NullDirection.code)
+                    continue
+                if s not in ke[Signature.R]:
+                    out.append(self._stencil_errors[s])
+                    continue
+                ke_r, ke_l = ke[Signature.R][s], ke[Signature.L][s]
+                out.append(
+                    {
+                        "kbar_R": kbar_r,
+                        "kbar_L": kbar_l,
+                        "kbar_R_closed": t * t + (k - 4.0 * t * t) * a_r**2,
+                        "kbar_L_closed": e * t * t + (k + 4.0 * t * t) * a_l**2,
+                        "ke_R": ke_r,
+                        "ke_L": ke_l,
+                        "k_R": kbar_r + ke_r,
+                        "k_L": kbar_l + e * ke_l,
+                    }
+                )
+            self._curvature = out
+        return self._curvature
+
+    def _sectional(self, sig: Signature, e1: np.ndarray, e2: np.ndarray, alive: list) -> list:
+        """<R(e1, e2) e1, e2> of ``sig`` per sample, None where the basis does not exist."""
+        at = self._at_centers
+        points, frames = at("point"), at("frame")
+        # rows without a basis compute on, unread
+        with np.errstate(all="ignore"):
+            pair_f = self.ambient.to_frames(
+                points, np.stack([e1, e2], axis=1), frames=frames, metric_r=at("g_r")
+            )
+            x_f, y_f = pair_f[:, 0], pair_f[:, 1]
+            r = self.ambient.to_coords(
+                points, curvature_frame(self.ambient.params, sig, x_f, y_f, x_f), frames=frames
+            )
+            g = at("g_r" if sig is Signature.R else "g_l")
+            values = stacked_inner(g, r, e2).tolist()
+        return [v if ok else None for v, ok in zip(values, alive)]
+
+    # -- curve starts ---------------------------------------------------------------
+
+    def curve_start(self, k: int) -> PointFrame | None:
+        """Where ``ambient.curve_through(point, x)`` starts for sample k, if not the point.
+
+        A group-model curve starts at point / sqrt(quadric(point)), which is
+        not always bitwise the point.  The PointFrames of all moved starts are
+        built on the first call, and their tables are one ``point_tables``
+        call per metric, built on first use.
+        """
+        if self._curve_starts is None:
+            zero = np.zeros(self.ambient.dim)
+            points = self._at_centers("point")
+            starts = [self.ambient.curve_through(p, zero)(0.0) for p in points]
+            moved = [s for s, (a, b) in enumerate(zip(starts, points)) if not np.array_equal(a, b)]
+            self._curve_starts = [None] * len(points)
+            if moved:
+                at = _CurveStarts(self.ambient, np.array([starts[s] for s in moved]))
+                for i, s in enumerate(moved):
+                    self._curve_starts[s] = _CurveStart(at, i)
+        return self._curve_starts[k]
+
+
+class _CurveStarts:
+    """The moved curve starts of a batch, and their connection tables, built on first use."""
+
+    def __init__(self, ambient, points: np.ndarray):
+        self.ambient = ambient
+        self.points = points
+        self._tables: dict[Signature, np.ndarray] = {}
+
+    def tables(self, sig: Signature) -> np.ndarray:
+        tables = self._tables.get(sig)
+        if tables is None:
+            tables = self._tables[sig] = self.ambient.point_tables(sig, self.points)
+        return tables
+
+
+class _CurveStart(PointFrame):
+    """The PointFrame at a moved curve start; its tables are one stack over the batch's starts.
+
+    It holds the starts, not the batch, so that the batch holds no reference cycle.
+    """
+
+    def __init__(self, starts: _CurveStarts, i: int):
+        super().__init__(starts.ambient, starts.points[i])
+        self._starts, self._i = starts, i
+
+    def table(self, sig: Signature) -> np.ndarray:
+        return self._starts.tables(sig)[self._i]
+
+
+def _adapted_bases(batch: SampleBatch, sig: Signature) -> tuple[np.ndarray, np.ndarray, list]:
+    """Every sample's tangent basis normalized for sectional curvature, and where it exists.
+
+    Riemannian: an orthonormal pair.  Lorentzian: first vector of square +1,
+    second of square -eps (so +1 on a spacelike plane, -1 on a timelike
+    one); on a timelike plane the first vector is the chart direction among
+    du, dv, du + dv, du - dv with the largest ratio of the two squares, and
+    the basis does not exist when no direction has the needed sign.
+    """
+    at = batch._at_centers
+    du, dv = at("du"), at("dv")
+    g = at("g_r" if sig is Signature.R else "g_l")
+    e1, e2 = np.empty(du.shape), np.empty(du.shape)
+    alive = [True] * len(du)
+    plain = [
+        s for s, e in enumerate(at("eps").tolist()) if sig is Signature.R or e < 0
+    ]
+    if plain:
+        g_p, du_p, dv_p = g[plain], du[plain], dv[plain]
+        scale = [math.sqrt(q) for q in stacked_inner(g_p, du_p, du_p).tolist()]
+        b1 = du_p / np.array(scale)[:, None]
+        w = dv_p - stacked_inner(g_p, dv_p, b1)[:, None] * b1
+        scale = [math.sqrt(q) for q in stacked_inner(g_p, w, w).tolist()]
+        e1[plain], e2[plain] = b1, w / np.array(scale)[:, None]
+    timelike = sorted(set(range(len(du))) - set(plain))
+    if timelike:
+        g_t, du_t, dv_t = g[timelike], du[timelike], dv[timelike]
+        cands = np.stack([du_t, dv_t, du_t + dv_t, du_t - dv_t], axis=1)
+        g_r = at("g_r")[timelike]
+        q_l = stacked_inner(g_t, cands, cands).tolist()
+        q_r = stacked_inner(g_r, cands, cands).tolist()
+        best, scale = [], []
+        for s, (ql, qr) in enumerate(zip(q_l, q_r)):
+            # the first maximum, as ``max`` picks it
+            b = max(range(4), key=lambda i: ql[i] / qr[i])
+            best.append(b)
+            if ql[b] <= 0:
+                alive[timelike[s]] = False
+            scale.append(math.sqrt(ql[b]) if alive[timelike[s]] else 1.0)
+        rows = np.arange(len(timelike))
+        # rows without a basis compute on, unread
+        with np.errstate(all="ignore"):
+            b1 = cands[rows, best] / np.array(scale)[:, None]
+            legs = np.stack([du_t, dv_t], axis=1)
+            b1_legs = np.broadcast_to(b1[:, None], legs.shape)
+            w = legs - stacked_inner(g_t, legs, b1_legs)[..., None] * b1_legs
+            qw = stacked_inner(g_t, w, w).tolist()
+            second, scale = [], []
+            for s, (q0, q1) in enumerate(qw):
+                i = 1 if q1 < q0 else 0  # the first minimum, as ``min`` picks it
+                second.append(i)
+                if qw[s][i] >= 0:
+                    alive[timelike[s]] = False
+                scale.append(math.sqrt(-qw[s][i]) if alive[timelike[s]] else 1.0)
+            e1[timelike] = b1
+            e2[timelike] = w[rows, second] / np.array(scale)[:, None]
+    return e1, e2, alive
 
 
 class TwoMetricFrameData(PointFrame):
@@ -522,7 +778,7 @@ class TwoMetricFrameData(PointFrame):
         self.steps = batch.steps
         self.flags: list[str] = []
 
-        self.xi = self.ambient.fiber_direction(self.point)
+        self.xi = batch.xi[k]
         self.du = center.du[j]
         self.dv = center.dv[j]
         self.eps = float(center.eps[j])
@@ -539,10 +795,6 @@ class TwoMetricFrameData(PointFrame):
             self.flags.append("SIGN_AMBIGUOUS")
 
         self.gram = {Signature.R: center.gram_r[j], Signature.L: center.gram_l[j]}
-        self._frame_of: dict[str, np.ndarray] = {}
-        self._rotation: dict[Signature, np.ndarray] = {}
-        # Curvature scalars, filled and reused by identities.curvature_suite.
-        self.curvature_scalars: dict | None = None
         self.invariants = self._invariant_residuals()
 
     def table(self, sig: Signature) -> np.ndarray:
@@ -551,11 +803,8 @@ class TwoMetricFrameData(PointFrame):
     # -- tangent algebra ----------------------------------------------------
 
     def frame_of(self, name: str) -> np.ndarray:
-        """Frame components of a named vector (one of ``STENCIL_FIELDS`` or "xi"), kept."""
-        hit = self._frame_of.get(name)
-        if hit is None:
-            hit = self._frame_of[name] = self.to_frame(getattr(self, name))
-        return hit
+        """Frame components of a named vector (one of ``FRAME_FIELDS``), from the batch."""
+        return self._batch.frame_components()[self._k, _FRAME_SLOT[name]]
 
     def curve_frame(self) -> PointFrame:
         """The PointFrame where ``ambient.curve_through(point, x)`` starts, for any x.
@@ -563,13 +812,7 @@ class TwoMetricFrameData(PointFrame):
         A group-model curve starts at point / sqrt(quadric(point)), which is
         not always bitwise the point; elsewhere this is the point itself.
         """
-        return self._curve_start or self
-
-    @functools.cached_property
-    def _curve_start(self) -> PointFrame | None:
-        # None for this point itself: holding self would make a reference cycle.
-        start = self.ambient.curve_through(self.point, np.zeros(self.ambient.dim))(0.0)
-        return None if np.array_equal(start, self.point) else PointFrame(self.ambient, start)
+        return self._batch.curve_start(self._k) or self
 
     def coeffs(self, sig: Signature, vec: np.ndarray) -> np.ndarray:
         """Chart-basis coefficients of a tangent vector (Gram projection)."""
@@ -595,12 +838,12 @@ class TwoMetricFrameData(PointFrame):
         return self.to_coord(wedge_frame(sig, self.frame_of(n_name), vf))
 
     def rotation(self, sig: Signature) -> np.ndarray:
-        """Matrix of X -> N ^ X on the tangent plane, chart basis, kept."""
-        hit = self._rotation.get(sig)
-        if hit is None:
-            cols = [self.coeffs(sig, self.rotate(sig, self.frame_of(b))) for b in ("du", "dv")]
-            hit = self._rotation[sig] = np.column_stack(cols)
-        return hit
+        """Matrix of X -> N ^ X on the tangent plane, chart basis, from the batch."""
+        return self._batch.rotations(sig)[self._k]
+
+    def t_coeffs(self, sig: Signature) -> np.ndarray:
+        """Chart-basis coefficients of T_sig, from the batch."""
+        return self._batch.t_coeffs(sig)[self._k]
 
     def tangent_part_t(self, sig: Signature) -> np.ndarray:
         return self.t_r if sig is Signature.R else self.t_l
@@ -628,6 +871,10 @@ class TwoMetricFrameData(PointFrame):
         """
         self._check_stencil()
         return self._batch.shape(sig, self._k)
+
+    def curvature_scalars(self) -> dict | str | GeometryError:
+        """This sample's entry of the batch's curvature stage (``SampleBatch.curvature``)."""
+        return self._batch.curvature()[self._k]
 
     def mean_curvature(self, sig: Signature) -> float:
         tr = float(np.trace(self.shape(sig)))

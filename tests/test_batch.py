@@ -1,8 +1,10 @@
 """Batches of samples: a batch of n gives, sample by sample, the bits of n batches of one.
 
-``frame_batch`` builds each stage (centers, stencil rows, connection tables,
-shape operators, T-derivatives) as one stack over its samples.  Every number
-and every error a sample reports must not depend on the batch it is in.
+``frame_batch`` builds each stage (centers, frame components, rotations,
+stencil rows, connection tables, shape operators, T-derivatives, curvature
+scalars) as one stack over its samples, and ``evaluate_samples`` runs each
+stacked identity once over them.  Every number and every error a sample
+reports must not depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -17,8 +19,14 @@ from hypothesis import given, strategies as st
 from bicausal.ambient import CoordinateAmbient, Signature, SpaceParams
 from bicausal.catalog import build_surface
 from bicausal.errors import GeometryError, SurfaceUnavailable
-from bicausal.identities import SampleSkip, curvature_suite
-from bicausal.surfaces import SurfaceChart, frame_batch, frame_data
+from bicausal.identities import (
+    IDENTITY_NAMES,
+    SampleSkip,
+    curvature_suite,
+    evaluate_samples,
+    run_identities,
+)
+from bicausal.surfaces import FRAME_FIELDS, SurfaceChart, frame_batch, frame_data
 
 from conftest import same_bits
 
@@ -56,6 +64,9 @@ def _readings(data) -> list:
         out.append(_outcome(lambda: data.rotation(sig)))
     out.append(_outcome(lambda: curvature_suite(data)))
     out.append(_outcome(lambda: _stencil_n_l(data)))
+    out.append([data.frame_of(name) for name in FRAME_FIELDS])
+    out.append([data.t_coeffs(sig) for sig in SIGS])
+    out.append(data.curve_frame().point)
     return out
 
 
@@ -227,3 +238,116 @@ def _built(pair, address):
         return build_surface(address, SpaceParams(*pair))
     except SurfaceUnavailable as exc:
         return exc
+
+
+# -- identities: one stacked evaluation per surface ----------------------------
+
+
+def _assert_identities_equal_singles(ambient, chart, uvs, seed: int = 7) -> list:
+    """All 25 identities over a batch give each sample the outcomes of a batch of one.
+
+    One generator serves the batch and one the singles: the identities that
+    draw run sample by sample in both, so the two streams stay in step.
+    """
+    pairs = [
+        (uv, d) for uv, d in zip(uvs, frame_batch(ambient, chart, uvs))
+        if not isinstance(d, GeometryError)
+    ]
+    together = evaluate_samples(IDENTITY_NAMES, [d for _, d in pairs], np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    for (uv, _), got in zip(pairs, together):
+        (alone,) = frame_batch(ambient, chart, [uv])
+        want = run_identities(IDENTITY_NAMES, alone, rng)
+        assert list(got) == list(want) == IDENTITY_NAMES
+        assert _same(got, want), uv
+    return together
+
+
+def _plane_through(p0, du, dv) -> SurfaceChart:
+    p0, du, dv = (np.array(a, dtype=float) for a in (p0, du, dv))
+    return SurfaceChart(
+        name="plane",
+        chart=lambda u, v: p0 + u * du + v * dv,
+        domain=((-1.0, 1.0), (-1.0, 1.0)),
+        jacobian=lambda u, v: (du, dv),
+    )
+
+
+def _timelike_plane_at_the_edge(ambient) -> SurfaceChart:
+    """A timelike plane 1.5 stencil steps inside the disk edge, at uv (0, 0).
+
+    du, dv, du + dv and du - dv are all timelike there, so the Lorentzian
+    adapted basis has no first vector (NULL_DIRECTION); the stencil row at
+    u = +2h leaves the disk (DOMAIN_VIOLATION).
+    """
+    x0 = ambient.params.disk_radius * math.sqrt(1.0 - 1e-6) - 1.5 * ambient.steps.second
+    lam = 1.0 / (1.0 + 0.25 * ambient.params.kappa * x0 * x0)
+    return _plane_through((x0, 0.0, 0.0), (1.0, 0.0, 10.0 * lam), (0.0, 0.2, 3.0 * lam))
+
+
+def _edge_uvs(ambient) -> list:
+    h = ambient.steps.second
+    edge = ambient.params.disk_radius * math.sqrt(1.0 - 1e-6)
+    return [(edge - 1.5 * h, 0.0), (0.0, edge - 0.5 * h), (0.3, 0.2), (edge + h, 0.0)]
+
+
+def _skips(outcomes) -> set:
+    return {out["skipped"] for sample in outcomes for out in sample.values() if "skipped" in out}
+
+
+@pytest.mark.parametrize("pair", [(-1.0, 0.0), (-4.0, 1.0)], ids=["disk-edge", "singular-edge"])
+def test_identities_at_the_disk_edge_equal_batches_of_one(pair):
+    """Samples whose stencil leaves the disk skip with their own error, at kappa + 4 tau^2 = 0 too."""
+    ambient = CoordinateAmbient(SpaceParams(*pair))
+    chart = _plane(ambient.params.disk_radius)
+    outcomes = _assert_identities_equal_singles(ambient, chart, _edge_uvs(ambient))
+    assert "DOMAIN_VIOLATION" in _skips(outcomes)
+    assert ("PARAMETER_SINGULARITY" in _skips(outcomes)) == (pair == (-4.0, 1.0))
+
+
+@pytest.mark.parametrize("pair", [(-1.0, 0.0), (-1.0, 0.5)], ids=["tau0", "singular"])
+def test_identities_on_a_null_direction_plane_equal_batches_of_one(pair):
+    ambient = CoordinateAmbient(SpaceParams(*pair))
+    chart = _timelike_plane_at_the_edge(ambient)
+    outcomes = _assert_identities_equal_singles(
+        ambient, chart, [(0.0, 0.0), (-0.3, 0.0), (-0.5, 0.4), (0.0, 0.1)]
+    )
+    assert {"NULL_DIRECTION", "DOMAIN_VIOLATION"} <= _skips(outcomes)
+
+
+@pytest.mark.parametrize(
+    "address, pair",
+    [
+        ("graph:bowl:a=0.2", (1.0, 0.0)),
+        ("vgraph:saddle:a=0.15", (-1.0, 0.0)),
+        ("hopf:circle:r=0.45", (-4.0, 1.0)),
+        ("graph:bowl:a=0.2", (-1.0, 0.5)),
+        ("berger-helicoid:alpha=0.5,variant=time", (1.0, 1.0)),
+        ("su11-helicoid:family=h1,rate=0.35,variant=space", (-1.0, 1.0)),
+    ],
+)
+def test_identities_on_catalog_batches_equal_batches_of_one(address, pair):
+    built = build_surface(address, SpaceParams(*pair))
+    uvs = _domain_uvs(built.chart, FRACTIONS)
+    outcomes = _assert_identities_equal_singles(built.ambient, built.chart, uvs)
+    assert any("residuals" in out for sample in outcomes for out in sample.values())
+
+
+def test_skip_precedence_at_a_singular_pair_with_a_stencil_error():
+    """PARAMETER_SINGULARITY comes before NULL_DIRECTION, which comes before the stencil error."""
+    ambient = CoordinateAmbient(SpaceParams(-4.0, 1.0))
+    (data,) = frame_batch(ambient, _timelike_plane_at_the_edge(ambient), [(0.0, 0.0)])
+    with pytest.raises(GeometryError) as raised:
+        data.shape(Signature.R)
+    assert raised.value.code == "DOMAIN_VIOLATION"
+    with pytest.raises(SampleSkip) as null:
+        curvature_suite(data)
+    assert null.value.reason == "NULL_DIRECTION"
+    out = run_identities(IDENTITY_NAMES, data, np.random.default_rng(0))
+    skipped = {name: o["skipped"] for name, o in out.items() if "skipped" in o}
+    for name in ("SECTIONAL_REL", "EXTRINSIC_REL", "COMBINED_516"):
+        assert skipped[name] == "PARAMETER_SINGULARITY"
+    for name in ("GAUSS_R", "GAUSS_L"):
+        assert skipped[name] == "NULL_DIRECTION"
+    for name in ("MEANCURV_R", "MEANCURV_L", "INT1_R", "INT2_R", "INT1_L", "INT2_L"):
+        assert skipped[name] == "DOMAIN_VIOLATION"

@@ -10,6 +10,7 @@ from bicausal.catalog import build_surface, default_surfaces
 from bicausal.identities import (
     IDENTITIES,
     IDENTITY_NAMES,
+    evaluate_samples,
     indefiniteness_check,
     run_identities,
 )
@@ -54,6 +55,46 @@ def test_registry_names_and_order():
 def test_registry_tolerances():
     got = {name: IDENTITIES[name].tolerance for name in IDENTITY_NAMES}
     assert got == EXPECTED_TOLERANCES
+
+
+# The identities that draw no random numbers, evaluated once per surface.
+DRAW_FREE = {
+    "NORMAL_TRANSFORM", "OMEGA_PRODUCT", "T_RELATION", "MEANCURV_R", "MEANCURV_L",
+    "INT1_L", "INT2_L", "INT1_R", "INT2_R", "SECTIONAL_REL", "EXTRINSIC_REL",
+    "GAUSS_R", "GAUSS_L", "COMBINED_516",
+}
+
+
+def test_registry_stacks_exactly_the_draw_free_identities():
+    assert {name for name in IDENTITY_NAMES if IDENTITIES[name].stacked} == DRAW_FREE
+
+
+STACK_CASES = [
+    ("graph:bowl:a=0.2", (1.0, 1.0)),
+    ("graph:bowl:a=0.2", (-1.0, 0.5)),
+    ("vgraph:saddle:a=0.15", (1.0, 0.0)),
+    ("hopf:circle:r=0.45", (-1.0, 1.0)),
+    ("berger-helicoid:alpha=0.5,variant=space", (1.0, 1.0)),
+    ("su11-helicoid:family=h1,rate=0.35,variant=time", (-1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_FREE))
+def test_stacked_evaluators_leave_the_generator_untouched(name):
+    rng = np.random.default_rng(5)
+    for address, pair in STACK_CASES:
+        built = build_surface(address, SpaceParams(*pair))
+        uvs = interior_grid(built.chart.domain, 3, 2) + [(-9.0, -9.0)]
+        samples = [
+            d for d in frame_batch(built.ambient, built.chart, uvs)
+            if isinstance(d, TwoMetricFrameData)
+        ]
+        before = rng.bit_generator.state
+        outcomes = IDENTITIES[name].evaluate(samples)
+        assert rng.bit_generator.state == before
+        assert len(outcomes) == len(samples)
+        evaluate_samples([name], samples, rng)
+        assert rng.bit_generator.state == before
 
 
 def _surface_data(address, kappa, tau, frac=(0.37, 0.58)):

@@ -15,6 +15,9 @@ keep:
 
 * ``verify --seed s --json`` for s = 0..7 (JSON apart from ``generated_at``,
   and stdout);
+* ``verify --samples 1``, where each row's maximum is one sample's residual,
+  and ``verify --samples 30`` on a subset that mixes identities that draw
+  with stacked ones;
 * ``verify`` at tau = 0 and small tau, and on the group-model helicoids;
 * ``report`` CSVs of ``graph:bowl:a=0.2`` at five parameter pairs, a 64x64
   grid, both group helicoids, ``slice:t0=0.1`` and two Hopf cylinders, whose
@@ -38,6 +41,12 @@ CASES: list[tuple[str, list[str]]] = [
     (f"verify seed {s}", ["verify", "--seed", str(s), "--json", OUT]) for s in range(8)
 ]
 CASES += [
+    ("verify --samples 1", ["verify", "--samples", "1", "--json", OUT]),
+    (
+        "verify --samples 30, mixed identities",
+        ["verify", "--samples", "30", "--seed", "3",
+         "--identities", "INT1_R,SHAPE_L,GAUSS_L,NORMCURV", "--json", OUT],
+    ),
     (
         "verify tau = 0 and small tau",
         ["verify", "--params", "1,0", "--params", "-1,0", "--params", "0,0",

@@ -21,7 +21,15 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import Ambient, PointFrame, SpaceParams, Signature, _per_row, _vectors
+from .ambient import (
+    Ambient,
+    PointFrame,
+    SpaceParams,
+    Signature,
+    _per_row,
+    _vectors,
+    stacked_inner,
+)
 from .errors import CurveSingular, DomainViolation, ModelMismatch
 from .numdiff import FDSteps, stencil_derivative
 from .surfaces import SurfaceChart
@@ -212,16 +220,15 @@ class GroupAmbient(Ambient):
 
         Same contract as ``CoordinateAmbient.cov_deriv_stencils``, with the
         fields given in coordinates (n, k, 4) at p0 and (4, n, k, 4) on the
-        stencil (and no use for ``frames``).  The connection
-        term is one ``einsum`` per field and point, and ``metric`` projects
-        the result to the quadric.
+        stencil (and no use for ``frames``).  The connection term is one
+        ``einsum`` over all points and fields, and ``metric`` projects the
+        result to the quadric (``_tangent_part``), each row as alone.
         """
         dv = stencil_derivative(fs, h)
-        out = np.empty(dv.shape)
-        for i, (p, g, gam) in enumerate(zip(points, metric, tables)):
-            for k, (d, v0) in enumerate(zip(dv[i], f0[i])):
-                out[i, k] = _tangent_part(p, g, d + np.einsum("cab,a,b->c", gam, velocity[i], v0))
-        return out
+        gam, vel, v0, p = (np.ascontiguousarray(a) for a in (tables, velocity, f0, points))
+        vec = dv + np.einsum("ncab,na,nkb->nkc", gam, vel, v0)
+        along = stacked_inner(metric, vec, np.broadcast_to(p[:, None], vec.shape))
+        return vec - (along / stacked_inner(metric, p, p)[:, None])[..., None] * p[:, None]
 
 
 def _tangent_part(p: np.ndarray, g: np.ndarray, vec) -> np.ndarray:

@@ -335,14 +335,6 @@ def _bilinear(ctx: IdentityContext, sig: Signature) -> list[float]:
     return out
 
 
-def _mean_curvatures(shapes: np.ndarray, eps: list[float], sig: Signature) -> list[float]:
-    """``mean_curvature(sig)`` of Weingarten matrices (m, 2, 2)."""
-    traces = np.trace(shapes, axis1=1, axis2=2).tolist()
-    if sig is Signature.L:
-        return [0.5 * e * tr for e, tr in zip(eps, traces)]
-    return [0.5 * tr for tr in traces]
-
-
 def _meancurv(samples: list, sig: Signature) -> list:
     o = sig.other
     out, ok, shapes_o = _split(samples, lambda d: d.shape(o))
@@ -352,20 +344,18 @@ def _meancurv(samples: list, sig: Signature) -> list:
     t_o = st.of("t", lambda d: d.tangent_part_t(o))
     a_o_t = st.embed((np.array(shapes_o) @ st.of("c", lambda d: d.t_coeffs(o))[..., None])[..., 0])
     quads = stacked_inner(st.metric(o), a_o_t, t_o).tolist()
-    eps = st.floats("eps")
-    h = {sig: _mean_curvatures(st.of("shape", lambda d: d.shape(sig)), eps, sig)}
-    h[o] = _mean_curvatures(np.array(shapes_o), eps, o)
-    h_r, h_l = h[Signature.R], h[Signature.L]
+    scalars = zip(
+        ok, st.floats("eps"), st.floats("omega_l"), st.floats("h_r"), st.floats("h_l"), quads
+    )
     # The two laws stay apart: (eps / w**3) * q and -q / w**3 round differently.
-    for i, (s, e, w_l, w_r, q) in enumerate(
-        zip(ok, eps, st.floats("omega_l"), st.floats("omega_r"), quads)
-    ):
+    for s, e, w_l, h_r, h_l, q in scalars:
         if sig is Signature.R:
-            lhs = h_r[i] + (e / w_l) * h_l[i] + (e / w_l**3) * q
-            out[s] = [_scalar_residual(lhs, h_r[i], h_l[i], q)]
+            lhs = h_r + (e / w_l) * h_l + (e / w_l**3) * q
+            out[s] = [_scalar_residual(lhs, h_r, h_l, q)]
         else:
-            lhs = h_l[i] + (e / w_r) * h_r[i] - q / w_r**3
-            out[s] = [_scalar_residual(lhs, h_l[i], h_r[i], q)]
+            w_r = samples[s].omega_r
+            lhs = h_l + (e / w_r) * h_r - q / w_r**3
+            out[s] = [_scalar_residual(lhs, h_l, h_r, q)]
     return out
 
 

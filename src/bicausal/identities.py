@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .ambient import SIGNATURES, Signature, connection_gap_frame, stacked_inner, wedge_frame
-from .errors import GeometryError, NullDirection
+from .errors import ConfigInvalid, GeometryError, NullDirection
 from .numdiff import STENCIL_STEPS, brioschi_curvature
 from .surfaces import TwoMetricFrameData
 
@@ -676,6 +676,8 @@ def evaluate_samples(
 ) -> list[dict[str, dict]]:
     """Evaluate named identities on the samples of one surface.
 
+    The samples must share one ambient (one model and parameter pair), as
+    the samples of one ``frame_batch`` do; ConfigInvalid otherwise.
     Returns, per sample, per identity either {"residuals": [...]} or
     {"skipped": reason}; a SampleSkip or GeometryError becomes a skip with
     its reason or error code.  The identities that draw random numbers run
@@ -683,6 +685,8 @@ def evaluate_samples(
     consumed exactly as by one ``run_identities`` call per sample.  The
     stacked identities draw nothing and run once, over all samples.
     """
+    if any(d.ambient is not samples[0].ambient for d in samples):
+        raise ConfigInvalid("evaluate_samples takes samples of one ambient")
     infos = [IDENTITIES[name] for name in names]
     outs: list[dict[str, dict]] = [{} for _ in samples]
     for data, out in zip(samples, outs):

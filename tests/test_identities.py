@@ -7,6 +7,7 @@ import pytest
 
 from bicausal.ambient import SpaceParams
 from bicausal.catalog import build_surface, default_surfaces
+from bicausal.errors import ConfigInvalid
 from bicausal.identities import (
     IDENTITIES,
     IDENTITY_NAMES,
@@ -173,6 +174,13 @@ def test_identities_stay_finite_or_skip_at_the_omega_exclusion_bound():
                 assert isinstance(out["skipped"], str) and out["skipped"], (name, data.uv)
             else:
                 assert out["residuals"] and np.all(np.isfinite(out["residuals"])), (name, data.uv)
+
+
+def test_samples_of_two_ambients_are_rejected():
+    one = _surface_data("graph:bowl:a=0.2", 1.0, 1.0)
+    other = _surface_data("graph:bowl:a=0.2", 1.0, 0.5)
+    with pytest.raises(ConfigInvalid):
+        evaluate_samples(list(IDENTITY_NAMES), [one, other], np.random.default_rng(0))
 
 
 def test_unknown_identity_rejected():

@@ -154,6 +154,12 @@ class _Stack:
         )
         return np.max(np.abs(comps), axis=-1)
 
+    def shape_of_t(self, sig: Signature) -> np.ndarray:
+        """A_sig T_sig at each sample, in coordinates: ``_apply_shape`` of T's coefficients."""
+        shape = self.of(f"shape {sig.value}", lambda d: d.shape(sig))
+        coeffs = self.of(f"t_coeffs {sig.value}", lambda d: d.t_coeffs(sig))
+        return self.embed((shape @ coeffs[..., None])[..., 0])
+
     def rotate(self, sig: Signature, vf: np.ndarray) -> np.ndarray:
         """``rotate`` of frame components (m, 3) at each sample."""
         n_name = "n_r" if sig is Signature.R else "n_l"
@@ -274,8 +280,9 @@ def _killing(ctx: IdentityContext, sig: Signature) -> list[float]:
     points = np.concatenate(points)
     comps = amb.stencil_components(points, np.array([amb.fiber_direction(q) for q in points]))
     comps = comps.reshape(2, 5, -1)
+    fs = np.moveaxis(comps[:, 1:, None], 1, 0)
     derivs = amb.cov_deriv_stencils_at(
-        d.curve_frame(), (sig, sig), np.array(xs), comps[:, :1], np.moveaxis(comps[:, 1:, None], 1, 0), h
+        d.curve_frame(), (sig, sig), np.array(xs), comps[:, :1], fs, h
     )[:, 0]
     out = []
     for x, deriv in zip(xs, derivs):
@@ -337,13 +344,12 @@ def _bilinear(ctx: IdentityContext, sig: Signature) -> list[float]:
 
 def _meancurv(samples: list, sig: Signature) -> list:
     o = sig.other
-    out, ok, shapes_o = _split(samples, lambda d: d.shape(o))
+    out, ok, _ = _split(samples, lambda d: d.shape(o))
     if not ok:
         return out
     st = _Stack([samples[s] for s in ok])
     t_o = st.of("t", lambda d: d.tangent_part_t(o))
-    a_o_t = st.embed((np.array(shapes_o) @ st.of("c", lambda d: d.t_coeffs(o))[..., None])[..., 0])
-    quads = stacked_inner(st.metric(o), a_o_t, t_o).tolist()
+    quads = stacked_inner(st.metric(o), st.shape_of_t(o), t_o).tolist()
     scalars = zip(
         ok, st.floats("eps"), st.floats("omega_l"), st.floats("h_r"), st.floats("h_l"), quads
     )
@@ -368,7 +374,7 @@ def _int_residuals(samples: list, sig: Signature, which: int) -> list:
         return out
     st = _Stack([samples[s] for s in ok])
     tau = st.ambient.params.tau
-    shape = st.of("shape", lambda d: d.shape(sig))
+    shape = st.of(f"shape {sig.value}", lambda d: d.shape(sig))
     rot = st.of("rot", lambda d: d.rotation(sig))
     sign = -sig.eps3
     bases = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -384,7 +390,8 @@ def _int_residuals(samples: list, sig: Signature, which: int) -> list:
             out[s] = [_sized_residual(size) for size in per_axis]
         return out
     # derivative of the angle along the chart direction
-    a_term = ((shape - sign * tau * rot) @ st.of("c", lambda d: d.t_coeffs(sig))[..., None])[..., 0]
+    coeffs = st.of(f"t_coeffs {sig.value}", lambda d: d.t_coeffs(sig))
+    a_term = ((shape - sign * tau * rot) @ coeffs[..., None])[..., 0]
     pairs = a_term[:, None, :] @ st.of("gram", lambda d: d.gram[sig])
     rhs = np.stack([-(pairs @ basis)[:, 0] for basis in bases], axis=1).tolist()
     for s, der, rhs_s in zip(ok, derivs, rhs):
@@ -477,11 +484,9 @@ def _extrinsic_rel(samples: list) -> list:
     st = _Stack([samples[s] for s in ok])
     t = st.ambient.params.tau
     t_r = st.of("t_r")
-    a_r_t = st.embed((st.of("shape", lambda d: d.shape(Signature.R)) @
-                      st.of("c", lambda d: d.t_coeffs(Signature.R))[..., None])[..., 0])
     j_r_t = st.rotate(Signature.R, st.of("t_r frame", lambda d: d.frame_of("t_r")))
     g_r = st.metric(Signature.R)
-    mixed = stacked_inner(g_r, a_r_t, j_r_t).tolist()
+    mixed = stacked_inner(g_r, st.shape_of_t(Signature.R), j_r_t).tolist()
     t_norm2 = stacked_inner(g_r, t_r, t_r).tolist()
     for i, (s, suite) in enumerate(zip(ok, suites)):
         d = samples[s]
@@ -576,7 +581,10 @@ IDENTITY_NAMES: list[str] = [info.name for info in _REGISTRY]
 
 
 def evaluate_identity(name: str, ctx: IdentityContext) -> list[float]:
-    """Residuals of one named identity at one sample; SampleSkip or GeometryError when inapplicable."""
+    """Residuals of one named identity at one sample.
+
+    Raises SampleSkip or a GeometryError when the identity does not apply.
+    """
     info = IDENTITIES[name]
     if not info.stacked:
         return info.evaluate(ctx)

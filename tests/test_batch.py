@@ -297,7 +297,7 @@ def _skips(outcomes) -> set:
 
 @pytest.mark.parametrize("pair", [(-1.0, 0.0), (-4.0, 1.0)], ids=["disk-edge", "singular-edge"])
 def test_identities_at_the_disk_edge_equal_batches_of_one(pair):
-    """Samples whose stencil leaves the disk skip with their own error, at kappa + 4 tau^2 = 0 too."""
+    """Samples whose stencil leaves the disk skip with their own error, also at a singular pair."""
     ambient = CoordinateAmbient(SpaceParams(*pair))
     chart = _plane(ambient.params.disk_radius)
     outcomes = _assert_identities_equal_singles(ambient, chart, _edge_uvs(ambient))

@@ -225,10 +225,10 @@ def test_stencil_derivative_core_is_independent_of_field_count(name, rng):
     # n rows at one point, each under its own metric and velocity, give the one-row bits
     other = _tangents(ambient, p0[None], rng, 1)[0, 0]
     rows = ambient.cov_deriv_stencils_at(
-        p0, (Signature.R, Signature.L, Signature.R), np.array([velocity, velocity, other]),
+        p0, SIGS + (Signature.R,), np.array([velocity, velocity, other]),
         np.array([comps[0]] * 3), np.stack([comps[1:]] * 3, axis=1), h,
     )
-    for row, sig, vel in zip(rows, (Signature.R, Signature.L, Signature.R), (velocity, velocity, other)):
+    for row, sig, vel in zip(rows, SIGS + (Signature.R,), (velocity, velocity, other)):
         assert same_bits(row, ambient.cov_deriv_stencil(sig, p0, vel, comps[0], comps[1:], h))
 
 

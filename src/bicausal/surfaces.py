@@ -700,60 +700,48 @@ class _CurveStart(PointFrame):
 def _adapted_bases(batch: SampleBatch, sig: Signature) -> tuple[np.ndarray, np.ndarray, list]:
     """Every sample's tangent basis normalized for sectional curvature, and where it exists.
 
-    Riemannian: an orthonormal pair.  Lorentzian: first vector of square +1,
-    second of square -eps (so +1 on a spacelike plane, -1 on a timelike
-    one); on a timelike plane the first vector is the chart direction among
-    du, dv, du + dv, du - dv with the largest ratio of the two squares, and
-    the basis does not exist when no direction has the needed sign.
+    Riemannian, and on a spacelike plane: the orthonormal pair from du, dv.
+    On a timelike plane, Lorentzian: a first vector of square +1, the chart
+    direction among du, dv, du + dv, du - dv with the largest ratio of the
+    two squares, and a second of square -1; the basis does not exist when
+    no direction has the needed sign.
     """
     at = batch._at_centers
     du, dv = at("du"), at("dv")
     g = at("g_r" if sig is Signature.R else "g_l")
-    e1, e2 = np.empty(du.shape), np.empty(du.shape)
-    alive = [True] * len(du)
-    plain = [
-        s for s, e in enumerate(at("eps").tolist()) if sig is Signature.R or e < 0
+    # Each row reads one of the two constructions; the other computes on, unread.
+    with np.errstate(all="ignore"):
+        e1 = du / np.sqrt(stacked_inner(g, du, du))[:, None]
+        w = dv - stacked_inner(g, dv, e1)[:, None] * e1
+        e2 = w / np.sqrt(stacked_inner(g, w, w))[:, None]
+        timelike = (at("eps") > 0).tolist() if sig is Signature.L else [False] * len(du)
+        if not any(timelike):
+            return e1, e2, [True] * len(du)
+        cands = np.stack([du, dv, du + dv, du - dv], axis=1)
+        q_l = stacked_inner(g, cands, cands)
+        q_r = stacked_inner(at("g_r"), cands, cands).tolist()
+        # the first maximum, as ``max`` picks it
+        best = [
+            max(range(4), key=lambda i: ql[i] / qr[i]) if tl else 0
+            for ql, qr, tl in zip(q_l.tolist(), q_r, timelike)
+        ]
+        rows = np.arange(len(du))
+        q = q_l[rows, best]
+        f1 = cands[rows, best] / np.sqrt(q)[:, None]
+        legs = np.stack([du, dv], axis=1)
+        f1_legs = np.broadcast_to(f1[:, None], legs.shape)
+        w = legs - stacked_inner(g, legs, f1_legs)[..., None] * f1_legs
+        qw = stacked_inner(g, w, w).tolist()
+        # the first minimum, as ``min`` picks it
+        second = [1 if q1 < q0 else 0 for q0, q1 in qw]
+        q2 = np.array([pair[i] for pair, i in zip(qw, second)])
+        f2 = w[rows, second] / np.sqrt(-q2)[:, None]
+    alive = [
+        not tl or (not q1 <= 0 and not q2 >= 0)
+        for tl, q1, q2 in zip(timelike, q.tolist(), q2.tolist())
     ]
-    if plain:
-        g_p, du_p, dv_p = g[plain], du[plain], dv[plain]
-        scale = [math.sqrt(q) for q in stacked_inner(g_p, du_p, du_p).tolist()]
-        b1 = du_p / np.array(scale)[:, None]
-        w = dv_p - stacked_inner(g_p, dv_p, b1)[:, None] * b1
-        scale = [math.sqrt(q) for q in stacked_inner(g_p, w, w).tolist()]
-        e1[plain], e2[plain] = b1, w / np.array(scale)[:, None]
-    timelike = sorted(set(range(len(du))) - set(plain))
-    if timelike:
-        g_t, du_t, dv_t = g[timelike], du[timelike], dv[timelike]
-        cands = np.stack([du_t, dv_t, du_t + dv_t, du_t - dv_t], axis=1)
-        g_r = at("g_r")[timelike]
-        q_l = stacked_inner(g_t, cands, cands).tolist()
-        q_r = stacked_inner(g_r, cands, cands).tolist()
-        best, scale = [], []
-        for s, (ql, qr) in enumerate(zip(q_l, q_r)):
-            # the first maximum, as ``max`` picks it
-            b = max(range(4), key=lambda i: ql[i] / qr[i])
-            best.append(b)
-            if ql[b] <= 0:
-                alive[timelike[s]] = False
-            scale.append(math.sqrt(ql[b]) if alive[timelike[s]] else 1.0)
-        rows = np.arange(len(timelike))
-        # rows without a basis compute on, unread
-        with np.errstate(all="ignore"):
-            b1 = cands[rows, best] / np.array(scale)[:, None]
-            legs = np.stack([du_t, dv_t], axis=1)
-            b1_legs = np.broadcast_to(b1[:, None], legs.shape)
-            w = legs - stacked_inner(g_t, legs, b1_legs)[..., None] * b1_legs
-            qw = stacked_inner(g_t, w, w).tolist()
-            second, scale = [], []
-            for s, (q0, q1) in enumerate(qw):
-                i = 1 if q1 < q0 else 0  # the first minimum, as ``min`` picks it
-                second.append(i)
-                if qw[s][i] >= 0:
-                    alive[timelike[s]] = False
-                scale.append(math.sqrt(-qw[s][i]) if alive[timelike[s]] else 1.0)
-            e1[timelike] = b1
-            e2[timelike] = w[rows, second] / np.array(scale)[:, None]
-    return e1, e2, alive
+    pick = np.array(timelike)[:, None]
+    return np.where(pick, f1, e1), np.where(pick, f2, e2), alive
 
 
 class TwoMetricFrameData(PointFrame):

@@ -211,18 +211,18 @@ def stacked_inner(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class PointFrame:
-    """The frame, both metrics and (built on first use) the connection tables at one point.
+    """The frame, both metrics and the connection tables (given, or built on first use) at a point.
 
     The ambient's per-point algebra at ``point``, without building the frame
     or a metric again: the per-point calls of ``Ambient`` are these methods.
     """
 
-    def __init__(self, ambient, point: np.ndarray, frame=None, metric=None):
+    def __init__(self, ambient, point: np.ndarray, frame=None, metric=None, tables=None):
         self.ambient = ambient
         self.point = point
         self.frame = ambient.frame(point) if frame is None else frame
         self.metric = metric or {sig: ambient.metric(sig, point) for sig in SIGNATURES}
-        self._tables: dict[Signature, np.ndarray] = {}
+        self._tables: dict[Signature, np.ndarray] = dict(tables or {})
 
     def table(self, sig: Signature) -> np.ndarray:
         hit = self._tables.get(sig)

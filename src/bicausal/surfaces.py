@@ -652,8 +652,8 @@ class SampleBatch:
 
         A group-model curve starts at point / sqrt(quadric(point)), which is
         not always bitwise the point.  The PointFrames of all moved starts are
-        built on the first call, and their tables are one ``point_tables``
-        call per metric, built on first use.
+        built on the first call, with their tables from one ``point_tables``
+        call per metric.
         """
         if self._curve_starts is None:
             zero = np.zeros(self.ambient.dim)
@@ -662,39 +662,13 @@ class SampleBatch:
             moved = [s for s, (a, b) in enumerate(zip(starts, points)) if not np.array_equal(a, b)]
             self._curve_starts = [None] * len(points)
             if moved:
-                at = _CurveStarts(self.ambient, np.array([starts[s] for s in moved]))
+                at = np.array([starts[s] for s in moved])
+                tables = {sig: self.ambient.point_tables(sig, at) for sig in SIGNATURES}
                 for i, s in enumerate(moved):
-                    self._curve_starts[s] = _CurveStart(at, i)
+                    self._curve_starts[s] = PointFrame(
+                        self.ambient, at[i], tables={sig: tables[sig][i] for sig in SIGNATURES}
+                    )
         return self._curve_starts[k]
-
-
-class _CurveStarts:
-    """The moved curve starts of a batch, and their connection tables, built on first use."""
-
-    def __init__(self, ambient, points: np.ndarray):
-        self.ambient = ambient
-        self.points = points
-        self._tables: dict[Signature, np.ndarray] = {}
-
-    def tables(self, sig: Signature) -> np.ndarray:
-        tables = self._tables.get(sig)
-        if tables is None:
-            tables = self._tables[sig] = self.ambient.point_tables(sig, self.points)
-        return tables
-
-
-class _CurveStart(PointFrame):
-    """The PointFrame at a moved curve start; its tables are one stack over the batch's starts.
-
-    It holds the starts, not the batch, so that the batch holds no reference cycle.
-    """
-
-    def __init__(self, starts: _CurveStarts, i: int):
-        super().__init__(starts.ambient, starts.points[i])
-        self._starts, self._i = starts, i
-
-    def table(self, sig: Signature) -> np.ndarray:
-        return self._starts.tables(sig)[self._i]
 
 
 def _adapted_bases(batch: SampleBatch, sig: Signature) -> tuple[np.ndarray, np.ndarray, list]:

@@ -331,8 +331,8 @@ class SampleBatch:
       ``cov_deriv_stencils`` call per chart axis and one stacked Gram
       projection, over the samples whose stencil rows raised nothing;
     * the curvature scalars of ``identities.curvature_suite``;
-    * in the group models, the frames, metrics and tables at the curve
-      starts of ``curve_frame``.
+    * in the group models, the PointFrames at the curve starts of
+      ``curve_frame``, with one ``point_tables`` call per metric.
 
     Each stage rounds row by row like a batch of one, so a sample's numbers
     do not depend on the batch it is in.  Nothing here draws random numbers.

@@ -44,7 +44,6 @@ from .identities import (
     IdentityContext,
     SampleSkip,
     curvature_suite,
-    evaluate_identity,
     evaluate_samples,
     indefiniteness_check,
     intrinsic_curvature_r,
@@ -105,7 +104,6 @@ __all__ = [
     "curvature_frame",
     "curvature_suite",
     "default_surfaces",
-    "evaluate_identity",
     "evaluate_samples",
     "frame_batch",
     "frame_data",

@@ -10,7 +10,7 @@ Conventions fixed in this module:
 
 * ``Signature.R`` / ``Signature.L`` select the metric; the frame Gram matrix
   is diag(1, 1, +1) resp. diag(1, 1, -1).
-* The vector product ``wedge`` of either metric is defined by
+* The vector product ``wedge_frame`` of either metric is defined by
   <u ^ v, w> = det(u, v, w) in positively oriented frame components.
 * The curvature operator ``curvature_frame`` uses the convention in which
   the sectional curvature of a plane spanned by suitable unit vectors u, v
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigInvalid, DomainViolation
-from .numdiff import STENCIL_STEPS, FDSteps, central_diff, christoffels, stencil_derivative
+from .numdiff import FDSteps, central_diff, christoffels, stencil_derivative, stencil_values
 
 DOMAIN_MARGIN = 1e-6
 
@@ -213,8 +213,9 @@ def stacked_inner(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class PointFrame:
     """The frame, both metrics and the connection tables (given, or built on first use) at a point.
 
-    The ambient's per-point algebra at ``point``, without building the frame
-    or a metric again: the per-point calls of ``Ambient`` are these methods.
+    The per-point algebra at ``point``, without building the frame or a
+    metric again; ``wedge_frame`` and ``curvature_frame`` act on its frame
+    components.
     """
 
     def __init__(self, ambient, point: np.ndarray, frame=None, metric=None, tables=None):
@@ -248,14 +249,6 @@ class PointFrame:
     def to_coord(self, vf: np.ndarray) -> np.ndarray:
         return self.frame @ np.asarray(vf, dtype=float)
 
-    def wedge(self, sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.to_coord(wedge_frame(sig, self.to_frame(u), self.to_frame(v)))
-
-    def curvature(self, sig: Signature, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        xf, yf = self.to_frame(x), self.to_frame(y)
-        zf = xf if z is x else self.to_frame(z)
-        return self.to_coord(curvature_frame(self.ambient.params, sig, xf, yf, zf))
-
 
 class Ambient:
     """Frame algebra shared by the coordinate and the group model.
@@ -268,14 +261,14 @@ class Ambient:
     ``christoffels`` (one point or a stack) differentiates ``metrics``.  Two
     per-point forms stay, because they are hot and a one-row stack costs
     more: ``fiber_direction`` and ``frame_components`` (``to_frame`` at a
-    ``PointFrame``).  Subclasses also supply the stacked connection tables
-    ``point_tables`` (what ``cov_deriv_stencils`` reads; both models build
-    them from ``christoffels``) and the stacked stencil derivative:
+    ``PointFrame``, which ``point_frame`` gives for the rest).  Subclasses
+    also supply the stacked connection tables ``point_tables`` (what
+    ``cov_deriv_stencils`` reads; both models build them from
+    ``christoffels``) and the stacked stencil derivative:
     ``stencil_components`` and ``cov_deriv_stencils``, which reads stacks of
-    the points and their frames, metric and tables.  ``point_table`` and
-    ``cov_deriv_stencil`` are their one-row case, ``cov_deriv_stencils_at``
-    the case of n rows at one point, and ``cov_deriv_on_curve`` samples for
-    ``cov_deriv_stencil``.
+    the points and their frames, metric and tables.  ``point_table`` is
+    their one-row case, ``cov_deriv_stencils_at`` the case of n rows at one
+    point, and ``cov_deriv_on_curve`` samples a field on a curve for one row.
     """
 
     def frame(self, p: np.ndarray) -> np.ndarray:
@@ -286,26 +279,9 @@ class Ambient:
         """Coordinate matrix of the metric ``sig`` at p."""
         return self.metrics(sig, np.asarray(p, dtype=float)[None])[0]
 
-    def inner(self, sig: Signature, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-        return self.point_frame(p).inner(sig, u, v)
-
     def to_frame(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Components of a vector in the canonical frame at p."""
         return self.point_frame(p).to_frame(v)
-
-    def to_coord(self, p: np.ndarray, vf: np.ndarray) -> np.ndarray:
-        """Coordinate components of a vector given in the canonical frame at p."""
-        return self.point_frame(p).to_coord(vf)
-
-    def wedge(self, sig: Signature, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Vector product of two coordinate vectors, returned in coordinates."""
-        return self.point_frame(p).wedge(sig, u, v)
-
-    def curvature(
-        self, sig: Signature, p: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
-    ) -> np.ndarray:
-        """Curvature operator on coordinate vectors, returned in coordinates."""
-        return self.point_frame(p).curvature(sig, x, y, z)
 
     def christoffels(self, sig: Signature, p: np.ndarray, h: float | None = None) -> np.ndarray:
         """Coordinate Christoffel symbols Gamma[c, a, b] of ``sig`` at p, from ``metrics``.
@@ -322,23 +298,6 @@ class Ambient:
     def point_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
         """The connection table of ``sig`` at one point: one-row ``point_tables``."""
         return self.point_tables(sig, np.asarray(p, dtype=float)[None])[0]
-
-    def cov_deriv_stencil(
-        self,
-        sig: Signature,
-        at: PointFrame | np.ndarray,
-        velocity: np.ndarray,
-        f0: np.ndarray,
-        fs: np.ndarray,
-        h: float,
-    ) -> np.ndarray:
-        """Covariant derivatives at one point p0 of k fields: one-row ``cov_deriv_stencils``.
-
-        ``at`` is p0 or its PointFrame, ``f0`` (k, c) and ``fs`` (4, k, c)
-        hold the fields' ``stencil_components``; returns (k, dim).
-        """
-        velocity = np.asarray(velocity, dtype=float)
-        return self.cov_deriv_stencils_at(at, (sig,), velocity[None], f0[None], fs[:, None], h)[0]
 
     def cov_deriv_stencils_at(
         self,
@@ -392,24 +351,15 @@ class Ambient:
             at = self.point_frame(curve(0.0))
         if velocity is None:
             velocity = central_diff(curve, 0.0, h)
-        comps = self.sample_stencil(curve, field, h)
-        return self.cov_deriv_stencil(sig, at, velocity, comps[:1], comps[1:, None], h)[0]
-
-    def sample_stencil(
-        self,
-        curve: Callable[[float], np.ndarray],
-        field: Callable[[float], np.ndarray],
-        h: float,
-    ) -> np.ndarray:
-        """``stencil_components`` of ``field`` on ``curve`` at 0, then ``STENCIL_STEPS`` times h."""
-        ts = (0.0,) + tuple(k * h for k in STENCIL_STEPS)
-        points = np.array([curve(t) for t in ts])
-        return self.stencil_components(points, np.array([field(t) for t in ts]))
+        comps = self.stencil_components(stencil_values(curve, h), stencil_values(field, h))
+        vel = np.asarray(velocity, dtype=float)[None]
+        f0, fs = comps[None, :1], comps[1:, None, None]
+        return self.cov_deriv_stencils_at(at, (sig,), vel, f0, fs, h)[0, 0]
 
     # -- stacked forms ---------------------------------------------------------
 
     def to_coords(self, points: np.ndarray, comps: np.ndarray, frames=None) -> np.ndarray:
-        """Stacked ``to_coord``: frame components (n, [k,] 3) -> (n, [k,] dim)."""
+        """Stacked ``PointFrame.to_coord``: frame components (n, [k,] 3) -> (n, [k,] dim)."""
         f = self.frames(points) if frames is None else frames
         c = _vectors(comps)
         return (_per_row(f, c) @ c[..., None])[..., 0]
@@ -619,11 +569,3 @@ class CoordinateAmbient(Ambient):
         for k in range(9):
             corr += terms[:, k]
         return (frames[:, None] @ (df + corr)[..., None])[..., 0]
-
-    # -- derived tensors ----------------------------------------------------
-
-    def connection_gap(self, p: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Difference tensor of the two connections on coordinate vectors, in coordinates."""
-        xf = self.to_frame(p, x)
-        yf = self.to_frame(p, y)
-        return self.to_coord(p, connection_gap_frame(self.params.tau, xf, yf))

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -83,6 +84,14 @@ def _strict_json(report: dict) -> dict:
     return {**report, "results": results}
 
 
+def _open_output(path: str, newline: str | None = None):
+    """``path`` opened for writing; a path that cannot be written is a configuration error."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_verify(args) -> int:
     config = SuiteConfig(
         params=_parse_params(args.params),
@@ -92,11 +101,12 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         tolerances=_parse_tols(args.tol),
     )
-    report = run_suite(config)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
-            fh.write("\n")
+    # opened before the sweep, so a path that cannot be written fails at once
+    with _open_output(args.json) if args.json else contextlib.nullcontext() as out:
+        report = run_suite(config)
+        if out:
+            json.dump(_strict_json(report), out, indent=2, allow_nan=False)
+            out.write("\n")
 
     by_surface: dict[tuple[str, str], list] = {}
     for row in report["results"]:
@@ -200,8 +210,8 @@ def cmd_report(args) -> int:
     coord_names = ["x", "y", "z"] + (["w"] if built.group_model else [])
     fieldnames = ["u", "v"] + coord_names + _REPORT_FIELDS
 
-    out = open(args.csv, "w", newline="") if args.csv else sys.stdout
-    try:
+    sink = _open_output(args.csv, newline="") if args.csv else contextlib.nullcontext(sys.stdout)
+    with sink as out:
         writer = csv.DictWriter(out, fieldnames=fieldnames, restval="")
         writer.writeheader()
         for u in us:
@@ -209,9 +219,6 @@ def cmd_report(args) -> int:
             line = [(float(u), float(v)) for v in vs]
             for uv, data in zip(line, frame_batch(built.ambient, built.chart, line)):
                 writer.writerow(_report_row(built, uv, data))
-    finally:
-        if args.csv:
-            out.close()
     if args.csv:
         print(f"wrote {nu * nv} rows for {built.address} to {args.csv}")
     return 0
@@ -228,7 +235,7 @@ def cmd_mesh(args) -> int:
             f"{built.address} lives in the 4-dimensional group model (use --format csv)"
         )
     us, vs = _grid_points(built.chart, nu, nv)
-    with open(args.out, "w", newline="") as fh:
+    with _open_output(args.out, newline="") as fh:
         if args.format == "obj":
             fh.write(f"# {built.address} at ({space.label()}), {nu}x{nv} grid\n")
             for u in us:

@@ -184,13 +184,6 @@ class GroupAmbient(Ambient):
         """Coordinate Christoffel symbols at each point, (n, 4, 4, 4), in one stack."""
         return self.christoffels(sig, points)
 
-    def tangent_project(
-        self, sig: Signature, at: PointFrame | np.ndarray, vec: np.ndarray
-    ) -> np.ndarray:
-        """Remove the component normal to the quadric (along the position vector ``at``)."""
-        at = self.point_frame(at)
-        return _tangent_part(at.point, at.metric[sig], vec)
-
     def curve_through(self, p: np.ndarray, vel: np.ndarray) -> Callable[[float], np.ndarray]:
         """Curve on the quadric through p with initial velocity vel (radial renormalization)."""
         p = np.asarray(p, dtype=float)
@@ -222,19 +215,14 @@ class GroupAmbient(Ambient):
         fields given in coordinates (n, k, 4) at p0 and (4, n, k, 4) on the
         stencil (and no use for ``frames``).  The connection term is one
         ``einsum`` over all points and fields, and ``metric`` projects the
-        result to the quadric (``_tangent_part``), each row as alone.
+        result to the quadric: each row loses its component along the
+        position vector p0, which is normal to the quadric under that metric.
         """
         dv = stencil_derivative(fs, h)
         gam, vel, v0, p = (np.ascontiguousarray(a) for a in (tables, velocity, f0, points))
         vec = dv + np.einsum("ncab,na,nkb->nkc", gam, vel, v0)
         along = stacked_inner(metric, vec, np.broadcast_to(p[:, None], vec.shape))
         return vec - (along / stacked_inner(metric, p, p)[:, None])[..., None] * p[:, None]
-
-
-def _tangent_part(p: np.ndarray, g: np.ndarray, vec) -> np.ndarray:
-    """vec minus its component along the position vector p, orthogonal under the metric g."""
-    vec = np.asarray(vec, dtype=float)
-    return vec - (float(vec @ g @ p) / float(p @ g @ p)) * p
 
 
 # -- helicoid charts ---------------------------------------------------------

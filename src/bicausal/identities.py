@@ -29,7 +29,7 @@ import numpy as np
 
 from .ambient import SIGNATURES, Signature, connection_gap_frame, stacked_inner, wedge_frame
 from .errors import ConfigInvalid, GeometryError, NullDirection
-from .numdiff import STENCIL_STEPS, brioschi_curvature
+from .numdiff import brioschi_curvature, stencil_values
 from .surfaces import TwoMetricFrameData
 
 
@@ -235,11 +235,6 @@ def _linear_frame_comps(ctx: IdentityContext, base: np.ndarray):
     return comps, a
 
 
-def _stencil_points(curve: Callable[[float], np.ndarray], h: float) -> np.ndarray:
-    """The points of ``curve`` at 0, then ``STENCIL_STEPS`` times h (``sample_stencil``'s)."""
-    return np.array([curve(t) for t in (0.0,) + tuple(k * h for k in STENCIL_STEPS)])
-
-
 def _conn_diff(ctx: IdentityContext) -> list[float]:
     d = ctx.data
     amb, p = d.ambient, d.point
@@ -248,7 +243,7 @@ def _conn_diff(ctx: IdentityContext) -> list[float]:
     y_comps, y0f = _linear_frame_comps(ctx, p)
     vel = d.to_coord(y_comps(p))
     # The field on the five stencil points, from one stack of their frames.
-    points = _stencil_points(amb.curve_through(p, vel), h)
+    points = stencil_values(amb.curve_through(p, vel), h)
     frames = amb.frames(points)
     field = amb.to_coords(points, np.array([x_comps(q) for q in points]), frames=frames)
     comps = amb.stencil_components(points, field, frames)
@@ -274,7 +269,7 @@ def _killing(ctx: IdentityContext, sig: Signature) -> list[float]:
     for _ in range(2):
         xs.append(_random_ambient_vector(ctx))
         # A curve that leaves the model raises here, before the next draw.
-        points.append(_stencil_points(amb.curve_through(p, xs[-1]), h))
+        points.append(stencil_values(amb.curve_through(p, xs[-1]), h))
     # Both curves' stencils in one stack: the fiber field's components, then
     # one row per curve.
     points = np.concatenate(points)
@@ -578,20 +573,6 @@ _REGISTRY: list[IdentityInfo] = [
 
 IDENTITIES: dict[str, IdentityInfo] = {info.name: info for info in _REGISTRY}
 IDENTITY_NAMES: list[str] = [info.name for info in _REGISTRY]
-
-
-def evaluate_identity(name: str, ctx: IdentityContext) -> list[float]:
-    """Residuals of one named identity at one sample.
-
-    Raises SampleSkip or a GeometryError when the identity does not apply.
-    """
-    info = IDENTITIES[name]
-    if not info.stacked:
-        return info.evaluate(ctx)
-    (out,) = info.evaluate([ctx.data])
-    if isinstance(out, Exception):
-        raise out
-    return out
 
 
 # -- extra checks beyond the pointwise identities ---------------------------------

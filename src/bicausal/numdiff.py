@@ -7,7 +7,8 @@ ambient reads it once and owns the resulting ``FDSteps``.
 
 Besides the difference rules, the module holds two routines built on them:
 ``christoffels``, the one FD Christoffel routine in the package, which both
-ambient models and the test oracles call, and ``brioschi_curvature``.
+ambient models call (as do the oracles in ``tests/oracles.py``), and
+``brioschi_curvature``.
 ``gradient`` and ``christoffels`` take a stack of points (n, dim) and
 differentiate stacked functions (points (n, dim) -> values (n, ...)), so every
 axis at every point of a stencil offset is one call; one point is the
@@ -59,6 +60,11 @@ class FDSteps:
 # Offsets of the five-point rule, in units of the step, in the order every
 # stencil in the package is evaluated (and its first error raised).
 STENCIL_STEPS = (1, 2, -1, -2)
+
+
+def stencil_values(f, h: float) -> np.ndarray:
+    """f at 0, then at ``STENCIL_STEPS`` times h, as one array: a stencil's five values."""
+    return np.array([f(t) for t in (0.0,) + tuple(k * h for k in STENCIL_STEPS)])
 
 
 def stencil_derivative(values, h: float):

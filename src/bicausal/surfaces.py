@@ -152,9 +152,6 @@ class NormalData:
     sign_ambiguous: np.ndarray
     wedge_agreement: np.ndarray | None
 
-    def first_error(self) -> GeometryError | None:
-        return next((err for err in self.errors if err is not None), None)
-
 
 def _grams(g: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """Stacked ``induced_gram`` from metrics g (n, dim, dim) and (du, dv) pairs (n, 2, dim).

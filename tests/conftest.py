@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from bicausal.ambient import CoordinateAmbient, SpaceParams
+from bicausal.ambient import CoordinateAmbient, SpaceParams, connection_gap_frame
 from bicausal.catalog import build_surface, default_surfaces
 from bicausal.surfaces import frame_data
 
@@ -69,6 +69,12 @@ def same_bits(a, b) -> bool:
     """Equal dtype, shape and bytes: stricter than np.array_equal (signed zeros)."""
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def gap_tensor(ambient, p: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The difference tensor of the two connections on coordinate vectors at p, in coordinates."""
+    at = ambient.point_frame(p)
+    return at.to_coord(connection_gap_frame(ambient.params.tau, at.to_frame(x), at.to_frame(y)))
 
 
 def interior_grid(domain, n_u: int, n_v: int, margin: float = 0.12):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ambient import Signature, frame_gram
-from .numdiff import central_diff, christoffels, gradient
+from bicausal.ambient import Signature, frame_gram
+from bicausal.numdiff import central_diff, christoffels, gradient
 
 
 def lie_bracket_fd(fields_x, fields_y, p: np.ndarray, h: float) -> np.ndarray:

@@ -39,11 +39,17 @@ from bicausal.identities import (
     ruling_defect,
     run_identities,
 )
-from bicausal.oracles import frame_orthonormality_defect, koszul_table
 from bicausal.suite import OMEGA_CONDITION_LIMIT
 from bicausal.surfaces import frame_data
 
-from conftest import UNTWISTED_PARAMS, interior_grid, random_params, random_point
+from conftest import (
+    UNTWISTED_PARAMS,
+    gap_tensor,
+    interior_grid,
+    random_params,
+    random_point,
+)
+from oracles import frame_orthonormality_defect, koszul_table
 
 SIGS = (Signature.R, Signature.L)
 
@@ -102,9 +108,9 @@ def test_check_01_frame_and_metric_axioms():
         p = random_point(ambient, gen)
         for sig in SIGS:
             worst = max(worst, frame_orthonormality_defect(ambient, sig, p))
-        xi = ambient.fiber_direction(p)
-        worst = max(worst, abs(ambient.inner(Signature.R, p, xi, xi) - 1.0))
-        worst = max(worst, abs(ambient.inner(Signature.L, p, xi, xi) + 1.0))
+        xi, at = ambient.fiber_direction(p), ambient.point_frame(p)
+        worst = max(worst, abs(at.inner(Signature.R, xi, xi) - 1.0))
+        worst = max(worst, abs(at.inner(Signature.L, xi, xi) + 1.0))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 1.0
     line = _emit(
@@ -172,7 +178,7 @@ def test_check_03_connection_gap_tensor():
             sig: ambient.cov_deriv_on_curve(sig, curve, lambda t: y, 1e-4, velocity=x)
             for sig in SIGS
         }
-        closed = ambient.connection_gap(p, x, y)
+        closed = gap_tensor(ambient, p, x, y)
         worst_fd = max(
             worst_fd,
             float(np.max(np.abs((derivs[Signature.R] - derivs[Signature.L]) - closed))),
@@ -184,7 +190,7 @@ def test_check_03_connection_gap_tensor():
         for _ in range(20):
             p = random_point(ambient, gen)
             x, y = gen.normal(size=3), gen.normal(size=3)
-            gap = ambient.connection_gap(p, x, y)
+            gap = gap_tensor(ambient, p, x, y)
             worst_untwisted = max(worst_untwisted, float(np.max(np.abs(gap))))
 
     ok = worst_frame < 1e-10 and worst_fd < 1e-5 and worst_untwisted < 1e-12

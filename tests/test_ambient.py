@@ -25,21 +25,22 @@ from bicausal.ambient import (
 )
 from bicausal.errors import ConfigInvalid, DomainViolation
 from bicausal.numdiff import FDSteps
-from bicausal.oracles import (
-    curvature_fd,
-    curvature_from_tables,
-    frame_orthonormality_defect,
-    koszul_table,
-    lie_bracket_fd,
-)
 
 from conftest import (
     ALL_PARAMS,
     TWISTED_PARAMS,
     UNTWISTED_PARAMS,
+    gap_tensor,
     random_params,
     random_point,
     same_bits,
+)
+from oracles import (
+    curvature_fd,
+    curvature_from_tables,
+    frame_orthonormality_defect,
+    koszul_table,
+    lie_bracket_fd,
 )
 
 SIGS = (Signature.R, Signature.L)
@@ -69,13 +70,13 @@ def test_vertical_direction_is_unit_and_sign_split(rng):
         params = random_params(rng)
         ambient = CoordinateAmbient(params)
         p = random_point(ambient, rng)
-        xi = ambient.fiber_direction(p)
-        assert abs(ambient.inner(Signature.R, p, xi, xi) - 1.0) < 1e-12
-        assert abs(ambient.inner(Signature.L, p, xi, xi) + 1.0) < 1e-12
+        xi, at = ambient.fiber_direction(p), ambient.point_frame(p)
+        assert abs(at.inner(Signature.R, xi, xi) - 1.0) < 1e-12
+        assert abs(at.inner(Signature.L, xi, xi) + 1.0) < 1e-12
         # vertical components of an arbitrary vector have opposite signs
         v = rng.normal(size=3)
-        vr = ambient.inner(Signature.R, p, v, xi)
-        vl = ambient.inner(Signature.L, p, v, xi)
+        vr = at.inner(Signature.R, v, xi)
+        vl = at.inner(Signature.L, v, xi)
         assert abs(vr + vl) < 1e-12
 
 
@@ -90,15 +91,15 @@ def test_metric_sum_and_difference_split(rng):
         params = random_params(rng)
         ambient = CoordinateAmbient(params)
         p = random_point(ambient, rng)
-        xi = ambient.fiber_direction(p)
+        xi, at = ambient.fiber_direction(p), ambient.point_frame(p)
         x, y = rng.normal(size=3), rng.normal(size=3)
-        xr = ambient.inner(Signature.R, p, x, xi)
-        yr = ambient.inner(Signature.R, p, y, xi)
+        xr = at.inner(Signature.R, x, xi)
+        yr = at.inner(Signature.R, y, xi)
         xh = x - xr * xi
         yh = y - yr * xi
-        s = ambient.inner(Signature.R, p, x, y) + ambient.inner(Signature.L, p, x, y)
-        d = ambient.inner(Signature.R, p, x, y) - ambient.inner(Signature.L, p, x, y)
-        worst = max(worst, abs(s - 2.0 * ambient.inner(Signature.R, p, xh, yh)))
+        s = at.inner(Signature.R, x, y) + at.inner(Signature.L, x, y)
+        d = at.inner(Signature.R, x, y) - at.inner(Signature.L, x, y)
+        worst = max(worst, abs(s - 2.0 * at.inner(Signature.R, xh, yh)))
         worst = max(worst, abs(d - 2.0 * xr * yr))
     assert worst < 1e-12
 
@@ -127,14 +128,14 @@ def test_to_frame_roundtrip(kappa, tau, comps):
     p = np.array([0.21, -0.13, 0.4])
     if not ambient.contains(p):  # pragma: no cover - domain always contains p here
         return
-    v = np.array(comps)
-    back = ambient.to_coord(p, ambient.to_frame(p, v))
+    v, at = np.array(comps), ambient.point_frame(p)
+    back = at.to_coord(at.to_frame(v))
     assert np.max(np.abs(back - v)) < 1e-10 * max(1.0, np.max(np.abs(v)))
     # frame components compute inner products through the constant gram matrix
     w = np.array([0.3, -0.8, 0.5])
     for sig in SIGS:
-        direct = ambient.inner(sig, p, v, w)
-        framed = ambient.to_frame(p, v) @ frame_gram(sig) @ ambient.to_frame(p, w)
+        direct = at.inner(sig, v, w)
+        framed = at.to_frame(v) @ frame_gram(sig) @ at.to_frame(w)
         assert abs(direct - framed) < 1e-10 * max(1.0, abs(direct))
 
 
@@ -169,19 +170,17 @@ def test_wedge_orthogonality_and_triple_product(rng):
         ambient = CoordinateAmbient(params)
         p = random_point(ambient, rng)
         u, v, w = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
+        at = ambient.point_frame(p)
+        uf, vf, wf = at.to_frame(u), at.to_frame(v), at.to_frame(w)
         for sig in SIGS:
-            uv = ambient.wedge(sig, p, u, v)
-            assert abs(ambient.inner(sig, p, uv, u)) < 1e-10
-            assert abs(ambient.inner(sig, p, uv, v)) < 1e-10
+            uv = at.to_coord(wedge_frame(sig, uf, vf))
+            assert abs(at.inner(sig, uv, u)) < 1e-10
+            assert abs(at.inner(sig, uv, v)) < 1e-10
             # antisymmetry
-            assert np.max(np.abs(uv + ambient.wedge(sig, p, v, u))) < 1e-12
+            assert np.max(np.abs(uv + at.to_coord(wedge_frame(sig, vf, uf)))) < 1e-12
             # triple product equals the determinant of frame components
-            det = np.linalg.det(
-                np.column_stack(
-                    [ambient.to_frame(p, u), ambient.to_frame(p, v), ambient.to_frame(p, w)]
-                )
-            )
-            assert abs(ambient.inner(sig, p, uv, w) - det) < 1e-9 * max(1.0, abs(det))
+            det = np.linalg.det(np.column_stack([uf, vf, wf]))
+            assert abs(at.inner(sig, uv, w) - det) < 1e-9 * max(1.0, abs(det))
 
 
 # -- connection tables --------------------------------------------------------
@@ -312,7 +311,7 @@ def test_connection_gap_on_frame_fields(rng):
                 worst = max(worst, float(np.max(np.abs(gap_f - diff[i, j]))))
                 # coordinate-level route through to_frame/to_coord
                 f = ambient.frame(p)
-                gap_c = ambient.connection_gap(p, f[:, i], f[:, j])
+                gap_c = gap_tensor(ambient, p, f[:, i], f[:, j])
                 worst = max(worst, float(np.max(np.abs(ambient.to_frame(p, gap_c) - diff[i, j]))))
     assert worst < 1e-10
 
@@ -335,7 +334,7 @@ def test_connection_gap_matches_fd_difference(rng):
             for sig in SIGS
         }
         fd_gap = derivs[Signature.R] - derivs[Signature.L]
-        closed = ambient.connection_gap(p, x, y)
+        closed = gap_tensor(ambient, p, x, y)
         worst = max(worst, float(np.max(np.abs(fd_gap - closed))))
     assert worst < 1e-5
 
@@ -348,7 +347,7 @@ def test_connection_gap_vanishes_untwisted(rng):
         for _ in range(20):
             p = random_point(ambient, rng)
             x, y = rng.normal(size=3), rng.normal(size=3)
-            worst = max(worst, float(np.max(np.abs(ambient.connection_gap(p, x, y)))))
+            worst = max(worst, float(np.max(np.abs(gap_tensor(ambient, p, x, y)))))
             tables = [ambient.connection_table(sig, p) for sig in SIGS]
             worst = max(worst, float(np.max(np.abs(tables[0] - tables[1]))))
     assert worst < 1e-12
@@ -362,13 +361,14 @@ def test_killing_property_of_vertical_field(rng):
         ambient = CoordinateAmbient(params)
         p = random_point(ambient, rng)
         x, y = rng.normal(size=3), rng.normal(size=3)
+        at = ambient.point_frame(p)
         for sig in SIGS:
             def d_along(vec):
                 curve = ambient.curve_through(p, vec)
                 return ambient.cov_deriv_on_curve(
                     sig, curve, lambda t: ambient.fiber_direction(curve(t)), 1e-4, velocity=vec
                 )
-            s = ambient.inner(sig, p, d_along(x), y) + ambient.inner(sig, p, d_along(y), x)
+            s = at.inner(sig, d_along(x), y) + at.inner(sig, d_along(y), x)
             worst = max(worst, abs(s))
     assert worst < 1e-6
 
@@ -382,12 +382,14 @@ def test_curvature_operator_matches_fd(rng):
     for kappa, tau in [(1.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]:
         ambient = CoordinateAmbient(SpaceParams(kappa, tau))
         p = random_point(ambient, rng)
+        at = ambient.point_frame(p)
         for sig in SIGS:
             riem = curvature_fd(lambda qs, s=sig: ambient.metrics(s, qs), p, 1e-3, 1e-3)
             for _ in range(3):
                 x, y, z = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
                 fd_val = np.einsum("rsmn,s,m,n->r", riem, z, x, y)
-                direct = ambient.curvature(sig, p, x, y, z)
+                xf, yf, zf = at.to_frame(x), at.to_frame(y), at.to_frame(z)
+                direct = at.to_coord(curvature_frame(ambient.params, sig, xf, yf, zf))
                 scale = max(1.0, float(np.max(np.abs(direct))))
                 worst = max(worst, float(np.max(np.abs(fd_val - direct))) / scale)
     assert worst < 1e-4
@@ -456,8 +458,8 @@ def _primitive_calls(visits, vectors, tau):
                     uf,
                     vf,
                     at.connection_table(sig, p),
-                    at.wedge(sig, p, u, v),
-                    at.connection_gap(p, u, v),
+                    at.frame(p) @ wedge_frame(sig, uf, vf),
+                    at.frame(p) @ connection_gap_frame(tau, uf, vf),
                 ]
             else:
                 uf, vf = at.to_frame(u), at.to_frame(v)
@@ -467,7 +469,7 @@ def _primitive_calls(visits, vectors, tau):
                     uf,
                     vf,
                     at.table(sig),
-                    at.wedge(sig, u, v),
+                    at.to_coord(wedge_frame(sig, uf, vf)),
                     at.to_coord(connection_gap_frame(tau, uf, vf)),
                 ]
     return out

@@ -384,6 +384,31 @@ def test_mesh_csv_for_group_surface(tmp_path):
     assert len(lines) == 1 + 9
 
 
+@pytest.mark.parametrize(
+    "command, option, target",
+    [
+        ("verify", "--json", "missing/dir/x.json"),
+        ("report", "--csv", "."),
+        ("mesh", "--out", "missing/dir/x.obj"),
+    ],
+)
+def test_unwritable_output_path_is_a_config_error(command, option, target, tmp_path):
+    """A path that cannot be written exits 2, before any output, with no traceback."""
+    path = tmp_path / target
+    args = {
+        "verify": ["verify", "--params", "1,1", "--surfaces", "graph:bowl:a=0.2",
+                   "--samples", "1"],
+        "report": ["report", "graph:bowl:a=0.2", "--params", "1,1", "--grid", "2x2"],
+        "mesh": ["mesh", "graph:bowl:a=0.2", "--params", "1,1", "--grid", "2x2"],
+    }[command]
+    proc = run_cli(*args, option, str(path))
+    assert proc.returncode == 2
+    assert "error [CONFIG_INVALID]" in proc.stderr
+    assert f"cannot write {path}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_surfaces_listing():
     proc = run_cli("surfaces")
     assert proc.returncode == 0

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bicausal.ambient import PointFrame, Signature, SpaceParams
+from bicausal.ambient import PointFrame, Signature, SpaceParams, wedge_frame
 from bicausal.catalog import build_surface
 from bicausal.errors import CurveSingular, DomainViolation, ModelMismatch
 from bicausal.groups import (
@@ -97,14 +97,14 @@ def test_invariant_field_normalizations(kind, kappa, tau, rng):
     ambient = GroupAmbient(kind, SpaceParams(kappa, tau))
     for _ in range(12):
         p = _model_point(kind, rng)
-        x1 = ambient.fields[0] @ p
-        n1 = ambient.inner(Signature.R, p, x1, x1)
+        x1, at = ambient.fields[0] @ p, ambient.point_frame(p)
+        n1 = at.inner(Signature.R, x1, x1)
         assert abs(n1 - abs(4.0 / kappa)) < 1e-12
         xi = ambient.fiber_direction(p)
         x3 = ambient.fields[2] @ p
         assert np.max(np.abs(xi - (kappa / (4.0 * tau)) * x3)) < 1e-12
-        assert abs(ambient.inner(Signature.R, p, xi, xi) - 1.0) < 1e-12
-        assert abs(ambient.inner(Signature.L, p, xi, xi) + 1.0) < 1e-12
+        assert abs(at.inner(Signature.R, xi, xi) - 1.0) < 1e-12
+        assert abs(at.inner(Signature.L, xi, xi) + 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("kind,kappa,tau", [(BERGER, 1.0, 1.0), (SU11, -1.5, 0.8)])
@@ -113,13 +113,13 @@ def test_frame_orthonormal_and_tangent(kind, kappa, tau, rng):
     gram_expect = {Signature.R: np.eye(3), Signature.L: np.diag([1.0, 1.0, -1.0])}
     for _ in range(10):
         p = _model_point(kind, rng)
-        f = ambient.frame(p)
+        f, at = ambient.frame(p), ambient.point_frame(p)
         grad = 2.0 * (ambient.pairing @ p)
         for i in range(3):
             assert abs(float(grad @ f[:, i])) < 1e-12
         for sig in SIGS:
             gram = np.array(
-                [[ambient.inner(sig, p, f[:, i], f[:, j]) for j in range(3)] for i in range(3)]
+                [[at.inner(sig, f[:, i], f[:, j]) for j in range(3)] for i in range(3)]
             )
             assert np.max(np.abs(gram - gram_expect[sig])) < 1e-12
 
@@ -129,7 +129,8 @@ def test_frame_component_roundtrip(rng):
     for _ in range(10):
         p = _quadric_point(rng)
         comps = rng.normal(size=3)
-        back = ambient.to_frame(p, ambient.to_coord(p, comps))
+        at = ambient.point_frame(p)
+        back = at.to_frame(at.to_coord(comps))
         assert np.max(np.abs(back - comps)) < 1e-10
 
 
@@ -305,19 +306,23 @@ def _primitive_calls(ambient, visits, vectors):
     """Each visit is (point, at): at is the point itself, or its kept PointFrame."""
     out = []
     for i, (p, at) in enumerate(visits):
-        u, v = (ambient.to_coord(p, c) for c in vectors)
+        u, v = (ambient.point_frame(p).to_coord(c) for c in vectors)
         for sig in SIGS if i % 2 else SIGS[::-1]:
             if isinstance(at, PointFrame):
-                out += [at.metric[sig], at.frame, at.to_frame(u), at.table(sig), at.wedge(sig, u, v)]
+                uf, vf, g = at.to_frame(u), at.to_frame(v), at.metric[sig]
+                out += [g, at.frame, uf, at.table(sig), at.to_coord(wedge_frame(sig, uf, vf))]
             else:
+                uf, vf, g = ambient.to_frame(p, u), ambient.to_frame(p, v), ambient.metric(sig, p)
                 out += [
-                    ambient.metric(sig, p),
+                    g,
                     ambient.frame(p),
-                    ambient.to_frame(p, u),
+                    uf,
                     ambient.christoffels(sig, p),
-                    ambient.wedge(sig, p, u, v),
+                    ambient.frame(p) @ wedge_frame(sig, uf, vf),
                 ]
-            out.append(ambient.tangent_project(sig, at, u + p))
+            # u + p without its part along p, which is normal to the quadric under g
+            w = u + p
+            out.append(w - (float(w @ g @ p) / float(p @ g @ p)) * p)
     return out
 
 

@@ -70,7 +70,14 @@ def _points(ambient, gen, n):
 def _tangents(ambient, points, gen, k):
     """k tangent vectors per point, (n, k, dim): random frame components mapped out."""
     comps = gen.normal(size=(len(points), k, 3))
-    return np.array([[ambient.to_coord(p, c) for c in cs] for p, cs in zip(points, comps)])
+    return np.array(
+        [[ambient.point_frame(p).to_coord(c) for c in cs] for p, cs in zip(points, comps)]
+    )
+
+
+def _one_row(ambient, sig, at, velocity, f0, fs, h):
+    """``cov_deriv_stencils_at`` of one row: k fields, f0 (k, c) and fs (4, k, c) -> (k, dim)."""
+    return ambient.cov_deriv_stencils_at(at, (sig,), velocity[None], f0[None], fs[:, None], h)[0]
 
 
 def test_stacked_numpy_forms_round_like_per_item_calls(rng):
@@ -179,9 +186,10 @@ def test_stacked_primitives_equal_per_point_calls(name, rng):
         flat = stacked_inner(metrics, vecs[:, 0], vecs[:, 1])
         stacked = stacked_inner(metrics, vecs, vecs[:, ::-1])
         for i, p in enumerate(points):
-            assert same_bits(flat[i], ambient.inner(sig, p, vecs[i, 0], vecs[i, 1]))
+            at = ambient.point_frame(p)
+            assert same_bits(flat[i], at.inner(sig, vecs[i, 0], vecs[i, 1]))
             for j in range(k):
-                want = ambient.inner(sig, p, vecs[i, j], vecs[i, k - 1 - j])
+                want = at.inner(sig, vecs[i, j], vecs[i, k - 1 - j])
                 assert same_bits(stacked[i, j], want)
 
     flat = ambient.to_frames(points, vecs[:, 2])
@@ -197,7 +205,7 @@ def test_stacked_primitives_equal_per_point_calls(name, rng):
         assert same_bits(flat[i], ambient.to_frame(p, vecs[i, 2]))
         for j in range(k):
             assert same_bits(stacked[i, j], ambient.to_frame(p, vecs[i, j]))
-            assert same_bits(coords[i, j], ambient.to_coord(p, comps[i, j]))
+            assert same_bits(coords[i, j], ambient.point_frame(p).to_coord(comps[i, j]))
 
 
 @pytest.mark.parametrize("name", sorted(AMBIENTS))
@@ -213,10 +221,10 @@ def test_stencil_derivative_core_is_independent_of_field_count(name, rng):
     fields = _tangents(ambient, points, rng, 3)
     comps = ambient.stencil_components(points, fields)
     for sig in SIGS:
-        together = ambient.cov_deriv_stencil(sig, p0, velocity, comps[0], comps[1:], h)
+        together = _one_row(ambient, sig, p0, velocity, comps[0], comps[1:], h)
         for j in range(3):
             one = slice(j, j + 1)
-            alone = ambient.cov_deriv_stencil(sig, p0, velocity, comps[0, one], comps[1:, one], h)
+            alone = _one_row(ambient, sig, p0, velocity, comps[0, one], comps[1:, one], h)
             assert same_bits(together[j], alone[0])
             sampled = ambient.cov_deriv_on_curve(
                 sig, curve, lambda t, j=j: fields[ts.index(t), j], h, velocity=velocity
@@ -229,7 +237,7 @@ def test_stencil_derivative_core_is_independent_of_field_count(name, rng):
         np.array([comps[0]] * 3), np.stack([comps[1:]] * 3, axis=1), h,
     )
     for row, sig, vel in zip(rows, SIGS + (Signature.R,), (velocity, velocity, other)):
-        assert same_bits(row, ambient.cov_deriv_stencil(sig, p0, vel, comps[0], comps[1:], h))
+        assert same_bits(row, _one_row(ambient, sig, p0, vel, comps[0], comps[1:], h))
 
 
 def _stencil_uvs(uv, h):
@@ -280,7 +288,7 @@ def test_stencil_rows_do_not_depend_on_batch_size(address, pair):
     stack = _assert_rows_match_singletons(
         built.ambient, built.chart, _stencil_uvs(data.uv, data.steps.second), data.n_l
     )
-    assert stack.first_error() is None
+    assert all(err is None for err in stack.errors)
     # the sample is its batch's only one, so the batch's stencil rows are its eight
     assert same_bits(data._batch.stencil().n_r, stack.n_r)
     for j in range(len(stack.rows)):
@@ -453,16 +461,21 @@ def test_sample_context_equals_per_point_calls(name, rng):
         for sig in SIGS:
             assert same_bits(d.metric[sig], ambient.metric(sig, p))
             assert same_bits(d.inner(sig, u, v), float(u @ ambient.metric(sig, p) @ v))
-            assert same_bits(d.wedge(sig, u, v), ambient.frame(p) @ wedge_frame(sig, uf, vf))
+            u_d, v_d, w_d = d.to_frame(u), d.to_frame(v), d.to_frame(w)
+            want = ambient.frame(p) @ wedge_frame(sig, uf, vf)
+            assert same_bits(d.to_coord(wedge_frame(sig, u_d, v_d)), want)
             want = ambient.frame(p) @ curvature_frame(ambient.params, sig, uf, vf, wf)
-            assert same_bits(d.curvature(sig, u, v, w), want)
-            assert same_bits(d.curvature(sig, u, v, u), d.curvature(sig, u, v, u.copy()))
+            assert same_bits(d.to_coord(curvature_frame(ambient.params, sig, u_d, v_d, w_d)), want)
+            assert same_bits(
+                curvature_frame(ambient.params, sig, u_d, v_d, u_d),
+                curvature_frame(ambient.params, sig, u_d, v_d, d.to_frame(u.copy())),
+            )
             assert same_bits(d.table(sig), _table(ambient, sig, p))
             n_f = _to_frame(ambient, p, d.normal(sig))
             assert same_bits(d.rotate(sig, uf), ambient.frame(p) @ wedge_frame(sig, n_f, uf))
             assert same_bits(
-                ambient.cov_deriv_stencil(sig, d, u, f0, fs, h),
-                ambient.cov_deriv_stencil(sig, p.copy(), u, f0, fs, h),
+                _one_row(ambient, sig, d, u, f0, fs, h),
+                _one_row(ambient, sig, p.copy(), u, f0, fs, h),
             )
 
 

@@ -71,23 +71,23 @@ def test_omega_functions_are_reciprocal(samples):
 
 def test_unit_normals_against_ambient_metric(samples):
     for _, _, data in samples:
-        amb, p = data.ambient, data.point
-        assert abs(amb.inner(Signature.R, p, data.n_r, data.n_r) - 1.0) < 1e-10
-        assert abs(amb.inner(Signature.L, p, data.n_l, data.n_l) - data.eps) < 1e-10
+        at = data.ambient.point_frame(data.point)
+        assert abs(at.inner(Signature.R, data.n_r, data.n_r) - 1.0) < 1e-10
+        assert abs(at.inner(Signature.L, data.n_l, data.n_l) - data.eps) < 1e-10
 
 
 def test_t_fields_are_tangential_projections(samples):
     """T = xi - <N, xi> N stays tangent and reproduces the vertical split."""
     for _, _, data in samples:
         amb, p = data.ambient, data.point
-        xi = amb.fiber_direction(p)
+        xi, at = amb.fiber_direction(p), amb.point_frame(p)
         recon_r = xi - data.angle_r * data.n_r
         assert np.max(np.abs(recon_r - data.t_r)) < 1e-10
         # tangency against both chart directions
         for base in (data.du, data.dv):
-            lhs = amb.inner(Signature.R, p, data.t_r, base)
-            rhs = amb.inner(Signature.R, p, xi, base) - data.angle_r * amb.inner(
-                Signature.R, p, data.n_r, base
+            lhs = at.inner(Signature.R, data.t_r, base)
+            rhs = at.inner(Signature.R, xi, base) - data.angle_r * at.inner(
+                Signature.R, data.n_r, base
             )
             assert abs(lhs - rhs) < 1e-10
 

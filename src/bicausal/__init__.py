@@ -41,7 +41,6 @@ from .groups import GroupAmbient, berger_helicoid_chart, su11_helicoid_chart
 from .identities import (
     IDENTITIES,
     IDENTITY_NAMES,
-    IdentityContext,
     SampleSkip,
     curvature_suite,
     evaluate_samples,
@@ -83,7 +82,6 @@ __all__ = [
     "FDSteps",
     "GeometryError",
     "GroupAmbient",
-    "IdentityContext",
     "ImmersionFailure",
     "ModelMismatch",
     "NullDirection",

@@ -122,9 +122,11 @@ def _cross(a, b) -> np.ndarray:
 
 
 def split_frame(vf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split frame components into horizontal and vertical (fiber) parts."""
-    h = np.array([vf[0], vf[1], 0.0])
-    v = np.array([0.0, 0.0, vf[2]])
+    """Split frame components (..., 3) into horizontal and vertical (fiber) parts."""
+    h = np.array(vf, dtype=float)
+    h[..., 2] = 0.0
+    v = np.zeros(h.shape)
+    v[..., 2] = np.asarray(vf, dtype=float)[..., 2]
     return h, v
 
 
@@ -132,7 +134,8 @@ def connection_gap_frame(tau: float, xf: np.ndarray, yf: np.ndarray) -> np.ndarr
     """Difference of the two Levi-Civita connections as a tensor, frame components.
 
     Bilinear in the two arguments; vanishes identically when tau = 0 and
-    whenever both arguments are horizontal or both are vertical.
+    whenever both arguments are horizontal or both are vertical.  Leading
+    batch axes are kept.
     """
     xh, xv = split_frame(np.asarray(xf, dtype=float))
     yh, yv = split_frame(np.asarray(yf, dtype=float))

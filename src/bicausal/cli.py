@@ -18,7 +18,7 @@ from .ambient import SpaceParams, Signature
 from .catalog import CATALOG, build_surface, default_surfaces
 from .errors import ConfigInvalid, GeometryError, UnsupportedFormat
 from .identities import IDENTITIES, IDENTITY_NAMES, SampleSkip, curvature_suite
-from .suite import DEFAULT_PARAMS, NON_FINITE, SuiteConfig, run_suite
+from .suite import DEFAULT_PARAMS, NON_FINITE, SuiteConfig, check_config, run_suite
 from .surfaces import DEGENERATE, frame_batch
 
 
@@ -101,7 +101,9 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         tolerances=_parse_tols(args.tol),
     )
-    # opened before the sweep, so a path that cannot be written fails at once
+    # checked, then opened, before the sweep: a path that cannot be written
+    # fails at once, and a bad configuration leaves an existing file as it was
+    check_config(config)
     with _open_output(args.json) if args.json else contextlib.nullcontext() as out:
         report = run_suite(config)
         if out:

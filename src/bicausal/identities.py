@@ -6,13 +6,16 @@ of the metric definitions sit at 1e-12/1e-9, quantities one derivative deep
 at 1e-5, and anything built on shape operators or stencil derivatives at
 1e-4.  The suite aggregates the residuals that the evaluators return.
 
-The identities that draw random numbers are evaluated sample by sample: each
-takes an :class:`IdentityContext` and returns the residuals of that sample,
-or raises :class:`SampleSkip` or a ``GeometryError``.  The others are
-*stacked*: each takes the samples of one surface and returns, per sample,
+Every evaluator takes the samples of one surface and returns, per sample,
 its residual list or the skip it met, in the order one sample's evaluation
-would meet it.  Their arrays are stacks over the samples, and each row
-rounds as it would alone.
+would meet it.  Its arrays are stacks over the samples, and each row rounds
+as it would alone.  Eleven identities draw random numbers, all from one
+generator, in the order of a sample-by-sample evaluation: sample after
+sample, and within a sample the drawing identities in the order asked for.
+``evaluate_samples`` replays that order in one draw plan per surface.  Each
+drawing identity's ``draw`` takes one sample's normals, and stops where that
+sample's evaluation stops drawing; its evaluator then takes the draws of all
+samples as a second argument.
 
 Residual normalization divides by max(1, size of the participating terms) so
 that tolerances are meaningful for both tiny and large geometries.
@@ -27,8 +30,16 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import SIGNATURES, Signature, connection_gap_frame, stacked_inner, wedge_frame
-from .errors import ConfigInvalid, GeometryError, NullDirection
+from .ambient import (
+    SIGNATURES,
+    Signature,
+    _per_row,
+    _vectors,
+    connection_gap_frame,
+    stacked_inner,
+    wedge_frame,
+)
+from .errors import ConfigInvalid, GeometryError, NullDirection, NumericFailure
 from .numdiff import brioschi_curvature, stencil_values
 from .surfaces import TwoMetricFrameData
 
@@ -41,28 +52,9 @@ class SampleSkip(Exception):
         self.reason = reason
 
 
-@dataclass
-class IdentityContext:
-    data: TwoMetricFrameData
-    rng: np.random.Generator
-
-
-def _frame_sizes(data, vecs) -> list[float]:
-    """Sizes of ambient vectors (k, dim) at one point, in orthonormal frame components.
-
-    One stacked conversion; each size has the bits of its own conversion.
-    """
-    return np.max(np.abs(data.to_frames(vecs)), axis=-1).tolist()
-
-
 def _frame_norm(data, vec: np.ndarray) -> float:
     """Size of an ambient vector measured in orthonormal frame components."""
-    return _frame_sizes(data, [vec])[0]
-
-
-def _vec_residual(data: TwoMetricFrameData, lhs: np.ndarray, *terms: np.ndarray) -> float:
-    size = _frame_sizes(data, [lhs, *terms])
-    return _sized_residual(size)
+    return np.max(np.abs(data.to_frames([vec])), axis=-1).tolist()[0]
 
 
 def _sized_residual(size: list[float]) -> float:
@@ -73,25 +65,6 @@ def _sized_residual(size: list[float]) -> float:
 def _scalar_residual(lhs: float, *terms: float) -> float:
     scale = max([1.0] + [abs(t) for t in terms])
     return abs(lhs) / scale
-
-
-def _random_frame_vector(ctx: IdentityContext) -> np.ndarray:
-    return ctx.rng.normal(size=3)
-
-
-def _random_ambient_vector(ctx: IdentityContext) -> np.ndarray:
-    return ctx.data.to_coord(_random_frame_vector(ctx))
-
-
-def _random_tangent_coeffs(ctx: IdentityContext) -> np.ndarray:
-    d = ctx.data
-    c = ctx.rng.normal(size=2)
-    n = math.sqrt(max(d.coeff_inner(Signature.R, c, c), 1e-300))
-    return c / n
-
-
-def _apply_shape(data: TwoMetricFrameData, sig: Signature, coeffs: np.ndarray) -> np.ndarray:
-    return data.embed(data.shape(sig) @ np.asarray(coeffs, dtype=float))
 
 
 # -- stacked evaluation ------------------------------------------------------------
@@ -114,6 +87,13 @@ def _split(samples: list, read: Callable) -> tuple[list, list[int], list]:
         out.append(None)
         ok.append(s)
     return out, ok, values
+
+
+def _reached(draws: list) -> tuple[list, list[int], list]:
+    """The draws of each sample split, as by ``_split``, by whether they stopped at a skip."""
+    out = [got if isinstance(got, Exception) else None for got in draws]
+    ok = [s for s, got in enumerate(out) if got is None]
+    return out, ok, [draws[s] for s in ok]
 
 
 class _Stack:
@@ -139,66 +119,126 @@ class _Stack:
     def metric(self, sig: Signature) -> np.ndarray:
         return self.of(f"metric {sig.value}", lambda d: d.metric[sig])
 
+    def gram(self, sig: Signature) -> np.ndarray:
+        return self.of(f"gram {sig.value}", lambda d: d.gram[sig])
+
+    def frame_of(self, name: str) -> np.ndarray:
+        return self.of(f"frame_of {name}", lambda d: d.frame_of(name))
+
+    def inner(self, sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``inner`` of vectors (m, ..., dim) at each sample; either side may broadcast."""
+        return stacked_inner(self.metric(sig), *np.broadcast_arrays(u, v))
+
+    def to_coords(self, comps: np.ndarray) -> np.ndarray:
+        """``to_coord`` of frame components (m, ..., 3) at each sample."""
+        return self.ambient.to_coords(self.of("point"), comps, frames=self.of("frame"))
+
+    def to_frames(self, vecs: np.ndarray) -> np.ndarray:
+        """``to_frame`` of ambient vectors (m, ..., dim) at each sample."""
+        return self.ambient.to_frames(
+            self.of("point"), vecs, frames=self.of("frame"), metric_r=self.metric(Signature.R)
+        )
+
     def embed(self, coeffs: np.ndarray) -> np.ndarray:
         """``embed`` of chart coefficients (m, ..., 2) at each sample, (m, ..., dim)."""
-        du, dv = (
-            a.reshape(a.shape[:1] + (1,) * (coeffs.ndim - 2) + a.shape[1:])
-            for a in (self.of("du"), self.of("dv"))
-        )
+        du, dv = (_per_row(self.of(a), coeffs) for a in ("du", "dv"))
         return coeffs[..., :1] * du + coeffs[..., 1:] * dv
+
+    def unit_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        """Chart coefficients (m, ..., 2) scaled to unit Riemannian length."""
+        q = stacked_inner(self.gram(Signature.R), coeffs, coeffs)
+        return coeffs / np.sqrt(np.maximum(q, 1e-300))[..., None]
 
     def frame_sizes(self, vecs: np.ndarray) -> np.ndarray:
         """Sizes (m, ...) of ambient vectors (m, ..., dim), each in its sample's frame, one call."""
-        comps = self.ambient.to_frames(
-            self.of("point"), vecs, frames=self.of("frame"), metric_r=self.metric(Signature.R)
-        )
-        return np.max(np.abs(comps), axis=-1)
+        return np.max(np.abs(self.to_frames(vecs)), axis=-1)
+
+    def shape(self, sig: Signature) -> np.ndarray:
+        return self.of(f"shape {sig.value}", lambda d: d.shape(sig))
+
+    def shape_coeffs(self, sig: Signature, coeffs: np.ndarray) -> np.ndarray:
+        """A_sig of chart coefficients (m, ..., 2) at each sample, as chart coefficients."""
+        c = _vectors(coeffs)
+        return (_per_row(self.shape(sig), c) @ c[..., None])[..., 0]
+
+    def apply_shape(self, sig: Signature, coeffs: np.ndarray) -> np.ndarray:
+        """A_sig of chart coefficients (m, ..., 2) at each sample, in coordinates."""
+        return self.embed(self.shape_coeffs(sig, coeffs))
 
     def shape_of_t(self, sig: Signature) -> np.ndarray:
-        """A_sig T_sig at each sample, in coordinates: ``_apply_shape`` of T's coefficients."""
-        shape = self.of(f"shape {sig.value}", lambda d: d.shape(sig))
-        coeffs = self.of(f"t_coeffs {sig.value}", lambda d: d.t_coeffs(sig))
-        return self.embed((shape @ coeffs[..., None])[..., 0])
+        """A_sig T_sig at each sample, in coordinates."""
+        return self.apply_shape(sig, self.of(f"t_coeffs {sig.value}", lambda d: d.t_coeffs(sig)))
 
     def rotate(self, sig: Signature, vf: np.ndarray) -> np.ndarray:
-        """``rotate`` of frame components (m, 3) at each sample."""
-        n_name = "n_r" if sig is Signature.R else "n_l"
-        normal = self.of(f"frame_of {n_name}", lambda d: d.frame_of(n_name))
-        return self.ambient.to_coords(
-            self.of("point"), wedge_frame(sig, normal, vf), frames=self.of("frame")
+        """``rotate`` of frame components (m, ..., 3) at each sample."""
+        normal = self.frame_of("n_r" if sig is Signature.R else "n_l")
+        normal = np.broadcast_to(_per_row(normal, vf), vf.shape)
+        return self.to_coords(wedge_frame(sig, normal, vf))
+
+    def curve_derivs(self, sigs: tuple, velocity: np.ndarray, comps: np.ndarray) -> np.ndarray:
+        """Covariant derivatives of r fields along r curves from each sample, (m, r, dim).
+
+        Curve j of each sample starts at its ``curve_frame`` with velocity
+        ``velocity[:, j]`` (m, r, dim), and its field is differentiated under
+        the metric ``sigs[j]`` from the ``stencil_components`` ``comps[:, j]``
+        (m, r, 5, c) at the five ``stencil_values`` parameters.  One
+        ``cov_deriv_stencils`` call.
+        """
+        rows = [(d.curve_frame(), sig) for d in self.samples for sig in sigs]
+        flat = comps.reshape(len(rows), 5, 1, -1)
+        out = self.ambient.cov_deriv_stencils(
+            np.array([at.point for at, _ in rows]),
+            np.array([at.frame for at, _ in rows]),
+            np.array([at.metric[sig] for at, sig in rows]),
+            np.array([at.table(sig) for at, sig in rows]),
+            velocity.reshape(len(rows), -1),
+            flat[:, 0],
+            np.moveaxis(flat[:, 1:], 1, 0),
+            self.ambient.steps.first,
         )
+        return out.reshape(velocity.shape)
+
+
+def _residual_rows(out: list, ok: list[int], rows) -> list:
+    """``out`` with the residual list of sample ``ok[i]`` set from ``rows[i]``."""
+    for s, row in zip(ok, rows):
+        out[s] = row
+    return out
 
 
 # -- pointwise metric identities ------------------------------------------------
 
 
-def _metric_sum(ctx: IdentityContext) -> list[float]:
-    d = ctx.data
-    out = []
-    for _ in range(3):
-        uf, vf = _random_frame_vector(ctx), _random_frame_vector(ctx)
-        u, v = d.to_coord(uf), d.to_coord(vf)
-        r = d.inner(Signature.R, u, v)
-        l = d.inner(Signature.L, u, v)
-        horiz = uf[0] * vf[0] + uf[1] * vf[1]
-        out.append(_scalar_residual(r + l - 2.0 * horiz, r, l, horiz))
-    return out
+def _metric_sum(samples: list, draws: list) -> list:
+    st = _Stack(samples)
+    frame_vecs = np.reshape(draws, (len(samples), 3, 2, 3))
+    u, v = np.moveaxis(st.to_coords(frame_vecs), 2, 0)
+    uf, vf = np.moveaxis(frame_vecs, 2, 0)
+    r = st.inner(Signature.R, u, v).tolist()
+    l = st.inner(Signature.L, u, v).tolist()
+    horiz = (uf[..., 0] * vf[..., 0] + uf[..., 1] * vf[..., 1]).tolist()
+    return [
+        [_scalar_residual(a + b - 2.0 * c, a, b, c) for a, b, c in zip(*row)]
+        for row in zip(r, l, horiz)
+    ]
 
 
-def _metric_diff(ctx: IdentityContext) -> list[float]:
-    d = ctx.data
-    xi = d.xi
+def _metric_diff(samples: list, draws: list) -> list:
+    st = _Stack(samples)
+    u, v = np.moveaxis(st.to_coords(np.reshape(draws, (len(samples), 3, 2, 3))), 2, 0)
+    xi = st.of("xi")[:, None]
+    r = st.inner(Signature.R, u, v).tolist()
+    l = st.inner(Signature.L, u, v).tolist()
+    ur, vr = st.inner(Signature.R, u, xi).tolist(), st.inner(Signature.R, v, xi).tolist()
+    ul, vl = st.inner(Signature.L, u, xi).tolist(), st.inner(Signature.L, v, xi).tolist()
     out = []
-    for _ in range(3):
-        u = _random_ambient_vector(ctx)
-        v = _random_ambient_vector(ctx)
-        r = d.inner(Signature.R, u, v)
-        l = d.inner(Signature.L, u, v)
-        ur, vr = d.inner(Signature.R, u, xi), d.inner(Signature.R, v, xi)
-        ul, vl = d.inner(Signature.L, u, xi), d.inner(Signature.L, v, xi)
-        out.append(_scalar_residual(r - l - 2.0 * ur * vr, r, l))
-        out.append(_scalar_residual(r - l - 2.0 * ul * vl, r, l))
-        out.append(_scalar_residual(ur + ul, ur))
+    for row in zip(r, l, ur, vr, ul, vl):
+        residuals = []
+        for r_, l_, ur_, vr_, ul_, vl_ in zip(*row):
+            residuals.append(_scalar_residual(r_ - l_ - 2.0 * ur_ * vr_, r_, l_))
+            residuals.append(_scalar_residual(r_ - l_ - 2.0 * ul_ * vl_, r_, l_))
+            residuals.append(_scalar_residual(ur_ + ul_, ur_))
+        out.append(residuals)
     return out
 
 
@@ -210,131 +250,165 @@ def _invariants(samples: list, keys: tuple[str, ...]) -> list:
     return [[d.invariants[key] for key in keys] for d in samples]
 
 
-def _normal_pairing(ctx: IdentityContext) -> list[float]:
-    d = ctx.data
-    out = []
-    for _ in range(3):
-        v = _random_ambient_vector(ctx)
-        pr = d.inner(Signature.R, d.n_r, v)
-        pl = d.inner(Signature.L, d.n_l, v)
-        out.append(_scalar_residual(pr + pl / d.omega_l, pr, pl))
-    return out
+def _normal_pairing(samples: list, draws: list) -> list:
+    st = _Stack(samples)
+    v = st.to_coords(np.reshape(draws, (len(samples), 3, 3)))
+    pr = st.inner(Signature.R, st.of("n_r")[:, None], v).tolist()
+    pl = st.inner(Signature.L, st.of("n_l")[:, None], v).tolist()
+    return [
+        [_scalar_residual(a + b / w, a, b) for a, b in zip(*row)]
+        for *row, w in zip(pr, pl, st.floats("omega_l"))
+    ]
 
 
 # -- connection-level identities -------------------------------------------------
 
 
-def _linear_frame_comps(ctx: IdentityContext, base: np.ndarray):
-    """Frame components of a random field, affine in the point; and its value at ``base``."""
-    a = ctx.rng.normal(size=3)
-    b = ctx.rng.normal(size=(3, ctx.data.ambient.dim))
-
-    def comps(q: np.ndarray) -> np.ndarray:
-        return a + b @ (np.asarray(q, dtype=float) - base)
-
-    return comps, a
+def _affine_comps(a: np.ndarray, b: np.ndarray, points: np.ndarray, base: np.ndarray):
+    """Frame components a + b @ (q - base) of a random field at points q (m, k, dim)."""
+    offsets = points - base[:, None]
+    return a[:, None] + (b[:, None] @ offsets[..., None])[..., 0]
 
 
-def _conn_diff(ctx: IdentityContext) -> list[float]:
-    d = ctx.data
-    amb, p = d.ambient, d.point
-    h = d.steps.first
-    x_comps, x0f = _linear_frame_comps(ctx, p)
-    y_comps, y0f = _linear_frame_comps(ctx, p)
-    vel = d.to_coord(y_comps(p))
-    # The field on the five stencil points, from one stack of their frames.
-    points = stencil_values(amb.curve_through(p, vel), h)
-    frames = amb.frames(points)
-    field = amb.to_coords(points, np.array([x_comps(q) for q in points]), frames=frames)
-    comps = amb.stencil_components(points, field, frames)
+def _curve(d: TwoMetricFrameData, vel: np.ndarray) -> np.ndarray:
+    """The stencil points (5, dim) of the ambient curve through the sample with velocity vel."""
+    return stencil_values(d.ambient.curve_through(d.point, vel), d.steps.first)
+
+
+def _draw_conn_diff(d: TwoMetricFrameData, rng: np.random.Generator) -> np.ndarray:
+    """Two random fields, affine in the point: a (3) and b (3, dim) each."""
+    return rng.normal(size=6 + 6 * d.ambient.dim)
+
+
+def _conn_diff(samples: list, draws: list) -> list:
+    st = _Stack(samples)
+    amb = st.ambient
+    dim = amb.dim
+    a_x, b_x, a_y, b_y = np.split(np.array(draws), [3, 3 + 3 * dim, 6 + 3 * dim], axis=1)
+    b_x, b_y = (np.ascontiguousarray(b.reshape(-1, 3, dim)) for b in (b_x, b_y))
+    p = st.of("point")
+    vel = st.to_coords(_affine_comps(a_y, b_y, p[:, None], p)[:, 0])
+    out, ok, points = _split(list(zip(samples, vel)), lambda dv: _curve(*dv))
+    if not ok:
+        return out
+    st = _Stack([samples[s] for s in ok])
+    points = np.array(points)
+    m = len(ok)
+    # The field on every sample's five stencil points, from one stack of their frames.
+    flat = points.reshape(-1, dim)
+    frames = amb.frames(flat)
+    field_f = _affine_comps(a_x[ok], b_x[ok], points, p[ok]).reshape(-1, 3)
+    field = amb.to_coords(flat, field_f, frames=frames)
+    comps = amb.stencil_components(flat, field, frames).reshape(m, 1, 5, -1)
     # One row per metric: one sampling of the field serves both.
-    d_r, d_l = amb.cov_deriv_stencils_at(
-        d.curve_frame(),
-        SIGNATURES,
-        np.array([vel, vel]),
-        np.array([comps[:1], comps[:1]]),
-        np.stack([comps[1:, None], comps[1:, None]], axis=1),
-        h,
-    )[:, 0]
-    gap = d.to_coord(connection_gap_frame(amb.params.tau, x0f, y0f))
-    return [_vec_residual(d, d_r - d_l - gap, d_r, d_l, gap)]
+    derivs = st.curve_derivs(SIGNATURES, np.stack([vel[ok]] * 2, axis=1), np.repeat(comps, 2, 1))
+    d_r, d_l = derivs[:, 0], derivs[:, 1]
+    gap = st.to_coords(connection_gap_frame(amb.params.tau, a_x[ok], a_y[ok]))
+    sizes = st.frame_sizes(np.stack([d_r - d_l - gap, d_r, d_l, gap], axis=1)).tolist()
+    return _residual_rows(out, ok, ([_sized_residual(size)] for size in sizes))
 
 
-def _killing(ctx: IdentityContext, sig: Signature) -> list[float]:
-    d = ctx.data
-    amb, p = d.ambient, d.point
-    h = d.steps.first
-    tau = amb.params.tau
+def _draw_killing(d: TwoMetricFrameData, rng: np.random.Generator):
+    """Two ambient vectors (2, dim) and their curves' stencil points (2, 5, dim).
+
+    A curve that leaves the model raises before the next draw: its error
+    is returned in their place.
+    """
     xs, points = [], []
     for _ in range(2):
-        xs.append(_random_ambient_vector(ctx))
-        # A curve that leaves the model raises here, before the next draw.
-        points.append(stencil_values(amb.curve_through(p, xs[-1]), h))
-    # Both curves' stencils in one stack: the fiber field's components, then
-    # one row per curve.
-    points = np.concatenate(points)
-    comps = amb.stencil_components(points, np.array([amb.fiber_direction(q) for q in points]))
-    comps = comps.reshape(2, 5, -1)
-    fs = np.moveaxis(comps[:, 1:, None], 1, 0)
-    derivs = amb.cov_deriv_stencils_at(
-        d.curve_frame(), (sig, sig), np.array(xs), comps[:, :1], fs, h
-    )[:, 0]
-    out = []
-    for x, deriv in zip(xs, derivs):
-        w = d.to_coord(wedge_frame(sig, d.to_frame(x), d.frame_of("xi")))
-        rhs = (sig.eps3 * tau) * w
-        out.append(_vec_residual(d, deriv - rhs, deriv, rhs))
-    return out
+        xs.append(d.to_coord(rng.normal(size=3)))
+        try:
+            points.append(_curve(d, xs[-1]))
+        except GeometryError as exc:
+            return exc.with_traceback(None)
+    return np.array(xs), np.array(points)
+
+
+def _killing(samples: list, draws: list, sig: Signature) -> list:
+    out, ok, got = _reached(draws)
+    if not ok:
+        return out
+    st = _Stack([samples[s] for s in ok])
+    amb = st.ambient
+    xs = np.array([x for x, _ in got])
+    points = np.array([q for _, q in got])
+    flat = points.reshape(-1, amb.dim)
+    frames = amb.frames(flat)
+    # the unit fiber field is the third frame leg in both models
+    comps = amb.stencil_components(flat, frames[..., 2], frames)
+    derivs = st.curve_derivs((sig, sig), xs, comps.reshape(*points.shape[:3], -1))
+    xi = st.frame_of("xi")[:, None]
+    w = st.to_coords(wedge_frame(sig, st.to_frames(xs), np.broadcast_to(xi, (len(ok), 2, 3))))
+    rhs = (sig.eps3 * amb.params.tau) * w
+    sizes = st.frame_sizes(np.stack([derivs - rhs, derivs, rhs], axis=2)).tolist()
+    return _residual_rows(out, ok, ([_sized_residual(s) for s in row] for row in sizes))
 
 
 # -- shape operator transformation ------------------------------------------------
 
 
-def _shape(ctx: IdentityContext, sig: Signature) -> list[float]:
-    d = ctx.data
-    tau = d.ambient.params.tau
+def _draw_directions(k: int, d: TwoMetricFrameData, rng: np.random.Generator):
+    """Two rounds of k raw tangent directions, (2, k, 2) chart coefficients.
+
+    The shape operators raise a sample's stencil error once the first
+    round is drawn: then only that round is drawn, and the error returned.
+    """
+    err = d.stencil_error()
+    if err is not None:
+        rng.normal(size=2 * k)
+        return err
+    return rng.normal(size=(2, k, 2))
+
+
+def _shape(samples: list, draws: list, sig: Signature) -> list:
+    out, ok, got = _reached(draws)
+    if not ok:
+        return out
+    st = _Stack([samples[s] for s in ok])
+    tau = st.ambient.params.tau
     # s * x negates exactly, so each flipped tau or eps term has the mirror formula's bits
     o, s = sig.other, sig.eps3
-    w = d.omega(o)
-    t_o = d.tangent_part_t(o)
-    out = []
-    for i in range(2):
-        c = _random_tangent_coeffs(ctx)
-        x = d.embed(c)
-        a_x = {g: _apply_shape(d, g, c) for g in SIGNATURES}
-        if i == 0:
-            # Independent of the draws, but built after the first one: the shape
-            # operators may raise, and the draws made before a raise decide the
-            # random numbers of the identities that follow.
-            a_o_t = _apply_shape(d, o, d.t_coeffs(o))
-            j_o_t = d.rotate(o, d.frame_of(f"t_{o.value.lower()}"))
-        coeff = d.inner(o, a_o_t - (s * tau) * j_o_t, x)
-        a_o_x = a_x[o] / w
-        lhs = (
-            a_x[sig]
-            + a_o_x
-            + (s * 2.0 * d.eps / w**3) * coeff * t_o
-            + (2.0 * tau / w) * d.inner(o, t_o, x) * j_o_t
-        )
-        out.append(_vec_residual(d, lhs, a_x[sig], a_o_x))
-    return out
+    c = st.unit_coeffs(np.array(got)[:, :, 0])
+    x = st.embed(c)
+    a_sig, a_o = st.apply_shape(sig, c), st.apply_shape(o, c)
+    j_o_t = st.rotate(o, st.frame_of(f"t_{o.value.lower()}"))
+    t_o = st.of(f"t {o.value}", lambda d: d.tangent_part_t(o))
+    coeff = st.inner(o, (st.shape_of_t(o) - (s * tau) * j_o_t)[:, None], x)
+    along = st.inner(o, t_o[:, None], x)
+    w = [d.omega(o) for d in st.samples]
+    k_coeff = np.array([s * 2.0 * e / w_**3 for e, w_ in zip(st.floats("eps"), w)])
+    k_along = np.array([2.0 * tau / w_ for w_ in w])
+    a_o_x = a_o / np.array(w)[:, None, None]
+    lhs = (
+        a_sig
+        + a_o_x
+        + (k_coeff[:, None] * coeff)[..., None] * t_o[:, None]
+        + (k_along[:, None] * along)[..., None] * j_o_t[:, None]
+    )
+    sizes = st.frame_sizes(np.stack([lhs, a_sig, a_o_x], axis=2)).tolist()
+    return _residual_rows(out, ok, ([_sized_residual(s) for s in row] for row in sizes))
 
 
-def _bilinear(ctx: IdentityContext, sig: Signature) -> list[float]:
-    d = ctx.data
-    tau = d.ambient.params.tau
+def _bilinear(samples: list, draws: list, sig: Signature) -> list:
+    out, ok, got = _reached(draws)
+    if not ok:
+        return out
+    st = _Stack([samples[s] for s in ok])
+    k = sig.eps3 * st.ambient.params.tau
     o = sig.other
-    out = []
-    for _ in range(2):
-        cx, cy = _random_tangent_coeffs(ctx), _random_tangent_coeffs(ctx)
-        x, y = d.embed(cx), d.embed(cy)
-        a = d.inner(sig, _apply_shape(d, sig, cx), y)
-        a_o = d.inner(o, _apply_shape(d, o, cx), y)
-        jx = d.inner(sig, d.rotate(o, d.to_frame(x)), y)
-        jy = d.inner(sig, d.rotate(o, d.to_frame(y)), x)
-        lhs = a + (a_o - (sig.eps3 * tau) * (jx + jy)) / d.omega(o)
-        out.append(_scalar_residual(lhs, a, a_o))
-    return out
+    # (m, round, [x, y], 2)
+    c = st.unit_coeffs(np.array(got))
+    x, y = st.embed(c[:, :, 0]), st.embed(c[:, :, 1])
+    a = st.inner(sig, st.apply_shape(sig, c[:, :, 0]), y).tolist()
+    a_o = st.inner(o, st.apply_shape(o, c[:, :, 0]), y).tolist()
+    jx = st.inner(sig, st.rotate(o, st.to_frames(x)), y).tolist()
+    jy = st.inner(sig, st.rotate(o, st.to_frames(y)), x).tolist()
+    w = [d.omega(o) for d in st.samples]
+    rows = (
+        [_scalar_residual(a_ + (b - k * (c_ + e)) / w_, a_, b) for a_, b, c_, e in zip(*row)]
+        for *row, w_ in zip(a, a_o, jx, jy, w)
+    )
+    return _residual_rows(out, ok, rows)
 
 
 def _meancurv(samples: list, sig: Signature) -> list:
@@ -369,7 +443,7 @@ def _int_residuals(samples: list, sig: Signature, which: int) -> list:
         return out
     st = _Stack([samples[s] for s in ok])
     tau = st.ambient.params.tau
-    shape = st.of(f"shape {sig.value}", lambda d: d.shape(sig))
+    shape = st.shape(sig)
     rot = st.of("rot", lambda d: d.rotation(sig))
     sign = -sig.eps3
     bases = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -387,7 +461,7 @@ def _int_residuals(samples: list, sig: Signature, which: int) -> list:
     # derivative of the angle along the chart direction
     coeffs = st.of(f"t_coeffs {sig.value}", lambda d: d.t_coeffs(sig))
     a_term = ((shape - sign * tau * rot) @ coeffs[..., None])[..., 0]
-    pairs = a_term[:, None, :] @ st.of("gram", lambda d: d.gram[sig])
+    pairs = a_term[:, None, :] @ st.gram(sig)
     rhs = np.stack([-(pairs @ basis)[:, 0] for basis in bases], axis=1).tolist()
     for s, der, rhs_s in zip(ok, derivs, rhs):
         out[s] = [
@@ -400,24 +474,61 @@ def _int_residuals(samples: list, sig: Signature, which: int) -> list:
 # -- normal curvature ------------------------------------------------------------
 
 
-def _normcurv(ctx: IdentityContext) -> list[float]:
-    d = ctx.data
-    tau = d.ambient.params.tau
+def _draw_normcurv(d: TwoMetricFrameData, rng: np.random.Generator):
+    """A unit direction (2) and its squares q_R, q_L, redrawn while it is nearly null.
+
+    Eight nearly null draws skip the sample with NULL_DIRECTION.
+    """
     for _ in range(8):
-        c = _random_tangent_coeffs(ctx)
+        c = rng.normal(size=2)
+        c = c / math.sqrt(max(d.coeff_inner(Signature.R, c, c), 1e-300))
         q_r = d.coeff_inner(Signature.R, c, c)
         q_l = d.coeff_inner(Signature.L, c, c)
         if abs(q_l) > 1e-6 * q_r:
-            break
-    else:
-        raise SampleSkip(NullDirection.code)
-    lam_r = d.normal_curvature(Signature.R, c)
-    lam_l = d.normal_curvature(Signature.L, c)
-    eps_v = 1.0 if q_l > 0 else -1.0
-    t_unit = d.embed(c) / math.sqrt(q_r)
-    twist = d.inner(Signature.L, t_unit, d.rotate(Signature.R, d.to_frame(t_unit)))
-    lhs = eps_v * lam_l + (q_r / (d.omega_r * abs(q_l))) * (lam_r + 2.0 * tau * twist)
-    return [_scalar_residual(lhs, lam_r, lam_l)]
+            return c, q_r, q_l
+    return SampleSkip(NullDirection.code)
+
+
+def _direction_error(d: TwoMetricFrameData, c: np.ndarray, q_r: float, q_l: float):
+    """What ``normal_curvature`` of R, then of L, raises along c, or None."""
+    if q_r <= 0.0:
+        return NumericFailure("Riemannian direction with nonpositive square")
+    if d.stencil_error() is not None:
+        return d.stencil_error()
+    scale = float(np.max(np.abs(d.gram[Signature.L]))) * float(np.max(np.abs(c)) ** 2)
+    if abs(q_l) <= 1e-12 * max(scale, 1e-300):
+        return NullDirection("null direction has no normal curvature")
+    return None
+
+
+def _normcurv(samples: list, draws: list) -> list:
+    out, ok, got = _reached(draws)
+    for s, drawn in zip(ok, got):
+        out[s] = _direction_error(samples[s], *drawn)
+    ok = [s for s in ok if out[s] is None]
+    if not ok:
+        return out
+    st = _Stack([samples[s] for s in ok])
+    tau = st.ambient.params.tau
+    c = np.array([draws[s][0] for s in ok])
+    q_r = [draws[s][1] for s in ok]
+    q_l = [draws[s][2] for s in ok]
+    lam = {}
+    for sig, q in ((Signature.R, np.array(q_r)), (Signature.L, np.abs(q_l))):
+        unit = c / np.sqrt(q)[:, None]
+        lam[sig] = stacked_inner(st.gram(sig), st.shape_coeffs(sig, unit), unit).tolist()
+    t_unit = st.embed(c) / np.sqrt(q_r)[:, None]
+    twist = st.inner(Signature.L, t_unit, st.rotate(Signature.R, st.to_frames(t_unit))).tolist()
+    rows = []
+    for q_r_, q_l_, lam_r, lam_l_unsigned, tw, w_r in zip(
+        q_r, q_l, lam[Signature.R], lam[Signature.L], twist, st.floats("omega_r")
+    ):
+        eps_v = 1.0 if q_l_ > 0 else -1.0
+        # the Lorentzian normal curvature carries the sign of q_L
+        lam_l = eps_v * lam_l_unsigned
+        lhs = eps_v * lam_l + (q_r_ / (w_r * abs(q_l_))) * (lam_r + 2.0 * tau * tw)
+        rows.append([_scalar_residual(lhs, lam_r, lam_l)])
+    return _residual_rows(out, ok, rows)
 
 
 # -- curvature relations ----------------------------------------------------------
@@ -479,7 +590,7 @@ def _extrinsic_rel(samples: list) -> list:
     st = _Stack([samples[s] for s in ok])
     t = st.ambient.params.tau
     t_r = st.of("t_r")
-    j_r_t = st.rotate(Signature.R, st.of("t_r frame", lambda d: d.frame_of("t_r")))
+    j_r_t = st.rotate(Signature.R, st.frame_of("t_r"))
     g_r = st.metric(Signature.R)
     mixed = stacked_inner(g_r, st.shape_of_t(Signature.R), j_r_t).tolist()
     t_norm2 = stacked_inner(g_r, t_r, t_r).tolist()
@@ -523,52 +634,54 @@ def _combined_516(samples: list) -> list:
 
 @dataclass(frozen=True)
 class IdentityInfo:
-    """A named identity and its evaluator.
+    """A named identity and its evaluator, which takes the samples of one surface.
 
-    ``stacked`` evaluators draw no random numbers and take the samples of one
-    surface (see the module docstring); the others take an IdentityContext.
+    An identity that draws random numbers has ``draw``: ``draw(data, rng)``
+    takes one sample's draws from the generator and returns them, or the
+    skip at which they stopped.  Its evaluator takes the list of every
+    sample's draws as a second argument (see the module docstring).
     """
 
     name: str
     tolerance: float
     evaluate: Callable
-    stacked: bool = False
-
-
-def _stacked(name: str, tolerance: float, evaluate: Callable) -> IdentityInfo:
-    return IdentityInfo(name, tolerance, evaluate, stacked=True)
+    draw: Callable | None = None
 
 
 _REGISTRY: list[IdentityInfo] = [
-    IdentityInfo("METRIC_SUM", 1e-12, _metric_sum),
-    IdentityInfo("METRIC_DIFF", 1e-12, _metric_diff),
-    _stacked(
+    IdentityInfo("METRIC_SUM", 1e-12, _metric_sum, lambda d, rng: rng.normal(size=18)),
+    IdentityInfo("METRIC_DIFF", 1e-12, _metric_diff, lambda d, rng: rng.normal(size=18)),
+    IdentityInfo(
         "NORMAL_TRANSFORM", 1e-9, partial(_invariants, keys=("normal_routes", "angle_transform"))
     ),
-    IdentityInfo("NORMAL_PAIRING", 1e-9, _normal_pairing),
-    _stacked("OMEGA_PRODUCT", 1e-9, partial(_invariants, keys=("omega_product",))),
-    _stacked(
+    IdentityInfo("NORMAL_PAIRING", 1e-9, _normal_pairing, lambda d, rng: rng.normal(size=9)),
+    IdentityInfo("OMEGA_PRODUCT", 1e-9, partial(_invariants, keys=("omega_product",))),
+    IdentityInfo(
         "T_RELATION", 1e-9, partial(_invariants, keys=("t_relation", "t_split_R", "t_split_L"))
     ),
-    IdentityInfo("CONN_DIFF", 1e-5, _conn_diff),
-    IdentityInfo("KILLING_R", 1e-5, partial(_killing, sig=Signature.R)),
-    IdentityInfo("KILLING_L", 1e-5, partial(_killing, sig=Signature.L)),
-    IdentityInfo("SHAPE_R", 1e-4, partial(_shape, sig=Signature.R)),
-    IdentityInfo("SHAPE_L", 1e-4, partial(_shape, sig=Signature.L)),
-    IdentityInfo("BILINEAR_R", 1e-4, partial(_bilinear, sig=Signature.R)),
-    IdentityInfo("BILINEAR_L", 1e-4, partial(_bilinear, sig=Signature.L)),
-    _stacked("MEANCURV_R", 1e-4, partial(_meancurv, sig=Signature.R)),
-    _stacked("MEANCURV_L", 1e-4, partial(_meancurv, sig=Signature.L)),
-    _stacked("INT1_L", 1e-4, partial(_int_residuals, sig=Signature.L, which=1)),
-    _stacked("INT2_L", 1e-4, partial(_int_residuals, sig=Signature.L, which=2)),
-    _stacked("INT1_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=1)),
-    _stacked("INT2_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=2)),
-    IdentityInfo("NORMCURV", 1e-5, _normcurv),
-    _stacked("SECTIONAL_REL", 1e-4, _sectional_rel),
-    _stacked("EXTRINSIC_REL", 1e-4, _extrinsic_rel),
-    _stacked("GAUSS_R", 1e-4, partial(_gauss, sig=Signature.R)),
-    _stacked("GAUSS_L", 1e-4, partial(_gauss, sig=Signature.L)),
-    _stacked("COMBINED_516", 1e-4, _combined_516),
+    IdentityInfo("CONN_DIFF", 1e-5, _conn_diff, _draw_conn_diff),
+    IdentityInfo("KILLING_R", 1e-5, partial(_killing, sig=Signature.R), _draw_killing),
+    IdentityInfo("KILLING_L", 1e-5, partial(_killing, sig=Signature.L), _draw_killing),
+    IdentityInfo("SHAPE_R", 1e-4, partial(_shape, sig=Signature.R), partial(_draw_directions, 1)),
+    IdentityInfo("SHAPE_L", 1e-4, partial(_shape, sig=Signature.L), partial(_draw_directions, 1)),
+    IdentityInfo(
+        "BILINEAR_R", 1e-4, partial(_bilinear, sig=Signature.R), partial(_draw_directions, 2)
+    ),
+    IdentityInfo(
+        "BILINEAR_L", 1e-4, partial(_bilinear, sig=Signature.L), partial(_draw_directions, 2)
+    ),
+    IdentityInfo("MEANCURV_R", 1e-4, partial(_meancurv, sig=Signature.R)),
+    IdentityInfo("MEANCURV_L", 1e-4, partial(_meancurv, sig=Signature.L)),
+    IdentityInfo("INT1_L", 1e-4, partial(_int_residuals, sig=Signature.L, which=1)),
+    IdentityInfo("INT2_L", 1e-4, partial(_int_residuals, sig=Signature.L, which=2)),
+    IdentityInfo("INT1_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=1)),
+    IdentityInfo("INT2_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=2)),
+    IdentityInfo("NORMCURV", 1e-5, _normcurv, _draw_normcurv),
+    IdentityInfo("SECTIONAL_REL", 1e-4, _sectional_rel),
+    IdentityInfo("EXTRINSIC_REL", 1e-4, _extrinsic_rel),
+    IdentityInfo("GAUSS_R", 1e-4, partial(_gauss, sig=Signature.R)),
+    IdentityInfo("GAUSS_L", 1e-4, partial(_gauss, sig=Signature.L)),
+    IdentityInfo("COMBINED_516", 1e-4, _combined_516),
 ]
 
 IDENTITIES: dict[str, IdentityInfo] = {info.name: info for info in _REGISTRY}
@@ -669,28 +782,28 @@ def evaluate_samples(
     the samples of one ``frame_batch`` do; ConfigInvalid otherwise.
     Returns, per sample, per identity either {"residuals": [...]} or
     {"skipped": reason}; a SampleSkip or GeometryError becomes a skip with
-    its reason or error code.  The identities that draw random numbers run
-    sample by sample, each sample's in the order of ``names``, so ``rng`` is
-    consumed exactly as by one ``run_identities`` call per sample.  The
-    stacked identities draw nothing and run once, over all samples.
+    its reason or error code.  The draw plan runs first: sample after
+    sample, it takes each sample's draws of the identities that draw, in the
+    order of ``names``, so ``rng`` is consumed exactly as by one
+    ``run_identities`` call per sample.  Then each identity's evaluator runs
+    once, over all samples.
     """
     if any(d.ambient is not samples[0].ambient for d in samples):
         raise ConfigInvalid("evaluate_samples takes samples of one ambient")
     infos = [IDENTITIES[name] for name in names]
+    draws = {i: [] for i, info in enumerate(infos) if info.draw is not None}
+    for data in samples:
+        for i, taken in draws.items():
+            taken.append(infos[i].draw(data, rng))
     outs: list[dict[str, dict]] = [{} for _ in samples]
-    for data, out in zip(samples, outs):
-        ctx = IdentityContext(data=data, rng=rng)
-        for name, info in zip(names, infos):
-            if not info.stacked:
-                try:
-                    out[name] = {"residuals": info.evaluate(ctx)}
-                except (SampleSkip, GeometryError) as exc:
-                    out[name] = _skipped(exc)
-    for name, info in zip(names, infos):
-        if info.stacked and samples:
-            for out, got in zip(outs, info.evaluate(samples)):
-                out[name] = _skipped(got) if isinstance(got, Exception) else {"residuals": got}
-    return [{name: out[name] for name in names} for out in outs]
+    for i, (name, info) in enumerate(zip(names, infos)):
+        if not samples:
+            break
+        got = info.evaluate(samples, draws[i]) if i in draws else info.evaluate(samples)
+        for out, outcome in zip(outs, got):
+            is_skip = isinstance(outcome, Exception)
+            out[name] = _skipped(outcome) if is_skip else {"residuals": outcome}
+    return outs
 
 
 def _skipped(exc: Exception) -> dict:

@@ -4,8 +4,10 @@ The runner is deterministic for a fixed configuration: one seeded generator is
 consumed in a fixed iteration order (parameters, then surfaces, then sample
 points, then the identities that draw, in registry order), so repeated runs
 produce identical reports apart from the isolated timestamp field.  The
-stacked identities draw nothing; they run once per surface, over all its
-used samples (``identities.evaluate_samples``).
+identities run once per surface, over all its used samples
+(``identities.evaluate_samples``): its draw plan first takes every sample's
+draws in that order, sample after sample, and then each identity's
+evaluator runs over the stacked samples and draws.
 """
 
 from __future__ import annotations
@@ -123,8 +125,15 @@ def _worst(residuals) -> float:
     return max(residuals, default=0.0)
 
 
-def run_suite(config: SuiteConfig) -> dict:
-    """Run the verification sweep and return a JSON-ready report."""
+def check_config(config: SuiteConfig) -> list[str]:
+    """Raise ConfigInvalid for a fault of ``config`` found without a sweep; else its identities.
+
+    Checks the identity names, ``samples``, ``seed``, every surface address,
+    the finite-difference step and every parameter pair, in this order.
+    ``run_suite`` calls it first, and ``bicausal verify`` before it opens
+    its output file, so a bad configuration leaves an existing file as it
+    was.
+    """
     identity_names = config.resolved_identities()
     if config.samples < 1:
         raise ConfigInvalid(f"samples must be at least 1, got {config.samples}")
@@ -133,6 +142,15 @@ def run_suite(config: SuiteConfig) -> dict:
     if config.surfaces is not None:
         for address in config.surfaces:
             validate_address(address)
+    FDSteps.from_env()
+    for kappa, tau in config.params:
+        SpaceParams(float(kappa), float(tau))
+    return identity_names
+
+
+def run_suite(config: SuiteConfig) -> dict:
+    """Run the verification sweep and return a JSON-ready report."""
+    identity_names = check_config(config)
     rng = np.random.default_rng(config.seed)
     steps = FDSteps.from_env()
 

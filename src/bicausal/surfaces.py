@@ -778,9 +778,6 @@ class TwoMetricFrameData(PointFrame):
         rhs = np.array([self.inner(sig, vec, self.du), self.inner(sig, vec, self.dv)])
         return np.linalg.solve(self.gram[sig], rhs)
 
-    def embed(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs[0] * self.du + coeffs[1] * self.dv
-
     def coeff_inner(self, sig: Signature, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.asarray(a) @ self.gram[sig] @ np.asarray(b))
 
@@ -809,14 +806,18 @@ class TwoMetricFrameData(PointFrame):
 
     # -- stencil ------------------------------------------------------------
 
-    def _check_stencil(self) -> None:
-        """Raise the first error of this sample's stencil rows, on every stencil use.
+    def stencil_error(self) -> GeometryError | None:
+        """The first error of this sample's stencil rows, or None.
 
         Rows run along chart axis 0, then 1, at ``STENCIL_STEPS`` times the
-        stencil step; the first row error in this order is the one raised,
+        stencil step; the first row error in this order is the one found,
         as evaluating the rows one by one would raise it.
         """
-        err = self._batch.stencil_error(self._k)
+        return self._batch.stencil_error(self._k)
+
+    def _check_stencil(self) -> None:
+        """Raise ``stencil_error``, if any, on every stencil use."""
+        err = self.stencil_error()
         if err is not None:
             raise err.with_traceback(None)
 

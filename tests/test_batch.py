@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from bicausal.ambient import CoordinateAmbient, Signature, SpaceParams
 from bicausal.catalog import build_surface
-from bicausal.errors import GeometryError, SurfaceUnavailable
+from bicausal.errors import CurveSingular, GeometryError, SurfaceUnavailable
 from bicausal.identities import (
     IDENTITY_NAMES,
     SampleSkip,
@@ -243,23 +243,28 @@ def _built(pair, address):
 # -- identities: one stacked evaluation per surface ----------------------------
 
 
-def _assert_identities_equal_singles(ambient, chart, uvs, seed: int = 7) -> list:
-    """All 25 identities over a batch give each sample the outcomes of a batch of one.
+def _assert_identities_equal_singles(
+    ambient, chart, uvs, seed: int = 7, names=IDENTITY_NAMES, make_rng=np.random.default_rng
+) -> list:
+    """The identities over a batch give each sample the outcomes of a batch of one.
 
-    One generator serves the batch and one the singles: the identities that
-    draw run sample by sample in both, so the two streams stay in step.
+    One generator serves the batch and one the singles.  The batch's draw
+    plan takes each sample's draws in the order of a sample-by-sample
+    evaluation, so the two streams stay in step and end in the same state.
     """
     pairs = [
         (uv, d) for uv, d in zip(uvs, frame_batch(ambient, chart, uvs))
         if not isinstance(d, GeometryError)
     ]
-    together = evaluate_samples(IDENTITY_NAMES, [d for _, d in pairs], np.random.default_rng(seed))
-    rng = np.random.default_rng(seed)
+    batch_rng = make_rng(seed)
+    together = evaluate_samples(names, [d for _, d in pairs], batch_rng)
+    rng = make_rng(seed)
     for (uv, _), got in zip(pairs, together):
         (alone,) = frame_batch(ambient, chart, [uv])
-        want = run_identities(IDENTITY_NAMES, alone, rng)
-        assert list(got) == list(want) == IDENTITY_NAMES
+        want = run_identities(names, alone, rng)
+        assert list(got) == list(want) == list(names)
         assert _same(got, want), uv
+    assert batch_rng.bit_generator.state == rng.bit_generator.state
     return together
 
 
@@ -351,3 +356,125 @@ def test_skip_precedence_at_a_singular_pair_with_a_stencil_error():
         assert skipped[name] == "NULL_DIRECTION"
     for name in ("MEANCURV_R", "MEANCURV_L", "INT1_R", "INT2_R", "INT1_L", "INT2_L"):
         assert skipped[name] == "DOMAIN_VIOLATION"
+
+
+# -- where a sample's draws stop ------------------------------------------------
+
+
+def _draws_taken(run, seed: int = 3) -> int:
+    """How many normals ``run(rng)`` takes from a generator, found by replaying the stream."""
+    rng = np.random.default_rng(seed)
+    run(rng)
+    for count in range(200):
+        ref = np.random.default_rng(seed)
+        ref.normal(size=count)
+        if ref.bit_generator.state == rng.bit_generator.state:
+            return count
+    raise AssertionError("no count of normals reproduces the stream")
+
+
+def test_draws_stop_at_a_stencil_error_before_shape_and_bilinear():
+    """SHAPE stops after its first 2 draws and BILINEAR after its first 4."""
+    ambient = CoordinateAmbient(SpaceParams(-1.0, 0.0))
+    chart = _plane(ambient.params.disk_radius)
+    names = ["BILINEAR_L", "SHAPE_R", "METRIC_SUM", "SHAPE_L", "BILINEAR_R"]
+    outcomes = _assert_identities_equal_singles(ambient, chart, _edge_uvs(ambient), names=names)
+    for name in ("SHAPE_R", "SHAPE_L", "BILINEAR_R", "BILINEAR_L"):
+        assert {"skipped": "DOMAIN_VIOLATION"} in [sample[name] for sample in outcomes]
+        assert any("residuals" in sample[name] for sample in outcomes)
+    # the first sample's stencil leaves the disk, the second's does not
+    at_edge, inside = frame_batch(ambient, chart, _edge_uvs(ambient)[1:3])
+    assert at_edge.stencil_error() is not None and inside.stencil_error() is None
+    for d, shape, bilinear in ((at_edge, 2, 4), (inside, 4, 8)):
+        for name, count in (("SHAPE_R", shape), ("BILINEAR_L", bilinear)):
+            assert _draws_taken(lambda rng: run_identities([name], d, rng)) == count
+
+
+def _leaving_curves(ambient, monkeypatch):
+    """Make every curve whose velocity has a first coordinate above 0.3 leave the model."""
+    through = ambient.curve_through
+
+    def curve_through(p, vel):
+        curve = through(p, vel)
+
+        def leaving(t):
+            if vel[0] > 0.3:
+                raise CurveSingular(f"curve leaves the model at t={t}")
+            return curve(t)
+
+        return leaving
+
+    monkeypatch.setattr(ambient, "curve_through", curve_through)
+
+
+@pytest.mark.parametrize(
+    "address, pair",
+    [("graph:bowl:a=0.2", (1.0, 1.0)), ("su11-helicoid:family=h1,rate=0.35", (-1.0, 1.0))],
+)
+def test_draws_stop_where_a_killing_curve_leaves_the_model(address, pair, monkeypatch):
+    """A first curve that leaves the model stops KILLING after its first 3 draws."""
+    built = build_surface(address, SpaceParams(*pair))
+    _leaving_curves(built.ambient, monkeypatch)
+    uvs = _domain_uvs(built.chart, FRACTIONS)
+    for names in (IDENTITY_NAMES, ["KILLING_L", "NORMCURV", "METRIC_SUM", "KILLING_R"]):
+        outcomes = _assert_identities_equal_singles(built.ambient, built.chart, uvs, names=names)
+        for name in ("KILLING_R", "KILLING_L"):
+            assert {"skipped": "CURVE_SINGULAR"} in [sample[name] for sample in outcomes]
+            assert any("residuals" in sample[name] for sample in outcomes)
+    batch = frame_batch(built.ambient, built.chart, uvs)
+    d = next(d for d in batch if not isinstance(d, GeometryError))
+    seen = set()
+    for seed in range(40):
+        first = d.to_coord(np.random.default_rng(seed).normal(size=3))
+        count = _draws_taken(lambda rng: run_identities(["KILLING_R"], d, rng), seed)
+        assert count == (3 if first[0] > 0.3 else 6)
+        seen.add(count)
+    assert seen == {3, 6}
+
+
+class _NullDraws:
+    """A generator whose ``normal`` calls listed in ``null`` return a null direction instead.
+
+    Each call still takes its numbers from the seeded generator underneath.
+    """
+
+    def __init__(self, seed: int, null: set, direction):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self.null, self.direction, self.calls = null, direction, 0
+
+    def normal(self, size):
+        out = self._rng.normal(size=size)
+        if self.calls in self.null:
+            out = np.array(self.direction, dtype=float)
+        self.calls += 1
+        return out
+
+
+def test_normcurv_redraws_nearly_null_directions_then_skips():
+    """Up to 8 draws per sample: a null draw is redrawn, and 8 of them skip NULL_DIRECTION."""
+    ambient = CoordinateAmbient(SpaceParams(0.0, 0.0))
+    # gram_L is diag(1, -8.96) everywhere, so (sqrt(8.96), 1) is null
+    chart = _plane_through((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.2, 3.0))
+    uvs = [(0.1, 0.2), (0.3, -0.1), (-0.2, 0.4)]
+    # sample 0 redraws three times, sample 1 eight times, sample 2 never
+    null = {0, 1, 2} | set(range(4, 12))
+    made = []
+
+    def make_rng(seed):
+        made.append(_NullDraws(seed, null, (math.sqrt(8.96), 1.0)))
+        return made[-1]
+
+    outcomes = _assert_identities_equal_singles(
+        ambient, chart, uvs, names=["NORMCURV"], make_rng=make_rng
+    )
+    assert [sample["NORMCURV"].get("skipped") for sample in outcomes] == [
+        None, "NULL_DIRECTION", None
+    ]
+    assert [rng.calls for rng in made] == [13, 13]
+    (d,) = frame_batch(ambient, chart, uvs[:1])
+    for null, calls, skipped in (({0, 1, 2}, 4, None), (set(range(9)), 8, "NULL_DIRECTION")):
+        rng = _NullDraws(0, null, (math.sqrt(8.96), 1.0))
+        assert run_identities(["NORMCURV"], d, rng)["NORMCURV"].get("skipped") == skipped
+        assert rng.calls == calls
+

@@ -201,11 +201,8 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_verify_json_is_strict_for_non_finite_residuals(bad, tmp_path, monkeypatch, capsys):
-    calls = []
-
-    def evaluate(ctx):
-        calls.append(None)
-        return [0.0] if len(calls) == 1 else [0.0, bad]
+    def evaluate(samples, draws):
+        return [[0.0]] + [[0.0, bad]] * (len(samples) - 1)
 
     info = IDENTITIES["METRIC_SUM"]
     monkeypatch.setitem(IDENTITIES, "METRIC_SUM", dataclasses.replace(info, evaluate=evaluate))
@@ -224,8 +221,8 @@ def test_verify_json_is_strict_for_non_finite_residuals(bad, tmp_path, monkeypat
 def test_verify_prints_skip_reasons_of_a_row_failed_without_samples(monkeypatch, capsys):
     """A row whose every sample skips for a non-benign reason fails with no residual."""
 
-    def evaluate(ctx):
-        raise OrientationFlip("injected")
+    def evaluate(samples, draws):
+        return [OrientationFlip("injected") for _ in samples]
 
     info = IDENTITIES["SHAPE_R"]
     monkeypatch.setitem(IDENTITIES, "SHAPE_R", dataclasses.replace(info, evaluate=evaluate))
@@ -407,6 +404,24 @@ def test_unwritable_output_path_is_a_config_error(command, option, target, tmp_p
     assert f"cannot write {path}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_config_error_leaves_an_existing_json_file_as_it_was(tmp_path, capsys):
+    """The configuration is checked before ``--json`` opens, and so truncates nothing."""
+    path = tmp_path / "cfg.json"
+    path.write_text("an earlier report\n")
+    args = ["verify", "--params", "1,0.5", "--surfaces", "slice:t0=abc", "--json", str(path)]
+    assert cli.main(args) == 2
+    assert "error [CONFIG_INVALID]" in capsys.readouterr().err
+    assert path.read_text() == "an earlier report\n"
+
+
+def test_unwritable_json_path_fails_before_the_sweep(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_suite", lambda config: pytest.fail("the sweep ran"))
+    path = tmp_path / "missing" / "r.json"
+    args = ["verify", "--params", "1,1", "--samples", "1", "--json", str(path)]
+    assert cli.main(args) == 2
+    assert f"cannot write {path}" in capsys.readouterr().err
 
 
 def test_surfaces_listing():

@@ -66,8 +66,20 @@ DRAW_FREE = {
 }
 
 
-def test_registry_stacks_exactly_the_draw_free_identities():
-    assert {name for name in IDENTITY_NAMES if IDENTITIES[name].stacked} == DRAW_FREE
+def test_exactly_the_drawing_identities_consume_the_stream():
+    """The 11 identities outside DRAW_FREE have a ``draw`` and take numbers from the generator."""
+    built = build_surface("graph:bowl:a=0.2", SpaceParams(1.0, 1.0))
+    uvs = interior_grid(built.chart.domain, 2, 2)
+    samples = [
+        d for d in frame_batch(built.ambient, built.chart, uvs) if isinstance(d, TwoMetricFrameData)
+    ]
+    for name in IDENTITY_NAMES:
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        evaluate_samples([name], samples, rng)
+        assert (rng.bit_generator.state != before) == (name not in DRAW_FREE), name
+        assert (IDENTITIES[name].draw is None) == (name in DRAW_FREE), name
+    assert len(IDENTITY_NAMES) - len(DRAW_FREE) == 11
 
 
 STACK_CASES = [

@@ -110,15 +110,15 @@ def test_non_finite_residual_never_passes(bad, monkeypatch):
     """Python's max drops a NaN that is not first: max([0.0, nan]) == 0.0."""
     calls = []
 
-    def evaluate(ctx):
-        calls.append(None)
-        return [0.0] if len(calls) == 1 else [0.0, bad]
+    def evaluate(samples, draws):
+        calls.append(len(samples))
+        return [[0.0]] + [[0.0, bad]] * (len(samples) - 1)
 
     info = IDENTITIES["METRIC_SUM"]
     monkeypatch.setitem(IDENTITIES, "METRIC_SUM", dataclasses.replace(info, evaluate=evaluate))
     report = run_suite(_small_config(identities=("METRIC_SUM",), surfaces=("graph:bowl:a=0.2",)))
     (row,) = report["results"]
-    assert len(calls) == row["samples"] == 2
+    assert calls == [row["samples"]] == [2]
     assert row["status"] == "fail"
     assert not math.isfinite(row["max_residual"])
     assert report["summary"]["pass"] is False

@@ -18,7 +18,9 @@ keep:
 * ``verify --samples 1``, where each row's maximum is one sample's residual,
   and ``verify --samples 30`` on a subset that mixes identities that draw
   with stacked ones;
-* ``verify`` at tau = 0 and small tau, and on the group-model helicoids;
+* ``verify`` at tau = 0 and small tau, and on the group-model helicoids:
+  with all identities, with two subsets of only the identities that draw,
+  given out of registry order, and with ``--samples 1``;
 * ``report`` CSVs of ``graph:bowl:a=0.2`` at five parameter pairs, a 64x64
   grid, both group helicoids, ``slice:t0=0.1`` and two Hopf cylinders, whose
   rows are all ``SIGN_AMBIGUOUS``.
@@ -58,6 +60,24 @@ CASES += [
         f"verify group helicoids at ({pair})",
         ["verify", "--params", pair, "--surfaces", "berger-helicoid",
          "--surfaces", "su11-helicoid", "--samples", "12", "--json", OUT],
+    )
+    for pair in ("1,1", "4,1", "-1,1")
+]
+CASES += [
+    (
+        f"verify group helicoids at ({pair}), --identities {subset}",
+        ["verify", "--params", pair, "--surfaces", "berger-helicoid",
+         "--surfaces", "su11-helicoid", "--samples", "12", "--identities", subset,
+         "--json", OUT],
+    )
+    for pair in ("1,1", "-1,1")
+    for subset in ("KILLING_L,NORMCURV,METRIC_SUM", "CONN_DIFF,BILINEAR_R,SHAPE_L")
+]
+CASES += [
+    (
+        f"verify group helicoids at ({pair}), --samples 1",
+        ["verify", "--params", pair, "--surfaces", "berger-helicoid",
+         "--surfaces", "su11-helicoid", "--samples", "1", "--json", OUT],
     )
     for pair in ("1,1", "4,1", "-1,1")
 ]

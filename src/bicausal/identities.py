@@ -493,8 +493,9 @@ def _direction_error(d: TwoMetricFrameData, c: np.ndarray, q_r: float, q_l: floa
     """What ``normal_curvature`` of R, then of L, raises along c, or None."""
     if q_r <= 0.0:
         return NumericFailure("Riemannian direction with nonpositive square")
-    if d.stencil_error() is not None:
-        return d.stencil_error()
+    err = d.stencil_error()
+    if err is not None:
+        return err
     scale = float(np.max(np.abs(d.gram[Signature.L]))) * float(np.max(np.abs(c)) ** 2)
     if abs(q_l) <= 1e-12 * max(scale, 1e-300):
         return NullDirection("null direction has no normal curvature")

@@ -42,7 +42,10 @@ from .identities import (
     IDENTITIES,
     IDENTITY_NAMES,
     SampleSkip,
+    DrawPlan,
     curvature_suite,
+    draw_plan,
+    evaluate_plans,
     evaluate_samples,
     indefiniteness_check,
     intrinsic_curvature_r,
@@ -76,6 +79,7 @@ __all__ = [
     "BuiltSurface",
     "ConfigInvalid",
     "CoordinateAmbient",
+    "DrawPlan",
     "CurveSingular",
     "DegenerateInput",
     "DomainViolation",
@@ -102,6 +106,8 @@ __all__ = [
     "curvature_frame",
     "curvature_suite",
     "default_surfaces",
+    "draw_plan",
+    "evaluate_plans",
     "evaluate_samples",
     "frame_batch",
     "frame_data",

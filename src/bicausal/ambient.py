@@ -378,6 +378,7 @@ class CoordinateAmbient(Ambient):
     """
 
     dim = 3
+    kind = "coordinate"
 
     def __init__(self, params: SpaceParams, steps: FDSteps | None = None):
         self.params = params

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .ambient import CoordinateAmbient, SpaceParams, Signature
-from .errors import ConfigInvalid, GeometryError, SurfaceUnavailable
+from .errors import ConfigInvalid, GeometryError, ModelMismatch, SurfaceUnavailable
 from .groups import (
     BERGER,
     HELICOID_FAMILIES,
@@ -111,7 +112,9 @@ class CatalogEntry:
     description: str
     validity: str
     valid: Callable[[SpaceParams], str | None]
-    build: Callable[[SpaceParams, str | None, dict, FDSteps | None], BuiltSurface]
+    # The ambient model the family lives in, a key of MODELS.
+    model: str
+    build: Callable[[object, str | None, dict], BuiltSurface]
     # Option key -> check of its value that reads no parameters.
     options: dict
 
@@ -213,9 +216,9 @@ def _band_for_variant(ambient, chart, variant: str, t_lo: float, t_hi: float, u0
 # -- coordinate-model families ------------------------------------------------
 
 
-def _build_hopf(params, label, kwargs, steps):
+def _build_hopf(ambient, label, kwargs):
+    params = ambient.params
     label = label or "circle"
-    ambient = CoordinateAmbient(params, steps=steps)
     scale = _planar_scale(params)
     if label == "circle":
         _reject_unknown(kwargs, {"r"}, "hopf:circle")
@@ -253,9 +256,9 @@ def _build_hopf(params, label, kwargs, steps):
     return BuiltSurface(ambient, chart, parsed.canonical(), "hopf", label, kwargs, False, TIMELIKE)
 
 
-def _build_slice(params, label, kwargs, steps):
+def _build_slice(ambient, label, kwargs):
+    params = ambient.params
     t0 = _number(kwargs, "t0", 0.0)
-    ambient = CoordinateAmbient(params, steps=steps)
     s = 0.8 * _planar_scale(params)
 
     def point(u, v):
@@ -274,9 +277,9 @@ def _build_slice(params, label, kwargs, steps):
     return BuiltSurface(ambient, chart, parsed.canonical(), "slice", None, {"t0": t0}, False, SPACELIKE)
 
 
-def _build_graph(params, label, kwargs, steps):
+def _build_graph(ambient, label, kwargs):
+    params = ambient.params
     a = _number(kwargs, "a", 0.2)
-    ambient = CoordinateAmbient(params, steps=steps)
     s = 0.8 * _planar_scale(params)
 
     def point(u, v):
@@ -295,9 +298,9 @@ def _build_graph(params, label, kwargs, steps):
     return BuiltSurface(ambient, chart, parsed.canonical(), "graph", "bowl", {"a": a}, False, SPACELIKE)
 
 
-def _build_vgraph(params, label, kwargs, steps):
+def _build_vgraph(ambient, label, kwargs):
+    params = ambient.params
     a = _number(kwargs, "a", 0.15)
-    ambient = CoordinateAmbient(params, steps=steps)
     s = _planar_scale(params)
 
     def point(u, v):
@@ -316,10 +319,9 @@ def _build_vgraph(params, label, kwargs, steps):
     return BuiltSurface(ambient, chart, parsed.canonical(), "vgraph", "saddle", {"a": a}, False, TIMELIKE)
 
 
-def _build_helicoid(params, label, kwargs, steps):
+def _build_helicoid(ambient, label, kwargs):
     c = _number(kwargs, "c", 0.7)
     variant = kwargs.get("variant")
-    ambient = CoordinateAmbient(params, steps=steps)
 
     def point(u, v):
         return np.array([v * math.cos(u), v * math.sin(u), c * u])
@@ -354,10 +356,9 @@ def _build_helicoid(params, label, kwargs, steps):
 # -- group-model families ------------------------------------------------------
 
 
-def _build_berger_helicoid(params, label, kwargs, steps):
+def _build_berger_helicoid(ambient, label, kwargs):
     alpha = _number(kwargs, "alpha", 0.5)
     variant = kwargs.get("variant")
-    ambient = GroupAmbient(BERGER, params, steps=steps)
     t_lo, t_hi = 0.06, 0.5 * math.pi - 0.06
     chart = berger_helicoid_chart(alpha, domain=((-1.2, 1.2), (t_lo, t_hi)))
     if variant is not None:
@@ -373,12 +374,12 @@ def _build_berger_helicoid(params, label, kwargs, steps):
     )
 
 
-def _build_su11_helicoid(params, label, kwargs, steps):
+def _build_su11_helicoid(ambient, label, kwargs):
+    params = ambient.params
     family = kwargs.get("family", "h1")
     rate = _number(kwargs, "rate", 0.35)
     t_rate = _number(kwargs, "t_rate")
     variant = kwargs.get("variant")
-    ambient = GroupAmbient(SU11, params, steps=steps)
     ct = 0.5 * params.kappa**2 if t_rate is None else abs(t_rate)
     tmax = 1.3 / max(1.0, ct)
     chart = su11_helicoid_chart(
@@ -429,6 +430,14 @@ def _needs_su11(params: SpaceParams) -> str | None:
     return None
 
 
+# The ambient of each model at a parameter pair, made as ``MODELS[model](params, steps=steps)``;
+# the model is the ambient's ``kind``.
+MODELS: dict[str, Callable] = {
+    CoordinateAmbient.kind: CoordinateAmbient,
+    BERGER: partial(GroupAmbient, BERGER),
+    SU11: partial(GroupAmbient, SU11),
+}
+
 CATALOG: dict[str, CatalogEntry] = {
     "hopf": CatalogEntry(
         "hopf",
@@ -436,6 +445,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "vertical cylinder over a plane curve (contains the fiber direction)",
         "any parameters; the curve must fit the base domain",
         _always,
+        CoordinateAmbient.kind,
         _build_hopf,
         options={"r": _positive, "a": _positive, "b": _positive},
     ),
@@ -445,6 +455,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "horizontal plane z = t0 in a product space",
         "tau = 0",
         _needs_tau_zero,
+        CoordinateAmbient.kind,
         _build_slice,
         options={"t0": _finite},
     ),
@@ -454,6 +465,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "graph z = a (x^2 + y^2), spacelike near the origin",
         "any parameters",
         _always,
+        CoordinateAmbient.kind,
         _build_graph,
         options={"a": _finite},
     ),
@@ -463,6 +475,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "vertical graph x = a y z, timelike with varying fiber angle",
         "any parameters",
         _always,
+        CoordinateAmbient.kind,
         _build_vgraph,
         options={"a": _finite},
     ),
@@ -472,6 +485,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "classical helicoid, minimal for both metrics",
         "kappa = 0",
         _needs_flat_base,
+        CoordinateAmbient.kind,
         _build_helicoid,
         options={"c": _positive, "variant": _variant},
     ),
@@ -481,6 +495,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "ruled minimal surface in the sphere model",
         "kappa > 0 and tau != 0",
         _needs_berger,
+        BERGER,
         _build_berger_helicoid,
         options={"alpha": _finite, "variant": _variant},
     ),
@@ -490,6 +505,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "ruled minimal surface in the hyperbolic model",
         "kappa < 0 and tau != 0",
         _needs_su11,
+        SU11,
         _build_su11_helicoid,
         options={
             "family": _one_of(*HELICOID_FAMILIES),
@@ -537,7 +553,14 @@ def build_surface(
     address: str | ParsedSurface,
     params: SpaceParams,
     steps: FDSteps | None = None,
+    ambient=None,
 ) -> BuiltSurface:
+    """The surface at ``address`` in the space of ``params``, built on ``ambient``.
+
+    ``ambient`` is an ambient of the family's model at ``params``, which
+    surfaces built on it share (ModelMismatch otherwise); by default a fresh
+    one with ``steps``.
+    """
     parsed = validate_address(address)
     entry = CATALOG[parsed.family]
     reason = entry.valid(params)
@@ -545,7 +568,14 @@ def build_surface(
         raise SurfaceUnavailable(
             f"surface {parsed.canonical()!r} not valid at ({params.kappa:g}, {params.tau:g}): {reason}"
         )
-    return entry.build(params, parsed.label, dict(parsed.kwargs), steps)
+    if ambient is None:
+        ambient = MODELS[entry.model](params, steps=steps)
+    elif ambient.kind != entry.model or ambient.params != params:
+        raise ModelMismatch(
+            f"surface {parsed.canonical()!r} needs an ambient of the {entry.model} model"
+            f" at ({params.label()})"
+        )
+    return entry.build(ambient, parsed.label, dict(parsed.kwargs))
 
 
 def default_surfaces(params: SpaceParams) -> list[str]:

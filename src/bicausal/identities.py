@@ -6,16 +6,19 @@ of the metric definitions sit at 1e-12/1e-9, quantities one derivative deep
 at 1e-5, and anything built on shape operators or stencil derivatives at
 1e-4.  The suite aggregates the residuals that the evaluators return.
 
-Every evaluator takes the samples of one surface and returns, per sample,
-its residual list or the skip it met, in the order one sample's evaluation
-would meet it.  Its arrays are stacks over the samples, and each row rounds
-as it would alone.  Eleven identities draw random numbers, all from one
-generator, in the order of a sample-by-sample evaluation: sample after
-sample, and within a sample the drawing identities in the order asked for.
-``evaluate_samples`` replays that order in one draw plan per surface.  Each
+Every evaluator takes the stack of an evaluation's samples (``_Stack``),
+which may come from several surfaces of one ambient, and returns, per
+sample, its residual list or the skip it met, in the order one sample's
+evaluation would meet it.  Its arrays are stacks over the samples, and each
+row rounds as it would alone.  Eleven identities draw random numbers, all
+from one generator, in the order of a sample-by-sample evaluation: sample
+after sample, and within a sample the drawing identities in the order asked
+for.  ``draw_plan`` replays that order for the samples of one surface.  Each
 drawing identity's ``draw`` takes one sample's normals, and stops where that
 sample's evaluation stops drawing; its evaluator then takes the draws of all
-samples as a second argument.
+samples as a second argument.  ``evaluate_plans`` runs each evaluator once
+over the samples of several plans, and ``evaluate_samples`` is the two
+steps for one surface.
 
 Residual normalization divides by max(1, size of the participating terms) so
 that tolerances are meaningful for both tiny and large geometries.
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -41,7 +45,7 @@ from .ambient import (
 )
 from .errors import ConfigInvalid, GeometryError, NullDirection, NumericFailure
 from .numdiff import brioschi_curvature, stencil_values
-from .surfaces import TwoMetricFrameData
+from .surfaces import FRAME_FIELDS, TwoMetricFrameData, batch_runs
 
 
 class SampleSkip(Exception):
@@ -75,14 +79,16 @@ def _split(samples: list, read: Callable) -> tuple[list, list[int], list]:
 
     Returns the outcome list, which holds the SampleSkip or GeometryError of
     each sample that raised one and None for the others; the indices of the
-    others; and what ``read`` returned for them.
+    others; and what ``read`` returned for them.  The errors are kept
+    without their tracebacks, whose frames would hold the evaluation's data
+    in a reference cycle.
     """
     out, ok, values = [], [], []
     for s, d in enumerate(samples):
         try:
             values.append(read(d))
         except (SampleSkip, GeometryError) as exc:
-            out.append(exc)
+            out.append(exc.with_traceback(None))
             continue
         out.append(None)
         ok.append(s)
@@ -97,33 +103,81 @@ def _reached(draws: list) -> tuple[list, list[int], list]:
 
 
 class _Stack:
-    """Per-sample arrays of some samples of one surface, each stacked on first use."""
+    """Per-sample arrays of samples of one ambient, each stacked on first use.
 
-    def __init__(self, samples: list):
+    The samples may come from several batches (surfaces).  An array is read
+    from the batch stage that holds it: one row selection per run of samples
+    of one batch (``batch_runs``), never a stack of per-sample views.  One
+    stack serves every evaluator of an evaluation, so each key names its
+    array whole, with the signature where it depends on one.  ``rows`` gives
+    the sub-stack of the samples an identity reaches, whose arrays are row
+    selections of this one's.
+    """
+
+    def __init__(self, samples: list, parent: "_Stack | None" = None, rows: list | None = None):
         self.samples = samples
         self.ambient = samples[0].ambient
+        self._parent, self._rows = parent, rows
         self._arrays: dict[str, np.ndarray] = {}
 
-    def of(self, key: str, read: Callable | None = None) -> np.ndarray:
-        """The stack of ``read(d)`` over the samples, by default of the attribute ``key``."""
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __iter__(self):
+        return iter(self.samples)
+
+    def rows(self, idx: list[int]) -> "_Stack":
+        """The sub-stack of the samples ``idx``, increasing; this stack if that is all of them."""
+        if len(idx) == len(self.samples):
+            return self
+        return _Stack([self.samples[i] for i in idx], self, idx)
+
+    def of(self, key: str, take: Callable, every: bool = True) -> np.ndarray:
+        """The stack of ``take(batch, ks)`` over the samples' batch runs, kept under ``key``.
+
+        ``every``: every sample has the stage, so a sub-stack selects its
+        rows of its parent's stack; otherwise each stack takes its own.
+        """
         hit = self._arrays.get(key)
         if hit is None:
-            read = read or (lambda d: getattr(d, key))
-            hit = self._arrays[key] = np.array([read(d) for d in self.samples])
+            if every and self._parent is not None:
+                hit = self._parent.of(key, take)[self._rows]
+            else:
+                parts = [take(batch, ks) for batch, ks in batch_runs(self.samples)]
+                hit = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            self._arrays[key] = hit
         return hit
+
+    def center(self, name: str) -> np.ndarray:
+        """The center array ``name`` (``SampleBatch.center_rows``) of the samples."""
+        return self.of(name, lambda batch, ks: batch.center_rows(name, ks))
 
     def floats(self, name: str) -> list[float]:
         """The float attribute ``name`` of each sample."""
         return [getattr(d, name) for d in self.samples]
 
     def metric(self, sig: Signature) -> np.ndarray:
-        return self.of(f"metric {sig.value}", lambda d: d.metric[sig])
+        return self.center("g_r" if sig is Signature.R else "g_l")
 
     def gram(self, sig: Signature) -> np.ndarray:
-        return self.of(f"gram {sig.value}", lambda d: d.gram[sig])
+        return self.center("gram_r" if sig is Signature.R else "gram_l")
+
+    def tangent_t(self, sig: Signature) -> np.ndarray:
+        """T_sig, the tangential part of the fiber direction, at each sample."""
+        return self.center("t_r" if sig is Signature.R else "t_l")
 
     def frame_of(self, name: str) -> np.ndarray:
-        return self.of(f"frame_of {name}", lambda d: d.frame_of(name))
+        slot = FRAME_FIELDS.index(name)
+        return self.of(f"frame_of {name}", lambda batch, ks: batch.frame_components()[ks, slot])
+
+    def rotation(self, sig: Signature) -> np.ndarray:
+        return self.of(f"rotation {sig.value}", lambda batch, ks: batch.rotations(sig)[ks])
+
+    def t_coeffs(self, sig: Signature) -> np.ndarray:
+        return self.of(f"t_coeffs {sig.value}", lambda batch, ks: batch.t_coeffs(sig)[ks])
+
+    def tables(self, sig: Signature) -> np.ndarray:
+        return self.of(f"tables {sig.value}", lambda batch, ks: batch.tables(sig)[ks])
 
     def inner(self, sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``inner`` of vectors (m, ..., dim) at each sample; either side may broadcast."""
@@ -131,17 +185,18 @@ class _Stack:
 
     def to_coords(self, comps: np.ndarray) -> np.ndarray:
         """``to_coord`` of frame components (m, ..., 3) at each sample."""
-        return self.ambient.to_coords(self.of("point"), comps, frames=self.of("frame"))
+        return self.ambient.to_coords(self.center("point"), comps, frames=self.center("frame"))
 
     def to_frames(self, vecs: np.ndarray) -> np.ndarray:
         """``to_frame`` of ambient vectors (m, ..., dim) at each sample."""
         return self.ambient.to_frames(
-            self.of("point"), vecs, frames=self.of("frame"), metric_r=self.metric(Signature.R)
+            self.center("point"), vecs, frames=self.center("frame"),
+            metric_r=self.metric(Signature.R),
         )
 
     def embed(self, coeffs: np.ndarray) -> np.ndarray:
         """``embed`` of chart coefficients (m, ..., 2) at each sample, (m, ..., dim)."""
-        du, dv = (_per_row(self.of(a), coeffs) for a in ("du", "dv"))
+        du, dv = (_per_row(self.center(a), coeffs) for a in ("du", "dv"))
         return coeffs[..., :1] * du + coeffs[..., 1:] * dv
 
     def unit_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
@@ -153,8 +208,13 @@ class _Stack:
         """Sizes (m, ...) of ambient vectors (m, ..., dim), each in its sample's frame, one call."""
         return np.max(np.abs(self.to_frames(vecs)), axis=-1)
 
+    def ok_stage(self, key: str, stage: Callable) -> np.ndarray:
+        """The rows of ``stage(batch)``, a stage over the batch's samples whose stencil raised
+        nothing; so must every sample's here."""
+        return self.of(key, lambda batch, ks: batch.ok_rows(stage(batch), ks), every=False)
+
     def shape(self, sig: Signature) -> np.ndarray:
-        return self.of(f"shape {sig.value}", lambda d: d.shape(sig))
+        return self.ok_stage(f"shape {sig.value}", lambda batch: batch.shapes(sig))
 
     def shape_coeffs(self, sig: Signature, coeffs: np.ndarray) -> np.ndarray:
         """A_sig of chart coefficients (m, ..., 2) at each sample, as chart coefficients."""
@@ -167,13 +227,24 @@ class _Stack:
 
     def shape_of_t(self, sig: Signature) -> np.ndarray:
         """A_sig T_sig at each sample, in coordinates."""
-        return self.apply_shape(sig, self.of(f"t_coeffs {sig.value}", lambda d: d.t_coeffs(sig)))
+        return self.apply_shape(sig, self.t_coeffs(sig))
 
     def rotate(self, sig: Signature, vf: np.ndarray) -> np.ndarray:
         """``rotate`` of frame components (m, ..., 3) at each sample."""
         normal = self.frame_of("n_r" if sig is Signature.R else "n_l")
         normal = np.broadcast_to(_per_row(normal, vf), vf.shape)
         return self.to_coords(wedge_frame(sig, normal, vf))
+
+    def curve_starts(self, sig: Signature) -> list[np.ndarray]:
+        """Point, frame, metric and table of ``sig`` at each sample's ``curve_frame``."""
+        arrays = [self.center("point"), self.center("frame"), self.metric(sig), self.tables(sig)]
+        moved = [(s, at) for s, d in enumerate(self.samples) if (at := d.curve_frame()) is not d]
+        if moved:
+            arrays = [a.copy() for a in arrays]
+            for s, at in moved:
+                for a, row in zip(arrays, (at.point, at.frame, at.metric[sig], at.table(sig))):
+                    a[s] = row
+        return arrays
 
     def curve_derivs(self, sigs: tuple, velocity: np.ndarray, comps: np.ndarray) -> np.ndarray:
         """Covariant derivatives of r fields along r curves from each sample, (m, r, dim).
@@ -184,14 +255,18 @@ class _Stack:
         (m, r, 5, c) at the five ``stencil_values`` parameters.  One
         ``cov_deriv_stencils`` call.
         """
-        rows = [(d.curve_frame(), sig) for d in self.samples for sig in sigs]
-        flat = comps.reshape(len(rows), 5, 1, -1)
+        starts = [self.curve_starts(sig) for sig in sigs]
+        # rows sample by sample, and within a sample curve by curve
+        point, frame, metric, table = (
+            np.stack(parts, axis=1).reshape(-1, *parts[0].shape[1:]) for parts in zip(*starts)
+        )
+        flat = comps.reshape(len(point), 5, 1, -1)
         out = self.ambient.cov_deriv_stencils(
-            np.array([at.point for at, _ in rows]),
-            np.array([at.frame for at, _ in rows]),
-            np.array([at.metric[sig] for at, sig in rows]),
-            np.array([at.table(sig) for at, sig in rows]),
-            velocity.reshape(len(rows), -1),
+            point,
+            frame,
+            metric,
+            table,
+            velocity.reshape(len(point), -1),
             flat[:, 0],
             np.moveaxis(flat[:, 1:], 1, 0),
             self.ambient.steps.first,
@@ -209,9 +284,8 @@ def _residual_rows(out: list, ok: list[int], rows) -> list:
 # -- pointwise metric identities ------------------------------------------------
 
 
-def _metric_sum(samples: list, draws: list) -> list:
-    st = _Stack(samples)
-    frame_vecs = np.reshape(draws, (len(samples), 3, 2, 3))
+def _metric_sum(st: _Stack, draws: list) -> list:
+    frame_vecs = np.reshape(draws, (len(st), 3, 2, 3))
     u, v = np.moveaxis(st.to_coords(frame_vecs), 2, 0)
     uf, vf = np.moveaxis(frame_vecs, 2, 0)
     r = st.inner(Signature.R, u, v).tolist()
@@ -223,10 +297,9 @@ def _metric_sum(samples: list, draws: list) -> list:
     ]
 
 
-def _metric_diff(samples: list, draws: list) -> list:
-    st = _Stack(samples)
-    u, v = np.moveaxis(st.to_coords(np.reshape(draws, (len(samples), 3, 2, 3))), 2, 0)
-    xi = st.of("xi")[:, None]
+def _metric_diff(st: _Stack, draws: list) -> list:
+    u, v = np.moveaxis(st.to_coords(np.reshape(draws, (len(st), 3, 2, 3))), 2, 0)
+    xi = st.center("xi")[:, None]
     r = st.inner(Signature.R, u, v).tolist()
     l = st.inner(Signature.L, u, v).tolist()
     ur, vr = st.inner(Signature.R, u, xi).tolist(), st.inner(Signature.R, v, xi).tolist()
@@ -245,16 +318,15 @@ def _metric_diff(samples: list, draws: list) -> list:
 # -- normal transformation ------------------------------------------------------
 
 
-def _invariants(samples: list, keys: tuple[str, ...]) -> list:
+def _invariants(st: _Stack, keys: tuple[str, ...]) -> list:
     """The named consistency residuals of every sample (NORMAL_TRANSFORM and the like)."""
-    return [[d.invariants[key] for key in keys] for d in samples]
+    return [[d.invariants[key] for key in keys] for d in st.samples]
 
 
-def _normal_pairing(samples: list, draws: list) -> list:
-    st = _Stack(samples)
-    v = st.to_coords(np.reshape(draws, (len(samples), 3, 3)))
-    pr = st.inner(Signature.R, st.of("n_r")[:, None], v).tolist()
-    pl = st.inner(Signature.L, st.of("n_l")[:, None], v).tolist()
+def _normal_pairing(st: _Stack, draws: list) -> list:
+    v = st.to_coords(np.reshape(draws, (len(st), 3, 3)))
+    pr = st.inner(Signature.R, st.center("n_r")[:, None], v).tolist()
+    pl = st.inner(Signature.L, st.center("n_l")[:, None], v).tolist()
     return [
         [_scalar_residual(a + b / w, a, b) for a, b in zip(*row)]
         for *row, w in zip(pr, pl, st.floats("omega_l"))
@@ -280,18 +352,17 @@ def _draw_conn_diff(d: TwoMetricFrameData, rng: np.random.Generator) -> np.ndarr
     return rng.normal(size=6 + 6 * d.ambient.dim)
 
 
-def _conn_diff(samples: list, draws: list) -> list:
-    st = _Stack(samples)
+def _conn_diff(st: _Stack, draws: list) -> list:
     amb = st.ambient
     dim = amb.dim
     a_x, b_x, a_y, b_y = np.split(np.array(draws), [3, 3 + 3 * dim, 6 + 3 * dim], axis=1)
     b_x, b_y = (np.ascontiguousarray(b.reshape(-1, 3, dim)) for b in (b_x, b_y))
-    p = st.of("point")
+    p = st.center("point")
     vel = st.to_coords(_affine_comps(a_y, b_y, p[:, None], p)[:, 0])
-    out, ok, points = _split(list(zip(samples, vel)), lambda dv: _curve(*dv))
+    out, ok, points = _split(list(zip(st.samples, vel)), lambda dv: _curve(*dv))
     if not ok:
         return out
-    st = _Stack([samples[s] for s in ok])
+    st = st.rows(ok)
     points = np.array(points)
     m = len(ok)
     # The field on every sample's five stencil points, from one stack of their frames.
@@ -324,11 +395,11 @@ def _draw_killing(d: TwoMetricFrameData, rng: np.random.Generator):
     return np.array(xs), np.array(points)
 
 
-def _killing(samples: list, draws: list, sig: Signature) -> list:
+def _killing(st: _Stack, draws: list, sig: Signature) -> list:
     out, ok, got = _reached(draws)
     if not ok:
         return out
-    st = _Stack([samples[s] for s in ok])
+    st = st.rows(ok)
     amb = st.ambient
     xs = np.array([x for x, _ in got])
     points = np.array([q for _, q in got])
@@ -360,11 +431,11 @@ def _draw_directions(k: int, d: TwoMetricFrameData, rng: np.random.Generator):
     return rng.normal(size=(2, k, 2))
 
 
-def _shape(samples: list, draws: list, sig: Signature) -> list:
+def _shape(st: _Stack, draws: list, sig: Signature) -> list:
     out, ok, got = _reached(draws)
     if not ok:
         return out
-    st = _Stack([samples[s] for s in ok])
+    st = st.rows(ok)
     tau = st.ambient.params.tau
     # s * x negates exactly, so each flipped tau or eps term has the mirror formula's bits
     o, s = sig.other, sig.eps3
@@ -372,7 +443,7 @@ def _shape(samples: list, draws: list, sig: Signature) -> list:
     x = st.embed(c)
     a_sig, a_o = st.apply_shape(sig, c), st.apply_shape(o, c)
     j_o_t = st.rotate(o, st.frame_of(f"t_{o.value.lower()}"))
-    t_o = st.of(f"t {o.value}", lambda d: d.tangent_part_t(o))
+    t_o = st.tangent_t(o)
     coeff = st.inner(o, (st.shape_of_t(o) - (s * tau) * j_o_t)[:, None], x)
     along = st.inner(o, t_o[:, None], x)
     w = [d.omega(o) for d in st.samples]
@@ -389,11 +460,11 @@ def _shape(samples: list, draws: list, sig: Signature) -> list:
     return _residual_rows(out, ok, ([_sized_residual(s) for s in row] for row in sizes))
 
 
-def _bilinear(samples: list, draws: list, sig: Signature) -> list:
+def _bilinear(st: _Stack, draws: list, sig: Signature) -> list:
     out, ok, got = _reached(draws)
     if not ok:
         return out
-    st = _Stack([samples[s] for s in ok])
+    st = st.rows(ok)
     k = sig.eps3 * st.ambient.params.tau
     o = sig.other
     # (m, round, [x, y], 2)
@@ -411,14 +482,14 @@ def _bilinear(samples: list, draws: list, sig: Signature) -> list:
     return _residual_rows(out, ok, rows)
 
 
-def _meancurv(samples: list, sig: Signature) -> list:
+def _meancurv(st: _Stack, sig: Signature) -> list:
     o = sig.other
+    samples = st.samples
     out, ok, _ = _split(samples, lambda d: d.shape(o))
     if not ok:
         return out
-    st = _Stack([samples[s] for s in ok])
-    t_o = st.of("t", lambda d: d.tangent_part_t(o))
-    quads = stacked_inner(st.metric(o), st.shape_of_t(o), t_o).tolist()
+    st = st.rows(ok)
+    quads = stacked_inner(st.metric(o), st.shape_of_t(o), st.tangent_t(o)).tolist()
     scalars = zip(
         ok, st.floats("eps"), st.floats("omega_l"), st.floats("h_r"), st.floats("h_l"), quads
     )
@@ -437,14 +508,14 @@ def _meancurv(samples: list, sig: Signature) -> list:
 # -- integrability --------------------------------------------------------------
 
 
-def _int_residuals(samples: list, sig: Signature, which: int) -> list:
-    out, ok, derivs = _split(samples, lambda d: d.tangent_derivatives(sig))
+def _int_residuals(st: _Stack, sig: Signature, which: int) -> list:
+    out, ok, derivs = _split(st.samples, lambda d: d.tangent_derivatives(sig))
     if not ok:
         return out
-    st = _Stack([samples[s] for s in ok])
+    st = st.rows(ok)
     tau = st.ambient.params.tau
     shape = st.shape(sig)
-    rot = st.of("rot", lambda d: d.rotation(sig))
+    rot = st.rotation(sig)
     sign = -sig.eps3
     bases = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     if which == 1:
@@ -452,14 +523,14 @@ def _int_residuals(samples: list, sig: Signature, which: int) -> list:
         factor = [e * a for e, a in zip(st.floats("eps"), angle)] if sig is Signature.L else angle
         scaled = np.array(factor)[:, None, None] * (shape + sign * tau * rot)
         rhs = np.stack([scaled @ basis for basis in bases], axis=1)
-        dt = np.array([der["dt"] for der in derivs])
+        dt = st.ok_stage(f"tangent_dts {sig.value}", lambda batch: batch.tangent_dts(sig))
         # [lhs, dt, rhs] per sample and chart axis, sized in one call
         sizes = st.frame_sizes(st.embed(np.stack([dt - rhs, dt, rhs], axis=2))).tolist()
         for s, per_axis in zip(ok, sizes):
             out[s] = [_sized_residual(size) for size in per_axis]
         return out
     # derivative of the angle along the chart direction
-    coeffs = st.of(f"t_coeffs {sig.value}", lambda d: d.t_coeffs(sig))
+    coeffs = st.t_coeffs(sig)
     a_term = ((shape - sign * tau * rot) @ coeffs[..., None])[..., 0]
     pairs = a_term[:, None, :] @ st.gram(sig)
     rhs = np.stack([-(pairs @ basis)[:, 0] for basis in bases], axis=1).tolist()
@@ -502,14 +573,14 @@ def _direction_error(d: TwoMetricFrameData, c: np.ndarray, q_r: float, q_l: floa
     return None
 
 
-def _normcurv(samples: list, draws: list) -> list:
+def _normcurv(st: _Stack, draws: list) -> list:
     out, ok, got = _reached(draws)
     for s, drawn in zip(ok, got):
-        out[s] = _direction_error(samples[s], *drawn)
+        out[s] = _direction_error(st.samples[s], *drawn)
     ok = [s for s in ok if out[s] is None]
     if not ok:
         return out
-    st = _Stack([samples[s] for s in ok])
+    st = st.rows(ok)
     tau = st.ambient.params.tau
     c = np.array([draws[s][0] for s in ok])
     q_r = [draws[s][1] for s in ok]
@@ -571,7 +642,8 @@ def _regular_suite(data: TwoMetricFrameData) -> dict:
     return curvature_suite(data)
 
 
-def _sectional_rel(samples: list) -> list:
+def _sectional_rel(st: _Stack) -> list:
+    samples = st.samples
     out, ok, suites = _split(samples, _regular_suite)
     for s, suite in zip(ok, suites):
         d = samples[s]
@@ -584,13 +656,14 @@ def _sectional_rel(samples: list) -> list:
     return out
 
 
-def _extrinsic_rel(samples: list) -> list:
+def _extrinsic_rel(st: _Stack) -> list:
+    samples = st.samples
     out, ok, suites = _split(samples, _regular_suite)
     if not ok:
         return out
-    st = _Stack([samples[s] for s in ok])
+    st = st.rows(ok)
     t = st.ambient.params.tau
-    t_r = st.of("t_r")
+    t_r = st.tangent_t(Signature.R)
     j_r_t = st.rotate(Signature.R, st.frame_of("t_r"))
     g_r = st.metric(Signature.R)
     mixed = stacked_inner(g_r, st.shape_of_t(Signature.R), j_r_t).tolist()
@@ -605,7 +678,8 @@ def _extrinsic_rel(samples: list) -> list:
     return out
 
 
-def _gauss(samples: list, sig: Signature) -> list:
+def _gauss(st: _Stack, sig: Signature) -> list:
+    samples = st.samples
     out, ok, suites = _split(samples, curvature_suite)
     v = sig.value
     for s, suite in zip(ok, suites):
@@ -616,7 +690,8 @@ def _gauss(samples: list, sig: Signature) -> list:
     return out
 
 
-def _combined_516(samples: list) -> list:
+def _combined_516(st: _Stack) -> list:
+    samples = st.samples
     out, ok, suites = _split(samples, _regular_suite)
     for s, suite in zip(ok, suites):
         d = samples[s]
@@ -635,7 +710,7 @@ def _combined_516(samples: list) -> list:
 
 @dataclass(frozen=True)
 class IdentityInfo:
-    """A named identity and its evaluator, which takes the samples of one surface.
+    """A named identity and its evaluator, which takes the ``_Stack`` of an evaluation.
 
     An identity that draws random numbers has ``draw``: ``draw(data, rng)``
     takes one sample's draws from the generator and returns them, or the
@@ -772,43 +847,83 @@ def ruling_defect(data: TwoMetricFrameData, direction=(0.0, 1.0)) -> dict[str, f
     return out
 
 
+@dataclass
+class DrawPlan:
+    """The samples of one surface, and per identity their draws in a sample-by-sample order.
+
+    ``draws[i]`` lists each sample's draws of the i-th identity asked for,
+    or is None when that identity draws nothing.
+    """
+
+    samples: list
+    draws: list
+
+
+def draw_plan(names: list[str], samples: list[TwoMetricFrameData], rng) -> DrawPlan:
+    """Take the draws of the named identities on the samples of one surface.
+
+    Sample after sample, each identity that draws takes that sample's draws,
+    in the order of ``names``; so ``rng`` is consumed exactly as by one
+    ``run_identities`` call per sample.  Nothing is evaluated.
+    """
+    infos = [IDENTITIES[name] for name in names]
+    draws = [None if info.draw is None else [] for info in infos]
+    drawing = [(info.draw, taken) for info, taken in zip(infos, draws) if taken is not None]
+    for data in samples:
+        for draw, taken in drawing:
+            taken.append(draw(data, rng))
+    return DrawPlan(samples, draws)
+
+
+def evaluate_plans(names: list[str], plans: list[DrawPlan]) -> dict[str, list[list]]:
+    """Evaluate named identities on the samples of several draw plans, each evaluator once.
+
+    The plans' samples must share one ambient (one model and parameter
+    pair); ConfigInvalid otherwise.  One ``_Stack`` of all their samples,
+    plan after plan, serves every evaluator; with no sample, none runs.
+    Returns, per identity and plan, each sample's residual list or the
+    reason it was skipped: a SampleSkip's reason or a GeometryError's code.
+    """
+    samples = [d for plan in plans for d in plan.samples]
+    if any(d.ambient is not samples[0].ambient for d in samples):
+        raise ConfigInvalid("the samples of one evaluation must share one ambient")
+    st = _Stack(samples) if samples else None
+    ends = list(accumulate(len(plan.samples) for plan in plans))
+    out = {}
+    for i, name in enumerate(names):
+        info = IDENTITIES[name]
+        if st is None:
+            got = []
+        elif info.draw is None:
+            got = info.evaluate(st)
+        else:
+            got = info.evaluate(st, [drawn for plan in plans for drawn in plan.draws[i]])
+        got = [_reason(outcome) if isinstance(outcome, Exception) else outcome for outcome in got]
+        out[name] = [got[end - len(plan.samples) : end] for plan, end in zip(plans, ends)]
+    return out
+
+
+def _reason(exc: Exception) -> str:
+    return exc.reason if isinstance(exc, SampleSkip) else exc.code
+
+
 def evaluate_samples(
     names: list[str],
     samples: list[TwoMetricFrameData],
     rng: np.random.Generator,
 ) -> list[dict[str, dict]]:
-    """Evaluate named identities on the samples of one surface.
+    """Evaluate named identities on the samples of one surface: ``draw_plan``, ``evaluate_plans``.
 
-    The samples must share one ambient (one model and parameter pair), as
-    the samples of one ``frame_batch`` do; ConfigInvalid otherwise.
-    Returns, per sample, per identity either {"residuals": [...]} or
-    {"skipped": reason}; a SampleSkip or GeometryError becomes a skip with
-    its reason or error code.  The draw plan runs first: sample after
-    sample, it takes each sample's draws of the identities that draw, in the
-    order of ``names``, so ``rng`` is consumed exactly as by one
-    ``run_identities`` call per sample.  Then each identity's evaluator runs
-    once, over all samples.
+    The samples must share one ambient, as the samples of one
+    ``frame_batch`` do; ConfigInvalid otherwise.  Returns, per sample, per
+    identity either {"residuals": [...]} or {"skipped": reason}.
     """
-    if any(d.ambient is not samples[0].ambient for d in samples):
-        raise ConfigInvalid("evaluate_samples takes samples of one ambient")
-    infos = [IDENTITIES[name] for name in names]
-    draws = {i: [] for i, info in enumerate(infos) if info.draw is not None}
-    for data in samples:
-        for i, taken in draws.items():
-            taken.append(infos[i].draw(data, rng))
-    outs: list[dict[str, dict]] = [{} for _ in samples]
-    for i, (name, info) in enumerate(zip(names, infos)):
-        if not samples:
-            break
-        got = info.evaluate(samples, draws[i]) if i in draws else info.evaluate(samples)
-        for out, outcome in zip(outs, got):
-            is_skip = isinstance(outcome, Exception)
-            out[name] = _skipped(outcome) if is_skip else {"residuals": outcome}
-    return outs
+    got = evaluate_plans(names, [draw_plan(names, samples, rng)])
+    return [{name: _outcome(got[name][0][s]) for name in names} for s in range(len(samples))]
 
 
-def _skipped(exc: Exception) -> dict:
-    return {"skipped": exc.reason if isinstance(exc, SampleSkip) else exc.code}
+def _outcome(value: list | str) -> dict:
+    return {"skipped": value} if isinstance(value, str) else {"residuals": value}
 
 
 def run_identities(

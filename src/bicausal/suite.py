@@ -3,11 +3,14 @@
 The runner is deterministic for a fixed configuration: one seeded generator is
 consumed in a fixed iteration order (parameters, then surfaces, then sample
 points, then the identities that draw, in registry order), so repeated runs
-produce identical reports apart from the isolated timestamp field.  The
-identities run once per surface, over all its used samples
-(``identities.evaluate_samples``): its draw plan first takes every sample's
-draws in that order, sample after sample, and then each identity's
-evaluator runs over the stacked samples and draws.
+produce identical reports apart from the isolated timestamp field.  Each
+surface's draw plan (``identities.draw_plan``) takes every used sample's
+draws in that order, sample after sample, at the surface's turn.  The
+surfaces of one parameter pair and ambient model are built on one ambient,
+and once the pair's surfaces are all sampled, each identity's evaluator runs
+once per model over the stacked samples and draws of all its surfaces
+(``identities.evaluate_plans``); the outcomes are then split back per
+surface, and the rows keep the order of the surfaces.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambient import SpaceParams
-from .catalog import build_surface, default_surfaces, parse_surface, validate_address
+from .catalog import CATALOG, build_surface, default_surfaces, parse_surface, validate_address
 from .errors import ConfigInvalid, GeometryError, SurfaceUnavailable
-from .identities import IDENTITIES, IDENTITY_NAMES, evaluate_samples
+from .identities import IDENTITIES, IDENTITY_NAMES, draw_plan, evaluate_plans
 from .numdiff import FDSteps
 from .surfaces import frame_batch
 
@@ -129,7 +132,9 @@ def check_config(config: SuiteConfig) -> list[str]:
     """Raise ConfigInvalid for a fault of ``config`` found without a sweep; else its identities.
 
     Checks the identity names, ``samples``, ``seed``, every surface address,
-    the finite-difference step and every parameter pair, in this order.
+    the finite-difference step and every parameter pair, in this order.  A
+    surface (by canonical address) or a parameter pair (by label) given
+    twice is a fault, since report rows are keyed by them.
     ``run_suite`` calls it first, and ``bicausal verify`` before it opens
     its output file, so a bad configuration leaves an existing file as it
     was.
@@ -140,12 +145,88 @@ def check_config(config: SuiteConfig) -> list[str]:
     if config.seed < 0:
         raise ConfigInvalid(f"seed must be nonnegative, got {config.seed}")
     if config.surfaces is not None:
-        for address in config.surfaces:
-            validate_address(address)
+        canonical = [validate_address(address).canonical() for address in config.surfaces]
+        _reject_repeats("surface", canonical)
     FDSteps.from_env()
-    for kappa, tau in config.params:
-        SpaceParams(float(kappa), float(tau))
+    labels = [SpaceParams(float(kappa), float(tau)).label() for kappa, tau in config.params]
+    _reject_repeats("parameter pair", labels)
     return identity_names
+
+
+def _reject_repeats(what: str, keys: list[str]) -> None:
+    """ConfigInvalid at the first key that repeats an earlier one: its rows would repeat too."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ConfigInvalid(f"{what} {key!r} is given more than once")
+        seen.add(key)
+
+
+def _sample_surface(built, params, n: int, rng, steps) -> tuple[dict, list]:
+    """The surface's row of the report and its used samples, at ``n`` jittered points."""
+    points = sample_points(built.chart, n, rng, steps.second)
+    excluded: dict[str, int] = {}
+    characters: dict[str, int] = {}
+    samples = []
+    for data in frame_batch(built.ambient, built.chart, points):
+        if isinstance(data, GeometryError):
+            excluded[data.code] = excluded.get(data.code, 0) + 1
+            continue
+        if data.omega_l > OMEGA_CONDITION_LIMIT:
+            excluded["ILL_CONDITIONED"] = excluded.get("ILL_CONDITIONED", 0) + 1
+            continue
+        characters[data.character] = characters.get(data.character, 0) + 1
+        samples.append(data)
+    row = {
+        "params": params.label(),
+        "surface": built.address,
+        "points_requested": len(points),
+        "points_used": len(samples),
+        "excluded": dict(sorted(excluded.items())),
+        "characters": dict(sorted(characters.items())),
+    }
+    return row, samples
+
+
+def _identity_rows(
+    config: SuiteConfig, params, address: str, used: int, outcomes: dict[str, list]
+) -> list[dict]:
+    """The result row of each identity on one surface, from its samples' outcomes.
+
+    ``outcomes[name]`` holds each used sample's residual list or skip reason.
+    """
+    results = []
+    for name, outs in outcomes.items():
+        worst, samples, count, skipped = None, 0, 0, {}
+        for out in outs:
+            if isinstance(out, str):
+                skipped[out] = skipped.get(out, 0) + 1
+                continue
+            peak = _worst(out)
+            worst = peak if worst is None else _worst((worst, peak))
+            samples += 1
+            count += len(out)
+        tol = config.tolerance_for(name)
+        if samples == 0:
+            benign = used == 0 or set(skipped) <= BENIGN_SKIPS
+            status = "skipped" if benign else "fail"
+        else:
+            status = "pass" if math.isfinite(worst) and worst <= tol else "fail"
+        result = {
+            "identity": name,
+            "params": params.label(),
+            "surface": address,
+            "tolerance": tol,
+            "max_residual": worst,
+            "samples": samples,
+            "residual_count": count,
+            "skipped": dict(sorted(skipped.items())),
+            "status": status,
+        }
+        if worst is not None and not math.isfinite(worst):
+            result["reason"] = NON_FINITE
+        results.append(result)
+    return results
 
 
 def run_suite(config: SuiteConfig) -> dict:
@@ -163,77 +244,33 @@ def run_suite(config: SuiteConfig) -> dict:
         addresses = (
             list(config.surfaces) if config.surfaces is not None else default_surfaces(params)
         )
-        for address in addresses:
-            parsed = parse_surface(address)
+        # One ambient per model at this pair, and each model's surfaces: their
+        # positions, addresses and draw plans, evaluated together once all are sampled.
+        ambients: dict[str, object] = {}
+        groups: dict[str, list] = {}
+        for i, address in enumerate(addresses):
+            model = CATALOG[parse_surface(address).family].model
             try:
-                built = build_surface(parsed, params, steps=steps)
+                built = build_surface(address, params, steps=steps, ambient=ambients.get(model))
             except SurfaceUnavailable as exc:
                 skipped_surfaces.append(
                     {"params": params.label(), "surface": address, "reason": str(exc)}
                 )
                 continue
-            points = sample_points(built.chart, config.samples, rng, steps.second)
-            excluded: dict[str, int] = {}
-            characters: dict[str, int] = {}
-            agg = {
-                name: {"max": None, "samples": 0, "count": 0, "skipped": {}}
-                for name in identity_names
-            }
-            samples = []
-            for data in frame_batch(built.ambient, built.chart, points):
-                if isinstance(data, GeometryError):
-                    excluded[data.code] = excluded.get(data.code, 0) + 1
-                    continue
-                if data.omega_l > OMEGA_CONDITION_LIMIT:
-                    excluded["ILL_CONDITIONED"] = excluded.get("ILL_CONDITIONED", 0) + 1
-                    continue
-                characters[data.character] = characters.get(data.character, 0) + 1
-                samples.append(data)
-            used = len(samples)
-            for point_out in evaluate_samples(identity_names, samples, rng):
-                for name, out in point_out.items():
-                    row = agg[name]
-                    if "skipped" in out:
-                        reason = out["skipped"]
-                        row["skipped"][reason] = row["skipped"].get(reason, 0) + 1
-                        continue
-                    residuals = out["residuals"]
-                    peak = _worst(residuals)
-                    row["max"] = peak if row["max"] is None else _worst((row["max"], peak))
-                    row["samples"] += 1
-                    row["count"] += len(residuals)
-            surface_rows.append(
-                {
-                    "params": params.label(),
-                    "surface": built.address,
-                    "points_requested": len(points),
-                    "points_used": used,
-                    "excluded": dict(sorted(excluded.items())),
-                    "characters": dict(sorted(characters.items())),
-                }
-            )
-            for name in identity_names:
-                row = agg[name]
-                tol = config.tolerance_for(name)
-                if row["samples"] == 0:
-                    benign = used == 0 or set(row["skipped"]) <= BENIGN_SKIPS
-                    status = "skipped" if benign else "fail"
-                else:
-                    status = "pass" if math.isfinite(row["max"]) and row["max"] <= tol else "fail"
-                result = {
-                    "identity": name,
-                    "params": params.label(),
-                    "surface": built.address,
-                    "tolerance": tol,
-                    "max_residual": row["max"],
-                    "samples": row["samples"],
-                    "residual_count": row["count"],
-                    "skipped": dict(sorted(row["skipped"].items())),
-                    "status": status,
-                }
-                if row["max"] is not None and not math.isfinite(row["max"]):
-                    result["reason"] = NON_FINITE
-                results.append(result)
+            ambients[model] = built.ambient
+            surface_row, samples = _sample_surface(built, params, config.samples, rng, steps)
+            surface_rows.append(surface_row)
+            plan = draw_plan(identity_names, samples, rng)
+            groups.setdefault(model, []).append((i, built.address, plan))
+        rows: dict[int, list[dict]] = {}
+        for group in groups.values():
+            outcomes = evaluate_plans(identity_names, [plan for _, _, plan in group])
+            for j, (i, address, plan) in enumerate(group):
+                rows[i] = _identity_rows(
+                    config, params, address, len(plan.samples),
+                    {name: outcomes[name][j] for name in identity_names},
+                )
+        results += [row for i in sorted(rows) for row in rows[i]]
 
     n_pass = sum(1 for r in results if r["status"] == "pass")
     n_fail = sum(1 for r in results if r["status"] == "fail")

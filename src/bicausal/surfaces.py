@@ -353,6 +353,7 @@ class SampleBatch:
         self._shapes: dict[Signature, np.ndarray] = {}
         self._shape_rows: dict[Signature, list] = {}
         self._tangent_derivs: dict[Signature, list] = {}
+        self._tangent_dts: dict[Signature, np.ndarray] = {}
         self._rotations: dict[Signature, np.ndarray] = {}
         self._t_coeffs: dict[Signature, np.ndarray] = {}
         self._curvature: list | None = None
@@ -530,6 +531,12 @@ class SampleBatch:
         rhs = np.stack([stacked_inner(g, vecs, du), stacked_inner(g, vecs, dv)], -1)
         return np.linalg.solve(_per_row(gram, rhs), rhs[..., None])[..., 0]
 
+    def center_rows(self, name: str, ks: list[int]) -> np.ndarray:
+        """The center array ``name`` (a ``NormalData`` field, or ``xi``) of the samples ``ks``."""
+        if name == "xi":
+            return self.xi[ks]
+        return getattr(self.center, name)[[self.centers[k] for k in ks]]
+
     # -- per-sample stages, stacked ----------------------------------------------
 
     def tables(self, sig: Signature) -> np.ndarray:
@@ -557,10 +564,17 @@ class SampleBatch:
         self.shapes(sig)
         return self._shape_rows[sig][self._slot(k)]
 
-    def tangent_derivatives(self, sig: Signature, k: int) -> dict:
-        """Sample k's T-derivatives; the first call builds every sample's."""
-        out = self._tangent_derivs.get(sig)
-        if out is None:
+    def ok_rows(self, stage: np.ndarray, ks: list[int]) -> np.ndarray:
+        """The rows of the samples ``ks``, all of ``_ok``, in a stage over those of ``_ok``."""
+        return stage[[self._slot(k) for k in ks]]
+
+    def tangent_dts(self, sig: Signature) -> np.ndarray:
+        """Chart coefficients (m, axis, 2) of the T-derivatives of the samples of ``_ok``.
+
+        The first call builds every sample's ``tangent_derivatives`` of ``sig``.
+        """
+        dt = self._tangent_dts.get(sig)
+        if dt is None:
             h = self.steps.second
             t_name = "t_r" if sig is Signature.R else "t_l"
             st = self.stencil()
@@ -571,11 +585,17 @@ class SampleBatch:
                 dt_amb = self.stencil_derivs(sig, axis, (t_name,))[:, 0]
                 dts.append(self._coeffs(sig, dt_amb, cj))
                 dangles.append(stencil_derivative(angles[:, 4 * axis : 4 * axis + 4].T, h).tolist())
-            out = self._tangent_derivs[sig] = [
-                {"dt": [dts[0][s], dts[1][s]], "dangle": [dangles[0][s], dangles[1][s]]}
+            dt = self._tangent_dts[sig] = np.stack(dts, axis=1)
+            self._tangent_derivs[sig] = [
+                {"dt": [dt[s, 0], dt[s, 1]], "dangle": [dangles[0][s], dangles[1][s]]}
                 for s in range(len(ok))
             ]
-        return out[self._slot(k)]
+        return dt
+
+    def tangent_derivatives(self, sig: Signature, k: int) -> dict:
+        """Sample k's T-derivatives; the first call builds every sample's."""
+        self.tangent_dts(sig)
+        return self._tangent_derivs[sig][self._slot(k)]
 
     # -- curvature scalars --------------------------------------------------------
 
@@ -781,17 +801,9 @@ class TwoMetricFrameData(PointFrame):
     def coeff_inner(self, sig: Signature, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.asarray(a) @ self.gram[sig] @ np.asarray(b))
 
-    def normal(self, sig: Signature) -> np.ndarray:
-        return self.n_r if sig is Signature.R else self.n_l
-
     def omega(self, sig: Signature) -> float:
         """The normal stretch of ``sig``: omega_R = 1 / omega_L."""
         return self.omega_r if sig is Signature.R else self.omega_l
-
-    def rotate(self, sig: Signature, vf: np.ndarray) -> np.ndarray:
-        """N ^ X for X given by its frame components, in coordinates."""
-        n_name = "n_r" if sig is Signature.R else "n_l"
-        return self.to_coord(wedge_frame(sig, self.frame_of(n_name), vf))
 
     def rotation(self, sig: Signature) -> np.ndarray:
         """Matrix of X -> N ^ X on the tangent plane, chart basis, from the batch."""
@@ -800,9 +812,6 @@ class TwoMetricFrameData(PointFrame):
     def t_coeffs(self, sig: Signature) -> np.ndarray:
         """Chart-basis coefficients of T_sig, from the batch."""
         return self._batch.t_coeffs(sig)[self._k]
-
-    def tangent_part_t(self, sig: Signature) -> np.ndarray:
-        return self.t_r if sig is Signature.R else self.t_l
 
     # -- stencil ------------------------------------------------------------
 
@@ -841,9 +850,6 @@ class TwoMetricFrameData(PointFrame):
         if sig is Signature.L:
             return 0.5 * self.eps * tr
         return 0.5 * tr
-
-    def extrinsic_curvature(self, sig: Signature) -> float:
-        return float(np.linalg.det(self.shape(sig)))
 
     @property
     def h_r(self) -> float:
@@ -922,6 +928,17 @@ class TwoMetricFrameData(PointFrame):
                 bad[key] = val
         if bad:
             raise NumericFailure(f"frame data inconsistent at uv={self.uv!r}: {bad}")
+
+
+def batch_runs(samples: list) -> list[tuple[SampleBatch, list[int]]]:
+    """The samples as runs of consecutive samples of one batch: the batch, their indices in it."""
+    runs: list[tuple[SampleBatch, list[int]]] = []
+    for d in samples:
+        if runs and runs[-1][0] is d._batch:
+            runs[-1][1].append(d._k)
+        else:
+            runs.append((d._batch, [d._k]))
+    return runs
 
 
 def frame_batch(

@@ -17,12 +17,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bicausal.ambient import CoordinateAmbient, Signature, SpaceParams
-from bicausal.catalog import build_surface
+from bicausal.catalog import CATALOG, MODELS, build_surface, parse_surface
 from bicausal.errors import CurveSingular, GeometryError, SurfaceUnavailable
 from bicausal.identities import (
     IDENTITY_NAMES,
     SampleSkip,
     curvature_suite,
+    draw_plan,
+    evaluate_plans,
     evaluate_samples,
     run_identities,
 )
@@ -336,6 +338,81 @@ def test_identities_on_catalog_batches_equal_batches_of_one(address, pair):
     uvs = _domain_uvs(built.chart, FRACTIONS)
     outcomes = _assert_identities_equal_singles(built.ambient, built.chart, uvs)
     assert any("residuals" in out for sample in outcomes for out in sample.values())
+
+
+# -- identities: one evaluation over the surfaces of one ambient ----------------
+
+
+def _samples(ambient, chart, uvs) -> list:
+    return [d for d in frame_batch(ambient, chart, uvs) if not isinstance(d, GeometryError)]
+
+
+def _assert_grouped_equals_per_surface(make_ambient, surfaces, seed: int = 7) -> list:
+    """One evaluation of several surfaces of one ambient gives the bits of one per surface.
+
+    ``surfaces`` lists (build, uvs) per surface, where ``build(ambient)`` is
+    its chart on ``ambient``.  The grouped run builds every surface on one
+    ambient, takes each surface's draw plan in turn and evaluates them all
+    at once (``evaluate_plans``).  The reference builds each surface on a
+    fresh ambient and calls ``evaluate_samples`` once per surface.  The
+    outcomes and the generators' final states must agree bitwise.
+    """
+    names = list(IDENTITY_NAMES)
+    ambient = make_ambient()
+    groups = [_samples(ambient, build(ambient), uvs) for build, uvs in surfaces]
+    rng = np.random.default_rng(seed)
+    grouped = evaluate_plans(names, [draw_plan(names, samples, rng) for samples in groups])
+    ref = np.random.default_rng(seed)
+    for j, ((build, uvs), samples) in enumerate(zip(surfaces, groups)):
+        fresh = make_ambient()
+        want = evaluate_samples(names, _samples(fresh, build(fresh), uvs), ref)
+        assert len(want) == len(samples)
+        # each sample's residual list or skip reason, per identity
+        want = {name: [next(iter(out[name].values())) for out in want] for name in names}
+        assert _same({name: grouped[name][j] for name in names}, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    return groups
+
+
+def _catalog(params, *addresses) -> tuple:
+    """The ambient factory of the addresses' one model, and (build, uvs) of each surface."""
+    (model,) = {CATALOG[parse_surface(address).family].model for address in addresses}
+    def chart_on(address, ambient):
+        return build_surface(address, params, ambient=ambient).chart
+
+    surfaces = [
+        (functools.partial(chart_on, a), _domain_uvs(build_surface(a, params).chart, FRACTIONS))
+        for a in addresses
+    ]
+    return functools.partial(MODELS[model], params), surfaces
+
+
+def test_coordinate_surfaces_evaluated_together_equal_one_evaluation_each():
+    make, surfaces = _catalog(
+        SpaceParams(1.0, 1.0), "hopf:circle", "graph:bowl:a=0.2", "vgraph:saddle:a=0.15"
+    )
+    assert all(_assert_grouped_equals_per_surface(make, surfaces))
+
+
+def test_both_berger_helicoids_evaluated_together_equal_one_evaluation_each():
+    make, surfaces = _catalog(
+        SpaceParams(1.0, 1.0),
+        "berger-helicoid:alpha=0.5,variant=space",
+        "berger-helicoid:alpha=0.5,variant=time",
+    )
+    assert all(_assert_grouped_equals_per_surface(make, surfaces))
+
+
+def test_grouped_evaluation_with_a_surface_all_stencil_errors_and_one_without_samples():
+    """Beside a catalog surface: a plane whose every sample's stencil leaves the disk, and
+    a plane whose every sample lies outside it, so that it has no sample to evaluate."""
+    params = SpaceParams(-1.0, 0.5)
+    make, (bowl,) = _catalog(params, "graph:bowl:a=0.2")
+    edge = (_timelike_plane_at_the_edge, [(0.0, 0.0), (0.0, 0.02), (0.0, -0.02)])
+    outside = (lambda ambient: _plane(1.0), [(-9.0, -9.0), (9.0, 0.0)])
+    groups = _assert_grouped_equals_per_surface(make, [edge, bowl, outside])
+    assert groups[0] and all(d.stencil_error() is not None for d in groups[0])
+    assert groups[1] and groups[2] == []
 
 
 def test_skip_precedence_at_a_singular_pair_with_a_stencil_error():

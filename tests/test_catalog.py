@@ -15,7 +15,7 @@ from bicausal.catalog import (
     parse_surface,
     validate_address,
 )
-from bicausal.errors import ConfigInvalid, CurveSingular, GeometryError
+from bicausal.errors import ConfigInvalid, CurveSingular, GeometryError, ModelMismatch
 from bicausal.suite import DEFAULT_PARAMS
 from bicausal.surfaces import (
     DEGENERATE,
@@ -76,6 +76,22 @@ def test_build_rejects_parameter_mismatch():
         build_surface("berger-helicoid:alpha=0.5", SpaceParams(-1.0, 1.0))
     with pytest.raises(ConfigInvalid, match="not valid"):
         build_surface("su11-helicoid:family=h1,rate=0.3", SpaceParams(1.0, 1.0))
+
+
+def test_surfaces_built_on_one_ambient_share_it():
+    """``build_surface(..., ambient=...)`` builds on the ambient given, of the family's model."""
+    params = SpaceParams(1.0, 1.0)
+    bowl = build_surface("graph:bowl:a=0.2", params)
+    saddle = build_surface("vgraph:saddle:a=0.15", params, ambient=bowl.ambient)
+    assert saddle.ambient is bowl.ambient
+    space = build_surface("berger-helicoid:alpha=0.5,variant=space", params)
+    assert space.ambient.kind == CATALOG["berger-helicoid"].model != bowl.ambient.kind
+    time = build_surface("berger-helicoid:alpha=0.5,variant=time", params, ambient=space.ambient)
+    assert time.ambient is space.ambient
+    with pytest.raises(ModelMismatch):
+        build_surface("graph:bowl:a=0.2", params, ambient=space.ambient)
+    with pytest.raises(ModelMismatch):
+        build_surface("graph:bowl:a=0.2", SpaceParams(1.0, 0.5), ambient=bowl.ambient)
 
 
 def test_build_rejects_bad_option_values():

@@ -98,6 +98,11 @@ def test_verify_tolerance_override_fails_with_exit_1(tmp_path):
         ("verify", "--params", "1,1", "--surfaces", "su11-helicoid:family=zz"),
         # a negative seed, which the random generator rejects
         ("verify", "--params", "1,1", "--seed", "-1"),
+        # a repeated pair or surface, whose report rows would repeat
+        ("verify", "--params", "1,1", "--params", "1,1", "--samples", "1"),
+        ("verify", "--params", "1,1", "--params", "1.0,1.0", "--samples", "1"),
+        ("verify", "--params", "1,1", "--surfaces", "graph:bowl:a=0.2",
+         "--surfaces", "graph:bowl:a=0.20", "--samples", "1"),
     ],
 )
 def test_config_errors_exit_2_with_code_on_stderr(args):

@@ -11,6 +11,7 @@ from bicausal.errors import ConfigInvalid
 from bicausal.identities import (
     IDENTITIES,
     IDENTITY_NAMES,
+    _Stack,
     evaluate_samples,
     indefiniteness_check,
     run_identities,
@@ -103,11 +104,40 @@ def test_stacked_evaluators_leave_the_generator_untouched(name):
             if isinstance(d, TwoMetricFrameData)
         ]
         before = rng.bit_generator.state
-        outcomes = IDENTITIES[name].evaluate(samples)
+        outcomes = IDENTITIES[name].evaluate(_Stack(samples))
         assert rng.bit_generator.state == before
         assert len(outcomes) == len(samples)
         evaluate_samples([name], samples, rng)
         assert rng.bit_generator.state == before
+
+
+# Identities of both signatures that read signature-dependent arrays of the shared stack.
+MIRRORED = ("MEANCURV_R", "MEANCURV_L", "INT1_L", "INT1_R", "INT2_L", "INT2_R")
+
+
+def _bits(outcome: dict):
+    if "skipped" in outcome:
+        return outcome
+    return [float(r).hex() for r in outcome["residuals"]]
+
+
+def test_identities_sharing_one_stack_equal_each_alone():
+    """The evaluators of one evaluation read one stack of per-sample arrays.
+
+    An array kept under a key that leaves out its signature (T, the
+    rotation) would hand the second identity of a mirrored pair the first
+    one's array.
+    """
+    built = build_surface("graph:bowl:a=0.2", SpaceParams(1.0, 1.0))
+    samples = [
+        d for d in frame_batch(built.ambient, built.chart, interior_grid(built.chart.domain, 3, 2))
+        if isinstance(d, TwoMetricFrameData)
+    ]
+    together = evaluate_samples(list(MIRRORED), samples, np.random.default_rng(0))
+    for name in MIRRORED:
+        alone = evaluate_samples([name], samples, np.random.default_rng(0))
+        assert [_bits(out[name]) for out in together] == [_bits(out[name]) for out in alone], name
+    assert all("residuals" in out[name] for out in together for name in MIRRORED)
 
 
 def _surface_data(address, kappa, tau, frac=(0.37, 0.58)):

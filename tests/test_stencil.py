@@ -471,8 +471,10 @@ def test_sample_context_equals_per_point_calls(name, rng):
                 curvature_frame(ambient.params, sig, u_d, v_d, d.to_frame(u.copy())),
             )
             assert same_bits(d.table(sig), _table(ambient, sig, p))
-            n_f = _to_frame(ambient, p, d.normal(sig))
-            assert same_bits(d.rotate(sig, uf), ambient.frame(p) @ wedge_frame(sig, n_f, uf))
+            n_name = "n_r" if sig is Signature.R else "n_l"
+            n_f = _to_frame(ambient, p, getattr(d, n_name))
+            rotated = d.to_coord(wedge_frame(sig, d.frame_of(n_name), uf))
+            assert same_bits(rotated, ambient.frame(p) @ wedge_frame(sig, n_f, uf))
             assert same_bits(
                 _one_row(ambient, sig, d, u, f0, fs, h),
                 _one_row(ambient, sig, p.copy(), u, f0, fs, h),

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import collections
 import copy
 import dataclasses
 import math
 
 import pytest
 
+from bicausal.catalog import CATALOG, parse_surface
 from bicausal.errors import ConfigInvalid
 from bicausal.identities import IDENTITIES, IDENTITY_NAMES
 from bicausal.suite import DEFAULT_PARAMS, SCHEMA_VERSION, SuiteConfig, run_suite
@@ -122,6 +124,26 @@ def test_non_finite_residual_never_passes(bad, monkeypatch):
     assert row["status"] == "fail"
     assert not math.isfinite(row["max_residual"])
     assert report["summary"]["pass"] is False
+
+
+def test_each_evaluator_runs_once_per_pair_and_model(monkeypatch):
+    """The surfaces of one pair and model are evaluated together: 11 groups on the default grid."""
+    calls = collections.Counter()
+    for name, info in list(IDENTITIES.items()):
+
+        def evaluate(*args, _name=name, _evaluate=info.evaluate):
+            calls[_name] += 1
+            return _evaluate(*args)
+
+        monkeypatch.setitem(IDENTITIES, name, dataclasses.replace(info, evaluate=evaluate))
+    report = run_suite(SuiteConfig(seed=0))
+    groups = {
+        (row["params"], CATALOG[parse_surface(row["surface"]).family].model)
+        for row in report["surfaces"]
+        if row["points_used"] > 0
+    }
+    assert len(groups) == 11
+    assert calls == {name: len(groups) for name in IDENTITY_NAMES}
 
 
 def test_identity_subset_runs_only_requested():

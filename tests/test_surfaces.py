@@ -102,8 +102,8 @@ def test_shape_operator_routes_and_symmetry(samples):
     for address, params, data in samples:
         for sig in SIGS:
             shape = data.shape(sig)
-            normal = data.normal(sig)
             n_name = "n_r" if sig is Signature.R else "n_l"
+            normal = getattr(data, n_name)
             b = np.empty((2, 2))
             for axis in (0, 1):
                 # the sample is its batch's only one: row 0 of the stacked derivatives

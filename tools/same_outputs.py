@@ -21,6 +21,9 @@ keep:
 * ``verify`` at tau = 0 and small tau, and on the group-model helicoids:
   with all identities, with two subsets of only the identities that draw,
   given out of registry order, and with ``--samples 1``;
+* ``verify`` of coordinate- and group-model surfaces given interleaved, at
+  (1,1), where the slice is unavailable, and at (1,0), where the group-model
+  ones are;
 * ``report`` CSVs of ``graph:bowl:a=0.2`` at five parameter pairs, a 64x64
   grid, both group helicoids, ``slice:t0=0.1`` and two Hopf cylinders, whose
   rows are all ``SIGN_AMBIGUOUS``.
@@ -80,6 +83,15 @@ CASES += [
          "--surfaces", "su11-helicoid", "--samples", "1", "--json", OUT],
     )
     for pair in ("1,1", "4,1", "-1,1")
+]
+CASES += [
+    (
+        "verify interleaved models at (1,1) and (1,0)",
+        ["verify", "--params", "1,1", "--params", "1,0", "--samples", "5",
+         "--surfaces", "graph:bowl:a=0.2", "--surfaces", "berger-helicoid:alpha=0.5,variant=time",
+         "--surfaces", "slice:t0=0.1", "--surfaces", "hopf:circle",
+         "--surfaces", "berger-helicoid:alpha=0.5,variant=space", "--json", OUT],
+    ),
 ]
 CASES += [
     (f"report graph:bowl:a=0.2 at ({pair})",

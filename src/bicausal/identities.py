@@ -9,12 +9,13 @@ at 1e-5, and anything built on shape operators or stencil derivatives at
 Every evaluator takes the stack of an evaluation's samples (``_Stack``),
 which may come from several surfaces of one ambient, and returns, per
 sample, its residual list or the skip it met, in the order one sample's
-evaluation would meet it.  Its arrays are stacks over the samples, and each
-row rounds as it would alone.  Eleven identities draw random numbers, all
-from one generator, in the order of a sample-by-sample evaluation: sample
-after sample, and within a sample the drawing identities in the order asked
-for.  ``draw_plan`` replays that order for the samples of one surface.  Each
-drawing identity's ``draw`` takes one sample's normals, and stops where that
+evaluation would meet it.  It reads every per-sample value, skips included,
+from the batch stages through the stack, and each row rounds as it would
+alone.  Eleven identities draw random numbers, all from one generator, in
+the order of a sample-by-sample evaluation: sample after sample, and within
+a sample the drawing identities in the order asked for.  ``draw_plan``
+replays that order for the samples of one surface.  Each drawing
+identity's ``draw`` takes one sample's normals, and stops where that
 sample's evaluation stops drawing; its evaluator then takes the draws of all
 samples as a second argument.  ``evaluate_plans`` runs each evaluator once
 over the samples of several plans, and ``evaluate_samples`` is the two
@@ -77,11 +78,9 @@ def _scalar_residual(lhs: float, *terms: float) -> float:
 def _split(samples: list, read: Callable) -> tuple[list, list[int], list]:
     """``read(d)`` per sample, split by whether it raised.
 
-    Returns the outcome list, which holds the SampleSkip or GeometryError of
-    each sample that raised one and None for the others; the indices of the
-    others; and what ``read`` returned for them.  The errors are kept
-    without their tracebacks, whose frames would hold the evaluation's data
-    in a reference cycle.
+    Returns the outcome list (the SampleSkip or GeometryError each sample
+    raised, kept without its traceback, else None), the indices of the
+    samples that raised nothing, and what ``read`` returned for them.
     """
     out, ok, values = [], [], []
     for s, d in enumerate(samples):
@@ -96,7 +95,7 @@ def _split(samples: list, read: Callable) -> tuple[list, list[int], list]:
 
 
 def _reached(draws: list) -> tuple[list, list[int], list]:
-    """The draws of each sample split, as by ``_split``, by whether they stopped at a skip."""
+    """Each sample's draws (or stage entry) split, as by ``_split``, by whether it is a skip."""
     out = [got if isinstance(got, Exception) else None for got in draws]
     ok = [s for s, got in enumerate(out) if got is None]
     return out, ok, [draws[s] for s in ok]
@@ -107,7 +106,8 @@ class _Stack:
 
     The samples may come from several batches (surfaces).  An array is read
     from the batch stage that holds it: one row selection per run of samples
-    of one batch (``batch_runs``), never a stack of per-sample views.  One
+    of one batch (``batch_runs``), never a stack of per-sample views; a list
+    stage (stencil errors, curvature scalars) is read as a ``column``.  One
     stack serves every evaluator of an evaluation, so each key names its
     array whole, with the signature where it depends on one.  ``rows`` gives
     the sub-stack of the samples an identity reaches, whose arrays are row
@@ -153,8 +153,17 @@ class _Stack:
         return self.of(name, lambda batch, ks: batch.center_rows(name, ks))
 
     def floats(self, name: str) -> list[float]:
-        """The float attribute ``name`` of each sample."""
-        return [getattr(d, name) for d in self.samples]
+        """The center array ``name`` (``eps``, ``omega_l``, ``angle_r``, ...) as floats."""
+        return self.center(name).tolist()
+
+    def omega(self, sig: Signature) -> list[float]:
+        """The normal stretch of ``sig`` at each sample: omega_R = 1 / omega_L."""
+        w = self.floats("omega_l")
+        return [1.0 / x for x in w] if sig is Signature.R else w
+
+    def column(self, stage: str) -> list:
+        """Each sample's entry of the batch stage ``stage``, a list over the batch's samples."""
+        return [getattr(batch, stage)()[k] for batch, ks in batch_runs(self.samples) for k in ks]
 
     def metric(self, sig: Signature) -> np.ndarray:
         return self.center("g_r" if sig is Signature.R else "g_l")
@@ -446,7 +455,7 @@ def _shape(st: _Stack, draws: list, sig: Signature) -> list:
     t_o = st.tangent_t(o)
     coeff = st.inner(o, (st.shape_of_t(o) - (s * tau) * j_o_t)[:, None], x)
     along = st.inner(o, t_o[:, None], x)
-    w = [d.omega(o) for d in st.samples]
+    w = st.omega(o)
     k_coeff = np.array([s * 2.0 * e / w_**3 for e, w_ in zip(st.floats("eps"), w)])
     k_along = np.array([2.0 * tau / w_ for w_ in w])
     a_o_x = a_o / np.array(w)[:, None, None]
@@ -474,7 +483,7 @@ def _bilinear(st: _Stack, draws: list, sig: Signature) -> list:
     a_o = st.inner(o, st.apply_shape(o, c[:, :, 0]), y).tolist()
     jx = st.inner(sig, st.rotate(o, st.to_frames(x)), y).tolist()
     jy = st.inner(sig, st.rotate(o, st.to_frames(y)), x).tolist()
-    w = [d.omega(o) for d in st.samples]
+    w = st.omega(o)
     rows = (
         [_scalar_residual(a_ + (b - k * (c_ + e)) / w_, a_, b) for a_, b, c_, e in zip(*row)]
         for *row, w_ in zip(a, a_o, jx, jy, w)
@@ -484,22 +493,21 @@ def _bilinear(st: _Stack, draws: list, sig: Signature) -> list:
 
 def _meancurv(st: _Stack, sig: Signature) -> list:
     o = sig.other
-    samples = st.samples
-    out, ok, _ = _split(samples, lambda d: d.shape(o))
+    out, ok, _ = _reached(st.column("stencil_errors"))
     if not ok:
         return out
     st = st.rows(ok)
     quads = stacked_inner(st.metric(o), st.shape_of_t(o), st.tangent_t(o)).tolist()
-    scalars = zip(
-        ok, st.floats("eps"), st.floats("omega_l"), st.floats("h_r"), st.floats("h_l"), quads
-    )
+    traces = [np.trace(st.shape(each), axis1=1, axis2=2).tolist() for each in SIGNATURES]
     # The two laws stay apart: (eps / w**3) * q and -q / w**3 round differently.
-    for s, e, w_l, h_r, h_l, q in scalars:
+    for s, e, w_l, tr_r, tr_l, q in zip(ok, st.floats("eps"), st.floats("omega_l"), *traces, quads):
+        # H_R and H_L, as ``mean_curvature`` takes them from the traces
+        h_r, h_l = 0.5 * tr_r, 0.5 * e * tr_l
         if sig is Signature.R:
             lhs = h_r + (e / w_l) * h_l + (e / w_l**3) * q
             out[s] = [_scalar_residual(lhs, h_r, h_l, q)]
         else:
-            w_r = samples[s].omega_r
+            w_r = 1.0 / w_l
             lhs = h_l + (e / w_r) * h_r - q / w_r**3
             out[s] = [_scalar_residual(lhs, h_l, h_r, q)]
     return out
@@ -509,7 +517,7 @@ def _meancurv(st: _Stack, sig: Signature) -> list:
 
 
 def _int_residuals(st: _Stack, sig: Signature, which: int) -> list:
-    out, ok, derivs = _split(st.samples, lambda d: d.tangent_derivatives(sig))
+    out, ok, _ = _reached(st.column("stencil_errors"))
     if not ok:
         return out
     st = st.rows(ok)
@@ -523,22 +531,20 @@ def _int_residuals(st: _Stack, sig: Signature, which: int) -> list:
         factor = [e * a for e, a in zip(st.floats("eps"), angle)] if sig is Signature.L else angle
         scaled = np.array(factor)[:, None, None] * (shape + sign * tau * rot)
         rhs = np.stack([scaled @ basis for basis in bases], axis=1)
-        dt = st.ok_stage(f"tangent_dts {sig.value}", lambda batch: batch.tangent_dts(sig))
+        dt = st.ok_stage(f"tangent_dts {sig.value}", lambda batch: batch.tangent_dts(sig)[0])
         # [lhs, dt, rhs] per sample and chart axis, sized in one call
         sizes = st.frame_sizes(st.embed(np.stack([dt - rhs, dt, rhs], axis=2))).tolist()
         for s, per_axis in zip(ok, sizes):
             out[s] = [_sized_residual(size) for size in per_axis]
         return out
     # derivative of the angle along the chart direction
+    dangle = st.ok_stage(f"dangle {sig.value}", lambda batch: batch.tangent_dts(sig)[1])
     coeffs = st.t_coeffs(sig)
     a_term = ((shape - sign * tau * rot) @ coeffs[..., None])[..., 0]
     pairs = a_term[:, None, :] @ st.gram(sig)
     rhs = np.stack([-(pairs @ basis)[:, 0] for basis in bases], axis=1).tolist()
-    for s, der, rhs_s in zip(ok, derivs, rhs):
-        out[s] = [
-            _scalar_residual(der["dangle"][axis] - rhs_s[axis], der["dangle"][axis], rhs_s[axis])
-            for axis in (0, 1)
-        ]
+    for s, der, rhs_s in zip(ok, dangle.tolist(), rhs):
+        out[s] = [_scalar_residual(a - b, a, b) for a, b in zip(der, rhs_s)]
     return out
 
 
@@ -560,23 +566,18 @@ def _draw_normcurv(d: TwoMetricFrameData, rng: np.random.Generator):
     return SampleSkip(NullDirection.code)
 
 
-def _direction_error(d: TwoMetricFrameData, c: np.ndarray, q_r: float, q_l: float):
-    """What ``normal_curvature`` of R, then of L, raises along c, or None."""
-    if q_r <= 0.0:
-        return NumericFailure("Riemannian direction with nonpositive square")
-    err = d.stencil_error()
-    if err is not None:
-        return err
-    scale = float(np.max(np.abs(d.gram[Signature.L]))) * float(np.max(np.abs(c)) ** 2)
-    if abs(q_l) <= 1e-12 * max(scale, 1e-300):
-        return NullDirection("null direction has no normal curvature")
-    return None
-
-
 def _normcurv(st: _Stack, draws: list) -> list:
     out, ok, got = _reached(draws)
-    for s, drawn in zip(ok, got):
-        out[s] = _direction_error(st.samples[s], *drawn)
+    errors = st.column("stencil_errors")
+    gram_l = np.max(np.abs(st.gram(Signature.L)), axis=(1, 2)).tolist()
+    # what ``normal_curvature`` of R, then of L, raises along c, in its order
+    for s, (c, q_r, q_l) in zip(ok, got):
+        if q_r <= 0.0:
+            out[s] = NumericFailure("Riemannian direction with nonpositive square")
+        elif errors[s] is not None:
+            out[s] = errors[s]
+        elif abs(q_l) <= 1e-12 * max(gram_l[s] * float(np.max(np.abs(c)) ** 2), 1e-300):
+            out[s] = NullDirection("null direction has no normal curvature")
     ok = [s for s in ok if out[s] is None]
     if not ok:
         return out
@@ -593,7 +594,7 @@ def _normcurv(st: _Stack, draws: list) -> list:
     twist = st.inner(Signature.L, t_unit, st.rotate(Signature.R, st.to_frames(t_unit))).tolist()
     rows = []
     for q_r_, q_l_, lam_r, lam_l_unsigned, tw, w_r in zip(
-        q_r, q_l, lam[Signature.R], lam[Signature.L], twist, st.floats("omega_r")
+        q_r, q_l, lam[Signature.R], lam[Signature.L], twist, st.omega(Signature.R)
     ):
         eps_v = 1.0 if q_l_ > 0 else -1.0
         # the Lorentzian normal curvature carries the sign of q_L
@@ -612,12 +613,12 @@ def curvature_suite(data: TwoMetricFrameData) -> dict:
     The ambient sectional curvatures come from the curvature tensor evaluated
     on adapted tangent bases; the closed forms in terms of the normal angles
     are reported alongside for cross-checking.  Intrinsic curvatures follow
-    the Gauss equation with the tensor-route ambient part.  The first call on
-    any sample of a batch builds every sample's scalars as one stack
-    (``SampleBatch.curvature``).  Raises SampleSkip(NULL_DIRECTION) when the
-    Lorentzian adapted basis does not exist, else the sample's stencil error.
+    the Gauss equation with the tensor-route ambient part.  Reads the
+    sample's entry of ``SampleBatch.curvature``: raises
+    SampleSkip(NULL_DIRECTION) when the Lorentzian adapted basis does not
+    exist, else the sample's stencil error.
     """
-    entry = data.curvature_scalars()
+    entry = data._batch.curvature()[data._k]
     if isinstance(entry, str):
         raise SampleSkip(entry)
     if isinstance(entry, GeometryError):
@@ -629,38 +630,45 @@ def _singular_ratio(params) -> float:
     return params.kappa + 4.0 * params.tau**2
 
 
-def _require_regular(data: TwoMetricFrameData) -> None:
-    params = data.ambient.params
+def _suites(st: _Stack, regular: bool = False) -> tuple[list, list[int], list]:
+    """Each sample's ``curvature_suite``, split as by ``_split``, from the batches' stage.
+
+    With ``regular``, every sample skips PARAMETER_SINGULARITY first where
+    the ambient's parameters are singular.
+    """
+    params = st.ambient.params
     scale = max(1.0, abs(params.kappa), 4.0 * params.tau**2)
-    if abs(_singular_ratio(params)) <= 1e-12 * scale:
-        raise SampleSkip("PARAMETER_SINGULARITY")
+    if regular and abs(_singular_ratio(params)) <= 1e-12 * scale:
+        return [SampleSkip("PARAMETER_SINGULARITY")] * len(st), [], []
+    return _reached([SampleSkip(e) if isinstance(e, str) else e for e in st.column("curvature")])
 
 
-def _regular_suite(data: TwoMetricFrameData) -> dict:
-    """``curvature_suite`` of a sample whose parameters are regular, else the skip."""
-    _require_regular(data)
-    return curvature_suite(data)
-
-
-def _sectional_rel(st: _Stack) -> list:
-    samples = st.samples
-    out, ok, suites = _split(samples, _regular_suite)
+def _ratio_rel(st: _Stack, combined: bool) -> list:
+    """SECTIONAL_REL, or with ``combined`` COMBINED_516, over a = (k - 4 t^2) / (k + 4 t^2)."""
+    out, ok, suites = _suites(st, regular=True)
+    if not ok:
+        return out
+    params = st.ambient.params
+    t = params.tau
+    a = (params.kappa - 4.0 * t * t) / _singular_ratio(params)
+    eps, w_l = st.floats("eps"), st.floats("omega_l")
     for s, suite in zip(ok, suites):
-        d = samples[s]
-        params = d.ambient.params
-        t = params.tau
-        a = (params.kappa - 4.0 * t * t) / _singular_ratio(params)
-        w2 = d.omega_l**2
-        rhs = (t * t * (w2 - d.eps * a) + a * suite["kbar_L"]) / w2
-        out[s] = [_scalar_residual(suite["kbar_R"] - rhs, suite["kbar_R"], rhs)]
+        e, w2 = eps[s], w_l[s] ** 2
+        if combined:
+            lhs = w2 * suite["k_R"] - a * suite["k_L"]
+            rhs = (w2 - e * a) * t * t - e * a * suite["ke_L"] + w2 * suite["ke_R"]
+        else:
+            lhs = suite["kbar_R"]
+            rhs = (t * t * (w2 - e * a) + a * suite["kbar_L"]) / w2
+        out[s] = [_scalar_residual(lhs - rhs, lhs, rhs)]
     return out
 
 
 def _extrinsic_rel(st: _Stack) -> list:
-    samples = st.samples
-    out, ok, suites = _split(samples, _regular_suite)
+    out, ok, suites = _suites(st, regular=True)
     if not ok:
         return out
+    eps, w_r = st.floats("eps"), st.omega(Signature.R)
     st = st.rows(ok)
     t = st.ambient.params.tau
     t_r = st.tangent_t(Signature.R)
@@ -669,9 +677,8 @@ def _extrinsic_rel(st: _Stack) -> list:
     mixed = stacked_inner(g_r, st.shape_of_t(Signature.R), j_r_t).tolist()
     t_norm2 = stacked_inner(g_r, t_r, t_r).tolist()
     for i, (s, suite) in enumerate(zip(ok, suites)):
-        d = samples[s]
-        w4 = d.omega_r**4
-        rhs = -(d.eps / w4) * suite["ke_R"] + (4.0 * t * d.eps / w4) * (
+        w4 = w_r[s] ** 4
+        rhs = -(eps[s] / w4) * suite["ke_R"] + (4.0 * t * eps[s] / w4) * (
             mixed[i] + t * t_norm2[i] ** 2
         )
         out[s] = [_scalar_residual(suite["ke_L"] - rhs, suite["ke_L"], rhs)]
@@ -679,29 +686,14 @@ def _extrinsic_rel(st: _Stack) -> list:
 
 
 def _gauss(st: _Stack, sig: Signature) -> list:
-    samples = st.samples
-    out, ok, suites = _split(samples, curvature_suite)
+    out, ok, suites = _suites(st)
+    eps = st.floats("eps")
     v = sig.value
     for s, suite in zip(ok, suites):
         # the extrinsic term carries the square of the unit normal
-        unit = 1.0 if sig is Signature.R else samples[s].eps
+        unit = 1.0 if sig is Signature.R else eps[s]
         rhs = suite[f"kbar_{v}_closed"] + unit * suite[f"ke_{v}"]
         out[s] = [_scalar_residual(suite[f"k_{v}"] - rhs, suite[f"k_{v}"], rhs)]
-    return out
-
-
-def _combined_516(st: _Stack) -> list:
-    samples = st.samples
-    out, ok, suites = _split(samples, _regular_suite)
-    for s, suite in zip(ok, suites):
-        d = samples[s]
-        params = d.ambient.params
-        t = params.tau
-        a = (params.kappa - 4.0 * t * t) / _singular_ratio(params)
-        w2 = d.omega_l**2
-        lhs = w2 * suite["k_R"] - a * suite["k_L"]
-        rhs = (w2 - d.eps * a) * t * t - d.eps * a * suite["ke_L"] + w2 * suite["ke_R"]
-        out[s] = [_scalar_residual(lhs - rhs, lhs, rhs)]
     return out
 
 
@@ -753,11 +745,11 @@ _REGISTRY: list[IdentityInfo] = [
     IdentityInfo("INT1_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=1)),
     IdentityInfo("INT2_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=2)),
     IdentityInfo("NORMCURV", 1e-5, _normcurv, _draw_normcurv),
-    IdentityInfo("SECTIONAL_REL", 1e-4, _sectional_rel),
+    IdentityInfo("SECTIONAL_REL", 1e-4, partial(_ratio_rel, combined=False)),
     IdentityInfo("EXTRINSIC_REL", 1e-4, _extrinsic_rel),
     IdentityInfo("GAUSS_R", 1e-4, partial(_gauss, sig=Signature.R)),
     IdentityInfo("GAUSS_L", 1e-4, partial(_gauss, sig=Signature.L)),
-    IdentityInfo("COMBINED_516", 1e-4, _combined_516),
+    IdentityInfo("COMBINED_516", 1e-4, partial(_ratio_rel, combined=True)),
 ]
 
 IDENTITIES: dict[str, IdentityInfo] = {info.name: info for info in _REGISTRY}

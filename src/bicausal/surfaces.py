@@ -7,9 +7,9 @@ The frame data holds the tangent basis, both unit normals, both shape
 operators and the derived scalar invariants, together with the residuals of
 the internal consistency checks that every accepted sample must satisfy.
 The samples of one call share one :class:`SampleBatch`: each stage (centers,
-frame components, rotations, stencil rows, connection tables, shape
-operators, T-derivatives, curvature scalars) is one stack over all its
-samples, built on first use, and gives each sample the bits its own
+frame components, rotations, stencil rows and errors, connection tables,
+shape operators, T-derivatives, curvature scalars) is one stack over all its
+samples, built once on first use, and gives each sample the bits its own
 evaluation would.  Each sample is :func:`frame_data` of the shared batch;
 without a batch, :func:`frame_data` evaluates a batch of one.
 
@@ -21,6 +21,7 @@ matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -117,9 +118,8 @@ def _classify(scale: float, det_l: float, point) -> tuple[CausalCharacter, float
 # in the stacked components.
 STENCIL_FIELDS = ("n_r", "n_l", "du", "dv", "t_r", "t_l")
 
-# Vectors whose frame components a sample keeps (``frame_of``), by position.
+# Vectors whose frame components a batch keeps (``frame_components``), by position.
 FRAME_FIELDS = STENCIL_FIELDS + ("xi",)
-_FRAME_SLOT = {name: i for i, name in enumerate(FRAME_FIELDS)}
 
 
 @dataclass
@@ -171,7 +171,8 @@ def _charted(ambient, chart: SurfaceChart, uvs: list[tuple[float, float]], h_jet
             point = ambient.validate_point(chart.point(u, v))
             charted.append((point, *chart.partials(u, v, h_jet)))
         except GeometryError as exc:
-            errors[i] = exc
+            # kept without its traceback, whose frames would make a reference cycle
+            errors[i] = exc.with_traceback(None)
             continue
         rows.append(i)
     point = np.array([c[0] for c in charted]).reshape(-1, ambient.dim)
@@ -226,7 +227,7 @@ def _normal_data(
                 if char == DEGENERATE:
                     raise DegenerateInput(f"degenerate tangent plane at {at(j)}")
             except GeometryError as exc:
-                fail(j, exc)
+                fail(j, exc.with_traceback(None))
                 continue
             eps[j] = 1.0 if char == TIMELIKE else -1.0
 
@@ -309,11 +310,25 @@ def _stencil_uvs(uv: tuple[float, float], h: float) -> list[tuple[float, float]]
     return out
 
 
+def _stage(build: Callable) -> Callable:
+    """A ``SampleBatch`` stage: built on first use, then kept under its name and arguments."""
+
+    @functools.wraps(build)
+    def stage(self, *args):
+        key = (build.__name__, *args)
+        if key not in self._stages:
+            self._stages[key] = build(self, *args)
+        return self._stages[key]
+
+    return stage
+
+
 class SampleBatch:
     """The stacked geometry of the samples of one chart, shared by their frame data.
 
     Every stage is built on the first use by any sample, for all samples at
-    once, and each sample reads its own row:
+    once, and kept in one memo under its name and arguments; each sample
+    reads its own row:
 
     * the centers, one ``_normal_data`` pass, on the first ``sample`` call;
     * the frame components of each sample's ``FRAME_FIELDS``, one
@@ -324,17 +339,18 @@ class SampleBatch:
       each sample's first stencil error;
     * their ``stencil_components`` with the centers', in one call;
     * the connection tables of each metric, one ``point_tables`` call;
-    * the shape operators and T-derivatives of each metric, one
-      ``cov_deriv_stencils`` call per chart axis and one stacked Gram
-      projection, over the samples whose stencil rows raised nothing;
+    * the shape operators, and the T- and normal-angle derivatives, of each
+      metric, one ``cov_deriv_stencils`` call per chart axis and one stacked
+      Gram projection, over the samples whose stencil rows raised nothing;
     * the curvature scalars of ``identities.curvature_suite``;
     * in the group models, the PointFrames at the curve starts of
       ``curve_frame``, with one ``point_tables`` call per metric.
 
     Each stage rounds row by row like a batch of one, so a sample's numbers
     do not depend on the batch it is in.  Nothing here draws random numbers.
-    The samples hold the batch, and the batch holds no sample: garbage
-    without reference cycles is freed at once, not by the cyclic collector.
+    The samples hold the batch, and the batch holds no sample, nor any
+    traceback: garbage without reference cycles is freed at once, not by the
+    cyclic collector.
     """
 
     def __init__(self, ambient, chart: SurfaceChart, uvs):
@@ -342,46 +358,35 @@ class SampleBatch:
         self.chart = chart
         self.steps = ambient.steps
         self.uvs = [(float(u), float(v)) for u, v in uvs]
-        self._center: NormalData | None = None
-        self._stencil: NormalData | None = None
-        self._stencil_errors: list | None = None
-        self._stencil_ok: tuple[list[int], list[int], list[int]] | None = None
-        self._slots: dict[int, int] = {}
-        self._comps: tuple[np.ndarray, np.ndarray] | None = None
-        self._frame_comps: np.ndarray | None = None
-        self._tables: dict[Signature, np.ndarray] = {}
-        self._shapes: dict[Signature, np.ndarray] = {}
-        self._shape_rows: dict[Signature, list] = {}
-        self._tangent_derivs: dict[Signature, list] = {}
-        self._tangent_dts: dict[Signature, np.ndarray] = {}
-        self._rotations: dict[Signature, np.ndarray] = {}
-        self._t_coeffs: dict[Signature, np.ndarray] = {}
-        self._curvature: list | None = None
-        self._curve_starts: list | None = None
+        self._stages: dict[tuple, object] = {}
 
     @property
+    @_stage
     def center(self) -> NormalData:
-        """Normal data of the uv rows themselves, one pass on first use."""
-        if self._center is None:
-            c = self._center = _normal_data(
-                self.ambient, self.chart, self.uvs, self.steps.first, routes=True
-            )
-            # (center row, uv index) of each sample, in uv order
-            self.alive = [(j, i) for j, i in enumerate(c.rows) if c.errors[i] is None]
-            self._sample_of = {i: k for k, (_, i) in enumerate(self.alive)}
-            self.centers = [j for j, _ in self.alive]
-            points = c.point[self.centers]
-            self.xi = np.array([self.ambient.fiber_direction(p) for p in points]).reshape(
-                points.shape
-            )
-        return self._center
+        """Normal data of the uv rows themselves, one pass."""
+        return _normal_data(self.ambient, self.chart, self.uvs, self.steps.first, routes=True)
+
+    @property
+    @_stage
+    def centers(self) -> list[int]:
+        """The row of each sample in the center arrays, in uv order."""
+        c = self.center
+        return [j for j, i in enumerate(c.rows) if c.errors[i] is None]
+
+    @property
+    @_stage
+    def xi(self) -> np.ndarray:
+        """The fiber direction at every sample."""
+        points = self._at_centers("point")
+        return np.array([self.ambient.fiber_direction(p) for p in points]).reshape(points.shape)
 
     def sample(self, row: int) -> "TwoMetricFrameData":
         """The frame data of uv row ``row``; raises the GeometryError that excluded it."""
-        err = self.center.errors[row]
+        c = self.center
+        err = c.errors[row]
         if err is not None:
             raise err
-        return TwoMetricFrameData(self, self._sample_of[row])
+        return TwoMetricFrameData(self, self.centers.index(c.rows.index(row)))
 
     def _at_centers(self, name: str) -> np.ndarray:
         """A center array of every sample, in sample order."""
@@ -389,41 +394,35 @@ class SampleBatch:
 
     # -- frame components at the centers -----------------------------------------
 
+    @_stage
     def frame_components(self) -> np.ndarray:
         """Frame components (n, 7, 3) of every sample's ``FRAME_FIELDS``, one ``to_frames`` call."""
-        if self._frame_comps is None:
-            at = self._at_centers
-            vecs = np.stack([at(f) for f in STENCIL_FIELDS] + [self.xi], axis=1)
-            self._frame_comps = self.ambient.to_frames(
-                at("point"), vecs, frames=at("frame"), metric_r=at("g_r")
-            )
-        return self._frame_comps
+        at = self._at_centers
+        vecs = np.stack([at(f) for f in STENCIL_FIELDS] + [self.xi], axis=1)
+        return self.ambient.to_frames(at("point"), vecs, frames=at("frame"), metric_r=at("g_r"))
 
+    @_stage
     def rotations(self, sig: Signature) -> np.ndarray:
         """Every sample's matrix of X -> N ^ X on the tangent plane, chart basis, (n, 2, 2)."""
-        rot = self._rotations.get(sig)
-        if rot is None:
-            comps = self.frame_components()
-            legs = comps[:, [_FRAME_SLOT["du"], _FRAME_SLOT["dv"]]]
-            normal = comps[:, _FRAME_SLOT["n_r" if sig is Signature.R else "n_l"], None]
-            wedged = wedge_frame(sig, np.broadcast_to(normal, legs.shape), legs)
-            vecs = self.ambient.to_coords(
-                self._at_centers("point"), wedged, frames=self._at_centers("frame")
-            )
-            cols = self._coeffs(sig, vecs, self.centers)
-            rot = self._rotations[sig] = np.ascontiguousarray(np.swapaxes(cols, 1, 2))
-        return rot
+        comps = self.frame_components()
+        legs = comps[:, [FRAME_FIELDS.index("du"), FRAME_FIELDS.index("dv")]]
+        normal = comps[:, FRAME_FIELDS.index("n_r" if sig is Signature.R else "n_l"), None]
+        wedged = wedge_frame(sig, np.broadcast_to(normal, legs.shape), legs)
+        vecs = self.ambient.to_coords(
+            self._at_centers("point"), wedged, frames=self._at_centers("frame")
+        )
+        cols = self._coeffs(sig, vecs, self.centers)
+        return np.ascontiguousarray(np.swapaxes(cols, 1, 2))
 
+    @_stage
     def t_coeffs(self, sig: Signature) -> np.ndarray:
         """Every sample's chart coefficients of T_sig, (n, 2)."""
-        out = self._t_coeffs.get(sig)
-        if out is None:
-            t = self._at_centers("t_r" if sig is Signature.R else "t_l")
-            out = self._t_coeffs[sig] = self._coeffs(sig, t, self.centers)
-        return out
+        t = self._at_centers("t_r" if sig is Signature.R else "t_l")
+        return self._coeffs(sig, t, self.centers)
 
     # -- stencil rows -----------------------------------------------------------
 
+    @_stage
     def stencil(self) -> NormalData:
         """Normal data of the eight stencil rows of every sample, rows 8k .. 8k + 7 for sample k.
 
@@ -431,74 +430,66 @@ class SampleBatch:
         change of the Lorentzian normal angle across the stencil is that
         row's OrientationFlip.
         """
-        st = self._stencil
-        if st is None:
-            h, c = self.steps.second, self.center
-            uvs = [uv for _, i in self.alive for uv in _stencil_uvs(self.uvs[i], h)]
-            reference = np.repeat(c.n_l[self.centers], 8, axis=0)
-            st = _normal_data(self.ambient, self.chart, uvs, self.steps.first, reference)
-            center_angles = c.angle_l[self.centers].tolist()
-            for i, angle in zip(st.rows, st.angle_l.tolist()):
-                a0 = center_angles[i // 8]
-                if (
-                    st.errors[i] is None
-                    and abs(angle) > SIGN_TIE_TOL
-                    and abs(a0) > SIGN_TIE_TOL
-                    and angle * a0 < 0.0
-                ):
-                    uv = self.uvs[self.alive[i // 8][1]]
-                    st.errors[i] = OrientationFlip(
-                        f"normal angle changes sign across stencil at uv={uv!r}"
-                    )
-            self._stencil_errors = [
-                next((err for err in st.errors[8 * k : 8 * k + 8] if err is not None), None)
-                for k in range(len(self.alive))
-            ]
-            self._stencil = st
+        h, c = self.steps.second, self.center
+        sample_uvs = [self.uvs[c.rows[j]] for j in self.centers]
+        uvs = [uv for center in sample_uvs for uv in _stencil_uvs(center, h)]
+        reference = np.repeat(c.n_l[self.centers], 8, axis=0)
+        st = _normal_data(self.ambient, self.chart, uvs, self.steps.first, reference)
+        center_angles = c.angle_l[self.centers].tolist()
+        for i, angle in zip(st.rows, st.angle_l.tolist()):
+            a0 = center_angles[i // 8]
+            if (
+                st.errors[i] is None
+                and abs(angle) > SIGN_TIE_TOL
+                and abs(a0) > SIGN_TIE_TOL
+                and angle * a0 < 0.0
+            ):
+                st.errors[i] = OrientationFlip(
+                    f"normal angle changes sign across stencil at uv={sample_uvs[i // 8]!r}"
+                )
         return st
 
-    def stencil_error(self, k: int) -> GeometryError | None:
-        """The first error of sample k's stencil rows, in row order, or None."""
-        self.stencil()
-        return self._stencil_errors[k]
+    @_stage
+    def stencil_errors(self) -> list:
+        """The first error of each sample's stencil rows, in row order, or None."""
+        errors = self.stencil().errors
+        return [
+            next((err for err in errors[8 * k : 8 * k + 8] if err is not None), None)
+            for k in range(len(self.centers))
+        ]
 
-    def _ok(self) -> tuple[list[int], list[int], list[int]]:
+    @_stage
+    def _ok(self) -> tuple[list[int], list[int], list[int], dict[int, int]]:
         """The samples whose stencil rows raised nothing, whose derivatives are stacked.
 
-        Returns the samples, their rows in the center arrays, and their
-        eight rows each in the stencil arrays.
+        Returns the samples, their rows in the center arrays, their eight
+        rows each in the stencil arrays, and the slot of each in these stacks.
         """
-        if self._stencil_ok is None:
-            st = self.stencil()
-            ok = [k for k, err in enumerate(self._stencil_errors) if err is None]
-            at = {i: pos for pos, i in enumerate(st.rows)}
-            rows = [at[8 * k] + r for k in ok for r in range(8)]
-            self._stencil_ok = ok, [self.centers[k] for k in ok], rows
-            self._slots = {k: s for s, k in enumerate(ok)}
-        return self._stencil_ok
+        at = {i: pos for pos, i in enumerate(self.stencil().rows)}
+        ok = [k for k, err in enumerate(self.stencil_errors()) if err is None]
+        rows = [at[8 * k] + r for k in ok for r in range(8)]
+        return ok, [self.centers[k] for k in ok], rows, {k: s for s, k in enumerate(ok)}
 
     def _slot(self, k: int) -> int:
-        self._ok()
-        return self._slots[k]
+        return self._ok()[3][k]
 
+    @_stage
     def _components(self) -> tuple[np.ndarray, np.ndarray]:
         """``stencil_components`` of ``STENCIL_FIELDS`` at the centers and at the rows, one call.
 
         Shapes (m, 6, c) and (m, 8, 6, c) over the samples of ``_ok``.
         """
-        if self._comps is None:
-            st, c = self.stencil(), self.center
-            _, cj, rj = self._ok()
-            points = np.concatenate([c.point[cj], st.point[rj]])
-            vecs = np.stack(
-                [np.concatenate([getattr(c, f)[cj], getattr(st, f)[rj]]) for f in STENCIL_FIELDS],
-                axis=1,
-            )
-            frames = np.concatenate([c.frame[cj], st.frame[rj]])
-            comps = self.ambient.stencil_components(points, vecs, frames)
-            m = len(cj)
-            self._comps = comps[:m], comps[m:].reshape(m, 8, *comps.shape[1:])
-        return self._comps
+        st, c = self.stencil(), self.center
+        _, cj, rj, _ = self._ok()
+        points = np.concatenate([c.point[cj], st.point[rj]])
+        vecs = np.stack(
+            [np.concatenate([getattr(c, f)[cj], getattr(st, f)[rj]]) for f in STENCIL_FIELDS],
+            axis=1,
+        )
+        frames = np.concatenate([c.frame[cj], st.frame[rj]])
+        comps = self.ambient.stencil_components(points, vecs, frames)
+        m = len(cj)
+        return comps[:m], comps[m:].reshape(m, 8, *comps.shape[1:])
 
     def stencil_derivs(self, sig: Signature, axis: int, names: tuple[str, ...]) -> np.ndarray:
         """Covariant derivatives along chart axis ``axis`` of named STENCIL_FIELDS, (m, k, dim).
@@ -507,7 +498,7 @@ class SampleBatch:
         """
         f0, fs = self._components()
         which = [STENCIL_FIELDS.index(name) for name in names]
-        ok, cj, _ = self._ok()
+        ok, cj, _, _ = self._ok()
         c = self.center
         velocity = (c.du if axis == 0 else c.dv)[cj]
         metric = (c.g_r if sig is Signature.R else c.g_l)[cj]
@@ -539,66 +530,57 @@ class SampleBatch:
 
     # -- per-sample stages, stacked ----------------------------------------------
 
+    @_stage
     def tables(self, sig: Signature) -> np.ndarray:
         """Every sample's connection table of ``sig``, (n, ...), one ``point_tables`` call."""
-        tables = self._tables.get(sig)
-        if tables is None:
-            tables = self._tables[sig] = self.ambient.point_tables(sig, self._at_centers("point"))
-        return tables
+        return self.ambient.point_tables(sig, self._at_centers("point"))
 
+    @_stage
     def shapes(self, sig: Signature) -> np.ndarray:
-        """The Weingarten matrices (m, 2, 2) of the samples of ``_ok``, built on first use."""
-        shapes = self._shapes.get(sig)
-        if shapes is None:
-            n_name = "n_r" if sig is Signature.R else "n_l"
-            cols = []
-            for axis in (0, 1):
-                dn = self.stencil_derivs(sig, axis, (n_name,))[:, 0]
-                cols.append(-self._coeffs(sig, dn, self._ok()[1]))
-            shapes = self._shapes[sig] = np.stack(cols, axis=-1)
-            self._shape_rows[sig] = list(shapes)
-        return shapes
+        """The Weingarten matrices (m, 2, 2) of the samples of ``_ok``."""
+        n_name = "n_r" if sig is Signature.R else "n_l"
+        cols = []
+        for axis in (0, 1):
+            dn = self.stencil_derivs(sig, axis, (n_name,))[:, 0]
+            cols.append(-self._coeffs(sig, dn, self._ok()[1]))
+        return np.stack(cols, axis=-1)
+
+    @_stage
+    def _shape_rows(self, sig: Signature) -> list:
+        return list(self.shapes(sig))
 
     def shape(self, sig: Signature, k: int) -> np.ndarray:
         """Sample k's Weingarten matrix, the same array on every call."""
-        self.shapes(sig)
-        return self._shape_rows[sig][self._slot(k)]
+        return self._shape_rows(sig)[self._slot(k)]
 
     def ok_rows(self, stage: np.ndarray, ks: list[int]) -> np.ndarray:
         """The rows of the samples ``ks``, all of ``_ok``, in a stage over those of ``_ok``."""
-        return stage[[self._slot(k) for k in ks]]
+        slots = self._ok()[3]
+        return stage[[slots[k] for k in ks]]
 
-    def tangent_dts(self, sig: Signature) -> np.ndarray:
-        """Chart coefficients (m, axis, 2) of the T-derivatives of the samples of ``_ok``.
+    @_stage
+    def tangent_dts(self, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
+        """The T-derivatives of ``sig`` of the samples of ``_ok``.
 
-        The first call builds every sample's ``tangent_derivatives`` of ``sig``.
+        Returns the chart coefficients (m, axis, 2) of the covariant
+        derivatives of T_sig projected to the tangent plane of ``sig``, and
+        the derivatives (m, axis) of the normal angle of ``sig``.
         """
-        dt = self._tangent_dts.get(sig)
-        if dt is None:
-            h = self.steps.second
-            t_name = "t_r" if sig is Signature.R else "t_l"
-            st = self.stencil()
-            ok, cj, rows = self._ok()
-            angles = (st.angle_r if sig is Signature.R else st.angle_l)[rows].reshape(-1, 8)
-            dts, dangles = [], []
-            for axis in (0, 1):
-                dt_amb = self.stencil_derivs(sig, axis, (t_name,))[:, 0]
-                dts.append(self._coeffs(sig, dt_amb, cj))
-                dangles.append(stencil_derivative(angles[:, 4 * axis : 4 * axis + 4].T, h).tolist())
-            dt = self._tangent_dts[sig] = np.stack(dts, axis=1)
-            self._tangent_derivs[sig] = [
-                {"dt": [dt[s, 0], dt[s, 1]], "dangle": [dangles[0][s], dangles[1][s]]}
-                for s in range(len(ok))
-            ]
-        return dt
-
-    def tangent_derivatives(self, sig: Signature, k: int) -> dict:
-        """Sample k's T-derivatives; the first call builds every sample's."""
-        self.tangent_dts(sig)
-        return self._tangent_derivs[sig][self._slot(k)]
+        h = self.steps.second
+        t_name = "t_r" if sig is Signature.R else "t_l"
+        st = self.stencil()
+        _, cj, rows, _ = self._ok()
+        angles = (st.angle_r if sig is Signature.R else st.angle_l)[rows].reshape(-1, 8)
+        dts, dangles = [], []
+        for axis in (0, 1):
+            dt_amb = self.stencil_derivs(sig, axis, (t_name,))[:, 0]
+            dts.append(self._coeffs(sig, dt_amb, cj))
+            dangles.append(stencil_derivative(angles[:, 4 * axis : 4 * axis + 4].T, h))
+        return np.stack(dts, axis=1), np.stack(dangles, axis=1)
 
     # -- curvature scalars --------------------------------------------------------
 
+    @_stage
     def curvature(self) -> list:
         """Every sample's curvature scalars (``identities.curvature_suite``), one stack.
 
@@ -607,43 +589,41 @@ class SampleBatch:
         or else the sample's stencil error, which the extrinsic curvatures
         raise.  That is the order in which one sample's evaluation fails.
         """
-        if self._curvature is None:
-            params = self.ambient.params
-            k, t = params.kappa, params.tau
-            eps = self._at_centers("eps").tolist()
-            bases = {sig: _adapted_bases(self, sig) for sig in SIGNATURES}
-            kbar = {sig: self._sectional(sig, *bases[sig]) for sig in bases}
-            ke = {}
-            ok = self._ok()[0]
-            for sig in bases:
-                dets = np.linalg.det(self.shapes(sig)).tolist() if ok else []
-                ke[sig] = dict(zip(ok, dets))
-            out = []
-            angles_r = self._at_centers("angle_r").tolist()
-            angles_l = self._at_centers("angle_l").tolist()
-            for s, (e, a_r, a_l) in enumerate(zip(eps, angles_r, angles_l)):
-                kbar_r, kbar_l = kbar[Signature.R][s], kbar[Signature.L][s]
-                if kbar_l is None:
-                    out.append(NullDirection.code)
-                    continue
-                if s not in ke[Signature.R]:
-                    out.append(self._stencil_errors[s])
-                    continue
-                ke_r, ke_l = ke[Signature.R][s], ke[Signature.L][s]
-                out.append(
-                    {
-                        "kbar_R": kbar_r,
-                        "kbar_L": kbar_l,
-                        "kbar_R_closed": t * t + (k - 4.0 * t * t) * a_r**2,
-                        "kbar_L_closed": e * t * t + (k + 4.0 * t * t) * a_l**2,
-                        "ke_R": ke_r,
-                        "ke_L": ke_l,
-                        "k_R": kbar_r + ke_r,
-                        "k_L": kbar_l + e * ke_l,
-                    }
-                )
-            self._curvature = out
-        return self._curvature
+        params = self.ambient.params
+        k, t = params.kappa, params.tau
+        eps = self._at_centers("eps").tolist()
+        bases = {sig: _adapted_bases(self, sig) for sig in SIGNATURES}
+        kbar = {sig: self._sectional(sig, *bases[sig]) for sig in bases}
+        ke = {}
+        ok = self._ok()[0]
+        for sig in bases:
+            dets = np.linalg.det(self.shapes(sig)).tolist() if ok else []
+            ke[sig] = dict(zip(ok, dets))
+        out = []
+        angles_r = self._at_centers("angle_r").tolist()
+        angles_l = self._at_centers("angle_l").tolist()
+        for s, (e, a_r, a_l) in enumerate(zip(eps, angles_r, angles_l)):
+            kbar_r, kbar_l = kbar[Signature.R][s], kbar[Signature.L][s]
+            if kbar_l is None:
+                out.append(NullDirection.code)
+                continue
+            if s not in ke[Signature.R]:
+                out.append(self.stencil_errors()[s])
+                continue
+            ke_r, ke_l = ke[Signature.R][s], ke[Signature.L][s]
+            out.append(
+                {
+                    "kbar_R": kbar_r,
+                    "kbar_L": kbar_l,
+                    "kbar_R_closed": t * t + (k - 4.0 * t * t) * a_r**2,
+                    "kbar_L_closed": e * t * t + (k + 4.0 * t * t) * a_l**2,
+                    "ke_R": ke_r,
+                    "ke_L": ke_l,
+                    "k_R": kbar_r + ke_r,
+                    "k_L": kbar_l + e * ke_l,
+                }
+            )
+        return out
 
     def _sectional(self, sig: Signature, e1: np.ndarray, e2: np.ndarray, alive: list) -> list:
         """<R(e1, e2) e1, e2> of ``sig`` per sample, None where the basis does not exist."""
@@ -664,28 +644,28 @@ class SampleBatch:
 
     # -- curve starts ---------------------------------------------------------------
 
-    def curve_start(self, k: int) -> PointFrame | None:
-        """Where ``ambient.curve_through(point, x)`` starts for sample k, if not the point.
+    @_stage
+    def curve_starts(self) -> list:
+        """Where ``ambient.curve_through(point, x)`` starts for each sample, if not the point.
 
         A group-model curve starts at point / sqrt(quadric(point)), which is
-        not always bitwise the point.  The PointFrames of all moved starts are
-        built on the first call, with their tables from one ``point_tables``
-        call per metric.
+        not always bitwise the point.  Entry k is the PointFrame of sample
+        k's moved start, or None; the tables of all moved starts come from
+        one ``point_tables`` call per metric.
         """
-        if self._curve_starts is None:
-            zero = np.zeros(self.ambient.dim)
-            points = self._at_centers("point")
-            starts = [self.ambient.curve_through(p, zero)(0.0) for p in points]
-            moved = [s for s, (a, b) in enumerate(zip(starts, points)) if not np.array_equal(a, b)]
-            self._curve_starts = [None] * len(points)
-            if moved:
-                at = np.array([starts[s] for s in moved])
-                tables = {sig: self.ambient.point_tables(sig, at) for sig in SIGNATURES}
-                for i, s in enumerate(moved):
-                    self._curve_starts[s] = PointFrame(
-                        self.ambient, at[i], tables={sig: tables[sig][i] for sig in SIGNATURES}
-                    )
-        return self._curve_starts[k]
+        zero = np.zeros(self.ambient.dim)
+        points = self._at_centers("point")
+        starts = [self.ambient.curve_through(p, zero)(0.0) for p in points]
+        moved = [s for s, (a, b) in enumerate(zip(starts, points)) if not np.array_equal(a, b)]
+        out = [None] * len(points)
+        if moved:
+            at = np.array([starts[s] for s in moved])
+            tables = {sig: self.ambient.point_tables(sig, at) for sig in SIGNATURES}
+            for i, s in enumerate(moved):
+                out[s] = PointFrame(
+                    self.ambient, at[i], tables={sig: tables[sig][i] for sig in SIGNATURES}
+                )
+        return out
 
 
 def _adapted_bases(batch: SampleBatch, sig: Signature) -> tuple[np.ndarray, np.ndarray, list]:
@@ -748,12 +728,12 @@ class TwoMetricFrameData(PointFrame):
 
     def __init__(self, batch: SampleBatch, k: int):
         center = batch.center
-        j, i = batch.alive[k]
+        j = batch.centers[k]
         metric = {Signature.R: center.g_r[j], Signature.L: center.g_l[j]}
         super().__init__(batch.ambient, center.point[j], center.frame[j], metric)
         self._batch, self._k, self._j = batch, k, j
         self.chart = batch.chart
-        self.uv = batch.uvs[i]
+        self.uv = batch.uvs[center.rows[j]]
         self.steps = batch.steps
         self.flags: list[str] = []
 
@@ -781,17 +761,13 @@ class TwoMetricFrameData(PointFrame):
 
     # -- tangent algebra ----------------------------------------------------
 
-    def frame_of(self, name: str) -> np.ndarray:
-        """Frame components of a named vector (one of ``FRAME_FIELDS``), from the batch."""
-        return self._batch.frame_components()[self._k, _FRAME_SLOT[name]]
-
     def curve_frame(self) -> PointFrame:
         """The PointFrame where ``ambient.curve_through(point, x)`` starts, for any x.
 
         A group-model curve starts at point / sqrt(quadric(point)), which is
         not always bitwise the point; elsewhere this is the point itself.
         """
-        return self._batch.curve_start(self._k) or self
+        return self._batch.curve_starts()[self._k] or self
 
     def coeffs(self, sig: Signature, vec: np.ndarray) -> np.ndarray:
         """Chart-basis coefficients of a tangent vector (Gram projection)."""
@@ -801,17 +777,9 @@ class TwoMetricFrameData(PointFrame):
     def coeff_inner(self, sig: Signature, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.asarray(a) @ self.gram[sig] @ np.asarray(b))
 
-    def omega(self, sig: Signature) -> float:
-        """The normal stretch of ``sig``: omega_R = 1 / omega_L."""
-        return self.omega_r if sig is Signature.R else self.omega_l
-
     def rotation(self, sig: Signature) -> np.ndarray:
         """Matrix of X -> N ^ X on the tangent plane, chart basis, from the batch."""
         return self._batch.rotations(sig)[self._k]
-
-    def t_coeffs(self, sig: Signature) -> np.ndarray:
-        """Chart-basis coefficients of T_sig, from the batch."""
-        return self._batch.t_coeffs(sig)[self._k]
 
     # -- stencil ------------------------------------------------------------
 
@@ -822,7 +790,7 @@ class TwoMetricFrameData(PointFrame):
         stencil step; the first row error in this order is the one found,
         as evaluating the rows one by one would raise it.
         """
-        return self._batch.stencil_error(self._k)
+        return self._batch.stencil_errors()[self._k]
 
     def _check_stencil(self) -> None:
         """Raise ``stencil_error``, if any, on every stencil use."""
@@ -840,10 +808,6 @@ class TwoMetricFrameData(PointFrame):
         """
         self._check_stencil()
         return self._batch.shape(sig, self._k)
-
-    def curvature_scalars(self) -> dict | str | GeometryError:
-        """This sample's entry of the batch's curvature stage (``SampleBatch.curvature``)."""
-        return self._batch.curvature()[self._k]
 
     def mean_curvature(self, sig: Signature) -> float:
         tr = float(np.trace(self.shape(sig)))
@@ -865,10 +829,13 @@ class TwoMetricFrameData(PointFrame):
         """Surface covariant derivative of T and the derivative of the angle.
 
         Returns ``{"dt": [coeff pair per axis], "dangle": [per axis]}`` where
-        the covariant derivative is projected to the tangent plane of ``sig``.
+        the covariant derivative is projected to the tangent plane of ``sig``:
+        this sample's rows of ``SampleBatch.tangent_dts``.
         """
         self._check_stencil()
-        return self._batch.tangent_derivatives(sig, self._k)
+        dt, dangle = self._batch.tangent_dts(sig)
+        s = self._batch._slot(self._k)
+        return {"dt": [dt[s, 0], dt[s, 1]], "dangle": dangle[s].tolist()}
 
     # -- normal curvature ------------------------------------------------------
 

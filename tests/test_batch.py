@@ -10,6 +10,7 @@ reports must not depend on the batch it is in.
 from __future__ import annotations
 
 import functools
+import gc
 import math
 
 import numpy as np
@@ -28,7 +29,8 @@ from bicausal.identities import (
     evaluate_samples,
     run_identities,
 )
-from bicausal.surfaces import FRAME_FIELDS, SurfaceChart, frame_batch, frame_data
+from bicausal import surfaces
+from bicausal.surfaces import SurfaceChart, TwoMetricFrameData, frame_batch, frame_data
 
 from conftest import same_bits
 
@@ -66,8 +68,8 @@ def _readings(data) -> list:
         out.append(_outcome(lambda: data.rotation(sig)))
     out.append(_outcome(lambda: curvature_suite(data)))
     out.append(_outcome(lambda: _stencil_n_l(data)))
-    out.append([data.frame_of(name) for name in FRAME_FIELDS])
-    out.append([data.t_coeffs(sig) for sig in SIGS])
+    out.append(list(data._batch.frame_components()[data._k]))
+    out.append([data._batch.t_coeffs(sig)[data._k] for sig in SIGS])
     out.append(data.curve_frame().point)
     return out
 
@@ -75,7 +77,7 @@ def _readings(data) -> list:
 def _stencil_n_l(data) -> np.ndarray:
     """The Lorentzian normals of a sample's eight stencil rows, or its first row error."""
     batch, k = data._batch, data._k
-    err = batch.stencil_error(k)
+    err = batch.stencil_errors()[k]
     if err is not None:
         raise err
     st = batch.stencil()
@@ -555,3 +557,123 @@ def test_normcurv_redraws_nearly_null_directions_then_skips():
         assert run_identities(["NORMCURV"], d, rng)["NORMCURV"].get("skipped") == skipped
         assert rng.calls == calls
 
+
+
+# -- one read route: the evaluators read the batch stages through the stack ----
+
+
+def _route_cases():
+    """(ambient, chart, uvs): both disk-edge planes, both null-direction planes, a bowl."""
+    cases = []
+    for pair in ((-1.0, 0.0), (-4.0, 1.0)):
+        ambient = CoordinateAmbient(SpaceParams(*pair))
+        cases.append((ambient, _plane(ambient.params.disk_radius), _edge_uvs(ambient)))
+    for pair in ((-1.0, 0.0), (-1.0, 0.5)):
+        ambient = CoordinateAmbient(SpaceParams(*pair))
+        uvs = [(0.0, 0.0), (-0.3, 0.0), (-0.5, 0.4), (0.0, 0.1)]
+        cases.append((ambient, _timelike_plane_at_the_edge(ambient), uvs))
+    built = build_surface("graph:bowl:a=0.2", SpaceParams(1.0, 1.0))
+    cases.append((built.ambient, built.chart, _domain_uvs(built.chart, FRACTIONS)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(5), ids=["edge", "edge-singular", "null", "null-singular",
+                                                 "bowl"])
+def test_evaluators_read_no_sample_stage(case, monkeypatch):
+    """With the per-sample stage readers raising, the 25 evaluators give the same bits."""
+    ambient, chart, uvs = _route_cases()[case]
+    names = list(IDENTITY_NAMES)
+    want = evaluate_plans(names, [draw_plan(names, _samples(ambient, chart, uvs),
+                                            np.random.default_rng(11))])
+    plan = draw_plan(names, _samples(ambient, chart, uvs), np.random.default_rng(11))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an evaluator read a sample's stage")
+
+    for name in ("shape", "tangent_derivatives", "mean_curvature"):
+        monkeypatch.setattr(TwoMetricFrameData, name, refuse)
+    assert _same(evaluate_plans(names, [plan]), want)
+
+
+def _counted(monkeypatch, owner, name: str, calls: dict) -> None:
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize(
+    "address, pair, builds",
+    [
+        ("graph:bowl:a=0.2", (1.0, 1.0), {"point_tables": 2}),
+        ("berger-helicoid:alpha=0.5,variant=space", (1.0, 1.0), {"point_tables": 4}),
+    ],
+)
+def test_each_batch_stage_is_built_once(address, pair, builds, monkeypatch):
+    """A second evaluation and every per-sample reader reuse the stages of the first."""
+    built = build_surface(address, SpaceParams(*pair))
+    calls: dict = {}
+    _counted(monkeypatch, surfaces, "_normal_data", calls)
+    for name in ("point_tables", "stencil_components", "cov_deriv_stencils"):
+        _counted(monkeypatch, built.ambient, name, calls)
+    samples = _samples(built.ambient, built.chart, _domain_uvs(built.chart, FRACTIONS))
+    # the curves of CONN_DIFF and KILLING are per evaluation, not batch stages
+    names = [n for n in IDENTITY_NAMES if n not in ("CONN_DIFF", "KILLING_R", "KILLING_L")]
+
+    def evaluate_and_read():
+        evaluate_samples(names, samples, np.random.default_rng(0))
+        for d in samples:
+            _readings(d)
+
+    evaluate_and_read()
+    # centers and stencil rows; one stencil_components call; shapes and T-derivatives
+    # of each metric, one call per chart axis
+    assert calls == {"_normal_data": 2, "stencil_components": 1, "cov_deriv_stencils": 8,
+                     **builds}
+    first = dict(calls)
+    evaluate_and_read()
+    assert calls == first
+    d = samples[0]
+    assert all(d.shape(sig) is d.shape(sig) for sig in SIGS)
+
+
+def _folded_plane(folds) -> SurfaceChart:
+    """The plane z = 0, whose u-derivative vanishes where u is one of ``folds``."""
+
+    def jacobian(u, v):
+        du = [0.0, 0.0, 0.0] if u in folds else [1.0, 0.0, 0.0]
+        return np.array(du), np.array([0.0, 1.0, 0.0])
+
+    return SurfaceChart("folded", lambda u, v: np.array([u, v, 0.0]), ((-1.0, 1.0),) * 2, jacobian)
+
+
+@pytest.mark.parametrize("case", ["edge", "fold"])
+def test_caught_chart_errors_leave_no_reference_cycles(case):
+    """Errors caught at a center and at stencil rows are kept without their tracebacks.
+
+    At the disk edge the chart's points leave the model (DOMAIN_VIOLATION);
+    on the folded plane the chart derivative is rank-deficient at one center
+    and at one stencil row (IMMERSION_FAILURE).
+    """
+    if case == "edge":
+        ambient = CoordinateAmbient(SpaceParams(-1.0, 0.0))
+        chart, uvs = _plane(ambient.params.disk_radius), _edge_uvs(ambient)
+    else:
+        ambient = CoordinateAmbient(SpaceParams(1.0, 1.0))
+        chart = _folded_plane({0.3, 0.5 + ambient.steps.second})
+        uvs = [(0.1, 0.2), (0.3, 0.2), (0.5, 0.2)]
+    gc.collect()
+    gc.disable()
+    try:
+        batch = frame_batch(ambient, chart, uvs)
+        samples = [d for d in batch if not isinstance(d, GeometryError)]
+        assert len(samples) < len(batch)
+        assert any(d.stencil_error() is not None for d in samples)
+        evaluate_samples(IDENTITY_NAMES, samples, np.random.default_rng(0))
+        del batch, samples
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

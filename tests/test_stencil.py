@@ -30,6 +30,7 @@ from bicausal.groups import BERGER, SU11, GroupAmbient
 from bicausal.identities import _frame_norm
 from bicausal.numdiff import STENCIL_STEPS
 from bicausal.surfaces import (
+    FRAME_FIELDS,
     STENCIL_FIELDS,
     SurfaceChart,
     _normal_data,
@@ -432,6 +433,11 @@ def _to_frame(ambient, p, v):
     return np.linalg.solve(ambient.frame(p), v)
 
 
+def _frame_row(d, name):
+    """The frame components of a sample's named ``FRAME_FIELDS`` vector, from its batch."""
+    return d._batch.frame_components()[d._k, FRAME_FIELDS.index(name)]
+
+
 def _table(ambient, sig, p):
     if isinstance(ambient, GroupAmbient):
         return ambient.christoffels(sig, p)
@@ -453,7 +459,7 @@ def test_sample_context_equals_per_point_calls(name, rng):
         assert same_bits(ambient.to_frame(p, u), uf)
         assert same_bits(d.to_coord(c), ambient.frame(p) @ c)
         for field in STENCIL_FIELDS + ("xi",):
-            assert same_bits(d.frame_of(field), _to_frame(ambient, p, getattr(d, field)))
+            assert same_bits(_frame_row(d, field), _to_frame(ambient, p, getattr(d, field)))
         f0, fs = rng.normal(size=(2, 3)), rng.normal(size=(4, 2, 3))
         if isinstance(ambient, GroupAmbient):
             f0, fs = _tangents(ambient, p[None], rng, 2)[0], _tangents(ambient, p[None], rng, 8)[0]
@@ -473,7 +479,7 @@ def test_sample_context_equals_per_point_calls(name, rng):
             assert same_bits(d.table(sig), _table(ambient, sig, p))
             n_name = "n_r" if sig is Signature.R else "n_l"
             n_f = _to_frame(ambient, p, getattr(d, n_name))
-            rotated = d.to_coord(wedge_frame(sig, d.frame_of(n_name), uf))
+            rotated = d.to_coord(wedge_frame(sig, _frame_row(d, n_name), uf))
             assert same_bits(rotated, ambient.frame(p) @ wedge_frame(sig, n_f, uf))
             assert same_bits(
                 _one_row(ambient, sig, d, u, f0, fs, h),

@@ -7,11 +7,11 @@ Usage::
 Each argument is the ``src`` directory of a checkout (the one holding the
 ``bicausal`` package), for instance of the parent commit, unpacked with
 ``git archive PARENT src | tar -x -C DIR`` or checked out with
-``git worktree add``.  Every run is ``python -m bicausal ...`` in a fresh
-subprocess with that directory first on ``PYTHONPATH`` and
-``BICAUSAL_FD_STEP`` unset, so the two trees never share a process.  The
-runs are the output set that a change claiming bit-identical results must
-keep:
+``git worktree add``.  Every run is ``python -m bicausal ...`` or
+``python -c ...`` in a fresh subprocess with that directory first on
+``PYTHONPATH`` and ``BICAUSAL_FD_STEP`` unset, so the two trees never share
+a process.  The runs are the output set that a change claiming bit-identical
+results must keep:
 
 * ``verify --seed s --json`` for s = 0..7 (JSON apart from ``generated_at``,
   and stdout);
@@ -26,7 +26,12 @@ keep:
   ones are;
 * ``report`` CSVs of ``graph:bowl:a=0.2`` at five parameter pairs, a 64x64
   grid, both group helicoids, ``slice:t0=0.1`` and two Hopf cylinders, whose
-  rows are all ``SIGN_AMBIGUOUS``.
+  rows are all ``SIGN_AMBIGUOUS``;
+* through the Python API, ``evaluate_samples`` of all 25 identities on two
+  planes at the disk edge, where stencil rows leave the model, one of them
+  timelike with no null-free adapted basis: every skip that the default
+  verify never meets (``DOMAIN_VIOLATION``, ``NULL_DIRECTION``), printed with
+  ``float.hex``, with the generator's final state.
 
 Prints ``identical``, or the first differing output with its first differing
 line, and exits 0 or 1.
@@ -114,6 +119,48 @@ CASES += [
      ["report", "hopf:ellipse", "--params", "-1,1", "--csv", OUT]),
 ]
 
+# The edge planes of the batch tests: the plane z = 0 with samples whose
+# stencils reach past the disk edge, and a timelike plane 1.5 stencil steps
+# inside the edge, at the disk-edge pairs and at a singular pair.
+EDGE_PLANES = """
+import math
+import numpy as np
+from bicausal.ambient import CoordinateAmbient, SpaceParams
+from bicausal.identities import IDENTITY_NAMES, evaluate_samples
+from bicausal.surfaces import SurfaceChart, frame_batch
+
+def plane(p0, du, dv):
+    p0, du, dv = (np.array(a, dtype=float) for a in (p0, du, dv))
+    return SurfaceChart("plane", lambda u, v: p0 + u * du + v * dv, ((-1.0, 1.0),) * 2,
+                        lambda u, v: (du, dv))
+
+rng = np.random.default_rng(5)
+for pair in [(-1.0, 0.0), (-4.0, 1.0), (-1.0, 0.5)]:
+    amb = CoordinateAmbient(SpaceParams(*pair))
+    h, edge = amb.steps.second, amb.params.disk_radius * math.sqrt(1.0 - 1e-6)
+    x0 = edge - 1.5 * h
+    lam = 1.0 / (1.0 + 0.25 * pair[0] * x0 * x0)
+    planes = [
+        (plane((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+         [(x0, 0.0), (0.0, edge - 0.5 * h), (0.3, 0.2), (edge + h, 0.0)]),
+        (plane((x0, 0, 0), (1, 0, 10 * lam), (0, 0.2, 3 * lam)),
+         [(0.0, 0.0), (-0.3, 0.0), (-0.5, 0.4), (0.0, 0.1)]),
+    ]
+    for chart, uvs in planes:
+        samples = []
+        for uv, d in zip(uvs, frame_batch(amb, chart, uvs)):
+            if hasattr(d, "code"):
+                print(pair, uv, "excluded", d.code)
+            else:
+                samples.append(d)
+        for d, out in zip(samples, evaluate_samples(IDENTITY_NAMES, samples, rng)):
+            for name, got in out.items():
+                value = got.get("skipped") or " ".join(map(float.hex, got["residuals"]))
+                print(pair, d.uv, name, value)
+print(rng.bit_generator.state)
+"""
+CASES += [("evaluate_samples on the edge planes", ["-c", EDGE_PLANES])]
+
 
 def run_case(src: str, argv: list[str]) -> dict[str, str]:
     """Exit code, stdout, stderr and output file of one run, as text."""
@@ -123,8 +170,9 @@ def run_case(src: str, argv: list[str]) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "output")
         args = [path if a == OUT else a for a in argv]
+        command = args if args[0] == "-c" else ["-m", "bicausal", *args]
         proc = subprocess.run(
-            [sys.executable, "-m", "bicausal", *args],
+            [sys.executable, *command],
             capture_output=True, text=True, env=env, cwd=tmp,
         )
         text = ""

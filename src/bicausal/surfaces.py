@@ -312,13 +312,18 @@ def _stencil_uvs(uv: tuple[float, float], h: float) -> list[tuple[float, float]]
 
 def _stage(build: Callable) -> Callable:
     """A ``SampleBatch`` stage: built on first use, then kept under its name and arguments."""
+    name = build.__name__
 
     @functools.wraps(build)
     def stage(self, *args):
-        key = (build.__name__, *args)
-        if key not in self._stages:
-            self._stages[key] = build(self, *args)
-        return self._stages[key]
+        key = (name, *args)
+        try:
+            return self._stages[key]
+        except KeyError:
+            pass
+        # built outside the handler, so that its errors carry no KeyError context
+        out = self._stages[key] = build(self, *args)
+        return out
 
     return stage
 
@@ -546,12 +551,13 @@ class SampleBatch:
         return np.stack(cols, axis=-1)
 
     @_stage
-    def _shape_rows(self, sig: Signature) -> list:
-        return list(self.shapes(sig))
+    def _shape_rows(self, sig: Signature) -> dict:
+        """The rows of ``shapes`` by sample, kept so that ``shape`` returns the same array."""
+        return dict(zip(self._ok()[0], self.shapes(sig)))
 
     def shape(self, sig: Signature, k: int) -> np.ndarray:
         """Sample k's Weingarten matrix, the same array on every call."""
-        return self._shape_rows(sig)[self._slot(k)]
+        return self._shape_rows(sig)[k]
 
     def ok_rows(self, stage: np.ndarray, ks: list[int]) -> np.ndarray:
         """The rows of the samples ``ks``, all of ``_ok``, in a stage over those of ``_ok``."""

@@ -558,33 +558,33 @@ def test_normcurv_redraws_nearly_null_directions_then_skips():
         assert rng.calls == calls
 
 
-
 # -- one read route: the evaluators read the batch stages through the stack ----
 
 
-def _route_cases():
-    """(ambient, chart, uvs): both disk-edge planes, both null-direction planes, a bowl."""
-    cases = []
-    for pair in ((-1.0, 0.0), (-4.0, 1.0)):
+@pytest.mark.parametrize(
+    "kind, pair",
+    [("edge", (-1.0, 0.0)), ("edge", (-4.0, 1.0)), ("null", (-1.0, 0.0)), ("null", (-1.0, 0.5)),
+     ("bowl", (1.0, 1.0))],
+)
+def test_evaluators_read_no_sample_stage(kind, pair, monkeypatch):
+    """With the per-sample stage readers raising, the 25 evaluators give the same bits.
+
+    The disk-edge and null-direction planes reach every stencil-error,
+    NULL_DIRECTION and PARAMETER_SINGULARITY skip; the bowl has none.
+    """
+    if kind == "bowl":
+        built = build_surface("graph:bowl:a=0.2", SpaceParams(*pair))
+        ambient, chart, uvs = built.ambient, built.chart, _domain_uvs(built.chart, FRACTIONS)
+    elif kind == "edge":
         ambient = CoordinateAmbient(SpaceParams(*pair))
-        cases.append((ambient, _plane(ambient.params.disk_radius), _edge_uvs(ambient)))
-    for pair in ((-1.0, 0.0), (-1.0, 0.5)):
+        chart, uvs = _plane(ambient.params.disk_radius), _edge_uvs(ambient)
+    else:
         ambient = CoordinateAmbient(SpaceParams(*pair))
+        chart = _timelike_plane_at_the_edge(ambient)
         uvs = [(0.0, 0.0), (-0.3, 0.0), (-0.5, 0.4), (0.0, 0.1)]
-        cases.append((ambient, _timelike_plane_at_the_edge(ambient), uvs))
-    built = build_surface("graph:bowl:a=0.2", SpaceParams(1.0, 1.0))
-    cases.append((built.ambient, built.chart, _domain_uvs(built.chart, FRACTIONS)))
-    return cases
-
-
-@pytest.mark.parametrize("case", range(5), ids=["edge", "edge-singular", "null", "null-singular",
-                                                 "bowl"])
-def test_evaluators_read_no_sample_stage(case, monkeypatch):
-    """With the per-sample stage readers raising, the 25 evaluators give the same bits."""
-    ambient, chart, uvs = _route_cases()[case]
     names = list(IDENTITY_NAMES)
-    want = evaluate_plans(names, [draw_plan(names, _samples(ambient, chart, uvs),
-                                            np.random.default_rng(11))])
+    rng = np.random.default_rng(11)
+    want = evaluate_plans(names, [draw_plan(names, _samples(ambient, chart, uvs), rng)])
     plan = draw_plan(names, _samples(ambient, chart, uvs), np.random.default_rng(11))
 
     def refuse(*args, **kwargs):

@@ -27,6 +27,7 @@ that tolerances are meaningful for both tiny and large geometries.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -46,7 +47,7 @@ from .ambient import (
 )
 from .errors import ConfigInvalid, GeometryError, NullDirection, NumericFailure
 from .numdiff import brioschi_curvature, stencil_values
-from .surfaces import FRAME_FIELDS, TwoMetricFrameData, batch_runs
+from .surfaces import FRAME_FIELDS, TwoMetricFrameData, batch_runs, mean_curvatures
 
 
 class SampleSkip(Exception):
@@ -157,9 +158,7 @@ class _Stack:
         return self.center(name).tolist()
 
     def omega(self, sig: Signature) -> list[float]:
-        """The normal stretch of ``sig`` at each sample: omega_R = 1 / omega_L."""
-        w = self.floats("omega_l")
-        return [1.0 / x for x in w] if sig is Signature.R else w
+        return self.floats("omega_r" if sig is Signature.R else "omega_l")
 
     def column(self, stage: str) -> list:
         """Each sample's entry of the batch stage ``stage``, a list over the batch's samples."""
@@ -179,14 +178,9 @@ class _Stack:
         slot = FRAME_FIELDS.index(name)
         return self.of(f"frame_of {name}", lambda batch, ks: batch.frame_components()[ks, slot])
 
-    def rotation(self, sig: Signature) -> np.ndarray:
-        return self.of(f"rotation {sig.value}", lambda batch, ks: batch.rotations(sig)[ks])
-
-    def t_coeffs(self, sig: Signature) -> np.ndarray:
-        return self.of(f"t_coeffs {sig.value}", lambda batch, ks: batch.t_coeffs(sig)[ks])
-
-    def tables(self, sig: Signature) -> np.ndarray:
-        return self.of(f"tables {sig.value}", lambda batch, ks: batch.tables(sig)[ks])
+    def stage(self, name: str, sig: Signature) -> np.ndarray:
+        """The rows of the batch stage ``name(sig)`` (``rotations``, ``t_coeffs``, ``tables``)."""
+        return self.of(f"{name} {sig.value}", lambda batch, ks: getattr(batch, name)(sig)[ks])
 
     def inner(self, sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``inner`` of vectors (m, ..., dim) at each sample; either side may broadcast."""
@@ -225,6 +219,9 @@ class _Stack:
     def shape(self, sig: Signature) -> np.ndarray:
         return self.ok_stage(f"shape {sig.value}", lambda batch: batch.shapes(sig))
 
+    def mean_curvature(self, sig: Signature) -> list[float]:
+        return mean_curvatures(sig, self.shape(sig), self.center("eps")).tolist()
+
     def shape_coeffs(self, sig: Signature, coeffs: np.ndarray) -> np.ndarray:
         """A_sig of chart coefficients (m, ..., 2) at each sample, as chart coefficients."""
         c = _vectors(coeffs)
@@ -236,7 +233,7 @@ class _Stack:
 
     def shape_of_t(self, sig: Signature) -> np.ndarray:
         """A_sig T_sig at each sample, in coordinates."""
-        return self.apply_shape(sig, self.t_coeffs(sig))
+        return self.apply_shape(sig, self.stage("t_coeffs", sig))
 
     def rotate(self, sig: Signature, vf: np.ndarray) -> np.ndarray:
         """``rotate`` of frame components (m, ..., 3) at each sample."""
@@ -246,7 +243,8 @@ class _Stack:
 
     def curve_starts(self, sig: Signature) -> list[np.ndarray]:
         """Point, frame, metric and table of ``sig`` at each sample's ``curve_frame``."""
-        arrays = [self.center("point"), self.center("frame"), self.metric(sig), self.tables(sig)]
+        arrays = [self.center(name) for name in ("point", "frame")]
+        arrays += [self.metric(sig), self.stage("tables", sig)]
         moved = [(s, at) for s, d in enumerate(self.samples) if (at := d.curve_frame()) is not d]
         if moved:
             arrays = [a.copy() for a in arrays]
@@ -433,10 +431,11 @@ def _draw_directions(k: int, d: TwoMetricFrameData, rng: np.random.Generator):
     The shape operators raise a sample's stencil error once the first
     round is drawn: then only that round is drawn, and the error returned.
     """
-    err = d.stencil_error()
-    if err is not None:
+    try:
+        d.shape(Signature.R)
+    except GeometryError as err:
         rng.normal(size=2 * k)
-        return err
+        return err.with_traceback(None)
     return rng.normal(size=(2, k, 2))
 
 
@@ -498,18 +497,15 @@ def _meancurv(st: _Stack, sig: Signature) -> list:
         return out
     st = st.rows(ok)
     quads = stacked_inner(st.metric(o), st.shape_of_t(o), st.tangent_t(o)).tolist()
-    traces = [np.trace(st.shape(each), axis1=1, axis2=2).tolist() for each in SIGNATURES]
+    h_r, h_l = (st.mean_curvature(each) for each in SIGNATURES)
     # The two laws stay apart: (eps / w**3) * q and -q / w**3 round differently.
-    for s, e, w_l, tr_r, tr_l, q in zip(ok, st.floats("eps"), st.floats("omega_l"), *traces, quads):
-        # H_R and H_L, as ``mean_curvature`` takes them from the traces
-        h_r, h_l = 0.5 * tr_r, 0.5 * e * tr_l
+    for s, e, w, hr, hl, q in zip(ok, st.floats("eps"), st.omega(o), h_r, h_l, quads):
         if sig is Signature.R:
-            lhs = h_r + (e / w_l) * h_l + (e / w_l**3) * q
-            out[s] = [_scalar_residual(lhs, h_r, h_l, q)]
+            lhs = hr + (e / w) * hl + (e / w**3) * q
+            out[s] = [_scalar_residual(lhs, hr, hl, q)]
         else:
-            w_r = 1.0 / w_l
-            lhs = h_l + (e / w_r) * h_r - q / w_r**3
-            out[s] = [_scalar_residual(lhs, h_l, h_r, q)]
+            lhs = hl + (e / w) * hr - q / w**3
+            out[s] = [_scalar_residual(lhs, hl, hr, q)]
     return out
 
 
@@ -523,7 +519,7 @@ def _int_residuals(st: _Stack, sig: Signature, which: int) -> list:
     st = st.rows(ok)
     tau = st.ambient.params.tau
     shape = st.shape(sig)
-    rot = st.rotation(sig)
+    rot = st.stage("rotations", sig)
     sign = -sig.eps3
     bases = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     if which == 1:
@@ -539,7 +535,7 @@ def _int_residuals(st: _Stack, sig: Signature, which: int) -> list:
         return out
     # derivative of the angle along the chart direction
     dangle = st.ok_stage(f"dangle {sig.value}", lambda batch: batch.tangent_dts(sig)[1])
-    coeffs = st.t_coeffs(sig)
+    coeffs = st.stage("t_coeffs", sig)
     a_term = ((shape - sign * tau * rot) @ coeffs[..., None])[..., 0]
     pairs = a_term[:, None, :] @ st.gram(sig)
     rhs = np.stack([-(pairs @ basis)[:, 0] for basis in bases], axis=1).tolist()
@@ -616,13 +612,13 @@ def curvature_suite(data: TwoMetricFrameData) -> dict:
     the Gauss equation with the tensor-route ambient part.  Reads the
     sample's entry of ``SampleBatch.curvature``: raises
     SampleSkip(NULL_DIRECTION) when the Lorentzian adapted basis does not
-    exist, else the sample's stencil error.
+    exist, else a copy of the sample's stencil error, which the batch keeps.
     """
     entry = data._batch.curvature()[data._k]
     if isinstance(entry, str):
         raise SampleSkip(entry)
     if isinstance(entry, GeometryError):
-        raise entry.with_traceback(None)
+        raise copy.copy(entry)
     return entry
 
 
@@ -631,11 +627,8 @@ def _singular_ratio(params) -> float:
 
 
 def _suites(st: _Stack, regular: bool = False) -> tuple[list, list[int], list]:
-    """Each sample's ``curvature_suite``, split as by ``_split``, from the batches' stage.
-
-    With ``regular``, every sample skips PARAMETER_SINGULARITY first where
-    the ambient's parameters are singular.
-    """
+    """Each sample's ``curvature_suite`` from the batches' stage, split as by ``_reached``;
+    with ``regular``, all skip PARAMETER_SINGULARITY first at singular parameters."""
     params = st.ambient.params
     scale = max(1.0, abs(params.kappa), 4.0 * params.tau**2)
     if regular and abs(_singular_ratio(params)) <= 1e-12 * scale:
@@ -643,23 +636,34 @@ def _suites(st: _Stack, regular: bool = False) -> tuple[list, list[int], list]:
     return _reached([SampleSkip(e) if isinstance(e, str) else e for e in st.column("curvature")])
 
 
-def _ratio_rel(st: _Stack, combined: bool) -> list:
-    """SECTIONAL_REL, or with ``combined`` COMBINED_516, over a = (k - 4 t^2) / (k + 4 t^2)."""
+def _ratio(params) -> float:
+    """a = (k - 4 t^2) / (k + 4 t^2) of SECTIONAL_REL and COMBINED_516."""
+    return (params.kappa - 4.0 * params.tau * params.tau) / _singular_ratio(params)
+
+
+def _sectional_rel(st: _Stack) -> list:
     out, ok, suites = _suites(st, regular=True)
     if not ok:
         return out
-    params = st.ambient.params
-    t = params.tau
-    a = (params.kappa - 4.0 * t * t) / _singular_ratio(params)
+    t, a = st.ambient.params.tau, _ratio(st.ambient.params)
     eps, w_l = st.floats("eps"), st.floats("omega_l")
     for s, suite in zip(ok, suites):
         e, w2 = eps[s], w_l[s] ** 2
-        if combined:
-            lhs = w2 * suite["k_R"] - a * suite["k_L"]
-            rhs = (w2 - e * a) * t * t - e * a * suite["ke_L"] + w2 * suite["ke_R"]
-        else:
-            lhs = suite["kbar_R"]
-            rhs = (t * t * (w2 - e * a) + a * suite["kbar_L"]) / w2
+        rhs = (t * t * (w2 - e * a) + a * suite["kbar_L"]) / w2
+        out[s] = [_scalar_residual(suite["kbar_R"] - rhs, suite["kbar_R"], rhs)]
+    return out
+
+
+def _combined_516(st: _Stack) -> list:
+    out, ok, suites = _suites(st, regular=True)
+    if not ok:
+        return out
+    t, a = st.ambient.params.tau, _ratio(st.ambient.params)
+    eps, w_l = st.floats("eps"), st.floats("omega_l")
+    for s, suite in zip(ok, suites):
+        e, w2 = eps[s], w_l[s] ** 2
+        lhs = w2 * suite["k_R"] - a * suite["k_L"]
+        rhs = (w2 - e * a) * t * t - e * a * suite["ke_L"] + w2 * suite["ke_R"]
         out[s] = [_scalar_residual(lhs - rhs, lhs, rhs)]
     return out
 
@@ -745,11 +749,11 @@ _REGISTRY: list[IdentityInfo] = [
     IdentityInfo("INT1_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=1)),
     IdentityInfo("INT2_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=2)),
     IdentityInfo("NORMCURV", 1e-5, _normcurv, _draw_normcurv),
-    IdentityInfo("SECTIONAL_REL", 1e-4, partial(_ratio_rel, combined=False)),
+    IdentityInfo("SECTIONAL_REL", 1e-4, _sectional_rel),
     IdentityInfo("EXTRINSIC_REL", 1e-4, _extrinsic_rel),
     IdentityInfo("GAUSS_R", 1e-4, partial(_gauss, sig=Signature.R)),
     IdentityInfo("GAUSS_L", 1e-4, partial(_gauss, sig=Signature.L)),
-    IdentityInfo("COMBINED_516", 1e-4, partial(_ratio_rel, combined=True)),
+    IdentityInfo("COMBINED_516", 1e-4, _combined_516),
 ]
 
 IDENTITIES: dict[str, IdentityInfo] = {info.name: info for info in _REGISTRY}

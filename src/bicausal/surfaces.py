@@ -21,6 +21,7 @@ matrices.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -147,6 +148,7 @@ class NormalData:
     angle_l: np.ndarray
     angle_r: np.ndarray
     omega_l: np.ndarray
+    omega_r: np.ndarray
     t_l: np.ndarray
     t_r: np.ndarray
     sign_ambiguous: np.ndarray
@@ -259,6 +261,7 @@ def _normal_data(
             if w <= 0.0:
                 fail(j, NumericFailure(f"invalid normal stretch at {at(j)}: {w}"))
         omega_l = np.sqrt(omega_sq)
+        omega_r = 1.0 / omega_l
         n_r = (-2.0 * angle_l[:, None] * xi - n_l) / omega_l[:, None]
         angle_r = stacked_inner(g_r, n_r, xi)
 
@@ -292,11 +295,21 @@ def _normal_data(
         angle_l=angle_l,
         angle_r=angle_r,
         omega_l=omega_l,
+        omega_r=omega_r,
         t_l=t_l,
         t_r=t_r,
         sign_ambiguous=sign_ambiguous,
         wedge_agreement=agreement,
     )
+
+
+def mean_curvatures(sig: Signature, shapes: np.ndarray, eps) -> np.ndarray:
+    """The mean curvatures of ``sig`` of Weingarten matrices (..., 2, 2) with normal squares eps.
+
+    Half the trace; H_L carries eps, the square of the Lorentzian unit normal.
+    """
+    tr = np.trace(shapes, axis1=-2, axis2=-1)
+    return 0.5 * eps * tr if sig is Signature.L else 0.5 * tr
 
 
 def _stencil_uvs(uv: tuple[float, float], h: float) -> list[tuple[float, float]]:
@@ -380,6 +393,12 @@ class SampleBatch:
 
     @property
     @_stage
+    def _sample_of(self) -> dict[int, int]:
+        """The sample of each uv row that got past the centers' checks."""
+        return {self.center.rows[j]: k for k, j in enumerate(self.centers)}
+
+    @property
+    @_stage
     def xi(self) -> np.ndarray:
         """The fiber direction at every sample."""
         points = self._at_centers("point")
@@ -387,11 +406,10 @@ class SampleBatch:
 
     def sample(self, row: int) -> "TwoMetricFrameData":
         """The frame data of uv row ``row``; raises the GeometryError that excluded it."""
-        c = self.center
-        err = c.errors[row]
+        err = self.center.errors[row]
         if err is not None:
-            raise err
-        return TwoMetricFrameData(self, self.centers.index(c.rows.index(row)))
+            raise copy.copy(err)
+        return TwoMetricFrameData(self, self._sample_of[row])
 
     def _at_centers(self, name: str) -> np.ndarray:
         """A center array of every sample, in sample order."""
@@ -753,7 +771,7 @@ class TwoMetricFrameData(PointFrame):
         self.angle_l = float(center.angle_l[j])
         self.angle_r = float(center.angle_r[j])
         self.omega_l = float(center.omega_l[j])
-        self.omega_r = 1.0 / self.omega_l
+        self.omega_r = float(center.omega_r[j])
         self.t_l = center.t_l[j]
         self.t_r = center.t_r[j]
         if center.sign_ambiguous[j]:
@@ -799,10 +817,14 @@ class TwoMetricFrameData(PointFrame):
         return self._batch.stencil_errors()[self._k]
 
     def _check_stencil(self) -> None:
-        """Raise ``stencil_error``, if any, on every stencil use."""
+        """Raise a copy of ``stencil_error``, if any, on every stencil use.
+
+        The batch keeps the error without a traceback; raising it would give
+        it one whose frames hold this sample, and so the batch and the error.
+        """
         err = self.stencil_error()
         if err is not None:
-            raise err.with_traceback(None)
+            raise copy.copy(err)
 
     # -- shape operators ------------------------------------------------------
 
@@ -816,10 +838,7 @@ class TwoMetricFrameData(PointFrame):
         return self._batch.shape(sig, self._k)
 
     def mean_curvature(self, sig: Signature) -> float:
-        tr = float(np.trace(self.shape(sig)))
-        if sig is Signature.L:
-            return 0.5 * self.eps * tr
-        return 0.5 * tr
+        return float(mean_curvatures(sig, self.shape(sig), self.eps))
 
     @property
     def h_r(self) -> float:
@@ -931,7 +950,7 @@ def frame_batch(
         try:
             data = frame_data(ambient, chart, uv, validate=False, batch=(batch, row))
         except GeometryError as exc:
-            # the batch holds the error: its traceback would make a reference cycle
+            # kept without its traceback, whose frames hold the batch
             data = exc.with_traceback(None)
         out.append(data)
     return out

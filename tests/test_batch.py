@@ -650,13 +650,23 @@ def _folded_plane(folds) -> SurfaceChart:
     return SurfaceChart("folded", lambda u, v: np.array([u, v, 0.0]), ((-1.0, 1.0),) * 2, jacobian)
 
 
+def _read_raising(samples) -> None:
+    """Every per-sample reader that raises a sample's stencil error, on each sample, caught."""
+    for d in samples:
+        for sig in SIGS:
+            for read in (d.shape, d.mean_curvature, d.tangent_derivatives):
+                _outcome(functools.partial(read, sig))
+        _outcome(functools.partial(curvature_suite, d))
+
+
 @pytest.mark.parametrize("case", ["edge", "fold"])
 def test_caught_chart_errors_leave_no_reference_cycles(case):
     """Errors caught at a center and at stencil rows are kept without their tracebacks.
 
     At the disk edge the chart's points leave the model (DOMAIN_VIOLATION);
     on the folded plane the chart derivative is rank-deficient at one center
-    and at one stencil row (IMMERSION_FAILURE).
+    and at one stencil row (IMMERSION_FAILURE).  A reader that raises a
+    sample's stencil error raises a copy, so the batch's stays without one.
     """
     if case == "edge":
         ambient = CoordinateAmbient(SpaceParams(-1.0, 0.0))
@@ -673,6 +683,7 @@ def test_caught_chart_errors_leave_no_reference_cycles(case):
         assert len(samples) < len(batch)
         assert any(d.stencil_error() is not None for d in samples)
         evaluate_samples(IDENTITY_NAMES, samples, np.random.default_rng(0))
+        _read_raising(samples)
         del batch, samples
         assert gc.collect() == 0
     finally:

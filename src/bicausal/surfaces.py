@@ -308,7 +308,8 @@ def mean_curvatures(sig: Signature, shapes: np.ndarray, eps) -> np.ndarray:
 
     Half the trace; H_L carries eps, the square of the Lorentzian unit normal.
     """
-    tr = np.trace(shapes, axis1=-2, axis2=-1)
+    # summed from +0.0, as np.trace sums, which gives a zero trace its sign
+    tr = 0.0 + shapes[..., 0, 0] + shapes[..., 1, 1]
     return 0.5 * eps * tr if sig is Signature.L else 0.5 * tr
 
 

@@ -17,6 +17,7 @@ from bicausal.surfaces import (
     SurfaceChart,
     causal_character,
     frame_data,
+    mean_curvatures,
 )
 
 from conftest import catalog_samples, interior_grid, same_bits
@@ -141,6 +142,19 @@ def test_mean_curvature_of_flat_space_graph_matches_classical_formula():
     for uv in [(0.3, 0.4), (-0.5, 0.2), (0.8, -0.6)]:
         data = frame_data(built.ambient, built.chart, uv)
         assert data.h_r == pytest.approx(classical(*uv), abs=1e-8)
+
+
+@pytest.mark.parametrize("diagonal", [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.3, -0.7)])
+def test_mean_curvatures_take_the_bits_of_half_the_trace(diagonal):
+    """One matrix or a stack, the signs of zero traces included, as ``np.trace`` gives them."""
+    shape = np.array([[diagonal[0], 1.5], [-2.0, diagonal[1]]])
+    for eps in (1.0, -1.0):
+        tr = float(np.trace(shape))
+        want = {Signature.R: 0.5 * tr, Signature.L: 0.5 * eps * tr}
+        for sig in SIGS:
+            assert same_bits(float(mean_curvatures(sig, shape, eps)), want[sig])
+            stacked = mean_curvatures(sig, np.stack([shape, shape]), np.array([eps, eps]))
+            assert same_bits(stacked, np.array([want[sig]] * 2))
 
 
 def test_slices_are_vertical_normal_and_totally_geodesic():

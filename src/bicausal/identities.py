@@ -162,7 +162,8 @@ class _Stack:
 
     def column(self, stage: str) -> list:
         """Each sample's entry of the batch stage ``stage``, a list over the batch's samples."""
-        return [getattr(batch, stage)()[k] for batch, ks in batch_runs(self.samples) for k in ks]
+        runs = [(getattr(batch, stage)(), ks) for batch, ks in batch_runs(self.samples)]
+        return [entries[k] for entries, ks in runs for k in ks]
 
     def metric(self, sig: Signature) -> np.ndarray:
         return self.center("g_r" if sig is Signature.R else "g_l")
@@ -245,7 +246,7 @@ class _Stack:
         """Point, frame, metric and table of ``sig`` at each sample's ``curve_frame``."""
         arrays = [self.center(name) for name in ("point", "frame")]
         arrays += [self.metric(sig), self.stage("tables", sig)]
-        moved = [(s, at) for s, d in enumerate(self.samples) if (at := d.curve_frame()) is not d]
+        moved = [(s, at) for s, at in enumerate(self.column("curve_starts")) if at is not None]
         if moved:
             arrays = [a.copy() for a in arrays]
             for s, at in moved:

@@ -396,7 +396,8 @@ class SampleBatch:
     @_stage
     def _sample_of(self) -> dict[int, int]:
         """The sample of each uv row that got past the centers' checks."""
-        return {self.center.rows[j]: k for k, j in enumerate(self.centers)}
+        rows = self.center.rows
+        return {rows[j]: k for k, j in enumerate(self.centers)}
 
     @property
     @_stage
@@ -492,7 +493,8 @@ class SampleBatch:
         at = {i: pos for pos, i in enumerate(self.stencil().rows)}
         ok = [k for k, err in enumerate(self.stencil_errors()) if err is None]
         rows = [at[8 * k] + r for k in ok for r in range(8)]
-        return ok, [self.centers[k] for k in ok], rows, {k: s for s, k in enumerate(ok)}
+        centers = self.centers
+        return ok, [centers[k] for k in ok], rows, {k: s for s, k in enumerate(ok)}
 
     def _slot(self, k: int) -> int:
         return self._ok()[3][k]
@@ -550,7 +552,8 @@ class SampleBatch:
         """The center array ``name`` (a ``NormalData`` field, or ``xi``) of the samples ``ks``."""
         if name == "xi":
             return self.xi[ks]
-        return getattr(self.center, name)[[self.centers[k] for k in ks]]
+        rows = self.centers
+        return getattr(self.center, name)[[rows[k] for k in ks]]
 
     # -- per-sample stages, stacked ----------------------------------------------
 

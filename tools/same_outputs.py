@@ -27,6 +27,12 @@ results must keep:
 * ``report`` CSVs of ``graph:bowl:a=0.2`` at five parameter pairs, a 64x64
   grid, both group helicoids, ``slice:t0=0.1`` and two Hopf cylinders, whose
   rows are all ``SIGN_AMBIGUOUS``;
+* what the catalog alone decides: ``surfaces``, with and without
+  ``--params`` at six pairs; ``verify --samples 2`` of short addresses that
+  the catalog completes with its defaults, at four pairs, whose skip lines
+  carry each address and reason, and of Hopf cylinders that leave the disk;
+  the errors of four malformed addresses; and ``mesh`` as obj and as csv,
+  with the obj of a group-model surface refused;
 * through the Python API, ``evaluate_samples`` of all 25 identities on two
   planes at the disk edge, where stencil rows leave the model, one of them
   timelike with no null-free adapted basis: every skip that the default
@@ -117,6 +123,50 @@ CASES += [
      ["report", "hopf:circle:r=0.9", "--params", "1,0.5", "--csv", OUT]),
     ("report hopf:ellipse at (-1,1)",
      ["report", "hopf:ellipse", "--params", "-1,1", "--csv", OUT]),
+]
+
+# What the catalog alone decides: the family list, the default addresses, the
+# addresses and skip reasons of short addresses, the errors of malformed ones
+# and the meshes.
+CASES += [("surfaces", ["surfaces"])]
+CASES += [
+    (f"surfaces --params {pair}", ["surfaces", "--params", pair])
+    for pair in ("1,1", "-1,1", "-4,1", "0,0", "1,0", "0,1")
+]
+SHORT_ADDRESSES = (
+    "hopf", "hopf:ellipse", "graph", "vgraph", "slice", "helicoid:variant=time",
+    "berger-helicoid:variant=space", "su11-helicoid:family=e,t_rate=0.5",
+)
+CASES += [
+    (
+        "verify --samples 2 of short addresses",
+        ["verify", "--samples", "2", "--params", "1,1", "--params", "-1,1",
+         "--params", "0,1", "--params", "1,0",
+         *(arg for address in SHORT_ADDRESSES for arg in ("--surfaces", address)),
+         "--json", OUT],
+    ),
+    (
+        "verify of Hopf cylinders outside the disk at (-1,1)",
+        ["verify", "--samples", "2", "--params", "-1,1", "--surfaces", "hopf:circle:r=2.5",
+         "--surfaces", "hopf:ellipse:a=3"],
+    ),
+]
+CASES += [
+    (f"verify of malformed {address}", ["verify", "--params", "1,1", "--surfaces", address])
+    for address in ("hopf:circle:a=0.5", "hopf:ellipse:r=1", "graph:dome", "nosuch")
+]
+CASES += [
+    ("mesh hopf:ellipse obj at (-1,1)",
+     ["mesh", "hopf:ellipse", "--params", "-1,1", "--grid", "6x5", "--out", OUT]),
+    ("mesh helicoid:variant=space obj at (0,1)",
+     ["mesh", "helicoid:variant=space", "--params", "0,1", "--grid", "5x6", "--out", OUT]),
+    ("mesh vgraph csv at (-4,1)",
+     ["mesh", "vgraph", "--params", "-4,1", "--grid", "5x5", "--format", "csv", "--out", OUT]),
+    ("mesh su11-helicoid csv at (-1,1)",
+     ["mesh", "su11-helicoid:variant=time", "--params", "-1,1", "--grid", "5x5",
+      "--format", "csv", "--out", OUT]),
+    ("mesh berger-helicoid obj at (1,1), refused",
+     ["mesh", "berger-helicoid", "--params", "1,1", "--out", OUT]),
 ]
 
 # The edge planes of the batch tests: the plane z = 0 with samples whose

@@ -21,6 +21,7 @@ from .catalog import (
     build_surface,
     default_surfaces,
     parse_surface,
+    resolve_address,
     validate_address,
 )
 from .errors import (
@@ -115,6 +116,7 @@ __all__ = [
     "indefiniteness_check",
     "intrinsic_curvature_r",
     "parse_surface",
+    "resolve_address",
     "ruling_defect",
     "run_identities",
     "run_suite",

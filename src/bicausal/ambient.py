@@ -238,10 +238,11 @@ class PointFrame:
         return float(np.asarray(u, dtype=float) @ self.metric[sig] @ np.asarray(v, dtype=float))
 
     def to_frame(self, v: np.ndarray) -> np.ndarray:
-        return self.ambient.frame_components(self, v)
+        """Components of the vector v in the frame here: the one-row ``to_frames``."""
+        return self.to_frames(np.asarray(v, dtype=float)[None])[0]
 
     def to_frames(self, vecs: np.ndarray) -> np.ndarray:
-        """``to_frame`` of a stack of vectors (k, dim), in one call, each with its own bits."""
+        """Frame components of a stack of vectors (k, dim), in one call, each with its own bits."""
         return self.ambient.to_frames(
             self.point[None],
             np.asarray(vecs, dtype=float)[None],
@@ -261,17 +262,16 @@ class Ambient:
     ``to_frames``, with vectors of shape (n, dim) or (n, k, dim); ``frames=``
     (and in the group models ``metric_r=``) pass arrays a caller already has.
     ``frame`` and ``metric`` of one point are their one-row case, and
-    ``christoffels`` (one point or a stack) differentiates ``metrics``.  Two
-    per-point forms stay, because they are hot and a one-row stack costs
-    more: ``fiber_direction`` and ``frame_components`` (``to_frame`` at a
-    ``PointFrame``, which ``point_frame`` gives for the rest).  Subclasses
-    also supply the stacked connection tables ``point_tables`` (what
-    ``cov_deriv_stencils`` reads; both models build them from
+    ``christoffels`` (one point or a stack) differentiates ``metrics``.
+    ``fiber_direction`` is the third leg of ``frame``, and ``to_frame`` the
+    one-row ``to_frames`` at the ``PointFrame`` that ``point_frame`` gives.
+    Subclasses also supply the stacked connection tables ``point_tables``
+    (what ``cov_deriv_stencils`` reads; both models build them from
     ``christoffels``) and the stacked stencil derivative:
     ``stencil_components`` and ``cov_deriv_stencils``, which reads stacks of
     the points and their frames, metric and tables.  ``point_table`` is
-    their one-row case, ``cov_deriv_stencils_at`` the case of n rows at one
-    point, and ``cov_deriv_on_curve`` samples a field on a curve for one row.
+    their one-row case, and ``cov_deriv_on_curve`` samples a field on a
+    curve for one row.
     """
 
     def frame(self, p: np.ndarray) -> np.ndarray:
@@ -285,6 +285,10 @@ class Ambient:
     def to_frame(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Components of a vector in the canonical frame at p."""
         return self.point_frame(p).to_frame(v)
+
+    def fiber_direction(self, p: np.ndarray) -> np.ndarray:
+        """The unit vertical field at p, the third leg of the frame in both models."""
+        return np.ascontiguousarray(self.frame(p)[:, 2])
 
     def christoffels(self, sig: Signature, p: np.ndarray, h: float | None = None) -> np.ndarray:
         """Coordinate Christoffel symbols Gamma[c, a, b] of ``sig`` at p, from ``metrics``.
@@ -302,39 +306,9 @@ class Ambient:
         """The connection table of ``sig`` at one point: one-row ``point_tables``."""
         return self.point_tables(sig, np.asarray(p, dtype=float)[None])[0]
 
-    def cov_deriv_stencils_at(
-        self,
-        at: PointFrame | np.ndarray,
-        sigs: tuple[Signature, ...],
-        velocity: np.ndarray,
-        f0: np.ndarray,
-        fs: np.ndarray,
-        h: float,
-    ) -> np.ndarray:
-        """``cov_deriv_stencils`` of n rows at one point p0, row i under the metric ``sigs[i]``.
-
-        ``at`` is p0 or its PointFrame, ``velocity`` (n, dim) the curves'
-        velocities, ``f0`` (n, k, c) and ``fs`` (4, n, k, c) the fields'
-        ``stencil_components``; returns (n, k, dim).
-        """
-        at = self.point_frame(at)
-        n = len(sigs)
-        return self.cov_deriv_stencils(
-            np.array([at.point] * n),
-            np.array([at.frame] * n),
-            np.array([at.metric[sig] for sig in sigs]),
-            np.array([at.table(sig) for sig in sigs]),
-            velocity,
-            f0,
-            fs,
-            h,
-        )
-
-    def point_frame(self, at: PointFrame | np.ndarray) -> PointFrame:
-        """``at`` if it is a PointFrame, else the PointFrame at the point ``at``."""
-        if isinstance(at, PointFrame):
-            return at
-        return PointFrame(self, np.asarray(at, dtype=float))
+    def point_frame(self, p: np.ndarray) -> PointFrame:
+        """The PointFrame at the point p."""
+        return PointFrame(self, np.asarray(p, dtype=float))
 
     def cov_deriv_on_curve(
         self,
@@ -343,21 +317,26 @@ class Ambient:
         field: Callable[[float], np.ndarray],
         h: float,
         velocity: np.ndarray | None = None,
-        at: PointFrame | None = None,
     ) -> np.ndarray:
         """Covariant derivative of a vector field along a curve at parameter 0.
 
-        ``field(t)`` gives coordinate components at curve(t).  ``at`` may pass
-        the PointFrame at curve(0).  Returns coordinate components there.
+        ``field(t)`` gives coordinate components at curve(t).  Returns
+        coordinate components there: the one-row ``cov_deriv_stencils``.
         """
-        if at is None:
-            at = self.point_frame(curve(0.0))
+        at = self.point_frame(curve(0.0))
         if velocity is None:
             velocity = central_diff(curve, 0.0, h)
         comps = self.stencil_components(stencil_values(curve, h), stencil_values(field, h))
-        vel = np.asarray(velocity, dtype=float)[None]
-        f0, fs = comps[None, :1], comps[1:, None, None]
-        return self.cov_deriv_stencils_at(at, (sig,), vel, f0, fs, h)[0, 0]
+        return self.cov_deriv_stencils(
+            np.array([at.point]),
+            np.array([at.frame]),
+            np.array([at.metric[sig]]),
+            np.array([at.table(sig)]),
+            np.asarray(velocity, dtype=float)[None],
+            comps[None, :1],
+            comps[1:, None, None],
+            h,
+        )[0, 0]
 
     # -- stacked forms ---------------------------------------------------------
 
@@ -433,10 +412,6 @@ class CoordinateAmbient(Ambient):
             )
         return np.array(out).reshape(-1, 3, 3)
 
-    def fiber_direction(self, p: np.ndarray) -> np.ndarray:
-        """The distinguished unit vertical field; equals the third frame leg."""
-        return np.array([0.0, 0.0, 1.0])
-
     # -- canonical frame ---------------------------------------------------
 
     def frames(self, points: np.ndarray) -> np.ndarray:
@@ -486,9 +461,6 @@ class CoordinateAmbient(Ambient):
             [t * s * (x * c + y * sn), t * s * (y * c - x * sn), 0.0],
         ]
         return d
-
-    def frame_components(self, at: PointFrame, v: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(at.frame, np.asarray(v, dtype=float))
 
     def to_frames(
         self, points: np.ndarray, vecs: np.ndarray, frames=None, metric_r=None

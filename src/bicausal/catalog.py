@@ -5,8 +5,11 @@ An address looks like ``family[:label][:key=value,...]`` — for example
 ``su11-helicoid:family=h1,rate=0.35,variant=space``.  A malformed address
 (a key the family does not recognize, a value that is not a finite number or
 out of range) raises ConfigInvalid from ``validate_address``, which reads no
-parameters.  A well-formed address whose surface does not exist at the
-requested (kappa, tau) raises its subclass SurfaceUnavailable.
+parameters.  ``resolve_address`` completes an address at a parameter pair
+with the default label and options, as ``build_surface`` builds it; the
+canonical form of the result is the surface's address in every report.  A
+well-formed address whose surface does not exist at the requested
+(kappa, tau) raises the subclass SurfaceUnavailable from ``build_surface``.
 """
 
 from __future__ import annotations
@@ -97,39 +100,35 @@ def parse_surface(text: str) -> ParsedSurface:
 class BuiltSurface:
     ambient: object
     chart: SurfaceChart
+    # The canonical address of the resolved surface (``resolve_address``).
     address: str
-    family: str
-    label: str | None
-    kwargs: dict
-    group_model: bool
-    character_hint: str | None = None
+    character_hint: str | None
+
+    @property
+    def group_model(self) -> bool:
+        """Whether the surface lives in a group model, with 4 coordinates."""
+        return isinstance(self.ambient, GroupAmbient)
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    family: str
+    # The labels the family takes; the first is the default.
     labels: tuple
     description: str
     validity: str
     valid: Callable[[SpaceParams], str | None]
     # The ambient model the family lives in, a key of MODELS.
     model: str
-    build: Callable[[object, str | None, dict], BuiltSurface]
+    # (ambient, label, resolved options) -> the chart as a function of its
+    # v-range, whose default is the range the surface is sampled on.
+    chart: Callable[[object, str | None, dict], Callable[..., SurfaceChart]]
     # Option key -> check of its value that reads no parameters.
     options: dict
-
-
-def _reject_unknown(kwargs: dict, allowed: set, family: str) -> None:
-    unknown = set(kwargs) - allowed
-    if unknown:
-        raise ConfigInvalid(
-            f"surface family {family!r} does not accept {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-
-
-def _number(kwargs: dict, key: str, default: float | None = None) -> float | None:
-    """The option ``key`` as a float, or ``default`` when it is absent."""
-    return float(kwargs[key]) if key in kwargs else default
+    # (params, label) -> each option the label takes, with its default at
+    # that pair, or None for an option left out of the address unless given.
+    defaults: Callable[[SpaceParams, str | None], dict]
+    # The causal character of the surface when no ``variant`` selects one.
+    character: str | None = None
 
 
 # Checks of one option value, run by ``validate_address``.
@@ -216,22 +215,8 @@ def _band_for_variant(ambient, chart, variant: str, t_lo: float, t_hi: float, u0
 # -- coordinate-model families ------------------------------------------------
 
 
-def _build_hopf(ambient, label, kwargs):
-    params = ambient.params
-    label = label or "circle"
-    scale = _planar_scale(params)
-    if label == "circle":
-        _reject_unknown(kwargs, {"r"}, "hopf:circle")
-        r = _number(kwargs, "r", 0.9 * scale)
-        axes = (r, r)
-        kwargs = {"r": r}
-    else:
-        _reject_unknown(kwargs, {"a", "b"}, "hopf:ellipse")
-        a = _number(kwargs, "a", 0.9 * scale)
-        b = _number(kwargs, "b", 0.55 * scale)
-        axes = (a, b)
-        kwargs = {"a": a, "b": b}
-
+def _hopf(ambient, label, options):
+    axes = (options["r"],) * 2 if label == "circle" else (options["a"], options["b"])
     ax, ay = axes
 
     def point(u, v):
@@ -242,24 +227,26 @@ def _build_hopf(ambient, label, kwargs):
         dv = np.array([0.0, 0.0, 1.0])
         return du, dv
 
-    chart = SurfaceChart(
-        name=f"hopf-{label}",
-        chart=point,
-        domain=((0.0, 2.0 * math.pi), (-1.4, 1.4)),
-        jacobian=jac,
-    )
     if not (ambient.contains(point(0.0, 0.0)) and ambient.contains(point(0.5 * math.pi, 0.0))):
+        params = ambient.params
         raise SurfaceUnavailable(
             f"hopf axes {axes} leave the model domain at ({params.kappa:g}, {params.tau:g})"
         )
-    parsed = ParsedSurface("hopf", label, kwargs)
-    return BuiltSurface(ambient, chart, parsed.canonical(), "hopf", label, kwargs, False, TIMELIKE)
+    return lambda v_range=(-1.4, 1.4): SurfaceChart(
+        f"hopf-{label}", point, ((0.0, 2.0 * math.pi), v_range), jac
+    )
 
 
-def _build_slice(ambient, label, kwargs):
-    params = ambient.params
-    t0 = _number(kwargs, "t0", 0.0)
-    s = 0.8 * _planar_scale(params)
+def _hopf_defaults(params: SpaceParams, label: str) -> dict:
+    scale = _planar_scale(params)
+    if label == "circle":
+        return {"r": 0.9 * scale}
+    return {"a": 0.9 * scale, "b": 0.55 * scale}
+
+
+def _slice(ambient, label, options):
+    t0 = options["t0"]
+    s = 0.8 * _planar_scale(ambient.params)
 
     def point(u, v):
         return np.array([u, v, t0])
@@ -267,20 +254,12 @@ def _build_slice(ambient, label, kwargs):
     def jac(u, v):
         return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
 
-    chart = SurfaceChart(
-        name="slice",
-        chart=point,
-        domain=((-s, s), (-s, s)),
-        jacobian=jac,
-    )
-    parsed = ParsedSurface("slice", None, {"t0": t0})
-    return BuiltSurface(ambient, chart, parsed.canonical(), "slice", None, {"t0": t0}, False, SPACELIKE)
+    return lambda v_range=(-s, s): SurfaceChart("slice", point, ((-s, s), v_range), jac)
 
 
-def _build_graph(ambient, label, kwargs):
-    params = ambient.params
-    a = _number(kwargs, "a", 0.2)
-    s = 0.8 * _planar_scale(params)
+def _graph(ambient, label, options):
+    a = options["a"]
+    s = 0.8 * _planar_scale(ambient.params)
 
     def point(u, v):
         return np.array([u, v, a * (u * u + v * v)])
@@ -288,20 +267,12 @@ def _build_graph(ambient, label, kwargs):
     def jac(u, v):
         return np.array([1.0, 0.0, 2.0 * a * u]), np.array([0.0, 1.0, 2.0 * a * v])
 
-    chart = SurfaceChart(
-        name="graph-bowl",
-        chart=point,
-        domain=((-s, s), (-s, s)),
-        jacobian=jac,
-    )
-    parsed = ParsedSurface("graph", "bowl", {"a": a})
-    return BuiltSurface(ambient, chart, parsed.canonical(), "graph", "bowl", {"a": a}, False, SPACELIKE)
+    return lambda v_range=(-s, s): SurfaceChart("graph-bowl", point, ((-s, s), v_range), jac)
 
 
-def _build_vgraph(ambient, label, kwargs):
-    params = ambient.params
-    a = _number(kwargs, "a", 0.15)
-    s = _planar_scale(params)
+def _vgraph(ambient, label, options):
+    a = options["a"]
+    s = _planar_scale(ambient.params)
 
     def point(u, v):
         return np.array([a * u * v, u, v])
@@ -309,19 +280,13 @@ def _build_vgraph(ambient, label, kwargs):
     def jac(u, v):
         return np.array([a * v, 1.0, 0.0]), np.array([a * u, 0.0, 1.0])
 
-    chart = SurfaceChart(
-        name="vgraph-saddle",
-        chart=point,
-        domain=((0.15 * s, 0.85 * s), (0.2, 1.2)),
-        jacobian=jac,
+    return lambda v_range=(0.2, 1.2): SurfaceChart(
+        "vgraph-saddle", point, ((0.15 * s, 0.85 * s), v_range), jac
     )
-    parsed = ParsedSurface("vgraph", "saddle", {"a": a})
-    return BuiltSurface(ambient, chart, parsed.canonical(), "vgraph", "saddle", {"a": a}, False, TIMELIKE)
 
 
-def _build_helicoid(ambient, label, kwargs):
-    c = _number(kwargs, "c", 0.7)
-    variant = kwargs.get("variant")
+def _helicoid(ambient, label, options):
+    c = options["c"]
 
     def point(u, v):
         return np.array([v * math.cos(u), v * math.sin(u), c * u])
@@ -331,74 +296,29 @@ def _build_helicoid(ambient, label, kwargs):
         dv = np.array([math.cos(u), math.sin(u), 0.0])
         return du, dv
 
-    # The tangent plane changes character where tau v^2 +- v = c; locate the
-    # requested band numerically instead of hard-coding the untwisted rule.
-    v_lo, v_hi = 0.1 * c, 2.6 * c
-    if variant is None:
-        v_range = (v_lo, v_hi)
-    else:
-        probe = SurfaceChart("helicoid-probe", point, ((-1.4, 1.4), (v_lo, v_hi)), jacobian=jac)
-        v_range = _band_for_variant(ambient, probe, variant, v_lo, v_hi)
-    out_kwargs = {"c": c}
-    if variant is not None:
-        out_kwargs["variant"] = variant
-    chart = SurfaceChart(
-        name="helicoid",
-        chart=point,
-        domain=((-1.4, 1.4), v_range),
-        jacobian=jac,
+    # The tangent plane changes character where tau v^2 +- v = c, so a
+    # variant's band is located numerically, not by the untwisted rule.
+    return lambda v_range=(0.1 * c, 2.6 * c): SurfaceChart(
+        "helicoid", point, ((-1.4, 1.4), v_range), jac
     )
-    parsed = ParsedSurface("helicoid", None, out_kwargs)
-    hint = {"space": SPACELIKE, "time": TIMELIKE, None: None}[variant]
-    return BuiltSurface(ambient, chart, parsed.canonical(), "helicoid", None, out_kwargs, False, hint)
 
 
 # -- group-model families ------------------------------------------------------
 
 
-def _build_berger_helicoid(ambient, label, kwargs):
-    alpha = _number(kwargs, "alpha", 0.5)
-    variant = kwargs.get("variant")
-    t_lo, t_hi = 0.06, 0.5 * math.pi - 0.06
-    chart = berger_helicoid_chart(alpha, domain=((-1.2, 1.2), (t_lo, t_hi)))
-    if variant is not None:
-        band = _band_for_variant(ambient, chart, variant, t_lo, t_hi)
-        chart = berger_helicoid_chart(alpha, domain=((-1.2, 1.2), band))
-    out_kwargs = {"alpha": alpha}
-    if variant is not None:
-        out_kwargs["variant"] = variant
-    parsed = ParsedSurface("berger-helicoid", None, out_kwargs)
-    hint = {"space": SPACELIKE, "time": TIMELIKE, None: None}.get(variant)
-    return BuiltSurface(
-        ambient, chart, parsed.canonical(), "berger-helicoid", None, out_kwargs, True, hint
+def _berger_helicoid(ambient, label, options):
+    return lambda v_range=(0.06, 0.5 * math.pi - 0.06): berger_helicoid_chart(
+        options["alpha"], ((-1.2, 1.2), v_range)
     )
 
 
-def _build_su11_helicoid(ambient, label, kwargs):
+def _su11_helicoid(ambient, label, options):
     params = ambient.params
-    family = kwargs.get("family", "h1")
-    rate = _number(kwargs, "rate", 0.35)
-    t_rate = _number(kwargs, "t_rate")
-    variant = kwargs.get("variant")
+    t_rate = options.get("t_rate")
     ct = 0.5 * params.kappa**2 if t_rate is None else abs(t_rate)
     tmax = 1.3 / max(1.0, ct)
-    chart = su11_helicoid_chart(
-        params, family, rate, domain=((-1.2, 1.2), (-tmax, tmax)), t_rate=t_rate
-    )
-    if variant is not None:
-        band = _band_for_variant(ambient, chart, variant, -tmax, tmax)
-        chart = su11_helicoid_chart(
-            params, family, rate, domain=((-1.2, 1.2), band), t_rate=t_rate
-        )
-    out_kwargs = {"family": family, "rate": rate}
-    if t_rate is not None:
-        out_kwargs["t_rate"] = t_rate
-    if variant is not None:
-        out_kwargs["variant"] = variant
-    parsed = ParsedSurface("su11-helicoid", None, out_kwargs)
-    hint = {"space": SPACELIKE, "time": TIMELIKE, None: None}.get(variant)
-    return BuiltSurface(
-        ambient, chart, parsed.canonical(), "su11-helicoid", None, out_kwargs, True, hint
+    return lambda v_range=(-tmax, tmax): su11_helicoid_chart(
+        params, options["family"], options["rate"], ((-1.2, 1.2), v_range), t_rate=t_rate
     )
 
 
@@ -440,78 +360,84 @@ MODELS: dict[str, Callable] = {
 
 CATALOG: dict[str, CatalogEntry] = {
     "hopf": CatalogEntry(
-        "hopf",
         ("circle", "ellipse"),
         "vertical cylinder over a plane curve (contains the fiber direction)",
         "any parameters; the curve must fit the base domain",
         _always,
         CoordinateAmbient.kind,
-        _build_hopf,
+        _hopf,
         options={"r": _positive, "a": _positive, "b": _positive},
+        defaults=_hopf_defaults,
+        character=TIMELIKE,
     ),
     "slice": CatalogEntry(
-        "slice",
         (),
         "horizontal plane z = t0 in a product space",
         "tau = 0",
         _needs_tau_zero,
         CoordinateAmbient.kind,
-        _build_slice,
+        _slice,
         options={"t0": _finite},
+        defaults=lambda params, label: {"t0": 0.0},
+        character=SPACELIKE,
     ),
     "graph": CatalogEntry(
-        "graph",
         ("bowl",),
         "graph z = a (x^2 + y^2), spacelike near the origin",
         "any parameters",
         _always,
         CoordinateAmbient.kind,
-        _build_graph,
+        _graph,
         options={"a": _finite},
+        defaults=lambda params, label: {"a": 0.2},
+        character=SPACELIKE,
     ),
     "vgraph": CatalogEntry(
-        "vgraph",
         ("saddle",),
         "vertical graph x = a y z, timelike with varying fiber angle",
         "any parameters",
         _always,
         CoordinateAmbient.kind,
-        _build_vgraph,
+        _vgraph,
         options={"a": _finite},
+        defaults=lambda params, label: {"a": 0.15},
+        character=TIMELIKE,
     ),
     "helicoid": CatalogEntry(
-        "helicoid",
         (),
         "classical helicoid, minimal for both metrics",
         "kappa = 0",
         _needs_flat_base,
         CoordinateAmbient.kind,
-        _build_helicoid,
+        _helicoid,
         options={"c": _positive, "variant": _variant},
+        defaults=lambda params, label: {"c": 0.7, "variant": None},
     ),
     "berger-helicoid": CatalogEntry(
-        "berger-helicoid",
         (),
         "ruled minimal surface in the sphere model",
         "kappa > 0 and tau != 0",
         _needs_berger,
         BERGER,
-        _build_berger_helicoid,
+        _berger_helicoid,
         options={"alpha": _finite, "variant": _variant},
+        defaults=lambda params, label: {"alpha": 0.5, "variant": None},
     ),
     "su11-helicoid": CatalogEntry(
-        "su11-helicoid",
         (),
         "ruled minimal surface in the hyperbolic model",
         "kappa < 0 and tau != 0",
         _needs_su11,
         SU11,
-        _build_su11_helicoid,
+        _su11_helicoid,
         options={
             "family": _one_of(*HELICOID_FAMILIES),
             "rate": _finite,
             "t_rate": _finite,
             "variant": _variant,
+        },
+        defaults=lambda params, label: {
+            "family": "h1", "rate": 0.35, "t_rate": None, "variant": None
         },
     ),
 }
@@ -549,6 +475,32 @@ def validate_address(address: str | ParsedSurface) -> ParsedSurface:
     return parsed
 
 
+def resolve_address(address: str | ParsedSurface, params: SpaceParams) -> ParsedSurface:
+    """The address completed at ``params`` with the default label and options.
+
+    Its ``canonical()`` is the address of the surface that ``build_surface``
+    builds at ``params``, known without building a chart.  Raises
+    ConfigInvalid for a malformed address (``validate_address``) and for an
+    option that its label does not take; whether the surface exists at
+    ``params`` is not checked.
+    """
+    parsed = validate_address(address)
+    entry = CATALOG[parsed.family]
+    label = parsed.label or (entry.labels[0] if entry.labels else None)
+    defaults = entry.defaults(params, label)
+    unknown = set(parsed.kwargs) - set(defaults)
+    if unknown:
+        name = f"{parsed.family}:{label}"
+        raise ConfigInvalid(
+            f"surface family {name!r} does not accept {sorted(unknown)};"
+            f" allowed: {sorted(defaults)}"
+        )
+    options = {**defaults, **parsed.kwargs}
+    return ParsedSurface(
+        parsed.family, label, {k: v for k, v in options.items() if v is not None}
+    )
+
+
 def build_surface(
     address: str | ParsedSurface,
     params: SpaceParams,
@@ -559,7 +511,8 @@ def build_surface(
 
     ``ambient`` is an ambient of the family's model at ``params``, which
     surfaces built on it share (ModelMismatch otherwise); by default a fresh
-    one with ``steps``.
+    one with ``steps``.  A ``variant`` option restricts the chart's v-range
+    to the widest band of that causal character.
     """
     parsed = validate_address(address)
     entry = CATALOG[parsed.family]
@@ -575,27 +528,25 @@ def build_surface(
             f"surface {parsed.canonical()!r} needs an ambient of the {entry.model} model"
             f" at ({params.label()})"
         )
-    return entry.build(ambient, parsed.label, dict(parsed.kwargs))
+    resolved = resolve_address(parsed, params)
+    chart_of = entry.chart(ambient, resolved.label, resolved.kwargs)
+    chart, hint = chart_of(), entry.character
+    variant = resolved.kwargs.get("variant")
+    if variant is not None:
+        chart = chart_of(_band_for_variant(ambient, chart, variant, *chart.domain[1]))
+        hint = {"space": SPACELIKE, "time": TIMELIKE}[variant]
+    return BuiltSurface(ambient, chart, resolved.canonical(), hint)
+
+
+# The surfaces that ``default_surfaces`` takes, each at the pairs where its family is valid.
+_DEFAULT_ADDRESSES = ("slice:t0=0.1", "hopf:circle", "hopf:ellipse", "graph", "vgraph") + tuple(
+    f"{family}:variant={variant}"
+    for family in ("helicoid", "berger-helicoid", "su11-helicoid")
+    for variant in ("space", "time")
+)
 
 
 def default_surfaces(params: SpaceParams) -> list[str]:
     """Deterministic list of catalog addresses exercising this parameter pair."""
-    scale = _planar_scale(params)
-    out = [
-        f"hopf:circle:r={0.9 * scale:g}",
-        f"hopf:ellipse:a={0.9 * scale:g},b={0.55 * scale:g}",
-        "graph:bowl:a=0.2",
-        "vgraph:saddle:a=0.15",
-    ]
-    if params.tau == 0.0:
-        out.insert(0, "slice:t0=0.1")
-    if params.kappa == 0.0:
-        out.append("helicoid:c=0.7,variant=space")
-        out.append("helicoid:c=0.7,variant=time")
-    if params.kappa > 0.0 and params.tau != 0.0:
-        out.append("berger-helicoid:alpha=0.5,variant=space")
-        out.append("berger-helicoid:alpha=0.5,variant=time")
-    if params.kappa < 0.0 and params.tau != 0.0:
-        out.append("su11-helicoid:family=h1,rate=0.35,variant=space")
-        out.append("su11-helicoid:family=h1,rate=0.35,variant=time")
-    return out
+    resolved = [resolve_address(address, params) for address in _DEFAULT_ADDRESSES]
+    return [r.canonical() for r in resolved if CATALOG[r.family].valid(params) is None]

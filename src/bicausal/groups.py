@@ -23,7 +23,6 @@ import numpy as np
 
 from .ambient import (
     Ambient,
-    PointFrame,
     SpaceParams,
     Signature,
     _per_row,
@@ -78,13 +77,7 @@ class GroupAmbient(Ambient):
 
     dim = 4
 
-    def __init__(
-        self,
-        kind: str,
-        params: SpaceParams,
-        steps: FDSteps | None = None,
-        extension_weight: float = 0.0,
-    ):
+    def __init__(self, kind: str, params: SpaceParams, steps: FDSteps | None = None):
         if kind == BERGER:
             if not (params.kappa > 0.0 and params.tau != 0.0):
                 raise ModelMismatch(
@@ -106,7 +99,6 @@ class GroupAmbient(Ambient):
         self.kind = kind
         self.params = params
         self.steps = steps if steps is not None else FDSteps.from_env()
-        self.extension_weight = float(extension_weight)
         self._modifier = {
             Signature.R: 4.0 * params.tau**2 / params.kappa - 1.0,
             Signature.L: -(4.0 * params.tau**2 / params.kappa + 1.0),
@@ -133,23 +125,12 @@ class GroupAmbient(Ambient):
     # -- metric ------------------------------------------------------------
 
     def metrics(self, sig: Signature, points: np.ndarray) -> np.ndarray:
-        """(4 / kappa) (pairing + m_sig u u^T) at each point, u the paired fiber field.
-
-        A nonzero ``extension_weight`` scales the metric off the quadric by
-        quadric_value ** weight.
-        """
+        """(4 / kappa) (pairing + m_sig u u^T) at each point, u the paired fiber field."""
         p = np.asarray(points, dtype=float)
         u = (self.pairing @ (self.fields[2] @ p[..., None]))[..., 0]
-        g = (4.0 / self.params.kappa) * (
+        return (4.0 / self.params.kappa) * (
             self.pairing + self._modifier[sig] * (u[:, :, None] * u[:, None, :])
         )
-        if self.extension_weight != 0.0:
-            quad = (p[:, None, :] @ self.pairing @ p[..., None])[:, 0, 0]
-            g = g * np.array([q**self.extension_weight for q in quad.tolist()])[:, None, None]
-        return g
-
-    def fiber_direction(self, p: np.ndarray) -> np.ndarray:
-        return (self.params.kappa / (4.0 * self.params.tau)) * (self.fields[2] @ np.asarray(p, dtype=float))
 
     # -- frame -------------------------------------------------------------
 
@@ -161,10 +142,6 @@ class GroupAmbient(Ambient):
         f2 = self.frame_flip * r * (self.fields[1] @ p)
         fiber = (self.params.kappa / (4.0 * self.params.tau)) * (self.fields[2] @ p)
         return np.concatenate([f1, f2, fiber], axis=-1)
-
-    def frame_components(self, at: PointFrame, v: np.ndarray) -> np.ndarray:
-        """Frame components of a vector tangent to the quadric (Riemannian projection)."""
-        return at.frame.T @ at.metric[Signature.R] @ np.asarray(v, dtype=float)
 
     def to_frames(
         self, points: np.ndarray, vecs: np.ndarray, frames=None, metric_r=None

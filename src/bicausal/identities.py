@@ -243,7 +243,10 @@ class _Stack:
         return self.to_coords(wedge_frame(sig, normal, vf))
 
     def curve_starts(self, sig: Signature) -> list[np.ndarray]:
-        """Point, frame, metric and table of ``sig`` at each sample's ``curve_frame``."""
+        """Point, frame, metric and table of ``sig`` where each sample's curves start.
+
+        That is the sample's ``curve_starts`` entry, or else the sample itself.
+        """
         arrays = [self.center(name) for name in ("point", "frame")]
         arrays += [self.metric(sig), self.stage("tables", sig)]
         moved = [(s, at) for s, at in enumerate(self.column("curve_starts")) if at is not None]
@@ -257,7 +260,7 @@ class _Stack:
     def curve_derivs(self, sigs: tuple, velocity: np.ndarray, comps: np.ndarray) -> np.ndarray:
         """Covariant derivatives of r fields along r curves from each sample, (m, r, dim).
 
-        Curve j of each sample starts at its ``curve_frame`` with velocity
+        Curve j of each sample starts at its ``curve_starts`` point with velocity
         ``velocity[:, j]`` (m, r, dim), and its field is differentiated under
         the metric ``sigs[j]`` from the ``stencil_components`` ``comps[:, j]``
         (m, r, 5, c) at the five ``stencil_values`` parameters.  One

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambient import SpaceParams
-from .catalog import CATALOG, build_surface, default_surfaces, parse_surface, validate_address
+from .catalog import CATALOG, build_surface, default_surfaces, resolve_address, validate_address
 from .errors import ConfigInvalid, GeometryError, SurfaceUnavailable
 from .identities import IDENTITIES, IDENTITY_NAMES, draw_plan, evaluate_plans
 from .numdiff import FDSteps
@@ -132,9 +132,12 @@ def check_config(config: SuiteConfig) -> list[str]:
     """Raise ConfigInvalid for a fault of ``config`` found without a sweep; else its identities.
 
     Checks the identity names, ``samples``, ``seed``, every surface address,
-    the finite-difference step and every parameter pair, in this order.  A
-    surface (by canonical address) or a parameter pair (by label) given
-    twice is a fault, since report rows are keyed by them.
+    the finite-difference step, every parameter pair, and then every surface
+    address resolved at every pair (``catalog.resolve_address``), in this
+    order.  A parameter pair (by label) given twice is a fault, and so is a
+    surface whose resolved address repeats another's at some pair, since
+    report rows are keyed by them: ``hopf:circle`` and
+    ``hopf:circle:r=0.9`` are one surface at (1,1), though not at (-1,1).
     ``run_suite`` calls it first, and ``bicausal verify`` before it opens
     its output file, so a bad configuration leaves an existing file as it
     was.
@@ -144,21 +147,24 @@ def check_config(config: SuiteConfig) -> list[str]:
         raise ConfigInvalid(f"samples must be at least 1, got {config.samples}")
     if config.seed < 0:
         raise ConfigInvalid(f"seed must be nonnegative, got {config.seed}")
-    if config.surfaces is not None:
-        canonical = [validate_address(address).canonical() for address in config.surfaces]
-        _reject_repeats("surface", canonical)
+    surfaces = config.surfaces or ()
+    for address in surfaces:
+        validate_address(address)
     FDSteps.from_env()
-    labels = [SpaceParams(float(kappa), float(tau)).label() for kappa, tau in config.params]
-    _reject_repeats("parameter pair", labels)
+    pairs = [SpaceParams(float(kappa), float(tau)) for kappa, tau in config.params]
+    _reject_repeats("parameter pair", [params.label() for params in pairs])
+    for params in pairs:
+        resolved = [resolve_address(address, params).canonical() for address in surfaces]
+        _reject_repeats("surface", resolved, f" at ({params.label()})")
     return identity_names
 
 
-def _reject_repeats(what: str, keys: list[str]) -> None:
+def _reject_repeats(what: str, keys: list[str], where: str = "") -> None:
     """ConfigInvalid at the first key that repeats an earlier one: its rows would repeat too."""
     seen = set()
     for key in keys:
         if key in seen:
-            raise ConfigInvalid(f"{what} {key!r} is given more than once")
+            raise ConfigInvalid(f"{what} {key!r} is given more than once{where}")
         seen.add(key)
 
 
@@ -249,7 +255,7 @@ def run_suite(config: SuiteConfig) -> dict:
         ambients: dict[str, object] = {}
         groups: dict[str, list] = {}
         for i, address in enumerate(addresses):
-            model = CATALOG[parse_surface(address).family].model
+            model = CATALOG[validate_address(address).family].model
             try:
                 built = build_surface(address, params, steps=steps, ambient=ambients.get(model))
             except SurfaceUnavailable as exc:

@@ -362,8 +362,8 @@ class SampleBatch:
       metric, one ``cov_deriv_stencils`` call per chart axis and one stacked
       Gram projection, over the samples whose stencil rows raised nothing;
     * the curvature scalars of ``identities.curvature_suite``;
-    * in the group models, the PointFrames at the curve starts of
-      ``curve_frame``, with one ``point_tables`` call per metric.
+    * in the group models, the PointFrames where the curves through the
+      samples start, with one ``point_tables`` call per metric.
 
     Each stage rounds row by row like a batch of one, so a sample's numbers
     do not depend on the batch it is in.  Nothing here draws random numbers.
@@ -402,9 +402,8 @@ class SampleBatch:
     @property
     @_stage
     def xi(self) -> np.ndarray:
-        """The fiber direction at every sample."""
-        points = self._at_centers("point")
-        return np.array([self.ambient.fiber_direction(p) for p in points]).reshape(points.shape)
+        """The fiber direction at every sample: the third leg of its frame, C-contiguous."""
+        return np.ascontiguousarray(self._at_centers("frame")[:, :, 2])
 
     def sample(self, row: int) -> "TwoMetricFrameData":
         """The frame data of uv row ``row``; raises the GeometryError that excluded it."""
@@ -782,20 +781,11 @@ class TwoMetricFrameData(PointFrame):
             self.flags.append("SIGN_AMBIGUOUS")
 
         self.gram = {Signature.R: center.gram_r[j], Signature.L: center.gram_l[j]}
-        self.invariants = self._invariant_residuals()
 
     def table(self, sig: Signature) -> np.ndarray:
         return self._batch.tables(sig)[self._k]
 
     # -- tangent algebra ----------------------------------------------------
-
-    def curve_frame(self) -> PointFrame:
-        """The PointFrame where ``ambient.curve_through(point, x)`` starts, for any x.
-
-        A group-model curve starts at point / sqrt(quadric(point)), which is
-        not always bitwise the point; elsewhere this is the point itself.
-        """
-        return self._batch.curve_starts()[self._k] or self
 
     def coeffs(self, sig: Signature, vec: np.ndarray) -> np.ndarray:
         """Chart-basis coefficients of a tangent vector (Gram projection)."""
@@ -893,7 +883,9 @@ class TwoMetricFrameData(PointFrame):
 
     # -- consistency ------------------------------------------------------------
 
-    def _invariant_residuals(self) -> dict[str, float]:
+    @functools.cached_property
+    def invariants(self) -> dict[str, float]:
+        """The internal consistency residuals, computed on first read."""
         res = {}
         res["unit_normal_L"] = abs(self.inner(Signature.L, self.n_l, self.n_l) - self.eps)
         res["unit_normal_R"] = abs(self.inner(Signature.R, self.n_r, self.n_r) - 1.0)

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings
 
 from bicausal.ambient import CoordinateAmbient, SpaceParams, connection_gap_frame
 from bicausal.catalog import build_surface, default_surfaces
+from bicausal.groups import GroupAmbient
 from bicausal.surfaces import frame_data
 
 settings.register_profile(
@@ -97,3 +98,21 @@ def catalog_samples(params_pairs, n_u=2, n_v=2, validate=False):
                 data = frame_data(built.ambient, built.chart, uv, validate=validate)
                 out.append((address, params, data))
     return out
+
+
+class WeightedGroupAmbient(GroupAmbient):
+    """A group model whose metric off the quadric is scaled by quadric_value ** extension_weight.
+
+    The extension of the metric off the quadric is a gauge choice, which no
+    surface output may feel.
+    """
+
+    def __init__(self, kind, params, extension_weight: float, steps=None):
+        super().__init__(kind, params, steps)
+        self.extension_weight = extension_weight
+
+    def metrics(self, sig, points):
+        p = np.asarray(points, dtype=float)
+        quad = (p[:, None, :] @ self.pairing @ p[..., None])[:, 0, 0]
+        weight = np.array([q**self.extension_weight for q in quad.tolist()])
+        return super().metrics(sig, p) * weight[:, None, None]

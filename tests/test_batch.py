@@ -70,7 +70,7 @@ def _readings(data) -> list:
     out.append(_outcome(lambda: _stencil_n_l(data)))
     out.append(list(data._batch.frame_components()[data._k]))
     out.append([data._batch.t_coeffs(sig)[data._k] for sig in SIGS])
-    out.append(data.curve_frame().point)
+    out.append((data._batch.curve_starts()[data._k] or data).point)
     return out
 
 

@@ -13,9 +13,16 @@ from bicausal.catalog import (
     default_surfaces,
     detect_character_bands,
     parse_surface,
+    resolve_address,
     validate_address,
 )
-from bicausal.errors import ConfigInvalid, CurveSingular, GeometryError, ModelMismatch
+from bicausal.errors import (
+    ConfigInvalid,
+    CurveSingular,
+    GeometryError,
+    ModelMismatch,
+    SurfaceUnavailable,
+)
 from bicausal.suite import DEFAULT_PARAMS
 from bicausal.surfaces import (
     DEGENERATE,
@@ -65,6 +72,45 @@ def test_validate_address_rejections():
         validate_address("graph:bowl:zzz=1")  # unknown option key
     # valid addresses pass through unchanged
     assert validate_address("hopf:circle:r=0.8").family == "hopf"
+
+
+def test_resolve_address_fills_in_the_defaults_at_the_pair():
+    resolved = {
+        (address, pair): resolve_address(address, SpaceParams(*pair)).canonical()
+        for address in ("hopf", "hopf:ellipse", "graph", "su11-helicoid:variant=time")
+        for pair in ((1.0, 1.0), (-1.0, 1.0))
+    }
+    assert resolved[("hopf", (1.0, 1.0))] == "hopf:circle:r=0.9"
+    assert resolved[("hopf", (-1.0, 1.0))] == "hopf:circle:r=0.81"
+    assert resolved[("hopf:ellipse", (-1.0, 1.0))] == "hopf:ellipse:a=0.81,b=0.495"
+    assert resolved[("graph", (1.0, 1.0))] == "graph:bowl:a=0.2"
+    # an option without a default stays out unless given; validity is not checked
+    assert resolved[("su11-helicoid:variant=time", (1.0, 1.0))] == (
+        "su11-helicoid:family=h1,rate=0.35,variant=time"
+    )
+    # the label decides which options the address takes
+    for address in ("hopf:circle:a=0.5", "hopf:ellipse:r=1", "hopf:b=0.5"):
+        validate_address(address)
+        with pytest.raises(ConfigInvalid, match="does not accept"):
+            resolve_address(address, SpaceParams(1.0, 1.0))
+
+
+def test_built_address_is_the_resolved_address():
+    short = (
+        "hopf", "hopf:ellipse", "graph", "vgraph", "slice", "helicoid:variant=time",
+        "berger-helicoid:variant=space", "su11-helicoid:family=e,t_rate=0.5",
+    )
+    built = 0
+    for kappa, tau in DEFAULT_PARAMS:
+        params = SpaceParams(kappa, tau)
+        for address in short:
+            try:
+                surface = build_surface(address, params)
+            except SurfaceUnavailable:
+                continue
+            assert surface.address == resolve_address(address, params).canonical()
+            built += 1
+    assert built > 7
 
 
 def test_build_rejects_parameter_mismatch():
@@ -165,7 +211,7 @@ def test_variant_bands_deliver_requested_character():
 def test_hopf_radius_must_fit_disk():
     params = SpaceParams(-1.0, 1.0)  # disk radius 2
     built = build_surface("hopf:circle:r=1.0", params)
-    assert built.family == "hopf"
+    assert built.address == "hopf:circle:r=1"
     with pytest.raises(ConfigInvalid):
         build_surface("hopf:circle:r=2.5", params)
 

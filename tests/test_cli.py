@@ -103,12 +103,17 @@ def test_verify_tolerance_override_fails_with_exit_1(tmp_path):
         ("verify", "--params", "1,1", "--params", "1.0,1.0", "--samples", "1"),
         ("verify", "--params", "1,1", "--surfaces", "graph:bowl:a=0.2",
          "--surfaces", "graph:bowl:a=0.20", "--samples", "1"),
+        # ... also where the catalog's defaults make two addresses one surface
+        ("verify", "--params", "1,1", "--surfaces", "hopf:circle",
+         "--surfaces", "hopf:circle:r=0.9"),
+        ("verify", "--params", "1,1", "--surfaces", "graph", "--surfaces", "graph:bowl"),
     ],
 )
 def test_config_errors_exit_2_with_code_on_stderr(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert "error [CONFIG_INVALID]" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -414,11 +419,19 @@ def test_unwritable_output_path_is_a_config_error(command, option, target, tmp_p
 def test_config_error_leaves_an_existing_json_file_as_it_was(tmp_path, capsys):
     """The configuration is checked before ``--json`` opens, and so truncates nothing."""
     path = tmp_path / "cfg.json"
-    path.write_text("an earlier report\n")
-    args = ["verify", "--params", "1,0.5", "--surfaces", "slice:t0=abc", "--json", str(path)]
-    assert cli.main(args) == 2
-    assert "error [CONFIG_INVALID]" in capsys.readouterr().err
-    assert path.read_text() == "an earlier report\n"
+    configs = [
+        ["--params", "1,0.5", "--surfaces", "slice:t0=abc"],
+        # an option that the label does not take
+        ["--params", "1,1", "--surfaces", "hopf:circle:a=0.5"],
+        # one surface at (1,1), given twice
+        ["--params", "-1,1", "--params", "1,1", "--surfaces", "hopf:circle",
+         "--surfaces", "hopf:circle:r=0.9"],
+    ]
+    for config in configs:
+        path.write_text("an earlier report\n")
+        assert cli.main(["verify", *config, "--json", str(path)]) == 2, config
+        assert "error [CONFIG_INVALID]" in capsys.readouterr().err
+        assert path.read_text() == "an earlier report\n"
 
 
 def test_unwritable_json_path_fails_before_the_sweep(tmp_path, monkeypatch, capsys):

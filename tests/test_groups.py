@@ -20,7 +20,7 @@ from bicausal.groups import (
 from bicausal.identities import ruling_defect
 from bicausal.surfaces import frame_data
 
-from conftest import interior_grid, same_bits
+from conftest import WeightedGroupAmbient, interior_grid, same_bits
 
 SIGS = (Signature.R, Signature.L)
 
@@ -284,7 +284,7 @@ def test_metric_extension_weight_does_not_change_surface_data():
     ]:
         params = SpaceParams(*params_pair)
         built = build_surface(address, params)
-        weighted = GroupAmbient(kind, params, extension_weight=1.7)
+        weighted = WeightedGroupAmbient(kind, params, extension_weight=1.7)
         for uv in [(0.33, 0.41), (-0.4, 0.2)]:
             d0 = frame_data(built.ambient, built.chart, uv, validate=False)
             d1 = frame_data(weighted, built.chart, uv, validate=False)

@@ -38,7 +38,7 @@ from bicausal.surfaces import (
     induced_gram,
 )
 
-from conftest import interior_grid, random_point, same_bits
+from conftest import WeightedGroupAmbient, interior_grid, random_point, same_bits
 
 SIGS = (Signature.R, Signature.L)
 
@@ -49,7 +49,7 @@ AMBIENTS = {
     "coord(-2,0.7)": lambda: CoordinateAmbient(SpaceParams(-2.0, 0.7)),
     "berger(1,1)": lambda: GroupAmbient(BERGER, SpaceParams(1.0, 1.0)),
     "su11(-1,1)": lambda: GroupAmbient(SU11, SpaceParams(-1.0, 1.0)),
-    "su11-weighted(-2,0.7)": lambda: GroupAmbient(
+    "su11-weighted(-2,0.7)": lambda: WeightedGroupAmbient(
         SU11, SpaceParams(-2.0, 0.7), extension_weight=1.7
     ),
 }
@@ -76,9 +76,24 @@ def _tangents(ambient, points, gen, k):
     )
 
 
+def _at_one_point(ambient, at, sigs, velocity, f0, fs, h):
+    """``cov_deriv_stencils`` of n rows at the PointFrame ``at``, row i under ``sigs[i]``.
+
+    ``velocity`` (n, dim), ``f0`` (n, k, c) and ``fs`` (4, n, k, c); returns (n, k, dim).
+    """
+    n = len(sigs)
+    return ambient.cov_deriv_stencils(
+        np.array([at.point] * n),
+        np.array([at.frame] * n),
+        np.array([at.metric[sig] for sig in sigs]),
+        np.array([at.table(sig) for sig in sigs]),
+        velocity, f0, fs, h,
+    )
+
+
 def _one_row(ambient, sig, at, velocity, f0, fs, h):
-    """``cov_deriv_stencils_at`` of one row: k fields, f0 (k, c) and fs (4, k, c) -> (k, dim)."""
-    return ambient.cov_deriv_stencils_at(at, (sig,), velocity[None], f0[None], fs[:, None], h)[0]
+    """``cov_deriv_stencils`` of one row: k fields, f0 (k, c) and fs (4, k, c) -> (k, dim)."""
+    return _at_one_point(ambient, at, (sig,), velocity[None], f0[None], fs[:, None], h)[0]
 
 
 def test_stacked_numpy_forms_round_like_per_item_calls(rng):
@@ -123,7 +138,7 @@ def _metric_by_arrays(ambient, sig, p):
         m = 4.0 * t**2 / k - 1.0 if sig is Signature.R else -(4.0 * t**2 / k + 1.0)
         u = ambient.pairing @ (ambient.fields[2] @ p)
         g = (4.0 / k) * (ambient.pairing + m * np.outer(u, u))
-        if ambient.extension_weight != 0.0:
+        if isinstance(ambient, WeightedGroupAmbient):
             g = g * float(p @ ambient.pairing @ p) ** ambient.extension_weight
         return g
     # diag(lam^2, lam^2, 0) + eps3 theta theta^T
@@ -221,11 +236,12 @@ def test_stencil_derivative_core_is_independent_of_field_count(name, rng):
     points = np.array([curve(t) for t in ts])
     fields = _tangents(ambient, points, rng, 3)
     comps = ambient.stencil_components(points, fields)
+    at = ambient.point_frame(p0)
     for sig in SIGS:
-        together = _one_row(ambient, sig, p0, velocity, comps[0], comps[1:], h)
+        together = _one_row(ambient, sig, at, velocity, comps[0], comps[1:], h)
         for j in range(3):
             one = slice(j, j + 1)
-            alone = _one_row(ambient, sig, p0, velocity, comps[0, one], comps[1:, one], h)
+            alone = _one_row(ambient, sig, at, velocity, comps[0, one], comps[1:, one], h)
             assert same_bits(together[j], alone[0])
             sampled = ambient.cov_deriv_on_curve(
                 sig, curve, lambda t, j=j: fields[ts.index(t), j], h, velocity=velocity
@@ -233,12 +249,12 @@ def test_stencil_derivative_core_is_independent_of_field_count(name, rng):
             assert same_bits(together[j], sampled)
     # n rows at one point, each under its own metric and velocity, give the one-row bits
     other = _tangents(ambient, p0[None], rng, 1)[0, 0]
-    rows = ambient.cov_deriv_stencils_at(
-        p0, SIGS + (Signature.R,), np.array([velocity, velocity, other]),
+    rows = _at_one_point(
+        ambient, at, SIGS + (Signature.R,), np.array([velocity, velocity, other]),
         np.array([comps[0]] * 3), np.stack([comps[1:]] * 3, axis=1), h,
     )
     for row, sig, vel in zip(rows, SIGS + (Signature.R,), (velocity, velocity, other)):
-        assert same_bits(row, _one_row(ambient, sig, p0, vel, comps[0], comps[1:], h))
+        assert same_bits(row, _one_row(ambient, sig, at, vel, comps[0], comps[1:], h))
 
 
 def _stencil_uvs(uv, h):
@@ -483,16 +499,21 @@ def test_sample_context_equals_per_point_calls(name, rng):
             assert same_bits(rotated, ambient.frame(p) @ wedge_frame(sig, n_f, uf))
             assert same_bits(
                 _one_row(ambient, sig, d, u, f0, fs, h),
-                _one_row(ambient, sig, p.copy(), u, f0, fs, h),
+                _one_row(ambient, sig, ambient.point_frame(p.copy()), u, f0, fs, h),
             )
+
+
+def _curve_start(d):
+    """The PointFrame where a curve through the sample starts: its ``curve_starts`` row, or d."""
+    return d._batch.curve_starts()[d._k] or d
 
 
 def _assert_curve_frame_is_curve_start(d, rng):
     ambient = d.ambient
     x = _tangents(ambient, d.point[None], rng, 1)[0, 0]
     start = ambient.curve_through(d.point, x)(0.0)
-    at = d.curve_frame()
-    assert at is d.curve_frame()
+    at = _curve_start(d)
+    assert at is _curve_start(d)
     assert same_bits(at.point, start)
     assert isinstance(ambient, GroupAmbient) or at is d
     for sig in SIGS:

@@ -87,6 +87,33 @@ def test_unknown_surface_rejected_before_running():
         run_suite(_small_config(surfaces=("graph:bowl:zzz=3",)))
 
 
+def test_surface_repeated_at_a_pair_is_rejected_with_its_address_and_pair():
+    """Addresses are compared as the catalog resolves them at each pair."""
+    config = SuiteConfig(
+        params=((-1.0, 1.0), (1.0, 1.0)),
+        surfaces=("hopf:circle", "hopf:circle:r=0.9"),
+        samples=1,
+    )
+    want = r"surface 'hopf:circle:r=0.9' is given more than once at \(1,1\)"
+    with pytest.raises(ConfigInvalid, match=want):
+        run_suite(config)
+
+
+def test_addresses_that_differ_at_the_pair_both_run():
+    """At (-1,1) the default radius of ``hopf:circle`` is 0.81, so the two are two surfaces."""
+    config = SuiteConfig(
+        params=((-1.0, 1.0),),
+        surfaces=("hopf:circle", "hopf:circle:r=0.9"),
+        identities=("METRIC_SUM",),
+        samples=1,
+    )
+    report = run_suite(config)
+    assert [row["surface"] for row in report["surfaces"]] == [
+        "hopf:circle:r=0.81",
+        "hopf:circle:r=0.9",
+    ]
+
+
 def test_surface_invalid_for_parameters_is_reported_not_fatal():
     """A catalog surface that simply does not exist at these parameters is an
     accounted skip, not an error: the suite spans parameter pairs."""

@@ -37,7 +37,8 @@ results must keep:
   planes at the disk edge, where stencil rows leave the model, one of them
   timelike with no null-free adapted basis: every skip that the default
   verify never meets (``DOMAIN_VIOLATION``, ``NULL_DIRECTION``), printed with
-  ``float.hex``, with the generator's final state.
+  ``float.hex``, with the generator's final state, and each excluded
+  sample's error class and message (the domain check's ``p!r`` text).
 
 Prints ``identical``, or the first differing output with its first differing
 line, and exits 0 or 1.
@@ -200,7 +201,7 @@ for pair in [(-1.0, 0.0), (-4.0, 1.0), (-1.0, 0.5)]:
         samples = []
         for uv, d in zip(uvs, frame_batch(amb, chart, uvs)):
             if hasattr(d, "code"):
-                print(pair, uv, "excluded", d.code)
+                print(pair, uv, "excluded", d.code, type(d).__name__, str(d))
             else:
                 samples.append(d)
         for d, out in zip(samples, evaluate_samples(IDENTITY_NAMES, samples, rng)):

@@ -306,6 +306,10 @@ class Ambient:
         """The connection table of ``sig`` at one point: one-row ``point_tables``."""
         return self.point_tables(sig, np.asarray(p, dtype=float)[None])[0]
 
+    def contains_rows(self, points: np.ndarray) -> np.ndarray:
+        """``contains`` of each row of points (n, dim), as one boolean array."""
+        return np.array([self.contains(p) for p in points], dtype=bool)
+
     def point_frame(self, p: np.ndarray) -> PointFrame:
         """The PointFrame at the point p."""
         return PointFrame(self, np.asarray(p, dtype=float))
@@ -370,12 +374,23 @@ class CoordinateAmbient(Ambient):
 
     def contains(self, p: np.ndarray) -> bool:
         p = np.asarray(p, dtype=float)
-        if p.shape != (3,) or not np.all(np.isfinite(p)):
-            return False
+        return p.shape == (3,) and bool(self.contains_rows(p[None])[0])
+
+    def contains_rows(self, points: np.ndarray) -> np.ndarray:
+        """``contains`` of each row of points (n, 3), as one boolean array.
+
+        The point must be finite, and inside the disk when kappa < 0.  There
+        x^2 + y^2 is summed per row from NumPy scalars: their ``**`` is libm
+        ``pow``, which NumPy's array square differs from on some inputs, and
+        it overflows to inf where a Python float's would raise.
+        """
+        points = np.asarray(points, dtype=float)
+        ok = np.isfinite(points).all(axis=1)
         r = self.params.disk_radius
-        if r is None:
-            return True
-        return float(p[0] ** 2 + p[1] ** 2) < (1.0 - DOMAIN_MARGIN) * r * r
+        if r is not None:
+            r2 = np.array([x**2 + y**2 for x, y in zip(points[:, 0], points[:, 1])])
+            ok &= r2 < (1.0 - DOMAIN_MARGIN) * r * r
+        return ok
 
     def validate_point(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -385,6 +400,25 @@ class CoordinateAmbient(Ambient):
             )
         return p
 
+    # -- per-row columns ---------------------------------------------------
+
+    def _columns(self, points: np.ndarray):
+        """x, y, 1 + kappa (x^2 + y^2) / 4, cos(s z) and sin(s z) of each row, s the twist rate.
+
+        The square and the two transcendentals are taken per row as Python
+        floats, one list per column: ``x**2`` is libm ``pow``, which NumPy's
+        square differs from on about 0.07% of inputs, and NumPy's sin and cos
+        need not equal libm's on every CPU.  Everything else is array code,
+        whose sums and products round as the per-row Python ones do.
+        """
+        x, y, z = np.asarray(points, dtype=float).reshape(-1, 3).T
+        r2 = np.array([a**2 + b**2 for a, b in zip(x.tolist(), y.tolist())])
+        li = 1.0 + (0.25 * self.params.kappa) * r2
+        sz = (self.params.twist_rate * z).tolist()
+        c = np.array([math.cos(a) for a in sz])
+        sn = np.array([math.sin(a) for a in sz])
+        return x, y, li, c, sn
+
     # -- metric ------------------------------------------------------------
 
     def conformal_factor(self, p: np.ndarray) -> float:
@@ -393,74 +427,58 @@ class CoordinateAmbient(Ambient):
         return 1.0 / (1.0 + 0.25 * k * (p[0] ** 2 + p[1] ** 2))
 
     def metrics(self, sig: Signature, points: np.ndarray) -> np.ndarray:
-        """diag(lam^2, lam^2, 0) + eps3 theta theta^T at each point, entry by entry.
+        """diag(lam^2, lam^2, 0) + eps3 theta theta^T at each point, as array code.
 
         theta is the fiber 1-form, whose kernel is the horizontal distribution
-        and whose value on the fiber is 1.
+        and whose value on the fiber is 1; lam is ``conformal_factor``.  The
+        diagonal is added to every entry of the outer product, zeros
+        included, which keeps the signs of its zeros.
         """
         t, e = self.params.tau, sig.eps3
-        out = []
-        for x, y, _ in np.asarray(points, dtype=float).tolist():
-            lam = self.conformal_factor((x, y))
-            theta = (t * lam * y, -t * lam * x, 1.0)
-            diag = (lam * lam, lam * lam, 0.0)
-            out.append(
-                [
-                    [(diag[i] if i == j else 0.0) + e * (theta[i] * theta[j]) for j in range(3)]
-                    for i in range(3)
-                ]
-            )
-        return np.array(out).reshape(-1, 3, 3)
+        x, y, li, _, _ = self._columns(points)
+        lam = 1.0 / li
+        theta = np.stack([(t * lam) * y, (-t * lam) * x, np.ones(len(lam))], axis=1)
+        diag = np.zeros((len(lam), 3, 3))
+        diag[:, 0, 0] = diag[:, 1, 1] = lam * lam
+        return diag + e * (theta[:, :, None] * theta[:, None, :])
 
     # -- canonical frame ---------------------------------------------------
 
     def frames(self, points: np.ndarray) -> np.ndarray:
         """Matrices whose columns are the canonical frame at each point, in coordinates."""
-        k, t = self.params.kappa, self.params.tau
-        s = self.params.twist_rate
-        out = []
-        for x, y, z in np.asarray(points, dtype=float).tolist():
-            li = 1.0 + 0.25 * k * (x**2 + y**2)
-            c, sn = math.cos(s * z), math.sin(s * z)
-            out.append(
-                [
-                    [li * c, -li * sn, 0.0],
-                    [li * sn, li * c, 0.0],
-                    [t * (x * sn - y * c), t * (x * c + y * sn), 1.0],
-                ]
-            )
-        return np.array(out).reshape(-1, 3, 3)
+        t = self.params.tau
+        x, y, li, c, sn = self._columns(points)
+        zero, one = np.zeros(len(li)), np.ones(len(li))
+        rows = [
+            li * c, -li * sn, zero,
+            li * sn, li * c, zero,
+            t * (x * sn - y * c), t * (x * c + y * sn), one,
+        ]
+        return np.stack(rows, axis=1).reshape(-1, 3, 3)
 
-    def frame_partials(self, p: np.ndarray) -> np.ndarray:
-        """Analytic coordinate partials of the frame matrix, shape (3, 3, 3).
+    def frame_partials(self, points: np.ndarray) -> np.ndarray:
+        """Analytic coordinate partials of the frame matrices, shape (n, 3, 3, 3).
 
-        Entry [a] is the partial derivative of frame(p) along coordinate a.
+        Entry [n, a] is the partial derivative of frames(points)[n] along
+        coordinate a.
         """
-        p = np.asarray(p, dtype=float)
         k, t = self.params.kappa, self.params.tau
         s = self.params.twist_rate
-        li = 1.0 + 0.25 * k * (p[0] ** 2 + p[1] ** 2)
-        c, sn = math.cos(s * p[2]), math.sin(s * p[2])
-        x, y = p[0], p[1]
-        dx_li = 0.5 * k * x
-        dy_li = 0.5 * k * y
-        d = np.zeros((3, 3, 3))
-        d[0] = [
-            [dx_li * c, -dx_li * sn, 0.0],
-            [dx_li * sn, dx_li * c, 0.0],
-            [t * sn, t * c, 0.0],
+        x, y, li, c, sn = self._columns(points)
+        dx_li, dy_li = (0.5 * k) * x, (0.5 * k) * y
+        zero = np.zeros(len(li))
+        rows = [
+            dx_li * c, -dx_li * sn, zero,
+            dx_li * sn, dx_li * c, zero,
+            t * sn, t * c, zero,
+            dy_li * c, -dy_li * sn, zero,
+            dy_li * sn, dy_li * c, zero,
+            -t * c, t * sn, zero,
+            -li * s * sn, -li * s * c, zero,
+            li * s * c, -li * s * sn, zero,
+            (t * s) * (x * c + y * sn), (t * s) * (y * c - x * sn), zero,
         ]
-        d[1] = [
-            [dy_li * c, -dy_li * sn, 0.0],
-            [dy_li * sn, dy_li * c, 0.0],
-            [-t * c, t * sn, 0.0],
-        ]
-        d[2] = [
-            [-li * s * sn, -li * s * c, 0.0],
-            [li * s * c, -li * s * sn, 0.0],
-            [t * s * (x * c + y * sn), t * s * (y * c - x * sn), 0.0],
-        ]
-        return d
+        return np.stack(rows, axis=1).reshape(-1, 3, 3, 3)
 
     def to_frames(
         self, points: np.ndarray, vecs: np.ndarray, frames=None, metric_r=None
@@ -493,7 +511,7 @@ class CoordinateAmbient(Ambient):
         n = len(points)
         gam_c = self.christoffels(sig, points)
         m = self.frames(points)
-        dm = np.array([self.frame_partials(p) for p in points]).reshape(n, 3, 3, 3)
+        dm = self.frame_partials(points)
         # gam_m[a][j] = gam_c[:, a, :] @ m[:, j] at each point, a (3, 3) @ (3,) product
         gam_m = [
             [(gam_c[:, :, a, :] @ m[:, :, j, None])[..., 0] for j in range(3)] for a in range(3)

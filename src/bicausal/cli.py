@@ -21,6 +21,10 @@ from .identities import IDENTITIES, IDENTITY_NAMES, SampleSkip, curvature_suite
 from .suite import DEFAULT_PARAMS, NON_FINITE, SuiteConfig, check_config, run_suite
 from .surfaces import DEGENERATE, frame_batch
 
+# Grid rows per ``frame_batch`` in ``report``.  A fixed size bounds the stacks'
+# memory, whatever the grid: the stencil stage holds eight rows per sample.
+REPORT_BATCH_ROWS = 64
+
 
 def _parse_params(values) -> tuple[tuple[float, float], ...]:
     if not values:
@@ -216,10 +220,10 @@ def cmd_report(args) -> int:
     with sink as out:
         writer = csv.DictWriter(out, fieldnames=fieldnames, restval="")
         writer.writeheader()
-        for u in us:
-            # one batch per grid line bounds the stacks' memory
-            line = [(float(u), float(v)) for v in vs]
-            for uv, data in zip(line, frame_batch(built.ambient, built.chart, line)):
+        grid = [(float(u), float(v)) for u in us for v in vs]
+        for start in range(0, len(grid), REPORT_BATCH_ROWS):
+            rows = grid[start : start + REPORT_BATCH_ROWS]
+            for uv, data in zip(rows, frame_batch(built.ambient, built.chart, rows)):
                 writer.writerow(_report_row(built, uv, data))
     if args.csv:
         print(f"wrote {nu * nv} rows for {built.address} to {args.csv}")

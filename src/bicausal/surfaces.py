@@ -165,20 +165,36 @@ def _grams(g: np.ndarray, pair: np.ndarray) -> np.ndarray:
 
 
 def _charted(ambient, chart: SurfaceChart, uvs: list[tuple[float, float]], h_jet: float):
-    """Points, chart partials, each uv row's GeometryError (or None) and the rows kept."""
+    """Points, chart partials, each uv row's GeometryError (or None) and the rows kept.
+
+    The chart is evaluated row by row and the domain checked once over the
+    charted points (``contains_rows``).  Only a row that fails the check
+    goes through ``validate_point``, which raises the error it would raise
+    alone; the partials are taken for the rows inside.
+    """
+    dim = ambient.dim
     errors: list[GeometryError | None] = [None] * len(uvs)
-    rows, charted = [], []
+    placed = []
     for i, (u, v) in enumerate(uvs):
         try:
-            point = ambient.validate_point(chart.point(u, v))
-            charted.append((point, *chart.partials(u, v, h_jet)))
+            placed.append((i, chart.point(u, v)))
         except GeometryError as exc:
             # kept without its traceback, whose frames would make a reference cycle
             errors[i] = exc.with_traceback(None)
+    shaped = [p for _, p in placed if p.shape == (dim,)]
+    inside = iter(ambient.contains_rows(np.array(shaped).reshape(-1, dim)).tolist())
+    rows, charted = [], []
+    for i, p in placed:
+        try:
+            if not (p.shape == (dim,) and next(inside)):
+                p = ambient.validate_point(p)
+            charted.append((p, *chart.partials(*uvs[i], h_jet)))
+        except GeometryError as exc:
+            errors[i] = exc.with_traceback(None)
             continue
         rows.append(i)
-    point = np.array([c[0] for c in charted]).reshape(-1, ambient.dim)
-    pair = np.array([c[1:] for c in charted]).reshape(-1, 2, ambient.dim)
+    point = np.array([c[0] for c in charted]).reshape(-1, dim)
+    pair = np.array([c[1:] for c in charted]).reshape(-1, 2, dim)
     return point, pair, errors, rows
 
 
@@ -192,12 +208,13 @@ def _normal_data(
 ) -> NormalData:
     """Unit normals, normal angles and T-fields of a stack of uv rows, in one array pass.
 
-    Only the chart is evaluated row by row.  Each row meets the checks of a
-    single-point evaluation in the same order, and the first one it fails
-    becomes its error; a row that failed computes on, unread, which is why
-    floating-point warnings are off.  With ``reference`` (one vector for
-    all rows, or one per uv row) the Lorentzian normal takes the sign closer
-    to it; otherwise its normal angle is made nonpositive, and a tie
+    Only the chart is evaluated row by row (``_charted``); the domain check,
+    the frames and each metric are one stacked call.  Each row meets the
+    checks of a single-point evaluation in the same order, and the first one
+    it fails becomes its error; a row that failed computes on, unread, which
+    is why floating-point warnings are off.  With ``reference`` (one vector
+    for all rows, or one per uv row) the Lorentzian normal takes the sign
+    closer to it; otherwise its normal angle is made nonpositive, and a tie
     (``SIGN_TIE_TOL``) keeps the wedge sign.  ``routes`` adds the
     agreement of the Riemannian normal with its own wedge route.
     """

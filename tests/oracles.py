@@ -4,9 +4,17 @@ Everything in this module recomputes geometric quantities from raw metric
 evaluations and finite differences only, deliberately avoiding the closed
 forms and analytic derivatives used by the primary code paths.  Tests compare
 the two routes; production code should not depend on this module.
+
+The exception is the per-row references of the coordinate primitives
+(``coordinate_metric_rows``, ``coordinate_frame_rows``,
+``coordinate_frame_partial_rows``): the closed forms, evaluated one point at a
+time in Python floats, against which the stacked array code must agree bit
+for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -125,3 +133,76 @@ def frame_orthonormality_defect(ambient, sig: Signature, p: np.ndarray) -> float
     m = ambient.frame(p)
     g = ambient.metric(sig, p)
     return float(np.max(np.abs(m.T @ g @ m - frame_gram(sig))))
+
+
+# -- per-row references of the coordinate primitives ----------------------------
+
+
+def _horizontal(ambient, x: float, y: float, z: float) -> tuple[float, float, float]:
+    """1 + kappa (x^2 + y^2) / 4, cos(s z) and sin(s z) at one point, as Python floats."""
+    li = 1.0 + 0.25 * ambient.params.kappa * (x**2 + y**2)
+    s = ambient.params.twist_rate
+    return li, math.cos(s * z), math.sin(s * z)
+
+
+def coordinate_metric_rows(ambient, sig: Signature, points) -> np.ndarray:
+    """diag(lam^2, lam^2, 0) + eps3 theta theta^T, entry by entry, one point at a time."""
+    t, e = ambient.params.tau, sig.eps3
+    out = []
+    for x, y, z in np.asarray(points, dtype=float).tolist():
+        lam = 1.0 / _horizontal(ambient, x, y, z)[0]
+        theta = (t * lam * y, -t * lam * x, 1.0)
+        diag = (lam * lam, lam * lam, 0.0)
+        out.append(
+            [
+                [(diag[i] if i == j else 0.0) + e * (theta[i] * theta[j]) for j in range(3)]
+                for i in range(3)
+            ]
+        )
+    return np.array(out).reshape(-1, 3, 3)
+
+
+def coordinate_frame_rows(ambient, points) -> np.ndarray:
+    """The canonical frame matrices, one point at a time."""
+    t = ambient.params.tau
+    out = []
+    for x, y, z in np.asarray(points, dtype=float).tolist():
+        li, c, sn = _horizontal(ambient, x, y, z)
+        out.append(
+            [
+                [li * c, -li * sn, 0.0],
+                [li * sn, li * c, 0.0],
+                [t * (x * sn - y * c), t * (x * c + y * sn), 1.0],
+            ]
+        )
+    return np.array(out).reshape(-1, 3, 3)
+
+
+def coordinate_frame_partial_rows(ambient, points) -> np.ndarray:
+    """The coordinate partials of the frame matrices, (n, 3, 3, 3), one point at a time."""
+    k, t = ambient.params.kappa, ambient.params.tau
+    s = ambient.params.twist_rate
+    out = []
+    for x, y, z in np.asarray(points, dtype=float).tolist():
+        li, c, sn = _horizontal(ambient, x, y, z)
+        dx_li, dy_li = 0.5 * k * x, 0.5 * k * y
+        out.append(
+            [
+                [
+                    [dx_li * c, -dx_li * sn, 0.0],
+                    [dx_li * sn, dx_li * c, 0.0],
+                    [t * sn, t * c, 0.0],
+                ],
+                [
+                    [dy_li * c, -dy_li * sn, 0.0],
+                    [dy_li * sn, dy_li * c, 0.0],
+                    [-t * c, t * sn, 0.0],
+                ],
+                [
+                    [-li * s * sn, -li * s * c, 0.0],
+                    [li * s * c, -li * s * sn, 0.0],
+                    [t * s * (x * c + y * sn), t * s * (y * c - x * sn), 0.0],
+                ],
+            ]
+        )
+    return np.array(out).reshape(-1, 3, 3, 3)

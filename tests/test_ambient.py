@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bicausal.ambient import (
+    DOMAIN_MARGIN,
     CoordinateAmbient,
     Signature,
     SpaceParams,
@@ -36,6 +37,9 @@ from conftest import (
     same_bits,
 )
 from oracles import (
+    coordinate_frame_partial_rows,
+    coordinate_frame_rows,
+    coordinate_metric_rows,
     curvature_fd,
     curvature_from_tables,
     frame_orthonormality_defect,
@@ -512,3 +516,52 @@ def test_frame_products_match_numpy_cross_bitwise(rng):
         (uh, uv), (vh, vv) = split_frame(u), split_frame(v)
         expect = 2.0 * tau * (np.cross(uh, vv) - np.cross(uv, vh))
         assert same_bits(connection_gap_frame(tau, u, v), expect)
+
+
+def _exactly_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values, shapes and signs of zeros (np.array_equal treats -0.0 == 0.0)."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _rows_for(ambient, rng) -> np.ndarray:
+    """Random points plus rows on the axes x = 0 and y = 0, and just inside the disk edge."""
+    r = ambient.params.disk_radius
+    reach = 0.9 * r if r is not None else 3.0
+    points = rng.uniform(-1.0, 1.0, size=(300, 3)) * [reach, reach, 4.0]
+    points[:40, 0] = 0.0
+    points[40:80, 1] = 0.0
+    # on the axes, coordinates whose libm square x**2 is not the product x * x
+    cand = rng.uniform(-reach, reach, size=200_000).tolist()
+    odd = [v for v in cand if v**2 != v * v][:40]
+    assert len(odd) == 40
+    points[:20, 1], points[40:60, 0] = odd[:20], odd[20:]
+    points[80:100, :2] = -0.0
+    points[100:120, 2] = -0.0
+    if r is not None:
+        # 1e-7 inside the domain's edge, at angles all round the disk
+        edge = r * math.sqrt(1.0 - DOMAIN_MARGIN) * (1.0 - 1e-7)
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=60)
+        points[200:260, 0], points[200:260, 1] = edge * np.cos(phi), edge * np.sin(phi)
+        points[260:270, :2] = [edge, 0.0]
+        points[270:280, :2] = [0.0, -edge]
+        assert all(ambient.contains(p) for p in points[200:280])
+    return points
+
+
+@pytest.mark.parametrize("tau", [1.0, 1e-3, 0.0])
+@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0, -4.0])
+def test_stacked_primitives_match_per_row_python_floats(kappa, tau, rng):
+    """The array code of ``metrics``, ``frames`` and ``frame_partials`` has the per-row bits."""
+    ambient = CoordinateAmbient(SpaceParams(kappa, tau))
+    points = _rows_for(ambient, rng)
+    for sig in SIGS:
+        want = coordinate_metric_rows(ambient, sig, points)
+        assert _exactly_equal(ambient.metrics(sig, points), want)
+    assert _exactly_equal(ambient.frames(points), coordinate_frame_rows(ambient, points))
+    assert _exactly_equal(
+        ambient.frame_partials(points), coordinate_frame_partial_rows(ambient, points)
+    )
+    # a stack of one row is the same row
+    for p in points[::37]:
+        assert _exactly_equal(ambient.frames(p[None]), coordinate_frame_rows(ambient, p[None]))
+    assert ambient.metrics(Signature.R, points[:0]).shape == (0, 3, 3)

@@ -244,6 +244,62 @@ def _built(pair, address):
         return exc
 
 
+def _charted_row_by_row(ambient, chart, uvs, h):
+    """``surfaces._charted`` with one ``validate_point`` per row, as the reference."""
+    errors, rows, points, pairs = [None] * len(uvs), [], [], []
+    for i, (u, v) in enumerate(uvs):
+        try:
+            point = ambient.validate_point(chart.point(u, v))
+            pair = chart.partials(u, v, h)
+        except GeometryError as exc:
+            errors[i] = exc
+            continue
+        rows.append(i)
+        points.append(point)
+        pairs.append(pair)
+    dim = ambient.dim
+    return np.array(points).reshape(-1, dim), np.array(pairs).reshape(-1, 2, dim), errors, rows
+
+
+def _with_bad_rows(chart: SurfaceChart, far) -> SurfaceChart:
+    """``chart``, but at u = 9 the point ``far``, at 8 a NaN, at 7 one coordinate short."""
+    bad = {9.0: far, 8.0: [0.1, math.nan] + [0.0] * (len(far) - 2), 7.0: far[:-1]}
+
+    def point(u, v):
+        return np.array(bad[u], dtype=float) if u in bad else chart.point(u, v)
+
+    return SurfaceChart("mixed", point, chart.domain)
+
+
+@pytest.mark.parametrize(
+    "address, pair, far",
+    [
+        ("graph:bowl:a=0.2", (-1.0, 0.5), [3.0, 0.0, 0.0]),
+        ("berger-helicoid", (1.0, 1.0), [2.0, 0.0, 0.0, 0.0]),
+    ],
+    ids=["coordinate-disk", "group"],
+)
+def test_stacked_domain_check_keeps_each_rows_error(address, pair, far):
+    built = build_surface(address, SpaceParams(*pair))
+    ambient, chart = built.ambient, _with_bad_rows(built.chart, far)
+    uvs = [(0.3, 0.2), (9.0, 0.0), (0.1, -0.4), (8.0, 0.1), (7.0, 0.2), (-0.2, 0.5), (9.0, 1.0)]
+    if ambient.params.disk_radius is not None:
+        # graph:bowl is (u, v, f): rows just inside and just outside the domain's edge
+        edge = ambient.params.disk_radius * math.sqrt(1.0 - 1e-6)
+        inside = edge * (1.0 - 1e-12)
+        uvs += [(inside, 0.0), (0.0, -edge * (1.0 + 1e-12)), (0.6 * inside, -0.8 * inside)]
+    h = ambient.steps.first
+    point, pair_, errors, rows = surfaces._charted(ambient, chart, uvs, h)
+    want_point, want_pair, want_errors, want_rows = _charted_row_by_row(ambient, chart, uvs, h)
+    assert rows == want_rows
+    assert same_bits(point, want_point) and same_bits(pair_, want_pair)
+    got = [(type(e), str(e)) if e is not None else None for e in errors]
+    assert got == [(type(e), str(e)) if e is not None else None for e in want_errors]
+    assert [i for i, e in enumerate(errors) if e is not None] == [
+        i for i, uv in enumerate(uvs) if uv[0] in (9.0, 8.0, 7.0) or i == 8
+    ]
+
+
 # -- identities: one stacked evaluation per surface ----------------------------
 
 

@@ -310,6 +310,23 @@ def test_report_to_file(tmp_path):
     assert out.read_text().splitlines()[0] == REPORT_HEADER
 
 
+@pytest.mark.parametrize("params", ["1,1", "-1,0"])
+def test_report_does_not_depend_on_the_batch_size(params, tmp_path, monkeypatch, capsys):
+    """81 rows in batches of 1, of 7 (the last one short) and of the default 64."""
+
+    def report(name: str) -> bytes:
+        out = tmp_path / f"{name}.csv"
+        argv = ["report", "graph:bowl:a=0.2", "--params", params, "--grid", "9x9"]
+        assert cli.main(argv + ["--csv", str(out)]) == 0
+        return out.read_bytes()
+
+    default = report("default")
+    assert len(default.splitlines()) == 1 + 81
+    for rows in (1, 7):
+        monkeypatch.setattr(cli, "REPORT_BATCH_ROWS", rows)
+        assert report(f"batch{rows}") == default
+
+
 def test_grid_needs_two_points_per_axis():
     proc = run_cli("report", "graph:bowl:a=0.2", "--params", "1,1", "--grid", "1x8")
     assert proc.returncode == 2

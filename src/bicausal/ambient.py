@@ -430,8 +430,8 @@ class CoordinateAmbient(Ambient):
         """diag(lam^2, lam^2, 0) + eps3 theta theta^T at each point, as array code.
 
         theta is the fiber 1-form, whose kernel is the horizontal distribution
-        and whose value on the fiber is 1; lam is ``conformal_factor``.  The
-        diagonal is added to every entry of the outer product, zeros
+        and whose value on the fiber is 1, and lam = 1 / (1 + kappa (x^2 + y^2) / 4).
+        The diagonal is added to every entry of the outer product, zeros
         included, which keeps the signs of its zeros.
         """
         t, e = self.params.tau, sig.eps3

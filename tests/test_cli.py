@@ -311,7 +311,7 @@ def test_report_to_file(tmp_path):
 
 
 @pytest.mark.parametrize("params", ["1,1", "-1,0"])
-def test_report_does_not_depend_on_the_batch_size(params, tmp_path, monkeypatch, capsys):
+def test_report_does_not_depend_on_the_batch_size(params, tmp_path, monkeypatch):
     """81 rows in batches of 1, of 7 (the last one short) and of the default 64."""
 
     def report(name: str) -> bytes:

@@ -193,6 +193,19 @@ def _twisted_table(params: SpaceParams, sig: Signature) -> np.ndarray:
     return gam
 
 
+def _filled(n: int, entries, shape: tuple) -> np.ndarray:
+    """An array (n, *shape) whose row-major entry j is entries[j]: a float or a column (n,).
+
+    A single row's entries are all floats.
+    """
+    if n == 1:
+        return np.array(entries, dtype=float).reshape(1, *shape)
+    out = np.empty((n, len(entries)))
+    for j, value in enumerate(entries):
+        out[:, j] = value
+    return out.reshape(n, *shape)
+
+
 def _per_row(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """View per-point arrays (n, ...) so they broadcast over vectors (n, [k,] dim)."""
     return a.reshape(a.shape[:1] + (1,) * (vecs.ndim - 2) + a.shape[1:])
@@ -403,21 +416,27 @@ class CoordinateAmbient(Ambient):
     # -- per-row columns ---------------------------------------------------
 
     def _columns(self, points: np.ndarray):
-        """x, y, 1 + kappa (x^2 + y^2) / 4, cos(s z) and sin(s z) of each row, s the twist rate.
+        """n, then x, y, 1 + kappa (x^2 + y^2) / 4, cos(s z) and sin(s z) of each row.
 
-        The square and the two transcendentals are taken per row as Python
-        floats, one list per column: ``x**2`` is libm ``pow``, which NumPy's
-        square differs from on about 0.07% of inputs, and NumPy's sin and cos
-        need not equal libm's on every CPU.  Everything else is array code,
-        whose sums and products round as the per-row Python ones do.
+        s is the twist rate.  The square and the two transcendentals are
+        taken per row as Python floats, one list per column: ``x**2`` is libm
+        ``pow``, which NumPy's square differs from on about 0.07% of inputs,
+        and NumPy's sin and cos need not equal libm's on every CPU.  The
+        formulas built on the columns are array code, whose sums and products
+        round as the per-row Python ones do; for one row the columns are
+        Python floats, which round the same and skip NumPy's per-call cost.
         """
-        x, y, z = np.asarray(points, dtype=float).reshape(-1, 3).T
+        pts = np.asarray(points, dtype=float).reshape(-1, 3)
+        k4, s = 0.25 * self.params.kappa, self.params.twist_rate
+        if len(pts) == 1:
+            x, y, z = pts[0].tolist()
+            return 1, x, y, 1.0 + k4 * (x**2 + y**2), math.cos(s * z), math.sin(s * z)
+        x, y, z = pts.T
         r2 = np.array([a**2 + b**2 for a, b in zip(x.tolist(), y.tolist())])
-        li = 1.0 + (0.25 * self.params.kappa) * r2
-        sz = (self.params.twist_rate * z).tolist()
+        sz = (s * z).tolist()
         c = np.array([math.cos(a) for a in sz])
         sn = np.array([math.sin(a) for a in sz])
-        return x, y, li, c, sn
+        return len(pts), x, y, 1.0 + k4 * r2, c, sn
 
     # -- metric ------------------------------------------------------------
 
@@ -435,26 +454,26 @@ class CoordinateAmbient(Ambient):
         included, which keeps the signs of its zeros.
         """
         t, e = self.params.tau, sig.eps3
-        x, y, li, _, _ = self._columns(points)
+        n, x, y, li, _, _ = self._columns(points)
         lam = 1.0 / li
-        theta = np.stack([(t * lam) * y, (-t * lam) * x, np.ones(len(lam))], axis=1)
-        diag = np.zeros((len(lam), 3, 3))
-        diag[:, 0, 0] = diag[:, 1, 1] = lam * lam
-        return diag + e * (theta[:, :, None] * theta[:, None, :])
+        theta = _filled(n, ((t * lam) * y, (-t * lam) * x, 1.0), (3,))
+        out = np.zeros((n, 3, 3))
+        out[:, 0, 0] = out[:, 1, 1] = lam * lam
+        out += e * (theta[:, :, None] * theta[:, None, :])
+        return out
 
     # -- canonical frame ---------------------------------------------------
 
     def frames(self, points: np.ndarray) -> np.ndarray:
         """Matrices whose columns are the canonical frame at each point, in coordinates."""
         t = self.params.tau
-        x, y, li, c, sn = self._columns(points)
-        zero, one = np.zeros(len(li)), np.ones(len(li))
-        rows = [
-            li * c, -li * sn, zero,
-            li * sn, li * c, zero,
-            t * (x * sn - y * c), t * (x * c + y * sn), one,
-        ]
-        return np.stack(rows, axis=1).reshape(-1, 3, 3)
+        n, x, y, li, c, sn = self._columns(points)
+        entries = (
+            li * c, -li * sn, 0.0,
+            li * sn, li * c, 0.0,
+            t * (x * sn - y * c), t * (x * c + y * sn), 1.0,
+        )
+        return _filled(n, entries, (3, 3))
 
     def frame_partials(self, points: np.ndarray) -> np.ndarray:
         """Analytic coordinate partials of the frame matrices, shape (n, 3, 3, 3).
@@ -464,21 +483,20 @@ class CoordinateAmbient(Ambient):
         """
         k, t = self.params.kappa, self.params.tau
         s = self.params.twist_rate
-        x, y, li, c, sn = self._columns(points)
+        n, x, y, li, c, sn = self._columns(points)
         dx_li, dy_li = (0.5 * k) * x, (0.5 * k) * y
-        zero = np.zeros(len(li))
-        rows = [
-            dx_li * c, -dx_li * sn, zero,
-            dx_li * sn, dx_li * c, zero,
-            t * sn, t * c, zero,
-            dy_li * c, -dy_li * sn, zero,
-            dy_li * sn, dy_li * c, zero,
-            -t * c, t * sn, zero,
-            -li * s * sn, -li * s * c, zero,
-            li * s * c, -li * s * sn, zero,
-            (t * s) * (x * c + y * sn), (t * s) * (y * c - x * sn), zero,
-        ]
-        return np.stack(rows, axis=1).reshape(-1, 3, 3, 3)
+        entries = (
+            dx_li * c, -dx_li * sn, 0.0,
+            dx_li * sn, dx_li * c, 0.0,
+            t * sn, t * c, 0.0,
+            dy_li * c, -dy_li * sn, 0.0,
+            dy_li * sn, dy_li * c, 0.0,
+            -t * c, t * sn, 0.0,
+            -li * s * sn, -li * s * c, 0.0,
+            li * s * c, -li * s * sn, 0.0,
+            (t * s) * (x * c + y * sn), (t * s) * (y * c - x * sn), 0.0,
+        )
+        return _filled(n, entries, (3, 3, 3))
 
     def to_frames(
         self, points: np.ndarray, vecs: np.ndarray, frames=None, metric_r=None

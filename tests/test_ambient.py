@@ -562,7 +562,12 @@ def test_stacked_primitives_match_per_row_python_floats(kappa, tau, rng):
     assert _exactly_equal(
         ambient.frame_partials(points), coordinate_frame_partial_rows(ambient, points)
     )
-    # a stack of one row is the same row
-    for p in points[::37]:
-        assert _exactly_equal(ambient.frames(p[None]), coordinate_frame_rows(ambient, p[None]))
+    # a stack of one row, whose columns are Python floats, has the same bits
+    for one in points[:, None]:
+        for sig in SIGS:
+            want = coordinate_metric_rows(ambient, sig, one)
+            assert _exactly_equal(ambient.metrics(sig, one), want)
+        assert _exactly_equal(ambient.frames(one), coordinate_frame_rows(ambient, one))
+        want = coordinate_frame_partial_rows(ambient, one)
+        assert _exactly_equal(ambient.frame_partials(one), want)
     assert ambient.metrics(Signature.R, points[:0]).shape == (0, 3, 3)

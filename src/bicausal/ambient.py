@@ -319,9 +319,9 @@ class Ambient:
         """The connection table of ``sig`` at one point: one-row ``point_tables``."""
         return self.point_tables(sig, np.asarray(p, dtype=float)[None])[0]
 
-    def contains_rows(self, points: np.ndarray) -> np.ndarray:
-        """``contains`` of each row of points (n, dim), as one boolean array."""
-        return np.array([self.contains(p) for p in points], dtype=bool)
+    def contains_rows(self, points) -> list:
+        """``contains`` of each point of a sequence of n points (dim,): n booleans."""
+        return [self.contains(p) for p in points]
 
     def point_frame(self, p: np.ndarray) -> PointFrame:
         """The PointFrame at the point p."""
@@ -387,23 +387,23 @@ class CoordinateAmbient(Ambient):
 
     def contains(self, p: np.ndarray) -> bool:
         p = np.asarray(p, dtype=float)
-        return p.shape == (3,) and bool(self.contains_rows(p[None])[0])
+        return p.shape == (3,) and self.contains_rows(p[None])[0]
 
-    def contains_rows(self, points: np.ndarray) -> np.ndarray:
-        """``contains`` of each row of points (n, 3), as one boolean array.
+    def contains_rows(self, points) -> list:
+        """``contains`` of each of n points (3,), checked as one stack: n booleans.
 
         The point must be finite, and inside the disk when kappa < 0.  There
         x^2 + y^2 is summed per row from NumPy scalars: their ``**`` is libm
         ``pow``, which NumPy's array square differs from on some inputs, and
         it overflows to inf where a Python float's would raise.
         """
-        points = np.asarray(points, dtype=float)
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
         ok = np.isfinite(points).all(axis=1)
         r = self.params.disk_radius
         if r is not None:
             r2 = np.array([x**2 + y**2 for x, y in zip(points[:, 0], points[:, 1])])
             ok &= r2 < (1.0 - DOMAIN_MARGIN) * r * r
-        return ok
+        return ok.tolist()
 
     def validate_point(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)

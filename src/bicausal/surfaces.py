@@ -181,8 +181,7 @@ def _charted(ambient, chart: SurfaceChart, uvs: list[tuple[float, float]], h_jet
         except GeometryError as exc:
             # kept without its traceback, whose frames would make a reference cycle
             errors[i] = exc.with_traceback(None)
-    shaped = [p for _, p in placed if p.shape == (dim,)]
-    inside = iter(ambient.contains_rows(np.array(shaped).reshape(-1, dim)).tolist())
+    inside = iter(ambient.contains_rows([p for _, p in placed if p.shape == (dim,)]))
     rows, charted = [], []
     for i, p in placed:
         try:

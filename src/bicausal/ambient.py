@@ -194,16 +194,23 @@ def _twisted_table(params: SpaceParams, sig: Signature) -> np.ndarray:
 
 
 def _filled(n: int, entries, shape: tuple) -> np.ndarray:
-    """An array (n, *shape) whose row-major entry j is entries[j]: a float or a column (n,).
-
-    A single row's entries are all floats.
-    """
-    if n == 1:
+    """An array (n, *shape) whose row-major entry j is entries[j]: a float or a column (n,)."""
+    if n == 1 and all(isinstance(e, float) for e in entries):
         return np.array(entries, dtype=float).reshape(1, *shape)
     out = np.empty((n, len(entries)))
     for j, value in enumerate(entries):
         out[:, j] = value
     return out.reshape(n, *shape)
+
+
+def _cos_sin(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine and sine of each entry of a column, taken per entry with ``math``.
+
+    NumPy's sin and cos need not equal libm's on every CPU, so array code
+    that must give the bits of a per-point formula takes them from here.
+    """
+    xs = xs.tolist()
+    return np.array([math.cos(a) for a in xs]), np.array([math.sin(a) for a in xs])
 
 
 def _per_row(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -433,10 +440,7 @@ class CoordinateAmbient(Ambient):
             return 1, x, y, 1.0 + k4 * (x**2 + y**2), math.cos(s * z), math.sin(s * z)
         x, y, z = pts.T
         r2 = np.array([a**2 + b**2 for a, b in zip(x.tolist(), y.tolist())])
-        sz = (s * z).tolist()
-        c = np.array([math.cos(a) for a in sz])
-        sn = np.array([math.sin(a) for a in sz])
-        return len(pts), x, y, 1.0 + k4 * r2, c, sn
+        return len(pts), x, y, 1.0 + k4 * r2, *_cos_sin(s * z)
 
     # -- metric ------------------------------------------------------------
 

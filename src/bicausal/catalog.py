@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import CoordinateAmbient, SpaceParams, Signature
+from .ambient import CoordinateAmbient, SpaceParams, Signature, _cos_sin, _filled
 from .errors import ConfigInvalid, GeometryError, ModelMismatch, SurfaceUnavailable
 from .groups import (
     BERGER,
@@ -219,21 +219,21 @@ def _hopf(ambient, label, options):
     axes = (options["r"],) * 2 if label == "circle" else (options["a"], options["b"])
     ax, ay = axes
 
-    def point(u, v):
-        return np.array([ax * math.cos(u), ay * math.sin(u), v])
+    def point(us, vs):
+        c, s = _cos_sin(us)
+        return _filled(len(us), (ax * c, ay * s, vs), (3,))
 
-    def jac(u, v):
-        du = np.array([-ax * math.sin(u), ay * math.cos(u), 0.0])
-        dv = np.array([0.0, 0.0, 1.0])
-        return du, dv
+    def jac(us, vs):
+        c, s = _cos_sin(us)
+        return _filled(len(us), (-ax * s, ay * c, 0.0, 0.0, 0.0, 1.0), (2, 3))
 
-    if not (ambient.contains(point(0.0, 0.0)) and ambient.contains(point(0.5 * math.pi, 0.0))):
+    if not all(ambient.contains_rows(point(np.array([0.0, 0.5 * math.pi]), np.zeros(2)))):
         params = ambient.params
         raise SurfaceUnavailable(
             f"hopf axes {axes} leave the model domain at ({params.kappa:g}, {params.tau:g})"
         )
     return lambda v_range=(-1.4, 1.4): SurfaceChart(
-        f"hopf-{label}", point, ((0.0, 2.0 * math.pi), v_range), jac
+        f"hopf-{label}", point, ((0.0, 2.0 * math.pi), v_range), jac, stacked=True
     )
 
 
@@ -248,58 +248,62 @@ def _slice(ambient, label, options):
     t0 = options["t0"]
     s = 0.8 * _planar_scale(ambient.params)
 
-    def point(u, v):
-        return np.array([u, v, t0])
+    def point(us, vs):
+        return _filled(len(us), (us, vs, t0), (3,))
 
-    def jac(u, v):
-        return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    def jac(us, vs):
+        return _filled(len(us), (1.0, 0.0, 0.0, 0.0, 1.0, 0.0), (2, 3))
 
-    return lambda v_range=(-s, s): SurfaceChart("slice", point, ((-s, s), v_range), jac)
+    return lambda v_range=(-s, s): SurfaceChart(
+        "slice", point, ((-s, s), v_range), jac, stacked=True
+    )
 
 
 def _graph(ambient, label, options):
     a = options["a"]
     s = 0.8 * _planar_scale(ambient.params)
 
-    def point(u, v):
-        return np.array([u, v, a * (u * u + v * v)])
+    def point(us, vs):
+        return _filled(len(us), (us, vs, a * (us * us + vs * vs)), (3,))
 
-    def jac(u, v):
-        return np.array([1.0, 0.0, 2.0 * a * u]), np.array([0.0, 1.0, 2.0 * a * v])
+    def jac(us, vs):
+        return _filled(len(us), (1.0, 0.0, 2.0 * a * us, 0.0, 1.0, 2.0 * a * vs), (2, 3))
 
-    return lambda v_range=(-s, s): SurfaceChart("graph-bowl", point, ((-s, s), v_range), jac)
+    return lambda v_range=(-s, s): SurfaceChart(
+        "graph-bowl", point, ((-s, s), v_range), jac, stacked=True
+    )
 
 
 def _vgraph(ambient, label, options):
     a = options["a"]
     s = _planar_scale(ambient.params)
 
-    def point(u, v):
-        return np.array([a * u * v, u, v])
+    def point(us, vs):
+        return _filled(len(us), (a * us * vs, us, vs), (3,))
 
-    def jac(u, v):
-        return np.array([a * v, 1.0, 0.0]), np.array([a * u, 0.0, 1.0])
+    def jac(us, vs):
+        return _filled(len(us), (a * vs, 1.0, 0.0, a * us, 0.0, 1.0), (2, 3))
 
     return lambda v_range=(0.2, 1.2): SurfaceChart(
-        "vgraph-saddle", point, ((0.15 * s, 0.85 * s), v_range), jac
+        "vgraph-saddle", point, ((0.15 * s, 0.85 * s), v_range), jac, stacked=True
     )
 
 
 def _helicoid(ambient, label, options):
     c = options["c"]
 
-    def point(u, v):
-        return np.array([v * math.cos(u), v * math.sin(u), c * u])
+    def point(us, vs):
+        cu, su = _cos_sin(us)
+        return _filled(len(us), (vs * cu, vs * su, c * us), (3,))
 
-    def jac(u, v):
-        du = np.array([-v * math.sin(u), v * math.cos(u), c])
-        dv = np.array([math.cos(u), math.sin(u), 0.0])
-        return du, dv
+    def jac(us, vs):
+        cu, su = _cos_sin(us)
+        return _filled(len(us), (-vs * su, vs * cu, c, cu, su, 0.0), (2, 3))
 
     # The tangent plane changes character where tau v^2 +- v = c, so a
     # variant's band is located numerically, not by the untwisted rule.
     return lambda v_range=(0.1 * c, 2.6 * c): SurfaceChart(
-        "helicoid", point, ((-1.4, 1.4), v_range), jac
+        "helicoid", point, ((-1.4, 1.4), v_range), jac, stacked=True
     )
 
 

@@ -19,7 +19,7 @@ from .catalog import CATALOG, build_surface, default_surfaces
 from .errors import ConfigInvalid, GeometryError, UnsupportedFormat
 from .identities import IDENTITIES, IDENTITY_NAMES, SampleSkip, curvature_suite
 from .suite import DEFAULT_PARAMS, NON_FINITE, SuiteConfig, check_config, run_suite
-from .surfaces import DEGENERATE, frame_batch
+from .surfaces import DEGENERATE, frame_batch, uv_columns
 
 # Grid rows per ``frame_batch`` in ``report``.  A fixed size bounds the stacks'
 # memory, whatever the grid: the stencil stage holds eight rows per sample.
@@ -170,11 +170,10 @@ _REPORT_FIELDS = [
 ]
 
 
-def _report_row(built, uv, data) -> dict:
-    """The CSV row of one grid point, from its frame data or the error that excluded it."""
+def _report_row(uv, point, data) -> dict:
+    """The CSV row of one grid point at ``point``, from its frame data or the error that excluded it."""
     u, v = uv
     row: dict = {"u": f"{u:.12g}", "v": f"{v:.12g}"}
-    point = built.chart.point(u, v)
     names = ("x", "y", "z", "w")[: len(point)]
     for name, value in zip(names, point):
         row[name] = f"{value:.12g}"
@@ -223,8 +222,13 @@ def cmd_report(args) -> int:
         grid = [(float(u), float(v)) for u in us for v in vs]
         for start in range(0, len(grid), REPORT_BATCH_ROWS):
             rows = grid[start : start + REPORT_BATCH_ROWS]
-            for uv, data in zip(rows, frame_batch(built.ambient, built.chart, rows)):
-                writer.writerow(_report_row(built, uv, data))
+            batch = frame_batch(built.ambient, built.chart, rows)
+            # an excluded row has no frame data: its point is charted again, in one stack
+            excluded = [uv for uv, d in zip(rows, batch) if isinstance(d, GeometryError)]
+            charted = iter(built.chart.points(*uv_columns(excluded), built.ambient.dim)[0])
+            for uv, data in zip(rows, batch):
+                point = next(charted) if isinstance(data, GeometryError) else data.point
+                writer.writerow(_report_row(uv, point, data))
     if args.csv:
         print(f"wrote {nu * nv} rows for {built.address} to {args.csv}")
     return 0
@@ -241,13 +245,13 @@ def cmd_mesh(args) -> int:
             f"{built.address} lives in the 4-dimensional group model (use --format csv)"
         )
     us, vs = _grid_points(built.chart, nu, nv)
+    us, vs = np.repeat(us, nv), np.tile(vs, nu)
+    points, _ = built.chart.points(us, vs, built.ambient.dim)
     with _open_output(args.out, newline="") as fh:
         if args.format == "obj":
             fh.write(f"# {built.address} at ({space.label()}), {nu}x{nv} grid\n")
-            for u in us:
-                for v in vs:
-                    x, y, z = built.chart.point(float(u), float(v))
-                    fh.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
+            for x, y, z in points:
+                fh.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
             for iu in range(nu - 1):
                 for iv in range(nv - 1):
                     a = iu * nv + iv + 1
@@ -257,12 +261,8 @@ def cmd_mesh(args) -> int:
             names = ("x", "y", "z", "w") if built.group_model else ("x", "y", "z")
             writer = csv.writer(fh)
             writer.writerow(["u", "v", *names])
-            for u in us:
-                for v in vs:
-                    point = built.chart.point(float(u), float(v))
-                    writer.writerow(
-                        [f"{u:.12g}", f"{v:.12g}", *(f"{c:.12g}" for c in point)]
-                    )
+            for u, v, point in zip(us, vs, points):
+                writer.writerow([f"{u:.12g}", f"{v:.12g}", *(f"{c:.12g}" for c in point)])
     print(f"wrote {built.address} mesh ({nu}x{nv}, {args.format}) to {args.out}")
     return 0
 

@@ -25,6 +25,8 @@ from .ambient import (
     Ambient,
     SpaceParams,
     Signature,
+    _cos_sin,
+    _filled,
     _per_row,
     _vectors,
     stacked_inner,
@@ -112,9 +114,20 @@ class GroupAmbient(Ambient):
 
     def contains(self, p: np.ndarray) -> bool:
         p = np.asarray(p, dtype=float)
-        if p.shape != (4,) or not np.all(np.isfinite(p)):
-            return False
-        return abs(self.quadric_value(p) - 1.0) <= QUADRIC_TOL
+        return p.shape == (4,) and self.contains_rows(p[None])[0]
+
+    def contains_rows(self, points) -> list:
+        """``contains`` of each of n points (4,), checked as one stack: n booleans.
+
+        The point must be finite and ``quadric_value`` within QUADRIC_TOL of
+        1.  Each row's value is the matmul chain of ``quadric_value`` with a
+        row axis in front, so every row makes the vector-matrix and dot
+        product calls of that chain and keeps its bits.
+        """
+        p = np.ascontiguousarray(points, dtype=float).reshape(-1, 4)
+        with np.errstate(all="ignore"):
+            q = (p[:, None, :] @ self.pairing @ p[:, :, None])[:, 0, 0]
+        return (np.isfinite(p).all(axis=1) & (np.abs(q - 1.0) <= QUADRIC_TOL)).tolist()
 
     def validate_point(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -205,79 +218,67 @@ class GroupAmbient(Ambient):
 # -- helicoid charts ---------------------------------------------------------
 
 
-def _row_to_r4(mat: np.ndarray) -> np.ndarray:
-    z, w = mat[0, 0], mat[0, 1]
-    return np.array([z.real, z.imag, w.real, w.imag])
+def _mat2(n: int, a, b, c, d) -> np.ndarray:
+    """The complex matrices [[a, b], [c, d]], (n, 2, 2); each entry a column (n,) or a number."""
+    out = np.empty((n, 2, 2), dtype=complex)
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = a, b, c, d
+    return out
+
+
+def _rows_to_r4(mats: np.ndarray) -> np.ndarray:
+    """(re z, im z, re w, im w) of the first row (z, w) of each matrix, (n, 4)."""
+    return np.ascontiguousarray(mats[:, 0]).view(float)
 
 
 def berger_helicoid_chart(alpha: float, domain) -> SurfaceChart:
     """Ruled surface in the sphere model: rotation rates alpha and 1 on the two circles."""
 
-    def point(s: float, t: float) -> np.ndarray:
-        return np.array(
-            [
-                math.cos(alpha * s) * math.cos(t),
-                math.sin(alpha * s) * math.cos(t),
-                math.cos(s) * math.sin(t),
-                math.sin(s) * math.sin(t),
-            ]
-        )
+    def point(ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        (ca, sa), (ct, st), (cs, sn) = _cos_sin(alpha * ss), _cos_sin(ts), _cos_sin(ss)
+        return _filled(len(ss), (ca * ct, sa * ct, cs * st, sn * st), (4,))
 
-    def jacobian(s: float, t: float):
-        ds = np.array(
-            [
-                -alpha * math.sin(alpha * s) * math.cos(t),
-                alpha * math.cos(alpha * s) * math.cos(t),
-                -math.sin(s) * math.sin(t),
-                math.cos(s) * math.sin(t),
-            ]
+    def jacobian(ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        (ca, sa), (ct, st), (cs, sn) = _cos_sin(alpha * ss), _cos_sin(ts), _cos_sin(ss)
+        entries = (
+            -alpha * sa * ct, alpha * ca * ct, -sn * st, cs * st,
+            -ca * st, -sa * st, cs * ct, sn * ct,
         )
-        dt = np.array(
-            [
-                -math.cos(alpha * s) * math.sin(t),
-                -math.sin(alpha * s) * math.sin(t),
-                math.cos(s) * math.cos(t),
-                math.sin(s) * math.cos(t),
-            ]
-        )
-        return ds, dt
+        return _filled(len(ss), entries, (2, 4))
 
     return SurfaceChart(
         name=f"berger-helicoid:alpha={alpha:g}",
         chart=point,
         domain=domain,
         jacobian=jacobian,
+        stacked=True,
     )
 
 
 def _subgroup_factors(family: str, rate: float):
-    """Matrix curve and derivative for the s-factor of the hyperbolic-model helicoid."""
+    """Matrix curves and derivatives, (n, 2, 2) at s (n,), for the s-factor of the hyperbolic helicoid."""
 
-    def lam_e(x: float) -> np.ndarray:
-        return np.array([[np.exp(1j * x), 0.0], [0.0, np.exp(-1j * x)]])
+    def lam_e(x):
+        return _mat2(len(x), np.exp(1j * x), 0.0, 0.0, np.exp(-1j * x))
 
-    def lam_e_d(x: float) -> np.ndarray:
-        return np.array([[1j * np.exp(1j * x), 0.0], [0.0, -1j * np.exp(-1j * x)]])
+    def lam_e_d(x):
+        return _mat2(len(x), 1j * np.exp(1j * x), 0.0, 0.0, -1j * np.exp(-1j * x))
 
-    def lam_h1(x: float) -> np.ndarray:
-        return np.array(
-            [[np.cosh(x), 1j * np.sinh(x)], [-1j * np.sinh(x), np.cosh(x)]]
-        )
+    def lam_h1(x):
+        ch, sh = np.cosh(x), np.sinh(x)
+        return _mat2(len(x), ch, 1j * sh, -1j * sh, ch)
 
-    def lam_h1_d(x: float) -> np.ndarray:
-        return np.array(
-            [[np.sinh(x), 1j * np.cosh(x)], [-1j * np.cosh(x), np.sinh(x)]]
-        )
+    def lam_h1_d(x):
+        ch, sh = np.cosh(x), np.sinh(x)
+        return _mat2(len(x), sh, 1j * ch, -1j * ch, sh)
 
-    def lam_p(x: float) -> np.ndarray:
-        return np.array([[1.0 + 1j * x, -1j * x], [1j * x, 1.0 - 1j * x]])
+    def lam_p(x):
+        return _mat2(len(x), 1.0 + 1j * x, -1j * x, 1j * x, 1.0 - 1j * x)
 
-    lam_p_d = np.array([[1j, -1j], [1j, -1j]])
+    def lam_p1(x):
+        return _mat2(len(x), 1.0 + 1j * x, 1j * x, -1j * x, 1.0 - 1j * x)
 
-    def lam_p1(x: float) -> np.ndarray:
-        return np.array([[1.0 + 1j * x, 1j * x], [-1j * x, 1.0 - 1j * x]])
-
-    lam_p1_d = np.array([[1j, 1j], [-1j, -1j]])
+    def constant(s, mat):
+        return np.broadcast_to(mat, (len(s), 2, 2))
 
     if family == "e":
         return (lambda s: lam_e(-2.0 * rate * s)), (
@@ -288,9 +289,11 @@ def _subgroup_factors(family: str, rate: float):
             lambda s: 2.0 * rate * lam_h1_d(2.0 * rate * s)
         )
     if family == "p1":
-        return (lambda s: lam_p1(rate * s)), (lambda s: rate * lam_p1_d.copy())
+        lam_p1_d = rate * np.array([[1j, 1j], [-1j, -1j]])
+        return (lambda s: lam_p1(rate * s)), (lambda s: constant(s, lam_p1_d))
     if family == "p":
-        return (lambda s: lam_p(-rate * s)), (lambda s: -rate * lam_p_d.copy())
+        lam_p_d = -rate * np.array([[1j, -1j], [1j, -1j]])
+        return (lambda s: lam_p(-rate * s)), (lambda s: constant(s, lam_p_d))
     raise ModelMismatch(f"unknown helicoid family {family!r}; use e, h1, p1 or p")
 
 
@@ -309,44 +312,36 @@ def su11_helicoid_chart(
     model commute with multiplication on the right, so the twisting factor
     goes on the left and the congruence factor ``base`` on the right; this
     ordering is the one that makes every family minimal for both metrics at
-    every parameter choice, which we verify numerically in the tests.
+    every parameter choice, which we verify numerically in the tests.  The
+    chart is stacked: each factor is a stack of complex 2x2 matrices, one
+    per uv row, and the products are stacked matmuls.
     """
     lam, lam_d = _subgroup_factors(family, rate)
     ct = 0.5 * params.kappa**2 if t_rate is None else float(t_rate)
     a_mat = np.eye(2, dtype=complex) if base is None else np.asarray(base, dtype=complex)
 
-    def lam_h(x: float) -> np.ndarray:
-        return np.array(
-            [[np.cosh(x), np.sinh(x)], [np.sinh(x), np.cosh(x)]], dtype=complex
-        )
+    def lam_h(x):
+        ch, sh = np.cosh(x), np.sinh(x)
+        return _mat2(len(x), ch, sh, sh, ch)
 
-    def lam_h_d(x: float) -> np.ndarray:
-        return np.array(
-            [[np.sinh(x), np.cosh(x)], [np.cosh(x), np.sinh(x)]], dtype=complex
-        )
+    def lam_h_d(x):
+        ch, sh = np.cosh(x), np.sinh(x)
+        return _mat2(len(x), sh, ch, ch, sh)
 
-    def lam_e_half(s: float) -> np.ndarray:
-        return np.array(
-            [[np.exp(0.5j * s), 0.0], [0.0, np.exp(-0.5j * s)]]
-        )
+    def lam_e_half(s):
+        return _mat2(len(s), np.exp(0.5j * s), 0.0, 0.0, np.exp(-0.5j * s))
 
-    def lam_e_half_d(s: float) -> np.ndarray:
-        return np.array(
-            [[0.5j * np.exp(0.5j * s), 0.0], [0.0, -0.5j * np.exp(-0.5j * s)]]
-        )
+    def lam_e_half_d(s):
+        return _mat2(len(s), 0.5j * np.exp(0.5j * s), 0.0, 0.0, -0.5j * np.exp(-0.5j * s))
 
-    def matrices(s: float, t: float):
-        return lam_e_half(s), lam_h(ct * t), lam(s) @ a_mat
+    def point(ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        return _rows_to_r4(lam_e_half(ss) @ lam_h(ct * ts) @ (lam(ss) @ a_mat))
 
-    def point(s: float, t: float) -> np.ndarray:
-        left, mid, right = matrices(s, t)
-        return _row_to_r4(left @ mid @ right)
-
-    def jacobian(s: float, t: float):
-        left, mid, right = matrices(s, t)
-        d_s = lam_e_half_d(s) @ mid @ right + left @ mid @ (lam_d(s) @ a_mat)
-        d_t = left @ (ct * lam_h_d(ct * t)) @ right
-        return _row_to_r4(d_s), _row_to_r4(d_t)
+    def jacobian(ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        left, mid, right = lam_e_half(ss), lam_h(ct * ts), lam(ss) @ a_mat
+        d_s = lam_e_half_d(ss) @ mid @ right + left @ mid @ (lam_d(ss) @ a_mat)
+        d_t = left @ (ct * lam_h_d(ct * ts)) @ right
+        return np.stack([_rows_to_r4(d_s), _rows_to_r4(d_t)], axis=1)
 
     label = f"su11-helicoid:family={family},rate={rate:g}"
     if t_rate is not None:
@@ -356,4 +351,5 @@ def su11_helicoid_chart(
         chart=point,
         domain=domain,
         jacobian=jacobian,
+        stacked=True,
     )

@@ -62,26 +62,87 @@ IMMERSION_TOL = 1e-12
 class SurfaceChart:
     """A parametrized surface: chart into ambient coordinates plus metadata.
 
-    ``jacobian``, when given, must return the pair of first partials; without
-    it the partials come from central differences of ``chart``.  ``domain``
-    is the parameter box used by samplers and exporters, not a hard bound.
+    A ``stacked`` chart maps uv columns us, vs (n,) to points (n, dim), and
+    its ``jacobian``, when given, to the partials (n, 2, dim); its
+    ``point`` and ``partials`` are the one-row case.  Otherwise ``chart``
+    maps one uv row to a point and ``jacobian`` to the pair of first
+    partials, and ``points`` and ``pairs`` loop over the rows, keeping each
+    row's GeometryError.  Without a jacobian the partials are central
+    differences of the chart, four stacked calls.  ``domain`` is the
+    parameter box used by samplers and exporters, not a hard bound.
     """
 
     name: str
-    chart: Callable[[float, float], np.ndarray]
+    chart: Callable
     domain: tuple[tuple[float, float], tuple[float, float]]
-    jacobian: Callable[[float, float], tuple[np.ndarray, np.ndarray]] | None = None
+    jacobian: Callable | None = None
+    stacked: bool = False
 
     def point(self, u: float, v: float) -> np.ndarray:
+        if self.stacked:
+            return self.chart(np.array([u], dtype=float), np.array([v], dtype=float))[0]
         return np.asarray(self.chart(u, v), dtype=float)
 
     def partials(self, u: float, v: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+        if self.stacked:
+            (pair,), _ = self.pairs(np.array([u], dtype=float), np.array([v], dtype=float), h)
+            return pair[0], pair[1]
         if self.jacobian is not None:
             du, dv = self.jacobian(u, v)
             return np.asarray(du, dtype=float), np.asarray(dv, dtype=float)
         du = (self.point(u + h, v) - self.point(u - h, v)) / (2.0 * h)
         dv = (self.point(u, v + h) - self.point(u, v - h)) / (2.0 * h)
         return du, dv
+
+    def points(self, us: np.ndarray, vs: np.ndarray, dim: int | None = None):
+        """The points (n, dim) at uv columns, and each row's GeometryError or None.
+
+        ``dim``, the length of a point, is needed unless the chart is
+        stacked: a row that raised, or whose point is of another shape, is
+        NaN.
+        """
+        if self.stacked:
+            return self.chart(us, vs), [None] * len(us)
+        return _rows(self.point, us, vs, (dim,))
+
+    def pairs(self, us: np.ndarray, vs: np.ndarray, h: float, dim: int | None = None):
+        """The partials (n, 2, dim) at uv columns, and each row's GeometryError or None.
+
+        A row's error is the first one that its ``partials`` would raise.
+        """
+        if self.jacobian is None:
+            steps = ((us + h, vs), (us - h, vs), (us, vs + h), (us, vs - h))
+            (pu, e1), (mu, e2), (pv, e3), (mv, e4) = (self.points(a, b, dim) for a, b in steps)
+            pair = np.stack([(pu - mu) / (2.0 * h), (pv - mv) / (2.0 * h)], axis=1)
+            errors = [next((e for e in es if e is not None), None) for es in zip(e1, e2, e3, e4)]
+            return pair, errors
+        if self.stacked:
+            return self.jacobian(us, vs), [None] * len(us)
+        return _rows(self.partials, us, vs, (2, dim), h)
+
+
+def uv_columns(uvs) -> np.ndarray:
+    """The u and v columns, each (n,), of n uv rows."""
+    return np.array(uvs, dtype=float).reshape(-1, 2).T.copy()
+
+
+def _rows(f: Callable, us: np.ndarray, vs: np.ndarray, shape: tuple, *args):
+    """``f(u, v, *args)`` of each uv row, stacked (n, *shape), and each row's GeometryError.
+
+    A row that raised is NaN, and so is a row of another shape.
+    """
+    out = np.full((len(us),) + shape, np.nan)
+    errors: list[GeometryError | None] = [None] * len(us)
+    for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        try:
+            value = np.asarray(f(u, v, *args), dtype=float)
+        except GeometryError as exc:
+            # kept without its traceback, whose frames would make a reference cycle
+            errors[i] = exc.with_traceback(None)
+            continue
+        if value.shape == shape:
+            out[i] = value
+    return out, errors
 
 
 def induced_gram(ambient, sig: Signature, point: np.ndarray, du: np.ndarray, dv: np.ndarray):
@@ -167,34 +228,30 @@ def _grams(g: np.ndarray, pair: np.ndarray) -> np.ndarray:
 def _charted(ambient, chart: SurfaceChart, uvs: list[tuple[float, float]], h_jet: float):
     """Points, chart partials, each uv row's GeometryError (or None) and the rows kept.
 
-    The chart is evaluated row by row and the domain checked once over the
-    charted points (``contains_rows``).  Only a row that fails the check
-    goes through ``validate_point``, which raises the error it would raise
-    alone; the partials are taken for the rows inside.
+    The chart is one stacked call (``SurfaceChart.points``) and the domain
+    is checked once over its points (``contains_rows``).  Only a row that
+    fails the check is charted again alone and goes through
+    ``validate_point``, which raises the error it would raise alone.  The
+    partials are one stacked call over the rows inside.
     """
     dim = ambient.dim
-    errors: list[GeometryError | None] = [None] * len(uvs)
-    placed = []
-    for i, (u, v) in enumerate(uvs):
-        try:
-            placed.append((i, chart.point(u, v)))
-        except GeometryError as exc:
-            # kept without its traceback, whose frames would make a reference cycle
-            errors[i] = exc.with_traceback(None)
-    inside = iter(ambient.contains_rows([p for _, p in placed if p.shape == (dim,)]))
-    rows, charted = [], []
-    for i, p in placed:
-        try:
-            if not (p.shape == (dim,) and next(inside)):
-                p = ambient.validate_point(p)
-            charted.append((p, *chart.partials(*uvs[i], h_jet)))
-        except GeometryError as exc:
-            errors[i] = exc.with_traceback(None)
-            continue
-        rows.append(i)
-    point = np.array([c[0] for c in charted]).reshape(-1, dim)
-    pair = np.array([c[1:] for c in charted]).reshape(-1, 2, dim)
-    return point, pair, errors, rows
+    us, vs = uv_columns(uvs)
+    point, errors = chart.points(us, vs, dim)
+    for i, inside in enumerate(ambient.contains_rows(point)):
+        if not inside and errors[i] is None:
+            try:
+                ambient.validate_point(chart.point(*uvs[i]))
+            except GeometryError as exc:
+                # kept without its traceback, whose frames would make a reference cycle
+                errors[i] = exc.with_traceback(None)
+    rows = [i for i, e in enumerate(errors) if e is None]
+    pair, failed = chart.pairs(us[rows], vs[rows], h_jet, dim)
+    kept = [j for j, e in enumerate(failed) if e is None]
+    if len(kept) < len(rows):
+        for i, e in zip(rows, failed):
+            errors[i] = e
+        rows, pair = [rows[j] for j in kept], pair[kept]
+    return point[rows], pair, errors, rows
 
 
 def _normal_data(
@@ -207,8 +264,8 @@ def _normal_data(
 ) -> NormalData:
     """Unit normals, normal angles and T-fields of a stack of uv rows, in one array pass.
 
-    Only the chart is evaluated row by row (``_charted``); the domain check,
-    the frames and each metric are one stacked call.  Each row meets the
+    The chart and its partials (``_charted``), the domain check, the frames
+    and each metric are one stacked call each.  Each row meets the
     checks of a single-point evaluation in the same order, and the first one
     it fails becomes its error; a row that failed computes on, unread, which
     is why floating-point warnings are off.  With ``reference`` (one vector

@@ -206,3 +206,133 @@ def coordinate_frame_partial_rows(ambient, points) -> np.ndarray:
             ]
         )
     return np.array(out).reshape(-1, 3, 3, 3)
+
+
+# -- per-row references of the catalog charts ----------------------------------
+#
+# Each returns (point, jacobian): the chart's closed form at one uv row, in
+# Python floats and NumPy scalars, against which the stacked charts must agree
+# bit for bit.
+
+
+def coordinate_chart_rows(family: str, label, options: dict):
+    """The coordinate-model chart ``family`` with its resolved label and options, per row."""
+    if family == "hopf":
+        ax, ay = (options["r"],) * 2 if label == "circle" else (options["a"], options["b"])
+        return (
+            lambda u, v: np.array([ax * math.cos(u), ay * math.sin(u), v]),
+            lambda u, v: (
+                np.array([-ax * math.sin(u), ay * math.cos(u), 0.0]),
+                np.array([0.0, 0.0, 1.0]),
+            ),
+        )
+    if family == "slice":
+        t0 = options["t0"]
+        return (
+            lambda u, v: np.array([u, v, t0]),
+            lambda u, v: (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
+        )
+    if family == "graph":
+        a = options["a"]
+        return (
+            lambda u, v: np.array([u, v, a * (u * u + v * v)]),
+            lambda u, v: (np.array([1.0, 0.0, 2.0 * a * u]), np.array([0.0, 1.0, 2.0 * a * v])),
+        )
+    if family == "vgraph":
+        a = options["a"]
+        return (
+            lambda u, v: np.array([a * u * v, u, v]),
+            lambda u, v: (np.array([a * v, 1.0, 0.0]), np.array([a * u, 0.0, 1.0])),
+        )
+    if family == "helicoid":
+        c = options["c"]
+        return (
+            lambda u, v: np.array([v * math.cos(u), v * math.sin(u), c * u]),
+            lambda u, v: (
+                np.array([-v * math.sin(u), v * math.cos(u), c]),
+                np.array([math.cos(u), math.sin(u), 0.0]),
+            ),
+        )
+    raise ValueError(f"no per-row chart for {family!r}")
+
+
+def berger_helicoid_rows(alpha: float):
+    """The sphere-model helicoid, per row."""
+
+    def point(s, t):
+        return np.array([
+            math.cos(alpha * s) * math.cos(t),
+            math.sin(alpha * s) * math.cos(t),
+            math.cos(s) * math.sin(t),
+            math.sin(s) * math.sin(t),
+        ])
+
+    def jacobian(s, t):
+        ds = np.array([
+            -alpha * math.sin(alpha * s) * math.cos(t),
+            alpha * math.cos(alpha * s) * math.cos(t),
+            -math.sin(s) * math.sin(t),
+            math.cos(s) * math.sin(t),
+        ])
+        dt = np.array([
+            -math.cos(alpha * s) * math.sin(t),
+            -math.sin(alpha * s) * math.sin(t),
+            math.cos(s) * math.cos(t),
+            math.sin(s) * math.cos(t),
+        ])
+        return ds, dt
+
+    return point, jacobian
+
+
+def _row_to_r4(mat: np.ndarray) -> np.ndarray:
+    z, w = mat[0, 0], mat[0, 1]
+    return np.array([z.real, z.imag, w.real, w.imag])
+
+
+def su11_helicoid_rows(params, family: str, rate: float, t_rate=None, base=None):
+    """The hyperbolic-model helicoid, per row: three 2x2 complex factors per uv row."""
+    factors = {
+        "e": (
+            lambda x: np.array([[np.exp(1j * x), 0.0], [0.0, np.exp(-1j * x)]]),
+            lambda x: np.array([[1j * np.exp(1j * x), 0.0], [0.0, -1j * np.exp(-1j * x)]]),
+            -2.0 * rate,
+        ),
+        "h1": (
+            lambda x: np.array([[np.cosh(x), 1j * np.sinh(x)], [-1j * np.sinh(x), np.cosh(x)]]),
+            lambda x: np.array([[np.sinh(x), 1j * np.cosh(x)], [-1j * np.cosh(x), np.sinh(x)]]),
+            2.0 * rate,
+        ),
+        "p1": (
+            lambda x: np.array([[1.0 + 1j * x, 1j * x], [-1j * x, 1.0 - 1j * x]]),
+            lambda x: np.array([[1j, 1j], [-1j, -1j]]),
+            rate,
+        ),
+        "p": (
+            lambda x: np.array([[1.0 + 1j * x, -1j * x], [1j * x, 1.0 - 1j * x]]),
+            lambda x: np.array([[1j, -1j], [1j, -1j]]),
+            -rate,
+        ),
+    }
+    lam0, lam0_d, r = factors[family]
+    ct = 0.5 * params.kappa**2 if t_rate is None else float(t_rate)
+    a_mat = np.eye(2, dtype=complex) if base is None else np.asarray(base, dtype=complex)
+
+    def lam_h(x, d=False):
+        c, s = np.cosh(x), np.sinh(x)
+        return np.array([[s, c], [c, s]] if d else [[c, s], [s, c]], dtype=complex)
+
+    def lam_e_half(s, d=False):
+        m = np.array([[np.exp(0.5j * s), 0.0], [0.0, np.exp(-0.5j * s)]])
+        return np.array([[0.5j * m[0, 0], 0.0], [0.0, -0.5j * m[1, 1]]]) if d else m
+
+    def point(s, t):
+        return _row_to_r4(lam_e_half(s) @ lam_h(ct * t) @ (lam0(r * s) @ a_mat))
+
+    def jacobian(s, t):
+        left, mid, right = lam_e_half(s), lam_h(ct * t), lam0(r * s) @ a_mat
+        d_s = lam_e_half(s, d=True) @ mid @ right + left @ mid @ (r * lam0_d(r * s) @ a_mat)
+        d_t = left @ (ct * lam_h(ct * t, d=True)) @ right
+        return _row_to_r4(d_s), _row_to_r4(d_t)
+
+    return point, jacobian

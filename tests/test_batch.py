@@ -300,6 +300,33 @@ def test_stacked_domain_check_keeps_each_rows_error(address, pair, far):
     ]
 
 
+@pytest.mark.parametrize("jacobian", [False, True], ids=["fd", "jacobian"])
+def test_chart_of_single_rows_keeps_each_rows_chart_error(jacobian):
+    """A chart of single rows is looped; a row whose point or partials raise keeps its error."""
+    built = build_surface("graph:bowl:a=0.2", SpaceParams(1.0, 1.0))
+    h = built.ambient.steps.first
+
+    def point(u, v):
+        if u in (0.5, 0.25 + h):
+            raise CurveSingular(f"no point at u={u}")
+        return built.chart.point(u, v)
+
+    def partials(u, v):
+        if u == -0.3:
+            raise CurveSingular(f"no partials at u={u}")
+        return built.chart.partials(u, v, h)
+
+    chart = SurfaceChart("gaps", point, built.chart.domain, partials if jacobian else None)
+    uvs = [(0.1, 0.2), (0.5, 0.0), (0.25, 0.1), (-0.3, 0.4), (0.6, -0.2)]
+    got = surfaces._charted(built.ambient, chart, uvs, h)
+    want = _charted_row_by_row(built.ambient, chart, uvs, h)
+    assert got[3] == want[3] == ([0, 2, 4] if jacobian else [0, 3, 4])
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    assert [(type(e), str(e)) if e else None for e in got[2]] == [
+        (type(e), str(e)) if e else None for e in want[2]
+    ]
+
+
 # -- identities: one stacked evaluation per surface ----------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from bicausal import catalog
 from bicausal.ambient import CoordinateAmbient, SpaceParams
+from bicausal.groups import su11_helicoid_chart
 from bicausal.catalog import (
     CATALOG,
     build_surface,
@@ -31,9 +32,11 @@ from bicausal.surfaces import (
     SurfaceChart,
     causal_character,
     frame_data,
+    uv_columns,
 )
 
-from conftest import interior_grid
+from conftest import interior_grid, same_bits
+from oracles import berger_helicoid_rows, coordinate_chart_rows, su11_helicoid_rows
 
 
 def test_catalog_families():
@@ -291,3 +294,101 @@ def test_band_detection_marks_failing_chart_rows_degenerate():
     bands = detect_character_bands(ambient, chart, 0.2, 0.05, 1.8)
     assert any(c == DEGENERATE and 0.3 < lo <= hi < 0.5 for c, lo, hi in bands)
     assert bands == _bands_point_by_point(ambient, chart, 0.2, 0.05, 1.8)
+
+
+# -- stacked charts against their per-row formulas -----------------------------
+
+STACKED_CHARTS = [
+    ("hopf:circle", (1.0, 1.0)),
+    ("hopf:ellipse", (-1.0, 1.0)),
+    ("slice:t0=0.1", (-1.0, 0.0)),
+    ("graph:bowl:a=0.2", (1.0, 1.0)),
+    ("graph:bowl:a=-0.3", (-4.0, 1.0)),
+    ("vgraph", (-4.0, 1.0)),
+    ("helicoid:variant=space", (0.0, 1.0)),
+    ("helicoid:c=0.5", (0.0, 0.0)),
+    ("berger-helicoid", (1.0, 1.0)),
+    ("berger-helicoid:alpha=0.7,variant=time", (4.0, 1.0)),
+    *(
+        (f"su11-helicoid:family={family}{extra}", pair)
+        for family in ("e", "h1", "p1", "p")
+        for extra, pair in (("", (-1.0, 1.0)), (",rate=0.6,t_rate=0.5", (-2.0, 0.7)))
+    ),
+]
+
+
+def _row_formula(address: str, params: SpaceParams):
+    """The per-row point and jacobian of a catalog address at ``params``."""
+    resolved = resolve_address(address, params)
+    options = resolved.kwargs
+    if resolved.family == "berger-helicoid":
+        return berger_helicoid_rows(options["alpha"])
+    if resolved.family == "su11-helicoid":
+        return su11_helicoid_rows(params, options["family"], options["rate"], options.get("t_rate"))
+    return coordinate_chart_rows(resolved.family, resolved.label, options)
+
+
+def _edge_and_inner_uvs(domain, rng, n: int = 40) -> list:
+    """The corners and edge midpoints of a chart's domain, then n rows inside it."""
+    (ul, uh), (vl, vh) = domain
+    edges = [(u, v) for u in (ul, 0.5 * (ul + uh), uh) for v in (vl, 0.5 * (vl + vh), vh)]
+    inner = zip(rng.uniform(ul, uh, n).tolist(), rng.uniform(vl, vh, n).tolist())
+    return edges + list(inner)
+
+
+def _assert_stack_is_rows(chart, point, jacobian, uvs, h) -> None:
+    """The n-row stack, each one-row stack and each row's formula agree bit for bit."""
+    us, vs = uv_columns(uvs)
+    points, pairs = chart.chart(us, vs), chart.jacobian(us, vs)
+    for i, (u, v) in enumerate(uvs):
+        want_point, want_pair = point(u, v), np.array(jacobian(u, v))
+        assert same_bits(points[i], want_point), (u, v)
+        assert same_bits(pairs[i], want_pair), (u, v)
+        assert same_bits(chart.point(u, v), want_point), (u, v)
+        assert same_bits(np.array(chart.partials(u, v, h)), want_pair), (u, v)
+
+
+@pytest.mark.parametrize("address, pair", STACKED_CHARTS)
+def test_stacked_chart_is_the_per_row_formula_bit_for_bit(address, pair, rng):
+    params = SpaceParams(*pair)
+    built = build_surface(address, params)
+    assert built.chart.stacked
+    point, jacobian = _row_formula(address, params)
+    uvs = _edge_and_inner_uvs(built.chart.domain, rng)
+    _assert_stack_is_rows(built.chart, point, jacobian, uvs, built.ambient.steps.first)
+    # the stacked points and pairs of a chart, and the empty stack
+    us, vs = uv_columns(uvs)
+    points, errors = built.chart.points(us, vs)
+    pairs, pair_errors = built.chart.pairs(us, vs, built.ambient.steps.first)
+    assert same_bits(points, built.chart.chart(us, vs)) and errors == [None] * len(uvs)
+    assert same_bits(pairs, built.chart.jacobian(us, vs)) and pair_errors == errors
+    empty = built.chart.chart(*uv_columns([]))
+    assert empty.shape == (0, built.ambient.dim)
+
+
+@pytest.mark.parametrize("family", ["e", "h1", "p1", "p"])
+def test_stacked_su11_chart_with_base_and_t_rate(family, rng):
+    """The congruence factor ``base`` and the ruling rate ``t_rate`` keep the bits too."""
+    params = SpaceParams(-1.5, 0.8)
+    c, s = np.cosh(0.3), np.sinh(0.3)
+    base = np.array([[c, 1j * s * np.exp(0.2j)], [-1j * s * np.exp(-0.2j), c]])
+    domain = ((-1.2, 1.2), (-1.0, 1.0))
+    for t_rate in (None, 0.4, -1.1):
+        chart = su11_helicoid_chart(params, family, 0.35, domain, t_rate=t_rate, base=base)
+        point, jacobian = su11_helicoid_rows(params, family, 0.35, t_rate, base)
+        _assert_stack_is_rows(chart, point, jacobian, _edge_and_inner_uvs(domain, rng), 1e-4)
+
+
+def test_stacked_chart_without_jacobian_differences_four_stacks():
+    """FD partials of a stacked chart are the per-row central differences."""
+    built = build_surface("berger-helicoid", SpaceParams(1.0, 1.0))
+    chart = SurfaceChart("no-jacobian", built.chart.chart, built.chart.domain, stacked=True)
+    h = 1e-4
+    uvs = [(0.1, 0.3), (-1.2, 0.06), (0.7, 1.2)]
+    pairs, errors = chart.pairs(*uv_columns(uvs), h)
+    assert errors == [None] * 3
+    for (u, v), pair in zip(uvs, pairs):
+        du = (chart.point(u + h, v) - chart.point(u - h, v)) / (2.0 * h)
+        dv = (chart.point(u, v + h) - chart.point(u, v - h)) / (2.0 * h)
+        assert same_bits(pair, np.array([du, dv]))
+        assert same_bits(np.array(chart.partials(u, v, h)), pair)

@@ -12,6 +12,7 @@ from bicausal.catalog import build_surface
 from bicausal.errors import CurveSingular, DomainViolation, ModelMismatch
 from bicausal.groups import (
     BERGER,
+    QUADRIC_TOL,
     SU11,
     GroupAmbient,
     berger_helicoid_chart,
@@ -79,6 +80,33 @@ def test_quadric_membership_and_validation(rng):
     assert not sphere.contains(np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(DomainViolation):
         hyper.validate_point(np.array([0.2, 0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("kind, pair", [(BERGER, (1.0, 1.0)), (SU11, (-1.0, 1.0))])
+def test_contains_rows_is_contains_of_each_row(kind, pair, rng):
+    """One stacked domain check gives each row's ``contains``, also at the tolerance's edge."""
+    ambient = GroupAmbient(kind, SpaceParams(*pair))
+    on = [_model_point(kind, rng) for _ in range(40)]
+    # scaled to land within a few ulps of 1 +- QUADRIC_TOL, on either side
+    edge = [
+        p * math.sqrt(1.0 + sign * QUADRIC_TOL * (1.0 + k * 1e-7))
+        for p in on
+        for sign in (1.0, -1.0)
+        for k in (-2, -1, 0, 1, 2)
+    ]
+    off = [2.0 * on[0], 0.5 * on[1], np.zeros(4), np.array([1.0, 1.0, 1.0, 1.0])]
+    nonfinite = [np.where(np.arange(4) == k, bad, on[k]) for k in range(4)
+                 for bad in (math.nan, math.inf, -math.inf)]
+    points = np.array(on + edge + off + nonfinite)
+    got = ambient.contains_rows(points)
+    assert got == [ambient.contains(p) for p in points]
+    assert got == [
+        bool(np.all(np.isfinite(p))) and abs(ambient.quadric_value(p) - 1.0) <= QUADRIC_TOL
+        for p in points
+    ]
+    assert all(got[: len(on)]) and not any(got[len(on) + len(edge):])
+    assert 0 < sum(got[len(on): len(on) + len(edge)]) < len(edge)
+    assert ambient.contains_rows(points[:0]) == []
 
 
 # -- invariant frame -------------------------------------------------------------
@@ -252,8 +280,8 @@ def test_chart_jacobian_matches_fd(maker, rng):
     for _ in range(6):
         u = rng.uniform(-0.9, 0.9)
         v = rng.uniform(0.3, 0.9)
-        ju, jv = chart.jacobian(u, v)
         h = 1e-5
+        ju, jv = chart.partials(u, v, h)
         fd_u = (chart.point(u + h, v) - chart.point(u - h, v)) / (2 * h)
         fd_v = (chart.point(u, v + h) - chart.point(u, v - h)) / (2 * h)
         assert np.max(np.abs(ju - fd_u)) < 1e-8

@@ -20,13 +20,16 @@ results must keep:
   with stacked ones;
 * ``verify`` at tau = 0 and small tau, and on the group-model helicoids:
   with all identities, with two subsets of only the identities that draw,
-  given out of registry order, and with ``--samples 1``;
+  given out of registry order, and with ``--samples 1``; and on the su11
+  families ``p`` and ``p1``, ``h1`` with ``t_rate`` and the Berger helicoid
+  at alpha = 0.7, with and without a ``variant`` band, so that every
+  stacked chart is compared;
 * ``verify`` of coordinate- and group-model surfaces given interleaved, at
   (1,1), where the slice is unavailable, and at (1,0), where the group-model
   ones are;
 * ``report`` CSVs of ``graph:bowl:a=0.2`` at five parameter pairs, a 64x64
-  grid, both group helicoids, ``slice:t0=0.1`` and two Hopf cylinders, whose
-  rows are all ``SIGN_AMBIGUOUS``;
+  grid, both group helicoids, the su11 family ``e``, ``slice:t0=0.1`` and two
+  Hopf cylinders, whose rows are all ``SIGN_AMBIGUOUS``;
 * what the catalog alone decides: ``surfaces``, with and without
   ``--params`` at six pairs; ``verify --samples 2`` of short addresses that
   the catalog completes with its defaults, at four pairs, whose skip lines
@@ -98,6 +101,17 @@ CASES += [
 ]
 CASES += [
     (
+        "verify of more group helicoids at (-1,1), (-2,0.7) and (4,1)",
+        ["verify", "--params", "-1,1", "--params", "-2,0.7", "--params", "4,1",
+         "--samples", "6", "--surfaces", "su11-helicoid:family=p",
+         "--surfaces", "su11-helicoid:family=p1,variant=time",
+         "--surfaces", "su11-helicoid:family=h1,t_rate=0.5,variant=space",
+         "--surfaces", "berger-helicoid:alpha=0.7",
+         "--surfaces", "berger-helicoid:alpha=0.7,variant=space", "--json", OUT],
+    ),
+]
+CASES += [
+    (
         "verify interleaved models at (1,1) and (1,0)",
         ["verify", "--params", "1,1", "--params", "1,0", "--samples", "5",
          "--surfaces", "graph:bowl:a=0.2", "--surfaces", "berger-helicoid:alpha=0.5,variant=time",
@@ -117,6 +131,8 @@ CASES += [
      ["report", "berger-helicoid", "--params", "1,1", "--csv", OUT]),
     ("report su11-helicoid at (-1,1)",
      ["report", "su11-helicoid", "--params", "-1,1", "--csv", OUT]),
+    ("report su11-helicoid:family=e at (-1,1)",
+     ["report", "su11-helicoid:family=e", "--params", "-1,1", "--csv", OUT]),
     ("report slice:t0=0.1 at (-1,0)",
      ["report", "slice:t0=0.1", "--params", "-1,0", "--csv", OUT]),
     # vertical cylinders: every row is SIGN_AMBIGUOUS, where the sign tie rule acts

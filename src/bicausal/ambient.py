@@ -285,9 +285,10 @@ class Ambient:
     ``christoffels`` (one point or a stack) differentiates ``metrics``.
     ``fiber_direction`` is the third leg of ``frame``, and ``to_frame`` the
     one-row ``to_frames`` at the ``PointFrame`` that ``point_frame`` gives.
-    Subclasses also supply the stacked connection tables ``point_tables``
-    (what ``cov_deriv_stencils`` reads; both models build them from
-    ``christoffels``) and the stacked stencil derivative:
+    The domain check ``contains_rows`` is stacked too, and ``contains`` is
+    its one-row case.  Subclasses also supply the stacked connection tables
+    ``point_tables`` (what ``cov_deriv_stencils`` reads; both models build
+    them from ``christoffels``) and the stacked stencil derivative:
     ``stencil_components`` and ``cov_deriv_stencils``, which reads stacks of
     the points and their frames, metric and tables.  ``point_table`` is
     their one-row case, and ``cov_deriv_on_curve`` samples a field on a
@@ -326,9 +327,10 @@ class Ambient:
         """The connection table of ``sig`` at one point: one-row ``point_tables``."""
         return self.point_tables(sig, np.asarray(p, dtype=float)[None])[0]
 
-    def contains_rows(self, points) -> list:
-        """``contains`` of each point of a sequence of n points (dim,): n booleans."""
-        return [self.contains(p) for p in points]
+    def contains(self, p: np.ndarray) -> bool:
+        """Whether the point p lies in the model: the one-row ``contains_rows``."""
+        p = np.asarray(p, dtype=float)
+        return p.shape == (self.dim,) and self.contains_rows(p[None])[0]
 
     def point_frame(self, p: np.ndarray) -> PointFrame:
         """The PointFrame at the point p."""
@@ -391,10 +393,6 @@ class CoordinateAmbient(Ambient):
         )
 
     # -- domain ------------------------------------------------------------
-
-    def contains(self, p: np.ndarray) -> bool:
-        p = np.asarray(p, dtype=float)
-        return p.shape == (3,) and self.contains_rows(p[None])[0]
 
     def contains_rows(self, points) -> list:
         """``contains`` of each of n points (3,), checked as one stack: n booleans.

@@ -112,10 +112,6 @@ class GroupAmbient(Ambient):
         p = np.asarray(p, dtype=float)
         return float(p @ self.pairing @ p)
 
-    def contains(self, p: np.ndarray) -> bool:
-        p = np.asarray(p, dtype=float)
-        return p.shape == (4,) and self.contains_rows(p[None])[0]
-
     def contains_rows(self, points) -> list:
         """``contains`` of each of n points (4,), checked as one stack: n booleans.
 

@@ -171,7 +171,7 @@ _REPORT_FIELDS = [
 
 
 def _report_row(uv, point, data) -> dict:
-    """The CSV row of one grid point at ``point``, from its frame data or the error that excluded it."""
+    """The CSV row of the grid point uv at ``point``, from its frame data or its error."""
     u, v = uv
     row: dict = {"u": f"{u:.12g}", "v": f"{v:.12g}"}
     names = ("x", "y", "z", "w")[: len(point)]

@@ -251,7 +251,7 @@ def berger_helicoid_chart(alpha: float, domain) -> SurfaceChart:
 
 
 def _subgroup_factors(family: str, rate: float):
-    """Matrix curves and derivatives, (n, 2, 2) at s (n,), for the s-factor of the hyperbolic helicoid."""
+    """Matrix curve and derivative of the hyperbolic helicoid's s-factor: s (n,) -> (n, 2, 2)."""
 
     def lam_e(x):
         return _mat2(len(x), np.exp(1j * x), 0.0, 0.0, np.exp(-1j * x))

@@ -7,9 +7,10 @@ the two routes; production code should not depend on this module.
 
 The exception is the per-row references of the coordinate primitives
 (``coordinate_metric_rows``, ``coordinate_frame_rows``,
-``coordinate_frame_partial_rows``): the closed forms, evaluated one point at a
-time in Python floats, against which the stacked array code must agree bit
-for bit.
+``coordinate_frame_partial_rows``) and of the catalog charts
+(``coordinate_chart_rows``, ``berger_helicoid_rows``, ``su11_helicoid_rows``):
+the closed forms, evaluated one point at a time in Python floats and NumPy
+scalars, against which the stacked array code must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -210,9 +211,7 @@ def coordinate_frame_partial_rows(ambient, points) -> np.ndarray:
 
 # -- per-row references of the catalog charts ----------------------------------
 #
-# Each returns (point, jacobian): the chart's closed form at one uv row, in
-# Python floats and NumPy scalars, against which the stacked charts must agree
-# bit for bit.
+# Each returns the pair (point, jacobian) of functions of one uv row.
 
 
 def coordinate_chart_rows(family: str, label, options: dict):

@@ -7,7 +7,6 @@ import pytest
 
 from bicausal import catalog
 from bicausal.ambient import CoordinateAmbient, SpaceParams
-from bicausal.groups import su11_helicoid_chart
 from bicausal.catalog import (
     CATALOG,
     build_surface,
@@ -24,6 +23,7 @@ from bicausal.errors import (
     ModelMismatch,
     SurfaceUnavailable,
 )
+from bicausal.groups import su11_helicoid_chart
 from bicausal.suite import DEFAULT_PARAMS
 from bicausal.surfaces import (
     DEGENERATE,

@@ -442,11 +442,6 @@ class CoordinateAmbient(Ambient):
 
     # -- metric ------------------------------------------------------------
 
-    def conformal_factor(self, p: np.ndarray) -> float:
-        """Scale factor of the horizontal part of the metric at p."""
-        k = self.params.kappa
-        return 1.0 / (1.0 + 0.25 * k * (p[0] ** 2 + p[1] ** 2))
-
     def metrics(self, sig: Signature, points: np.ndarray) -> np.ndarray:
         """diag(lam^2, lam^2, 0) + eps3 theta theta^T at each point, as array code.
 

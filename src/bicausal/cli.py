@@ -147,10 +147,10 @@ def cmd_verify(args) -> int:
     for row in report["skipped_surfaces"]:
         print(f"skip  {row['surface']} @ ({row['params']}): {row['reason']}")
     s = report["summary"]
-    print(
-        f"== {s['n_pass']} pass, {s['n_fail']} fail, {s['n_skipped']} skipped"
-        f" ({'OK' if s['pass'] else 'FAILED'})"
-    )
+    verdict = "OK" if s["pass"] else "FAILED"
+    if not report["surfaces"]:
+        verdict += ": no surface was sampled"
+    print(f"== {s['n_pass']} pass, {s['n_fail']} fail, {s['n_skipped']} skipped ({verdict})")
     return 0 if s["pass"] else 1
 
 

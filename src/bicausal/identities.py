@@ -47,7 +47,7 @@ from .ambient import (
 )
 from .errors import ConfigInvalid, GeometryError, NullDirection, NumericFailure
 from .numdiff import brioschi_curvature, stencil_values
-from .surfaces import FRAME_FIELDS, TwoMetricFrameData, batch_runs, mean_curvatures
+from .surfaces import FRAME_FIELDS, SampleBatch, TwoMetricFrameData, mean_curvatures
 
 
 class SampleSkip(Exception):
@@ -105,20 +105,21 @@ def _reached(draws: list) -> tuple[list, list[int], list]:
 class _Stack:
     """Per-sample arrays of samples of one ambient, each stacked on first use.
 
-    The samples may come from several batches (surfaces).  An array is read
-    from the batch stage that holds it: one row selection per run of samples
-    of one batch (``batch_runs``), never a stack of per-sample views; a list
-    stage (stencil errors, curvature scalars) is read as a ``column``.  One
-    stack serves every evaluator of an evaluation, so each key names its
-    array whole, with the signature where it depends on one.  ``rows`` gives
-    the sub-stack of the samples an identity reaches, whose arrays are row
-    selections of this one's.
+    The samples may come from several batches (surfaces); their join
+    (``SampleBatch.join``) holds every stage over all of them, and the stack
+    reads each array from it as one row selection by the samples' indices
+    ``ks`` in the join; a list stage (stencil errors, curvature scalars) is
+    read as a ``column``.  One stack serves every evaluator of an
+    evaluation, so each key names its array whole, with the signature where
+    it depends on one.  ``rows`` gives the sub-stack of the samples an
+    identity reaches, which reads the same join.
     """
 
-    def __init__(self, samples: list, parent: "_Stack | None" = None, rows: list | None = None):
+    def __init__(self, samples: list, batch: SampleBatch | None = None, ks: list | None = None):
         self.samples = samples
-        self.ambient = samples[0].ambient
-        self._parent, self._rows = parent, rows
+        self.batch = batch or SampleBatch.join(samples)
+        self.ks = list(range(len(samples))) if ks is None else ks
+        self.ambient = self.batch.ambient
         self._arrays: dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -131,22 +132,13 @@ class _Stack:
         """The sub-stack of the samples ``idx``, increasing; this stack if that is all of them."""
         if len(idx) == len(self.samples):
             return self
-        return _Stack([self.samples[i] for i in idx], self, idx)
+        return _Stack([self.samples[i] for i in idx], self.batch, [self.ks[i] for i in idx])
 
-    def of(self, key: str, take: Callable, every: bool = True) -> np.ndarray:
-        """The stack of ``take(batch, ks)`` over the samples' batch runs, kept under ``key``.
-
-        ``every``: every sample has the stage, so a sub-stack selects its
-        rows of its parent's stack; otherwise each stack takes its own.
-        """
+    def of(self, key: str, take: Callable) -> np.ndarray:
+        """``take(batch, ks)`` of the join and the samples' indices in it, kept under ``key``."""
         hit = self._arrays.get(key)
         if hit is None:
-            if every and self._parent is not None:
-                hit = self._parent.of(key, take)[self._rows]
-            else:
-                parts = [take(batch, ks) for batch, ks in batch_runs(self.samples)]
-                hit = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            self._arrays[key] = hit
+            hit = self._arrays[key] = take(self.batch, self.ks)
         return hit
 
     def center(self, name: str) -> np.ndarray:
@@ -162,8 +154,8 @@ class _Stack:
 
     def column(self, stage: str) -> list:
         """Each sample's entry of the batch stage ``stage``, a list over the batch's samples."""
-        runs = [(getattr(batch, stage)(), ks) for batch, ks in batch_runs(self.samples)]
-        return [entries[k] for entries, ks in runs for k in ks]
+        entries = getattr(self.batch, stage)()
+        return [entries[k] for k in self.ks]
 
     def metric(self, sig: Signature) -> np.ndarray:
         return self.center("g_r" if sig is Signature.R else "g_l")
@@ -215,7 +207,7 @@ class _Stack:
     def ok_stage(self, key: str, stage: Callable) -> np.ndarray:
         """The rows of ``stage(batch)``, a stage over the batch's samples whose stencil raised
         nothing; so must every sample's here."""
-        return self.of(key, lambda batch, ks: batch.ok_rows(stage(batch), ks), every=False)
+        return self.of(key, lambda batch, ks: batch.ok_rows(stage(batch), ks))
 
     def shape(self, sig: Signature) -> np.ndarray:
         return self.ok_stage(f"shape {sig.value}", lambda batch: batch.shapes(sig))
@@ -433,13 +425,13 @@ def _draw_directions(k: int, d: TwoMetricFrameData, rng: np.random.Generator):
     """Two rounds of k raw tangent directions, (2, k, 2) chart coefficients.
 
     The shape operators raise a sample's stencil error once the first
-    round is drawn: then only that round is drawn, and the error returned.
+    round is drawn: then only that round is drawn, and a copy of the error
+    returned.
     """
-    try:
-        d.shape(Signature.R)
-    except GeometryError as err:
+    err = d.stencil_error()
+    if err is not None:
         rng.normal(size=2 * k)
-        return err.with_traceback(None)
+        return copy.copy(err)
     return rng.normal(size=(2, k, 2))
 
 
@@ -880,7 +872,8 @@ def evaluate_plans(names: list[str], plans: list[DrawPlan]) -> dict[str, list[li
 
     The plans' samples must share one ambient (one model and parameter
     pair); ConfigInvalid otherwise.  One ``_Stack`` of all their samples,
-    plan after plan, serves every evaluator; with no sample, none runs.
+    plan after plan, over their ``SampleBatch.join``, serves every
+    evaluator, so each stage is built once; with no sample, none runs.
     Returns, per identity and plan, each sample's residual list or the
     reason it was skipped: a SampleSkip's reason or a GeometryError's code.
     """

@@ -10,7 +10,8 @@ The samples of one call share one :class:`SampleBatch`: each stage (centers,
 frame components, rotations, stencil rows and errors, connection tables,
 shape operators, T-derivatives, curvature scalars) is one stack over all its
 samples, built once on first use, and gives each sample the bits its own
-evaluation would.  Each sample is :func:`frame_data` of the shared batch;
+evaluation would.  ``SampleBatch.join`` makes one batch of samples of
+several batches, so that an evaluation builds each later stage once.  Each sample is :func:`frame_data` of the shared batch;
 without a batch, :func:`frame_data` evaluates a batch of one.
 
 Vectors tangent to the surface are represented two ways: as ambient
@@ -22,7 +23,9 @@ matrices.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -376,6 +379,22 @@ def _normal_data(
     )
 
 
+def _selected(parts: list, errors: list, rows: list) -> NormalData:
+    """The NormalData of ``errors`` and ``rows`` whose arrays are rows of other NormalData.
+
+    ``parts`` lists (data, positions): each array is the concatenation of
+    the ``positions`` rows of each part's array, so every row keeps its bits.
+    """
+    arrays = {}
+    for f in dataclasses.fields(NormalData):
+        if f.name not in ("errors", "rows"):
+            got = [getattr(data, f.name) for data, _ in parts]
+            arrays[f.name] = None if got[0] is None else np.concatenate(
+                [a[pos] for a, (_, pos) in zip(got, parts)]
+            )
+    return NormalData(errors=errors, rows=rows, **arrays)
+
+
 def mean_curvatures(sig: Signature, shapes: np.ndarray, eps) -> np.ndarray:
     """The mean curvatures of ``sig`` of Weingarten matrices (..., 2, 2) with normal squares eps.
 
@@ -443,20 +462,50 @@ class SampleBatch:
     The samples hold the batch, and the batch holds no sample, nor any
     traceback: garbage without reference cycles is freed at once, not by the
     cyclic collector.
+
+    ``join`` makes the batch of samples of several batches of one ambient,
+    whose centers and stencil rows are row selections of their batches'
+    own; every later stage is then built once over all of them.
     """
 
-    def __init__(self, ambient, chart: SurfaceChart, uvs):
+    def __init__(self, ambient, chart: SurfaceChart | None, uvs):
         self.ambient = ambient
         self.chart = chart
         self.steps = ambient.steps
         self.uvs = [(float(u), float(v)) for u, v in uvs]
         self._stages: dict[tuple, object] = {}
+        # of a join: (batch, its samples) per run of samples of one batch
+        self._parts: list[tuple[SampleBatch, list[int]]] | None = None
+
+    @classmethod
+    def join(cls, samples: list) -> "SampleBatch":
+        """The batch of ``samples`` (frame data of one ambient), sample k being ``samples[k]``.
+
+        All the samples of one batch, in order, join to that batch itself.
+        Otherwise the joined batch has no chart: it takes its centers and
+        stencil rows from the samples' batches, which have built them or
+        build them then, and builds only the later stages.
+        """
+        first = samples[0]._batch
+        whole = len(samples) == len(first.centers)
+        if whole and all(d._batch is first and d._k == k for k, d in enumerate(samples)):
+            return first
+        joined = cls(first.ambient, None, [d.uv for d in samples])
+        joined._parts = [
+            (batch, [d._k for d in run])
+            for batch, run in itertools.groupby(samples, key=lambda d: d._batch)
+        ]
+        return joined
 
     @property
     @_stage
     def center(self) -> NormalData:
-        """Normal data of the uv rows themselves, one pass."""
-        return _normal_data(self.ambient, self.chart, self.uvs, self.steps.first, routes=True)
+        """Normal data of the uv rows themselves, one pass; of a join, its samples' rows."""
+        if self._parts is None:
+            return _normal_data(self.ambient, self.chart, self.uvs, self.steps.first, routes=True)
+        parts = [(batch.center, [batch.centers[k] for k in ks]) for batch, ks in self._parts]
+        n = len(self.uvs)
+        return _selected(parts, [None] * n, list(range(n)))
 
     @property
     @_stage
@@ -525,8 +574,10 @@ class SampleBatch:
 
         Signs are continued from each row's own center; a material sign
         change of the Lorentzian normal angle across the stencil is that
-        row's OrientationFlip.
+        row's OrientationFlip.  Of a join: its samples' rows and errors.
         """
+        if self._parts is not None:
+            return self._joined_stencil()
         h, c = self.steps.second, self.center
         sample_uvs = [self.uvs[c.rows[j]] for j in self.centers]
         uvs = [uv for center in sample_uvs for uv in _stencil_uvs(center, h)]
@@ -545,6 +596,21 @@ class SampleBatch:
                     f"normal angle changes sign across stencil at uv={sample_uvs[i // 8]!r}"
                 )
         return st
+
+    def _joined_stencil(self) -> NormalData:
+        """The eight stencil rows and errors of each joined sample, from its batch's stencil."""
+        parts, errors, rows = [], [], []
+        for batch, ks in self._parts:
+            st = batch.stencil()
+            at = {i: pos for pos, i in enumerate(st.rows)}
+            positions = []
+            for k in ks:
+                kept = [r for r in range(8) if 8 * k + r in at]
+                positions += [at[8 * k + r] for r in kept]
+                rows += [len(errors) + r for r in kept]
+                errors += st.errors[8 * k : 8 * k + 8]
+            parts.append((st, positions))
+        return _selected(parts, errors, rows)
 
     @_stage
     def stencil_errors(self) -> list:
@@ -989,17 +1055,6 @@ class TwoMetricFrameData(PointFrame):
                 bad[key] = val
         if bad:
             raise NumericFailure(f"frame data inconsistent at uv={self.uv!r}: {bad}")
-
-
-def batch_runs(samples: list) -> list[tuple[SampleBatch, list[int]]]:
-    """The samples as runs of consecutive samples of one batch: the batch, their indices in it."""
-    runs: list[tuple[SampleBatch, list[int]]] = []
-    for d in samples:
-        if runs and runs[-1][0] is d._batch:
-            runs[-1][1].append(d._k)
-        else:
-            runs.append((d._batch, [d._k]))
-    return runs
 
 
 def frame_batch(

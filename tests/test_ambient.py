@@ -151,9 +151,9 @@ def test_domain_disk_for_negative_base_curvature():
     assert not ambient.contains(np.array([2.0, 0.1, 0.0]))
     with pytest.raises(DomainViolation):
         ambient.validate_point(np.array([2.5, 0.0, 0.0]))
-    # conformal factor is 1 at the origin and positive inside
-    assert ambient.conformal_factor(np.zeros(3)) == pytest.approx(1.0)
-    assert ambient.conformal_factor(np.array([1.2, 0.7, 0.0])) > 0.0
+    # the horizontal scale lam^2 is 1 at the origin, and the metric positive definite inside
+    assert ambient.metric(Signature.R, np.zeros(3))[0, 0] == pytest.approx(1.0)
+    assert np.all(np.linalg.eigvalsh(ambient.metric(Signature.R, np.array([1.2, 0.7, 0.0]))) > 0.0)
 
 
 def test_wedge_frame_basis_table():

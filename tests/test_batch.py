@@ -432,7 +432,9 @@ def _samples(ambient, chart, uvs) -> list:
     return [d for d in frame_batch(ambient, chart, uvs) if not isinstance(d, GeometryError)]
 
 
-def _assert_grouped_equals_per_surface(make_ambient, surfaces, seed: int = 7) -> list:
+def _assert_grouped_equals_per_surface(
+    make_ambient, surfaces, seed: int = 7, keep: slice | None = None
+) -> list:
     """One evaluation of several surfaces of one ambient gives the bits of one per surface.
 
     ``surfaces`` lists (build, uvs) per surface, where ``build(ambient)`` is
@@ -440,16 +442,20 @@ def _assert_grouped_equals_per_surface(make_ambient, surfaces, seed: int = 7) ->
     ambient, takes each surface's draw plan in turn and evaluates them all
     at once (``evaluate_plans``).  The reference builds each surface on a
     fresh ambient and calls ``evaluate_samples`` once per surface.  The
-    outcomes and the generators' final states must agree bitwise.
+    outcomes and the generators' final states must agree bitwise.  With
+    ``keep``, the grouped run evaluates only those samples of each surface,
+    and the reference is a batch of their uvs.
     """
     names = list(IDENTITY_NAMES)
     ambient = make_ambient()
     groups = [_samples(ambient, build(ambient), uvs) for build, uvs in surfaces]
+    groups = [samples[keep or slice(None)] for samples in groups]
     rng = np.random.default_rng(seed)
     grouped = evaluate_plans(names, [draw_plan(names, samples, rng) for samples in groups])
     ref = np.random.default_rng(seed)
     for j, ((build, uvs), samples) in enumerate(zip(surfaces, groups)):
         fresh = make_ambient()
+        uvs = uvs if keep is None else [d.uv for d in samples]
         want = evaluate_samples(names, _samples(fresh, build(fresh), uvs), ref)
         assert len(want) == len(samples)
         # each sample's residual list or skip reason, per identity
@@ -498,6 +504,27 @@ def test_grouped_evaluation_with_a_surface_all_stencil_errors_and_one_without_sa
     groups = _assert_grouped_equals_per_surface(make, [edge, bowl, outside])
     assert groups[0] and all(d.stencil_error() is not None for d in groups[0])
     assert groups[1] and groups[2] == []
+
+
+@pytest.mark.parametrize("keep", [slice(1, None, 2), slice(None, None, -1)], ids=["odd", "reversed"])
+def test_grouped_evaluation_of_some_samples_of_each_batch(keep):
+    """As the suite leaves out ill-conditioned samples: an evaluation of some samples of each
+    surface's batch, or of all in another order, gives the bits of batches of those samples.
+
+    The folded plane's center at u = 0.3 passes the chart and fails later, so its
+    samples' rows in the center arrays are not their indices."""
+    params = SpaceParams(-1.0, 0.0)
+    make, (bowl,) = _catalog(params, "graph:bowl:a=0.2")
+    edge = (lambda ambient: _plane(ambient.params.disk_radius), _edge_uvs(make()))
+    folded = (
+        lambda ambient: _folded_plane({0.3, 0.5 + ambient.steps.second}),
+        [(0.1, 0.2), (0.3, 0.2), (0.5, 0.2), (0.7, 0.1)],
+    )
+    groups = _assert_grouped_equals_per_surface(make, [edge, folded, bowl], keep=keep)
+    assert any(d.stencil_error() is not None for d in groups[0] + groups[1])
+    assert all(groups)
+    # and of one surface alone, whose join is a new batch too
+    assert _assert_grouped_equals_per_surface(make, [folded], keep=keep)[0]
 
 
 def test_skip_precedence_at_a_singular_pair_with_a_stencil_error():
@@ -721,6 +748,50 @@ def test_each_batch_stage_is_built_once(address, pair, builds, monkeypatch):
     assert calls == first
     d = samples[0]
     assert all(d.shape(sig) is d.shape(sig) for sig in SIGS)
+
+
+@pytest.mark.parametrize("curves", [False, True], ids=["stages", "with-curves"])
+@pytest.mark.parametrize(
+    "addresses, starts",
+    [
+        (("hopf:circle", "graph:bowl:a=0.2", "vgraph:saddle:a=0.15"), 0),
+        (("berger-helicoid:alpha=0.5,variant=space", "berger-helicoid:alpha=0.5,variant=time"), 2),
+    ],
+    ids=["coordinate", "group"],
+)
+def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
+    addresses, starts, curves, monkeypatch
+):
+    """The stages after the stencil are built once per evaluation, whatever the number of
+    surfaces, and the draw plan builds none of them on a surface's own batch."""
+    make, built = _catalog(SpaceParams(1.0, 1.0), *addresses)
+    ambient = make()
+    charts = [build(ambient) for build, _ in built]
+    calls: dict = {}
+    _counted(monkeypatch, surfaces, "_normal_data", calls)
+    for name in ("point_tables", "stencil_components", "cov_deriv_stencils"):
+        _counted(monkeypatch, ambient, name, calls)
+    groups = [_samples(ambient, chart, uvs) for chart, (_, uvs) in zip(charts, built)]
+    assert all(groups)
+    curve_names = ("CONN_DIFF", "KILLING_R", "KILLING_L")
+    names = [n for n in IDENTITY_NAMES if curves or n not in curve_names]
+    rng = np.random.default_rng(0)
+    plans = [draw_plan(names, samples, rng) for samples in groups]
+    for samples in groups:
+        built_stages = {key[0] for key in samples[0]._batch._stages}
+        assert "stencil" in built_stages and not built_stages & {"shapes", "tables"}
+    evaluate_plans(names, plans)
+    # centers and stencil rows per surface; then one stencil_components call, the
+    # shapes and T-derivatives of each metric, one cov_deriv_stencils call per chart
+    # axis, and the tables of each metric
+    want = {"_normal_data": 2 * len(groups), "stencil_components": 1, "cov_deriv_stencils": 8,
+            "point_tables": 2}
+    if curves:
+        # each curve identity's field and derivative, and the tables where curves start
+        want["stencil_components"] += 3
+        want["cov_deriv_stencils"] += 3
+        want["point_tables"] += starts
+    assert calls == want
 
 
 def _folded_plane(folds) -> SurfaceChart:

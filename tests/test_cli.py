@@ -244,6 +244,22 @@ def test_verify_prints_skip_reasons_of_a_row_failed_without_samples(monkeypatch,
     assert "SHAPE_R: no evaluated sample, skipped: ORIENTATION_FLIP (" in out
 
 
+def test_verify_with_every_surface_skipped_fails(tmp_path, capsys):
+    """A run that samples no surface checked nothing, so it does not pass."""
+    out = tmp_path / "r.json"
+    args = ["verify", "--params", "-1,1", "--surfaces", "hopf:circle:r=2.5", "--json", str(out)]
+    assert cli.main(args) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("skip  hopf:circle:r=2.5 @ (-1,1): ")
+    assert lines[-1] == "== 0 pass, 0 fail, 0 skipped (FAILED: no surface was sampled)"
+    report = json.loads(out.read_text())
+    assert report["surfaces"] == [] and len(report["skipped_surfaces"]) == 1
+    assert report["summary"] == {"pass": False, "n_pass": 0, "n_fail": 0, "n_skipped": 0}
+    # one sampled surface beside it is checked, and the skip alone fails nothing
+    assert cli.main(args[:5] + ["--surfaces", "hopf:circle", "--samples", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("(OK)")
+
+
 def test_non_finite_tolerance_is_a_config_error():
     for value in ("inf", "nan"):
         proc = run_cli("verify", "--params", "1,1", "--tol", f"CONN_DIFF={value}")

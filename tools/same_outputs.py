@@ -17,7 +17,9 @@ results must keep:
   and stdout);
 * ``verify --samples 1``, where each row's maximum is one sample's residual,
   and ``verify --samples 30`` on a subset that mixes identities that draw
-  with stacked ones;
+  with stacked ones, and with all identities at (4,1), where
+  ``graph:bowl:a=0.2`` loses 2 samples to ``ILL_CONDITIONED`` inside an
+  evaluation of four coordinate-model surfaces;
 * ``verify`` at tau = 0 and small tau, and on the group-model helicoids:
   with all identities, with two subsets of only the identities that draw,
   given out of registry order, and with ``--samples 1``; and on the su11
@@ -33,7 +35,8 @@ results must keep:
 * what the catalog alone decides: ``surfaces``, with and without
   ``--params`` at six pairs; ``verify --samples 2`` of short addresses that
   the catalog completes with its defaults, at four pairs, whose skip lines
-  carry each address and reason, and of Hopf cylinders that leave the disk;
+  carry each address and reason, and of Hopf cylinders that leave the disk
+  beside one inside it;
   the errors of four malformed addresses; and ``mesh`` as obj and as csv,
   with the obj of a group-model surface refused;
 * through the Python API, ``evaluate_samples`` of all 25 identities on two
@@ -66,6 +69,10 @@ CASES += [
         "verify --samples 30, mixed identities",
         ["verify", "--samples", "30", "--seed", "3",
          "--identities", "INT1_R,SHAPE_L,GAUSS_L,NORMCURV", "--json", OUT],
+    ),
+    (
+        "verify --samples 30 at (4,1), some samples ill-conditioned",
+        ["verify", "--params", "4,1", "--samples", "30", "--seed", "0", "--json", OUT],
     ),
     (
         "verify tau = 0 and small tau",
@@ -163,9 +170,9 @@ CASES += [
          "--json", OUT],
     ),
     (
-        "verify of Hopf cylinders outside the disk at (-1,1)",
+        "verify of Hopf cylinders outside the disk at (-1,1), beside one inside",
         ["verify", "--samples", "2", "--params", "-1,1", "--surfaces", "hopf:circle:r=2.5",
-         "--surfaces", "hopf:ellipse:a=3"],
+         "--surfaces", "hopf:ellipse:a=3", "--surfaces", "hopf:circle"],
     ),
 ]
 CASES += [

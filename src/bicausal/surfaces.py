@@ -10,9 +10,10 @@ The samples of one call share one :class:`SampleBatch`: each stage (centers,
 frame components, rotations, stencil rows and errors, connection tables,
 shape operators, T-derivatives, curvature scalars) is one stack over all its
 samples, built once on first use, and gives each sample the bits its own
-evaluation would.  ``SampleBatch.join`` makes one batch of samples of
-several batches, so that an evaluation builds each later stage once.  Each sample is :func:`frame_data` of the shared batch;
+evaluation would.  Each sample is :func:`frame_data` of the shared batch;
 without a batch, :func:`frame_data` evaluates a batch of one.
+``SampleBatch.join`` makes one batch of samples of several batches, so
+that an evaluation of them builds each later stage once.
 
 Vectors tangent to the surface are represented two ways: as ambient
 coordinate components, and as coefficient pairs with respect to the chart

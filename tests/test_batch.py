@@ -506,7 +506,9 @@ def test_grouped_evaluation_with_a_surface_all_stencil_errors_and_one_without_sa
     assert groups[1] and groups[2] == []
 
 
-@pytest.mark.parametrize("keep", [slice(1, None, 2), slice(None, None, -1)], ids=["odd", "reversed"])
+@pytest.mark.parametrize(
+    "keep", [slice(1, None, 2), slice(None, None, -1)], ids=["odd", "reversed"]
+)
 def test_grouped_evaluation_of_some_samples_of_each_batch(keep):
     """As the suite leaves out ill-conditioned samples: an evaluation of some samples of each
     surface's batch, or of all in another order, gives the bits of batches of those samples.

@@ -18,7 +18,14 @@ from .ambient import SpaceParams, Signature
 from .catalog import CATALOG, build_surface, default_surfaces
 from .errors import ConfigInvalid, GeometryError, UnsupportedFormat
 from .identities import IDENTITIES, IDENTITY_NAMES, SampleSkip, curvature_suite
-from .suite import DEFAULT_PARAMS, NON_FINITE, SuiteConfig, check_config, run_suite
+from .suite import (
+    DEFAULT_PARAMS,
+    NON_FINITE,
+    SuiteConfig,
+    check_config,
+    checked_nothing,
+    run_suite,
+)
 from .surfaces import DEGENERATE, frame_batch, uv_columns
 
 # Grid rows per ``frame_batch`` in ``report``.  A fixed size bounds the stacks'
@@ -148,8 +155,8 @@ def cmd_verify(args) -> int:
         print(f"skip  {row['surface']} @ ({row['params']}): {row['reason']}")
     s = report["summary"]
     verdict = "OK" if s["pass"] else "FAILED"
-    if not report["surfaces"]:
-        verdict += ": no surface was sampled"
+    if checked_nothing(report["surfaces"]):
+        verdict += ": no sample was used"
     print(f"== {s['n_pass']} pass, {s['n_fail']} fail, {s['n_skipped']} skipped ({verdict})")
     return 0 if s["pass"] else 1
 

@@ -425,13 +425,13 @@ def _draw_directions(k: int, d: TwoMetricFrameData, rng: np.random.Generator):
     """Two rounds of k raw tangent directions, (2, k, 2) chart coefficients.
 
     The shape operators raise a sample's stencil error once the first
-    round is drawn: then only that round is drawn, and a copy of the error
-    returned.
+    round is drawn: then only that round is drawn, and the error returned.
     """
-    err = d.stencil_error()
-    if err is not None:
+    try:
+        d.shape(Signature.R)
+    except GeometryError as err:
         rng.normal(size=2 * k)
-        return copy.copy(err)
+        return err.with_traceback(None)
     return rng.normal(size=(2, k, 2))
 
 

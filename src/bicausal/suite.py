@@ -231,6 +231,12 @@ def _identity_rows(
     return results
 
 
+def checked_nothing(surface_rows: list[dict]) -> bool:
+    """Whether no surface of a run kept a sample: every one was skipped, or lost all its
+    samples to exclusions.  Such a run evaluated no identity, so it does not pass."""
+    return not any(row["points_used"] for row in surface_rows)
+
+
 def run_suite(config: SuiteConfig) -> dict:
     """Run the verification sweep and return a JSON-ready report."""
     identity_names = check_config(config)
@@ -296,8 +302,7 @@ def run_suite(config: SuiteConfig) -> dict:
         "surfaces": surface_rows,
         "skipped_surfaces": skipped_surfaces,
         "summary": {
-            # a run in which every surface was skipped checked nothing
-            "pass": n_fail == 0 and bool(surface_rows),
+            "pass": n_fail == 0 and not checked_nothing(surface_rows),
             "n_pass": n_pass,
             "n_fail": n_fail,
             "n_skipped": n_skip,

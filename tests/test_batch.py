@@ -765,7 +765,8 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
     addresses, starts, curves, monkeypatch
 ):
     """The stages after the stencil are built once per evaluation, whatever the number of
-    surfaces, and the draw plan builds none of them on a surface's own batch."""
+    surfaces.  The draw plan builds one of them on each surface's own batch: the Riemannian
+    shape operators, whose stencil error stops the draws of SHAPE and BILINEAR."""
     make, built = _catalog(SpaceParams(1.0, 1.0), *addresses)
     ambient = make()
     charts = [build(ambient) for build, _ in built]
@@ -779,15 +780,20 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
     names = [n for n in IDENTITY_NAMES if curves or n not in curve_names]
     rng = np.random.default_rng(0)
     plans = [draw_plan(names, samples, rng) for samples in groups]
+    # per surface: centers and stencil rows; one stencil_components call, the tables of
+    # R and the shapes of R, one cov_deriv_stencils call per chart axis
+    n = len(groups)
+    assert calls == {"_normal_data": 2 * n, "stencil_components": n, "cov_deriv_stencils": 2 * n,
+                     "point_tables": n}
     for samples in groups:
-        built_stages = {key[0] for key in samples[0]._batch._stages}
-        assert "stencil" in built_stages and not built_stages & {"shapes", "tables"}
+        stages = samples[0]._batch._stages
+        assert ("shapes", Signature.R) in stages and ("shapes", Signature.L) not in stages
+        assert not {key[0] for key in stages} & {"tangent_dts", "curvature", "rotations"}
+    calls.clear()
     evaluate_plans(names, plans)
-    # centers and stencil rows per surface; then one stencil_components call, the
-    # shapes and T-derivatives of each metric, one cov_deriv_stencils call per chart
-    # axis, and the tables of each metric
-    want = {"_normal_data": 2 * len(groups), "stencil_components": 1, "cov_deriv_stencils": 8,
-            "point_tables": 2}
+    # one stencil_components call, the shapes and T-derivatives of each metric, one
+    # cov_deriv_stencils call per chart axis, and the tables of each metric
+    want = {"stencil_components": 1, "cov_deriv_stencils": 8, "point_tables": 2}
     if curves:
         # each curve identity's field and derivative, and the tables where curves start
         want["stencil_components"] += 3

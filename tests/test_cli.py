@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from bicausal import cli
+from bicausal import cli, suite
 from bicausal.errors import OrientationFlip
 from bicausal.identities import IDENTITIES
 
@@ -251,13 +251,29 @@ def test_verify_with_every_surface_skipped_fails(tmp_path, capsys):
     assert cli.main(args) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("skip  hopf:circle:r=2.5 @ (-1,1): ")
-    assert lines[-1] == "== 0 pass, 0 fail, 0 skipped (FAILED: no surface was sampled)"
+    assert lines[-1] == "== 0 pass, 0 fail, 0 skipped (FAILED: no sample was used)"
     report = json.loads(out.read_text())
     assert report["surfaces"] == [] and len(report["skipped_surfaces"]) == 1
     assert report["summary"] == {"pass": False, "n_pass": 0, "n_fail": 0, "n_skipped": 0}
     # one sampled surface beside it is checked, and the skip alone fails nothing
     assert cli.main(args[:5] + ["--surfaces", "hopf:circle", "--samples", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith("(OK)")
+
+
+def test_verify_with_every_sample_excluded_fails(monkeypatch, tmp_path, capsys):
+    """A run whose only surface is sampled but keeps no sample checked nothing either, though
+    every identity row reads skipped."""
+    monkeypatch.setattr(suite, "OMEGA_CONDITION_LIMIT", 0.0)  # every sample ill-conditioned
+    out = tmp_path / "r.json"
+    args = ["verify", "--params", "1,1", "--surfaces", "graph:bowl:a=0.2", "--samples", "3",
+            "--identities", "METRIC_SUM,SHAPE_R", "--json", str(out)]
+    assert cli.main(args) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "== 0 pass, 0 fail, 2 skipped (FAILED: no sample was used)"
+    report = json.loads(out.read_text())
+    (row,) = report["surfaces"]
+    assert row["points_used"] == 0 and row["excluded"] == {"ILL_CONDITIONED": 3}
+    assert report["summary"] == {"pass": False, "n_pass": 0, "n_fail": 0, "n_skipped": 2}
 
 
 def test_non_finite_tolerance_is_a_config_error():

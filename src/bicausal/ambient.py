@@ -27,7 +27,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigInvalid, DomainViolation
-from .numdiff import FDSteps, central_diff, christoffels, stencil_derivative, stencil_values
+from .numdiff import (
+    FDSteps,
+    central_diff,
+    christoffels,
+    stencil_derivative,
+    stencil_params,
+    stencil_values,
+)
 
 DOMAIN_MARGIN = 1e-6
 
@@ -292,7 +299,9 @@ class Ambient:
     ``stencil_components`` and ``cov_deriv_stencils``, which reads stacks of
     the points and their frames, metric and tables.  ``point_table`` is
     their one-row case, and ``cov_deriv_on_curve`` samples a field on a
-    curve for one row.
+    curve for one row.  ``curve_stencils`` gives the stencil points of
+    stacks of ``curve_through`` curves, with each curve's error, and
+    ``curve_error`` the error of one curve, without its points.
     """
 
     def frame(self, p: np.ndarray) -> np.ndarray:
@@ -544,6 +553,22 @@ class CoordinateAmbient(Ambient):
         p = np.asarray(p, dtype=float)
         vel = np.asarray(vel, dtype=float)
         return lambda t: p + t * vel
+
+    def curve_stencils(self, points: np.ndarray, velocities: np.ndarray, h: float):
+        """The stencil points of r curves through each of m points, and each curve's error.
+
+        Curve j through points[i] is ``curve_through(points[i], velocities[i, j])``,
+        velocities (m, r, 3); its row (m, r, 5, 3) is ``stencil_values`` of it
+        with step h, with the bits of that call.  A line never leaves the
+        model, so every error of the (m, r) lists is None.
+        """
+        p, vel = np.asarray(points, dtype=float), np.asarray(velocities, dtype=float)
+        out = p[:, None, None] + np.array(stencil_params(h))[:, None] * vel[:, :, None]
+        return out, [[None] * vel.shape[1] for _ in range(len(p))]
+
+    def curve_error(self, p: np.ndarray, vel: np.ndarray, h: float) -> None:
+        """The error of the one curve of ``curve_stencils``: always None, lines stay inside."""
+        return None
 
     def cov_deriv_stencils(
         self,

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -315,14 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", action="append", metavar="IDENTITY=X",
                    help="tolerance override (repeatable)")
     p.add_argument("--json", metavar="FILE", help="write the full report as JSON")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="tabulate pointwise surface data as CSV")
     p.add_argument("surface", help="surface address, e.g. hopf:circle:r=0.8")
     p.add_argument("--params", required=True, metavar="K,T", help="parameter pair kappa,tau")
     p.add_argument("--grid", default="16x16", metavar="NUxNV", help="grid size (default 16x16)")
     p.add_argument("--csv", metavar="FILE", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("mesh", help="export a surface mesh")
     p.add_argument("surface", help="surface address")
@@ -330,15 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="32x32", metavar="NUxNV", help="grid size (default 32x32)")
     p.add_argument("--format", choices=("obj", "csv"), default="obj")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_mesh)
 
     p = sub.add_parser("surfaces", help="list catalog families or default addresses")
     p.add_argument("--params", metavar="K,T",
                    help="print default addresses for this pair instead of the family list")
-    p.set_defaults(func=cmd_surfaces)
 
     p = sub.add_parser("identities", help="list identity names and tolerances")
-    p.set_defaults(func=cmd_identities)
     return parser
 
 
@@ -357,12 +353,23 @@ def _merge_params_values(argv: list[str]) -> list[str]:
     return out
 
 
+# One parser per process: building it costs about a millisecond per ``main`` call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_merge_params_values(argv))
+    args = _parser().parse_args(_merge_params_values(argv))
+    # looked up at each call, so that a command rebound on the module is the one run
+    commands = {
+        "verify": cmd_verify,
+        "report": cmd_report,
+        "mesh": cmd_mesh,
+        "surfaces": cmd_surfaces,
+        "identities": cmd_identities,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (ConfigInvalid, UnsupportedFormat) as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 2

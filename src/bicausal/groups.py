@@ -32,7 +32,7 @@ from .ambient import (
     stacked_inner,
 )
 from .errors import CurveSingular, DomainViolation, ModelMismatch
-from .numdiff import FDSteps, stencil_derivative
+from .numdiff import FDSteps, stencil_derivative, stencil_params
 from .surfaces import SurfaceChart
 
 BERGER = "berger"
@@ -121,9 +121,13 @@ class GroupAmbient(Ambient):
         product calls of that chain and keeps its bits.
         """
         p = np.ascontiguousarray(points, dtype=float).reshape(-1, 4)
-        with np.errstate(all="ignore"):
-            q = (p[:, None, :] @ self.pairing @ p[:, :, None])[:, 0, 0]
+        q = self._quadric_rows(p)
         return (np.isfinite(p).all(axis=1) & (np.abs(q - 1.0) <= QUADRIC_TOL)).tolist()
+
+    def _quadric_rows(self, p: np.ndarray) -> np.ndarray:
+        """``quadric_value`` of each row of p (n, 4), C-contiguous, with its bits."""
+        with np.errstate(all="ignore"):
+            return (p[:, None, :] @ self.pairing @ p[:, :, None])[:, 0, 0]
 
     def validate_point(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -183,6 +187,33 @@ class GroupAmbient(Ambient):
             return q / math.sqrt(s)
 
         return curve
+
+    def curve_stencils(self, points: np.ndarray, velocities: np.ndarray, h: float):
+        """The stencil points of r curves through each of m points, and each curve's error.
+
+        Curve j through points[i] is ``curve_through(points[i], velocities[i, j])``,
+        velocities (m, r, 4); its row (m, r, 5, 4) is ``stencil_values`` of it
+        with step h, with the bits of that call.  Entry [i][j] of the error
+        lists is the CurveSingular that call raises at its first parameter
+        whose point leaves the quadric chart, or None; that curve's row then
+        holds NaN or unread numbers.
+        """
+        ts = stencil_params(h)
+        p, vel = np.asarray(points, dtype=float), np.asarray(velocities, dtype=float)
+        q = p[:, None, None] + np.array(ts)[:, None] * vel[:, :, None]
+        s = self._quadric_rows(np.ascontiguousarray(q).reshape(-1, 4)).reshape(q.shape[:-1])
+        with np.errstate(all="ignore"):
+            out = q / np.sqrt(s)[..., None]
+        errors = [[None] * vel.shape[1] for _ in range(len(p))]
+        # in C order: each curve's parameters in the order ``stencil_values`` takes them
+        for i, j, k in zip(*np.nonzero(s <= 0.0)):
+            if errors[i][j] is None:
+                errors[i][j] = CurveSingular(f"curve leaves the quadric chart at t={ts[k]}")
+        return out, errors
+
+    def curve_error(self, p: np.ndarray, vel: np.ndarray, h: float):
+        """The error of one curve of ``curve_stencils``, or None: its one-row case."""
+        return self.curve_stencils(np.asarray(p)[None], np.asarray(vel)[None, None], h)[1][0][0]
 
     def cov_deriv_stencils(
         self,

@@ -46,7 +46,7 @@ from .ambient import (
     wedge_frame,
 )
 from .errors import ConfigInvalid, GeometryError, NullDirection, NumericFailure
-from .numdiff import brioschi_curvature, stencil_values
+from .numdiff import brioschi_curvature
 from .surfaces import FRAME_FIELDS, SampleBatch, TwoMetricFrameData, mean_curvatures
 
 
@@ -76,27 +76,12 @@ def _scalar_residual(lhs: float, *terms: float) -> float:
 # -- stacked evaluation ------------------------------------------------------------
 
 
-def _split(samples: list, read: Callable) -> tuple[list, list[int], list]:
-    """``read(d)`` per sample, split by whether it raised.
-
-    Returns the outcome list (the SampleSkip or GeometryError each sample
-    raised, kept without its traceback, else None), the indices of the
-    samples that raised nothing, and what ``read`` returned for them.
-    """
-    out, ok, values = [], [], []
-    for s, d in enumerate(samples):
-        try:
-            values.append(read(d))
-        except (SampleSkip, GeometryError) as exc:
-            out.append(exc.with_traceback(None))
-            continue
-        out.append(None)
-        ok.append(s)
-    return out, ok, values
-
-
 def _reached(draws: list) -> tuple[list, list[int], list]:
-    """Each sample's draws (or stage entry) split, as by ``_split``, by whether it is a skip."""
+    """Each sample's draws (or stage entry) split by whether it is a skip.
+
+    Returns the outcome list (the skip, a SampleSkip or GeometryError, else
+    None), the indices of the samples without a skip, and their entries.
+    """
     out = [got if isinstance(got, Exception) else None for got in draws]
     ok = [s for s, got in enumerate(out) if got is None]
     return out, ok, [draws[s] for s in ok]
@@ -345,11 +330,6 @@ def _affine_comps(a: np.ndarray, b: np.ndarray, points: np.ndarray, base: np.nda
     return a[:, None] + (b[:, None] @ offsets[..., None])[..., 0]
 
 
-def _curve(d: TwoMetricFrameData, vel: np.ndarray) -> np.ndarray:
-    """The stencil points (5, dim) of the ambient curve through the sample with velocity vel."""
-    return stencil_values(d.ambient.curve_through(d.point, vel), d.steps.first)
-
-
 def _draw_conn_diff(d: TwoMetricFrameData, rng: np.random.Generator) -> np.ndarray:
     """Two random fields, affine in the point: a (3) and b (3, dim) each."""
     return rng.normal(size=6 + 6 * d.ambient.dim)
@@ -362,11 +342,12 @@ def _conn_diff(st: _Stack, draws: list) -> list:
     b_x, b_y = (np.ascontiguousarray(b.reshape(-1, 3, dim)) for b in (b_x, b_y))
     p = st.center("point")
     vel = st.to_coords(_affine_comps(a_y, b_y, p[:, None], p)[:, 0])
-    out, ok, points = _split(list(zip(st.samples, vel)), lambda dv: _curve(*dv))
+    points, errors = amb.curve_stencils(p, vel[:, None], amb.steps.first)
+    out, ok, _ = _reached([error for (error,) in errors])
     if not ok:
         return out
     st = st.rows(ok)
-    points = np.array(points)
+    points = points[ok, 0]
     m = len(ok)
     # The field on every sample's five stencil points, from one stack of their frames.
     flat = points.reshape(-1, dim)
@@ -383,29 +364,29 @@ def _conn_diff(st: _Stack, draws: list) -> list:
 
 
 def _draw_killing(d: TwoMetricFrameData, rng: np.random.Generator):
-    """Two ambient vectors (2, dim) and their curves' stencil points (2, 5, dim).
+    """Two ambient vectors (2, dim), the velocities of curves through the sample.
 
-    A curve that leaves the model raises before the next draw: its error
-    is returned in their place.
+    A curve that leaves the model (``curve_error``) stops the draws before
+    the next one: its error is returned in their place.
     """
-    xs, points = [], []
+    xs = []
     for _ in range(2):
         xs.append(d.to_coord(rng.normal(size=3)))
-        try:
-            points.append(_curve(d, xs[-1]))
-        except GeometryError as exc:
-            return exc.with_traceback(None)
-    return np.array(xs), np.array(points)
+        error = d.ambient.curve_error(d.point, xs[-1], d.steps.first)
+        if error is not None:
+            return error
+    return np.array(xs)
 
 
 def _killing(st: _Stack, draws: list, sig: Signature) -> list:
-    out, ok, got = _reached(draws)
+    out, ok, xs = _reached(draws)
     if not ok:
         return out
     st = st.rows(ok)
     amb = st.ambient
-    xs = np.array([x for x, _ in got])
-    points = np.array([q for _, q in got])
+    xs = np.array(xs)
+    # the draws stopped at every curve that leaves the model
+    points, _ = amb.curve_stencils(st.center("point"), xs, amb.steps.first)
     flat = points.reshape(-1, amb.dim)
     frames = amb.frames(flat)
     # the unit fiber field is the third frame leg in both models

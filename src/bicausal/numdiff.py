@@ -62,9 +62,14 @@ class FDSteps:
 STENCIL_STEPS = (1, 2, -1, -2)
 
 
+def stencil_params(h: float) -> tuple[float, ...]:
+    """0, then ``STENCIL_STEPS`` times h: the parameters of a stencil's five values."""
+    return (0.0,) + tuple(k * h for k in STENCIL_STEPS)
+
+
 def stencil_values(f, h: float) -> np.ndarray:
-    """f at 0, then at ``STENCIL_STEPS`` times h, as one array: a stencil's five values."""
-    return np.array([f(t) for t in (0.0,) + tuple(k * h for k in STENCIL_STEPS)])
+    """f at each of the ``stencil_params``, as one array: a stencil's five values."""
+    return np.array([f(t) for t in stencil_params(h)])
 
 
 def stencil_derivative(values, h: float):

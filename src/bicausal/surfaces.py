@@ -13,7 +13,8 @@ samples, built once on first use, and gives each sample the bits its own
 evaluation would.  Each sample is :func:`frame_data` of the shared batch;
 without a batch, :func:`frame_data` evaluates a batch of one.
 ``SampleBatch.join`` makes one batch of samples of several batches, so
-that an evaluation of them builds each later stage once.
+that an evaluation of them builds each later stage once, and takes the
+stages that all those batches already hold as rows of theirs.
 
 Vectors tangent to the surface are represented two ways: as ambient
 coordinate components, and as coefficient pairs with respect to the chart
@@ -380,20 +381,31 @@ def _normal_data(
     )
 
 
-def _selected(parts: list, errors: list, rows: list) -> NormalData:
+# The array fields of NormalData, which a selection of rows of other NormalData selects.
+_NORMAL_ARRAYS = frozenset(f.name for f in dataclasses.fields(NormalData)) - {"errors", "rows"}
+
+
+class _Selected:
     """The NormalData of ``errors`` and ``rows`` whose arrays are rows of other NormalData.
 
     ``parts`` lists (data, positions): each array is the concatenation of
     the ``positions`` rows of each part's array, so every row keeps its bits.
+    An array is selected on its first read, so a join copies only the
+    fields that its later stages read.
     """
-    arrays = {}
-    for f in dataclasses.fields(NormalData):
-        if f.name not in ("errors", "rows"):
-            got = [getattr(data, f.name) for data, _ in parts]
-            arrays[f.name] = None if got[0] is None else np.concatenate(
-                [a[pos] for a, (_, pos) in zip(got, parts)]
-            )
-    return NormalData(errors=errors, rows=rows, **arrays)
+
+    def __init__(self, parts: list, errors: list, rows: list):
+        self.errors, self.rows, self._parts = errors, rows, parts
+
+    def __getattr__(self, name: str):
+        if name not in _NORMAL_ARRAYS:
+            raise AttributeError(name)
+        got = [getattr(data, name) for data, _ in self._parts]
+        value = None if got[0] is None else np.concatenate(
+            [a[pos] for a, (_, pos) in zip(got, self._parts)]
+        )
+        setattr(self, name, value)
+        return value
 
 
 def mean_curvatures(sig: Signature, shapes: np.ndarray, eps) -> np.ndarray:
@@ -417,8 +429,16 @@ def _stencil_uvs(uv: tuple[float, float], h: float) -> list[tuple[float, float]]
     return out
 
 
-def _stage(build: Callable) -> Callable:
-    """A ``SampleBatch`` stage: built on first use, then kept under its name and arguments."""
+def _stage(build: Callable | None = None, *, rows: str | None = None) -> Callable:
+    """A ``SampleBatch`` stage: built on first use, then kept under its name and arguments.
+
+    A stage of ``rows`` holds one row per sample (``"all"``) or per sample
+    of ``_ok`` (``"ok"``), in an array or a tuple of arrays: a join whose
+    parts all hold it takes it as their rows of its samples
+    (``SampleBatch._joined_rows``), and otherwise builds it.
+    """
+    if build is None:
+        return functools.partial(_stage, rows=rows)
     name = build.__name__
 
     @functools.wraps(build)
@@ -429,7 +449,10 @@ def _stage(build: Callable) -> Callable:
         except KeyError:
             pass
         # built outside the handler, so that its errors carry no KeyError context
-        out = self._stages[key] = build(self, *args)
+        out = None if rows is None else self._joined_rows(key, rows)
+        if out is None:
+            out = build(self, *args)
+        self._stages[key] = out
         return out
 
     return stage
@@ -466,7 +489,9 @@ class SampleBatch:
 
     ``join`` makes the batch of samples of several batches of one ambient,
     whose centers and stencil rows are row selections of their batches'
-    own; every later stage is then built once over all of them.
+    own.  So is each stage of rows (``_stage(rows=...)``: the stencil
+    components, tables and shape operators) that all those batches hold;
+    every other later stage is built once over all the joined samples.
     """
 
     def __init__(self, ambient, chart: SurfaceChart | None, uvs):
@@ -485,7 +510,8 @@ class SampleBatch:
         All the samples of one batch, in order, join to that batch itself.
         Otherwise the joined batch has no chart: it takes its centers and
         stencil rows from the samples' batches, which have built them or
-        build them then, and builds only the later stages.
+        build them then, and each stage of rows that all those batches hold;
+        it builds only the other later stages.
         """
         first = samples[0]._batch
         whole = len(samples) == len(first.centers)
@@ -506,7 +532,7 @@ class SampleBatch:
             return _normal_data(self.ambient, self.chart, self.uvs, self.steps.first, routes=True)
         parts = [(batch.center, [batch.centers[k] for k in ks]) for batch, ks in self._parts]
         n = len(self.uvs)
-        return _selected(parts, [None] * n, list(range(n)))
+        return _Selected(parts, [None] * n, list(range(n)))
 
     @property
     @_stage
@@ -611,7 +637,7 @@ class SampleBatch:
                 rows += [len(errors) + r for r in kept]
                 errors += st.errors[8 * k : 8 * k + 8]
             parts.append((st, positions))
-        return _selected(parts, errors, rows)
+        return _Selected(parts, errors, rows)
 
     @_stage
     def stencil_errors(self) -> list:
@@ -638,7 +664,32 @@ class SampleBatch:
     def _slot(self, k: int) -> int:
         return self._ok()[3][k]
 
-    @_stage
+    def _joined_rows(self, key: tuple, rows: str):
+        """The row stage ``key`` of a join, from its parts' own when all of them hold it.
+
+        Each part gives the rows of its samples in the join, of all of them
+        (``rows`` ``"all"``) or of those of ``_ok`` (``"ok"``); None when
+        this is no join or a part lacks the stage.
+        """
+        if self._parts is None:
+            return None
+        held = [batch._stages.get(key) for batch, _ in self._parts]
+        if any(stage is None for stage in held):
+            return None
+        picks = []
+        for batch, ks in self._parts:
+            if rows == "ok":
+                slots = batch._ok()[3]
+                ks = [slots[k] for k in ks if k in slots]
+            picks.append(ks)
+        tuples = [stage if isinstance(stage, tuple) else (stage,) for stage in held]
+        out = tuple(
+            np.concatenate([arrays[i][pick] for arrays, pick in zip(tuples, picks)])
+            for i in range(len(tuples[0]))
+        )
+        return out if isinstance(held[0], tuple) else out[0]
+
+    @_stage(rows="ok")
     def _components(self) -> tuple[np.ndarray, np.ndarray]:
         """``stencil_components`` of ``STENCIL_FIELDS`` at the centers and at the rows, one call.
 
@@ -696,12 +747,12 @@ class SampleBatch:
 
     # -- per-sample stages, stacked ----------------------------------------------
 
-    @_stage
+    @_stage(rows="all")
     def tables(self, sig: Signature) -> np.ndarray:
         """Every sample's connection table of ``sig``, (n, ...), one ``point_tables`` call."""
         return self.ambient.point_tables(sig, self._at_centers("point"))
 
-    @_stage
+    @_stage(rows="ok")
     def shapes(self, sig: Signature) -> np.ndarray:
         """The Weingarten matrices (m, 2, 2) of the samples of ``_ok``."""
         n_name = "n_r" if sig is Signature.R else "n_l"
@@ -816,17 +867,18 @@ class SampleBatch:
         """Where ``ambient.curve_through(point, x)`` starts for each sample, if not the point.
 
         A group-model curve starts at point / sqrt(quadric(point)), which is
-        not always bitwise the point.  Entry k is the PointFrame of sample
-        k's moved start, or None; the tables of all moved starts come from
-        one ``point_tables`` call per metric.
+        not always bitwise the point: the first stencil point of the curves
+        of ``curve_stencils``, whatever their velocity.  Entry k is the
+        PointFrame of sample k's moved start, or None; the tables of all
+        moved starts come from one ``point_tables`` call per metric.
         """
-        zero = np.zeros(self.ambient.dim)
         points = self._at_centers("point")
-        starts = [self.ambient.curve_through(p, zero)(0.0) for p in points]
-        moved = [s for s, (a, b) in enumerate(zip(starts, points)) if not np.array_equal(a, b)]
+        zero = np.zeros((len(points), 1, self.ambient.dim))
+        starts = self.ambient.curve_stencils(points, zero, self.steps.first)[0][:, 0, 0]
+        moved = np.flatnonzero(~(starts == points).all(axis=1)).tolist()
         out = [None] * len(points)
         if moved:
-            at = np.array([starts[s] for s in moved])
+            at = starts[moved]
             tables = {sig: self.ambient.point_tables(sig, at) for sig in SIGNATURES}
             for i, s in enumerate(moved):
                 out[s] = PointFrame(

@@ -506,6 +506,37 @@ def test_grouped_evaluation_with_a_surface_all_stencil_errors_and_one_without_sa
     assert groups[1] and groups[2] == []
 
 
+def test_a_join_builds_the_row_stages_that_one_of_its_surfaces_lacks(monkeypatch):
+    """Every sample of the edge plane has a stencil error, so its draw plan builds no shape
+    operators.  The join with the bowl, whose batch holds them, builds them itself, with the
+    stencil components and tables they need, over all its samples, and gives the bits of one
+    evaluation per surface.  It copies only the fields of the surfaces' centers and stencil
+    rows that it reads."""
+    make, (bowl,) = _catalog(SpaceParams(-1.0, 0.5), "graph:bowl:a=0.2")
+    edge = (_timelike_plane_at_the_edge, [(0.0, 0.0), (0.0, 0.02), (0.0, -0.02)])
+    joined_rows = surfaces.SampleBatch._joined_rows
+    joins, taken = [], {}
+
+    def spy(self, key, rows):
+        out = joined_rows(self, key, rows)
+        if self._parts is not None:
+            joins.append(self)
+            taken[key] = out is not None
+        return out
+
+    monkeypatch.setattr(surfaces.SampleBatch, "_joined_rows", spy)
+    edge_samples, bowl_samples = _assert_grouped_equals_per_surface(make, [edge, bowl])
+    assert all(d.stencil_error() is not None for d in edge_samples)
+    assert ("shapes", Signature.R) not in edge_samples[0]._batch._stages
+    assert ("shapes", Signature.R) in bowl_samples[0]._batch._stages
+    rows = [("_components",)] + [(name, sig) for name in ("tables", "shapes") for sig in SIGS]
+    assert taken == dict.fromkeys(rows, False)
+    join = joins[0]
+    assert {"sign_ambiguous", "wedge_agreement"}.isdisjoint(vars(join.center))
+    unread = {"g_r", "g_l", "gram_r", "gram_l", "eps", "omega_r", "omega_l"}
+    assert unread.isdisjoint(vars(join.stencil())) and "n_r" in vars(join.stencil())
+
+
 @pytest.mark.parametrize(
     "keep", [slice(1, None, 2), slice(None, None, -1)], ids=["odd", "reversed"]
 )
@@ -582,20 +613,28 @@ def test_draws_stop_at_a_stencil_error_before_shape_and_bilinear():
 
 
 def _leaving_curves(ambient, monkeypatch):
-    """Make every curve whose velocity has a first coordinate above 0.3 leave the model."""
-    through = ambient.curve_through
+    """Make every curve whose velocity has a first coordinate above 0.3 leave the model.
 
-    def curve_through(p, vel):
-        curve = through(p, vel)
+    Both the draw step's check (``curve_error``) and the evaluators' stacked
+    curves (``curve_stencils``) see it.
+    """
+    error, stencils = ambient.curve_error, ambient.curve_stencils
 
-        def leaving(t):
-            if vel[0] > 0.3:
-                raise CurveSingular(f"curve leaves the model at t={t}")
-            return curve(t)
+    def leaving(vel):
+        return CurveSingular("curve leaves the model at t=0.0") if vel[0] > 0.3 else None
 
-        return leaving
+    def curve_error(p, vel, h):
+        return leaving(vel) or error(p, vel, h)
 
-    monkeypatch.setattr(ambient, "curve_through", curve_through)
+    def curve_stencils(points, velocities, h):
+        out, errors = stencils(points, velocities, h)
+        return out, [
+            [leaving(vel) or e for vel, e in zip(curves, row)]
+            for curves, row in zip(velocities, errors)
+        ]
+
+    monkeypatch.setattr(ambient, "curve_error", curve_error)
+    monkeypatch.setattr(ambient, "curve_stencils", curve_stencils)
 
 
 @pytest.mark.parametrize(
@@ -766,7 +805,9 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
 ):
     """The stages after the stencil are built once per evaluation, whatever the number of
     surfaces.  The draw plan builds one of them on each surface's own batch: the Riemannian
-    shape operators, whose stencil error stops the draws of SHAPE and BILINEAR."""
+    shape operators, whose stencil error stops the draws of SHAPE and BILINEAR.  The join
+    takes those, with the stencil components and Riemannian tables they need, as rows of
+    the surfaces' own, and builds none of the three again."""
     make, built = _catalog(SpaceParams(1.0, 1.0), *addresses)
     ambient = make()
     charts = [build(ambient) for build, _ in built]
@@ -789,11 +830,12 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
         stages = samples[0]._batch._stages
         assert ("shapes", Signature.R) in stages and ("shapes", Signature.L) not in stages
         assert not {key[0] for key in stages} & {"tangent_dts", "curvature", "rotations"}
-    calls.clear()
+    calls.update(dict.fromkeys(calls, 0))
     evaluate_plans(names, plans)
-    # one stencil_components call, the shapes and T-derivatives of each metric, one
-    # cov_deriv_stencils call per chart axis, and the tables of each metric
-    want = {"stencil_components": 1, "cov_deriv_stencils": 8, "point_tables": 2}
+    # the Lorentzian shapes and the T-derivatives of each metric, one cov_deriv_stencils
+    # call per chart axis, and the Lorentzian tables
+    want = {"_normal_data": 0, "stencil_components": 0, "cov_deriv_stencils": 6,
+            "point_tables": 1}
     if curves:
         # each curve identity's field and derivative, and the tables where curves start
         want["stencil_components"] += 3

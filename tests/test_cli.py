@@ -507,3 +507,19 @@ def test_identities_listing():
     assert "METRIC_SUM" in proc.stdout
     assert "COMBINED_516" in proc.stdout
     assert len([l for l in proc.stdout.splitlines() if l.strip()]) >= 25
+
+
+def test_main_runs_the_command_bound_on_the_module_at_each_call(monkeypatch, capsys):
+    """The parser is built once per process, and each call looks its command up anew."""
+    assert cli.main(["identities"]) == 0
+    seen = []
+
+    def report(args):
+        seen.append((args.surface, args.params, args.grid))
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_report", report)
+    assert cli.main(["report", "graph:bowl", "--params", "-1,1", "--grid", "3x4"]) == 7
+    assert seen == [("graph:bowl", "-1,1", "3x4")]
+    assert cli._parser() is cli._parser()
+    capsys.readouterr()

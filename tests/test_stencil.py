@@ -28,7 +28,7 @@ from bicausal.catalog import build_surface, default_surfaces
 from bicausal.errors import DomainViolation, GeometryError
 from bicausal.groups import BERGER, SU11, GroupAmbient
 from bicausal.identities import _frame_norm
-from bicausal.numdiff import STENCIL_STEPS
+from bicausal.numdiff import STENCIL_STEPS, stencil_values
 from bicausal.surfaces import (
     FRAME_FIELDS,
     STENCIL_FIELDS,
@@ -501,6 +501,46 @@ def test_sample_context_equals_per_point_calls(name, rng):
                 _one_row(ambient, sig, d, u, f0, fs, h),
                 _one_row(ambient, sig, ambient.point_frame(p.copy()), u, f0, fs, h),
             )
+
+
+@pytest.mark.parametrize("name", sorted(AMBIENTS))
+def test_curve_stencils_equal_stencil_values_of_each_curve(name, rng):
+    """Each curve's row has the bits of ``stencil_values(curve_through(p, v), h)``.
+
+    A group-model curve that leaves the quadric carries the error class and
+    message that call raises, at its first parameter in ``stencil_params``
+    order, and so does ``curve_error`` of that curve alone.
+    """
+    ambient = AMBIENTS[name]()
+    h = 2.0**-10
+    points = _points(ambient, rng, 6)
+    vels = _tangents(ambient, points, rng, 3) * np.exp(rng.uniform(-3.0, 6.0, size=(6, 3, 1)))
+    if isinstance(ambient, GroupAmbient):
+        # through the origin of R^4 at t = h; and, on the su11 quadric, a curve whose
+        # first point off the chart is the one at t = 2h
+        vels[0, 0] = -points[0] / h
+        points[1] = [1.0, 0.0, 0.0, 0.0]
+        vels[1, 0] = [0.0, 0.0, 0.75 / h, 0.0]
+    out, errors = ambient.curve_stencils(points, vels, h)
+    assert out.shape == (6, 3, 5, ambient.dim)
+    seen = set()
+    for i, p in enumerate(points):
+        for j, vel in enumerate(vels[i]):
+            try:
+                want = stencil_values(ambient.curve_through(p, vel), h)
+            except GeometryError as exc:
+                raised = (type(exc), str(exc))
+                for got in (errors[i][j], ambient.curve_error(p, vel, h)):
+                    assert (type(got), str(got)) == raised
+                seen.add(str(exc))
+                continue
+            assert errors[i][j] is None and ambient.curve_error(p, vel, h) is None
+            assert same_bits(out[i, j], want)
+    if isinstance(ambient, GroupAmbient):
+        assert f"curve leaves the quadric chart at t={h}" in seen
+        assert ambient.kind == BERGER or f"curve leaves the quadric chart at t={2 * h}" in seen
+    else:
+        assert not seen
 
 
 def _curve_start(d):

@@ -17,7 +17,10 @@ results must keep:
   and stdout);
 * ``verify --samples 1``, where each row's maximum is one sample's residual,
   and ``verify --samples 30`` on a subset that mixes identities that draw
-  with stacked ones, and with all identities at (4,1), where
+  with stacked ones, on a subset of six identities of which none draws
+  tangent directions, so that no surface's batch holds the Riemannian shape
+  operators and every join builds its own, with the stacked curves of
+  ``KILLING_R`` and ``CONN_DIFF``, and with all identities at (4,1), where
   ``graph:bowl:a=0.2`` loses 2 samples to ``ILL_CONDITIONED`` inside an
   evaluation of four coordinate-model surfaces;
 * ``verify`` at tau = 0 and small tau, and on the group-model helicoids:
@@ -69,6 +72,11 @@ CASES += [
         "verify --samples 30, mixed identities",
         ["verify", "--samples", "30", "--seed", "3",
          "--identities", "INT1_R,SHAPE_L,GAUSS_L,NORMCURV", "--json", OUT],
+    ),
+    (
+        "verify --samples 30, no identity that draws directions",
+        ["verify", "--samples", "30", "--identities",
+         "MEANCURV_R,MEANCURV_L,INT2_L,EXTRINSIC_REL,KILLING_R,CONN_DIFF", "--json", OUT],
     ),
     (
         "verify --samples 30 at (4,1), some samples ill-conditioned",

@@ -47,7 +47,15 @@ from .ambient import (
 )
 from .errors import ConfigInvalid, GeometryError, NullDirection, NumericFailure
 from .numdiff import brioschi_curvature
-from .surfaces import FRAME_FIELDS, SampleBatch, TwoMetricFrameData, mean_curvatures
+from .surfaces import (
+    CURVATURE_KEYS,
+    FRAME_FIELDS,
+    INVARIANT_KEYS,
+    SampleBatch,
+    TwoMetricFrameData,
+    _powers,
+    mean_curvatures,
+)
 
 
 class SampleSkip(Exception):
@@ -63,14 +71,31 @@ def _frame_norm(data, vec: np.ndarray) -> float:
     return np.max(np.abs(data.to_frames([vec])), axis=-1).tolist()[0]
 
 
-def _sized_residual(size: list[float]) -> float:
-    """The residual of sizes [lhs, *terms]."""
-    return size[0] / max([1.0] + size[1:])
+def _scale(*terms):
+    """max(1, *terms) elementwise, as Python's ``max`` of [1.0, *terms] takes it.
+
+    ``fmax`` passes over a NaN term as ``max`` does, since the running scale,
+    starting at 1.0, is never NaN.
+    """
+    scale = 1.0
+    for t in terms:
+        scale = np.fmax(scale, t)
+    return scale
 
 
-def _scalar_residual(lhs: float, *terms: float) -> float:
-    scale = max([1.0] + [abs(t) for t in terms])
-    return abs(lhs) / scale
+def _scalar_residuals(lhs, *terms) -> np.ndarray:
+    """|lhs| / max(1, |term| for each term), elementwise over arrays that broadcast.
+
+    An infinite lhs over an infinite scale is NaN, silently, as in Python floats.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.abs(lhs) / _scale(*(np.abs(t) for t in terms))
+
+
+def _sized_residuals(sizes: np.ndarray) -> np.ndarray:
+    """The residuals of sizes (..., [lhs, *terms]): lhs / max(1, *terms), over the last axis."""
+    with np.errstate(invalid="ignore"):
+        return sizes[..., 0] / _scale(*np.moveaxis(sizes[..., 1:], -1, 0))
 
 
 # -- stacked evaluation ------------------------------------------------------------
@@ -130,17 +155,18 @@ class _Stack:
         """The center array ``name`` (``SampleBatch.center_rows``) of the samples."""
         return self.of(name, lambda batch, ks: batch.center_rows(name, ks))
 
-    def floats(self, name: str) -> list[float]:
-        """The center array ``name`` (``eps``, ``omega_l``, ``angle_r``, ...) as floats."""
-        return self.center(name).tolist()
-
-    def omega(self, sig: Signature) -> list[float]:
-        return self.floats("omega_r" if sig is Signature.R else "omega_l")
+    def omega(self, sig: Signature) -> np.ndarray:
+        return self.center("omega_r" if sig is Signature.R else "omega_l")
 
     def column(self, stage: str) -> list:
         """Each sample's entry of the batch stage ``stage``, a list over the batch's samples."""
         entries = getattr(self.batch, stage)()
         return [entries[k] for k in self.ks]
+
+    def curvature(self, key: str) -> np.ndarray:
+        """The curvature scalar ``key`` (``CURVATURE_KEYS``) of each sample."""
+        slot = CURVATURE_KEYS.index(key)
+        return self.of(f"curvature {key}", lambda batch, ks: batch.curvature()[0][ks, slot])
 
     def metric(self, sig: Signature) -> np.ndarray:
         return self.center("g_r" if sig is Signature.R else "g_l")
@@ -197,8 +223,8 @@ class _Stack:
     def shape(self, sig: Signature) -> np.ndarray:
         return self.ok_stage(f"shape {sig.value}", lambda batch: batch.shapes(sig))
 
-    def mean_curvature(self, sig: Signature) -> list[float]:
-        return mean_curvatures(sig, self.shape(sig), self.center("eps")).tolist()
+    def mean_curvature(self, sig: Signature) -> np.ndarray:
+        return mean_curvatures(sig, self.shape(sig), self.center("eps"))
 
     def shape_coeffs(self, sig: Signature, coeffs: np.ndarray) -> np.ndarray:
         """A_sig of chart coefficients (m, ..., 2) at each sample, as chart coefficients."""
@@ -262,9 +288,10 @@ class _Stack:
         return out.reshape(velocity.shape)
 
 
-def _residual_rows(out: list, ok: list[int], rows) -> list:
-    """``out`` with the residual list of sample ``ok[i]`` set from ``rows[i]``."""
-    for s, row in zip(ok, rows):
+def _residual_rows(out: list, ok: list[int], residuals: np.ndarray) -> list:
+    """``out`` with the residual list of sample ``ok[i]`` set from row i of ``residuals``,
+    an array (m,) of one residual per sample or (m, ...) of several."""
+    for s, row in zip(ok, residuals.reshape(len(ok), -1).tolist()):
         out[s] = row
     return out
 
@@ -276,31 +303,27 @@ def _metric_sum(st: _Stack, draws: list) -> list:
     frame_vecs = np.reshape(draws, (len(st), 3, 2, 3))
     u, v = np.moveaxis(st.to_coords(frame_vecs), 2, 0)
     uf, vf = np.moveaxis(frame_vecs, 2, 0)
-    r = st.inner(Signature.R, u, v).tolist()
-    l = st.inner(Signature.L, u, v).tolist()
-    horiz = (uf[..., 0] * vf[..., 0] + uf[..., 1] * vf[..., 1]).tolist()
-    return [
-        [_scalar_residual(a + b - 2.0 * c, a, b, c) for a, b, c in zip(*row)]
-        for row in zip(r, l, horiz)
-    ]
+    r, l = st.inner(Signature.R, u, v), st.inner(Signature.L, u, v)
+    horiz = uf[..., 0] * vf[..., 0] + uf[..., 1] * vf[..., 1]
+    return _scalar_residuals(r + l - 2.0 * horiz, r, l, horiz).tolist()
 
 
 def _metric_diff(st: _Stack, draws: list) -> list:
     u, v = np.moveaxis(st.to_coords(np.reshape(draws, (len(st), 3, 2, 3))), 2, 0)
     xi = st.center("xi")[:, None]
-    r = st.inner(Signature.R, u, v).tolist()
-    l = st.inner(Signature.L, u, v).tolist()
-    ur, vr = st.inner(Signature.R, u, xi).tolist(), st.inner(Signature.R, v, xi).tolist()
-    ul, vl = st.inner(Signature.L, u, xi).tolist(), st.inner(Signature.L, v, xi).tolist()
-    out = []
-    for row in zip(r, l, ur, vr, ul, vl):
-        residuals = []
-        for r_, l_, ur_, vr_, ul_, vl_ in zip(*row):
-            residuals.append(_scalar_residual(r_ - l_ - 2.0 * ur_ * vr_, r_, l_))
-            residuals.append(_scalar_residual(r_ - l_ - 2.0 * ul_ * vl_, r_, l_))
-            residuals.append(_scalar_residual(ur_ + ul_, ur_))
-        out.append(residuals)
-    return out
+    r, l = st.inner(Signature.R, u, v), st.inner(Signature.L, u, v)
+    ur, vr = st.inner(Signature.R, u, xi), st.inner(Signature.R, v, xi)
+    ul, vl = st.inner(Signature.L, u, xi), st.inner(Signature.L, v, xi)
+    # per pair of vectors, the three residuals in turn
+    residuals = np.stack(
+        [
+            _scalar_residuals(r - l - 2.0 * ur * vr, r, l),
+            _scalar_residuals(r - l - 2.0 * ul * vl, r, l),
+            _scalar_residuals(ur + ul, ur),
+        ],
+        axis=-1,
+    )
+    return residuals.reshape(len(st), -1).tolist()
 
 
 # -- normal transformation ------------------------------------------------------
@@ -308,17 +331,15 @@ def _metric_diff(st: _Stack, draws: list) -> list:
 
 def _invariants(st: _Stack, keys: tuple[str, ...]) -> list:
     """The named consistency residuals of every sample (NORMAL_TRANSFORM and the like)."""
-    return [[d.invariants[key] for key in keys] for d in st.samples]
+    slots = [INVARIANT_KEYS.index(key) for key in keys]
+    return st.of("invariants", lambda batch, ks: batch.invariants()[ks])[:, slots].tolist()
 
 
 def _normal_pairing(st: _Stack, draws: list) -> list:
     v = st.to_coords(np.reshape(draws, (len(st), 3, 3)))
-    pr = st.inner(Signature.R, st.center("n_r")[:, None], v).tolist()
-    pl = st.inner(Signature.L, st.center("n_l")[:, None], v).tolist()
-    return [
-        [_scalar_residual(a + b / w, a, b) for a, b in zip(*row)]
-        for *row, w in zip(pr, pl, st.floats("omega_l"))
-    ]
+    pr = st.inner(Signature.R, st.center("n_r")[:, None], v)
+    pl = st.inner(Signature.L, st.center("n_l")[:, None], v)
+    return _scalar_residuals(pr + pl / st.center("omega_l")[:, None], pr, pl).tolist()
 
 
 # -- connection-level identities -------------------------------------------------
@@ -359,8 +380,8 @@ def _conn_diff(st: _Stack, draws: list) -> list:
     derivs = st.curve_derivs(SIGNATURES, np.stack([vel[ok]] * 2, axis=1), np.repeat(comps, 2, 1))
     d_r, d_l = derivs[:, 0], derivs[:, 1]
     gap = st.to_coords(connection_gap_frame(amb.params.tau, a_x[ok], a_y[ok]))
-    sizes = st.frame_sizes(np.stack([d_r - d_l - gap, d_r, d_l, gap], axis=1)).tolist()
-    return _residual_rows(out, ok, ([_sized_residual(size)] for size in sizes))
+    sizes = st.frame_sizes(np.stack([d_r - d_l - gap, d_r, d_l, gap], axis=1))
+    return _residual_rows(out, ok, _sized_residuals(sizes))
 
 
 def _draw_killing(d: TwoMetricFrameData, rng: np.random.Generator):
@@ -395,8 +416,8 @@ def _killing(st: _Stack, draws: list, sig: Signature) -> list:
     xi = st.frame_of("xi")[:, None]
     w = st.to_coords(wedge_frame(sig, st.to_frames(xs), np.broadcast_to(xi, (len(ok), 2, 3))))
     rhs = (sig.eps3 * amb.params.tau) * w
-    sizes = st.frame_sizes(np.stack([derivs - rhs, derivs, rhs], axis=2)).tolist()
-    return _residual_rows(out, ok, ([_sized_residual(s) for s in row] for row in sizes))
+    sizes = st.frame_sizes(np.stack([derivs - rhs, derivs, rhs], axis=2))
+    return _residual_rows(out, ok, _sized_residuals(sizes))
 
 
 # -- shape operator transformation ------------------------------------------------
@@ -432,17 +453,18 @@ def _shape(st: _Stack, draws: list, sig: Signature) -> list:
     coeff = st.inner(o, (st.shape_of_t(o) - (s * tau) * j_o_t)[:, None], x)
     along = st.inner(o, t_o[:, None], x)
     w = st.omega(o)
-    k_coeff = np.array([s * 2.0 * e / w_**3 for e, w_ in zip(st.floats("eps"), w)])
-    k_along = np.array([2.0 * tau / w_ for w_ in w])
-    a_o_x = a_o / np.array(w)[:, None, None]
+    w3 = _powers(w, 3)
+    k_coeff = s * 2.0 * st.center("eps") / w3
+    k_along = 2.0 * tau / w
+    a_o_x = a_o / w[:, None, None]
     lhs = (
         a_sig
         + a_o_x
         + (k_coeff[:, None] * coeff)[..., None] * t_o[:, None]
         + (k_along[:, None] * along)[..., None] * j_o_t[:, None]
     )
-    sizes = st.frame_sizes(np.stack([lhs, a_sig, a_o_x], axis=2)).tolist()
-    return _residual_rows(out, ok, ([_sized_residual(s) for s in row] for row in sizes))
+    sizes = st.frame_sizes(np.stack([lhs, a_sig, a_o_x], axis=2))
+    return _residual_rows(out, ok, _sized_residuals(sizes))
 
 
 def _bilinear(st: _Stack, draws: list, sig: Signature) -> list:
@@ -455,16 +477,13 @@ def _bilinear(st: _Stack, draws: list, sig: Signature) -> list:
     # (m, round, [x, y], 2)
     c = st.unit_coeffs(np.array(got))
     x, y = st.embed(c[:, :, 0]), st.embed(c[:, :, 1])
-    a = st.inner(sig, st.apply_shape(sig, c[:, :, 0]), y).tolist()
-    a_o = st.inner(o, st.apply_shape(o, c[:, :, 0]), y).tolist()
-    jx = st.inner(sig, st.rotate(o, st.to_frames(x)), y).tolist()
-    jy = st.inner(sig, st.rotate(o, st.to_frames(y)), x).tolist()
-    w = st.omega(o)
-    rows = (
-        [_scalar_residual(a_ + (b - k * (c_ + e)) / w_, a_, b) for a_, b, c_, e in zip(*row)]
-        for *row, w_ in zip(a, a_o, jx, jy, w)
-    )
-    return _residual_rows(out, ok, rows)
+    a = st.inner(sig, st.apply_shape(sig, c[:, :, 0]), y)
+    a_o = st.inner(o, st.apply_shape(o, c[:, :, 0]), y)
+    jx = st.inner(sig, st.rotate(o, st.to_frames(x)), y)
+    jy = st.inner(sig, st.rotate(o, st.to_frames(y)), x)
+    w = st.omega(o)[:, None]
+    residuals = _scalar_residuals(a + (a_o - k * (jx + jy)) / w, a, a_o)
+    return _residual_rows(out, ok, residuals)
 
 
 def _meancurv(st: _Stack, sig: Signature) -> list:
@@ -473,17 +492,16 @@ def _meancurv(st: _Stack, sig: Signature) -> list:
     if not ok:
         return out
     st = st.rows(ok)
-    quads = stacked_inner(st.metric(o), st.shape_of_t(o), st.tangent_t(o)).tolist()
+    q = stacked_inner(st.metric(o), st.shape_of_t(o), st.tangent_t(o))
     h_r, h_l = (st.mean_curvature(each) for each in SIGNATURES)
+    e, w = st.center("eps"), st.omega(o)
+    w3 = _powers(w, 3)
     # The two laws stay apart: (eps / w**3) * q and -q / w**3 round differently.
-    for s, e, w, hr, hl, q in zip(ok, st.floats("eps"), st.omega(o), h_r, h_l, quads):
-        if sig is Signature.R:
-            lhs = hr + (e / w) * hl + (e / w**3) * q
-            out[s] = [_scalar_residual(lhs, hr, hl, q)]
-        else:
-            lhs = hl + (e / w) * hr - q / w**3
-            out[s] = [_scalar_residual(lhs, hl, hr, q)]
-    return out
+    if sig is Signature.R:
+        residuals = _scalar_residuals(h_r + (e / w) * h_l + (e / w3) * q, h_r, h_l, q)
+    else:
+        residuals = _scalar_residuals(h_l + (e / w) * h_r - q / w3, h_l, h_r, q)
+    return _residual_rows(out, ok, residuals)
 
 
 # -- integrability --------------------------------------------------------------
@@ -500,25 +518,21 @@ def _int_residuals(st: _Stack, sig: Signature, which: int) -> list:
     sign = -sig.eps3
     bases = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     if which == 1:
-        angle = st.floats("angle_l" if sig is Signature.L else "angle_r")
-        factor = [e * a for e, a in zip(st.floats("eps"), angle)] if sig is Signature.L else angle
-        scaled = np.array(factor)[:, None, None] * (shape + sign * tau * rot)
+        angle = st.center("angle_l" if sig is Signature.L else "angle_r")
+        factor = st.center("eps") * angle if sig is Signature.L else angle
+        scaled = factor[:, None, None] * (shape + sign * tau * rot)
         rhs = np.stack([scaled @ basis for basis in bases], axis=1)
         dt = st.ok_stage(f"tangent_dts {sig.value}", lambda batch: batch.tangent_dts(sig)[0])
         # [lhs, dt, rhs] per sample and chart axis, sized in one call
-        sizes = st.frame_sizes(st.embed(np.stack([dt - rhs, dt, rhs], axis=2))).tolist()
-        for s, per_axis in zip(ok, sizes):
-            out[s] = [_sized_residual(size) for size in per_axis]
-        return out
+        sizes = st.frame_sizes(st.embed(np.stack([dt - rhs, dt, rhs], axis=2)))
+        return _residual_rows(out, ok, _sized_residuals(sizes))
     # derivative of the angle along the chart direction
     dangle = st.ok_stage(f"dangle {sig.value}", lambda batch: batch.tangent_dts(sig)[1])
     coeffs = st.stage("t_coeffs", sig)
     a_term = ((shape - sign * tau * rot) @ coeffs[..., None])[..., 0]
     pairs = a_term[:, None, :] @ st.gram(sig)
-    rhs = np.stack([-(pairs @ basis)[:, 0] for basis in bases], axis=1).tolist()
-    for s, der, rhs_s in zip(ok, dangle.tolist(), rhs):
-        out[s] = [_scalar_residual(a - b, a, b) for a, b in zip(der, rhs_s)]
-    return out
+    rhs = np.stack([-(pairs @ basis)[:, 0] for basis in bases], axis=1)
+    return _residual_rows(out, ok, _scalar_residuals(dangle - rhs, dangle, rhs))
 
 
 # -- normal curvature ------------------------------------------------------------
@@ -557,24 +571,19 @@ def _normcurv(st: _Stack, draws: list) -> list:
     st = st.rows(ok)
     tau = st.ambient.params.tau
     c = np.array([draws[s][0] for s in ok])
-    q_r = [draws[s][1] for s in ok]
-    q_l = [draws[s][2] for s in ok]
+    q_r, q_l = np.array([draws[s][1:] for s in ok]).T
     lam = {}
-    for sig, q in ((Signature.R, np.array(q_r)), (Signature.L, np.abs(q_l))):
+    for sig, q in ((Signature.R, q_r), (Signature.L, np.abs(q_l))):
         unit = c / np.sqrt(q)[:, None]
-        lam[sig] = stacked_inner(st.gram(sig), st.shape_coeffs(sig, unit), unit).tolist()
+        lam[sig] = stacked_inner(st.gram(sig), st.shape_coeffs(sig, unit), unit)
     t_unit = st.embed(c) / np.sqrt(q_r)[:, None]
-    twist = st.inner(Signature.L, t_unit, st.rotate(Signature.R, st.to_frames(t_unit))).tolist()
-    rows = []
-    for q_r_, q_l_, lam_r, lam_l_unsigned, tw, w_r in zip(
-        q_r, q_l, lam[Signature.R], lam[Signature.L], twist, st.omega(Signature.R)
-    ):
-        eps_v = 1.0 if q_l_ > 0 else -1.0
-        # the Lorentzian normal curvature carries the sign of q_L
-        lam_l = eps_v * lam_l_unsigned
-        lhs = eps_v * lam_l + (q_r_ / (w_r * abs(q_l_))) * (lam_r + 2.0 * tau * tw)
-        rows.append([_scalar_residual(lhs, lam_r, lam_l)])
-    return _residual_rows(out, ok, rows)
+    twist = st.inner(Signature.L, t_unit, st.rotate(Signature.R, st.to_frames(t_unit)))
+    eps_v = np.where(q_l > 0, 1.0, -1.0)
+    # the Lorentzian normal curvature carries the sign of q_L
+    lam_r, lam_l = lam[Signature.R], eps_v * lam[Signature.L]
+    w_r = st.omega(Signature.R)
+    lhs = eps_v * lam_l + (q_r / (w_r * np.abs(q_l))) * (lam_r + 2.0 * tau * twist)
+    return _residual_rows(out, ok, _scalar_residuals(lhs, lam_r, lam_l))
 
 
 # -- curvature relations ----------------------------------------------------------
@@ -587,30 +596,35 @@ def curvature_suite(data: TwoMetricFrameData) -> dict:
     on adapted tangent bases; the closed forms in terms of the normal angles
     are reported alongside for cross-checking.  Intrinsic curvatures follow
     the Gauss equation with the tensor-route ambient part.  Reads the
-    sample's entry of ``SampleBatch.curvature``: raises
-    SampleSkip(NULL_DIRECTION) when the Lorentzian adapted basis does not
-    exist, else a copy of the sample's stencil error, which the batch keeps.
+    sample's row of ``SampleBatch.curvature``, keyed by ``CURVATURE_KEYS``:
+    raises SampleSkip(NULL_DIRECTION) when the Lorentzian adapted basis does
+    not exist, else a copy of the sample's stencil error, which the batch
+    keeps.
     """
-    entry = data._batch.curvature()[data._k]
-    if isinstance(entry, str):
-        raise SampleSkip(entry)
-    if isinstance(entry, GeometryError):
-        raise copy.copy(entry)
-    return entry
+    values, skips = data._batch.curvature()
+    skip = skips[data._k]
+    if isinstance(skip, str):
+        raise SampleSkip(skip)
+    if isinstance(skip, GeometryError):
+        raise copy.copy(skip)
+    return dict(zip(CURVATURE_KEYS, values[data._k].tolist()))
 
 
 def _singular_ratio(params) -> float:
     return params.kappa + 4.0 * params.tau**2
 
 
-def _suites(st: _Stack, regular: bool = False) -> tuple[list, list[int], list]:
-    """Each sample's ``curvature_suite`` from the batches' stage, split as by ``_reached``;
-    with ``regular``, all skip PARAMETER_SINGULARITY first at singular parameters."""
+def _suites(st: _Stack, regular: bool = False) -> tuple[list, list[int]]:
+    """Each sample's skip of ``curvature_suite`` from the batches' stage, and the samples
+    without one, as by ``_reached``; with ``regular``, all skip PARAMETER_SINGULARITY first
+    at singular parameters."""
     params = st.ambient.params
     scale = max(1.0, abs(params.kappa), 4.0 * params.tau**2)
     if regular and abs(_singular_ratio(params)) <= 1e-12 * scale:
-        return [SampleSkip("PARAMETER_SINGULARITY")] * len(st), [], []
-    return _reached([SampleSkip(e) if isinstance(e, str) else e for e in st.column("curvature")])
+        return [SampleSkip("PARAMETER_SINGULARITY")] * len(st), []
+    skips = [st.batch.curvature()[1][k] for k in st.ks]
+    out, ok, _ = _reached([SampleSkip(e) if isinstance(e, str) else e for e in skips])
+    return out, ok
 
 
 def _ratio(params) -> float:
@@ -619,63 +633,57 @@ def _ratio(params) -> float:
 
 
 def _sectional_rel(st: _Stack) -> list:
-    out, ok, suites = _suites(st, regular=True)
+    out, ok = _suites(st, regular=True)
     if not ok:
         return out
+    st = st.rows(ok)
     t, a = st.ambient.params.tau, _ratio(st.ambient.params)
-    eps, w_l = st.floats("eps"), st.floats("omega_l")
-    for s, suite in zip(ok, suites):
-        e, w2 = eps[s], w_l[s] ** 2
-        rhs = (t * t * (w2 - e * a) + a * suite["kbar_L"]) / w2
-        out[s] = [_scalar_residual(suite["kbar_R"] - rhs, suite["kbar_R"], rhs)]
-    return out
+    e, w2 = st.center("eps"), _powers(st.omega(Signature.L), 2)
+    kbar_r = st.curvature("kbar_R")
+    rhs = (t * t * (w2 - e * a) + a * st.curvature("kbar_L")) / w2
+    return _residual_rows(out, ok, _scalar_residuals(kbar_r - rhs, kbar_r, rhs))
 
 
 def _combined_516(st: _Stack) -> list:
-    out, ok, suites = _suites(st, regular=True)
+    out, ok = _suites(st, regular=True)
     if not ok:
         return out
+    st = st.rows(ok)
     t, a = st.ambient.params.tau, _ratio(st.ambient.params)
-    eps, w_l = st.floats("eps"), st.floats("omega_l")
-    for s, suite in zip(ok, suites):
-        e, w2 = eps[s], w_l[s] ** 2
-        lhs = w2 * suite["k_R"] - a * suite["k_L"]
-        rhs = (w2 - e * a) * t * t - e * a * suite["ke_L"] + w2 * suite["ke_R"]
-        out[s] = [_scalar_residual(lhs - rhs, lhs, rhs)]
-    return out
+    e, w2 = st.center("eps"), _powers(st.omega(Signature.L), 2)
+    lhs = w2 * st.curvature("k_R") - a * st.curvature("k_L")
+    rhs = (w2 - e * a) * t * t - e * a * st.curvature("ke_L") + w2 * st.curvature("ke_R")
+    return _residual_rows(out, ok, _scalar_residuals(lhs - rhs, lhs, rhs))
 
 
 def _extrinsic_rel(st: _Stack) -> list:
-    out, ok, suites = _suites(st, regular=True)
+    out, ok = _suites(st, regular=True)
     if not ok:
         return out
-    eps, w_r = st.floats("eps"), st.omega(Signature.R)
     st = st.rows(ok)
     t = st.ambient.params.tau
+    e, w4 = st.center("eps"), _powers(st.omega(Signature.R), 4)
     t_r = st.tangent_t(Signature.R)
     j_r_t = st.rotate(Signature.R, st.frame_of("t_r"))
     g_r = st.metric(Signature.R)
-    mixed = stacked_inner(g_r, st.shape_of_t(Signature.R), j_r_t).tolist()
-    t_norm2 = stacked_inner(g_r, t_r, t_r).tolist()
-    for i, (s, suite) in enumerate(zip(ok, suites)):
-        w4 = w_r[s] ** 4
-        rhs = -(eps[s] / w4) * suite["ke_R"] + (4.0 * t * eps[s] / w4) * (
-            mixed[i] + t * t_norm2[i] ** 2
-        )
-        out[s] = [_scalar_residual(suite["ke_L"] - rhs, suite["ke_L"], rhs)]
-    return out
+    mixed = stacked_inner(g_r, st.shape_of_t(Signature.R), j_r_t)
+    t_norm4 = _powers(stacked_inner(g_r, t_r, t_r), 2)
+    ke_l = st.curvature("ke_L")
+    rhs = -(e / w4) * st.curvature("ke_R") + (4.0 * t * e / w4) * (mixed + t * t_norm4)
+    return _residual_rows(out, ok, _scalar_residuals(ke_l - rhs, ke_l, rhs))
 
 
 def _gauss(st: _Stack, sig: Signature) -> list:
-    out, ok, suites = _suites(st)
-    eps = st.floats("eps")
+    out, ok = _suites(st)
+    if not ok:
+        return out
+    st = st.rows(ok)
     v = sig.value
-    for s, suite in zip(ok, suites):
-        # the extrinsic term carries the square of the unit normal
-        unit = 1.0 if sig is Signature.R else eps[s]
-        rhs = suite[f"kbar_{v}_closed"] + unit * suite[f"ke_{v}"]
-        out[s] = [_scalar_residual(suite[f"k_{v}"] - rhs, suite[f"k_{v}"], rhs)]
-    return out
+    # the extrinsic term carries the square of the unit normal
+    unit = 1.0 if sig is Signature.R else st.center("eps")
+    rhs = st.curvature(f"kbar_{v}_closed") + unit * st.curvature(f"ke_{v}")
+    k = st.curvature(f"k_{v}")
+    return _residual_rows(out, ok, _scalar_residuals(k - rhs, k, rhs))
 
 
 # -- registry ---------------------------------------------------------------------
@@ -785,7 +793,7 @@ def indefiniteness_check(data: TwoMetricFrameData, h_tol: float = 1e-6) -> dict:
     lam_v = d.normal_curvature(Signature.R, v)
     lam_w = d.normal_curvature(Signature.R, w)
     denom = 1.0 + d.omega_l + d.omega_l**2
-    out["ratio_residual"] = _scalar_residual(lam_v * denom + lam_w, lam_v, lam_w)
+    out["ratio_residual"] = float(_scalar_residuals(lam_v * denom + lam_w, lam_v, lam_w))
     out["lambda_t"] = lam_v
     out["lambda_rot"] = lam_w
     return out

@@ -19,6 +19,7 @@ import datetime
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -117,15 +118,18 @@ def sample_points(chart, n: int, rng: np.random.Generator, step: float):
     return pts
 
 
-def _worst(residuals) -> float:
+def _worst(residuals: list[float]) -> float:
     """Largest residual, or the first non-finite one; 0.0 for none.
 
     Plain ``max`` drops a NaN that does not come first, which would let it
-    pass; a non-finite residual must decide the row instead.
+    pass; a non-finite residual must decide the row instead.  A finite sum
+    shows in one pass that every residual is finite; only a sum that is not
+    (a non-finite residual, or an overflow) is scanned for the first one.
     """
-    for r in residuals:
-        if not math.isfinite(r):
-            return r
+    if not math.isfinite(sum(residuals)):
+        for r in residuals:
+            if not math.isfinite(r):
+                return r
     return max(residuals, default=0.0)
 
 
@@ -203,10 +207,16 @@ def _identity_rows(
     ``outcomes[name]`` holds each used sample's residual list or skip reason.
     """
     results = []
+    label = params.label()
     for name, outs in outcomes.items():
-        skipped = Counter(out for out in outs if isinstance(out, str))
         evaluated = [out for out in outs if not isinstance(out, str)]
-        residuals = [r for out in evaluated for r in out]
+        # most rows skip no sample, and need no Counter
+        skipped = (
+            Counter(out for out in outs if isinstance(out, str))
+            if len(evaluated) < len(outs)
+            else {}
+        )
+        residuals = list(chain.from_iterable(evaluated))
         worst = _worst(residuals) if evaluated else None
         tol = config.tolerance_for(name)
         if not evaluated:
@@ -216,7 +226,7 @@ def _identity_rows(
             status = "pass" if math.isfinite(worst) and worst <= tol else "fail"
         result = {
             "identity": name,
-            "params": params.label(),
+            "params": label,
             "surface": address,
             "tolerance": tol,
             "max_residual": worst,

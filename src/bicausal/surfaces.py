@@ -188,6 +188,43 @@ STENCIL_FIELDS = ("n_r", "n_l", "du", "dv", "t_r", "t_l")
 # Vectors whose frame components a batch keeps (``frame_components``), by position.
 FRAME_FIELDS = STENCIL_FIELDS + ("xi",)
 
+# A sample's internal consistency residuals, by column of ``SampleBatch.invariants``.
+INVARIANT_KEYS = (
+    "unit_normal_L",
+    "unit_normal_R",
+    "normal_routes",
+    "angle_transform",
+    "omega_product",
+    "t_split_R",
+    "t_split_L",
+    "t_relation",
+    "t_tangency_R",
+    "t_tangency_L",
+    "branch",
+)
+
+# A sample's curvature scalars (``identities.curvature_suite``), by column of
+# ``SampleBatch.curvature``.
+CURVATURE_KEYS = (
+    "kbar_R",
+    "kbar_L",
+    "kbar_R_closed",
+    "kbar_L_closed",
+    "ke_R",
+    "ke_L",
+    "k_R",
+    "k_L",
+)
+
+
+def _powers(values: np.ndarray, n: int) -> np.ndarray:
+    """values ** n, one Python float at a time.
+
+    Python's ``**`` is libm ``pow``, whose bits NumPy's square and power do
+    not always give.
+    """
+    return np.array([v**n for v in values.tolist()])
+
 
 @dataclass
 class NormalData:
@@ -477,7 +514,9 @@ class SampleBatch:
     * the shape operators, and the T- and normal-angle derivatives, of each
       metric, one ``cov_deriv_stencils`` call per chart axis and one stacked
       Gram projection, over the samples whose stencil rows raised nothing;
-    * the curvature scalars of ``identities.curvature_suite``;
+    * the internal consistency residuals of each sample, as columns;
+    * the curvature scalars of ``identities.curvature_suite``, as columns,
+      and each sample's skip;
     * in the group models, the PointFrames where the curves through the
       samples start, with one ``point_tables`` call per metric.
 
@@ -796,55 +835,83 @@ class SampleBatch:
             dangles.append(stencil_derivative(angles[:, 4 * axis : 4 * axis + 4].T, h))
         return np.stack(dts, axis=1), np.stack(dangles, axis=1)
 
+    # -- consistency residuals -------------------------------------------------
+
+    @_stage
+    def invariants(self) -> np.ndarray:
+        """Every sample's internal consistency residuals (n, 11), in ``INVARIANT_KEYS`` order."""
+        at = self._at_centers
+        g_r, g_l = at("g_r"), at("g_l")
+        n_r, n_l, t_r, t_l = at("n_r"), at("n_l"), at("t_r"), at("t_l")
+        eps, angle_r, angle_l, omega_l = at("eps"), at("angle_r"), at("angle_l"), at("omega_l")
+        angle_r2, angle_l2 = _powers(angle_r, 2), _powers(angle_l, 2)
+        arg = eps * (1.0 - 2.0 * angle_r2)
+        # a row without a positive arg computes on, unread
+        with np.errstate(invalid="ignore"):
+            product = np.where(arg > 0.0, np.abs(omega_l * np.sqrt(arg) - 1.0), np.inf)
+        t_gap = t_r - (eps / _powers(omega_l, 2))[:, None] * t_l
+        branch = 1.0 - omega_l
+        columns = (
+            np.abs(stacked_inner(g_l, n_l, n_l) - eps),
+            np.abs(stacked_inner(g_r, n_r, n_r) - 1.0),
+            at("wedge_agreement"),
+            np.abs(angle_r + angle_l / omega_l),
+            product,
+            np.abs(stacked_inner(g_r, t_r, t_r) + angle_r2 - 1.0),
+            np.abs(stacked_inner(g_l, t_l, t_l) + eps * angle_l2 + 1.0),
+            np.max(np.abs(t_gap), axis=1),
+            np.abs(stacked_inner(g_r, t_r, n_r)),
+            np.abs(stacked_inner(g_l, t_l, n_l)),
+            # max(0.0, branch), as ``max`` takes it
+            np.where(branch > 0.0, branch, 0.0),
+        )
+        return np.stack(columns, axis=1)
+
     # -- curvature scalars --------------------------------------------------------
 
     @_stage
-    def curvature(self) -> list:
-        """Every sample's curvature scalars (``identities.curvature_suite``), one stack.
+    def curvature(self) -> tuple[np.ndarray, list]:
+        """Every sample's curvature scalars (``identities.curvature_suite``), and its skip.
 
-        Entry k is the dict of scalars; or the reason code ``NULL_DIRECTION``
-        when the Lorentzian adapted basis has no direction of the needed sign;
-        or else the sample's stencil error, which the extrinsic curvatures
+        Returns the scalars (n, 8), in ``CURVATURE_KEYS`` order, and per
+        sample None; or the reason code ``NULL_DIRECTION`` when the
+        Lorentzian adapted basis has no direction of the needed sign; or
+        else the sample's stencil error, which the extrinsic curvatures
         raise.  That is the order in which one sample's evaluation fails.
+        A skipped sample's row is not read.
         """
         params = self.ambient.params
         k, t = params.kappa, params.tau
-        eps = self._at_centers("eps").tolist()
+        eps = self._at_centers("eps")
         bases = {sig: _adapted_bases(self, sig) for sig in SIGNATURES}
-        kbar = {sig: self._sectional(sig, *bases[sig]) for sig in bases}
-        ke = {}
+        kbar_r, kbar_l = (self._sectional(sig, *bases[sig][:2]) for sig in SIGNATURES)
         ok = self._ok()[0]
-        for sig in bases:
-            dets = np.linalg.det(self.shapes(sig)).tolist() if ok else []
-            ke[sig] = dict(zip(ok, dets))
-        out = []
-        angles_r = self._at_centers("angle_r").tolist()
-        angles_l = self._at_centers("angle_l").tolist()
-        for s, (e, a_r, a_l) in enumerate(zip(eps, angles_r, angles_l)):
-            kbar_r, kbar_l = kbar[Signature.R][s], kbar[Signature.L][s]
-            if kbar_l is None:
-                out.append(NullDirection.code)
-                continue
-            if s not in ke[Signature.R]:
-                out.append(self.stencil_errors()[s])
-                continue
-            ke_r, ke_l = ke[Signature.R][s], ke[Signature.L][s]
-            out.append(
-                {
-                    "kbar_R": kbar_r,
-                    "kbar_L": kbar_l,
-                    "kbar_R_closed": t * t + (k - 4.0 * t * t) * a_r**2,
-                    "kbar_L_closed": e * t * t + (k + 4.0 * t * t) * a_l**2,
-                    "ke_R": ke_r,
-                    "ke_L": ke_l,
-                    "k_R": kbar_r + ke_r,
-                    "k_L": kbar_l + e * ke_l,
-                }
+        ke_r, ke_l = (np.full(len(eps), np.nan) for _ in SIGNATURES)
+        if ok:
+            ke_r[ok], ke_l[ok] = (np.linalg.det(self.shapes(sig)) for sig in SIGNATURES)
+        angle_r2 = _powers(self._at_centers("angle_r"), 2)
+        angle_l2 = _powers(self._at_centers("angle_l"), 2)
+        # a skipped sample's row computes on, unread
+        with np.errstate(all="ignore"):
+            columns = (
+                kbar_r,
+                kbar_l,
+                t * t + (k - 4.0 * t * t) * angle_r2,
+                eps * t * t + (k + 4.0 * t * t) * angle_l2,
+                ke_r,
+                ke_l,
+                kbar_r + ke_r,
+                kbar_l + eps * ke_l,
             )
-        return out
+        errors = self.stencil_errors()
+        skips = [
+            err if alive else NullDirection.code
+            for err, alive in zip(errors, bases[Signature.L][2])
+        ]
+        return np.stack(columns, axis=1), skips
 
-    def _sectional(self, sig: Signature, e1: np.ndarray, e2: np.ndarray, alive: list) -> list:
-        """<R(e1, e2) e1, e2> of ``sig`` per sample, None where the basis does not exist."""
+    def _sectional(self, sig: Signature, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+        """<R(e1, e2) e1, e2> of ``sig`` per sample; a row without a basis is not read."""
         at = self._at_centers
         points, frames = at("point"), at("frame")
         # rows without a basis compute on, unread
@@ -857,8 +924,7 @@ class SampleBatch:
                 points, curvature_frame(self.ambient.params, sig, x_f, y_f, x_f), frames=frames
             )
             g = at("g_r" if sig is Signature.R else "g_l")
-            values = stacked_inner(g, r, e2).tolist()
-        return [v if ok else None for v, ok in zip(values, alive)]
+            return stacked_inner(g, r, e2)
 
     # -- curve starts ---------------------------------------------------------------
 
@@ -1075,29 +1141,10 @@ class TwoMetricFrameData(PointFrame):
 
     # -- consistency ------------------------------------------------------------
 
-    @functools.cached_property
+    @property
     def invariants(self) -> dict[str, float]:
-        """The internal consistency residuals, computed on first read."""
-        res = {}
-        res["unit_normal_L"] = abs(self.inner(Signature.L, self.n_l, self.n_l) - self.eps)
-        res["unit_normal_R"] = abs(self.inner(Signature.R, self.n_r, self.n_r) - 1.0)
-        res["normal_routes"] = float(self._batch.center.wedge_agreement[self._j])
-        res["angle_transform"] = abs(self.angle_r + self.angle_l / self.omega_l)
-        arg = self.eps * (1.0 - 2.0 * self.angle_r**2)
-        res["omega_product"] = (
-            abs(self.omega_l * math.sqrt(arg) - 1.0) if arg > 0.0 else float("inf")
-        )
-        res["t_split_R"] = abs(self.inner(Signature.R, self.t_r, self.t_r) + self.angle_r**2 - 1.0)
-        res["t_split_L"] = abs(
-            self.inner(Signature.L, self.t_l, self.t_l) + self.eps * self.angle_l**2 + 1.0
-        )
-        res["t_relation"] = float(
-            np.max(np.abs(self.t_r - (self.eps / self.omega_l**2) * self.t_l))
-        )
-        res["t_tangency_R"] = abs(self.inner(Signature.R, self.t_r, self.n_r))
-        res["t_tangency_L"] = abs(self.inner(Signature.L, self.t_l, self.n_l))
-        res["branch"] = max(0.0, 1.0 - self.omega_l)
-        return res
+        """The internal consistency residuals: this sample's row of ``SampleBatch.invariants``."""
+        return dict(zip(INVARIANT_KEYS, self._batch.invariants()[self._k].tolist()))
 
     def validate(self, tol: float = 1e-9, unit_tol: float = 1e-10) -> None:
         """Raise NumericFailure if any internal consistency residual is too large."""

@@ -10,7 +10,11 @@ The exception is the per-row references of the coordinate primitives
 ``coordinate_frame_partial_rows``) and of the catalog charts
 (``coordinate_chart_rows``, ``berger_helicoid_rows``, ``su11_helicoid_rows``):
 the closed forms, evaluated one point at a time in Python floats and NumPy
-scalars, against which the stacked array code must agree bit for bit.
+scalars, against which the stacked array code must agree bit for bit.  So
+are the per-row residual formulas (``scalar_residual_row``,
+``sized_residual_row``, ``worst_row``) and the per-sample consistency
+invariants (``invariants_row``), which the stacked residuals and
+``SampleBatch.invariants`` replace.
 """
 
 from __future__ import annotations
@@ -335,3 +339,45 @@ def su11_helicoid_rows(params, family: str, rate: float, t_rate=None, base=None)
         return _row_to_r4(d_s), _row_to_r4(d_t)
 
     return point, jacobian
+
+
+# -- per-row residuals ------------------------------------------------------------
+
+
+def scalar_residual_row(lhs: float, *terms: float) -> float:
+    """|lhs| / max(1, |term| for each term), in Python floats."""
+    scale = max([1.0] + [abs(t) for t in terms])
+    return abs(lhs) / scale
+
+
+def sized_residual_row(size: list[float]) -> float:
+    """The residual of sizes [lhs, *terms]: lhs / max(1, *terms), in Python floats."""
+    return size[0] / max([1.0] + size[1:])
+
+
+def worst_row(residuals: list[float]) -> float:
+    """Largest residual, or the first non-finite one; 0.0 for none, by a scan."""
+    for r in residuals:
+        if not math.isfinite(r):
+            return r
+    return max(residuals, default=0.0)
+
+
+def invariants_row(data) -> dict[str, float]:
+    """The internal consistency residuals of one sample, from its own readers."""
+    res = {}
+    res["unit_normal_L"] = abs(data.inner(Signature.L, data.n_l, data.n_l) - data.eps)
+    res["unit_normal_R"] = abs(data.inner(Signature.R, data.n_r, data.n_r) - 1.0)
+    res["normal_routes"] = float(data._batch.center.wedge_agreement[data._j])
+    res["angle_transform"] = abs(data.angle_r + data.angle_l / data.omega_l)
+    arg = data.eps * (1.0 - 2.0 * data.angle_r**2)
+    res["omega_product"] = abs(data.omega_l * math.sqrt(arg) - 1.0) if arg > 0.0 else math.inf
+    res["t_split_R"] = abs(data.inner(Signature.R, data.t_r, data.t_r) + data.angle_r**2 - 1.0)
+    res["t_split_L"] = abs(
+        data.inner(Signature.L, data.t_l, data.t_l) + data.eps * data.angle_l**2 + 1.0
+    )
+    res["t_relation"] = float(np.max(np.abs(data.t_r - (data.eps / data.omega_l**2) * data.t_l)))
+    res["t_tangency_R"] = abs(data.inner(Signature.R, data.t_r, data.n_r))
+    res["t_tangency_L"] = abs(data.inner(Signature.L, data.t_l, data.n_l))
+    res["branch"] = max(0.0, 1.0 - data.omega_l)
+    return res

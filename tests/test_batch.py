@@ -532,7 +532,8 @@ def test_a_join_builds_the_row_stages_that_one_of_its_surfaces_lacks(monkeypatch
     rows = [("_components",)] + [(name, sig) for name in ("tables", "shapes") for sig in SIGS]
     assert taken == dict.fromkeys(rows, False)
     join = joins[0]
-    assert {"sign_ambiguous", "wedge_agreement"}.isdisjoint(vars(join.center))
+    # the invariants stage reads wedge_agreement (normal_routes); nothing reads sign_ambiguous
+    assert "sign_ambiguous" not in vars(join.center) and "wedge_agreement" in vars(join.center)
     unread = {"g_r", "g_l", "gram_r", "gram_l", "eps", "omega_r", "omega_l"}
     assert unread.isdisjoint(vars(join.stencil())) and "n_r" in vars(join.stencil())
 

@@ -8,19 +8,23 @@ import numpy as np
 import pytest
 
 from bicausal.ambient import CoordinateAmbient, Signature, SpaceParams
-from bicausal.catalog import build_surface, default_surfaces
-from bicausal.errors import DegenerateInput, ImmersionFailure
+from bicausal.catalog import CATALOG, build_surface, default_surfaces, validate_address
+from bicausal.errors import DegenerateInput, GeometryError, ImmersionFailure
 from bicausal.surfaces import (
     DEGENERATE,
+    INVARIANT_KEYS,
     SPACELIKE,
     TIMELIKE,
+    SampleBatch,
     SurfaceChart,
     causal_character,
+    frame_batch,
     frame_data,
     mean_curvatures,
 )
 
 from conftest import catalog_samples, interior_grid, same_bits
+from oracles import invariants_row
 
 PARAM_GRID = [(1.0, 1.0), (-1.0, 1.0), (0.0, 1.0), (1.0, 0.0)]
 SIGS = (Signature.R, Signature.L)
@@ -55,6 +59,64 @@ def test_internal_consistency_residuals(samples):
             "branch",
         ):
             assert res[key] < 1e-9, f"{key}: {context}"
+
+
+INVARIANT_PAIRS = [(1.0, 1.0), (1.0, 0.0), (-1.0, 1.0)]
+
+
+def _invariant_surfaces():
+    """Every default surface at (1,1) and (1,0), with the Berger helicoids, and the SU(1,1)
+    helicoids at (-1,1): the surfaces of each pair and model on one ambient."""
+    for kappa, tau in INVARIANT_PAIRS:
+        params = SpaceParams(kappa, tau)
+        ambients = {}
+        for address in default_surfaces(params):
+            if kappa < 0 and not address.startswith("su11-helicoid"):
+                continue
+            model = CATALOG[validate_address(address).family].model
+            built = build_surface(address, params, ambient=ambients.get(model))
+            ambients[model] = built.ambient
+            yield address, params, built
+
+
+def test_invariants_stage_gives_the_bits_of_the_per_sample_formula():
+    """``SampleBatch.invariants`` holds every sample's 11 consistency residuals as columns,
+    of its batch and of a join of several surfaces' samples, with the bits of the per-sample
+    formula (``oracles.invariants_row``)."""
+    joined = {}
+    n_checked = 0
+    for address, params, built in _invariant_surfaces():
+        uvs = interior_grid(built.chart.domain, 3, 3)
+        batch = frame_batch(built.ambient, built.chart, uvs)
+        samples = [d for d in batch if not isinstance(d, GeometryError)]
+        joined.setdefault((params.label(), id(built.ambient)), []).extend(samples)
+        for data in samples:
+            expected = invariants_row(data)
+            assert list(data.invariants) == list(INVARIANT_KEYS) == list(expected)
+            for key in INVARIANT_KEYS:
+                assert same_bits(data.invariants[key], expected[key]), (address, data.uv, key)
+            n_checked += 1
+    assert n_checked > 90
+    assert len(joined) == 4 and max(len(samples) for samples in joined.values()) > 36
+    for samples in joined.values():
+        rows = SampleBatch.join(samples).invariants()
+        for row, data in zip(rows.tolist(), samples):
+            assert same_bits(row, list(invariants_row(data).values()))
+
+
+@pytest.mark.parametrize("angle_r", [0.9, -0.9, math.nan])
+def test_omega_product_is_infinite_without_a_positive_argument(angle_r):
+    """omega_L * sqrt(eps (1 - 2 angle_R^2)) has no value when its argument is not positive."""
+    params = SpaceParams(1.0, 1.0)
+    built = build_surface("hopf:circle:r=0.9", params)
+    batch = SampleBatch(built.ambient, built.chart, [(0.3, 0.45), (0.6, 0.2)])
+    # a timelike cylinder: 1 - 2 angle_R^2 < 0 at |angle_R| = 0.9
+    batch.center.angle_r[1] = angle_r
+    first, second = batch.sample(0), batch.sample(1)
+    assert second.eps == 1.0
+    assert second.invariants["omega_product"] == math.inf
+    assert invariants_row(second)["omega_product"] == math.inf
+    assert same_bits(first.invariants["omega_product"], invariants_row(first)["omega_product"])
 
 
 def test_normal_orientation_signs(samples):

@@ -47,7 +47,11 @@ results must keep:
   timelike with no null-free adapted basis: every skip that the default
   verify never meets (``DOMAIN_VIOLATION``, ``NULL_DIRECTION``), printed with
   ``float.hex``, with the generator's final state, and each excluded
-  sample's error class and message (the domain check's ``p!r`` text).
+  sample's error class and message (the domain check's ``p!r`` text);
+  and ``evaluate_samples`` of all 25 identities on every default surface at
+  (1,1) and (-1,1), coordinate and group models, printing every residual
+  with ``float.hex``: the verify report shows only each row's maximum, so a
+  residual below it that moves by one ulp would go unseen there.
 
 Prints ``identical``, or the first differing output with its first differing
 line, and exits 0 or 1.
@@ -242,6 +246,31 @@ for pair in [(-1.0, 0.0), (-4.0, 1.0), (-1.0, 0.5)]:
 print(rng.bit_generator.state)
 """
 CASES += [("evaluate_samples on the edge planes", ["-c", EDGE_PLANES])]
+
+# Every residual of every identity, not only each row's maximum.
+ALL_RESIDUALS = """
+import numpy as np
+from bicausal.ambient import SpaceParams
+from bicausal.catalog import build_surface, default_surfaces
+from bicausal.identities import IDENTITY_NAMES, evaluate_samples
+from bicausal.suite import sample_points
+from bicausal.surfaces import frame_batch
+
+rng = np.random.default_rng(11)
+for pair in [(1.0, 1.0), (-1.0, 1.0)]:
+    params = SpaceParams(*pair)
+    for address in default_surfaces(params):
+        built = build_surface(address, params)
+        uvs = sample_points(built.chart, 8, rng, built.ambient.steps.second)
+        batch = frame_batch(built.ambient, built.chart, uvs)
+        samples = [d for d in batch if not hasattr(d, "code")]
+        for d, out in zip(samples, evaluate_samples(IDENTITY_NAMES, samples, rng)):
+            for name, got in out.items():
+                value = got.get("skipped") or " ".join(map(float.hex, got["residuals"]))
+                print(pair, address, d.uv, name, value)
+print(rng.bit_generator.state)
+"""
+CASES += [("evaluate_samples: every residual at (1,1) and (-1,1)", ["-c", ALL_RESIDUALS])]
 
 
 def run_case(src: str, argv: list[str]) -> dict[str, str]:

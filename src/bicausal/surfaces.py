@@ -846,7 +846,7 @@ class SampleBatch:
         eps, angle_r, angle_l, omega_l = at("eps"), at("angle_r"), at("angle_l"), at("omega_l")
         angle_r2, angle_l2 = _powers(angle_r, 2), _powers(angle_l, 2)
         arg = eps * (1.0 - 2.0 * angle_r2)
-        # a row without a positive arg computes on, unread
+        # the root of a negative arg is NaN, and np.where puts inf in its place
         with np.errstate(invalid="ignore"):
             product = np.where(arg > 0.0, np.abs(omega_l * np.sqrt(arg) - 1.0), np.inf)
         t_gap = t_r - (eps / _powers(omega_l, 2))[:, None] * t_l

@@ -9,11 +9,16 @@ checklist (run with ``-s`` to see the lines for passing checks too).
 
 Check 10 is expected to FAIL, deliberately.  Its final clause asserts that
 vertical cylinders in a twisted geometry have equal sectional and equal
-extrinsic curvatures under the two metrics.  They do not: the gaps are
-exactly 2*tau^2, confirmed through three independent computation routes and
-frozen as regression values in test_curvature.py.  The assertion is kept
-faithful to the shipped guarantee list rather than silently corrected; the
-failure message carries the measured numbers.
+extrinsic curvatures under the two metrics.  The package's values do not
+satisfy it: both gaps are exactly 2*tau^2, along three computation routes
+whose values are frozen as regression anchors in test_curvature.py.  The
+extrinsic clause fails on the exact values too (det A_R = -tau^2,
+det A_L = +tau^2).  The sectional clause rests on the package's K_L, the
+Gauss-equation value whose kbar_L is not divided by the Gram determinant of
+the plane, a convention all three routes share; the Gauss curvature of the
+induced Lorentzian metric of these cylinders is 0, like K_R.  The assertion
+is kept faithful to the shipped guarantee list rather than silently
+corrected; the failure message carries the measured numbers.
 """
 
 from __future__ import annotations

@@ -1,12 +1,17 @@
 """Curvature pipeline: intrinsic oracle, Gauss equations, model values.
 
-The vertical-cylinder values asserted here were frozen after computing them
-three independent ways (constant frame tables analytically, the coordinate
-finite-difference pipeline, and the matrix-group backend): for a vertical
-cylinder the twisted-frame shape operators send the vertical direction to
--tau u and +tau u respectively, so the two extrinsic curvatures are -tau^2
-and +tau^2 and the Gauss curvatures are 0 and 2 tau^2.  They are regression
-anchors for the classification checks.
+The vertical-cylinder values asserted here are the package's own, frozen
+after computing them three ways (constant frame tables analytically, the
+coordinate finite-difference pipeline, and the matrix-group backend): for a
+vertical cylinder the twisted-frame shape operators send the vertical
+direction to -tau u and +tau u respectively, so the two extrinsic curvatures
+are -tau^2 and +tau^2, and the Gauss-equation values are 0 and 2 tau^2.
+They are regression anchors for the classification checks.  K_L = 2 tau^2
+rests on a convention that the three ways share: kbar_L = <R(e1, e2) e1, e2>
+on the adapted pair, not divided by the Gram determinant of the plane (-1 on
+a timelike plane).  The Gauss curvature of the induced Lorentzian metric of
+a vertical cylinder is 0, since its coefficients are constant; so these
+anchors lock the convention, not that curvature.
 """
 
 from __future__ import annotations
@@ -149,8 +154,9 @@ def test_slices_carry_base_curvature(kappa):
 def test_vertical_cylinder_curvatures(address, kappa, tau):
     """Frozen values for twisted vertical cylinders:
 
-    K_e^R = -tau^2, K_e^L = +tau^2, K_R = 0, K_L = 2 tau^2, omega_L = 1,
-    and the two mean curvatures are opposite.  The extrinsic curvatures have
+    K_e^R = -tau^2, K_e^L = +tau^2, K_R = 0, K_L = 2 tau^2 (the Gauss-equation
+    value of the module docstring), omega_L = 1, and the two mean curvatures
+    are opposite.  The extrinsic curvatures have
     opposite signs because the shape operators act on the vertical direction
     by A_R(xi) = -tau u and A_L(xi) = +tau u.
     """

@@ -429,10 +429,11 @@ class CoordinateAmbient(Ambient):
 
     # -- per-row columns ---------------------------------------------------
 
-    def _columns(self, points: np.ndarray):
+    def _columns(self, points: np.ndarray, twist: bool = True):
         """n, then x, y, 1 + kappa (x^2 + y^2) / 4, cos(s z) and sin(s z) of each row.
 
-        s is the twist rate.  The square and the two transcendentals are
+        s is the twist rate; without ``twist`` (the metric reads no z) the
+        last two are None.  The square and the two transcendentals are
         taken per row as Python floats, one list per column: ``x**2`` is libm
         ``pow``, which NumPy's square differs from on about 0.07% of inputs,
         and NumPy's sin and cos need not equal libm's on every CPU.  The
@@ -444,10 +445,15 @@ class CoordinateAmbient(Ambient):
         k4, s = 0.25 * self.params.kappa, self.params.twist_rate
         if len(pts) == 1:
             x, y, z = pts[0].tolist()
-            return 1, x, y, 1.0 + k4 * (x**2 + y**2), math.cos(s * z), math.sin(s * z)
+            li = 1.0 + k4 * (x**2 + y**2)
+            if not twist:
+                return 1, x, y, li, None, None
+            return 1, x, y, li, math.cos(s * z), math.sin(s * z)
         x, y, z = pts.T
-        r2 = np.array([a**2 + b**2 for a, b in zip(x.tolist(), y.tolist())])
-        return len(pts), x, y, 1.0 + k4 * r2, *_cos_sin(s * z)
+        li = 1.0 + k4 * np.array([a**2 + b**2 for a, b in zip(x.tolist(), y.tolist())])
+        if not twist:
+            return len(pts), x, y, li, None, None
+        return len(pts), x, y, li, *_cos_sin(s * z)
 
     # -- metric ------------------------------------------------------------
 
@@ -460,7 +466,7 @@ class CoordinateAmbient(Ambient):
         included, which keeps the signs of its zeros.
         """
         t, e = self.params.tau, sig.eps3
-        n, x, y, li, _, _ = self._columns(points)
+        n, x, y, li, _, _ = self._columns(points, twist=False)
         lam = 1.0 / li
         theta = _filled(n, ((t * lam) * y, (-t * lam) * x, 1.0), (3,))
         out = np.zeros((n, 3, 3))

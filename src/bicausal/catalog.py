@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .ambient import CoordinateAmbient, SpaceParams, Signature, _cos_sin, _filled
-from .errors import ConfigInvalid, GeometryError, ModelMismatch, SurfaceUnavailable
+from .errors import ConfigInvalid, ModelMismatch, SurfaceUnavailable
 from .groups import (
     BERGER,
     HELICOID_FAMILIES,
@@ -37,8 +37,8 @@ from .surfaces import (
     SPACELIKE,
     TIMELIKE,
     SurfaceChart,
+    _characters,
     _charted,
-    _classify,
     _grams,
 )
 
@@ -181,14 +181,12 @@ def detect_character_bands(
     point, pair, _, rows = _charted(ambient, chart, uvs, ambient.steps.second)
     with np.errstate(all="ignore"):
         gram_r = _grams(ambient.metrics(Signature.R, point), pair)
-        det_l = np.linalg.det(_grams(ambient.metrics(Signature.L, point), pair)).tolist()
-    scale = (gram_r[:, 0, 0] * gram_r[:, 1, 1]).tolist()
+        det_l = np.linalg.det(_grams(ambient.metrics(Signature.L, point), pair))
+        rejected, spacelike = _characters(gram_r[:, 0, 0] * gram_r[:, 1, 1], det_l)
     chars = [DEGENERATE] * n
-    for i, sc, dl, p in zip(rows, scale, det_l, point):
-        try:
-            chars[i], _ = _classify(sc, dl, p)
-        except GeometryError:
-            pass
+    for i, bad, space in zip(rows, rejected.tolist(), spacelike.tolist()):
+        if not bad:
+            chars[i] = SPACELIKE if space else TIMELIKE
     bands = []
     start = 0
     for i in range(1, n + 1):

@@ -198,22 +198,33 @@ class GroupAmbient(Ambient):
         whose point leaves the quadric chart, or None; that curve's row then
         holds NaN or unread numbers.
         """
-        ts = stencil_params(h)
-        p, vel = np.asarray(points, dtype=float), np.asarray(velocities, dtype=float)
-        q = p[:, None, None] + np.array(ts)[:, None] * vel[:, :, None]
-        s = self._quadric_rows(np.ascontiguousarray(q).reshape(-1, 4)).reshape(q.shape[:-1])
+        ts, q, s = self._stencil_quadrics(points, velocities, h)
         with np.errstate(all="ignore"):
             out = q / np.sqrt(s)[..., None]
-        errors = [[None] * vel.shape[1] for _ in range(len(p))]
+        errors = [[None] * q.shape[1] for _ in range(len(q))]
         # in C order: each curve's parameters in the order ``stencil_values`` takes them
         for i, j, k in zip(*np.nonzero(s <= 0.0)):
             if errors[i][j] is None:
                 errors[i][j] = CurveSingular(f"curve leaves the quadric chart at t={ts[k]}")
         return out, errors
 
+    def _stencil_quadrics(self, points, velocities, h: float):
+        """The ``stencil_params``, the unscaled stencil points q (m, r, 5, 4) of
+        ``curve_stencils`` and their ``quadric_value`` (m, r, 5)."""
+        ts = stencil_params(h)
+        p, vel = np.asarray(points, dtype=float), np.asarray(velocities, dtype=float)
+        q = p[:, None, None] + np.array(ts)[:, None] * vel[:, :, None]
+        s = self._quadric_rows(np.ascontiguousarray(q).reshape(-1, 4)).reshape(q.shape[:-1])
+        return ts, q, s
+
     def curve_error(self, p: np.ndarray, vel: np.ndarray, h: float):
-        """The error of one curve of ``curve_stencils``, or None: its one-row case."""
-        return self.curve_stencils(np.asarray(p)[None], np.asarray(vel)[None, None], h)[1][0][0]
+        """The error of one curve of ``curve_stencils``, or None: its one-row case,
+        which leaves out the points."""
+        ts, _, s = self._stencil_quadrics(np.asarray(p)[None], np.asarray(vel)[None, None], h)
+        for t, value in zip(ts, s[0, 0].tolist()):
+            if value <= 0.0:
+                return CurveSingular(f"curve leaves the quadric chart at t={t}")
+        return None
 
     def cov_deriv_stencils(
         self,

@@ -118,8 +118,9 @@ class _Stack:
     The samples may come from several batches (surfaces); their join
     (``SampleBatch.join``) holds every stage over all of them, and the stack
     reads each array from it as one row selection by the samples' indices
-    ``ks`` in the join; a list stage (stencil errors, curvature scalars) is
-    read as a ``column``.  One stack serves every evaluator of an
+    ``ks`` in the join; a list stage (stencil errors) is read as a
+    ``column``, and the curvature scalars are array columns
+    (``curvature``).  One stack serves every evaluator of an
     evaluation, so each key names its array whole, with the signature where
     it depends on one.  ``rows`` gives the sub-stack of the samples an
     identity reaches, which reads the same join.
@@ -622,7 +623,8 @@ def _suites(st: _Stack, regular: bool = False) -> tuple[list, list[int]]:
     scale = max(1.0, abs(params.kappa), 4.0 * params.tau**2)
     if regular and abs(_singular_ratio(params)) <= 1e-12 * scale:
         return [SampleSkip("PARAMETER_SINGULARITY")] * len(st), []
-    skips = [st.batch.curvature()[1][k] for k in st.ks]
+    stage = st.batch.curvature()[1]
+    skips = [stage[k] for k in st.ks]
     out, ok, _ = _reached([SampleSkip(e) if isinstance(e, str) else e for e in skips])
     return out, ok
 

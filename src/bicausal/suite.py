@@ -210,12 +210,7 @@ def _identity_rows(
     label = params.label()
     for name, outs in outcomes.items():
         evaluated = [out for out in outs if not isinstance(out, str)]
-        # most rows skip no sample, and need no Counter
-        skipped = (
-            Counter(out for out in outs if isinstance(out, str))
-            if len(evaluated) < len(outs)
-            else {}
-        )
+        skipped = Counter(out for out in outs if isinstance(out, str))
         residuals = list(chain.from_iterable(evaluated))
         worst = _worst(residuals) if evaluated else None
         tol = config.tolerance_for(name)

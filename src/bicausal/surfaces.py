@@ -181,6 +181,17 @@ def _classify(scale: float, det_l: float, point) -> tuple[CausalCharacter, float
     return (SPACELIKE if ratio > 0.0 else TIMELIKE), ratio
 
 
+def _characters(scale: np.ndarray, det_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``_classify``: the rows it raises on or finds DEGENERATE, and the SPACELIKE rows.
+
+    Its tests are comparisons, which masks make bit for bit (a NaN ratio
+    is TIMELIKE in both); the caller silences the division's warnings.
+    """
+    ratio = det_l / scale
+    rejected = (scale <= 0.0) | ~np.isfinite(scale) | (np.abs(ratio) <= DEGENERACY_TOL)
+    return rejected, ratio > 0.0
+
+
 # Vectors of the normal package that the stencil differentiates, by position
 # in the stacked components.
 STENCIL_FIELDS = ("n_r", "n_l", "du", "dv", "t_r", "t_l")
@@ -333,14 +344,20 @@ def _normal_data(
     with np.errstate(all="ignore"):
         gram_r = _grams(g_r, pair)
         gram_l = _grams(g_l, pair)
-        scale = (gram_r[:, 0, 0] * gram_r[:, 1, 1]).tolist()
-        dets = zip(np.linalg.det(gram_r).tolist(), scale, np.linalg.det(gram_l).tolist())
-        eps = np.ones(len(rows))
-        for j, (det_r, sc, det_l) in enumerate(dets):
+        scale = gram_r[:, 0, 0] * gram_r[:, 1, 1]
+        det_r, det_l = np.linalg.det(gram_r), np.linalg.det(gram_l)
+        # The checks are comparisons, so masks find the rows that fail one;
+        # only those go through the per-row code, for its error.
+        rejected, spacelike = _characters(scale, det_l)
+        flagged = (det_r <= IMMERSION_TOL * np.maximum(scale, 1e-300)) | rejected
+        eps = np.where(spacelike, -1.0, 1.0)
+        eps[flagged] = 1.0
+        for j in np.flatnonzero(flagged).tolist():
+            sc = scale[j].item()
             try:
-                if det_r <= IMMERSION_TOL * max(sc, 1e-300):
+                if det_r[j].item() <= IMMERSION_TOL * max(sc, 1e-300):
                     raise ImmersionFailure(f"rank-deficient chart derivative at {at(j)}")
-                char, _ = _classify(sc, det_l, point[j])
+                char, _ = _classify(sc, det_l[j].item(), point[j])
                 if char == DEGENERATE:
                     raise DegenerateInput(f"degenerate tangent plane at {at(j)}")
             except GeometryError as exc:
@@ -355,9 +372,8 @@ def _normal_data(
             point, wedge_frame(Signature.L, pair_f[:, 0], pair_f[:, 1]), frames=frame
         )
         nn = stacked_inner(g_l, w_l, w_l)
-        for j, q in enumerate(nn.tolist()):
-            if abs(q) <= 0.0:
-                fail(j, DegenerateInput(f"null Lorentzian normal direction at {at(j)}"))
+        for j in np.flatnonzero(np.abs(nn) <= 0.0).tolist():
+            fail(j, DegenerateInput(f"null Lorentzian normal direction at {at(j)}"))
         n_l = w_l / np.sqrt(np.abs(nn))[:, None]
         angle_l = stacked_inner(g_l, n_l, xi)
 
@@ -372,9 +388,8 @@ def _normal_data(
         angle_l = np.where(flip, -angle_l, angle_l)
 
         omega_sq = eps + 2.0 * angle_l * angle_l
-        for j, w in enumerate(omega_sq.tolist()):
-            if w <= 0.0:
-                fail(j, NumericFailure(f"invalid normal stretch at {at(j)}: {w}"))
+        for j in np.flatnonzero(omega_sq <= 0.0).tolist():
+            fail(j, NumericFailure(f"invalid normal stretch at {at(j)}: {omega_sq[j].item()}"))
         omega_l = np.sqrt(omega_sq)
         omega_r = 1.0 / omega_l
         n_r = (-2.0 * angle_l[:, None] * xi - n_l) / omega_l[:, None]
@@ -386,9 +401,10 @@ def _normal_data(
                 point, wedge_frame(Signature.R, pair_f[:, 0], pair_f[:, 1]), frames=frame
             )
             n_r_wedge = w_r / np.sqrt(stacked_inner(g_r, w_r, w_r))[:, None]
-            apart = np.max(np.abs(n_r - n_r_wedge), axis=1).tolist()
-            opposed = np.max(np.abs(n_r + n_r_wedge), axis=1).tolist()
-            agreement = np.array([min(a, b) for a, b in zip(apart, opposed)])
+            apart = np.max(np.abs(n_r - n_r_wedge), axis=1)
+            opposed = np.max(np.abs(n_r + n_r_wedge), axis=1)
+            # Python's min(apart, opposed), which keeps a NaN in apart
+            agreement = np.where(opposed < apart, opposed, apart)
 
         t_l = xi - (eps * angle_l)[:, None] * n_l
         t_r = xi - angle_r[:, None] * n_r

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bicausal.ambient import CoordinateAmbient, Signature, SpaceParams
 from bicausal.catalog import CATALOG, build_surface, default_surfaces, validate_address
@@ -17,6 +18,8 @@ from bicausal.surfaces import (
     TIMELIKE,
     SampleBatch,
     SurfaceChart,
+    _characters,
+    _classify,
     causal_character,
     frame_batch,
     frame_data,
@@ -286,6 +289,32 @@ def test_degenerate_tangent_plane_raises():
     assert {inner.character, outer.character} == {TIMELIKE, SPACELIKE}
     assert built.chart.name == "helicoid"
     assert DEGENERATE == "degenerate"
+
+
+EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1e-12, -1e-12, 1e308)
+edge_floats = st.one_of(
+    st.sampled_from(EDGES),
+    st.floats(-1.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@given(st.lists(st.tuples(edge_floats, edge_floats), min_size=1, max_size=8))
+def test_the_stacked_classification_is_classify_row_by_row(rows):
+    """``_characters`` rejects exactly the rows on which ``_classify`` raises or finds
+    DEGENERATE, and marks SPACELIKE exactly the rows it calls so."""
+    scale, det_l = (np.array(column) for column in zip(*rows))
+    with np.errstate(all="ignore"):
+        rejected, spacelike = _characters(scale, det_l)
+    for (sc, dl), bad, space in zip(rows, rejected.tolist(), spacelike.tolist()):
+        try:
+            char, _ = _classify(sc, dl, None)
+        except GeometryError:
+            assert bad
+            continue
+        assert bad == (char == DEGENERATE)
+        if not bad:
+            assert space == (char == SPACELIKE)
 
 
 def test_rank_deficient_chart_raises_immersion_failure():

@@ -304,6 +304,13 @@ class Ambient:
     ``curve_error`` the error of one curve, without its points.
     """
 
+    def __init__(self, params: SpaceParams, steps: FDSteps | None = None):
+        self.params = params
+        self.steps = steps if steps is not None else FDSteps.from_env()
+        # The causal-character bands of each surface built on this ambient with
+        # a ``variant``, by its address without the variant (``catalog.build_surface``).
+        self.bands: dict[str, list] = {}
+
     def frame(self, p: np.ndarray) -> np.ndarray:
         """Matrix whose columns are the canonical frame at p, in coordinates."""
         return self.frames(np.asarray(p, dtype=float)[None])[0]
@@ -395,8 +402,7 @@ class CoordinateAmbient(Ambient):
     kind = "coordinate"
 
     def __init__(self, params: SpaceParams, steps: FDSteps | None = None):
-        self.params = params
-        self.steps = steps if steps is not None else FDSteps.from_env()
+        super().__init__(params, steps)
         self._twisted_tables = (
             {sig: _twisted_table(params, sig) for sig in SIGNATURES} if params.tau != 0.0 else None
         )
@@ -546,11 +552,13 @@ class CoordinateAmbient(Ambient):
         gam_m = [
             [(gam_c[:, :, a, :] @ m[:, :, j, None])[..., 0] for j in range(3)] for a in range(3)
         ]
+        # terms[:, a, i, j] = m[:, a, i] * (dm[:, a, :, j] + gam_m[a][j]), summed over a
+        # in order from zeros, as a loop over (i, j, a) would round
+        inner = dm.transpose(0, 1, 3, 2) + np.array(gam_m).transpose(2, 0, 1, 3)
+        terms = m[:, :, :, None, None] * inner[:, :, None]
         vec = np.zeros((n, 3, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                for a in range(3):
-                    vec[:, i, j] += m[:, a, i, None] * (dm[:, a, :, j] + gam_m[a][j])
+        for a in range(3):
+            vec += terms[:, a]
         # one right-hand side per (point, i, j), as nine solves per point round
         return np.linalg.solve(m[:, None, None], vec[..., None])[..., 0]
 

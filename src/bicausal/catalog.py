@@ -196,16 +196,17 @@ def detect_character_bands(
     return bands
 
 
-def _band_for_variant(ambient, chart, variant: str, t_lo: float, t_hi: float, u0=0.0):
+def _band_for_variant(bands: list, variant: str, t_lo: float, t_hi: float, h: float):
+    """The v-range of ``variant`` on [t_lo, t_hi]: its widest band of ``bands``, inset."""
     want = {"space": SPACELIKE, "time": TIMELIKE}[variant]
-    bands = [b for b in detect_character_bands(ambient, chart, u0, t_lo, t_hi) if b[0] == want]
+    bands = [b for b in bands if b[0] == want]
     if not bands:
         raise SurfaceUnavailable(
             f"surface has no {want} band on [{t_lo:g}, {t_hi:g}] for these parameters"
         )
     char, lo, hi = max(bands, key=lambda b: b[2] - b[1])
     margin = 0.12 * (hi - lo)
-    if hi - lo - 2 * margin <= 10 * ambient.steps.second:
+    if hi - lo - 2 * margin <= 10 * h:
         raise SurfaceUnavailable(f"{want} band [{lo:g}, {hi:g}] too narrow to sample")
     return lo + margin, hi - margin
 
@@ -514,7 +515,9 @@ def build_surface(
     ``ambient`` is an ambient of the family's model at ``params``, which
     surfaces built on it share (ModelMismatch otherwise); by default a fresh
     one with ``steps``.  A ``variant`` option restricts the chart's v-range
-    to the widest band of that causal character.
+    to the widest band of that causal character.  The bands are detected
+    once per ambient and address without the variant, so both variants of a
+    surface built on one ambient share them (``Ambient.bands``).
     """
     parsed = validate_address(address)
     entry = CATALOG[parsed.family]
@@ -535,7 +538,13 @@ def build_surface(
     chart, hint = chart_of(), entry.character
     variant = resolved.kwargs.get("variant")
     if variant is not None:
-        chart = chart_of(_band_for_variant(ambient, chart, variant, *chart.domain[1]))
+        rest = {k: v for k, v in resolved.kwargs.items() if k != "variant"}
+        key = ParsedSurface(resolved.family, resolved.label, rest).canonical()
+        t_lo, t_hi = chart.domain[1]
+        if key not in ambient.bands:
+            ambient.bands[key] = detect_character_bands(ambient, chart, 0.0, t_lo, t_hi)
+        h = ambient.steps.second
+        chart = chart_of(_band_for_variant(ambient.bands[key], variant, t_lo, t_hi, h))
         hint = {"space": SPACELIKE, "time": TIMELIKE}[variant]
     return BuiltSurface(ambient, chart, resolved.canonical(), hint)
 

@@ -30,8 +30,9 @@ from .suite import (
 from .surfaces import DEGENERATE, frame_batch, uv_columns
 
 # Grid rows per ``frame_batch`` in ``report``.  A fixed size bounds the stacks'
-# memory, whatever the grid: the stencil stage holds eight rows per sample.
-REPORT_BATCH_ROWS = 64
+# memory, whatever the grid: the stencil stage holds eight rows per sample.  At
+# 128 rows a 17x17 grid peaks at the RSS it has in stacks of 64.
+REPORT_BATCH_ROWS = 128
 
 
 def _parse_params(values) -> tuple[tuple[float, float], ...]:

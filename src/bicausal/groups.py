@@ -99,8 +99,7 @@ class GroupAmbient(Ambient):
         else:
             raise ModelMismatch(f"unknown group model kind {kind!r}")
         self.kind = kind
-        self.params = params
-        self.steps = steps if steps is not None else FDSteps.from_env()
+        super().__init__(params, steps)
         self._modifier = {
             Signature.R: 4.0 * params.tau**2 / params.kappa - 1.0,
             Signature.L: -(4.0 * params.tau**2 / params.kappa + 1.0),

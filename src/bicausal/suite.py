@@ -24,7 +24,14 @@ from itertools import chain
 import numpy as np
 
 from .ambient import SpaceParams
-from .catalog import CATALOG, build_surface, default_surfaces, resolve_address, validate_address
+from .catalog import (
+    CATALOG,
+    MODELS,
+    build_surface,
+    default_surfaces,
+    resolve_address,
+    validate_address,
+)
 from .errors import ConfigInvalid, GeometryError, SurfaceUnavailable
 from .identities import IDENTITIES, IDENTITY_NAMES, draw_plan, evaluate_plans
 from .numdiff import FDSteps
@@ -106,16 +113,14 @@ def sample_points(chart, n: int, rng: np.random.Generator, step: float):
     vs = np.linspace(vlo + inset_v, vhi - inset_v, nv)
     cell_u = (du - 2 * inset_u) / max(nu - 1, 1)
     cell_v = (dv - 2 * inset_v) / max(nv - 1, 1)
-    pts = []
-    for u in us:
-        for v in vs:
-            if len(pts) >= n:
-                break
-            ju = 0.3 * cell_u * (rng.random() - 0.5) if nu > 1 else 0.0
-            jv = 0.3 * cell_v * (rng.random() - 0.5) if nv > 1 else 0.0
-            pts.append((float(np.clip(u + ju, ulo + inset_u, uhi - inset_u)),
-                        float(np.clip(v + jv, vlo + inset_v, vhi - inset_v))))
-    return pts
+    # the first n points of the grid, u-major; each point draws its u jitter,
+    # then its v jitter, on the axes with more than one grid line
+    draws = rng.random((n, (nu > 1) + (nv > 1)))
+    ju = 0.3 * cell_u * (draws[:, 0] - 0.5) if nu > 1 else 0.0
+    jv = 0.3 * cell_v * (draws[:, -1] - 0.5) if nv > 1 else 0.0
+    u = np.clip(np.repeat(us, nv)[:n] + ju, ulo + inset_u, uhi - inset_u)
+    v = np.clip(np.tile(vs, nu)[:n] + jv, vlo + inset_v, vhi - inset_v)
+    return list(zip(u.tolist(), v.tolist()))
 
 
 def _worst(residuals: list[float]) -> float:
@@ -262,7 +267,12 @@ def run_suite(config: SuiteConfig) -> dict:
         ambients: dict[str, object] = {}
         groups: dict[str, list] = {}
         for i, address in enumerate(addresses):
-            model = CATALOG[validate_address(address).family].model
+            entry = CATALOG[validate_address(address).family]
+            model = entry.model
+            # made before the first build, so that a surface found unavailable
+            # (a variant without its band) leaves the ambient to the next
+            if model not in ambients and entry.valid(params) is None:
+                ambients[model] = MODELS[model](params, steps=steps)
             try:
                 built = build_surface(address, params, steps=steps, ambient=ambients.get(model))
             except SurfaceUnavailable as exc:
@@ -270,7 +280,6 @@ def run_suite(config: SuiteConfig) -> dict:
                     {"params": params.label(), "surface": address, "reason": str(exc)}
                 )
                 continue
-            ambients[model] = built.ambient
             surface_row, samples = _sample_surface(built, params, config.samples, rng, steps)
             surface_rows.append(surface_row)
             plan = draw_plan(identity_names, samples, rng)

@@ -7,11 +7,13 @@ the two routes; production code should not depend on this module.
 
 The exception is the per-row references of the coordinate primitives
 (``coordinate_metric_rows``, ``coordinate_frame_rows``,
-``coordinate_frame_partial_rows``) and of the catalog charts
+``coordinate_frame_partial_rows``), the looped sum of the tau = 0 tables
+(``table_loop``) and the per-row references of the catalog charts
 (``coordinate_chart_rows``, ``berger_helicoid_rows``, ``su11_helicoid_rows``):
 the closed forms, evaluated one point at a time in Python floats and NumPy
 scalars, against which the stacked array code must agree bit for bit.  So
-are the per-row residual formulas (``scalar_residual_row``,
+are the per-point draws of the sample grid (``sample_points_loop``), the
+per-row residual formulas (``scalar_residual_row``,
 ``sized_residual_row``, ``worst_row``) and the per-sample consistency
 invariants (``invariants_row``), which the stacked residuals and
 ``SampleBatch.invariants`` replace.
@@ -213,6 +215,28 @@ def coordinate_frame_partial_rows(ambient, points) -> np.ndarray:
     return np.array(out).reshape(-1, 3, 3, 3)
 
 
+def table_loop(ambient, sig: Signature, points) -> np.ndarray:
+    """The tau = 0 connection tables of ``_table_from_metric``, summed by a loop over (i, j, a).
+
+    The nine Christoffel products are the stacked ones; each term is added
+    to its (i, j) entry in turn, starting from zeros.
+    """
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    gam_c = ambient.christoffels(sig, points)
+    m = ambient.frames(points)
+    dm = ambient.frame_partials(points)
+    gam_m = [
+        [(gam_c[:, :, a, :] @ m[:, :, j, None])[..., 0] for j in range(3)] for a in range(3)
+    ]
+    vec = np.zeros((n, 3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            for a in range(3):
+                vec[:, i, j] += m[:, a, i, None] * (dm[:, a, :, j] + gam_m[a][j])
+    return np.linalg.solve(m[:, None, None], vec[..., None])[..., 0]
+
+
 # -- per-row references of the catalog charts ----------------------------------
 #
 # Each returns the pair (point, jacobian) of functions of one uv row.
@@ -339,6 +363,33 @@ def su11_helicoid_rows(params, family: str, rate: float, t_rate=None, base=None)
         return _row_to_r4(d_s), _row_to_r4(d_t)
 
     return point, jacobian
+
+
+# -- the sample grid, one point at a time --------------------------------------------
+
+
+def sample_points_loop(chart, n: int, rng, step: float) -> list:
+    """``suite.sample_points``, drawing each point's jitter with its own ``rng.random()``."""
+    (ulo, uhi), (vlo, vhi) = chart.domain
+    nu = max(1, int(np.ceil(np.sqrt(n))))
+    nv = max(1, int(np.ceil(n / nu)))
+    du, dv = uhi - ulo, vhi - vlo
+    inset_u = max(0.05 * du, 5.0 * step)
+    inset_v = max(0.05 * dv, 5.0 * step)
+    us = np.linspace(ulo + inset_u, uhi - inset_u, nu)
+    vs = np.linspace(vlo + inset_v, vhi - inset_v, nv)
+    cell_u = (du - 2 * inset_u) / max(nu - 1, 1)
+    cell_v = (dv - 2 * inset_v) / max(nv - 1, 1)
+    pts = []
+    for u in us:
+        for v in vs:
+            if len(pts) >= n:
+                break
+            ju = 0.3 * cell_u * (rng.random() - 0.5) if nu > 1 else 0.0
+            jv = 0.3 * cell_v * (rng.random() - 0.5) if nv > 1 else 0.0
+            pts.append((float(np.clip(u + ju, ulo + inset_u, uhi - inset_u)),
+                        float(np.clip(v + jv, vlo + inset_v, vhi - inset_v))))
+    return pts
 
 
 # -- per-row residuals ------------------------------------------------------------

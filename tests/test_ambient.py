@@ -45,6 +45,7 @@ from oracles import (
     frame_orthonormality_defect,
     koszul_table,
     lie_bracket_fd,
+    table_loop,
 )
 
 SIGS = (Signature.R, Signature.L)
@@ -571,3 +572,20 @@ def test_stacked_primitives_match_per_row_python_floats(kappa, tau, rng):
         want = coordinate_frame_partial_rows(ambient, one)
         assert _exactly_equal(ambient.frame_partials(one), want)
     assert ambient.metrics(Signature.R, points[:0]).shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0, -4.0])
+def test_tau_zero_tables_match_the_loop_bitwise(kappa, rng):
+    """The tau = 0 table's one broadcast sum has the bits of the loop over (i, j, a).
+
+    Stacks of 1, 8 and 128 rows, of both signatures, with rows on the axes
+    and at signed zeros, where the terms' zeros carry signs.
+    """
+    ambient = CoordinateAmbient(SpaceParams(kappa, 0.0))
+    points = _rows_for(ambient, rng)
+    stacks = [points[80:81], points[150:151], points[::37][:8], points[30:38], points[:128]]
+    for stack in stacks:
+        for sig in SIGS:
+            got = ambient._table_from_metric(sig, stack)
+            assert got.shape == (len(stack), 3, 3, 3)
+            assert _exactly_equal(got, table_loop(ambient, sig, stack))

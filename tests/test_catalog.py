@@ -24,7 +24,7 @@ from bicausal.errors import (
     SurfaceUnavailable,
 )
 from bicausal.groups import su11_helicoid_chart
-from bicausal.suite import DEFAULT_PARAMS
+from bicausal.suite import DEFAULT_PARAMS, SuiteConfig, run_suite
 from bicausal.surfaces import (
     DEGENERATE,
     SPACELIKE,
@@ -294,6 +294,54 @@ def test_band_detection_marks_failing_chart_rows_degenerate():
     bands = detect_character_bands(ambient, chart, 0.2, 0.05, 1.8)
     assert any(c == DEGENERATE and 0.3 < lo <= hi < 0.5 for c, lo, hi in bands)
     assert bands == _bands_point_by_point(ambient, chart, 0.2, 0.05, 1.8)
+
+
+def test_variants_on_one_ambient_detect_their_bands_once(monkeypatch):
+    """Both variants of a surface built on one ambient share one band detection.
+
+    A default verify has variant surfaces at five pairs, so it detects bands
+    five times, once per pair.  A shared detection gives the v-range, and a
+    variant without a band the message, of a fresh build.  A sweep shares
+    the pair's ambient also after a surface found unavailable.
+    """
+    calls = []
+
+    def spy(ambient, chart, *args):
+        calls.append(ambient)
+        return detect_character_bands(ambient, chart, *args)
+
+    monkeypatch.setattr(catalog, "detect_character_bands", spy)
+    run_suite(SuiteConfig(seed=0))
+    assert len(calls) == 5 == len({id(ambient) for ambient in calls})
+
+    calls.clear()
+    params = SpaceParams(1.0, 1.0)
+    space = build_surface("berger-helicoid:alpha=0.5,variant=space", params)
+    time = build_surface("berger-helicoid:alpha=0.5,variant=time", params, ambient=space.ambient)
+    assert len(calls) == 1
+    fresh = build_surface("berger-helicoid:alpha=0.5,variant=time", params)
+    assert time.chart.domain == fresh.chart.domain
+    # another surface on the same ambient detects its own bands
+    build_surface("berger-helicoid:alpha=0.7,variant=time", params, ambient=space.ambient)
+    assert len(calls) == 3
+
+    params = SpaceParams(-1.0, 0.3)
+    space = build_surface("su11-helicoid:family=h1,variant=space", params)
+    with pytest.raises(SurfaceUnavailable) as shared:
+        build_surface("su11-helicoid:family=h1,variant=time", params, ambient=space.ambient)
+    assert len(calls) == 4
+    with pytest.raises(SurfaceUnavailable) as alone:
+        build_surface("su11-helicoid:family=h1,variant=time", params)
+    assert str(shared.value) == str(alone.value)
+    assert str(shared.value) == "surface has no timelike band on [-1.3, 1.3] for these parameters"
+
+    # a sweep shares the bands also when the first variant has none
+    calls.clear()
+    surfaces = tuple(f"berger-helicoid:alpha=-0.7,variant={v}" for v in ("space", "time"))
+    report = run_suite(SuiteConfig(params=((1.0, 1.0),), surfaces=surfaces, samples=1))
+    assert len(calls) == 1
+    assert [row["surface"] for row in report["skipped_surfaces"]] == [surfaces[0]]
+    assert [row["surface"] for row in report["surfaces"]] == [surfaces[1]]
 
 
 # -- stacked charts against their per-row formulas -----------------------------

@@ -344,19 +344,24 @@ def test_report_to_file(tmp_path):
 
 @pytest.mark.parametrize("params", ["1,1", "-1,0"])
 def test_report_does_not_depend_on_the_batch_size(params, tmp_path, monkeypatch):
-    """81 rows in batches of 1, of 7 (the last one short) and of the default 64."""
+    """Grids in batches of 1, of 7 (the last one short) and of the default 128.
 
-    def report(name: str) -> bytes:
-        out = tmp_path / f"{name}.csv"
-        argv = ["report", "graph:bowl:a=0.2", "--params", params, "--grid", "9x9"]
+    9x9 = 81 rows fit in one default batch; 12x12 = 144 rows take two, the
+    last of 16 rows.
+    """
+
+    def report(name: str, grid: str) -> bytes:
+        out = tmp_path / f"{name}-{grid}.csv"
+        argv = ["report", "graph:bowl:a=0.2", "--params", params, "--grid", grid]
         assert cli.main(argv + ["--csv", str(out)]) == 0
         return out.read_bytes()
 
-    default = report("default")
-    assert len(default.splitlines()) == 1 + 81
+    defaults = {grid: report("default", grid) for grid in ("9x9", "12x12")}
+    assert [len(csv.splitlines()) for csv in defaults.values()] == [1 + 81, 1 + 144]
     for rows in (1, 7):
         monkeypatch.setattr(cli, "REPORT_BATCH_ROWS", rows)
-        assert report(f"batch{rows}") == default
+        for grid, default in defaults.items():
+            assert report(f"batch{rows}", grid) == default
 
 
 def test_grid_needs_two_points_per_axis():

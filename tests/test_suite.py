@@ -7,12 +7,16 @@ import copy
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from bicausal.catalog import CATALOG, parse_surface
 from bicausal.errors import ConfigInvalid
 from bicausal.identities import IDENTITIES, IDENTITY_NAMES
-from bicausal.suite import DEFAULT_PARAMS, SCHEMA_VERSION, SuiteConfig, run_suite
+from bicausal.suite import DEFAULT_PARAMS, SCHEMA_VERSION, SuiteConfig, run_suite, sample_points
+from bicausal.surfaces import SurfaceChart
+
+from oracles import sample_points_loop
 
 
 def _small_config(**kw):
@@ -237,3 +241,22 @@ def test_config_echo_includes_fd_steps():
     assert cfg["params"] == ["1,1"]
     assert cfg["fd_first_step"] > 0
     assert cfg["fd_second_step"] > cfg["fd_first_step"]
+
+
+@pytest.mark.parametrize("domain", [((-1.4, 1.4), (0.07, 1.82)), ((0.0, 6.5), (-0.3, 0.2))])
+def test_sample_points_draw_as_the_per_point_loop(domain):
+    """The jitter drawn as one array gives the loop's points, bits and generator state.
+
+    n = 1 jitters no axis and n = 2 only u (nu = ceil(sqrt n) >= nv, so v is
+    never the one axis); from n = 3 on both are jittered.
+    """
+    chart = SurfaceChart("box", lambda u, v: None, domain)
+    for n in range(1, 13):
+        rng, loop_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got = sample_points(chart, n, rng, 1e-3)
+        want = sample_points_loop(chart, n, loop_rng, 1e-3)
+        assert len(got) == n
+        assert [tuple(map(float.hex, uv)) for uv in got] == [
+            tuple(map(float.hex, uv)) for uv in want
+        ]
+        assert rng.bit_generator.state == loop_rng.bit_generator.state

@@ -29,12 +29,19 @@ results must keep:
   families ``p`` and ``p1``, ``h1`` with ``t_rate`` and the Berger helicoid
   at alpha = 0.7, with and without a ``variant`` band, so that every
   stacked chart is compared;
+* ``verify`` of both variants of one helicoid where one variant has no band:
+  the su11 family ``h1`` at (-1,0.3), whose time variant is skipped after its
+  space variant was built on the same ambient, and the Berger helicoid at
+  alpha = -0.7 at (1,1), whose space variant is skipped, so that the skip
+  lines of the shared band detection are compared;
 * ``verify`` of coordinate- and group-model surfaces given interleaved, at
   (1,1), where the slice is unavailable, and at (1,0), where the group-model
   ones are;
 * ``report`` CSVs of ``graph:bowl:a=0.2`` at five parameter pairs, a 64x64
-  grid, both group helicoids, the su11 family ``e``, ``slice:t0=0.1`` and two
-  Hopf cylinders, whose rows are all ``SIGN_AMBIGUOUS``;
+  grid, a 17x17 grid at (1,0) (three stacks of rows, each through the tau = 0
+  connection table), both group helicoids, the su11 family ``e``,
+  ``slice:t0=0.1`` and two Hopf cylinders, whose rows are all
+  ``SIGN_AMBIGUOUS``;
 * what the catalog alone decides: ``surfaces``, with and without
   ``--params`` at six pairs; ``verify --samples 2`` of short addresses that
   the catalog completes with its defaults, at four pairs, whose skip lines
@@ -131,6 +138,16 @@ CASES += [
 ]
 CASES += [
     (
+        "verify of both variants where one has no band, at (-1,0.3) and (1,1)",
+        ["verify", "--params", "-1,0.3", "--params", "1,1", "--samples", "4",
+         "--surfaces", "su11-helicoid:family=h1,variant=space",
+         "--surfaces", "su11-helicoid:family=h1,variant=time",
+         "--surfaces", "berger-helicoid:alpha=-0.7,variant=space",
+         "--surfaces", "berger-helicoid:alpha=-0.7,variant=time", "--json", OUT],
+    ),
+]
+CASES += [
+    (
         "verify interleaved models at (1,1) and (1,0)",
         ["verify", "--params", "1,1", "--params", "1,0", "--samples", "5",
          "--surfaces", "graph:bowl:a=0.2", "--surfaces", "berger-helicoid:alpha=0.5,variant=time",
@@ -146,6 +163,9 @@ CASES += [
 CASES += [
     ("report graph:bowl:a=0.2 64x64 at (1,1)",
      ["report", "graph:bowl:a=0.2", "--params", "1,1", "--grid", "64x64", "--csv", OUT]),
+    # 289 rows in three stacks, each through the tau = 0 connection table
+    ("report graph:bowl:a=0.2 17x17 at (1,0)",
+     ["report", "graph:bowl:a=0.2", "--params", "1,0", "--grid", "17x17", "--csv", OUT]),
     ("report berger-helicoid at (1,1)",
      ["report", "berger-helicoid", "--params", "1,1", "--csv", OUT]),
     ("report su11-helicoid at (-1,1)",

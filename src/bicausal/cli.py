@@ -216,6 +216,21 @@ def _report_row(uv, point, data) -> dict:
     return row
 
 
+def _write_batch(writer, built, rows: list) -> None:
+    """Write the CSV rows of the grid points ``rows``, framed as one batch.
+
+    A function of its own, so that a batch and its stages are freed when it
+    returns, before ``cmd_report`` builds the next one.
+    """
+    batch = frame_batch(built.ambient, built.chart, rows)
+    # an excluded row has no frame data: its point is charted again, in one stack
+    excluded = [uv for uv, d in zip(rows, batch) if isinstance(d, GeometryError)]
+    charted = iter(built.chart.points(*uv_columns(excluded), built.ambient.dim)[0])
+    for uv, data in zip(rows, batch):
+        point = next(charted) if isinstance(data, GeometryError) else data.point
+        writer.writerow(_report_row(uv, point, data))
+
+
 def cmd_report(args) -> int:
     params = _parse_params([args.params])[0]
     built = build_surface(args.surface, SpaceParams(*params))
@@ -230,14 +245,7 @@ def cmd_report(args) -> int:
         writer.writeheader()
         grid = [(float(u), float(v)) for u in us for v in vs]
         for start in range(0, len(grid), REPORT_BATCH_ROWS):
-            rows = grid[start : start + REPORT_BATCH_ROWS]
-            batch = frame_batch(built.ambient, built.chart, rows)
-            # an excluded row has no frame data: its point is charted again, in one stack
-            excluded = [uv for uv, d in zip(rows, batch) if isinstance(d, GeometryError)]
-            charted = iter(built.chart.points(*uv_columns(excluded), built.ambient.dim)[0])
-            for uv, data in zip(rows, batch):
-                point = next(charted) if isinstance(data, GeometryError) else data.point
-                writer.writerow(_report_row(uv, point, data))
+            _write_batch(writer, built, grid[start : start + REPORT_BATCH_ROWS])
     if args.csv:
         print(f"wrote {nu * nv} rows for {built.address} to {args.csv}")
     return 0

@@ -31,7 +31,8 @@ from .surfaces import DEGENERATE, frame_batch, uv_columns
 
 # Grid rows per ``frame_batch`` in ``report``.  A fixed size bounds the stacks'
 # memory, whatever the grid: the stencil stage holds eight rows per sample.  At
-# 128 rows a 17x17 grid peaks at the RSS it has in stacks of 64.
+# 128 rows the peak RSS of perfbench's report-grid is 1.2% above that at 64
+# (BENCH_23.json).
 REPORT_BATCH_ROWS = 128
 
 

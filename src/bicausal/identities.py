@@ -247,19 +247,26 @@ class _Stack:
         return self.to_coords(wedge_frame(sig, normal, vf))
 
     def curve_starts(self, sig: Signature) -> list[np.ndarray]:
-        """Point, frame, metric and table of ``sig`` where each sample's curves start.
+        """Point, frame, metric and table of ``sig`` where each sample's curves start, kept.
 
         That is the sample's ``curve_starts`` entry, or else the sample itself.
         """
+        return self.of(f"curve_starts {sig.value}", lambda batch, ks: self._curve_starts(sig))
+
+    def _curve_starts(self, sig: Signature) -> list[np.ndarray]:
         arrays = [self.center(name) for name in ("point", "frame")]
         arrays += [self.metric(sig), self.stage("tables", sig)]
         moved = [(s, at) for s, at in enumerate(self.column("curve_starts")) if at is not None]
-        if moved:
-            arrays = [a.copy() for a in arrays]
-            for s, at in moved:
-                for a, row in zip(arrays, (at.point, at.frame, at.metric[sig], at.table(sig))):
-                    a[s] = row
-        return arrays
+        if not moved:
+            return arrays
+        slots = [s for s, _ in moved]
+        starts = [(at.point, at.frame, at.metric[sig], at.table(sig)) for _, at in moved]
+        out = []
+        for a, rows in zip(arrays, zip(*starts)):
+            a = a.copy()
+            a[slots] = rows
+            out.append(a)
+        return out
 
     def curve_derivs(self, sigs: tuple, velocity: np.ndarray, comps: np.ndarray) -> np.ndarray:
         """Covariant derivatives of r fields along r curves from each sample, (m, r, dim).

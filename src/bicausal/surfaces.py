@@ -51,7 +51,7 @@ from .errors import (
     NumericFailure,
     OrientationFlip,
 )
-from .numdiff import STENCIL_STEPS, stencil_derivative
+from .numdiff import STENCIL_STEPS, FDSteps, stencil_derivative
 
 CausalCharacter = str
 SPACELIKE: CausalCharacter = "spacelike"
@@ -311,23 +311,33 @@ def _normal_data(
     ambient,
     chart: SurfaceChart,
     uvs: list[tuple[float, float]],
-    h_jet: float,
-    reference: np.ndarray | None = None,
-    routes: bool = False,
-) -> NormalData:
-    """Unit normals, normal angles and T-fields of a stack of uv rows, in one array pass.
+    steps: FDSteps,
+) -> tuple[NormalData, NormalData]:
+    """Unit normals, normal angles and T-fields of uv rows and of their stencil rows, in one pass.
 
-    The chart and its partials (``_charted``), the domain check, the frames
-    and each metric are one stacked call each.  Each row meets the
-    checks of a single-point evaluation in the same order, and the first one
-    it fails becomes its error; a row that failed computes on, unread, which
-    is why floating-point warnings are off.  With ``reference`` (one vector
-    for all rows, or one per uv row) the Lorentzian normal takes the sign
-    closer to it; otherwise its normal angle is made nonpositive, and a tie
-    (``SIGN_TIE_TOL``) keeps the wedge sign.  ``routes`` adds the
-    agreement of the Riemannian normal with its own wedge route.
+    Returns the NormalData of the uv rows (the centers) and of the stencil
+    rows: the eight ``_stencil_uvs`` at ``steps.second`` of each center that
+    the chart kept, rows 8j .. 8j + 7 for the j-th of them.  The chart and its
+    partials (``_charted``) are one stacked call for the centers and one for
+    the stencil rows; the frames and each metric are one stacked call over
+    all rows.  Each row meets the checks of a single-point evaluation in the
+    same order, and the first one it fails becomes its error; a row that
+    failed computes on, unread, which is why floating-point warnings are off.
+    A center's normal angle is made nonpositive, and a tie
+    (``SIGN_TIE_TOL``) keeps the wedge sign; a stencil row's Lorentzian
+    normal takes the sign closer to its center's, and a material sign change
+    of its normal angle from its center's is its OrientationFlip.  The
+    centers add the agreement of the Riemannian normal with its own wedge
+    route.
     """
-    point, pair, errors, rows = _charted(ambient, chart, uvs, h_jet)
+    point, pair, errors, rows = _charted(ambient, chart, uvs, steps.first)
+    n, nc = len(uvs), len(rows)
+    stencil_uvs = [uv for i in rows for uv in _stencil_uvs(uvs[i], steps.second)]
+    s_point, s_pair, s_errors, s_rows = _charted(ambient, chart, stencil_uvs, steps.first)
+    uvs, errors, rows = uvs + stencil_uvs, errors + s_errors, rows + [n + i for i in s_rows]
+    # the center of each stencil row, by position in the arrays
+    owner = (np.array(s_rows, dtype=int) // 8).tolist()
+    point, pair = np.concatenate([point, s_point]), np.concatenate([pair, s_pair])
     du, dv = pair[:, 0], pair[:, 1]
     frame = ambient.frames(point)
     g_r, g_l = ambient.metrics(Signature.R, point), ambient.metrics(Signature.L, point)
@@ -377,13 +387,11 @@ def _normal_data(
         n_l = w_l / np.sqrt(np.abs(nn))[:, None]
         angle_l = stacked_inner(g_l, n_l, xi)
 
-        if reference is not None:
-            ref = reference[rows] if reference.ndim == 2 else reference
-            flip = (n_l[:, None, :] @ ref[..., None])[..., 0, 0] < 0.0
-            sign_ambiguous = np.zeros(len(rows), dtype=bool)
-        else:
-            sign_ambiguous = np.abs(angle_l) <= SIGN_TIE_TOL
-            flip = ~sign_ambiguous & (angle_l > 0.0)
+        sign_ambiguous = np.zeros(len(rows), dtype=bool)
+        sign_ambiguous[:nc] = np.abs(angle_l[:nc]) <= SIGN_TIE_TOL
+        flip = ~sign_ambiguous & (angle_l > 0.0)
+        reference = np.where(flip[:nc, None], -n_l[:nc], n_l[:nc])[owner]
+        flip[nc:] = (n_l[nc:, None, :] @ reference[..., None])[..., 0, 0] < 0.0
         n_l = np.where(flip[:, None], -n_l, n_l)
         angle_l = np.where(flip, -angle_l, angle_l)
 
@@ -395,43 +403,37 @@ def _normal_data(
         n_r = (-2.0 * angle_l[:, None] * xi - n_l) / omega_l[:, None]
         angle_r = stacked_inner(g_r, n_r, xi)
 
-        agreement = None
-        if routes:
-            w_r = ambient.to_coords(
-                point, wedge_frame(Signature.R, pair_f[:, 0], pair_f[:, 1]), frames=frame
-            )
-            n_r_wedge = w_r / np.sqrt(stacked_inner(g_r, w_r, w_r))[:, None]
-            apart = np.max(np.abs(n_r - n_r_wedge), axis=1)
-            opposed = np.max(np.abs(n_r + n_r_wedge), axis=1)
-            # Python's min(apart, opposed), which keeps a NaN in apart
-            agreement = np.where(opposed < apart, opposed, apart)
+        # the last check of a stencil row: the sign of its normal angle against its center's
+        a, a0 = angle_l[nc:], angle_l[owner]
+        changed = (np.abs(a) > SIGN_TIE_TOL) & (np.abs(a0) > SIGN_TIE_TOL) & (a * a0 < 0.0)
+        for j in np.flatnonzero(changed).tolist():
+            uv = uvs[rows[owner[j]]]
+            fail(nc + j, OrientationFlip(f"normal angle changes sign across stencil at uv={uv!r}"))
+
+        w_r = ambient.to_coords(
+            point[:nc], wedge_frame(Signature.R, pair_f[:nc, 0], pair_f[:nc, 1]), frames=frame[:nc]
+        )
+        n_r_wedge = w_r / np.sqrt(stacked_inner(g_r[:nc], w_r, w_r))[:, None]
+        apart = np.max(np.abs(n_r[:nc] - n_r_wedge), axis=1)
+        opposed = np.max(np.abs(n_r[:nc] + n_r_wedge), axis=1)
+        # Python's min(apart, opposed), which keeps a NaN in apart
+        agreement = np.where(opposed < apart, opposed, apart)
 
         t_l = xi - (eps * angle_l)[:, None] * n_l
         t_r = xi - angle_r[:, None] * n_r
 
-    return NormalData(
-        errors=errors,
-        rows=rows,
-        point=point,
-        frame=frame,
-        g_r=g_r,
-        g_l=g_l,
-        du=du,
-        dv=dv,
-        gram_r=gram_r,
-        gram_l=gram_l,
-        eps=eps,
-        n_l=n_l,
-        n_r=n_r,
-        angle_l=angle_l,
-        angle_r=angle_r,
-        omega_l=omega_l,
-        omega_r=omega_r,
-        t_l=t_l,
-        t_r=t_r,
-        sign_ambiguous=sign_ambiguous,
-        wedge_agreement=agreement,
+    arrays = dict(
+        point=point, frame=frame, g_r=g_r, g_l=g_l, du=du, dv=dv, gram_r=gram_r, gram_l=gram_l,
+        eps=eps, n_l=n_l, n_r=n_r, angle_l=angle_l, angle_r=angle_r, omega_l=omega_l,
+        omega_r=omega_r, t_l=t_l, t_r=t_r, sign_ambiguous=sign_ambiguous,
     )
+    center = NormalData(
+        errors[:n], rows[:nc], **{k: a[:nc] for k, a in arrays.items()}, wedge_agreement=agreement
+    )
+    stencil = NormalData(
+        errors[n:], s_rows, **{k: a[nc:] for k, a in arrays.items()}, wedge_agreement=None
+    )
+    return center, stencil
 
 
 # The array fields of NormalData, which a selection of rows of other NormalData selects.
@@ -518,23 +520,27 @@ class SampleBatch:
     once, and kept in one memo under its name and arguments; each sample
     reads its own row:
 
-    * the centers, one ``_normal_data`` pass, on the first ``sample`` call;
+    * the centers and the eight stencil rows of each center the chart
+      kept, one ``_normal_data`` pass on the first ``sample`` call, in
+      which each stencil row's sign reference and OrientationFlip check are
+      those of its own center; the centers are a prefix of it, the 8n
+      stencil rows of the samples the rest or a selection of it, and from
+      them comes each sample's first stencil error;
     * the frame components of each sample's ``FRAME_FIELDS``, one
       ``to_frames`` call, and from them the rotation matrices and the
       chart coefficients of T of each metric;
-    * the 8n stencil rows, one ``_normal_data`` pass in which each row's sign
-      reference and OrientationFlip check are those of its own center, and
-      each sample's first stencil error;
     * their ``stencil_components`` with the centers', in one call;
     * the connection tables of each metric, one ``point_tables`` call;
     * the shape operators, and the T- and normal-angle derivatives, of each
-      metric, one ``cov_deriv_stencils`` call per chart axis and one stacked
-      Gram projection, over the samples whose stencil rows raised nothing;
+      metric, one ``cov_deriv_stencils`` call over both chart axes and one
+      stacked Gram projection, over the samples whose stencil rows raised
+      nothing;
     * the internal consistency residuals of each sample, as columns;
     * the curvature scalars of ``identities.curvature_suite``, as columns,
       and each sample's skip;
     * in the group models, the PointFrames where the curves through the
-      samples start, with one ``point_tables`` call per metric.
+      samples start, with one ``point_tables`` call per metric; the
+      identities' stack composes their arrays once per metric.
 
     Each stage rounds row by row like a batch of one, so a sample's numbers
     do not depend on the batch it is in.  Nothing here draws random numbers.
@@ -579,12 +585,17 @@ class SampleBatch:
         ]
         return joined
 
+    @_stage
+    def _normals(self) -> tuple[NormalData, NormalData]:
+        """The centers and the stencil rows of each center the chart kept, one ``_normal_data``."""
+        return _normal_data(self.ambient, self.chart, self.uvs, self.steps)
+
     @property
     @_stage
     def center(self) -> NormalData:
-        """Normal data of the uv rows themselves, one pass; of a join, its samples' rows."""
+        """Normal data of the uv rows themselves; of a join, its samples' rows."""
         if self._parts is None:
-            return _normal_data(self.ambient, self.chart, self.uvs, self.steps.first, routes=True)
+            return self._normals()[0]
         parts = [(batch.center, [batch.centers[k] for k in ks]) for batch, ks in self._parts]
         n = len(self.uvs)
         return _Selected(parts, [None] * n, list(range(n)))
@@ -654,45 +665,17 @@ class SampleBatch:
     def stencil(self) -> NormalData:
         """Normal data of the eight stencil rows of every sample, rows 8k .. 8k + 7 for sample k.
 
-        Signs are continued from each row's own center; a material sign
-        change of the Lorentzian normal angle across the stencil is that
-        row's OrientationFlip.  Of a join: its samples' rows and errors.
+        The rows of the centers' ``_normal_data`` pass, whose errors include
+        each row's OrientationFlip: all of them when every center the chart
+        kept is a sample, else the samples' rows.  Of a join: its samples'
+        rows and errors, from their batches' stencils.
         """
         if self._parts is not None:
-            return self._joined_stencil()
-        h, c = self.steps.second, self.center
-        sample_uvs = [self.uvs[c.rows[j]] for j in self.centers]
-        uvs = [uv for center in sample_uvs for uv in _stencil_uvs(center, h)]
-        reference = np.repeat(c.n_l[self.centers], 8, axis=0)
-        st = _normal_data(self.ambient, self.chart, uvs, self.steps.first, reference)
-        center_angles = c.angle_l[self.centers].tolist()
-        for i, angle in zip(st.rows, st.angle_l.tolist()):
-            a0 = center_angles[i // 8]
-            if (
-                st.errors[i] is None
-                and abs(angle) > SIGN_TIE_TOL
-                and abs(a0) > SIGN_TIE_TOL
-                and angle * a0 < 0.0
-            ):
-                st.errors[i] = OrientationFlip(
-                    f"normal angle changes sign across stencil at uv={sample_uvs[i // 8]!r}"
-                )
-        return st
-
-    def _joined_stencil(self) -> NormalData:
-        """The eight stencil rows and errors of each joined sample, from its batch's stencil."""
-        parts, errors, rows = [], [], []
-        for batch, ks in self._parts:
-            st = batch.stencil()
-            at = {i: pos for pos, i in enumerate(st.rows)}
-            positions = []
-            for k in ks:
-                kept = [r for r in range(8) if 8 * k + r in at]
-                positions += [at[8 * k + r] for r in kept]
-                rows += [len(errors) + r for r in kept]
-                errors += st.errors[8 * k : 8 * k + 8]
-            parts.append((st, positions))
-        return _Selected(parts, errors, rows)
+            return _stencil_blocks([(batch.stencil(), ks) for batch, ks in self._parts])
+        every = self._normals()[1]
+        if len(self.centers) == len(self.center.rows):
+            return every
+        return _stencil_blocks([(every, self.centers)])
 
     @_stage
     def stencil_errors(self) -> list:
@@ -762,23 +745,33 @@ class SampleBatch:
         m = len(cj)
         return comps[:m], comps[m:].reshape(m, 8, *comps.shape[1:])
 
-    def stencil_derivs(self, sig: Signature, axis: int, names: tuple[str, ...]) -> np.ndarray:
-        """Covariant derivatives along chart axis ``axis`` of named STENCIL_FIELDS, (m, k, dim).
+    def stencil_derivs(self, sig: Signature, names: tuple[str, ...]) -> np.ndarray:
+        """Covariant derivatives along both chart axes of named STENCIL_FIELDS, (m, 2, k, dim).
 
-        One ``cov_deriv_stencils`` call over the samples of ``_ok``.
+        One ``cov_deriv_stencils`` call over 2m rows: the samples of ``_ok``
+        along chart axis 0, then along axis 1.
         """
         f0, fs = self._components()
-        which = [STENCIL_FIELDS.index(name) for name in names]
         ok, cj, _, _ = self._ok()
-        c = self.center
-        velocity = (c.du if axis == 0 else c.dv)[cj]
-        metric = (c.g_r if sig is Signature.R else c.g_l)[cj]
-        tables = self.tables(sig)[ok]
-        rows = np.moveaxis(fs[:, 4 * axis : 4 * axis + 4][:, :, which], 1, 0)
-        return self.ambient.cov_deriv_stencils(
-            c.point[cj], c.frame[cj], metric, tables, velocity, f0[:, which], rows,
+        # the tables first, so that none of the copies below is held while they are built
+        tables = self.tables(sig)[ok + ok]
+        which = [STENCIL_FIELDS.index(name) for name in names]
+        m, c = len(ok), self.center
+        twice = cj + cj
+        each = np.tile(np.arange(m), 2)[:, None]
+        # rows[s, a * m + i] is sample i's stencil row s along chart axis a, one copy of fs
+        offsets = np.repeat([0, 4], m) + np.arange(4)[:, None]
+        out = self.ambient.cov_deriv_stencils(
+            c.point[twice],
+            c.frame[twice],
+            (c.g_r if sig is Signature.R else c.g_l)[twice],
+            tables,
+            np.concatenate([c.du[cj], c.dv[cj]]),
+            f0[each, which],
+            fs[each, offsets[..., None], which],
             self.steps.second,
         )
+        return np.moveaxis(out.reshape(2, m, *out.shape[1:]), 0, 1)
 
     def _coeffs(self, sig: Signature, vecs: np.ndarray, cj: list[int]) -> np.ndarray:
         """Chart-basis coefficients (m, [k,] 2) of tangent vectors (m, [k,] dim) at centers ``cj``.
@@ -811,11 +804,9 @@ class SampleBatch:
     def shapes(self, sig: Signature) -> np.ndarray:
         """The Weingarten matrices (m, 2, 2) of the samples of ``_ok``."""
         n_name = "n_r" if sig is Signature.R else "n_l"
-        cols = []
-        for axis in (0, 1):
-            dn = self.stencil_derivs(sig, axis, (n_name,))[:, 0]
-            cols.append(-self._coeffs(sig, dn, self._ok()[1]))
-        return np.stack(cols, axis=-1)
+        dn = self.stencil_derivs(sig, (n_name,))[:, :, 0]
+        # column ``axis`` of each matrix is minus the coefficients of dn along that axis
+        return np.ascontiguousarray(np.swapaxes(-self._coeffs(sig, dn, self._ok()[1]), 1, 2))
 
     @_stage
     def _shape_rows(self, sig: Signature) -> dict:
@@ -843,13 +834,9 @@ class SampleBatch:
         t_name = "t_r" if sig is Signature.R else "t_l"
         st = self.stencil()
         _, cj, rows, _ = self._ok()
-        angles = (st.angle_r if sig is Signature.R else st.angle_l)[rows].reshape(-1, 8)
-        dts, dangles = [], []
-        for axis in (0, 1):
-            dt_amb = self.stencil_derivs(sig, axis, (t_name,))[:, 0]
-            dts.append(self._coeffs(sig, dt_amb, cj))
-            dangles.append(stencil_derivative(angles[:, 4 * axis : 4 * axis + 4].T, h))
-        return np.stack(dts, axis=1), np.stack(dangles, axis=1)
+        angles = (st.angle_r if sig is Signature.R else st.angle_l)[rows].reshape(-1, 2, 4)
+        dts = self._coeffs(sig, self.stencil_derivs(sig, (t_name,))[:, :, 0], cj)
+        return dts, stencil_derivative(np.moveaxis(angles, 2, 0), h)
 
     # -- consistency residuals -------------------------------------------------
 
@@ -967,6 +954,25 @@ class SampleBatch:
                     self.ambient, at[i], tables={sig: tables[sig][i] for sig in SIGNATURES}
                 )
         return out
+
+
+def _stencil_blocks(parts: list) -> _Selected:
+    """The stencil rows 8j .. 8j + 7 and their errors of each j of ``js``, of each (data, js).
+
+    ``data`` is the NormalData of stencil rows eight per center (or per
+    sample), so each j gives one sample's eight rows, in order.
+    """
+    selected, errors, rows = [], [], []
+    for data, js in parts:
+        at = {i: pos for pos, i in enumerate(data.rows)}
+        positions = []
+        for j in js:
+            kept = [r for r in range(8) if 8 * j + r in at]
+            positions += [at[8 * j + r] for r in kept]
+            rows += [len(errors) + r for r in kept]
+            errors += data.errors[8 * j : 8 * j + 8]
+        selected.append((data, positions))
+    return _Selected(selected, errors, rows)
 
 
 def _adapted_bases(batch: SampleBatch, sig: Signature) -> tuple[np.ndarray, np.ndarray, list]:

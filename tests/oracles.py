@@ -16,7 +16,9 @@ are the per-point draws of the sample grid (``sample_points_loop``), the
 per-row residual formulas (``scalar_residual_row``,
 ``sized_residual_row``, ``worst_row``) and the per-sample consistency
 invariants (``invariants_row``), which the stacked residuals and
-``SampleBatch.invariants`` replace.
+``SampleBatch.invariants`` replace; and the two-pass normal data of a
+batch's centers and stencil rows (``normal_data_two_pass``), which the one
+pass of ``surfaces._normal_data`` replaces.
 """
 
 from __future__ import annotations
@@ -25,7 +27,15 @@ import math
 
 import numpy as np
 
-from bicausal.ambient import Signature, frame_gram
+from bicausal import surfaces
+from bicausal.ambient import Signature, frame_gram, stacked_inner, wedge_frame
+from bicausal.errors import (
+    DegenerateInput,
+    GeometryError,
+    ImmersionFailure,
+    NumericFailure,
+    OrientationFlip,
+)
 from bicausal.numdiff import central_diff, christoffels, gradient
 
 
@@ -432,3 +442,125 @@ def invariants_row(data) -> dict[str, float]:
     res["t_tangency_L"] = abs(data.inner(Signature.L, data.t_l, data.n_l))
     res["branch"] = max(0.0, 1.0 - data.omega_l)
     return res
+
+
+def normal_pass(ambient, chart, uvs, h_jet: float, reference=None, routes: bool = False):
+    """The NormalData of a stack of uv rows, as one pass computed it before centers and
+    stencil rows shared one.
+
+    With ``reference`` (one vector per uv row) the Lorentzian normal takes
+    the sign closer to it; otherwise its normal angle is made nonpositive,
+    and a tie (``SIGN_TIE_TOL``) keeps the wedge sign.  ``routes`` adds the
+    agreement of the Riemannian normal with its own wedge route.
+    """
+    point, pair, errors, rows = surfaces._charted(ambient, chart, uvs, h_jet)
+    du, dv = pair[:, 0], pair[:, 1]
+    frame = ambient.frames(point)
+    g_r, g_l = ambient.metrics(Signature.R, point), ambient.metrics(Signature.L, point)
+    alive = [True] * len(rows)
+
+    def fail(j, error):
+        if alive[j]:
+            errors[rows[j]] = error
+            alive[j] = False
+
+    def at(j):
+        return f"uv={uvs[rows[j]]!r}"
+
+    with np.errstate(all="ignore"):
+        gram_r = surfaces._grams(g_r, pair)
+        gram_l = surfaces._grams(g_l, pair)
+        scale = gram_r[:, 0, 0] * gram_r[:, 1, 1]
+        det_r, det_l = np.linalg.det(gram_r), np.linalg.det(gram_l)
+        rejected, spacelike = surfaces._characters(scale, det_l)
+        flagged = (det_r <= surfaces.IMMERSION_TOL * np.maximum(scale, 1e-300)) | rejected
+        eps = np.where(spacelike, -1.0, 1.0)
+        eps[flagged] = 1.0
+        for j in np.flatnonzero(flagged).tolist():
+            sc = scale[j].item()
+            try:
+                if det_r[j].item() <= surfaces.IMMERSION_TOL * max(sc, 1e-300):
+                    raise ImmersionFailure(f"rank-deficient chart derivative at {at(j)}")
+                char, _ = surfaces._classify(sc, det_l[j].item(), point[j])
+                if char == surfaces.DEGENERATE:
+                    raise DegenerateInput(f"degenerate tangent plane at {at(j)}")
+            except GeometryError as exc:
+                fail(j, exc.with_traceback(None))
+                continue
+            eps[j] = 1.0 if char == surfaces.TIMELIKE else -1.0
+
+        xi = frame[:, :, 2]
+        pair_f = ambient.to_frames(point, pair, frames=frame, metric_r=g_r)
+        w_l = ambient.to_coords(
+            point, wedge_frame(Signature.L, pair_f[:, 0], pair_f[:, 1]), frames=frame
+        )
+        nn = stacked_inner(g_l, w_l, w_l)
+        for j in np.flatnonzero(np.abs(nn) <= 0.0).tolist():
+            fail(j, DegenerateInput(f"null Lorentzian normal direction at {at(j)}"))
+        n_l = w_l / np.sqrt(np.abs(nn))[:, None]
+        angle_l = stacked_inner(g_l, n_l, xi)
+
+        if reference is not None:
+            ref = reference[rows]
+            flip = (n_l[:, None, :] @ ref[..., None])[..., 0, 0] < 0.0
+            sign_ambiguous = np.zeros(len(rows), dtype=bool)
+        else:
+            sign_ambiguous = np.abs(angle_l) <= surfaces.SIGN_TIE_TOL
+            flip = ~sign_ambiguous & (angle_l > 0.0)
+        n_l = np.where(flip[:, None], -n_l, n_l)
+        angle_l = np.where(flip, -angle_l, angle_l)
+
+        omega_sq = eps + 2.0 * angle_l * angle_l
+        for j in np.flatnonzero(omega_sq <= 0.0).tolist():
+            fail(j, NumericFailure(f"invalid normal stretch at {at(j)}: {omega_sq[j].item()}"))
+        omega_l = np.sqrt(omega_sq)
+        omega_r = 1.0 / omega_l
+        n_r = (-2.0 * angle_l[:, None] * xi - n_l) / omega_l[:, None]
+        angle_r = stacked_inner(g_r, n_r, xi)
+
+        agreement = None
+        if routes:
+            w_r = ambient.to_coords(
+                point, wedge_frame(Signature.R, pair_f[:, 0], pair_f[:, 1]), frames=frame
+            )
+            n_r_wedge = w_r / np.sqrt(stacked_inner(g_r, w_r, w_r))[:, None]
+            apart = np.max(np.abs(n_r - n_r_wedge), axis=1)
+            opposed = np.max(np.abs(n_r + n_r_wedge), axis=1)
+            agreement = np.where(opposed < apart, opposed, apart)
+
+        t_l = xi - (eps * angle_l)[:, None] * n_l
+        t_r = xi - angle_r[:, None] * n_r
+
+    return surfaces.NormalData(
+        errors=errors, rows=rows, point=point, frame=frame, g_r=g_r, g_l=g_l, du=du, dv=dv,
+        gram_r=gram_r, gram_l=gram_l, eps=eps, n_l=n_l, n_r=n_r, angle_l=angle_l,
+        angle_r=angle_r, omega_l=omega_l, omega_r=omega_r, t_l=t_l, t_r=t_r,
+        sign_ambiguous=sign_ambiguous, wedge_agreement=agreement,
+    )
+
+
+def normal_data_two_pass(ambient, chart, uvs, steps):
+    """A batch's centers and its samples' stencil rows, in two passes and a loop.
+
+    The center pass first; then one pass over the eight stencil rows of each
+    sample (a center without an error), each referenced to its center's
+    Lorentzian normal; then each row's OrientationFlip, one row at a time.
+    Returns the NormalData of the centers and of the stencil rows, rows
+    8k .. 8k + 7 for sample k.
+    """
+    c = normal_pass(ambient, chart, uvs, steps.first, routes=True)
+    centers = [j for j, i in enumerate(c.rows) if c.errors[i] is None]
+    sample_uvs = [uvs[c.rows[j]] for j in centers]
+    h = steps.second
+    stencil_uvs = [uv for center in sample_uvs for uv in surfaces._stencil_uvs(center, h)]
+    reference = np.repeat(c.n_l[centers], 8, axis=0)
+    st = normal_pass(ambient, chart, stencil_uvs, steps.first, reference)
+    center_angles = c.angle_l[centers].tolist()
+    for i, angle in zip(st.rows, st.angle_l.tolist()):
+        a0 = center_angles[i // 8]
+        tie = surfaces.SIGN_TIE_TOL
+        if st.errors[i] is None and abs(angle) > tie and abs(a0) > tie and angle * a0 < 0.0:
+            st.errors[i] = OrientationFlip(
+                f"normal angle changes sign across stencil at uv={sample_uvs[i // 8]!r}"
+            )
+    return c, st

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bicausal.ambient import CoordinateAmbient, Signature, SpaceParams
-from bicausal.catalog import CATALOG, MODELS, build_surface, parse_surface
-from bicausal.errors import CurveSingular, GeometryError, SurfaceUnavailable
+from bicausal.catalog import CATALOG, MODELS, build_surface, default_surfaces, parse_surface
+from bicausal.errors import CurveSingular, GeometryError, OrientationFlip, SurfaceUnavailable
 from bicausal.identities import (
     IDENTITY_NAMES,
     SampleSkip,
@@ -29,10 +29,11 @@ from bicausal.identities import (
     evaluate_samples,
     run_identities,
 )
-from bicausal import surfaces
+from bicausal import identities, surfaces
 from bicausal.surfaces import SurfaceChart, TwoMetricFrameData, frame_batch, frame_data
 
 from conftest import same_bits
+from oracles import normal_data_two_pass
 
 SIGS = (Signature.R, Signature.L)
 
@@ -165,6 +166,98 @@ def test_each_sample_raises_its_own_first_stencil_error():
         with pytest.raises(GeometryError):
             batch[k].tangent_derivatives(Signature.L)
     assert np.all(np.isfinite(batch[2].shape(Signature.L)))
+
+
+def _parabolic_cylinder(z0: float) -> SurfaceChart:
+    """x = (z - z0)^2 in the flat model, charted by (y, z): timelike near z = z0, where its
+    Lorentzian normal angle changes sign."""
+    return SurfaceChart(
+        name="parabolic",
+        chart=lambda u, v: np.array([(v - z0) ** 2, u, v]),
+        domain=((-1.0, 1.0), (-1.0, 1.0)),
+        jacobian=lambda u, v: (np.array([0.0, 1.0, 0.0]), np.array([2.0 * (v - z0), 0.0, 1.0])),
+    )
+
+
+def _flip_case():
+    """The parabolic cylinder at (0,0) with a sample 1.5 stencil steps below z0, whose row at
+    +2h along chart axis 1 lies past z0, between samples whose stencils stay on one side."""
+    ambient = CoordinateAmbient(SpaceParams(0.0, 0.0))
+    z0, h = 0.3, ambient.steps.second
+    uvs = [(0.1, z0 - 0.2), (0.0, z0 - 1.5 * h), (0.0, z0 + 3 * h)]
+    return ambient, _parabolic_cylinder(z0), uvs
+
+
+def test_a_stencil_across_a_sign_change_of_the_normal_angle_raises_orientation_flip():
+    ambient, chart, uvs = _flip_case()
+    batch = _assert_batch_equals_singles(ambient, chart, uvs)
+    flipped = batch[1].stencil_error()
+    assert isinstance(flipped, OrientationFlip) and flipped.code == "ORIENTATION_FLIP"
+    assert str(flipped) == f"normal angle changes sign across stencil at uv={uvs[1]!r}"
+    # the row at +2h along axis 1 is the first and only one across z0
+    st = batch[1]._batch.stencil()
+    assert [e is not None for e in st.errors[8:16]] == [False] * 5 + [True] + [False] * 2
+    with pytest.raises(OrientationFlip) as raised:
+        batch[1].shape(Signature.L)
+    assert str(raised.value) == str(flipped)
+    assert batch[0].stencil_error() is None and batch[2].stencil_error() is None
+    assert batch[1].eps == 1.0 and batch[1].angle_l < 0.0
+
+
+def _assert_normal_data_equals_two_passes(ambient, chart, uvs) -> surfaces.SampleBatch:
+    """The centers and stencil rows of a batch's one ``_normal_data`` pass give every field,
+    error and message of the two passes that built them before."""
+    batch = surfaces.SampleBatch(ambient, chart, uvs)
+    want = normal_data_two_pass(ambient, chart, batch.uvs, ambient.steps)
+    for got, ref in zip((batch.center, batch.stencil()), want):
+        assert got.rows == ref.rows
+        assert [(type(e), str(e)) if e else None for e in got.errors] == [
+            (type(e), str(e)) if e else None for e in ref.errors
+        ]
+        for name in surfaces._NORMAL_ARRAYS:
+            a, b = getattr(got, name), getattr(ref, name)
+            assert (a is None and b is None) or same_bits(a, b), name
+    return batch
+
+
+@pytest.mark.parametrize("pair", [(1.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
+def test_one_normal_pass_equals_two_on_the_default_surfaces(pair):
+    params = SpaceParams(*pair)
+    for address in default_surfaces(params):
+        built = build_surface(address, params)
+        batch = _assert_normal_data_equals_two_passes(
+            built.ambient, built.chart, _domain_uvs(built.chart, FRACTIONS)
+        )
+        assert batch.centers, address
+
+
+def test_one_normal_pass_equals_two_where_centers_are_excluded():
+    """Centers excluded by the domain check, and centers that the chart kept but a later check
+    excluded, whose stencil rows the pass computes and the stencil leaves out."""
+    ambient = CoordinateAmbient(SpaceParams(-1.0, 0.0))
+    h, edge = ambient.steps.second, ambient.params.disk_radius * math.sqrt(1.0 - 1e-6)
+    uvs = [(edge + h, 0.0), (edge - 1.5 * h, 0.0), (9.0, 9.0), (0.3, 0.2), (0.0, edge - 0.5 * h),
+           (-edge - 2 * h, 0.1)]
+    batch = _assert_normal_data_equals_two_passes(ambient, _plane(ambient.params.disk_radius), uvs)
+    assert batch.centers == [0, 1, 2] and batch.center.rows == [1, 3, 4]
+    assert any(e is not None for e in batch.stencil().errors)
+    # the fold at u = 0.3 fails the center's rank check, and at 0.5 + h a stencil row's
+    folded = _folded_plane({0.3, 0.5 + ambient.steps.second})
+    uvs = [(0.1, 0.2), (0.3, 0.2), (0.5, 0.2), (0.7, 0.1)]
+    batch = _assert_normal_data_equals_two_passes(ambient, folded, uvs)
+    assert batch.centers == [0, 2, 3] and len(batch.center.rows) == 4
+    assert isinstance(batch.stencil(), surfaces._Selected)
+    assert [e.code for e in batch.stencil().errors if e is not None] == ["IMMERSION_FAILURE"]
+
+
+def test_one_normal_pass_equals_two_on_a_sign_ambiguous_cylinder_and_across_a_flip():
+    built = build_surface("hopf:circle:r=0.45", SpaceParams(-1.0, 1.0))
+    batch = _assert_normal_data_equals_two_passes(
+        built.ambient, built.chart, _domain_uvs(built.chart, FRACTIONS)
+    )
+    assert batch.center.sign_ambiguous.all()
+    batch = _assert_normal_data_equals_two_passes(*_flip_case())
+    assert [type(e) for e in batch.stencil().errors].count(OrientationFlip) == 1
 
 
 # -- fuzzing: parameters at kappa + 4 tau^2 = 0 and points at the disk edge -----
@@ -781,9 +874,9 @@ def test_each_batch_stage_is_built_once(address, pair, builds, monkeypatch):
             _readings(d)
 
     evaluate_and_read()
-    # centers and stencil rows; one stencil_components call; shapes and T-derivatives
-    # of each metric, one call per chart axis
-    assert calls == {"_normal_data": 2, "stencil_components": 1, "cov_deriv_stencils": 8,
+    # centers and stencil rows, one pass; one stencil_components call; shapes and
+    # T-derivatives of each metric, one call for both chart axes
+    assert calls == {"_normal_data": 1, "stencil_components": 1, "cov_deriv_stencils": 4,
                      **builds}
     first = dict(calls)
     evaluate_and_read()
@@ -822,20 +915,29 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
     names = [n for n in IDENTITY_NAMES if curves or n not in curve_names]
     rng = np.random.default_rng(0)
     plans = [draw_plan(names, samples, rng) for samples in groups]
-    # per surface: centers and stencil rows; one stencil_components call, the tables of
-    # R and the shapes of R, one cov_deriv_stencils call per chart axis
+    # per surface: centers and stencil rows, one pass; one stencil_components call, the
+    # tables of R and the shapes of R, one cov_deriv_stencils call for both chart axes
     n = len(groups)
-    assert calls == {"_normal_data": 2 * n, "stencil_components": n, "cov_deriv_stencils": 2 * n,
+    assert calls == {"_normal_data": n, "stencil_components": n, "cov_deriv_stencils": n,
                      "point_tables": n}
     for samples in groups:
         stages = samples[0]._batch._stages
         assert ("shapes", Signature.R) in stages and ("shapes", Signature.L) not in stages
         assert not {key[0] for key in stages} & {"tangent_dts", "curvature", "rotations"}
     calls.update(dict.fromkeys(calls, 0))
+    built_starts: list = []
+    curve_starts = identities._Stack._curve_starts
+
+    def spy(self, sig):
+        # the stack itself, held so that no two stacks share an id
+        built_starts.append((self, sig))
+        return curve_starts(self, sig)
+
+    monkeypatch.setattr(identities._Stack, "_curve_starts", spy)
     evaluate_plans(names, plans)
     # the Lorentzian shapes and the T-derivatives of each metric, one cov_deriv_stencils
-    # call per chart axis, and the Lorentzian tables
-    want = {"_normal_data": 0, "stencil_components": 0, "cov_deriv_stencils": 6,
+    # call for both chart axes, and the Lorentzian tables
+    want = {"_normal_data": 0, "stencil_components": 0, "cov_deriv_stencils": 3,
             "point_tables": 1}
     if curves:
         # each curve identity's field and derivative, and the tables where curves start
@@ -843,6 +945,10 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
         want["cov_deriv_stencils"] += 3
         want["point_tables"] += starts
     assert calls == want
+    # the starts of each signature are built once per stack: KILLING_R's two curves of R
+    # and CONN_DIFF's curves of R and L share them, on the stack of all samples
+    assert len({(id(stack), sig) for stack, sig in built_starts}) == len(built_starts)
+    assert {sig for _, sig in built_starts} == (set(SIGS) if curves else set())
 
 
 def _folded_plane(folds) -> SurfaceChart:

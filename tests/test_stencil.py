@@ -271,20 +271,33 @@ _ROW_FIELDS = ("point", "du", "dv", "gram_r", "gram_l", "eps", "angle_l", "angle
 _ROW_FIELDS += tuple(f for f in STENCIL_FIELDS if f not in _ROW_FIELDS)
 
 
-def _assert_rows_match_singletons(ambient, chart, uvs, reference):
-    """One stack of all rows against one stack per row: same errors, same bits."""
-    h_jet = ambient.steps.first
-    stack = _normal_data(ambient, chart, uvs, h_jet, reference)
-    for i, uv in enumerate(uvs):
-        one = _normal_data(ambient, chart, [uv], h_jet, reference)
-        err, one_err = stack.errors[i], one.errors[0]
-        assert type(err) is type(one_err) and str(err) == str(one_err)
-        if err is not None:
-            continue
-        j = stack.rows.index(i)
+def _assert_same_row(data, i, one, i_one):
+    """Row i of NormalData ``data`` and row i_one of ``one``: same error, else same bits."""
+    err, one_err = data.errors[i], one.errors[i_one]
+    assert type(err) is type(one_err) and str(err) == str(one_err)
+    if err is None:
+        j, k = data.rows.index(i), one.rows.index(i_one)
         for name in _ROW_FIELDS:
-            assert same_bits(getattr(stack, name)[j], getattr(one, name)[0]), name
-    return stack
+            assert same_bits(getattr(data, name)[j], getattr(one, name)[k]), name
+
+
+def _assert_rows_match_singletons(ambient, chart, uvs):
+    """One pass over all centers against one pass per center: the same errors and bits at
+    each center and at each of its eight stencil rows.  Returns the pass's NormalData of the
+    centers and of the stencil rows."""
+    center, stencil = _normal_data(ambient, chart, uvs, ambient.steps)
+    for i, uv in enumerate(uvs):
+        one_center, one_stencil = _normal_data(ambient, chart, [uv], ambient.steps)
+        _assert_same_row(center, i, one_center, 0)
+        assert (i in center.rows) == (0 in one_center.rows)
+        if i in center.rows:
+            j = center.rows.index(i)
+            for r in range(8):
+                _assert_same_row(stencil, 8 * j + r, one_stencil, r)
+    return center, stencil
+
+
+FRACTIONS = [(0.2, 0.2), (0.37, 0.61), (0.71, 0.44)]
 
 
 @pytest.mark.parametrize(
@@ -298,16 +311,15 @@ def _assert_rows_match_singletons(ambient, chart, uvs, reference):
     ],
 )
 def test_stencil_rows_do_not_depend_on_batch_size(address, pair):
+    """The centers and stencil rows of one pass over three centers, against one pass each."""
     built = build_surface(address, SpaceParams(*pair))
     (u0, u1), (v0, v1) = built.chart.domain
-    uv = (u0 + 0.37 * (u1 - u0), v0 + 0.61 * (v1 - v0))
-    data = frame_data(built.ambient, built.chart, uv, validate=False)
-    stack = _assert_rows_match_singletons(
-        built.ambient, built.chart, _stencil_uvs(data.uv, data.steps.second), data.n_l
-    )
-    assert all(err is None for err in stack.errors)
+    uvs = [(u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)) for fu, fv in FRACTIONS]
+    data = frame_data(built.ambient, built.chart, uvs[1], validate=False)
+    center, stack = _assert_rows_match_singletons(built.ambient, built.chart, uvs)
+    assert all(err is None for err in center.errors + stack.errors)
     # the sample is its batch's only one, so the batch's stencil rows are its eight
-    assert same_bits(data._batch.stencil().n_r, stack.n_r)
+    assert same_bits(data._batch.stencil().n_r, stack.n_r[8:16])
     for j in range(len(stack.rows)):
         for sig, gram in ((Signature.R, stack.gram_r[j]), (Signature.L, stack.gram_l[j])):
             want = induced_gram(built.ambient, sig, stack.point[j], stack.du[j], stack.dv[j])
@@ -333,13 +345,15 @@ def test_stencil_offset_leaving_the_disk_raises_domain_violation():
     data = frame_data(ambient, chart, uv, validate=False)
     uvs = _stencil_uvs(data.uv, h)
     assert ambient.contains(chart.point(*uvs[0])) and not ambient.contains(chart.point(*uvs[1]))
-    stack = _assert_rows_match_singletons(ambient, chart, uvs, data.n_l)
-    codes = [None if e is None else e.code for e in stack.errors]
+    # the stencil rows of the second center are rows 8 .. 15
+    _, stack = _assert_rows_match_singletons(ambient, chart, [(0.3, 0.2), uv])
+    errors = stack.errors[8:]
+    codes = [None if e is None else e.code for e in errors]
     assert codes[1] == DomainViolation.code and codes[0] is None
     for call in (lambda: data.shape(Signature.R), lambda: data.tangent_derivatives(Signature.L)):
         with pytest.raises(DomainViolation) as raised:
             call()
-        assert str(raised.value) == str(stack.errors[1])
+        assert str(raised.value) == str(errors[1])
     # the error is raised again on every use, and nothing was cached
     with pytest.raises(DomainViolation):
         data.shape(Signature.R)
@@ -360,7 +374,7 @@ def test_first_stencil_error_in_row_order_wins():
 
     chart = SurfaceChart(name="folded", chart=inner.chart, domain=inner.domain, jacobian=jacobian)
     data = frame_data(ambient, chart, uv, validate=False)
-    stack = _assert_rows_match_singletons(ambient, chart, _stencil_uvs(data.uv, h), data.n_l)
+    _, stack = _assert_rows_match_singletons(ambient, chart, [uv])
     assert stack.errors[0] is not None and stack.errors[0].code == "IMMERSION_FAILURE"
     assert stack.errors[1].code == DomainViolation.code
     with pytest.raises(GeometryError) as raised:
@@ -395,13 +409,11 @@ def test_fuzz_batched_rows_equal_per_row_and_fail_with_codes(sample):
     ambient, chart = built.ambient, built.chart
     (u0, u1), (v0, v1) = chart.domain
     uv = (u0 + fu * (u1 - u0), v0 + fv * (v1 - v0))
+    # the sample's stencil rows as centers, and the stencil rows of each
     uvs = [uv] + _stencil_uvs(uv, ambient.steps.second)
-    _assert_rows_match_singletons(ambient, chart, uvs, None)
+    _assert_rows_match_singletons(ambient, chart, uvs)
     try:
         data = frame_data(ambient, chart, uv, validate=False)
-        _assert_rows_match_singletons(
-            ambient, chart, _stencil_uvs(data.uv, data.steps.second), data.n_l
-        )
         for sig in SIGS:
             shape = data.shape(sig)
             derivs = data.tangent_derivatives(sig)

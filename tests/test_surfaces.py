@@ -171,9 +171,10 @@ def test_shape_operator_routes_and_symmetry(samples):
             n_name = "n_r" if sig is Signature.R else "n_l"
             normal = getattr(data, n_name)
             b = np.empty((2, 2))
+            # the sample is its batch's only one: row 0 of the stacked derivatives
+            derivs = data._batch.stencil_derivs(sig, (n_name, "du", "dv"))[0]
             for axis in (0, 1):
-                # the sample is its batch's only one: row 0 of the stacked derivatives
-                dn, d_du, d_dv = data._batch.stencil_derivs(sig, axis, (n_name, "du", "dv"))[0]
+                dn, d_du, d_dv = derivs[axis]
                 assert same_bits(-data.coeffs(sig, dn), shape[:, axis]), address
                 b[axis] = [data.inner(sig, d_du, normal), data.inner(sig, d_dv, normal)]
             symmetry_residual = abs(b[0, 1] - b[1, 0]) / max(1.0, float(np.max(np.abs(b))))

@@ -51,10 +51,14 @@ results must keep:
   with the obj of a group-model surface refused;
 * through the Python API, ``evaluate_samples`` of all 25 identities on two
   planes at the disk edge, where stencil rows leave the model, one of them
-  timelike with no null-free adapted basis: every skip that the default
-  verify never meets (``DOMAIN_VIOLATION``, ``NULL_DIRECTION``), printed with
-  ``float.hex``, with the generator's final state, and each excluded
-  sample's error class and message (the domain check's ``p!r`` text);
+  timelike with no null-free adapted basis, and on a plane folded at one
+  center and at one stencil row: every skip that the default verify never
+  meets (``DOMAIN_VIOLATION``, ``NULL_DIRECTION``), printed with
+  ``float.hex``, with the generator's final state, each excluded sample's
+  error class and message (the domain check's ``p!r`` text), and each
+  sample's stencil error class and message and ``curvature_suite`` (or its
+  skip), so that the stencil rows of a batch with excluded centers are
+  compared;
   and ``evaluate_samples`` of all 25 identities on every default surface at
   (1,1) and (-1,1), coordinate and group models, printing every residual
   with ``float.hex``: the verify report shows only each row's maximum, so a
@@ -226,19 +230,34 @@ CASES += [
 ]
 
 # The edge planes of the batch tests: the plane z = 0 with samples whose
-# stencils reach past the disk edge, and a timelike plane 1.5 stencil steps
-# inside the edge, at the disk-edge pairs and at a singular pair.
+# stencils reach past the disk edge, a timelike plane 1.5 stencil steps
+# inside the edge, and the plane z = 0 whose u-derivative vanishes at one
+# center and at one stencil row, at the disk-edge pairs and at a singular pair.
 EDGE_PLANES = """
 import math
 import numpy as np
 from bicausal.ambient import CoordinateAmbient, SpaceParams
-from bicausal.identities import IDENTITY_NAMES, evaluate_samples
+from bicausal.identities import IDENTITY_NAMES, SampleSkip, curvature_suite, evaluate_samples
 from bicausal.surfaces import SurfaceChart, frame_batch
 
 def plane(p0, du, dv):
     p0, du, dv = (np.array(a, dtype=float) for a in (p0, du, dv))
     return SurfaceChart("plane", lambda u, v: p0 + u * du + v * dv, ((-1.0, 1.0),) * 2,
                         lambda u, v: (du, dv))
+
+def folded(folds):
+    def jacobian(u, v):
+        return np.array([0.0 if u in folds else 1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    return SurfaceChart("folded", lambda u, v: np.array([u, v, 0.0]), ((-1.0, 1.0),) * 2,
+                        jacobian)
+
+def suite(d):
+    try:
+        return " ".join(f"{k}={v.hex()}" for k, v in curvature_suite(d).items())
+    except SampleSkip as skip:
+        return "skip " + skip.reason
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 rng = np.random.default_rng(5)
 for pair in [(-1.0, 0.0), (-4.0, 1.0), (-1.0, 0.5)]:
@@ -251,6 +270,7 @@ for pair in [(-1.0, 0.0), (-4.0, 1.0), (-1.0, 0.5)]:
          [(x0, 0.0), (0.0, edge - 0.5 * h), (0.3, 0.2), (edge + h, 0.0)]),
         (plane((x0, 0, 0), (1, 0, 10 * lam), (0, 0.2, 3 * lam)),
          [(0.0, 0.0), (-0.3, 0.0), (-0.5, 0.4), (0.0, 0.1)]),
+        (folded({0.3, 0.5 + h}), [(0.1, 0.2), (0.3, 0.2), (0.5, 0.2), (0.7, 0.1)]),
     ]
     for chart, uvs in planes:
         samples = []
@@ -259,6 +279,8 @@ for pair in [(-1.0, 0.0), (-4.0, 1.0), (-1.0, 0.5)]:
                 print(pair, uv, "excluded", d.code, type(d).__name__, str(d))
             else:
                 samples.append(d)
+                err = d.stencil_error()
+                print(pair, uv, "stencil", type(err).__name__, str(err), suite(d))
         for d, out in zip(samples, evaluate_samples(IDENTITY_NAMES, samples, rng)):
             for name, got in out.items():
                 value = got.get("skipped") or " ".join(map(float.hex, got["residuals"]))

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ConfigInvalid, DomainViolation
 from .numdiff import (
     FDSteps,
-    central_diff,
     christoffels,
     stencil_derivative,
     stencil_params,
@@ -302,6 +301,8 @@ class Ambient:
     curve for one row.  ``curve_stencils`` gives the stencil points of
     stacks of ``curve_through`` curves, with each curve's error, and
     ``curve_error`` the error of one curve, without its points.
+    ``validate_point`` raises where ``contains`` fails, with the subclass's
+    ``outside`` text.
     """
 
     def __init__(self, params: SpaceParams, steps: FDSteps | None = None):
@@ -327,14 +328,14 @@ class Ambient:
         """The unit vertical field at p, the third leg of the frame in both models."""
         return np.ascontiguousarray(self.frame(p)[:, 2])
 
-    def christoffels(self, sig: Signature, p: np.ndarray, h: float | None = None) -> np.ndarray:
+    def christoffels(self, sig: Signature, p: np.ndarray) -> np.ndarray:
         """Coordinate Christoffel symbols Gamma[c, a, b] of ``sig`` at p, from ``metrics``.
 
         ``p`` is one point (dim,) or a stack (n, dim), whose leading axis the
         result keeps: ``numdiff.christoffels`` over the stack, with the step
-        ``steps.first`` by default.
+        ``steps.first``.
         """
-        h = self.steps.first if h is None else h
+        h = self.steps.first
         p = np.asarray(p, dtype=float)
         gam = christoffels(lambda q: self.metrics(sig, q), p.reshape(-1, p.shape[-1]), h)
         return gam.reshape(p.shape[:-1] + gam.shape[1:])
@@ -348,6 +349,13 @@ class Ambient:
         p = np.asarray(p, dtype=float)
         return p.shape == (self.dim,) and self.contains_rows(p[None])[0]
 
+    def validate_point(self, p: np.ndarray) -> np.ndarray:
+        """The point p as an array, or DomainViolation where it is not ``contains``."""
+        p = np.asarray(p, dtype=float)
+        if not self.contains(p):
+            raise DomainViolation(f"point {p!r} {self.outside}")
+        return p
+
     def point_frame(self, p: np.ndarray) -> PointFrame:
         """The PointFrame at the point p."""
         return PointFrame(self, np.asarray(p, dtype=float))
@@ -358,16 +366,15 @@ class Ambient:
         curve: Callable[[float], np.ndarray],
         field: Callable[[float], np.ndarray],
         h: float,
-        velocity: np.ndarray | None = None,
+        velocity: np.ndarray,
     ) -> np.ndarray:
         """Covariant derivative of a vector field along a curve at parameter 0.
 
-        ``field(t)`` gives coordinate components at curve(t).  Returns
-        coordinate components there: the one-row ``cov_deriv_stencils``.
+        ``field(t)`` gives coordinate components at curve(t), and ``velocity``
+        is the curve's velocity there.  Returns coordinate components at
+        curve(0): the one-row ``cov_deriv_stencils``.
         """
         at = self.point_frame(curve(0.0))
-        if velocity is None:
-            velocity = central_diff(curve, 0.0, h)
         comps = self.stencil_components(stencil_values(curve, h), stencil_values(field, h))
         return self.cov_deriv_stencils(
             np.array([at.point]),
@@ -403,6 +410,7 @@ class CoordinateAmbient(Ambient):
 
     def __init__(self, params: SpaceParams, steps: FDSteps | None = None):
         super().__init__(params, steps)
+        self.outside = f"outside the model domain for kappa={params.kappa}"
         self._twisted_tables = (
             {sig: _twisted_table(params, sig) for sig in SIGNATURES} if params.tau != 0.0 else None
         )
@@ -424,14 +432,6 @@ class CoordinateAmbient(Ambient):
             r2 = np.array([x**2 + y**2 for x, y in zip(points[:, 0], points[:, 1])])
             ok &= r2 < (1.0 - DOMAIN_MARGIN) * r * r
         return ok.tolist()
-
-    def validate_point(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if not self.contains(p):
-            raise DomainViolation(
-                f"point {p!r} outside the model domain for kappa={self.params.kappa}"
-            )
-        return p
 
     # -- per-row columns ---------------------------------------------------
 

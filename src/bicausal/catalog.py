@@ -115,8 +115,9 @@ class CatalogEntry:
     # The labels the family takes; the first is the default.
     labels: tuple
     description: str
+    # The pairs the family is defined at, in words and as a predicate.
     validity: str
-    valid: Callable[[SpaceParams], str | None]
+    holds: Callable[[SpaceParams], bool]
     # The ambient model the family lives in, a key of MODELS.
     model: str
     # (ambient, label, resolved options) -> the chart as a function of its
@@ -129,6 +130,10 @@ class CatalogEntry:
     defaults: Callable[[SpaceParams, str | None], dict]
     # The causal character of the surface when no ``variant`` selects one.
     character: str | None = None
+
+    def valid(self, params: SpaceParams) -> str | None:
+        """None where the family is defined at ``params``, else the reason it is not."""
+        return None if self.holds(params) else f"needs {self.validity}"
 
 
 # Checks of one option value, run by ``validate_address``.
@@ -325,34 +330,6 @@ def _su11_helicoid(ambient, label, options):
     )
 
 
-def _always(params: SpaceParams) -> None:
-    return None
-
-
-def _needs_tau_zero(params: SpaceParams) -> str | None:
-    if params.tau != 0.0:
-        return "needs tau = 0"
-    return None
-
-
-def _needs_flat_base(params: SpaceParams) -> str | None:
-    if params.kappa != 0.0:
-        return "needs kappa = 0"
-    return None
-
-
-def _needs_berger(params: SpaceParams) -> str | None:
-    if not (params.kappa > 0.0 and params.tau != 0.0):
-        return "needs kappa > 0 and tau != 0"
-    return None
-
-
-def _needs_su11(params: SpaceParams) -> str | None:
-    if not (params.kappa < 0.0 and params.tau != 0.0):
-        return "needs kappa < 0 and tau != 0"
-    return None
-
-
 # The ambient of each model at a parameter pair, made as ``MODELS[model](params, steps=steps)``;
 # the model is the ambient's ``kind``.
 MODELS: dict[str, Callable] = {
@@ -366,7 +343,7 @@ CATALOG: dict[str, CatalogEntry] = {
         ("circle", "ellipse"),
         "vertical cylinder over a plane curve (contains the fiber direction)",
         "any parameters; the curve must fit the base domain",
-        _always,
+        lambda params: True,
         CoordinateAmbient.kind,
         _hopf,
         options={"r": _positive, "a": _positive, "b": _positive},
@@ -377,7 +354,7 @@ CATALOG: dict[str, CatalogEntry] = {
         (),
         "horizontal plane z = t0 in a product space",
         "tau = 0",
-        _needs_tau_zero,
+        lambda params: params.tau == 0.0,
         CoordinateAmbient.kind,
         _slice,
         options={"t0": _finite},
@@ -388,7 +365,7 @@ CATALOG: dict[str, CatalogEntry] = {
         ("bowl",),
         "graph z = a (x^2 + y^2), spacelike near the origin",
         "any parameters",
-        _always,
+        lambda params: True,
         CoordinateAmbient.kind,
         _graph,
         options={"a": _finite},
@@ -399,7 +376,7 @@ CATALOG: dict[str, CatalogEntry] = {
         ("saddle",),
         "vertical graph x = a y z, timelike with varying fiber angle",
         "any parameters",
-        _always,
+        lambda params: True,
         CoordinateAmbient.kind,
         _vgraph,
         options={"a": _finite},
@@ -410,7 +387,7 @@ CATALOG: dict[str, CatalogEntry] = {
         (),
         "classical helicoid, minimal for both metrics",
         "kappa = 0",
-        _needs_flat_base,
+        lambda params: params.kappa == 0.0,
         CoordinateAmbient.kind,
         _helicoid,
         options={"c": _positive, "variant": _variant},
@@ -420,7 +397,7 @@ CATALOG: dict[str, CatalogEntry] = {
         (),
         "ruled minimal surface in the sphere model",
         "kappa > 0 and tau != 0",
-        _needs_berger,
+        lambda params: params.kappa > 0.0 and params.tau != 0.0,
         BERGER,
         _berger_helicoid,
         options={"alpha": _finite, "variant": _variant},
@@ -430,7 +407,7 @@ CATALOG: dict[str, CatalogEntry] = {
         (),
         "ruled minimal surface in the hyperbolic model",
         "kappa < 0 and tau != 0",
-        _needs_su11,
+        lambda params: params.kappa < 0.0 and params.tau != 0.0,
         SU11,
         _su11_helicoid,
         options={

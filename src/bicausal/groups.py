@@ -31,7 +31,7 @@ from .ambient import (
     _vectors,
     stacked_inner,
 )
-from .errors import CurveSingular, DomainViolation, ModelMismatch
+from .errors import CurveSingular, ModelMismatch
 from .numdiff import FDSteps, stencil_derivative, stencil_params
 from .surfaces import SurfaceChart
 
@@ -78,6 +78,7 @@ class GroupAmbient(Ambient):
     """
 
     dim = 4
+    outside = "not on the model quadric"
 
     def __init__(self, kind: str, params: SpaceParams, steps: FDSteps | None = None):
         if kind == BERGER:
@@ -127,12 +128,6 @@ class GroupAmbient(Ambient):
         """``quadric_value`` of each row of p (n, 4), C-contiguous, with its bits."""
         with np.errstate(all="ignore"):
             return (p[:, None, :] @ self.pairing @ p[:, :, None])[:, 0, 0]
-
-    def validate_point(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if not self.contains(p):
-            raise DomainViolation(f"point {p!r} not on the model quadric")
-        return p
 
     # -- metric ------------------------------------------------------------
 

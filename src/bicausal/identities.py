@@ -565,7 +565,7 @@ def _normcurv(st: _Stack, draws: list) -> list:
     out, ok, got = _reached(draws)
     errors = st.column("stencil_errors")
     gram_l = np.max(np.abs(st.gram(Signature.L)), axis=(1, 2)).tolist()
-    # what ``normal_curvature`` of R, then of L, raises along c, in its order
+    # the checks of a normal curvature along c, of R then of L, in that order
     for s, (c, q_r, q_l) in zip(ok, got):
         if q_r <= 0.0:
             out[s] = NumericFailure("Riemannian direction with nonpositive square")
@@ -799,8 +799,11 @@ def indefiniteness_check(data: TwoMetricFrameData, h_tol: float = 1e-6) -> dict:
         return out
     v = d.coeffs(Signature.R, d.t_r)
     w = d.rotation(Signature.R) @ v
-    lam_v = d.normal_curvature(Signature.R, v)
-    lam_w = d.normal_curvature(Signature.R, w)
+    # the Riemannian normal curvatures along v and w
+    unit_v = v / math.sqrt(d.coeff_inner(Signature.R, v, v))
+    unit_w = w / math.sqrt(d.coeff_inner(Signature.R, w, w))
+    lam_v = d.coeff_inner(Signature.R, a_r @ unit_v, unit_v)
+    lam_w = d.coeff_inner(Signature.R, a_r @ unit_w, unit_w)
     denom = 1.0 + d.omega_l + d.omega_l**2
     out["ratio_residual"] = float(_scalar_residuals(lam_v * denom + lam_w, lam_v, lam_w))
     out["lambda_t"] = lam_v

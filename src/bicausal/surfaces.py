@@ -28,7 +28,6 @@ import copy
 import dataclasses
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -1135,31 +1134,6 @@ class TwoMetricFrameData(PointFrame):
         dt, dangle = self._batch.tangent_dts(sig)
         s = self._batch._slot(self._k)
         return {"dt": [dt[s, 0], dt[s, 1]], "dangle": dangle[s].tolist()}
-
-    # -- normal curvature ------------------------------------------------------
-
-    def normal_curvature(self, sig: Signature, coeffs: np.ndarray) -> float:
-        """Normal curvature along a tangent direction given in chart coefficients.
-
-        The direction is normalized with the metric of ``sig``; for the
-        Lorentzian metric the sign of its squared length multiplies the
-        quotient, and null directions are rejected.
-        """
-        coeffs = np.asarray(coeffs, dtype=float)
-        qq = self.coeff_inner(sig, coeffs, coeffs)
-        scale = float(np.max(np.abs(self.gram[sig]))) * float(np.max(np.abs(coeffs)) ** 2)
-        if sig is Signature.L:
-            if abs(qq) <= 1e-12 * max(scale, 1e-300):
-                raise NullDirection("null direction has no normal curvature")
-            unit = coeffs / math.sqrt(abs(qq))
-            sgn = 1.0 if qq > 0 else -1.0
-            a_unit = self.shape(sig) @ unit
-            return sgn * self.coeff_inner(sig, a_unit, unit)
-        if qq <= 0.0:
-            raise NumericFailure("Riemannian direction with nonpositive square")
-        unit = coeffs / math.sqrt(qq)
-        a_unit = self.shape(sig) @ unit
-        return self.coeff_inner(sig, a_unit, unit)
 
     # -- consistency ------------------------------------------------------------
 

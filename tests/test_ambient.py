@@ -150,7 +150,7 @@ def test_domain_disk_for_negative_base_curvature():
     assert params.disk_radius == pytest.approx(2.0)
     assert ambient.contains(np.array([1.0, 1.0, 5.0]))
     assert not ambient.contains(np.array([2.0, 0.1, 0.0]))
-    with pytest.raises(DomainViolation):
+    with pytest.raises(DomainViolation, match="outside the model domain for kappa=-1.0$"):
         ambient.validate_point(np.array([2.5, 0.0, 0.0]))
     # the horizontal scale lam^2 is 1 at the origin, and the metric positive definite inside
     assert ambient.metric(Signature.R, np.zeros(3))[0, 0] == pytest.approx(1.0)

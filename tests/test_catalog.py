@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -116,14 +118,14 @@ def test_built_address_is_the_resolved_address():
 
 
 def test_build_rejects_parameter_mismatch():
-    with pytest.raises(ConfigInvalid, match="not valid"):
-        build_surface("slice:t0=0.1", SpaceParams(1.0, 1.0))  # needs tau = 0
-    with pytest.raises(ConfigInvalid, match="not valid"):
-        build_surface("helicoid:c=0.7", SpaceParams(1.0, 1.0))  # needs kappa = 0
-    with pytest.raises(ConfigInvalid, match="not valid"):
-        build_surface("berger-helicoid:alpha=0.5", SpaceParams(-1.0, 1.0))
-    with pytest.raises(ConfigInvalid, match="not valid"):
-        build_surface("su11-helicoid:family=h1,rate=0.3", SpaceParams(1.0, 1.0))
+    for address, pair, reason in (
+        ("slice:t0=0.1", (1.0, 1.0), "needs tau = 0"),
+        ("helicoid:c=0.7", (1.0, 1.0), "needs kappa = 0"),
+        ("berger-helicoid:alpha=0.5", (-1.0, 1.0), "needs kappa > 0 and tau != 0"),
+        ("su11-helicoid:family=h1,rate=0.3", (1.0, 1.0), "needs kappa < 0 and tau != 0"),
+    ):
+        with pytest.raises(ConfigInvalid, match=f"not valid at .*: {re.escape(reason)}$"):
+            build_surface(address, SpaceParams(*pair))
 
 
 def test_surfaces_built_on_one_ambient_share_it():

@@ -78,7 +78,7 @@ def test_quadric_membership_and_validation(rng):
         assert sphere.contains(_sphere_point(rng))
         assert hyper.contains(_quadric_point(rng))
     assert not sphere.contains(np.array([1.0, 1.0, 0.0, 0.0]))
-    with pytest.raises(DomainViolation):
+    with pytest.raises(DomainViolation, match="not on the model quadric$"):
         hyper.validate_point(np.array([0.2, 0.0, 1.0, 0.0]))
 
 

@@ -62,7 +62,13 @@ results must keep:
   and ``evaluate_samples`` of all 25 identities on every default surface at
   (1,1) and (-1,1), coordinate and group models, printing every residual
   with ``float.hex``: the verify report shows only each row's maximum, so a
-  residual below it that moves by one ulp would go unseen there.
+  residual below it that moves by one ulp would go unseen there;
+* through the Python API, the one-row ``frame``, ``metric`` (R and L),
+  ``frame_partials`` and ``point_table`` of the coordinate model at (1,1),
+  (1,0), (-1,0) and (-4,1), on points with signed zeros and points 1e-7
+  inside the disk edge, printed with ``float.hex``; and
+  ``indefiniteness_check`` on a 4x4 interior grid of every default surface
+  at (0,1), (4,1), (-1,1) and (1,1).
 
 Prints ``identical``, or the first differing output with its first differing
 line, and exits 0 or 1.
@@ -313,6 +319,52 @@ for pair in [(1.0, 1.0), (-1.0, 1.0)]:
 print(rng.bit_generator.state)
 """
 CASES += [("evaluate_samples: every residual at (1,1) and (-1,1)", ["-c", ALL_RESIDUALS])]
+
+# The coordinate primitives on one row, and ``indefiniteness_check``, which no
+# CLI run reaches.
+ONE_ROW = """
+import math
+import numpy as np
+from bicausal.ambient import SIGNATURES, CoordinateAmbient, SpaceParams
+from bicausal.catalog import build_surface, default_surfaces
+from bicausal.identities import indefiniteness_check
+from bicausal.surfaces import frame_data
+
+def hexed(a):
+    return " ".join(map(float.hex, np.asarray(a, dtype=float).ravel().tolist()))
+
+for pair in [(1.0, 1.0), (1.0, 0.0), (-1.0, 0.0), (-4.0, 1.0)]:
+    amb = CoordinateAmbient(SpaceParams(*pair))
+    r = amb.params.disk_radius
+    edge = 2.0 if r is None else r * math.sqrt(1.0 - 1e-6) - 1e-7
+    points = [(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (0.3, -0.7, 1.25), (-1.1, 0.4, -2.0),
+              (edge, -0.0, 0.5), (-0.0, -edge, -0.5)]
+    for p in map(np.array, points):
+        print(pair, p.tolist(), "frame", hexed(amb.frame(p)))
+        print(pair, p.tolist(), "frame_partials", hexed(amb.frame_partials(p[None])))
+        for sig in SIGNATURES:
+            print(pair, p.tolist(), "metric", sig.value, hexed(amb.metric(sig, p)))
+            print(pair, p.tolist(), "point_table", sig.value, hexed(amb.point_table(sig, p)))
+
+for pair in [(0.0, 1.0), (4.0, 1.0), (-1.0, 1.0), (1.0, 1.0)]:
+    params = SpaceParams(*pair)
+    for address in default_surfaces(params):
+        built = build_surface(address, params)
+        (u0, u1), (v0, v1) = built.chart.domain
+        for i in range(4):
+            for j in range(4):
+                uv = (u0 + (i + 1) * (u1 - u0) / 5, v0 + (j + 1) * (v1 - v0) / 5)
+                try:
+                    data = frame_data(built.ambient, built.chart, uv, validate=False)
+                    got = indefiniteness_check(data)
+                    out = " ".join(
+                        f"{k}={v.hex() if isinstance(v, float) else v}" for k, v in got.items()
+                    )
+                except Exception as exc:
+                    out = f"{type(exc).__name__}: {exc}"
+                print(pair, address, uv, out)
+"""
+CASES += [("one-row coordinate primitives and indefiniteness_check", ["-c", ONE_ROW])]
 
 
 def run_case(src: str, argv: list[str]) -> dict[str, str]:

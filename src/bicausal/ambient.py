@@ -201,8 +201,6 @@ def _twisted_table(params: SpaceParams, sig: Signature) -> np.ndarray:
 
 def _filled(n: int, entries, shape: tuple) -> np.ndarray:
     """An array (n, *shape) whose row-major entry j is entries[j]: a float or a column (n,)."""
-    if n == 1 and all(isinstance(e, float) for e in entries):
-        return np.array(entries, dtype=float).reshape(1, *shape)
     out = np.empty((n, len(entries)))
     for j, value in enumerate(entries):
         out[:, j] = value
@@ -444,17 +442,10 @@ class CoordinateAmbient(Ambient):
         ``pow``, which NumPy's square differs from on about 0.07% of inputs,
         and NumPy's sin and cos need not equal libm's on every CPU.  The
         formulas built on the columns are array code, whose sums and products
-        round as the per-row Python ones do; for one row the columns are
-        Python floats, which round the same and skip NumPy's per-call cost.
+        round as the per-row Python ones do.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         k4, s = 0.25 * self.params.kappa, self.params.twist_rate
-        if len(pts) == 1:
-            x, y, z = pts[0].tolist()
-            li = 1.0 + k4 * (x**2 + y**2)
-            if not twist:
-                return 1, x, y, li, None, None
-            return 1, x, y, li, math.cos(s * z), math.sin(s * z)
         x, y, z = pts.T
         li = 1.0 + k4 * np.array([a**2 + b**2 for a, b in zip(x.tolist(), y.tolist())])
         if not twist:

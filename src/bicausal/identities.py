@@ -17,9 +17,13 @@ a sample the drawing identities in the order asked for.  ``draw_plan``
 replays that order for the samples of one surface.  Each drawing
 identity's ``draw`` takes one sample's normals, and stops where that
 sample's evaluation stops drawing; its evaluator then takes the draws of all
-samples as a second argument.  ``evaluate_plans`` runs each evaluator once
-over the samples of several plans, and ``evaluate_samples`` is the two
-steps for one surface.
+samples as a second argument.  The replay keeps that stream order but takes
+a surface's normals in one ``normal`` call, and checks the stops as stacks;
+only a sample whose draws stop or redraw runs its ``draw`` alone.  So the
+generator must be a NumPy ``Generator``, which fills one call's numbers in
+the order of any split of that call.  ``evaluate_plans`` runs each
+evaluator once over the samples of several plans, and ``evaluate_samples``
+is the two steps for one surface.
 
 Residual normalization divides by max(1, size of the participating terms) so
 that tolerances are meaningful for both tiny and large geometries.
@@ -359,11 +363,6 @@ def _affine_comps(a: np.ndarray, b: np.ndarray, points: np.ndarray, base: np.nda
     return a[:, None] + (b[:, None] @ offsets[..., None])[..., 0]
 
 
-def _draw_conn_diff(d: TwoMetricFrameData, rng: np.random.Generator) -> np.ndarray:
-    """Two random fields, affine in the point: a (3) and b (3, dim) each."""
-    return rng.normal(size=6 + 6 * d.ambient.dim)
-
-
 def _conn_diff(st: _Stack, draws: list) -> list:
     amb = st.ambient
     dim = amb.dim
@@ -407,6 +406,14 @@ def _draw_killing(d: TwoMetricFrameData, rng: np.random.Generator):
     return np.array(xs)
 
 
+def _take_killing(st: _Stack, rows: list, stops: list) -> tuple[list, int]:
+    """``_draw_killing`` of every sample from its 6 normals: the velocities in one stack,
+    and the first sample one of whose curves leaves the model (``curve_stencils``)."""
+    xs = st.to_coords(np.reshape(rows, (len(st), 2, 3)))
+    _, errors = st.ambient.curve_stencils(st.center("point"), xs, st.ambient.steps.first)
+    return list(xs), _first([any(error is not None for error in row) for row in errors])
+
+
 def _killing(st: _Stack, draws: list, sig: Signature) -> list:
     out, ok, xs = _reached(draws)
     if not ok:
@@ -431,18 +438,33 @@ def _killing(st: _Stack, draws: list, sig: Signature) -> list:
 # -- shape operator transformation ------------------------------------------------
 
 
+def _stop(d: TwoMetricFrameData) -> GeometryError | None:
+    """The error that the sample's shape operators raise, or None: where ``_draw_directions``
+    stops."""
+    try:
+        d.shape(Signature.R)
+    except GeometryError as err:
+        return err.with_traceback(None)
+    return None
+
+
 def _draw_directions(k: int, d: TwoMetricFrameData, rng: np.random.Generator):
     """Two rounds of k raw tangent directions, (2, k, 2) chart coefficients.
 
     The shape operators raise a sample's stencil error once the first
     round is drawn: then only that round is drawn, and the error returned.
     """
-    try:
-        d.shape(Signature.R)
-    except GeometryError as err:
+    stop = _stop(d)
+    if stop is not None:
         rng.normal(size=2 * k)
-        return err.with_traceback(None)
+        return stop
     return rng.normal(size=(2, k, 2))
+
+
+def _take_directions(k: int, st: _Stack, rows: list, stops: list) -> tuple[list, int]:
+    """``_draw_directions`` of every sample from its normals, which its stop has sized."""
+    draws = [row.reshape(2, k, 2) if stop is None else stop for row, stop in zip(rows, stops)]
+    return draws, len(rows)
 
 
 def _shape(st: _Stack, draws: list, sig: Signature) -> list:
@@ -559,6 +581,15 @@ def _draw_normcurv(d: TwoMetricFrameData, rng: np.random.Generator):
         if abs(q_l) > 1e-6 * q_r:
             return c, q_r, q_l
     return SampleSkip(NullDirection.code)
+
+
+def _take_normcurv(st: _Stack, rows: list, stops: list) -> tuple[list, int]:
+    """``_draw_normcurv``'s first direction of every sample from its 2 normals, in stacks,
+    and the first sample whose direction is nearly null, which redraws."""
+    c = np.array(rows)
+    c = c / np.sqrt(np.maximum(stacked_inner(st.gram(Signature.R), c, c), 1e-300))[:, None]
+    q_r, q_l = (stacked_inner(st.gram(sig), c, c) for sig in SIGNATURES)
+    return list(zip(c, q_r.tolist(), q_l.tolist())), _first(~(np.abs(q_l) > 1e-6 * q_r))
 
 
 def _normcurv(st: _Stack, draws: list) -> list:
@@ -698,51 +729,102 @@ def _gauss(st: _Stack, sig: Signature) -> list:
 # -- registry ---------------------------------------------------------------------
 
 
+def _first(stopped) -> int:
+    """The index of the first true entry of ``stopped``, or its length."""
+    return next((s for s, flag in enumerate(stopped) if flag), len(stopped))
+
+
+def _as_drawn(st: _Stack, rows: list, stops: list) -> tuple[list, int]:
+    return rows, len(rows)
+
+
+@dataclass(frozen=True)
+class _Draw:
+    """A draw step: called as ``draw(data, rng)``, it is ``one``, which takes one
+    sample's draws from the generator and returns them, or the skip at which
+    they stopped.
+
+    ``draw_plan`` takes the normals of many samples in one call and replays
+    the step from them: ``size(stop, dim)`` is how many normals ``one``
+    takes from a sample when it neither stops nor redraws past ``stop``
+    (the sample's ``_stop``, read only with ``reads_stop``, else None), and
+    ``take(st, rows, stops)`` returns the draws of the samples of the stack
+    ``st`` from their rows of that many normals, with the index of the first
+    sample whose ``one`` would stop or redraw past its stop (else their
+    number).  Those draws are ``one``'s bits.
+    """
+
+    one: Callable
+    size: Callable
+    take: Callable = _as_drawn
+    reads_stop: bool = False
+
+    def __call__(self, data: TwoMetricFrameData, rng: np.random.Generator):
+        return self.one(data, rng)
+
+
+def _normals(count: Callable[[int], int]) -> _Draw:
+    """A draw of ``count(dim)`` normals, which never stops."""
+    return _Draw(
+        lambda d, rng: rng.normal(size=count(d.ambient.dim)), lambda stop, dim: count(dim)
+    )
+
+
+def _directions(k: int) -> _Draw:
+    return _Draw(
+        partial(_draw_directions, k),
+        lambda stop, dim: 4 * k if stop is None else 2 * k,
+        partial(_take_directions, k),
+        reads_stop=True,
+    )
+
+
 @dataclass(frozen=True)
 class IdentityInfo:
     """A named identity and its evaluator, which takes the ``_Stack`` of an evaluation.
 
-    An identity that draws random numbers has ``draw``: ``draw(data, rng)``
-    takes one sample's draws from the generator and returns them, or the
-    skip at which they stopped.  Its evaluator takes the list of every
-    sample's draws as a second argument (see the module docstring).
+    An identity that draws random numbers has ``draw`` (a ``_Draw``):
+    ``draw(data, rng)`` takes one sample's draws from the generator and
+    returns them, or the skip at which they stopped.  Its evaluator takes
+    the list of every sample's draws as a second argument (see the module
+    docstring).
     """
 
     name: str
     tolerance: float
     evaluate: Callable
-    draw: Callable | None = None
+    draw: _Draw | None = None
 
+
+_KILLING_DRAW = _Draw(_draw_killing, lambda stop, dim: 6, _take_killing)
+_NORMCURV_DRAW = _Draw(_draw_normcurv, lambda stop, dim: 2, _take_normcurv)
 
 _REGISTRY: list[IdentityInfo] = [
-    IdentityInfo("METRIC_SUM", 1e-12, _metric_sum, lambda d, rng: rng.normal(size=18)),
-    IdentityInfo("METRIC_DIFF", 1e-12, _metric_diff, lambda d, rng: rng.normal(size=18)),
+    IdentityInfo("METRIC_SUM", 1e-12, _metric_sum, _normals(lambda dim: 18)),
+    IdentityInfo("METRIC_DIFF", 1e-12, _metric_diff, _normals(lambda dim: 18)),
     IdentityInfo(
         "NORMAL_TRANSFORM", 1e-9, partial(_invariants, keys=("normal_routes", "angle_transform"))
     ),
-    IdentityInfo("NORMAL_PAIRING", 1e-9, _normal_pairing, lambda d, rng: rng.normal(size=9)),
+    IdentityInfo("NORMAL_PAIRING", 1e-9, _normal_pairing, _normals(lambda dim: 9)),
     IdentityInfo("OMEGA_PRODUCT", 1e-9, partial(_invariants, keys=("omega_product",))),
     IdentityInfo(
         "T_RELATION", 1e-9, partial(_invariants, keys=("t_relation", "t_split_R", "t_split_L"))
     ),
-    IdentityInfo("CONN_DIFF", 1e-5, _conn_diff, _draw_conn_diff),
-    IdentityInfo("KILLING_R", 1e-5, partial(_killing, sig=Signature.R), _draw_killing),
-    IdentityInfo("KILLING_L", 1e-5, partial(_killing, sig=Signature.L), _draw_killing),
-    IdentityInfo("SHAPE_R", 1e-4, partial(_shape, sig=Signature.R), partial(_draw_directions, 1)),
-    IdentityInfo("SHAPE_L", 1e-4, partial(_shape, sig=Signature.L), partial(_draw_directions, 1)),
-    IdentityInfo(
-        "BILINEAR_R", 1e-4, partial(_bilinear, sig=Signature.R), partial(_draw_directions, 2)
-    ),
-    IdentityInfo(
-        "BILINEAR_L", 1e-4, partial(_bilinear, sig=Signature.L), partial(_draw_directions, 2)
-    ),
+    # two random fields, affine in the point: a (3) and b (3, dim) each
+    IdentityInfo("CONN_DIFF", 1e-5, _conn_diff, _normals(lambda dim: 6 + 6 * dim)),
+    IdentityInfo("KILLING_R", 1e-5, partial(_killing, sig=Signature.R), _KILLING_DRAW),
+    IdentityInfo("KILLING_L", 1e-5, partial(_killing, sig=Signature.L), _KILLING_DRAW),
+    IdentityInfo("SHAPE_R", 1e-4, partial(_shape, sig=Signature.R), _directions(1)),
+    IdentityInfo("SHAPE_L", 1e-4, partial(_shape, sig=Signature.L), _directions(1)),
+    IdentityInfo("BILINEAR_R", 1e-4, partial(_bilinear, sig=Signature.R), _directions(2)),
+    IdentityInfo("BILINEAR_L", 1e-4, partial(_bilinear, sig=Signature.L), _directions(2)),
     IdentityInfo("MEANCURV_R", 1e-4, partial(_meancurv, sig=Signature.R)),
     IdentityInfo("MEANCURV_L", 1e-4, partial(_meancurv, sig=Signature.L)),
     IdentityInfo("INT1_L", 1e-4, partial(_int_residuals, sig=Signature.L, which=1)),
     IdentityInfo("INT2_L", 1e-4, partial(_int_residuals, sig=Signature.L, which=2)),
     IdentityInfo("INT1_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=1)),
     IdentityInfo("INT2_R", 1e-4, partial(_int_residuals, sig=Signature.R, which=2)),
-    IdentityInfo("NORMCURV", 1e-5, _normcurv, _draw_normcurv),
+    IdentityInfo("NORMCURV", 1e-5, _normcurv, _NORMCURV_DRAW),
     IdentityInfo("SECTIONAL_REL", 1e-4, _sectional_rel),
     IdentityInfo("EXTRINSIC_REL", 1e-4, _extrinsic_rel),
     IdentityInfo("GAUSS_R", 1e-4, partial(_gauss, sig=Signature.R)),
@@ -852,20 +934,71 @@ class DrawPlan:
     draws: list
 
 
-def draw_plan(names: list[str], samples: list[TwoMetricFrameData], rng) -> DrawPlan:
+def draw_plan(
+    names: list[str], samples: list[TwoMetricFrameData], rng: np.random.Generator
+) -> DrawPlan:
     """Take the draws of the named identities on the samples of one surface.
 
     Sample after sample, each identity that draws takes that sample's draws,
     in the order of ``names``; so ``rng`` is consumed exactly as by one
-    ``run_identities`` call per sample.  Nothing is evaluated.
+    ``run_identities`` call per sample, and ends in the same state.  Nothing
+    is evaluated.
+
+    The stream order is that of the per-sample draw steps, but the normals
+    of all the samples are taken in one ``rng.normal`` call while no sample
+    stops or redraws (``_replay``); ``rng`` must therefore be a NumPy
+    ``Generator``, whose ``normal`` fills one call's numbers in the order of
+    any split of it.  Each sample's draws are views of that block, or made
+    from it.
     """
     infos = [IDENTITIES[name] for name in names]
     draws = [None if info.draw is None else [] for info in infos]
     drawing = [(info.draw, taken) for info, taken in zip(infos, draws) if taken is not None]
-    for data in samples:
-        for draw, taken in drawing:
-            taken.append(draw(data, rng))
+    if drawing and samples:
+        _replay(drawing, samples, rng)
     return DrawPlan(samples, draws)
+
+
+def _replay(drawing: list, samples: list[TwoMetricFrameData], rng: np.random.Generator) -> None:
+    """Append each sample's draws of each step of ``drawing`` (step, list) to the list.
+
+    Every sample's stop (``_stop``) is read once, if a step reads it, and
+    sizes its normals.  From sample j on, all the normals are drawn in one
+    call and each step's ``take`` makes the draws from them as stacks.  At
+    the first sample whose draws stop or redraw, the generator's state is
+    put back, the normals of the samples before it are drawn again in one
+    call, that sample's steps run one by one, and the replay resumes after
+    it.
+    """
+    st = _Stack(samples)
+    dim, k = st.ambient.dim, len(drawing)
+    stops = [None] * len(samples)
+    if any(draw.reads_stop for draw, _ in drawing):
+        stops = [_stop(d) for d in samples]
+    sizes = [size for stop in stops for size in (draw.size(stop, dim) for draw, _ in drawing)]
+    j = 0
+    while j < len(samples):
+        rest = st.rows(list(range(j, len(samples))))
+        # the offset of each (sample, step) of the rest in its block, sample by sample
+        at = list(accumulate(sizes[j * k :], initial=0))
+        state = rng.bit_generator.state
+        block = rng.normal(size=at[-1])
+        takes, first = [], len(rest)
+        for i, (draw, _) in enumerate(drawing):
+            rows = [block[a:b] for a, b in zip(at[i::k], at[i + 1 :: k])]
+            got, stopped = draw.take(rest, rows, stops[j:])
+            takes.append(got)
+            first = min(first, stopped)
+        for (_, taken), got in zip(drawing, takes):
+            taken += got[:first]
+        if first == len(rest):
+            return
+        rng.bit_generator.state = state
+        rng.normal(size=at[first * k])
+        j += first
+        for draw, taken in drawing:
+            taken.append(draw(samples[j], rng))
+        j += 1
 
 
 def evaluate_plans(names: list[str], plans: list[DrawPlan]) -> dict[str, list[list]]:

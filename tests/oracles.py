@@ -66,9 +66,15 @@ def koszul_table(ambient, sig: Signature, p: np.ndarray, h: float) -> np.ndarray
     def leg(i):
         return lambda qs: ambient.frames(qs)[:, :, i]
 
+    # the frame and metric at each stencil point q, built once for all (j, k)
+    at: dict[bytes, tuple] = {}
+
     def ip(j, k, q):
-        m = ambient.frame(q)
-        return float(m[:, j] @ ambient.metric(sig, q) @ m[:, k])
+        key = q.tobytes()
+        if key not in at:
+            at[key] = (ambient.frame(q), ambient.metric(sig, q))
+        m, g_q = at[key]
+        return float(m[:, j] @ g_q @ m[:, k])
 
     def dirderiv(i, j, k):
         # derivative of <leg_j, leg_k> along leg_i, following the straight

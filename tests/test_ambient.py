@@ -563,7 +563,7 @@ def test_stacked_primitives_match_per_row_python_floats(kappa, tau, rng):
     assert _exactly_equal(
         ambient.frame_partials(points), coordinate_frame_partial_rows(ambient, points)
     )
-    # a stack of one row, whose columns are Python floats, has the same bits
+    # a stack of one row has the same bits
     for one in points[:, None]:
         for sig in SIGS:
             want = coordinate_metric_rows(ambient, sig, one)

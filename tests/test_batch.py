@@ -21,7 +21,9 @@ from bicausal.ambient import CoordinateAmbient, Signature, SpaceParams
 from bicausal.catalog import CATALOG, MODELS, build_surface, default_surfaces, parse_surface
 from bicausal.errors import CurveSingular, GeometryError, OrientationFlip, SurfaceUnavailable
 from bicausal.identities import (
+    IDENTITIES,
     IDENTITY_NAMES,
+    DrawPlan,
     SampleSkip,
     curvature_suite,
     draw_plan,
@@ -757,21 +759,37 @@ def test_draws_stop_where_a_killing_curve_leaves_the_model(address, pair, monkey
 
 
 class _NullDraws:
-    """A generator whose ``normal`` calls listed in ``null`` return a null direction instead.
+    """A generator whose stream of normals holds a null direction at each position in ``null``.
 
-    Each call still takes its numbers from the seeded generator underneath.
+    The normals come from the seeded generator underneath, and the normals
+    from position p on are ``direction`` for each p in ``null``, however the
+    calls split the stream.  ``taken`` counts the normals of the stream so
+    far; ``bit_generator.state`` holds it beside the underlying state, so
+    that a restore puts each position back where it was in the stream.
     """
 
     def __init__(self, seed: int, null: set, direction):
         self._rng = np.random.default_rng(seed)
-        self.bit_generator = self._rng.bit_generator
-        self.null, self.direction, self.calls = null, direction, 0
+        self.bit_generator = self
+        self.null, self.direction, self.taken = null, list(direction), 0
+
+    @property
+    def state(self) -> dict:
+        return {"taken": self.taken, "normals": self._rng.bit_generator.state}
+
+    @state.setter
+    def state(self, value: dict) -> None:
+        self.taken = value["taken"]
+        self._rng.bit_generator.state = value["normals"]
 
     def normal(self, size):
         out = self._rng.normal(size=size)
-        if self.calls in self.null:
-            out = np.array(self.direction, dtype=float)
-        self.calls += 1
+        flat = out.reshape(-1)
+        for p in self.null:
+            for i, x in enumerate(self.direction):
+                if 0 <= p + i - self.taken < flat.size:
+                    flat[p + i - self.taken] = x
+        self.taken += flat.size
         return out
 
 
@@ -781,8 +799,9 @@ def test_normcurv_redraws_nearly_null_directions_then_skips():
     # gram_L is diag(1, -8.96) everywhere, so (sqrt(8.96), 1) is null
     chart = _plane_through((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.2, 3.0))
     uvs = [(0.1, 0.2), (0.3, -0.1), (-0.2, 0.4)]
-    # sample 0 redraws three times, sample 1 eight times, sample 2 never
-    null = {0, 1, 2} | set(range(4, 12))
+    # sample 0 redraws three times, sample 1 eight times, sample 2 never: each draw
+    # takes 2 normals
+    null = {0, 2, 4} | set(range(8, 24, 2))
     made = []
 
     def make_rng(seed):
@@ -795,12 +814,115 @@ def test_normcurv_redraws_nearly_null_directions_then_skips():
     assert [sample["NORMCURV"].get("skipped") for sample in outcomes] == [
         None, "NULL_DIRECTION", None
     ]
-    assert [rng.calls for rng in made] == [13, 13]
+    assert [rng.taken for rng in made] == [26, 26]
     (d,) = frame_batch(ambient, chart, uvs[:1])
-    for null, calls, skipped in (({0, 1, 2}, 4, None), (set(range(9)), 8, "NULL_DIRECTION")):
+    for null, taken, skipped in (
+        ({0, 2, 4}, 8, None), (set(range(0, 18, 2)), 16, "NULL_DIRECTION")
+    ):
         rng = _NullDraws(0, null, (math.sqrt(8.96), 1.0))
         assert run_identities(["NORMCURV"], d, rng)["NORMCURV"].get("skipped") == skipped
-        assert rng.calls == calls
+        assert rng.taken == taken
+
+
+def _per_sample_plan(names, samples, rng) -> DrawPlan:
+    """The draw plan as the draw steps take it alone: sample after sample, step after step."""
+    steps = [IDENTITIES[name].draw for name in names]
+    draws = [None if step is None else [] for step in steps]
+    for d in samples:
+        for step, taken in zip(steps, draws):
+            if step is not None:
+                taken.append(step(d, rng))
+    return DrawPlan(samples, draws)
+
+
+def _same_draw(a, b) -> bool:
+    """The same draw: arrays and floats bit for bit, skips by class and message."""
+    if isinstance(a, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same_draw, a, b))
+    if isinstance(a, float):
+        return isinstance(b, float) and a.hex() == b.hex()
+    return same_bits(a, b)
+
+
+def _replay_case(case, monkeypatch):
+    """(ambient, chart, uvs, names, make_rng, the samples that stop or redraw past their
+    stencil errors, or None where the KILLING draws tell) of a replay case."""
+    names = list(IDENTITY_NAMES)
+    if case == "stencil error":
+        ambient = CoordinateAmbient(SpaceParams(-1.0, 0.0))
+        h, edge = ambient.steps.second, ambient.params.disk_radius * math.sqrt(1.0 - 1e-6)
+        uvs = [(0.3, 0.2), (edge - 1.5 * h, 0.0), (-0.2, 0.1)]
+        return ambient, _plane(ambient.params.disk_radius), uvs, names, np.random.default_rng, set()
+    if case == "null direction":
+        # the plane of the NORMCURV redraw test, on which (sqrt(8.96), 1) is null
+        ambient = CoordinateAmbient(SpaceParams(0.0, 0.0))
+        chart = _plane_through((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.2, 3.0))
+        names = ["METRIC_SUM", "NORMCURV", "KILLING_R"]
+        # 18 + 2 + 6 normals per sample: sample 1 draws a null direction twice
+        make = functools.partial(_NullDraws, null={44, 46}, direction=(math.sqrt(8.96), 1.0))
+        return ambient, chart, [(0.1, 0.2), (0.3, -0.1), (-0.2, 0.4)], names, make, {1}
+    address, pair = case
+    built = build_surface(address, SpaceParams(*pair))
+    _leaving_curves(built.ambient, monkeypatch)
+    uvs = _domain_uvs(built.chart, FRACTIONS)
+    return built.ambient, built.chart, uvs, names, np.random.default_rng, None
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "stencil error",
+        "null direction",
+        ("graph:bowl:a=0.2", (1.0, 1.0)),
+        ("su11-helicoid:family=h1,rate=0.35", (-1.0, 1.0)),
+    ],
+    ids=["stencil-error", "null-direction", "leaving-bowl", "leaving-su11"],
+)
+def test_the_replay_takes_the_draws_of_the_per_sample_steps(case, monkeypatch):
+    """``draw_plan`` takes each sample's draws with the bits of its draw steps run alone.
+
+    A stencil error in the middle of a surface sizes that sample's normals,
+    so no sample runs its steps alone.  A null NORMCURV direction in the
+    middle of a surface, and KILLING curves that leave the model in both
+    models, send the replay back: those samples run their steps alone.  The
+    draws, the outcomes and the final generator state are those of the
+    per-sample steps.
+    """
+    ambient, chart, uvs, names, make_rng, alone = _replay_case(case, monkeypatch)
+    samples = _samples(ambient, chart, uvs)
+    calls = []
+    step_call = identities._Draw.__call__
+
+    def spy(self, d, rng):
+        calls.append(d)
+        return step_call(self, d, rng)
+
+    want_rng, got_rng = make_rng(3), make_rng(3)
+    want = _per_sample_plan(names, samples, want_rng)
+    monkeypatch.setattr(identities._Draw, "__call__", spy)
+    got = draw_plan(names, samples, got_rng)
+    monkeypatch.setattr(identities._Draw, "__call__", step_call)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for name, want_draws, got_draws in zip(names, want.draws, got.draws):
+        assert (want_draws is None) == (got_draws is None), name
+        if want_draws is not None:
+            assert len(got_draws) == len(samples), name
+            assert all(map(_same_draw, want_draws, got_draws)), name
+    assert _same(evaluate_plans(names, [got]), evaluate_plans(names, [want]))
+    if alone is None:
+        killing = zip(*(got.draws[names.index(n)] for n in ("KILLING_R", "KILLING_L")))
+        alone = {
+            s for s, draws in enumerate(killing)
+            if any(isinstance(draw, CurveSingular) for draw in draws)
+        }
+        assert max(alone, default=0) > 0
+    if case == "stencil error":
+        assert [d.stencil_error() is None for d in samples] == [True, False, True]
+    # the samples that ran their steps alone, once per step that draws
+    assert {samples.index(d) for d in calls} == alone
+    assert len(calls) == len(alone) * sum(IDENTITIES[n].draw is not None for n in names)
 
 
 # -- one read route: the evaluators read the batch stages through the stack ----

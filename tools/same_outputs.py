@@ -63,6 +63,14 @@ results must keep:
   (1,1) and (-1,1), coordinate and group models, printing every residual
   with ``float.hex``: the verify report shows only each row's maximum, so a
   residual below it that moves by one ulp would go unseen there;
+* through the Python API, ``evaluate_samples`` of all 25 identities and of
+  four that draw, on ``graph:bowl:a=0.2`` at (1,1), the su11 helicoid
+  family ``h1`` at (-1,1) and a Berger helicoid at (1,1), with the ambient's
+  ``curve_error`` and ``curve_stencils`` patched so that a curve whose
+  velocity has a first coordinate above 0.8 leaves the model: the samples
+  whose KILLING draws stop are drawn one by one and the rest in one call
+  (``draw_plan``), and every outcome is printed with ``float.hex``, with
+  the generator's state after each run;
 * through the Python API, the one-row ``frame``, ``metric`` (R and L),
   ``frame_partials`` and ``point_table`` of the coordinate model at (1,1),
   (1,0), (-1,0) and (-4,1), on points with signed zeros and points 1e-7
@@ -319,6 +327,52 @@ for pair in [(1.0, 1.0), (-1.0, 1.0)]:
 print(rng.bit_generator.state)
 """
 CASES += [("evaluate_samples: every residual at (1,1) and (-1,1)", ["-c", ALL_RESIDUALS])]
+
+# KILLING curves forced to leave the model, in the coordinate and both group
+# models: the samples whose draws stop take them one by one, the others in
+# one call, so the outcomes and the final state compare both ways of drawing.
+LEAVING_CURVES = """
+import numpy as np
+from bicausal.ambient import SpaceParams
+from bicausal.catalog import build_surface
+from bicausal.errors import CurveSingular
+from bicausal.identities import IDENTITY_NAMES, evaluate_samples
+from bicausal.surfaces import frame_batch
+
+def leave(ambient):
+    # a curve whose velocity has a first coordinate above 0.8 leaves the model,
+    # for the one-curve check and for the stacked curves alike
+    error, stencils = ambient.curve_error, ambient.curve_stencils
+
+    def leaving(vel):
+        return CurveSingular("curve leaves the model at t=0.0") if vel[0] > 0.8 else None
+
+    def curve_stencils(points, velocities, h):
+        out, errors = stencils(points, velocities, h)
+        return out, [[leaving(v) or e for v, e in zip(curves, row)]
+                     for curves, row in zip(velocities, errors)]
+
+    ambient.curve_error = lambda p, vel, h: leaving(vel) or error(p, vel, h)
+    ambient.curve_stencils = curve_stencils
+
+rng = np.random.default_rng(13)
+for address, pair in [("graph:bowl:a=0.2", (1.0, 1.0)),
+                      ("su11-helicoid:family=h1,rate=0.35", (-1.0, 1.0)),
+                      ("berger-helicoid:alpha=0.5,variant=space", (1.0, 1.0))]:
+    built = build_surface(address, SpaceParams(*pair))
+    leave(built.ambient)
+    (u0, u1), (v0, v1) = built.chart.domain
+    uvs = [(u0 + (i + 0.5) * (u1 - u0) / 4, v0 + (j + 0.5) * (v1 - v0) / 3)
+           for i in range(4) for j in range(3)]
+    samples = [d for d in frame_batch(built.ambient, built.chart, uvs) if not hasattr(d, "code")]
+    for names in (IDENTITY_NAMES, ["KILLING_L", "NORMCURV", "METRIC_SUM", "KILLING_R"]):
+        for d, out in zip(samples, evaluate_samples(names, samples, rng)):
+            for name, got in out.items():
+                value = got.get("skipped") or " ".join(map(float.hex, got["residuals"]))
+                print(pair, address, d.uv, name, value)
+        print(rng.bit_generator.state)
+"""
+CASES += [("evaluate_samples with KILLING curves that leave the model", ["-c", LEAVING_CURVES])]
 
 # The coordinate primitives on one row, and ``indefiniteness_check``, which no
 # CLI run reaches.

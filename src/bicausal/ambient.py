@@ -285,6 +285,8 @@ class Ambient:
     form for points of shape (n, dim): ``frames``, ``metrics`` and
     ``to_frames``, with vectors of shape (n, dim) or (n, k, dim); ``frames=``
     (and in the group models ``metric_r=``) pass arrays a caller already has.
+    ``frames_and_metrics`` gives the frames and both metrics of one stack at
+    once, which the coordinate model builds from one pass over the points.
     ``frame`` and ``metric`` of one point are their one-row case, and
     ``christoffels`` (one point or a stack) differentiates ``metrics``.
     ``fiber_direction`` is the third leg of ``frame``, and ``to_frame`` the
@@ -337,6 +339,10 @@ class Ambient:
         p = np.asarray(p, dtype=float)
         gam = christoffels(lambda q: self.metrics(sig, q), p.reshape(-1, p.shape[-1]), h)
         return gam.reshape(p.shape[:-1] + gam.shape[1:])
+
+    def frames_and_metrics(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``frames(points)``, ``metrics(R, points)`` and ``metrics(L, points)``, as one call."""
+        return self.frames(points), *(self.metrics(sig, points) for sig in SIGNATURES)
 
     def point_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
         """The connection table of ``sig`` at one point: one-row ``point_tables``."""
@@ -462,21 +468,38 @@ class CoordinateAmbient(Ambient):
         The diagonal is added to every entry of the outer product, zeros
         included, which keeps the signs of its zeros.
         """
-        t, e = self.params.tau, sig.eps3
-        n, x, y, li, _, _ = self._columns(points, twist=False)
+        return self._metrics(self._columns(points, twist=False), (sig,))[0]
+
+    def _metrics(self, columns: tuple, sigs: tuple) -> list[np.ndarray]:
+        """``metrics`` of each of ``sigs`` from the ``_columns`` of the points."""
+        t = self.params.tau
+        n, x, y, li = columns[:4]
         lam = 1.0 / li
         theta = _filled(n, ((t * lam) * y, (-t * lam) * x, 1.0), (3,))
-        out = np.zeros((n, 3, 3))
-        out[:, 0, 0] = out[:, 1, 1] = lam * lam
-        out += e * (theta[:, :, None] * theta[:, None, :])
+        outer = theta[:, :, None] * theta[:, None, :]
+        out = []
+        for sig in sigs:
+            g = np.zeros((n, 3, 3))
+            g[:, 0, 0] = g[:, 1, 1] = lam * lam
+            g += sig.eps3 * outer
+            out.append(g)
         return out
+
+    def frames_and_metrics(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``frames`` and ``metrics`` of R and of L at each point, from one ``_columns`` pass."""
+        columns = self._columns(points)
+        return self._frames(columns), *self._metrics(columns, SIGNATURES)
 
     # -- canonical frame ---------------------------------------------------
 
     def frames(self, points: np.ndarray) -> np.ndarray:
         """Matrices whose columns are the canonical frame at each point, in coordinates."""
+        return self._frames(self._columns(points))
+
+    def _frames(self, columns: tuple) -> np.ndarray:
+        """``frames`` from the ``_columns`` of the points."""
         t = self.params.tau
-        n, x, y, li, c, sn = self._columns(points)
+        n, x, y, li, c, sn = columns
         entries = (
             li * c, -li * sn, 0.0,
             li * sn, li * c, 0.0,

@@ -40,6 +40,7 @@ from .surfaces import (
     _characters,
     _charted,
     _grams,
+    uv_columns,
 )
 
 
@@ -183,7 +184,7 @@ def detect_character_bands(
     """
     ts = np.linspace(t_lo, t_hi, n)
     uvs = [(float(u0), t) for t in ts.tolist()]
-    point, pair, _, rows = _charted(ambient, chart, uvs, ambient.steps.second)
+    point, pair, _, rows = _charted(ambient, chart, *uv_columns(uvs), ambient.steps.second)
     with np.errstate(all="ignore"):
         gram_r = _grams(ambient.metrics(Signature.R, point), pair)
         det_l = np.linalg.det(_grams(ambient.metrics(Signature.L, point), pair))

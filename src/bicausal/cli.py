@@ -217,11 +217,12 @@ def _report_row(uv, point, data) -> dict:
     return row
 
 
-def _write_batch(writer, built, rows: list) -> None:
+def _write_batch(writer, built, rows: list, fieldnames: list) -> None:
     """Write the CSV rows of the grid points ``rows``, framed as one batch.
 
-    A function of its own, so that a batch and its stages are freed when it
-    returns, before ``cmd_report`` builds the next one.
+    Each row is a list in ``fieldnames`` order, with "" for a field it
+    lacks.  A function of its own, so that a batch and its stages are freed
+    when it returns, before ``cmd_report`` builds the next one.
     """
     batch = frame_batch(built.ambient, built.chart, rows)
     # an excluded row has no frame data: its point is charted again, in one stack
@@ -229,7 +230,8 @@ def _write_batch(writer, built, rows: list) -> None:
     charted = iter(built.chart.points(*uv_columns(excluded), built.ambient.dim)[0])
     for uv, data in zip(rows, batch):
         point = next(charted) if isinstance(data, GeometryError) else data.point
-        writer.writerow(_report_row(uv, point, data))
+        row = _report_row(uv, point, data)
+        writer.writerow([row.get(name, "") for name in fieldnames])
 
 
 def cmd_report(args) -> int:
@@ -242,11 +244,11 @@ def cmd_report(args) -> int:
 
     sink = _open_output(args.csv, newline="") if args.csv else contextlib.nullcontext(sys.stdout)
     with sink as out:
-        writer = csv.DictWriter(out, fieldnames=fieldnames, restval="")
-        writer.writeheader()
+        writer = csv.writer(out)
+        writer.writerow(fieldnames)
         grid = [(float(u), float(v)) for u in us for v in vs]
         for start in range(0, len(grid), REPORT_BATCH_ROWS):
-            _write_batch(writer, built, grid[start : start + REPORT_BATCH_ROWS])
+            _write_batch(writer, built, grid[start : start + REPORT_BATCH_ROWS], fieldnames)
     if args.csv:
         print(f"wrote {nu * nv} rows for {built.address} to {args.csv}")
     return 0

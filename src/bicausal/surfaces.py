@@ -191,9 +191,13 @@ def _characters(scale: np.ndarray, det_l: np.ndarray) -> tuple[np.ndarray, np.nd
     return rejected, ratio > 0.0
 
 
-# Vectors of the normal package that the stencil differentiates, by position
-# in the stacked components.
+# Vectors of the normal package that the stencil can differentiate.
 STENCIL_FIELDS = ("n_r", "n_l", "du", "dv", "t_r", "t_l")
+
+# The fields whose stencil components one stage builds for both metrics: the
+# unit normals, which ``shapes`` reads, and the T-fields, which ``tangent_dts`` reads.
+NORMAL_FIELDS = ("n_r", "n_l")
+T_FIELDS = ("t_r", "t_l")
 
 # Vectors whose frame components a batch keeps (``frame_components``), by position.
 FRAME_FIELDS = STENCIL_FIELDS + ("xi",)
@@ -277,22 +281,22 @@ def _grams(g: np.ndarray, pair: np.ndarray) -> np.ndarray:
     return (rows @ pair[:, None, :, :, None])[..., 0, 0]
 
 
-def _charted(ambient, chart: SurfaceChart, uvs: list[tuple[float, float]], h_jet: float):
+def _charted(ambient, chart: SurfaceChart, us: np.ndarray, vs: np.ndarray, h_jet: float):
     """Points, chart partials, each uv row's GeometryError (or None) and the rows kept.
 
-    The chart is one stacked call (``SurfaceChart.points``) and the domain
-    is checked once over its points (``contains_rows``).  Only a row that
-    fails the check is charted again alone and goes through
-    ``validate_point``, which raises the error it would raise alone.  The
-    partials are one stacked call over the rows inside.
+    The chart is one stacked call (``SurfaceChart.points``) over the uv
+    columns and the domain is checked once over its points
+    (``contains_rows``).  Only a row that fails the check is charted again
+    alone and goes through ``validate_point``, which raises the error it
+    would raise alone.  The partials are one stacked call over the rows
+    inside.
     """
     dim = ambient.dim
-    us, vs = uv_columns(uvs)
     point, errors = chart.points(us, vs, dim)
     for i, inside in enumerate(ambient.contains_rows(point)):
         if not inside and errors[i] is None:
             try:
-                ambient.validate_point(chart.point(*uvs[i]))
+                ambient.validate_point(chart.point(us[i].item(), vs[i].item()))
             except GeometryError as exc:
                 # kept without its traceback, whose frames would make a reference cycle
                 errors[i] = exc.with_traceback(None)
@@ -315,13 +319,14 @@ def _normal_data(
     """Unit normals, normal angles and T-fields of uv rows and of their stencil rows, in one pass.
 
     Returns the NormalData of the uv rows (the centers) and of the stencil
-    rows: the eight ``_stencil_uvs`` at ``steps.second`` of each center that
-    the chart kept, rows 8j .. 8j + 7 for the j-th of them.  The chart and its
-    partials (``_charted``) are one stacked call for the centers and one for
-    the stencil rows; the frames and each metric are one stacked call over
-    all rows.  Each row meets the checks of a single-point evaluation in the
-    same order, and the first one it fails becomes its error; a row that
-    failed computes on, unread, which is why floating-point warnings are off.
+    rows: the eight ``stencil_columns`` rows at ``steps.second`` of each
+    center that the chart kept, rows 8j .. 8j + 7 for the j-th of them.  The
+    chart and its partials (``_charted``) are one stacked call for the
+    centers and one for the stencil rows; the frames and both metrics are one
+    ``frames_and_metrics`` call over all rows.  Each row meets the checks of
+    a single-point evaluation in the same order, and the first one it fails
+    becomes its error; a row that failed computes on, unread, which is why
+    floating-point warnings are off.
     A center's normal angle is made nonpositive, and a tie
     (``SIGN_TIE_TOL``) keeps the wedge sign; a stencil row's Lorentzian
     normal takes the sign closer to its center's, and a material sign change
@@ -329,17 +334,18 @@ def _normal_data(
     centers add the agreement of the Riemannian normal with its own wedge
     route.
     """
-    point, pair, errors, rows = _charted(ambient, chart, uvs, steps.first)
+    us, vs = uv_columns(uvs)
+    point, pair, errors, rows = _charted(ambient, chart, us, vs, steps.first)
     n, nc = len(uvs), len(rows)
-    stencil_uvs = [uv for i in rows for uv in _stencil_uvs(uvs[i], steps.second)]
-    s_point, s_pair, s_errors, s_rows = _charted(ambient, chart, stencil_uvs, steps.first)
-    uvs, errors, rows = uvs + stencil_uvs, errors + s_errors, rows + [n + i for i in s_rows]
+    s_us, s_vs = stencil_columns(us[rows], vs[rows], steps.second)
+    s_point, s_pair, s_errors, s_rows = _charted(ambient, chart, s_us, s_vs, steps.first)
+    us, vs = np.concatenate([us, s_us]), np.concatenate([vs, s_vs])
+    errors, rows = errors + s_errors, rows + [n + i for i in s_rows]
     # the center of each stencil row, by position in the arrays
     owner = (np.array(s_rows, dtype=int) // 8).tolist()
     point, pair = np.concatenate([point, s_point]), np.concatenate([pair, s_pair])
     du, dv = pair[:, 0], pair[:, 1]
-    frame = ambient.frames(point)
-    g_r, g_l = ambient.metrics(Signature.R, point), ambient.metrics(Signature.L, point)
+    frame, g_r, g_l = ambient.frames_and_metrics(point)
     alive = [True] * len(rows)
 
     def fail(j: int, error: GeometryError) -> None:
@@ -348,7 +354,8 @@ def _normal_data(
             alive[j] = False
 
     def at(j: int) -> str:
-        return f"uv={uvs[rows[j]]!r}"
+        i = rows[j]
+        return f"uv={(us[i].item(), vs[i].item())!r}"
 
     with np.errstate(all="ignore"):
         gram_r = _grams(g_r, pair)
@@ -472,15 +479,20 @@ def mean_curvatures(sig: Signature, shapes: np.ndarray, eps) -> np.ndarray:
     return 0.5 * eps * tr if sig is Signature.L else 0.5 * tr
 
 
-def _stencil_uvs(uv: tuple[float, float], h: float) -> list[tuple[float, float]]:
-    """The eight stencil rows of uv: along chart axis 0, then 1, at ``STENCIL_STEPS`` times h."""
-    out = []
-    for axis in (0, 1):
-        for k in STENCIL_STEPS:
-            shifted = list(uv)
-            shifted[axis] += k * h
-            out.append((shifted[0], shifted[1]))
-    return out
+def stencil_columns(us: np.ndarray, vs: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The u and v columns (8n,) of the eight stencil rows of each of n uv rows.
+
+    Rows 8i .. 8i + 7 are those of uv row i: along chart axis 0, then 1, at
+    ``STENCIL_STEPS`` times h.  A shifted coordinate is u + k * h, one
+    addition, as a Python float would round it.
+    """
+    shifts = np.array(STENCIL_STEPS, dtype=float) * h
+    u, v = us[:, None], vs[:, None]
+    shape = (len(us), len(shifts))
+    return (
+        np.concatenate([u + shifts, np.broadcast_to(u, shape)], axis=1).ravel(),
+        np.concatenate([np.broadcast_to(v, shape), v + shifts], axis=1).ravel(),
+    )
 
 
 def _stage(build: Callable | None = None, *, rows: str | None = None) -> Callable:
@@ -528,7 +540,11 @@ class SampleBatch:
     * the frame components of each sample's ``FRAME_FIELDS``, one
       ``to_frames`` call, and from them the rotation matrices and the
       chart coefficients of T of each metric;
-    * their ``stencil_components`` with the centers', in one call;
+    * the ``stencil_components`` of the fields a stage differentiates, at
+      the centers and their stencil rows, one call per tuple of fields
+      (``_components``): the shape operators ask for both unit normals
+      (``NORMAL_FIELDS``), the T-derivatives for both T-fields
+      (``T_FIELDS``), and no other field is built unless asked for;
     * the connection tables of each metric, one ``point_tables`` call;
     * the shape operators, and the T- and normal-angle derivatives, of each
       metric, one ``cov_deriv_stencils`` call over both chart axes and one
@@ -727,34 +743,39 @@ class SampleBatch:
         return out if isinstance(held[0], tuple) else out[0]
 
     @_stage(rows="ok")
-    def _components(self) -> tuple[np.ndarray, np.ndarray]:
-        """``stencil_components`` of ``STENCIL_FIELDS`` at the centers and at the rows, one call.
+    def _components(self, fields: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """``stencil_components`` of ``fields`` at the centers and at the rows, one call.
 
-        Shapes (m, 6, c) and (m, 8, 6, c) over the samples of ``_ok``.
+        Shapes (m, k, c) and (m, 8, k, c) over the samples of ``_ok``, for k
+        fields of ``STENCIL_FIELDS``.
         """
         st, c = self.stencil(), self.center
         _, cj, rj, _ = self._ok()
         points = np.concatenate([c.point[cj], st.point[rj]])
         vecs = np.stack(
-            [np.concatenate([getattr(c, f)[cj], getattr(st, f)[rj]]) for f in STENCIL_FIELDS],
-            axis=1,
+            [np.concatenate([getattr(c, f)[cj], getattr(st, f)[rj]]) for f in fields], axis=1
         )
         frames = np.concatenate([c.frame[cj], st.frame[rj]])
         comps = self.ambient.stencil_components(points, vecs, frames)
         m = len(cj)
         return comps[:m], comps[m:].reshape(m, 8, *comps.shape[1:])
 
-    def stencil_derivs(self, sig: Signature, names: tuple[str, ...]) -> np.ndarray:
+    def stencil_derivs(
+        self, sig: Signature, names: tuple[str, ...], fields: tuple[str, ...] | None = None
+    ) -> np.ndarray:
         """Covariant derivatives along both chart axes of named STENCIL_FIELDS, (m, 2, k, dim).
 
         One ``cov_deriv_stencils`` call over 2m rows: the samples of ``_ok``
-        along chart axis 0, then along axis 1.
+        along chart axis 0, then along axis 1.  The derivatives read the
+        ``_components`` stage of ``fields``, which hold the ``names``; by
+        default, of the ``names`` alone.
         """
-        f0, fs = self._components()
+        fields = names if fields is None else fields
+        f0, fs = self._components(fields)
         ok, cj, _, _ = self._ok()
         # the tables first, so that none of the copies below is held while they are built
         tables = self.tables(sig)[ok + ok]
-        which = [STENCIL_FIELDS.index(name) for name in names]
+        which = [fields.index(name) for name in names]
         m, c = len(ok), self.center
         twice = cj + cj
         each = np.tile(np.arange(m), 2)[:, None]
@@ -803,7 +824,7 @@ class SampleBatch:
     def shapes(self, sig: Signature) -> np.ndarray:
         """The Weingarten matrices (m, 2, 2) of the samples of ``_ok``."""
         n_name = "n_r" if sig is Signature.R else "n_l"
-        dn = self.stencil_derivs(sig, (n_name,))[:, :, 0]
+        dn = self.stencil_derivs(sig, (n_name,), NORMAL_FIELDS)[:, :, 0]
         # column ``axis`` of each matrix is minus the coefficients of dn along that axis
         return np.ascontiguousarray(np.swapaxes(-self._coeffs(sig, dn, self._ok()[1]), 1, 2))
 
@@ -834,7 +855,7 @@ class SampleBatch:
         st = self.stencil()
         _, cj, rows, _ = self._ok()
         angles = (st.angle_r if sig is Signature.R else st.angle_l)[rows].reshape(-1, 2, 4)
-        dts = self._coeffs(sig, self.stencil_derivs(sig, (t_name,))[:, :, 0], cj)
+        dts = self._coeffs(sig, self.stencil_derivs(sig, (t_name,), T_FIELDS)[:, :, 0], cj)
         return dts, stencil_derivative(np.moveaxis(angles, 2, 0), h)
 
     # -- consistency residuals -------------------------------------------------

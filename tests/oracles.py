@@ -36,7 +36,7 @@ from bicausal.errors import (
     NumericFailure,
     OrientationFlip,
 )
-from bicausal.numdiff import central_diff, christoffels, gradient
+from bicausal.numdiff import STENCIL_STEPS, central_diff, christoffels, gradient
 
 
 def lie_bracket_fd(fields_x, fields_y, p: np.ndarray, h: float) -> np.ndarray:
@@ -459,7 +459,7 @@ def normal_pass(ambient, chart, uvs, h_jet: float, reference=None, routes: bool 
     and a tie (``SIGN_TIE_TOL``) keeps the wedge sign.  ``routes`` adds the
     agreement of the Riemannian normal with its own wedge route.
     """
-    point, pair, errors, rows = surfaces._charted(ambient, chart, uvs, h_jet)
+    point, pair, errors, rows = surfaces._charted(ambient, chart, *surfaces.uv_columns(uvs), h_jet)
     du, dv = pair[:, 0], pair[:, 1]
     frame = ambient.frames(point)
     g_r, g_l = ambient.metrics(Signature.R, point), ambient.metrics(Signature.L, point)
@@ -545,6 +545,18 @@ def normal_pass(ambient, chart, uvs, h_jet: float, reference=None, routes: bool 
     )
 
 
+def stencil_uvs(uv: tuple[float, float], h: float) -> list[tuple[float, float]]:
+    """The eight stencil rows of uv, one tuple at a time: along chart axis 0, then 1, at
+    ``STENCIL_STEPS`` times h."""
+    out = []
+    for axis in (0, 1):
+        for k in STENCIL_STEPS:
+            shifted = list(uv)
+            shifted[axis] += k * h
+            out.append((shifted[0], shifted[1]))
+    return out
+
+
 def normal_data_two_pass(ambient, chart, uvs, steps):
     """A batch's centers and its samples' stencil rows, in two passes and a loop.
 
@@ -558,9 +570,9 @@ def normal_data_two_pass(ambient, chart, uvs, steps):
     centers = [j for j, i in enumerate(c.rows) if c.errors[i] is None]
     sample_uvs = [uvs[c.rows[j]] for j in centers]
     h = steps.second
-    stencil_uvs = [uv for center in sample_uvs for uv in surfaces._stencil_uvs(center, h)]
+    rows = [uv for center in sample_uvs for uv in stencil_uvs(center, h)]
     reference = np.repeat(c.n_l[centers], 8, axis=0)
-    st = normal_pass(ambient, chart, stencil_uvs, steps.first, reference)
+    st = normal_pass(ambient, chart, rows, steps.first, reference)
     center_angles = c.angle_l[centers].tolist()
     for i, angle in zip(st.rows, st.angle_l.tolist()):
         a0 = center_angles[i // 8]

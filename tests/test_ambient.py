@@ -25,6 +25,7 @@ from bicausal.ambient import (
     wedge_frame,
 )
 from bicausal.errors import ConfigInvalid, DomainViolation
+from bicausal.groups import BERGER, SU11, GroupAmbient
 from bicausal.numdiff import FDSteps
 
 from conftest import (
@@ -572,6 +573,47 @@ def test_stacked_primitives_match_per_row_python_floats(kappa, tau, rng):
         want = coordinate_frame_partial_rows(ambient, one)
         assert _exactly_equal(ambient.frame_partials(one), want)
     assert ambient.metrics(Signature.R, points[:0]).shape == (0, 3, 3)
+
+
+def _quadric_rows(ambient, rng) -> np.ndarray:
+    """Points of a group model: random rows scaled onto its quadric, and signed zeros."""
+    p = rng.normal(size=(200, 4))
+    p[:20, 1] = 0.0
+    p[20:40, 3] = -0.0
+    q = np.einsum("ni,ij,nj->n", p, ambient.pairing, p)
+    p = p[q > 0.1] / np.sqrt(q[q > 0.1])[:, None]
+    return np.concatenate([p, [[1.0, -0.0, 0.0, -0.0], [-1.0, 0.0, -0.0, 0.0]]])
+
+
+@pytest.mark.parametrize(
+    "model, pair",
+    [("coordinate", (1.0, 1.0)), ("coordinate", (1.0, 0.0)), ("coordinate", (-1.0, 0.0)),
+     ("coordinate", (0.0, 0.0)), ("coordinate", (-4.0, 1.0)), (BERGER, (1.0, 1.0)),
+     (SU11, (-1.0, 1.0))],
+)
+def test_frames_and_metrics_equal_the_three_calls(model, pair, rng):
+    """``frames_and_metrics`` has the bits of ``frames``, ``metrics(R)`` and ``metrics(L)``.
+
+    The coordinate model builds all three from one pass over the points; the
+    rows include signed zeros and, in the disk, points 1e-7 inside its edge.
+    Stacks of all rows, of one row and of none.
+    """
+    params = SpaceParams(*pair)
+    if model == "coordinate":
+        ambient = CoordinateAmbient(params)
+        points = _rows_for(ambient, rng)
+        ones = [points[80:81], points[110:111], points[200:201], points[270:271]]
+    else:
+        ambient = GroupAmbient(model, params)
+        points = _quadric_rows(ambient, rng)
+        ones = [points[:1], points[-1:]]
+    for stack in [points, points[:0]] + ones:
+        frame, g_r, g_l = ambient.frames_and_metrics(stack)
+        assert _exactly_equal(frame, ambient.frames(stack))
+        assert _exactly_equal(g_r, ambient.metrics(Signature.R, stack))
+        assert _exactly_equal(g_l, ambient.metrics(Signature.L, stack))
+        assert frame.shape == (len(stack), ambient.dim, 3)
+        assert g_r.shape == g_l.shape == (len(stack), ambient.dim, ambient.dim)
 
 
 @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0, -4.0])

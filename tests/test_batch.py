@@ -31,8 +31,16 @@ from bicausal.identities import (
     evaluate_samples,
     run_identities,
 )
-from bicausal import identities, surfaces
-from bicausal.surfaces import SurfaceChart, TwoMetricFrameData, frame_batch, frame_data
+from bicausal import cli, identities, surfaces
+from bicausal.surfaces import (
+    NORMAL_FIELDS,
+    T_FIELDS,
+    SurfaceChart,
+    TwoMetricFrameData,
+    frame_batch,
+    frame_data,
+    uv_columns,
+)
 
 from conftest import same_bits
 from oracles import normal_data_two_pass
@@ -384,7 +392,7 @@ def test_stacked_domain_check_keeps_each_rows_error(address, pair, far):
         inside = edge * (1.0 - 1e-12)
         uvs += [(inside, 0.0), (0.0, -edge * (1.0 + 1e-12)), (0.6 * inside, -0.8 * inside)]
     h = ambient.steps.first
-    point, pair_, errors, rows = surfaces._charted(ambient, chart, uvs, h)
+    point, pair_, errors, rows = surfaces._charted(ambient, chart, *uv_columns(uvs), h)
     want_point, want_pair, want_errors, want_rows = _charted_row_by_row(ambient, chart, uvs, h)
     assert rows == want_rows
     assert same_bits(point, want_point) and same_bits(pair_, want_pair)
@@ -413,7 +421,7 @@ def test_chart_of_single_rows_keeps_each_rows_chart_error(jacobian):
 
     chart = SurfaceChart("gaps", point, built.chart.domain, partials if jacobian else None)
     uvs = [(0.1, 0.2), (0.5, 0.0), (0.25, 0.1), (-0.3, 0.4), (0.6, -0.2)]
-    got = surfaces._charted(built.ambient, chart, uvs, h)
+    got = surfaces._charted(built.ambient, chart, *uv_columns(uvs), h)
     want = _charted_row_by_row(built.ambient, chart, uvs, h)
     assert got[3] == want[3] == ([0, 2, 4] if jacobian else [0, 3, 4])
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
@@ -604,9 +612,9 @@ def test_grouped_evaluation_with_a_surface_all_stencil_errors_and_one_without_sa
 def test_a_join_builds_the_row_stages_that_one_of_its_surfaces_lacks(monkeypatch):
     """Every sample of the edge plane has a stencil error, so its draw plan builds no shape
     operators.  The join with the bowl, whose batch holds them, builds them itself, with the
-    stencil components and tables they need, over all its samples, and gives the bits of one
-    evaluation per surface.  It copies only the fields of the surfaces' centers and stencil
-    rows that it reads."""
+    normals' stencil components and the tables they need, over all its samples, and the
+    T-fields' components, and gives the bits of one evaluation per surface.  It copies only
+    the fields of the surfaces' centers and stencil rows that it reads."""
     make, (bowl,) = _catalog(SpaceParams(-1.0, 0.5), "graph:bowl:a=0.2")
     edge = (_timelike_plane_at_the_edge, [(0.0, 0.0), (0.0, 0.02), (0.0, -0.02)])
     joined_rows = surfaces.SampleBatch._joined_rows
@@ -624,7 +632,8 @@ def test_a_join_builds_the_row_stages_that_one_of_its_surfaces_lacks(monkeypatch
     assert all(d.stencil_error() is not None for d in edge_samples)
     assert ("shapes", Signature.R) not in edge_samples[0]._batch._stages
     assert ("shapes", Signature.R) in bowl_samples[0]._batch._stages
-    rows = [("_components",)] + [(name, sig) for name in ("tables", "shapes") for sig in SIGS]
+    rows = [("_components", fields) for fields in (NORMAL_FIELDS, T_FIELDS)]
+    rows += [(name, sig) for name in ("tables", "shapes") for sig in SIGS]
     assert taken == dict.fromkeys(rows, False)
     join = joins[0]
     # the invariants stage reads wedge_agreement (normal_routes); nothing reads sign_ambiguous
@@ -996,9 +1005,10 @@ def test_each_batch_stage_is_built_once(address, pair, builds, monkeypatch):
             _readings(d)
 
     evaluate_and_read()
-    # centers and stencil rows, one pass; one stencil_components call; shapes and
-    # T-derivatives of each metric, one call for both chart axes
-    assert calls == {"_normal_data": 1, "stencil_components": 1, "cov_deriv_stencils": 4,
+    # centers and stencil rows, one pass; one stencil_components call for both normals and
+    # one for both T-fields; shapes and T-derivatives of each metric, one call for both
+    # chart axes
+    assert calls == {"_normal_data": 1, "stencil_components": 2, "cov_deriv_stencils": 4,
                      **builds}
     first = dict(calls)
     evaluate_and_read()
@@ -1022,8 +1032,9 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
     """The stages after the stencil are built once per evaluation, whatever the number of
     surfaces.  The draw plan builds one of them on each surface's own batch: the Riemannian
     shape operators, whose stencil error stops the draws of SHAPE and BILINEAR.  The join
-    takes those, with the stencil components and Riemannian tables they need, as rows of
-    the surfaces' own, and builds none of the three again."""
+    takes those, with the normals' stencil components and the Riemannian tables they need,
+    as rows of the surfaces' own, and builds none of the three again; it builds the
+    T-fields' components once."""
     make, built = _catalog(SpaceParams(1.0, 1.0), *addresses)
     ambient = make()
     charts = [build(ambient) for build, _ in built]
@@ -1037,14 +1048,17 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
     names = [n for n in IDENTITY_NAMES if curves or n not in curve_names]
     rng = np.random.default_rng(0)
     plans = [draw_plan(names, samples, rng) for samples in groups]
-    # per surface: centers and stencil rows, one pass; one stencil_components call, the
-    # tables of R and the shapes of R, one cov_deriv_stencils call for both chart axes
+    # per surface: centers and stencil rows, one pass; one stencil_components call for both
+    # normals, the tables of R and the shapes of R, one cov_deriv_stencils call for both
+    # chart axes
     n = len(groups)
     assert calls == {"_normal_data": n, "stencil_components": n, "cov_deriv_stencils": n,
                      "point_tables": n}
     for samples in groups:
         stages = samples[0]._batch._stages
         assert ("shapes", Signature.R) in stages and ("shapes", Signature.L) not in stages
+        assert ("_components", NORMAL_FIELDS) in stages
+        assert ("_components", T_FIELDS) not in stages
         assert not {key[0] for key in stages} & {"tangent_dts", "curvature", "rotations"}
     calls.update(dict.fromkeys(calls, 0))
     built_starts: list = []
@@ -1058,8 +1072,9 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
     monkeypatch.setattr(identities._Stack, "_curve_starts", spy)
     evaluate_plans(names, plans)
     # the Lorentzian shapes and the T-derivatives of each metric, one cov_deriv_stencils
-    # call for both chart axes, and the Lorentzian tables
-    want = {"_normal_data": 0, "stencil_components": 0, "cov_deriv_stencils": 3,
+    # call for both chart axes, the Lorentzian tables, and one stencil_components call for
+    # both T-fields
+    want = {"_normal_data": 0, "stencil_components": 1, "cov_deriv_stencils": 3,
             "point_tables": 1}
     if curves:
         # each curve identity's field and derivative, and the tables where curves start
@@ -1071,6 +1086,88 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
     # and CONN_DIFF's curves of R and L share them, on the stack of all samples
     assert len({(id(stack), sig) for stack, sig in built_starts}) == len(built_starts)
     assert {sig for _, sig in built_starts} == (set(SIGS) if curves else set())
+
+
+def _component_builds(monkeypatch) -> list:
+    """Spy on ``SampleBatch._components``: the (batch, fields) of each stage it builds.
+
+    A join's stage taken as rows of its parts' own is not built, and not listed.
+    """
+    stage, joined_rows = surfaces.SampleBatch._components, surfaces.SampleBatch._joined_rows
+    builds: list = []
+    taken: list = []
+
+    def rows_spy(self, key, rows):
+        out = joined_rows(self, key, rows)
+        if out is not None:
+            taken.append((self, key))
+        return out
+
+    def spy(self, fields):
+        key = ("_components", fields)
+        fresh = key not in self._stages
+        out = stage(self, fields)
+        if fresh and not any(batch is self and k == key for batch, k in taken):
+            builds.append((self, fields))
+        return out
+
+    monkeypatch.setattr(surfaces.SampleBatch, "_joined_rows", rows_spy)
+    monkeypatch.setattr(surfaces.SampleBatch, "_components", spy)
+    return builds
+
+
+def test_a_report_batch_builds_only_the_normals_stencil_components(monkeypatch, tmp_path):
+    """The report reads the shape operators, whose stages differentiate only the two unit
+    normals: each of its batches passes those two fields, and no other, to
+    ``stencil_components``, in one call."""
+    builds = _component_builds(monkeypatch)
+    widths: list = []
+    inner = CoordinateAmbient.stencil_components
+
+    def counted(self, points, vecs, frames=None):
+        widths.append(vecs.shape[1])
+        return inner(self, points, vecs, frames)
+
+    monkeypatch.setattr(CoordinateAmbient, "stencil_components", counted)
+    argv = ["report", "graph:bowl:a=0.2", "--params", "1,1", "--grid", "17x17"]
+    assert cli.main(argv + ["--csv", str(tmp_path / "out.csv")]) == 0
+    # 289 rows in three batches
+    assert [fields for _, fields in builds] == [NORMAL_FIELDS] * 3
+    assert len({id(batch) for batch, _ in builds}) == 3
+    assert widths == [len(NORMAL_FIELDS)] * 3
+
+
+@pytest.mark.parametrize(
+    "addresses",
+    [
+        ("graph:bowl:a=0.2", "vgraph:saddle:a=0.15"),
+        ("berger-helicoid:alpha=0.5,variant=space", "berger-helicoid:alpha=0.5,variant=time"),
+    ],
+    ids=["coordinate", "group"],
+)
+def test_a_verify_join_builds_the_t_components_once(addresses, monkeypatch):
+    """Each surface's draw plan builds the normals' components on its own batch; the join
+    takes those as rows and builds the T-fields' components once, over all its samples.
+    No stage reads the components of du or dv, which are built only when asked for."""
+    make, built = _catalog(SpaceParams(1.0, 1.0), *addresses)
+    ambient = make()
+    builds = _component_builds(monkeypatch)
+    groups = [_samples(ambient, build(ambient), uvs) for build, uvs in built]
+    rng = np.random.default_rng(0)
+    plans = [draw_plan(IDENTITY_NAMES, samples, rng) for samples in groups]
+    assert [fields for _, fields in builds] == [NORMAL_FIELDS] * len(groups)
+    assert [batch for batch, _ in builds] == [samples[0]._batch for samples in groups]
+    del builds[:]
+    evaluate_plans(IDENTITY_NAMES, plans)
+    ((join, fields),) = builds
+    assert fields == T_FIELDS and join._parts is not None
+    assert ("_components", NORMAL_FIELDS) in join._stages
+    stages = [key for batch in [join] + [s[0]._batch for s in groups] for key in batch._stages]
+    assert not any("du" in key[1] or "dv" in key[1] for key in stages if key[0] == "_components")
+    # asked for, they are built: one more stage, of exactly those fields
+    del builds[:]
+    join.stencil_derivs(Signature.R, ("du", "dv"))
+    assert [fields for _, fields in builds] == [("du", "dv")]
 
 
 def _folded_plane(folds) -> SurfaceChart:

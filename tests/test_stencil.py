@@ -36,9 +36,12 @@ from bicausal.surfaces import (
     _normal_data,
     frame_data,
     induced_gram,
+    stencil_columns,
+    uv_columns,
 )
 
 from conftest import WeightedGroupAmbient, interior_grid, random_point, same_bits
+from oracles import stencil_uvs
 
 SIGS = (Signature.R, Signature.L)
 
@@ -257,14 +260,17 @@ def test_stencil_derivative_core_is_independent_of_field_count(name, rng):
         assert same_bits(row, _one_row(ambient, sig, at, vel, comps[0], comps[1:], h))
 
 
-def _stencil_uvs(uv, h):
-    out = []
-    for axis in (0, 1):
-        for k in STENCIL_STEPS:
-            shifted = list(uv)
-            shifted[axis] += k * h
-            out.append((shifted[0], shifted[1]))
-    return out
+def test_stencil_columns_equal_the_rows_of_each_uv(rng):
+    """The stencil rows built as arrays have the bits of the rows built one uv at a time,
+    with signed zeros kept, and in the same order: eight per uv row, axis 0 then 1."""
+    uvs = [(0.0, -0.0), (-0.0, 0.0), (0.1, 0.2), (-1.3, 2.7e-9), (1e6, -3.3), (5e-324, 7.0)]
+    uvs += [tuple(row) for row in rng.normal(scale=2.0, size=(40, 2)).tolist()]
+    for h in (1e-3, 3.7e-4, 0.1):
+        got = stencil_columns(*uv_columns(uvs), h)
+        want = uv_columns([uv for center in uvs for uv in stencil_uvs(center, h)])
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    empty = stencil_columns(*uv_columns([]), 1e-3)
+    assert [a.shape for a in empty] == [(0,), (0,)]
 
 
 _ROW_FIELDS = ("point", "du", "dv", "gram_r", "gram_l", "eps", "angle_l", "angle_r", "omega_l")
@@ -343,7 +349,7 @@ def test_stencil_offset_leaving_the_disk_raises_domain_violation():
     edge = 2.0 * math.sqrt(1.0 - 1e-6)
     uv = (edge - 1.5 * h, 0.0)
     data = frame_data(ambient, chart, uv, validate=False)
-    uvs = _stencil_uvs(data.uv, h)
+    uvs = stencil_uvs(data.uv, h)
     assert ambient.contains(chart.point(*uvs[0])) and not ambient.contains(chart.point(*uvs[1]))
     # the stencil rows of the second center are rows 8 .. 15
     _, stack = _assert_rows_match_singletons(ambient, chart, [(0.3, 0.2), uv])
@@ -410,7 +416,7 @@ def test_fuzz_batched_rows_equal_per_row_and_fail_with_codes(sample):
     (u0, u1), (v0, v1) = chart.domain
     uv = (u0 + fu * (u1 - u0), v0 + fv * (v1 - v0))
     # the sample's stencil rows as centers, and the stencil rows of each
-    uvs = [uv] + _stencil_uvs(uv, ambient.steps.second)
+    uvs = [uv] + stencil_uvs(uv, ambient.steps.second)
     _assert_rows_match_singletons(ambient, chart, uvs)
     try:
         data = frame_data(ambient, chart, uv, validate=False)

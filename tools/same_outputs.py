@@ -41,7 +41,8 @@ results must keep:
   grid, a 17x17 grid at (1,0) (three stacks of rows, each through the tau = 0
   connection table), both group helicoids, the su11 family ``e``,
   ``slice:t0=0.1`` and two Hopf cylinders, whose rows are all
-  ``SIGN_AMBIGUOUS``;
+  ``SIGN_AMBIGUOUS``, and of ``graph:bowl:a=0.6`` on a 33x33 grid at (4,1),
+  where 16 rows skip their curvature columns as ``NULL_DIRECTION``;
 * what the catalog alone decides: ``surfaces``, with and without
   ``--params`` at six pairs; ``verify --samples 2`` of short addresses that
   the catalog completes with its defaults, at four pairs, whose skip lines
@@ -197,6 +198,9 @@ CASES += [
      ["report", "hopf:circle:r=0.9", "--params", "1,0.5", "--csv", OUT]),
     ("report hopf:ellipse at (-1,1)",
      ["report", "hopf:ellipse", "--params", "-1,1", "--csv", OUT]),
+    # rows flagged NULL_DIRECTION, whose curvature columns are left empty
+    ("report graph:bowl:a=0.6 33x33 at (4,1)",
+     ["report", "graph:bowl:a=0.6", "--params", "4,1", "--grid", "33x33", "--csv", OUT]),
 ]
 
 # What the catalog alone decides: the family list, the default addresses, the

@@ -294,7 +294,8 @@ class Ambient:
     The domain check ``contains_rows`` is stacked too, and ``contains`` is
     its one-row case.  Subclasses also supply the stacked connection tables
     ``point_tables`` (what ``cov_deriv_stencils`` reads; both models build
-    them from ``christoffels``) and the stacked stencil derivative:
+    them from ``christoffels``), whose tables of both metrics ``both_tables``
+    gives in one call, and the stacked stencil derivative:
     ``stencil_components`` and ``cov_deriv_stencils``, which reads stacks of
     the points and their frames, metric and tables.  ``point_table`` is
     their one-row case, and ``cov_deriv_on_curve`` samples a field on a
@@ -343,6 +344,10 @@ class Ambient:
     def frames_and_metrics(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``frames(points)``, ``metrics(R, points)`` and ``metrics(L, points)``, as one call."""
         return self.frames(points), *(self.metrics(sig, points) for sig in SIGNATURES)
+
+    def both_tables(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``point_tables(R, points)`` and ``point_tables(L, points)``, as one call."""
+        return tuple(self.point_tables(sig, points) for sig in SIGNATURES)
 
     def point_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
         """The connection table of ``sig`` at one point: one-row ``point_tables``."""
@@ -513,9 +518,13 @@ class CoordinateAmbient(Ambient):
         Entry [n, a] is the partial derivative of frames(points)[n] along
         coordinate a.
         """
+        return self._frame_partials(self._columns(points))
+
+    def _frame_partials(self, columns: tuple) -> np.ndarray:
+        """``frame_partials`` from the ``_columns`` of the points."""
         k, t = self.params.kappa, self.params.tau
         s = self.params.twist_rate
-        n, x, y, li, c, sn = self._columns(points)
+        n, x, y, li, c, sn = columns
         dx_li, dy_li = (0.5 * k) * x, (0.5 * k) * y
         entries = (
             dx_li * c, -dx_li * sn, 0.0,
@@ -553,15 +562,23 @@ class CoordinateAmbient(Ambient):
         points = np.asarray(points, dtype=float)
         if self._twisted_tables is not None:
             return np.broadcast_to(self._twisted_tables[sig], (len(points), 3, 3, 3))
-        return self._table_from_metric(sig, points)
+        return self._table_from_metric(points)
+
+    def both_tables(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The tables of R and of L; at tau = 0 one ``_table_from_metric`` array as both."""
+        if self._twisted_tables is not None:
+            return super().both_tables(points)
+        table = self._table_from_metric(np.asarray(points, dtype=float))
+        return table, table
 
     connection_table = Ambient.point_table
 
-    def _table_from_metric(self, sig: Signature, points: np.ndarray) -> np.ndarray:
+    def _table_from_metric(self, points: np.ndarray) -> np.ndarray:
+        """The tau = 0 table of R, and of L: their metrics differ by the constant 2 dz^2."""
         n = len(points)
-        gam_c = self.christoffels(sig, points)
-        m = self.frames(points)
-        dm = self.frame_partials(points)
+        gam_c = self.christoffels(Signature.R, points)
+        columns = self._columns(points)
+        m, dm = self._frames(columns), self._frame_partials(columns)
         # gam_m[a][j] = gam_c[:, a, :] @ m[:, j] at each point, a (3, 3) @ (3,) product
         gam_m = [
             [(gam_c[:, :, a, :] @ m[:, :, j, None])[..., 0] for j in range(3)] for a in range(3)

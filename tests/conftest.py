@@ -111,8 +111,8 @@ class WeightedGroupAmbient(GroupAmbient):
         super().__init__(kind, params, steps)
         self.extension_weight = extension_weight
 
-    def metrics(self, sig, points):
+    def _metrics(self, points, modifier):
         p = np.asarray(points, dtype=float)
         quad = (p[:, None, :] @ self.pairing @ p[..., None])[:, 0, 0]
         weight = np.array([q**self.extension_weight for q in quad.tolist()])
-        return super().metrics(sig, p) * weight[:, None, None]
+        return super()._metrics(p, modifier) * weight[:, None, None]

@@ -282,7 +282,8 @@ def test_christoffels_match_fd_oracle(rng):
     """The FD Christoffel route against closed forms it does not use.
 
     At tau = 0 the symbols themselves have a closed form; at tau != 0 the
-    frame table assembled from them must give the constant twisted table.
+    frame table assembled from them (``table_loop``, which takes the
+    symbols of ``sig``'s own metric) must give the constant twisted table.
     """
     worst = 0.0
     for kappa, tau in [(1.0, 1.0), (-1.0, 1.0), (4.0, 1.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 0.0)]:
@@ -293,7 +294,7 @@ def test_christoffels_match_fd_oracle(rng):
                 if tau == 0.0:
                     got, oracle = ambient.christoffels(sig, p), _product_christoffels(kappa, p)
                 else:
-                    got = ambient._table_from_metric(sig, p[None])[0]
+                    got = table_loop(ambient, sig, p[None])[0]
                     oracle = ambient.connection_table(sig, p)
                 worst = max(worst, float(np.max(np.abs(got - oracle))))
     assert worst < 1e-6
@@ -585,18 +586,10 @@ def _quadric_rows(ambient, rng) -> np.ndarray:
     return np.concatenate([p, [[1.0, -0.0, 0.0, -0.0], [-1.0, 0.0, -0.0, 0.0]]])
 
 
-@pytest.mark.parametrize(
-    "model, pair",
-    [("coordinate", (1.0, 1.0)), ("coordinate", (1.0, 0.0)), ("coordinate", (-1.0, 0.0)),
-     ("coordinate", (0.0, 0.0)), ("coordinate", (-4.0, 1.0)), (BERGER, (1.0, 1.0)),
-     (SU11, (-1.0, 1.0))],
-)
-def test_frames_and_metrics_equal_the_three_calls(model, pair, rng):
-    """``frames_and_metrics`` has the bits of ``frames``, ``metrics(R)`` and ``metrics(L)``.
+def _model_stacks(model, pair, rng) -> tuple:
+    """An ambient and stacks of its points: all rows, none, and single rows.
 
-    The coordinate model builds all three from one pass over the points; the
-    rows include signed zeros and, in the disk, points 1e-7 inside its edge.
-    Stacks of all rows, of one row and of none.
+    The rows include signed zeros and, in the disk, points 1e-7 inside its edge.
     """
     params = SpaceParams(*pair)
     if model == "coordinate":
@@ -607,7 +600,25 @@ def test_frames_and_metrics_equal_the_three_calls(model, pair, rng):
         ambient = GroupAmbient(model, params)
         points = _quadric_rows(ambient, rng)
         ones = [points[:1], points[-1:]]
-    for stack in [points, points[:0]] + ones:
+    return ambient, [points, points[:0]] + ones
+
+
+MODEL_PAIRS = pytest.mark.parametrize(
+    "model, pair",
+    [("coordinate", (1.0, 1.0)), ("coordinate", (1.0, 0.0)), ("coordinate", (-1.0, 0.0)),
+     ("coordinate", (0.0, 0.0)), ("coordinate", (-4.0, 1.0)), (BERGER, (1.0, 1.0)),
+     (SU11, (-1.0, 1.0))],
+)
+
+
+@MODEL_PAIRS
+def test_frames_and_metrics_equal_the_three_calls(model, pair, rng):
+    """``frames_and_metrics`` has the bits of ``frames``, ``metrics(R)`` and ``metrics(L)``.
+
+    The coordinate model builds all three from one pass over the points.
+    """
+    ambient, stacks = _model_stacks(model, pair, rng)
+    for stack in stacks:
         frame, g_r, g_l = ambient.frames_and_metrics(stack)
         assert _exactly_equal(frame, ambient.frames(stack))
         assert _exactly_equal(g_r, ambient.metrics(Signature.R, stack))
@@ -616,18 +627,40 @@ def test_frames_and_metrics_equal_the_three_calls(model, pair, rng):
         assert g_r.shape == g_l.shape == (len(stack), ambient.dim, ambient.dim)
 
 
+@MODEL_PAIRS
+def test_both_tables_equal_the_two_calls(model, pair, rng):
+    """``both_tables`` has the bits of ``point_tables(R)`` and ``point_tables(L)``.
+
+    The group models take both from one Christoffel pass over the points
+    twice, and the coordinate model at tau = 0 from one table.
+    """
+    ambient, stacks = _model_stacks(model, pair, rng)
+    for stack in stacks:
+        table_r, table_l = ambient.both_tables(stack)
+        assert _exactly_equal(table_r, ambient.point_tables(Signature.R, stack))
+        assert _exactly_equal(table_l, ambient.point_tables(Signature.L, stack))
+        assert table_r.shape == table_l.shape == (len(stack),) + (ambient.dim,) * 3
+
+
 @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0, -4.0])
 def test_tau_zero_tables_match_the_loop_bitwise(kappa, rng):
-    """The tau = 0 table's one broadcast sum has the bits of the loop over (i, j, a).
+    """The one tau = 0 table has the bits of each metric's own table, by a loop over (i, j, a).
 
-    Stacks of 1, 8 and 128 rows, of both signatures, with rows on the axes
-    and at signed zeros, where the terms' zeros carry signs.
+    ``table_loop`` builds the table of L from ``metrics(L)``, so the one
+    table that serves both metrics is checked against both.  Stacks of 1, 8
+    and 128 rows, with rows on the axes, at signed zeros, where the terms'
+    zeros carry signs, and 1e-7 inside the disk edge.
     """
     ambient = CoordinateAmbient(SpaceParams(kappa, 0.0))
     points = _rows_for(ambient, rng)
     stacks = [points[80:81], points[150:151], points[::37][:8], points[30:38], points[:128]]
+    if ambient.params.disk_radius is not None:
+        stacks += [points[200:201], points[270:271], points[200:280:10], points[152:280]]
     for stack in stacks:
+        got = ambient._table_from_metric(stack)
+        assert got.shape == (len(stack), 3, 3, 3)
+        table_r, table_l = ambient.both_tables(stack)
+        assert table_r is table_l and _exactly_equal(table_r, got)
         for sig in SIGS:
-            got = ambient._table_from_metric(sig, stack)
-            assert got.shape == (len(stack), 3, 3, 3)
             assert _exactly_equal(got, table_loop(ambient, sig, stack))
+            assert _exactly_equal(ambient.point_tables(sig, stack), got)

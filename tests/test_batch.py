@@ -633,7 +633,7 @@ def test_a_join_builds_the_row_stages_that_one_of_its_surfaces_lacks(monkeypatch
     assert ("shapes", Signature.R) not in edge_samples[0]._batch._stages
     assert ("shapes", Signature.R) in bowl_samples[0]._batch._stages
     rows = [("_components", fields) for fields in (NORMAL_FIELDS, T_FIELDS)]
-    rows += [(name, sig) for name in ("tables", "shapes") for sig in SIGS]
+    rows += [("_tables",)] + [("shapes", sig) for sig in SIGS]
     assert taken == dict.fromkeys(rows, False)
     join = joins[0]
     # the invariants stage reads wedge_agreement (normal_routes); nothing reads sign_ambiguous
@@ -984,16 +984,20 @@ def _counted(monkeypatch, owner, name: str, calls: dict) -> None:
 @pytest.mark.parametrize(
     "address, pair, builds",
     [
-        ("graph:bowl:a=0.2", (1.0, 1.0), {"point_tables": 2}),
-        ("berger-helicoid:alpha=0.5,variant=space", (1.0, 1.0), {"point_tables": 4}),
+        ("graph:bowl:a=0.2", (1.0, 1.0), {"both_tables": 1}),
+        ("berger-helicoid:alpha=0.5,variant=space", (1.0, 1.0), {"both_tables": 2}),
+        ("graph:bowl:a=0.2", (1.0, 0.0), {"both_tables": 1, "_table_from_metric": 1}),
     ],
 )
 def test_each_batch_stage_is_built_once(address, pair, builds, monkeypatch):
-    """A second evaluation and every per-sample reader reuse the stages of the first."""
+    """A second evaluation and every per-sample reader reuse the stages of the first.
+
+    The tables of both metrics are one ``both_tables`` call, and in the group
+    model a second one gives the tables where the curves start."""
     built = build_surface(address, SpaceParams(*pair))
     calls: dict = {}
     _counted(monkeypatch, surfaces, "_normal_data", calls)
-    for name in ("point_tables", "stencil_components", "cov_deriv_stencils"):
+    for name in ("stencil_components", "cov_deriv_stencils", *builds):
         _counted(monkeypatch, built.ambient, name, calls)
     samples = _samples(built.ambient, built.chart, _domain_uvs(built.chart, FRACTIONS))
     # the curves of CONN_DIFF and KILLING are per evaluation, not batch stages
@@ -1019,28 +1023,33 @@ def test_each_batch_stage_is_built_once(address, pair, builds, monkeypatch):
 
 @pytest.mark.parametrize("curves", [False, True], ids=["stages", "with-curves"])
 @pytest.mark.parametrize(
-    "addresses, starts",
+    "pair, addresses, starts",
     [
-        (("hopf:circle", "graph:bowl:a=0.2", "vgraph:saddle:a=0.15"), 0),
-        (("berger-helicoid:alpha=0.5,variant=space", "berger-helicoid:alpha=0.5,variant=time"), 2),
+        ((1.0, 1.0), ("hopf:circle", "graph:bowl:a=0.2", "vgraph:saddle:a=0.15"), 0),
+        ((1.0, 1.0),
+         ("berger-helicoid:alpha=0.5,variant=space", "berger-helicoid:alpha=0.5,variant=time"), 1),
+        ((1.0, 0.0), ("hopf:circle", "graph:bowl:a=0.2", "vgraph:saddle:a=0.15"), 0),
     ],
-    ids=["coordinate", "group"],
+    ids=["coordinate", "group", "coordinate-tau0"],
 )
 def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
-    addresses, starts, curves, monkeypatch
+    pair, addresses, starts, curves, monkeypatch
 ):
     """The stages after the stencil are built once per evaluation, whatever the number of
     surfaces.  The draw plan builds one of them on each surface's own batch: the Riemannian
     shape operators, whose stencil error stops the draws of SHAPE and BILINEAR.  The join
-    takes those, with the normals' stencil components and the Riemannian tables they need,
-    as rows of the surfaces' own, and builds none of the three again; it builds the
-    T-fields' components once."""
-    make, built = _catalog(SpaceParams(1.0, 1.0), *addresses)
+    takes those, with the normals' stencil components and the tables of both metrics, as
+    rows of the surfaces' own, and builds none of the three again; it builds the T-fields'
+    components once.  At tau = 0 each surface's one finite-difference table serves both
+    metrics, and the join builds none."""
+    make, built = _catalog(SpaceParams(*pair), *addresses)
     ambient = make()
     charts = [build(ambient) for build, _ in built]
     calls: dict = {}
     _counted(monkeypatch, surfaces, "_normal_data", calls)
-    for name in ("point_tables", "stencil_components", "cov_deriv_stencils"):
+    tau_zero = pair[1] == 0.0
+    counted = ["both_tables", "stencil_components", "cov_deriv_stencils"]
+    for name in counted + ["_table_from_metric"] * tau_zero:
         _counted(monkeypatch, ambient, name, calls)
     groups = [_samples(ambient, chart, uvs) for chart, (_, uvs) in zip(charts, built)]
     assert all(groups)
@@ -1049,11 +1058,11 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
     rng = np.random.default_rng(0)
     plans = [draw_plan(names, samples, rng) for samples in groups]
     # per surface: centers and stencil rows, one pass; one stencil_components call for both
-    # normals, the tables of R and the shapes of R, one cov_deriv_stencils call for both
-    # chart axes
+    # normals, the tables of both metrics and the shapes of R, one cov_deriv_stencils call
+    # for both chart axes
     n = len(groups)
-    assert calls == {"_normal_data": n, "stencil_components": n, "cov_deriv_stencils": n,
-                     "point_tables": n}
+    want = dict.fromkeys(["_normal_data", *counted] + ["_table_from_metric"] * tau_zero, n)
+    assert calls == want
     for samples in groups:
         stages = samples[0]._batch._stages
         assert ("shapes", Signature.R) in stages and ("shapes", Signature.L) not in stages
@@ -1072,15 +1081,15 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
     monkeypatch.setattr(identities._Stack, "_curve_starts", spy)
     evaluate_plans(names, plans)
     # the Lorentzian shapes and the T-derivatives of each metric, one cov_deriv_stencils
-    # call for both chart axes, the Lorentzian tables, and one stencil_components call for
-    # both T-fields
-    want = {"_normal_data": 0, "stencil_components": 1, "cov_deriv_stencils": 3,
-            "point_tables": 1}
+    # call for both chart axes, and one stencil_components call for both T-fields; no
+    # tables, which the surfaces' batches hold
+    want = dict.fromkeys(want, 0)
+    want.update(stencil_components=1, cov_deriv_stencils=3)
     if curves:
         # each curve identity's field and derivative, and the tables where curves start
         want["stencil_components"] += 3
         want["cov_deriv_stencils"] += 3
-        want["point_tables"] += starts
+        want["both_tables"] += starts
     assert calls == want
     # the starts of each signature are built once per stack: KILLING_R's two curves of R
     # and CONN_DIFF's curves of R and L share them, on the stack of all samples
@@ -1135,6 +1144,23 @@ def test_a_report_batch_builds_only_the_normals_stencil_components(monkeypatch, 
     assert [fields for _, fields in builds] == [NORMAL_FIELDS] * 3
     assert len({id(batch) for batch, _ in builds}) == 3
     assert widths == [len(NORMAL_FIELDS)] * 3
+
+
+def test_a_tau_zero_report_builds_one_table_per_batch(monkeypatch, tmp_path):
+    """At tau = 0 one finite-difference table serves both metrics: each report batch
+    builds ``_table_from_metric`` once, over all its rows, and no batch builds another."""
+    rows: list = []
+    inner = CoordinateAmbient._table_from_metric
+
+    def counted(self, points):
+        rows.append(len(points))
+        return inner(self, points)
+
+    monkeypatch.setattr(CoordinateAmbient, "_table_from_metric", counted)
+    argv = ["report", "graph:bowl:a=0.2", "--params", "1,0", "--grid", "17x17"]
+    assert cli.main(argv + ["--csv", str(tmp_path / "out.csv")]) == 0
+    # 289 rows in three batches
+    assert rows == [128, 128, 33]
 
 
 @pytest.mark.parametrize(

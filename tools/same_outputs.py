@@ -38,8 +38,9 @@ results must keep:
   (1,1), where the slice is unavailable, and at (1,0), where the group-model
   ones are;
 * ``report`` CSVs of ``graph:bowl:a=0.2`` at five parameter pairs, a 64x64
-  grid, a 17x17 grid at (1,0) (three stacks of rows, each through the tau = 0
-  connection table), both group helicoids, the su11 family ``e``,
+  grid, 17x17 grids at (1,0) and at (-1,0), in the disk (three stacks of rows
+  each, each stack through one tau = 0 connection table that serves both
+  metrics), both group helicoids, the su11 family ``e``,
   ``slice:t0=0.1`` and two Hopf cylinders, whose rows are all
   ``SIGN_AMBIGUOUS``, and of ``graph:bowl:a=0.6`` on a 33x33 grid at (4,1),
   where 16 rows skip their curvature columns as ``NULL_DIRECTION``;
@@ -73,9 +74,10 @@ results must keep:
   (``draw_plan``), and every outcome is printed with ``float.hex``, with
   the generator's state after each run;
 * through the Python API, the one-row ``frame``, ``metric`` (R and L),
-  ``frame_partials`` and ``point_table`` of the coordinate model at (1,1),
-  (1,0), (-1,0) and (-4,1), on points with signed zeros and points 1e-7
-  inside the disk edge, printed with ``float.hex``; and
+  ``frame_partials`` and ``point_table`` (R and L) of the coordinate model
+  at (1,1), (1,0), (-1,0), (0,0) and (-4,1), on points with signed zeros and
+  points 1e-7 inside the disk edge, printed with ``float.hex``: at tau = 0
+  the one-row table, which no batch takes, of each signature; and
   ``indefiniteness_check`` on a 4x4 interior grid of every default surface
   at (0,1), (4,1), (-1,1) and (1,1).
 
@@ -185,6 +187,8 @@ CASES += [
     # 289 rows in three stacks, each through the tau = 0 connection table
     ("report graph:bowl:a=0.2 17x17 at (1,0)",
      ["report", "graph:bowl:a=0.2", "--params", "1,0", "--grid", "17x17", "--csv", OUT]),
+    ("report graph:bowl:a=0.2 17x17 at (-1,0)",
+     ["report", "graph:bowl:a=0.2", "--params", "-1,0", "--grid", "17x17", "--csv", OUT]),
     ("report berger-helicoid at (1,1)",
      ["report", "berger-helicoid", "--params", "1,1", "--csv", OUT]),
     ("report su11-helicoid at (-1,1)",
@@ -391,7 +395,7 @@ from bicausal.surfaces import frame_data
 def hexed(a):
     return " ".join(map(float.hex, np.asarray(a, dtype=float).ravel().tolist()))
 
-for pair in [(1.0, 1.0), (1.0, 0.0), (-1.0, 0.0), (-4.0, 1.0)]:
+for pair in [(1.0, 1.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 0.0), (-4.0, 1.0)]:
     amb = CoordinateAmbient(SpaceParams(*pair))
     r = amb.params.disk_radius
     edge = 2.0 if r is None else r * math.sqrt(1.0 - 1e-6) - 1e-7

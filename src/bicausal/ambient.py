@@ -557,7 +557,7 @@ class CoordinateAmbient(Ambient):
         Entry [n, i, j] is the derivative of leg j along leg i at points[n].
         Constant in the point for tau != 0; in the product case tau = 0 the
         coefficients depend on the base point, so they are assembled from
-        finite differences of the metric, all points in one stack.
+        finite differences of the Riemannian metric, one table for both.
         """
         points = np.asarray(points, dtype=float)
         if self._twisted_tables is not None:

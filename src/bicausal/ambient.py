@@ -294,8 +294,8 @@ class Ambient:
     The domain check ``contains_rows`` is stacked too, and ``contains`` is
     its one-row case.  Subclasses also supply the stacked connection tables
     ``point_tables`` (what ``cov_deriv_stencils`` reads; both models build
-    them from ``christoffels``), whose tables of both metrics ``both_tables``
-    gives in one call, and the stacked stencil derivative:
+    them from ``christoffels``; ``table_sig`` names the metric whose table
+    serves ``sig``), and the stacked stencil derivative:
     ``stencil_components`` and ``cov_deriv_stencils``, which reads stacks of
     the points and their frames, metric and tables.  ``point_table`` is
     their one-row case, and ``cov_deriv_on_curve`` samples a field on a
@@ -345,9 +345,9 @@ class Ambient:
         """``frames(points)``, ``metrics(R, points)`` and ``metrics(L, points)``, as one call."""
         return self.frames(points), *(self.metrics(sig, points) for sig in SIGNATURES)
 
-    def both_tables(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``point_tables(R, points)`` and ``point_tables(L, points)``, as one call."""
-        return tuple(self.point_tables(sig, points) for sig in SIGNATURES)
+    def table_sig(self, sig: Signature) -> Signature:
+        """The signature whose ``point_tables`` are those of ``sig``: ``sig`` itself here."""
+        return sig
 
     def point_table(self, sig: Signature, p: np.ndarray) -> np.ndarray:
         """The connection table of ``sig`` at one point: one-row ``point_tables``."""
@@ -564,12 +564,9 @@ class CoordinateAmbient(Ambient):
             return np.broadcast_to(self._twisted_tables[sig], (len(points), 3, 3, 3))
         return self._table_from_metric(points)
 
-    def both_tables(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The tables of R and of L; at tau = 0 one ``_table_from_metric`` array as both."""
-        if self._twisted_tables is not None:
-            return super().both_tables(points)
-        table = self._table_from_metric(np.asarray(points, dtype=float))
-        return table, table
+    def table_sig(self, sig: Signature) -> Signature:
+        """R at tau = 0, where the Levi-Civita connections of both metrics coincide."""
+        return sig if self._twisted_tables is not None else Signature.R
 
     connection_table = Ambient.point_table
 

@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .ambient import (
-    SIGNATURES,
     Ambient,
     SpaceParams,
     Signature,
@@ -33,7 +32,7 @@ from .ambient import (
     stacked_inner,
 )
 from .errors import CurveSingular, ModelMismatch
-from .numdiff import FDSteps, christoffels, stencil_derivative, stencil_params
+from .numdiff import FDSteps, stencil_derivative, stencil_params
 from .surfaces import SurfaceChart
 
 BERGER = "berger"
@@ -134,14 +133,11 @@ class GroupAmbient(Ambient):
 
     def metrics(self, sig: Signature, points: np.ndarray) -> np.ndarray:
         """(4 / kappa) (pairing + m_sig u u^T) at each point, u the paired fiber field."""
-        return self._metrics(points, self._modifier[sig])
-
-    def _metrics(self, points: np.ndarray, modifier) -> np.ndarray:
-        """``metrics`` with m_sig given: one float, or a column (n, 1, 1) of each row's."""
         p = np.asarray(points, dtype=float)
         u = (self.pairing @ (self.fields[2] @ p[..., None]))[..., 0]
-        outer = u[:, :, None] * u[:, None, :]
-        return (4.0 / self.params.kappa) * (self.pairing + modifier * outer)
+        return (4.0 / self.params.kappa) * (
+            self.pairing + self._modifier[sig] * (u[:, :, None] * u[:, None, :])
+        )
 
     # -- frame -------------------------------------------------------------
 
@@ -171,21 +167,6 @@ class GroupAmbient(Ambient):
     def point_tables(self, sig: Signature, points: np.ndarray) -> np.ndarray:
         """Coordinate Christoffel symbols at each point, (n, 4, 4, 4), in one stack."""
         return self.christoffels(sig, points)
-
-    def both_tables(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The tables of R and of L, from one ``christoffels`` pass over the points twice.
-
-        Every metric call gives the rows of its first half the m_sig of R and
-        those of its second half that of L, each row with the bits of ``metrics``.
-        """
-        p = np.asarray(points, dtype=float)
-        mods = np.array([self._modifier[sig] for sig in SIGNATURES])[:, None, None]
-
-        def halves(q: np.ndarray) -> np.ndarray:
-            return self._metrics(q, np.repeat(mods, len(q) // 2, axis=0))
-
-        gam = christoffels(halves, np.concatenate([p, p]), self.steps.first)
-        return gam[: len(p)], gam[len(p) :]
 
     def curve_through(self, p: np.ndarray, vel: np.ndarray) -> Callable[[float], np.ndarray]:
         """Curve on the quadric through p with initial velocity vel (radial renormalization)."""

@@ -545,7 +545,7 @@ class SampleBatch:
       (``_components``): the shape operators ask for both unit normals
       (``NORMAL_FIELDS``), the T-derivatives for both T-fields
       (``T_FIELDS``), and no other field is built unless asked for;
-    * the connection tables of both metrics, one ``both_tables`` call;
+    * the connection tables, one ``point_tables`` call per ``table_sig``;
     * the shape operators, and the T- and normal-angle derivatives, of each
       metric, one ``cov_deriv_stencils`` call over both chart axes and one
       stacked Gram projection, over the samples whose stencil rows raised
@@ -554,8 +554,8 @@ class SampleBatch:
     * the curvature scalars of ``identities.curvature_suite``, as columns,
       and each sample's skip;
     * in the group models, the PointFrames where the curves through the
-      samples start, with one ``both_tables`` call; the identities' stack
-      composes their arrays once per metric.
+      samples start, with one ``point_tables`` call per metric; the
+      identities' stack composes their arrays once per metric.
 
     Each stage rounds row by row like a batch of one, so a sample's numbers
     do not depend on the batch it is in.  Nothing here draws random numbers.
@@ -816,13 +816,11 @@ class SampleBatch:
     # -- per-sample stages, stacked ----------------------------------------------
 
     @_stage(rows="all")
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every sample's connection tables of R and of L, (n, ...), one ``both_tables`` call."""
-        return self.ambient.both_tables(self._at_centers("point"))
-
     def tables(self, sig: Signature) -> np.ndarray:
-        """Every sample's connection table of ``sig``: its entry of ``_tables``."""
-        return self._tables()[SIGNATURES.index(sig)]
+        """Every sample's connection table of ``sig``, (n, ...), that of its ``table_sig``."""
+        if (shared := self.ambient.table_sig(sig)) is not sig:
+            return self.tables(shared)
+        return self.ambient.point_tables(sig, self._at_centers("point"))
 
     @_stage(rows="ok")
     def shapes(self, sig: Signature) -> np.ndarray:
@@ -963,7 +961,7 @@ class SampleBatch:
         not always bitwise the point: the first stencil point of the curves
         of ``curve_stencils``, whatever their velocity.  Entry k is the
         PointFrame of sample k's moved start, or None; the tables of all
-        moved starts come from one ``both_tables`` call.
+        moved starts come from one ``point_tables`` call per metric.
         """
         points = self._at_centers("point")
         zero = np.zeros((len(points), 1, self.ambient.dim))
@@ -972,10 +970,11 @@ class SampleBatch:
         out = [None] * len(points)
         if moved:
             at = starts[moved]
-            tables = self.ambient.both_tables(at)
+            tables = {sig: self.ambient.point_tables(sig, at) for sig in SIGNATURES}
             for i, s in enumerate(moved):
-                rows = {sig: table[i] for sig, table in zip(SIGNATURES, tables)}
-                out[s] = PointFrame(self.ambient, at[i], tables=rows)
+                out[s] = PointFrame(
+                    self.ambient, at[i], tables={sig: tables[sig][i] for sig in SIGNATURES}
+                )
         return out
 
 

@@ -111,8 +111,8 @@ class WeightedGroupAmbient(GroupAmbient):
         super().__init__(kind, params, steps)
         self.extension_weight = extension_weight
 
-    def _metrics(self, points, modifier):
+    def metrics(self, sig, points):
         p = np.asarray(points, dtype=float)
         quad = (p[:, None, :] @ self.pairing @ p[..., None])[:, 0, 0]
         weight = np.array([q**self.extension_weight for q in quad.tolist()])
-        return super()._metrics(p, modifier) * weight[:, None, None]
+        return super().metrics(sig, p) * weight[:, None, None]

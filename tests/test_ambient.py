@@ -586,10 +586,18 @@ def _quadric_rows(ambient, rng) -> np.ndarray:
     return np.concatenate([p, [[1.0, -0.0, 0.0, -0.0], [-1.0, 0.0, -0.0, 0.0]]])
 
 
-def _model_stacks(model, pair, rng) -> tuple:
-    """An ambient and stacks of its points: all rows, none, and single rows.
+@pytest.mark.parametrize(
+    "model, pair",
+    [("coordinate", (1.0, 1.0)), ("coordinate", (1.0, 0.0)), ("coordinate", (-1.0, 0.0)),
+     ("coordinate", (0.0, 0.0)), ("coordinate", (-4.0, 1.0)), (BERGER, (1.0, 1.0)),
+     (SU11, (-1.0, 1.0))],
+)
+def test_frames_and_metrics_equal_the_three_calls(model, pair, rng):
+    """``frames_and_metrics`` has the bits of ``frames``, ``metrics(R)`` and ``metrics(L)``.
 
-    The rows include signed zeros and, in the disk, points 1e-7 inside its edge.
+    The coordinate model builds all three from one pass over the points; the
+    rows include signed zeros and, in the disk, points 1e-7 inside its edge.
+    Stacks of all rows, of one row and of none.
     """
     params = SpaceParams(*pair)
     if model == "coordinate":
@@ -600,46 +608,13 @@ def _model_stacks(model, pair, rng) -> tuple:
         ambient = GroupAmbient(model, params)
         points = _quadric_rows(ambient, rng)
         ones = [points[:1], points[-1:]]
-    return ambient, [points, points[:0]] + ones
-
-
-MODEL_PAIRS = pytest.mark.parametrize(
-    "model, pair",
-    [("coordinate", (1.0, 1.0)), ("coordinate", (1.0, 0.0)), ("coordinate", (-1.0, 0.0)),
-     ("coordinate", (0.0, 0.0)), ("coordinate", (-4.0, 1.0)), (BERGER, (1.0, 1.0)),
-     (SU11, (-1.0, 1.0))],
-)
-
-
-@MODEL_PAIRS
-def test_frames_and_metrics_equal_the_three_calls(model, pair, rng):
-    """``frames_and_metrics`` has the bits of ``frames``, ``metrics(R)`` and ``metrics(L)``.
-
-    The coordinate model builds all three from one pass over the points.
-    """
-    ambient, stacks = _model_stacks(model, pair, rng)
-    for stack in stacks:
+    for stack in [points, points[:0]] + ones:
         frame, g_r, g_l = ambient.frames_and_metrics(stack)
         assert _exactly_equal(frame, ambient.frames(stack))
         assert _exactly_equal(g_r, ambient.metrics(Signature.R, stack))
         assert _exactly_equal(g_l, ambient.metrics(Signature.L, stack))
         assert frame.shape == (len(stack), ambient.dim, 3)
         assert g_r.shape == g_l.shape == (len(stack), ambient.dim, ambient.dim)
-
-
-@MODEL_PAIRS
-def test_both_tables_equal_the_two_calls(model, pair, rng):
-    """``both_tables`` has the bits of ``point_tables(R)`` and ``point_tables(L)``.
-
-    The group models take both from one Christoffel pass over the points
-    twice, and the coordinate model at tau = 0 from one table.
-    """
-    ambient, stacks = _model_stacks(model, pair, rng)
-    for stack in stacks:
-        table_r, table_l = ambient.both_tables(stack)
-        assert _exactly_equal(table_r, ambient.point_tables(Signature.R, stack))
-        assert _exactly_equal(table_l, ambient.point_tables(Signature.L, stack))
-        assert table_r.shape == table_l.shape == (len(stack),) + (ambient.dim,) * 3
 
 
 @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0, -4.0])
@@ -659,8 +634,19 @@ def test_tau_zero_tables_match_the_loop_bitwise(kappa, rng):
     for stack in stacks:
         got = ambient._table_from_metric(stack)
         assert got.shape == (len(stack), 3, 3, 3)
-        table_r, table_l = ambient.both_tables(stack)
-        assert table_r is table_l and _exactly_equal(table_r, got)
         for sig in SIGS:
+            assert ambient.table_sig(sig) is Signature.R
             assert _exactly_equal(got, table_loop(ambient, sig, stack))
             assert _exactly_equal(ambient.point_tables(sig, stack), got)
+
+
+@pytest.mark.parametrize(
+    "model, pair",
+    [("coordinate", (1.0, 1.0)), ("coordinate", (-4.0, 1.0)), (BERGER, (1.0, 1.0)),
+     (SU11, (-1.0, 1.0))],
+)
+def test_each_metric_keeps_its_own_table_away_from_tau_zero(model, pair):
+    """``table_sig`` sends L to R only at tau = 0: elsewhere the two tables differ."""
+    params = SpaceParams(*pair)
+    ambient = CoordinateAmbient(params) if model == "coordinate" else GroupAmbient(model, params)
+    assert [ambient.table_sig(sig) for sig in SIGS] == list(SIGS)

@@ -633,7 +633,7 @@ def test_a_join_builds_the_row_stages_that_one_of_its_surfaces_lacks(monkeypatch
     assert ("shapes", Signature.R) not in edge_samples[0]._batch._stages
     assert ("shapes", Signature.R) in bowl_samples[0]._batch._stages
     rows = [("_components", fields) for fields in (NORMAL_FIELDS, T_FIELDS)]
-    rows += [("_tables",)] + [("shapes", sig) for sig in SIGS]
+    rows += [(name, sig) for name in ("tables", "shapes") for sig in SIGS]
     assert taken == dict.fromkeys(rows, False)
     join = joins[0]
     # the invariants stage reads wedge_agreement (normal_routes); nothing reads sign_ambiguous
@@ -984,16 +984,15 @@ def _counted(monkeypatch, owner, name: str, calls: dict) -> None:
 @pytest.mark.parametrize(
     "address, pair, builds",
     [
-        ("graph:bowl:a=0.2", (1.0, 1.0), {"both_tables": 1}),
-        ("berger-helicoid:alpha=0.5,variant=space", (1.0, 1.0), {"both_tables": 2}),
-        ("graph:bowl:a=0.2", (1.0, 0.0), {"both_tables": 1, "_table_from_metric": 1}),
+        ("graph:bowl:a=0.2", (1.0, 1.0), {"point_tables": 2}),
+        ("berger-helicoid:alpha=0.5,variant=space", (1.0, 1.0), {"point_tables": 4}),
+        ("graph:bowl:a=0.2", (1.0, 0.0), {"point_tables": 1, "_table_from_metric": 1}),
     ],
 )
 def test_each_batch_stage_is_built_once(address, pair, builds, monkeypatch):
     """A second evaluation and every per-sample reader reuse the stages of the first.
 
-    The tables of both metrics are one ``both_tables`` call, and in the group
-    model a second one gives the tables where the curves start."""
+    At tau = 0 the one finite-difference table of R serves both metrics."""
     built = build_surface(address, SpaceParams(*pair))
     calls: dict = {}
     _counted(monkeypatch, surfaces, "_normal_data", calls)
@@ -1019,6 +1018,8 @@ def test_each_batch_stage_is_built_once(address, pair, builds, monkeypatch):
     assert calls == first
     d = samples[0]
     assert all(d.shape(sig) is d.shape(sig) for sig in SIGS)
+    tables = [d._batch.tables(sig) for sig in SIGS]
+    assert (tables[0] is tables[1]) == (pair[1] == 0.0)
 
 
 @pytest.mark.parametrize("curves", [False, True], ids=["stages", "with-curves"])
@@ -1027,7 +1028,7 @@ def test_each_batch_stage_is_built_once(address, pair, builds, monkeypatch):
     [
         ((1.0, 1.0), ("hopf:circle", "graph:bowl:a=0.2", "vgraph:saddle:a=0.15"), 0),
         ((1.0, 1.0),
-         ("berger-helicoid:alpha=0.5,variant=space", "berger-helicoid:alpha=0.5,variant=time"), 1),
+         ("berger-helicoid:alpha=0.5,variant=space", "berger-helicoid:alpha=0.5,variant=time"), 2),
         ((1.0, 0.0), ("hopf:circle", "graph:bowl:a=0.2", "vgraph:saddle:a=0.15"), 0),
     ],
     ids=["coordinate", "group", "coordinate-tau0"],
@@ -1038,17 +1039,17 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
     """The stages after the stencil are built once per evaluation, whatever the number of
     surfaces.  The draw plan builds one of them on each surface's own batch: the Riemannian
     shape operators, whose stencil error stops the draws of SHAPE and BILINEAR.  The join
-    takes those, with the normals' stencil components and the tables of both metrics, as
-    rows of the surfaces' own, and builds none of the three again; it builds the T-fields'
-    components once.  At tau = 0 each surface's one finite-difference table serves both
-    metrics, and the join builds none."""
+    takes those, with the normals' stencil components and the Riemannian tables they need,
+    as rows of the surfaces' own, and builds none of the three again; it builds the
+    T-fields' components once.  At tau = 0 the Riemannian tables serve both metrics, so
+    the join builds no table."""
     make, built = _catalog(SpaceParams(*pair), *addresses)
     ambient = make()
     charts = [build(ambient) for build, _ in built]
     calls: dict = {}
     _counted(monkeypatch, surfaces, "_normal_data", calls)
     tau_zero = pair[1] == 0.0
-    counted = ["both_tables", "stencil_components", "cov_deriv_stencils"]
+    counted = ["point_tables", "stencil_components", "cov_deriv_stencils"]
     for name in counted + ["_table_from_metric"] * tau_zero:
         _counted(monkeypatch, ambient, name, calls)
     groups = [_samples(ambient, chart, uvs) for chart, (_, uvs) in zip(charts, built)]
@@ -1058,8 +1059,8 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
     rng = np.random.default_rng(0)
     plans = [draw_plan(names, samples, rng) for samples in groups]
     # per surface: centers and stencil rows, one pass; one stencil_components call for both
-    # normals, the tables of both metrics and the shapes of R, one cov_deriv_stencils call
-    # for both chart axes
+    # normals, the tables of R and the shapes of R, one cov_deriv_stencils call for both
+    # chart axes
     n = len(groups)
     want = dict.fromkeys(["_normal_data", *counted] + ["_table_from_metric"] * tau_zero, n)
     assert calls == want
@@ -1081,15 +1082,15 @@ def test_one_evaluation_builds_each_later_stage_once_over_its_surfaces(
     monkeypatch.setattr(identities._Stack, "_curve_starts", spy)
     evaluate_plans(names, plans)
     # the Lorentzian shapes and the T-derivatives of each metric, one cov_deriv_stencils
-    # call for both chart axes, and one stencil_components call for both T-fields; no
-    # tables, which the surfaces' batches hold
+    # call for both chart axes, the Lorentzian tables (none at tau = 0), and one
+    # stencil_components call for both T-fields
     want = dict.fromkeys(want, 0)
-    want.update(stencil_components=1, cov_deriv_stencils=3)
+    want.update(stencil_components=1, cov_deriv_stencils=3, point_tables=1 - tau_zero)
     if curves:
         # each curve identity's field and derivative, and the tables where curves start
         want["stencil_components"] += 3
         want["cov_deriv_stencils"] += 3
-        want["both_tables"] += starts
+        want["point_tables"] += starts
     assert calls == want
     # the starts of each signature are built once per stack: KILLING_R's two curves of R
     # and CONN_DIFF's curves of R and L share them, on the stack of all samples
@@ -1125,6 +1126,23 @@ def _component_builds(monkeypatch) -> list:
     return builds
 
 
+def test_a_tau_zero_report_builds_one_table_per_batch(monkeypatch, tmp_path):
+    """At tau = 0 one finite-difference table serves both metrics: each report batch
+    builds ``_table_from_metric`` once, over all its rows, and no batch builds another."""
+    rows: list = []
+    inner = CoordinateAmbient._table_from_metric
+
+    def counted(self, points):
+        rows.append(len(points))
+        return inner(self, points)
+
+    monkeypatch.setattr(CoordinateAmbient, "_table_from_metric", counted)
+    argv = ["report", "graph:bowl:a=0.2", "--params", "1,0", "--grid", "17x17"]
+    assert cli.main(argv + ["--csv", str(tmp_path / "out.csv")]) == 0
+    # 289 rows in three batches
+    assert rows == [128, 128, 33]
+
+
 def test_a_report_batch_builds_only_the_normals_stencil_components(monkeypatch, tmp_path):
     """The report reads the shape operators, whose stages differentiate only the two unit
     normals: each of its batches passes those two fields, and no other, to
@@ -1144,23 +1162,6 @@ def test_a_report_batch_builds_only_the_normals_stencil_components(monkeypatch, 
     assert [fields for _, fields in builds] == [NORMAL_FIELDS] * 3
     assert len({id(batch) for batch, _ in builds}) == 3
     assert widths == [len(NORMAL_FIELDS)] * 3
-
-
-def test_a_tau_zero_report_builds_one_table_per_batch(monkeypatch, tmp_path):
-    """At tau = 0 one finite-difference table serves both metrics: each report batch
-    builds ``_table_from_metric`` once, over all its rows, and no batch builds another."""
-    rows: list = []
-    inner = CoordinateAmbient._table_from_metric
-
-    def counted(self, points):
-        rows.append(len(points))
-        return inner(self, points)
-
-    monkeypatch.setattr(CoordinateAmbient, "_table_from_metric", counted)
-    argv = ["report", "graph:bowl:a=0.2", "--params", "1,0", "--grid", "17x17"]
-    assert cli.main(argv + ["--csv", str(tmp_path / "out.csv")]) == 0
-    # 289 rows in three batches
-    assert rows == [128, 128, 33]
 
 
 @pytest.mark.parametrize(

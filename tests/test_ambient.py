@@ -639,14 +639,3 @@ def test_tau_zero_tables_match_the_loop_bitwise(kappa, rng):
             assert _exactly_equal(got, table_loop(ambient, sig, stack))
             assert _exactly_equal(ambient.point_tables(sig, stack), got)
 
-
-@pytest.mark.parametrize(
-    "model, pair",
-    [("coordinate", (1.0, 1.0)), ("coordinate", (-4.0, 1.0)), (BERGER, (1.0, 1.0)),
-     (SU11, (-1.0, 1.0))],
-)
-def test_each_metric_keeps_its_own_table_away_from_tau_zero(model, pair):
-    """``table_sig`` sends L to R only at tau = 0: elsewhere the two tables differ."""
-    params = SpaceParams(*pair)
-    ambient = CoordinateAmbient(params) if model == "coordinate" else GroupAmbient(model, params)
-    assert [ambient.table_sig(sig) for sig in SIGS] == list(SIGS)
